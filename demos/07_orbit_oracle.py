@@ -6,8 +6,10 @@ action, store predecessor links, and certify any claimed equivalence with
 an explicit path word - or refute it definitively.
 """
 
-from cgf import (ModularRing, certify_equivalence, enumerate_orbits,
-                 reduce_row_linear, Mat)
+import json
+
+from cgf import (ModularRing, OrbitTable, certify_equivalence,
+                 enumerate_orbits, reduce_row_linear, Mat)
 from cgf.words import FAMILY_LIN, apply_word_to_row
 
 print("== Um_2(Z/2): one orbit of size 3 ==")
@@ -38,7 +40,12 @@ for ring in (ModularRing(4), ModularRing(8), ModularRing(9)):
           tuple(v.payload for v in out) == e1)
 
 print()
-print("== determinism across worker counts ==")
-a = enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3, workers=1)
-b = enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3, workers=4)
+print("== determinism: re-enumeration and a JSON round trip ==")
+a = enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3)
+b = enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3)
+print("Um_3(Z/4) orbit sizes:", a.orbit_sizes())
 print("identical tables:", a.orbit_of == b.orbit_of and a.pred == b.pred)
+dumped = json.dumps(a.to_json())
+back = OrbitTable.from_json(json.loads(dumped))
+print("identical JSON after a round trip:",
+      json.dumps(back.to_json()) == dumped)

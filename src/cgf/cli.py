@@ -290,8 +290,7 @@ def _cmd_ortho_commutator(args) -> int:
 def _cmd_orbits(args) -> int:
     ring = parse_ring(args.ring)
     table = enumerate_orbits(ring, args.kind, args.family, args.size,
-                             frame_rows=args.frame_rows, budget=args.budget,
-                             workers=args.workers)
+                             frame_rows=args.frame_rows, budget=args.budget)
     if args.cache:
         with open(args.cache, "w", encoding="utf-8") as fh:
             json.dump(table.to_json(), fh, sort_keys=True,
@@ -613,7 +612,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--frame-rows", type=int, default=0)
     sp.add_argument("--budget", type=int, default=10 ** 7)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--cache")
     sp.set_defaults(fn=_cmd_orbits)
 

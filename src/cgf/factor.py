@@ -17,7 +17,8 @@ from __future__ import annotations
 from .errors import (BadPerp, IdealNotComaximal, NotInvertible,
                      NotPerpendicular, NotRightInvertible, NotSymplectic,
                      SizeBound, UnsupportedQuotient, FormViolation)
-from .matrices import IsotropicFrame, Mat, RightInverseCert, membership, psi
+from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
+                       membership, psi)
 from .reduce import _lowest_unit, _require_local, complete_sp, reduce_row_linear
 from .rings import QuotientRing, ideal_combination, unit_ideal_witness
 from .words import (FAMILY_LIN, Generator, GenWord, apply_word_to_row,
@@ -153,7 +154,7 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
     expected = Mat.identity(ring, m) + (c @ r)
     if word.eval() != expected:
         raise FormViolation("internal: transvection word mismatch")
-    if m <= 12 and expected.det() != ring.one():
+    if m <= DET_SIZE_CAP and expected.det() != ring.one():
         raise FormViolation("internal: transvection determinant is not 1")
     return word
 

@@ -2,9 +2,12 @@
 group-membership predicates.
 
 Everything is immutable: a matrix is a tuple-of-tuples of ring values.
-Determinants use fraction-free (Bareiss) elimination when the ring is an
-integral domain with exact division, and bitmask cofactor expansion
-otherwise, with a hard size cap so zero-divisor rings stay exact.
+Determinants and inverses come from one algorithm for every ring of the
+tower: Berkowitz's division-free characteristic polynomial (S. J. Berkowitz,
+"On computing the determinant in small parallel time using a small number
+of processors", Inf. Proc. Letters 18, 1984), O(n^4) ring operations up to
+the size cap.  The inverse is the adjugate from Cayley-Hamilton, scaled by
+the inverse of a unit determinant.
 """
 
 from __future__ import annotations
@@ -156,114 +159,67 @@ class Mat:
         return Mat(new_ring, [[fn(e) for e in row] for row in self.entries])
 
     # -- determinant and inverse ---------------------------------------------
-    def det(self) -> RingValue:
+    def _charpoly(self) -> list:
+        """Payloads [1, c_1, ..., c_n] of the characteristic polynomial
+        det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n.
+
+        Berkowitz: the polynomial of each leading (k+1) x (k+1) block is a
+        Toeplitz matrix with first column [1, -a_kk, -R C, -R M C, ...,
+        -R M^(k-1) C] times that of the leading k x k block M, where R and C
+        are the new row and column.
+        """
         if self.rows != self.cols:
             raise ShapeMismatch("determinant of a non-square matrix")
         n = self.rows
         if n > DET_SIZE_CAP:
             raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
-        if n == 1:
-            return self.entries[0][0]
         ring = self.ring
-        if ring.is_field:
-            return self._det_gauss()
-        if ring.is_domain:
-            try:
-                return self._det_bareiss()
-            except UnsupportedRing:
-                pass
-        return self._det_cofactor()
-
-    def _det_gauss(self) -> RingValue:
-        ring = self.ring
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        det = ring.one()
+        zero = ring.zero().payload
+        a = [[e.payload for e in row] for row in self.entries]
+        poly = [ring.one().payload]
         for k in range(n):
-            piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                return ring.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                det = -det
-            det = det * a[k][k]
-            inv = a[k][k].inverse()
-            for i in range(k + 1, n):
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-        return det
+            cols = [[row[j] for row in a[:k]] for j in range(k + 1)]
+            toeplitz = [ring.neg(a[k][k])]
+            vec = a[k][:k]
+            for j in range(k):
+                toeplitz.append(ring.neg(_dot(ring, zero, vec, cols[k])))
+                if j < k - 1:
+                    vec = [_dot(ring, zero, vec, col) for col in cols[:k]]
+            poly = poly[:1] + [
+                _dot(ring, poly[i] if i <= k else zero, poly[i - 1::-1],
+                     toeplitz)
+                for i in range(1, k + 2)]
+        return poly
 
-    def _det_bareiss(self) -> RingValue:
-        ring = self.ring
-        a = [list(row) for row in self.entries]
-        n = self.rows
-        sign = 1
-        prev = ring.one()
-        for k in range(n - 1):
-            piv = next((i for i in range(k, n) if not a[i][k].is_zero()), None)
-            if piv is None:
-                return ring.zero()
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = RingValue(ring, ring.exact_div(num.payload,
-                                                             prev.payload))
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign == 1 else -d
-
-    def _det_cofactor(self) -> RingValue:
-        # bitmask dynamic program over column subsets, exact over any ring
-        ring = self.ring
-        n = self.rows
-        zero = ring.zero()
-        prev = {0: ring.one()}
-        for i in range(n):
-            nxt = {}
-            row = self.entries[i]
-            for mask, val in prev.items():
-                sign_flip = False
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit:
-                        continue
-                    term = val * row[j]
-                    if sign_flip:
-                        term = -term
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, zero) + term
-                    sign_flip = not sign_flip
-            prev = {m: v for m, v in nxt.items()}
-        return prev[(1 << n) - 1]
+    def det(self) -> RingValue:
+        c_n = RingValue(self.ring, self._charpoly()[-1])
+        return c_n if self.rows % 2 == 0 else -c_n
 
     def inverse(self) -> "Mat":
-        """Adjugate inverse; requires a unit determinant."""
-        d = self.det()
+        """Adjugate inverse; requires a unit determinant.
+
+        By Cayley-Hamilton, adj(A) = (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ...
+        + c_(n-1) I), evaluated by Horner.
+        """
+        c = self._charpoly()
+        ring = self.ring
+        n = self.rows
+        c_n = RingValue(ring, c[n])
+        d = c_n if n % 2 == 0 else -c_n
         if not d.is_unit():
             raise NotInvertible("determinant is not a unit", det=d)
-        dinv = d.inverse()
-        n = self.rows
-        if n == 1:
-            return Mat(self.ring, [[dinv]])
-        cof = []
-        for i in range(n):
-            cof_row = []
-            for j in range(n):
-                minor = Mat(self.ring,
-                            [[self.entries[r][c] for c in range(n) if c != j]
-                             for r in range(n) if r != i])
-                m = minor._det_cofactor() if not (self.ring.is_field or
-                                                  self.ring.is_domain) \
-                    else minor.det()
-                if (i + j) % 2:
-                    m = -m
-                cof_row.append(m)
-            cof.append(cof_row)
-        adj = Mat(self.ring, cof).transpose()
-        return adj.scale(dinv)
+        scale = (d.inverse() if n % 2 else -d.inverse()).payload
+        zero = ring.zero().payload
+        a = [[e.payload for e in row] for row in self.entries]
+        horner = [[c[0] if i == j else zero for j in range(n)]
+                  for i in range(n)]
+        for k in range(1, n):
+            cols = list(zip(*horner))
+            horner = [[_dot(ring, c[k] if i == j else zero, row, col)
+                       for j, col in enumerate(cols)]
+                      for i, row in enumerate(a)]
+        return Mat(ring, [[RingValue(ring, ring.mul(scale, p)) for p in row]
+                          for row in horner])
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -276,6 +232,14 @@ class Mat:
         ring = ring_from_json(obj["ring"])
         return Mat(ring, [[ring.value_from_json(e) for e in row]
                           for row in obj["entries"]])
+
+
+def _dot(ring: Ring, acc, xs, ys):
+    """acc + sum(x * y) over payloads of ``ring``."""
+    add, mul = ring.add, ring.mul
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y))
+    return acc
 
 
 def identity(ring: Ring, n: int) -> Mat:

@@ -5,7 +5,7 @@ any claimed equivalence can be re-derived as an explicit path word.
 Determinism: objects are enumerated in lexicographic payload order,
 generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
-wins, independently of how the frontier was chunked across workers.
+wins.
 """
 
 from __future__ import annotations
@@ -184,12 +184,10 @@ class OrbitTable:
         return tuple(tuple(self.ring.sort_key(p) for p in row) for row in key)
 
 
-def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int,
-                 workers: int):
-    """Deterministic multi-source BFS; frontier chunking cannot change the
-    predecessor assignment because ties pick the least (parent, generator)."""
-    order = {id(g): idx for idx, g in enumerate(gens)}
-    for oid, root in enumerate(start_keys):
+def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int):
+    """Deterministic multi-source BFS; ties between frontier edges pick the
+    least (parent, generator)."""
+    for root in start_keys:
         if root in table.orbit_of:
             continue
         oid = len(table.reps)
@@ -198,19 +196,16 @@ def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int,
         table.pred[root] = None
         frontier = [root]
         while frontier:
-            # split the frontier the way a worker pool would, then merge
-            chunks = [frontier[w::workers] for w in range(max(1, workers))]
             proposals: dict = {}
-            for chunk in chunks:
-                for node in chunk:
-                    for gi, g in enumerate(gens):
-                        new = act(table.ring, node, g)
-                        if new in table.orbit_of:
-                            continue
-                        cand = (table._key_order(node), gi, node, g)
-                        best = proposals.get(new)
-                        if best is None or cand[:2] < best[:2]:
-                            proposals[new] = cand
+            for node in frontier:
+                for gi, g in enumerate(gens):
+                    new = act(table.ring, node, g)
+                    if new in table.orbit_of:
+                        continue
+                    cand = (table._key_order(node), gi, node, g)
+                    best = proposals.get(new)
+                    if best is None or cand[:2] < best[:2]:
+                        proposals[new] = cand
             next_frontier = []
             for new, (_, _, parent, g) in sorted(
                     proposals.items(), key=lambda kv: table._key_order(kv[0])):
@@ -225,7 +220,7 @@ def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int,
 
 def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
                      frame_rows: int = 0, budget: int = DEFAULT_BUDGET,
-                     workers: int = 1, seeds=()) -> OrbitTable:
+                     seeds=()) -> OrbitTable:
     """Exhaustive orbits of the right generator action.
 
     kind "row": partitions all unimodular rows of the given length.
@@ -252,7 +247,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
                 table.pred[key] = None
                 table.reps.append(key)
             return table
-        _bfs_closure(table, domain, _act_row, gens, budget, workers)
+        _bfs_closure(table, domain, _act_row, gens, budget)
         return table
     if kind == "frame":
         if frame_rows <= 0 or frame_rows > size:
@@ -263,7 +258,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         standard = _frame_key([list(ident.entries[i]) for i in range(frame_rows)])
         starts = [standard] + [
             _frame_key(s.entries if isinstance(s, Mat) else s) for s in seeds]
-        _bfs_closure(table, starts, _act_frame, gens, budget, workers)
+        _bfs_closure(table, starts, _act_frame, gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 

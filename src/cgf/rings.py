@@ -168,7 +168,6 @@ class Ring:
     kind = "?"
     is_local = False
     is_field = False
-    is_domain = False
     is_finite = False
     is_zero_ring = False
     characteristic = 0
@@ -228,10 +227,6 @@ class Ring:
     def is_nilpotent_payload(self, a) -> bool:
         return a == self.zero().payload
 
-    # exact division a / b when the quotient exists in the ring (domains only)
-    def exact_div(self, a, b):
-        raise UnsupportedRing(f"no exact division in {self}")
-
     def render(self, payload) -> str:
         return str(payload)
 
@@ -261,7 +256,6 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "int"
-    is_domain = True
 
     def key(self):
         return ("int",)
@@ -298,12 +292,6 @@ class IntegerRing(Ring):
             return a
         raise NotAUnit(f"{a} is not a unit in Z")
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r:
-            raise CgfError(f"{a} not divisible by {b} in Z")
-        return q
-
     def random(self, rng):
         return RingValue(self, rng.randint(-9, 9))
 
@@ -319,7 +307,6 @@ class IntegerRing(Ring):
 
 class RationalField(Ring):
     kind = "rat"
-    is_domain = True
     is_field = True
     is_local = True  # a field has a unique maximal ideal
 
@@ -360,9 +347,6 @@ class RationalField(Ring):
             raise NotAUnit("0 is not a unit in Q")
         return 1 / a
 
-    def exact_div(self, a, b):
-        return a / b
-
     def random(self, rng):
         return RingValue(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
@@ -390,7 +374,6 @@ class ModularRing(Ring):
         self.n = n
         self.characteristic = n
         self.is_field = _is_prime(n)
-        self.is_domain = self.is_field
         self.is_zero_ring = n == 1
         self.is_local = n == 1 or _prime_power_base(n) is not None
 
@@ -438,12 +421,6 @@ class ModularRing(Ring):
         for _ in range(self.n.bit_length()):
             x = (x * x) % self.n
         return x == 0
-
-    def exact_div(self, a, b):
-        # only meaningful when self is a field
-        if not self.is_field:
-            raise UnsupportedRing(f"no exact division in {self}")
-        return self.mul(a, self.inverse_payload(b))
 
     def elements(self):
         return (RingValue(self, i) for i in range(self.n))
@@ -505,7 +482,6 @@ class TruncatedPolyLocal(Ring):
         self.e = e
         self.characteristic = p
         self.is_field = e == 1
-        self.is_domain = e == 1
 
     def key(self):
         return ("polyloc", self.p, self.e)
@@ -605,7 +581,6 @@ class LocalizedIntegers(Ring):
     """Z localized at the prime ideal (p): fractions with denominator coprime to p."""
 
     kind = "loc_int"
-    is_domain = True
     is_local = True
 
     def __init__(self, p: int):
@@ -654,10 +629,6 @@ class LocalizedIntegers(Ring):
             raise NotAUnit(f"{a} is not a unit in {self}")
         return 1 / a
 
-    def exact_div(self, a, b):
-        q = a / b
-        return self.canon(q)
-
     def random(self, rng):
         den = rng.choice([d for d in range(1, 10) if d % self.p != 0])
         return RingValue(self, Fraction(rng.randint(-9, 9), den))
@@ -682,7 +653,6 @@ class FractionRing(Ring):
     """
 
     kind = "frac"
-    is_domain = True
 
     def __init__(self, base: Ring, s):
         if not isinstance(base, IntegerRing):
@@ -738,9 +708,6 @@ class FractionRing(Ring):
             raise NotAUnit(f"{a} is not a unit in {self}")
         return 1 / a
 
-    def exact_div(self, a, b):
-        return self.canon(a / b)
-
     def random(self, rng):
         k = rng.randrange(3)
         return RingValue(self, Fraction(rng.randint(-9, 9), abs(self.s) ** k or 1))
@@ -774,7 +741,6 @@ class PolyExt(Ring):
         self.var = var
         self.degree_cap = degree_cap
         self.characteristic = base.characteristic
-        self.is_domain = base.is_domain
         self.is_zero_ring = base.is_zero_ring
 
     def key(self):
@@ -947,42 +913,18 @@ def _poly_divmod_field(num, den, field: Ring):
     return tuple(quo), tuple(num)
 
 
-def _poly_xgcd_field(a, b, field: Ring):
-    """Extended gcd in F[x]; returns (g, u, v) with u*a + v*b = g."""
-    zero, one = (), (field.one().payload,)
-
-    def padd(x, y):
-        n = max(len(x), len(y))
-        z = field.zero().payload
-        out = [field.add(x[i] if i < len(x) else z, y[i] if i < len(y) else z)
-               for i in range(n)]
-        while out and out[-1] == z:
-            out.pop()
-        return tuple(out)
-
-    def pmul(x, y):
-        if not x or not y:
-            return ()
-        z = field.zero().payload
-        out = [z] * (len(x) + len(y) - 1)
-        for i, cx in enumerate(x):
-            for j, cy in enumerate(y):
-                out[i + j] = field.add(out[i + j], field.mul(cx, cy))
-        while out and out[-1] == z:
-            out.pop()
-        return tuple(out)
-
-    def pneg(x):
-        return tuple(field.neg(c) for c in x)
-
+def _poly_xgcd_field(a, b, poly: PolyExt):
+    """Extended gcd in F[x] = ``poly`` over a field; returns (g, u, v) with
+    u*a + v*b = g."""
+    zero, one = (), (poly.base.one().payload,)
     r0, r1 = tuple(a), tuple(b)
     u0, u1 = one, zero
     v0, v1 = zero, one
     while r1:
-        q, r = _poly_divmod_field(r0, r1, field)
+        q, r = _poly_divmod_field(r0, r1, poly.base)
         r0, r1 = r1, r
-        u0, u1 = u1, padd(u0, pneg(pmul(q, u1)))
-        v0, v1 = v1, padd(v0, pneg(pmul(q, v1)))
+        u0, u1 = u1, poly.sub(u0, poly.mul(q, u1))
+        v0, v1 = v1, poly.sub(v0, poly.mul(q, v1))
     return r0, u0, v0
 
 
@@ -1017,7 +959,6 @@ class QuotientRing(Ring):
             self.modulus = m  # 0 means quotient by the zero ideal of Z
             self.is_finite = m >= 1
             self.is_field = _is_prime(m)
-            self.is_domain = self.is_field or m == 0
             self.is_zero_ring = m == 1
             self.is_local = m == 1 or (_prime_power_base(m) is not None)
             self.characteristic = m
@@ -1108,7 +1049,7 @@ class QuotientRing(Ring):
             if self.is_zero_ring:
                 return True
             return gcd(a, self.modulus) == 1
-        g, _, _ = _poly_xgcd_field(a, self.modulus, self.field)
+        g, _, _ = _poly_xgcd_field(a, self.modulus, self.base)
         return len(g) == 1
 
     def inverse_payload(self, a):
@@ -1122,7 +1063,7 @@ class QuotientRing(Ring):
             if gcd(a, self.modulus) != 1:
                 raise NotAUnit(f"{a} is not a unit mod {self.modulus}")
             return pow(a, -1, self.modulus)
-        g, u, _ = _poly_xgcd_field(a, self.modulus, self.field)
+        g, u, _ = _poly_xgcd_field(a, self.modulus, self.base)
         if len(g) != 1:
             raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
         scale = self.field.inverse_payload(g[0])

@@ -6,6 +6,7 @@ lines as they appear.
 """
 
 import itertools
+import json
 import random
 import time
 import warnings
@@ -20,7 +21,7 @@ from cgf.homotopy import (Homotopy, commutator_witness, homotopy_commute_linear,
 from cgf.localglobal import patch, quillen_split
 from cgf.matrices import (Mat, block_perp, identity, membership, phi, psi,
                           right_inverse)
-from cgf.oracle import certify_equivalence, enumerate_orbits
+from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.orthoquot import (FactoredOrthogonal, classify_o2, commutator_harness,
                            orth_inverse, vaserstein_quotient)
 from cgf.reduce import (complete_orth, complete_sp, complete_um_linear,
@@ -405,12 +406,17 @@ def test_criterion_8_orthogonal_quotient():
 def test_criterion_9_oracle_self_consistency():
     started = time.time()
     Z2 = ModularRing(2)
-    t1 = enumerate_orbits(Z2, "row", FAMILY_LIN, 2, workers=1)
+    t1 = enumerate_orbits(Z2, "row", FAMILY_LIN, 2)
     assert t1.orbit_count() == 1 and t1.orbit_sizes() == [3]
     for ring, size in ((ModularRing(4), 3), (ModularRing(9), 2)):
-        a = enumerate_orbits(ring, "row", FAMILY_LIN, size, workers=1)
-        b = enumerate_orbits(ring, "row", FAMILY_LIN, size, workers=5)
+        a = enumerate_orbits(ring, "row", FAMILY_LIN, size)
+        b = enumerate_orbits(ring, "row", FAMILY_LIN, size)
+        assert a.orbit_count() == 1
         assert a.orbit_of == b.orbit_of
         assert a.pred == b.pred
-    _report(9, "orbit tables are worker-count independent; Um_2(Z/2) has "
-               "one orbit of size 3", started)
+        dumped = json.dumps(a.to_json())
+        back = OrbitTable.from_json(json.loads(dumped))
+        assert json.dumps(back.to_json()) == dumped
+    _report(9, "orbit tables are reproducible and survive a JSON round "
+               "trip byte for byte; Um_2(Z/2) has one orbit of size 3",
+            started)

@@ -38,6 +38,18 @@ def test_orbits_documented_invocation(capsys):
     assert obj["orbits"] == 1 and obj["sizes"] == [3]
 
 
+def test_orbits_single_orbit_and_no_workers_flag(capsys):
+    code = main(["orbits", "--ring", "mod:4", "--size", "3",
+                 "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    code, out = run_cli(capsys, "orbits", "--ring", "mod:4", "--size", "3")
+    assert code == 0
+    assert json.loads(out) == {"objects": 56, "orbits": 1, "sizes": [56]}
+
+
 def test_homotopy_commute_trivial(capsys):
     spec = {
         "ring": {"kind": "mod", "n": 9},

@@ -1,16 +1,19 @@
 """Matrices: forms, membership, determinants, right inverses, frames."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cgf.errors import (HalfNotInvertible, NotRightInvertible, SizeLimit,
-                        UnsupportedRing, FormViolation)
+from cgf.errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
+                        SizeLimit, UnsupportedRing, FormViolation)
 from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat, block_perp,
                           hyperbolic_pair_check, identity, membership, phi,
                           psi, right_inverse)
 from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
-                       PrimeField, RationalField)
+                       PrimeField, RationalField, TruncatedPolyLocal)
+from cgf.sampling import random_word
+from cgf.words import FAMILY_LIN
 
 
 def test_block_perp_builds_psi():
@@ -28,16 +31,108 @@ def test_det_cap():
     R = PrimeField(5)
     with pytest.raises(SizeLimit):
         identity(R, 13).det()
+    with pytest.raises(SizeLimit):
+        identity(R, 13).inverse()
+
+
+def _det_cofactor(m):
+    # reference: bitmask dynamic program over column subsets, exact over any
+    # ring, exponential in the size
+    ring = m.ring
+    n = m.rows
+    zero = ring.zero()
+    prev = {0: ring.one()}
+    for i in range(n):
+        nxt = {}
+        row = m.entries[i]
+        for mask, val in prev.items():
+            sign_flip = False
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = val * row[j]
+                if sign_flip:
+                    term = -term
+                key = mask | bit
+                nxt[key] = nxt.get(key, zero) + term
+                sign_flip = not sign_flip
+        prev = {m: v for m, v in nxt.items()}
+    return prev[(1 << n) - 1]
+
+
+DET_RINGS = (IntegerRing(), RationalField(), PrimeField(7),
+             LocalizedIntegers(3), ModularRing(8), ModularRing(9),
+             TruncatedPolyLocal(2, 2), PolyExt(ModularRing(9), "T"),
+             PolyExt(PrimeField(5), "T"))
 
 
 def test_det_methods_agree():
     rng = random.Random(5)
-    for ring in (IntegerRing(), RationalField(), PrimeField(7),
-                 LocalizedIntegers(3)):
-        for _ in range(30):
-            m = Mat(ring, [[ring.random(rng) for _ in range(3)]
-                           for _ in range(3)])
-            assert m.det() == m._det_cofactor()
+    for ring in DET_RINGS:
+        one = ring.one()
+        for n in range(1, 9):
+            for _ in range(6 if n <= 4 else 2):
+                m = Mat(ring, [[ring.random(rng) for _ in range(n)]
+                               for _ in range(n)])
+                d = m.det()
+                assert d == _det_cofactor(m)
+                if d.is_unit():
+                    inv = m.inverse()
+                    assert m @ inv == identity(ring, n) == inv @ m
+                else:
+                    with pytest.raises(NotInvertible) as exc:
+                        m.inverse()
+                    assert exc.value.context["det"] == d
+            if n == 1:
+                continue
+            a = random_word(rng, ring, FAMILY_LIN, n, 3 * n).eval()
+            assert a.det() == one == _det_cofactor(a)
+            inv = a.inverse()
+            assert a @ inv == identity(ring, n) == inv @ a
+
+
+def _sympy_cases(rng):
+    for ring in (IntegerRing(), RationalField(), ModularRing(8),
+                 ModularRing(9), ModularRing(6), PrimeField(7)):
+        for n in range(1, 9):
+            for _ in range(3):
+                yield ring, Mat(ring, [[ring.random(rng) for _ in range(n)]
+                                       for _ in range(n)])
+            if n > 1:
+                yield ring, random_word(rng, ring, FAMILY_LIN, n, 2 * n).eval()
+
+
+def _from_sympy(ring, x):
+    if isinstance(ring, RationalField):
+        return ring.coerce(Fraction(int(x.p), int(x.q)))
+    return ring.coerce(int(x))
+
+
+def test_det_and_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for ring, m in _sympy_cases(rng):
+        ref = sympy.Matrix([[sympy.Rational(e.payload) for e in row]
+                            for row in m.entries])
+        ref_det = ref.det()
+        assert m.det() == _from_sympy(ring, ref_det)
+        if isinstance(ring, ModularRing):
+            try:
+                ref_inv = ref.inv_mod(ring.n)
+            except ValueError:
+                ref_inv = None
+        elif ref_det != 0 and (ring.is_field or abs(ref_det) == 1):
+            ref_inv = ref.inv()
+        else:
+            ref_inv = None
+        if ref_inv is None:
+            with pytest.raises(NotInvertible):
+                m.inverse()
+        else:
+            assert m.inverse() == Mat(ring, [
+                [_from_sympy(ring, x) for x in ref_inv.row(i)]
+                for i in range(m.rows)])
 
 
 def test_form_symmetries():
