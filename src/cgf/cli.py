@@ -2,13 +2,14 @@
 operations, and emit witness JSON with the verification report embedded.
 
 Exit codes: 0 on success, 2 on domain errors (structured JSON on stdout) or
-failed harness checks, 1 on usage errors.  Identical (command, input, seed)
-invocations print byte-identical JSON.
+failed harness checks, 1 on usage errors, malformed input among them.
+Identical (command, input, seed) invocations print byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -41,53 +42,71 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@contextlib.contextmanager
+def _decoding(what: str):
+    """Turn a malformed input (bad JSON, a missing key, a bad integer, an
+    unreadable file, ...) into a usage error; domain errors pass through."""
+    try:
+        yield
+    except (ArithmeticError, AttributeError, KeyError, IndexError, OSError,
+            RecursionError, TypeError, ValueError) as exc:
+        detail = (f"missing key {exc}" if isinstance(exc, KeyError)
+                  else " ".join(str(exc).split()) or type(exc).__name__)
+        raise _UsageError(f"malformed {what}: {detail}") from None
+
+
 def _maybe_file(text: str) -> str:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
+        with _decoding(text), open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return text
 
 
 def parse_ring(text: str) -> Ring:
     """Shorthand (mod:4, prime:5, locint:5, polyloc:2:2, int, rat) or JSON."""
-    text = _maybe_file(text).strip()
-    if text.startswith("{"):
-        return ring_from_json(json.loads(text))
-    parts = text.split(":")
-    kind = parts[0]
-    if kind == "int":
-        return IntegerRing()
-    if kind == "rat":
-        return RationalField()
-    if kind == "mod":
-        return ModularRing(int(parts[1]))
-    if kind == "prime":
-        return PrimeField(int(parts[1]))
-    if kind == "locint":
-        return LocalizedIntegers(int(parts[1]))
-    if kind == "polyloc":
-        return TruncatedPolyLocal(int(parts[1]), int(parts[2]))
-    if kind == "poly":
-        return PolyExt(parse_ring(":".join(parts[1:])), "T")
+    with _decoding("--ring"):
+        text = _maybe_file(text).strip()
+        if text.startswith("{"):
+            return ring_from_json(json.loads(text))
+        parts = text.split(":")
+        kind = parts[0]
+        if kind == "int":
+            return IntegerRing()
+        if kind == "rat":
+            return RationalField()
+        if kind == "mod":
+            return ModularRing(int(parts[1]))
+        if kind == "prime":
+            return PrimeField(int(parts[1]))
+        if kind == "locint":
+            return LocalizedIntegers(int(parts[1]))
+        if kind == "polyloc":
+            return TruncatedPolyLocal(int(parts[1]), int(parts[2]))
+        if kind == "poly":
+            return PolyExt(parse_ring(":".join(parts[1:])), "T")
     raise _UsageError(f"unknown ring shorthand {text!r}")
 
 
 def _parse_matrix(text: str, ring: Ring | None) -> Mat:
-    obj = json.loads(_maybe_file(text))
-    if isinstance(obj, dict):
-        return Mat.from_json(obj)
-    if ring is None:
-        raise _UsageError("a bare entry grid needs --ring")
-    return Mat(ring, [[ring.value_from_json(e) for e in row] for row in obj])
+    with _decoding("matrix"):
+        obj = json.loads(_maybe_file(text))
+        if isinstance(obj, dict):
+            return Mat.from_json(obj)
+        if ring is None:
+            raise _UsageError("a bare entry grid needs --ring")
+        return Mat(ring, [[ring.value_from_json(e) for e in row]
+                          for row in obj])
 
 
 def _parse_row(text: str, ring: Ring) -> Mat:
-    obj = json.loads(_maybe_file(text))
-    return Mat(ring, [[ring.value_from_json(e) for e in obj]])
+    with _decoding("row"):
+        obj = json.loads(_maybe_file(text))
+        return Mat(ring, [[ring.value_from_json(e) for e in obj]])
 
 
 def _parse_word(text: str) -> GenWord:
-    return GenWord.from_json(json.loads(_maybe_file(text)))
+    with _decoding("word"):
+        return GenWord.from_json(json.loads(_maybe_file(text)))
 
 
 def _emit(obj) -> int:
@@ -218,19 +237,22 @@ def _cmd_roitman(args) -> int:
 
 
 def _cmd_homotopy_commute(args) -> int:
-    spec = json.loads(_maybe_file(args.input))
-    ring = ring_from_json(spec["ring"])
-    rt = PolyExt(ring, spec.get("var", "T"))
+    with _decoding("--input"):
+        spec = json.loads(_maybe_file(args.input))
+        ring = ring_from_json(spec["ring"])
+        delta = (GenWord.from_json(spec["delta_word"])
+                 if "delta_word" in spec
+                 else Mat.from_json(spec["delta_matrix"]))
     flavor = args.flavor
     name = {"linear": "linear", "sp": "symplectic",
             "orth": "orthogonal"}[flavor]
-    if "delta_word" in spec:
-        word = GenWord.from_json(spec["delta_word"])
-        hom = Homotopy.from_word(name, word)
+    if isinstance(delta, GenWord):
+        hom = Homotopy.from_word(name, delta)
     else:
-        hom = Homotopy.from_matrix(name, Mat.from_json(spec["delta_matrix"]))
-    v = Mat(ring, [[ring.value_from_json(e) for e in row]
-                   for row in spec["v"]])
+        hom = Homotopy.from_matrix(name, delta)
+    with _decoding("--input"):
+        v = Mat(ring, [[ring.value_from_json(e) for e in row]
+                       for row in spec["v"]])
     if flavor == "linear":
         res = homotopy_commute_linear(hom, v)
     elif flavor == "sp":
@@ -301,13 +323,13 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.table, "r", encoding="utf-8") as fh:
+    with _decoding("--table"), open(args.table, "r", encoding="utf-8") as fh:
         table = OrbitTable.from_json(json.load(fh))
     ring = table.ring
-    v1 = tuple(ring.value_from_json(e).payload
-               for e in json.loads(_maybe_file(args.v1)))
-    v2 = tuple(ring.value_from_json(e).payload
-               for e in json.loads(_maybe_file(args.v2)))
+    with _decoding("row"):
+        v1, v2 = (tuple(ring.value_from_json(e).payload
+                        for e in json.loads(_maybe_file(v)))
+                  for v in (args.v1, args.v2))
     word = certify_equivalence(v1, v2, table)
     if word is None:
         return _emit({"equivalent": False})

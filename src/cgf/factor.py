@@ -26,10 +26,11 @@ from .words import (FAMILY_LIN, Generator, GenWord, apply_word_to_row,
 
 
 def _block_upper_gens(a: Mat, n: int, size: int):
-    """[[I, A], [0, I]] as commuting e_(i, n+j)(A_ij), row-major."""
+    """[[I, A], [0, I]] as commuting e_(i, n+j)(A_ij), row-major; A has n
+    rows and any number of columns."""
     out = []
     for i in range(n):
-        for j in range(n):
+        for j in range(a.cols):
             z = a.entries[i][j]
             if not z.is_zero():
                 out.append(Generator(FAMILY_LIN, i + 1, n + j + 1, z, size))

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .errors import (DescriptorMismatch, FormViolation, NotInvertible,
                      NotLocal, SizeBound)
-from .factor import sp_inverse, whitehead_linear, whitehead_symplectic
+from .factor import (_block_upper_gens, sp_inverse, whitehead_linear,
+                     whitehead_symplectic)
 from .matrices import IsotropicFrame, Mat, block_perp, identity, membership
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
@@ -361,8 +362,8 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
             word = sig_word
         else:
             x = alpha.inverse().scale(-ring.one()) @ beta
-            clear = _block_upper_word(ring, x, cut, big)
-            word = sig_word + clear
+            word = sig_word + GenWord(ring, big, FAMILY_LIN,
+                                      tuple(_block_upper_gens(x, cut, big)))
     else:
         # the perp pairing forces the off-diagonal block to vanish
         if any(not e.is_zero() for row in beta.entries for e in row):
@@ -382,13 +383,3 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
                 ("word evaluates to sigma ⊥ d^{-1}", check_word)])
     return TransportResult(alpha, word, witness)
 
-
-def _block_upper_word(ring, x: Mat, cut: int, size: int) -> GenWord:
-    from .words import Generator
-    gens = []
-    for i in range(cut):
-        for j in range(size - cut):
-            z = x.entries[i][j]
-            if not z.is_zero():
-                gens.append(Generator(FAMILY_LIN, i + 1, cut + j + 1, z, size))
-    return GenWord(ring, size, FAMILY_LIN, tuple(gens))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
 from .rings import (IntegerRing, ModularRing, RationalField, Ring, RingValue,
-                    has_half)
+                    _dot, _factor, has_half)
 
 DET_SIZE_CAP = 12
 
@@ -29,15 +29,28 @@ class Mat:
 
     def __init__(self, ring: Ring, entries):
         grid = tuple(tuple(ring.coerce(e) for e in row) for row in entries)
+        if grid and grid[0] and any(len(r) != len(grid[0]) for r in grid):
+            raise ShapeMismatch("ragged rows")
+        self._fill(ring, grid)
+
+    def _fill(self, ring: Ring, grid: tuple) -> "Mat":
         if not grid or not grid[0]:
             raise ShapeMismatch("matrices must be non-empty")
-        width = len(grid[0])
-        if any(len(r) != width for r in grid):
-            raise ShapeMismatch("ragged rows")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "entries", grid)
+        for name, value in zip(self.__slots__,
+                               (ring, len(grid), len(grid[0]), grid)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @staticmethod
+    def _box(ring: Ring, rows) -> "Mat":
+        """A matrix from rows of canonical payloads of ``ring``, boxed
+        without coercing them again."""
+        return object.__new__(Mat)._fill(ring, tuple(
+            tuple(RingValue(ring, p) for p in row) for row in rows))
+
+    def _payloads(self) -> list:
+        """The entries as fresh rows of canonical payloads."""
+        return [[e.payload for e in row] for row in self.entries]
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -45,9 +58,9 @@ class Mat:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def identity(ring: Ring, n: int) -> "Mat":
-        one, zero = ring.one(), ring.zero()
-        return Mat(ring, [[one if i == j else zero for j in range(n)]
-                          for i in range(n)])
+        one, zero = ring.one().payload, ring.zero().payload
+        return Mat._box(ring, [[one if i == j else zero for j in range(n)]
+                               for i in range(n)])
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Mat":
@@ -110,18 +123,11 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = list(zip(*other.entries))
-        zero = self.ring.zero()
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(self.ring, out)
+        ring = self.ring
+        zero = ring.zero().payload
+        cols = list(zip(*other._payloads()))
+        return Mat._box(ring, [[_dot(ring, zero, row, col) for col in cols]
+                               for row in self._payloads()])
 
     __mul__ = __matmul__
 
@@ -175,7 +181,7 @@ class Mat:
             raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
         ring = self.ring
         zero = ring.zero().payload
-        a = [[e.payload for e in row] for row in self.entries]
+        a = self._payloads()
         poly = [ring.one().payload]
         for k in range(n):
             cols = [[row[j] for row in a[:k]] for j in range(k + 1)]
@@ -210,7 +216,7 @@ class Mat:
             raise NotInvertible("determinant is not a unit", det=d)
         scale = (d.inverse() if n % 2 else -d.inverse()).payload
         zero = ring.zero().payload
-        a = [[e.payload for e in row] for row in self.entries]
+        a = self._payloads()
         horner = [[c[0] if i == j else zero for j in range(n)]
                   for i in range(n)]
         for k in range(1, n):
@@ -218,8 +224,8 @@ class Mat:
             horner = [[_dot(ring, c[k] if i == j else zero, row, col)
                        for j, col in enumerate(cols)]
                       for i, row in enumerate(a)]
-        return Mat(ring, [[RingValue(ring, ring.mul(scale, p)) for p in row]
-                          for row in horner])
+        return Mat._box(ring, [[ring.mul(scale, p) for p in row]
+                               for row in horner])
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -232,14 +238,6 @@ class Mat:
         ring = ring_from_json(obj["ring"])
         return Mat(ring, [[ring.value_from_json(e) for e in row]
                           for row in obj["entries"]])
-
-
-def _dot(ring: Ring, acc, xs, ys):
-    """acc + sum(x * y) over payloads of ``ring``."""
-    add, mul = ring.add, ring.mul
-    for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y))
-    return acc
 
 
 def identity(ring: Ring, n: int) -> Mat:
@@ -455,22 +453,8 @@ def _right_inverse_modular(a: Mat) -> Mat:
     """CRT over the prime-power factors of the modulus."""
     ring: ModularRing = a.ring
     n_mod = ring.n
-    # factor the modulus
-    factors = []
-    m = n_mod
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            factors.append(q)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append(m)
     parts = []
-    for q in factors:
+    for q in (p ** k for p, k in _factor(n_mod)):
         Rq = ModularRing(q)
         aq = Mat(Rq, [[e.payload for e in row] for row in a.entries])
         parts.append((q, _right_inverse_local(aq)))
@@ -584,19 +568,19 @@ class HyperbolicVector:
         return len(self.x_part)
 
     def q(self) -> RingValue:
-        acc = self.f_part[0].ring.zero()
-        for f, x in zip(self.f_part, self.x_part):
-            acc = acc + f * x
-        return acc
+        return _sum_of_products(self.f_part, self.x_part)
 
     def pair(self, other: "HyperbolicVector") -> RingValue:
         """The bilinear form B(w1, w2) = f1(x2) + f2(x1)."""
-        acc = self.f_part[0].ring.zero()
-        for f, x in zip(self.f_part, other.x_part):
-            acc = acc + f * x
-        for f, x in zip(other.f_part, self.x_part):
-            acc = acc + f * x
-        return acc
+        return _sum_of_products((*self.f_part, *other.f_part),
+                                (*other.x_part, *self.x_part))
+
+
+def _sum_of_products(fs, xs) -> RingValue:
+    ring = fs[0].ring
+    return RingValue(ring, _dot(ring, ring.zero().payload,
+                                [f.payload for f in fs],
+                                [x.payload for x in xs]))
 
 
 def hyperbolic_pair_check(w1: HyperbolicVector, w2: HyperbolicVector) -> bool:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import (ObjectOutOfDomain, SearchBudgetExceeded, UnsupportedRing)
 from .matrices import Mat
-from .rings import ModularRing, QuotientRing, Ring, RingValue, ring_from_json
-from .words import FAMILY_ORTH, Generator, GenWord, paired_index
+from .rings import ModularRing, QuotientRing, Ring, ring_from_json
+from .words import FAMILY_ORTH, Generator, GenWord, _apply_gens, paired_index
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -67,23 +67,13 @@ def _frame_key(rows):
     return tuple(tuple(v.payload for v in row) for row in rows)
 
 
-def _act_row(ring: Ring, key, g: Generator):
-    row = [RingValue(ring, p) for p in key]
-    for target, source, coeff in g.updates():
-        t, s = target - 1, source - 1
-        if not row[s].is_zero():
-            row[t] = row[t] + coeff * row[s]
-    return _row_key(row)
-
-
-def _act_frame(ring: Ring, key, g: Generator):
-    rows = [[RingValue(ring, p) for p in r] for r in key]
-    for target, source, coeff in g.updates():
-        t, s = target - 1, source - 1
-        for row in rows:
-            if not row[s].is_zero():
-                row[t] = row[t] + coeff * row[s]
-    return _frame_key(rows)
+def _act(table: "OrbitTable", key, g: Generator):
+    """The right action of one generator on a table key: a frame key is a
+    tuple of payload rows, and a row key acts as a one-row frame."""
+    if table.kind == "row":
+        return tuple(_apply_gens(table.ring, [list(key)], (g,))[0])
+    return tuple(map(tuple, _apply_gens(table.ring, [list(r) for r in key],
+                                        (g,))))
 
 
 @dataclass
@@ -184,7 +174,7 @@ class OrbitTable:
         return tuple(tuple(self.ring.sort_key(p) for p in row) for row in key)
 
 
-def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int):
+def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS; ties between frontier edges pick the
     least (parent, generator)."""
     for root in start_keys:
@@ -199,7 +189,7 @@ def _bfs_closure(table: OrbitTable, start_keys, act, gens, budget: int):
             proposals: dict = {}
             for node in frontier:
                 for gi, g in enumerate(gens):
-                    new = act(table.ring, node, g)
+                    new = _act(table, node, g)
                     if new in table.orbit_of:
                         continue
                     cand = (table._key_order(node), gi, node, g)
@@ -247,7 +237,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
                 table.pred[key] = None
                 table.reps.append(key)
             return table
-        _bfs_closure(table, domain, _act_row, gens, budget)
+        _bfs_closure(table, domain, gens, budget)
         return table
     if kind == "frame":
         if frame_rows <= 0 or frame_rows > size:
@@ -258,7 +248,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         standard = _frame_key([list(ident.entries[i]) for i in range(frame_rows)])
         starts = [standard] + [
             _frame_key(s.entries if isinstance(s, Mat) else s) for s in seeds]
-        _bfs_closure(table, starts, _act_frame, gens, budget)
+        _bfs_closure(table, starts, gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 
@@ -278,10 +268,9 @@ def certify_equivalence(v1, v2, table: OrbitTable):
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
-    act = _act_row if table.kind == "row" else _act_frame
     cur = k1
     for g in word:
-        cur = act(table.ring, cur, g)
+        cur = _act(table, cur, g)
     if cur != k2:
         raise ObjectOutOfDomain("internal: path verification failed")
     return word

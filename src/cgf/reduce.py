@@ -15,8 +15,9 @@ import warnings
 from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
                      SizeBound)
 from .matrices import IsotropicFrame, Mat, membership
-from .rings import Ring
-from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord)
+from .rings import Ring, RingValue
+from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
+                    _apply_gens)
 
 
 def _require_local(ring: Ring, what: str):
@@ -31,21 +32,16 @@ def _lowest_unit(row, start: int = 0):
     return None
 
 
-def _apply_gens_rows(rows, gens):
-    """Apply right multiplication by each generator to a list of row lists."""
-    for g in gens:
-        for target, source, coeff in g.updates():
-            t, s = target - 1, source - 1
-            for r in rows:
-                if not r[s].is_zero():
-                    r[t] = r[t] + coeff * r[s]
-
-
 def _emit(rows, acc, g: Generator):
+    """Record g and apply it to the working rows of ring values.  The rows
+    are reboxed in place: the window engines hold aliases to them."""
     if g.param.is_zero():
         return
     acc.append(g)
-    _apply_gens_rows(rows, (g,))
+    ring = g.param.ring
+    payloads = _apply_gens(ring, [[v.payload for v in r] for r in rows], (g,))
+    for r, new in zip(rows, payloads):
+        r[:] = [RingValue(ring, p) for p in new]
 
 
 # ---------------------------------------------------------------------------

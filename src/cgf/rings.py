@@ -23,34 +23,39 @@ from .errors import (CgfError, DegreeCapExceeded, DescriptorMismatch, NotAUnit,
 DEFAULT_DEGREE_CAP = 64
 
 
+def _factor(n: int):
+    """Trial division: yields (p, k) with n = prod p^k, primes ascending,
+    and nothing for n < 2.  Lazy, so a caller that needs only the smallest
+    prime factor stops there."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return next(_factor(n), None) == (n, 1)
 
 
 def _prime_power_base(n: int):
     """Return p if n = p^k for a prime p and k >= 1, else None."""
-    if n < 2:
-        return None
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1 if p == 2 else 2
-    return m  # m prime, n = m
+    p, k = next(_factor(n), (None, 0))
+    return p if p is not None and p ** k == n else None
+
+
+def _dot(ring: "Ring", acc, xs, ys):
+    """acc + sum(x * y) over payloads of ``ring``."""
+    add, mul = ring.add, ring.mul
+    for x, y in zip(xs, ys):
+        acc = add(acc, mul(x, y))
+    return acc
 
 
 def _divides_power(d: int, s: int) -> bool:
@@ -194,7 +199,11 @@ class Ring:
 
     def coerce(self, x) -> RingValue:
         """Build a canonical element from payload-like input (always accepts int)."""
-        raise NotImplementedError
+        if isinstance(x, RingValue):
+            if x.ring != self:
+                raise DescriptorMismatch("value from another ring")
+            return x
+        return RingValue(self, self.canon(x))
 
     def value(self, payload) -> RingValue:
         return RingValue(self, self.canon(payload))
@@ -268,13 +277,6 @@ class IntegerRing(Ring):
             raise DescriptorMismatch(f"integer payload expected, got {payload!r}")
         return payload
 
-    def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring != self:
-                raise DescriptorMismatch("value from another ring")
-            return x
-        return RingValue(self, self.canon(x))
-
     def add(self, a, b):
         return a + b
 
@@ -305,30 +307,30 @@ class IntegerRing(Ring):
         return self.coerce(int(obj))
 
 
-class RationalField(Ring):
-    kind = "rat"
-    is_field = True
-    is_local = True  # a field has a unique maximal ideal
+class _Fractions(Ring):
+    """The subrings of Q in the tower: payloads are lowest-terms Fractions.
 
-    def key(self):
-        return ("rat",)
+    Q, Z_(p) and Z[1/s] share this arithmetic and differ only in the
+    denominators they admit (``_admit``) and in which numerators make a
+    nonzero element a unit (``_unit_numerator``).
+    """
 
-    def describe(self):
-        return "Q"
+    _noun = "fraction"
+
+    def _admit(self, q: Fraction):
+        """Raise DescriptorMismatch unless q's denominator is admitted."""
+
+    def _unit_numerator(self, num: int) -> bool:
+        return True
 
     def canon(self, payload):
         if isinstance(payload, int):
-            return Fraction(payload)
+            payload = Fraction(payload)
         if not isinstance(payload, Fraction):
-            raise DescriptorMismatch(f"rational payload expected, got {payload!r}")
+            raise DescriptorMismatch(
+                f"{self._noun} payload expected, got {payload!r}")
+        self._admit(payload)
         return payload
-
-    def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring != self:
-                raise DescriptorMismatch("value from another ring")
-            return x
-        return RingValue(self, self.canon(x))
 
     def add(self, a, b):
         return a + b
@@ -340,18 +342,12 @@ class RationalField(Ring):
         return -a
 
     def is_unit_payload(self, a):
-        return a != 0
+        return a != 0 and self._unit_numerator(a.numerator)
 
     def inverse_payload(self, a):
-        if a == 0:
-            raise NotAUnit("0 is not a unit in Q")
+        if not self.is_unit_payload(a):
+            raise NotAUnit(f"{a} is not a unit in {self}")
         return 1 / a
-
-    def random(self, rng):
-        return RingValue(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-
-    def to_json(self):
-        return {"kind": "rat"}
 
     def value_to_json(self, payload):
         return [payload.numerator, payload.denominator]
@@ -360,6 +356,25 @@ class RationalField(Ring):
         if isinstance(obj, int):
             return self.coerce(obj)
         return self.coerce(Fraction(int(obj[0]), int(obj[1])))
+
+
+class RationalField(_Fractions):
+    kind = "rat"
+    is_field = True
+    is_local = True  # a field has a unique maximal ideal
+    _noun = "rational"
+
+    def key(self):
+        return ("rat",)
+
+    def describe(self):
+        return "Q"
+
+    def random(self, rng):
+        return RingValue(self, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+
+    def to_json(self):
+        return {"kind": "rat"}
 
 
 class ModularRing(Ring):
@@ -387,13 +402,6 @@ class ModularRing(Ring):
         if not isinstance(payload, int):
             raise DescriptorMismatch(f"residue payload expected, got {payload!r}")
         return payload % self.n
-
-    def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring != self:
-                raise DescriptorMismatch("value from another ring")
-            return x
-        return RingValue(self, self.canon(x))
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -498,13 +506,9 @@ class TruncatedPolyLocal(Ring):
         return tuple(coeffs)
 
     def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring != self:
-                raise DescriptorMismatch("value from another ring")
-            return x
-        if isinstance(x, (list, tuple, int)):
-            return RingValue(self, self.canon(x))
-        raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
+        if not isinstance(x, (RingValue, list, tuple, int)):
+            raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
+        return super().coerce(x)
 
     def add(self, a, b):
         n = max(len(a), len(b))
@@ -577,7 +581,7 @@ class TruncatedPolyLocal(Ring):
         return self.coerce(obj if isinstance(obj, (list, int)) else list(obj))
 
 
-class LocalizedIntegers(Ring):
+class LocalizedIntegers(_Fractions):
     """Z localized at the prime ideal (p): fractions with denominator coprime to p."""
 
     kind = "loc_int"
@@ -594,40 +598,16 @@ class LocalizedIntegers(Ring):
     def describe(self):
         return f"Z_({self.p})"
 
-    def canon(self, payload):
-        if isinstance(payload, int):
-            payload = Fraction(payload)
-        if not isinstance(payload, Fraction):
-            raise DescriptorMismatch(f"fraction payload expected, got {payload!r}")
-        if payload.denominator % self.p == 0:
+    def _admit(self, q):
+        if q.denominator % self.p == 0:
             raise DescriptorMismatch(
-                f"{payload} has denominator divisible by {self.p}")
-        return payload
+                f"{q} has denominator divisible by {self.p}")
+
+    def _unit_numerator(self, num):
+        return num % self.p != 0
 
     def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring != self:
-                raise DescriptorMismatch("value from another ring")
-            return x
-        return RingValue(self, self.canon(x if not isinstance(x, tuple)
-                                          else Fraction(*x)))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_unit_payload(self, a):
-        return a != 0 and a.numerator % self.p != 0
-
-    def inverse_payload(self, a):
-        if not self.is_unit_payload(a):
-            raise NotAUnit(f"{a} is not a unit in {self}")
-        return 1 / a
+        return super().coerce(Fraction(*x) if isinstance(x, tuple) else x)
 
     def random(self, rng):
         den = rng.choice([d for d in range(1, 10) if d % self.p != 0])
@@ -636,16 +616,8 @@ class LocalizedIntegers(Ring):
     def to_json(self):
         return {"kind": "loc_int", "p": self.p}
 
-    def value_to_json(self, payload):
-        return [payload.numerator, payload.denominator]
 
-    def value_from_json(self, obj):
-        if isinstance(obj, int):
-            return self.coerce(obj)
-        return self.coerce(Fraction(int(obj[0]), int(obj[1])))
-
-
-class FractionRing(Ring):
+class FractionRing(_Fractions):
     """Z_s: integers with s inverted; denominators divide a power of |s|.
 
     Only the integer base is supported: canonical lowest-terms fractions
@@ -670,43 +642,17 @@ class FractionRing(Ring):
     def describe(self):
         return f"Z[1/{self.s}]"
 
-    def canon(self, payload):
-        if isinstance(payload, int):
-            payload = Fraction(payload)
-        if not isinstance(payload, Fraction):
-            raise DescriptorMismatch(f"fraction payload expected, got {payload!r}")
-        if not _divides_power(payload.denominator, self.s):
-            raise DescriptorMismatch(
-                f"{payload} does not lie in Z[1/{self.s}]")
-        return payload
+    def _admit(self, q):
+        if not _divides_power(q.denominator, self.s):
+            raise DescriptorMismatch(f"{q} does not lie in Z[1/{self.s}]")
+
+    def _unit_numerator(self, num):
+        return _divides_power(num, self.s)
 
     def coerce(self, x):
-        if isinstance(x, RingValue):
-            if x.ring == self:
-                return x
-            if isinstance(x.ring, IntegerRing):
-                return RingValue(self, Fraction(x.payload))
-            raise DescriptorMismatch("value from another ring")
-        if isinstance(x, tuple):
-            x = Fraction(*x)
-        return RingValue(self, self.canon(x))
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_unit_payload(self, a):
-        return a != 0 and _divides_power(a.numerator, self.s)
-
-    def inverse_payload(self, a):
-        if not self.is_unit_payload(a):
-            raise NotAUnit(f"{a} is not a unit in {self}")
-        return 1 / a
+        if isinstance(x, RingValue) and isinstance(x.ring, IntegerRing):
+            x = x.payload  # Z embeds in Z[1/s]
+        return super().coerce(Fraction(*x) if isinstance(x, tuple) else x)
 
     def random(self, rng):
         k = rng.randrange(3)
@@ -715,14 +661,6 @@ class FractionRing(Ring):
     def to_json(self):
         return {"kind": "frac", "base": self.base.to_json(),
                 "s": self.base.value_to_json(self.s)}
-
-    def value_to_json(self, payload):
-        return [payload.numerator, payload.denominator]
-
-    def value_from_json(self, obj):
-        if isinstance(obj, int):
-            return self.coerce(obj)
-        return self.coerce(Fraction(int(obj[0]), int(obj[1])))
 
 
 class PolyExt(Ring):
@@ -1286,11 +1224,10 @@ def unit_ideal_witness(ring: Ring, values):
         return None
     if ring.is_finite and ring.cardinality() ** len(values) <= 10 ** 5:
         pool = list(ring.elements())
+        zero, one = ring.zero().payload, ring.one().payload
+        payloads = [v.payload for v in values]
         for combo in itertools.product(pool, repeat=len(values)):
-            total = ring.zero()
-            for c, v in zip(combo, values):
-                total = total + c * v
-            if total == ring.one():
+            if _dot(ring, zero, [c.payload for c in combo], payloads) == one:
                 return list(combo)
         return None
     raise UnsupportedRing(f"no unit-ideal test for {ring}")

@@ -3,8 +3,13 @@
 Three families share one shape: linear e_ij(z) = I + z E_ij, symplectic
 se_ij(z) and orthogonal oe_ij(z), the latter two built on the index pairing
 (1,2),(3,4),...  Words store generators, never matrices, so that every
-membership claim is certified by exhibition; evaluation is a fold of sparse
-column operations.
+membership claim is certified by exhibition.
+
+Every generator acts on the right by one or two sparse column updates
+col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
+canonical payloads; word evaluation, the right actions on matrices and rows,
+generator matrices, the reduction engines and the orbit oracle all call it,
+and box values as ``RingValue`` only where they hand a result back.
 
 Only zero-parameter generators are dropped automatically.  The optional
 peephole pass cancels adjacent inverses and merges same-position entries but
@@ -105,12 +110,8 @@ def gen_matrix(g: Generator) -> Mat:
     if cached is not None:
         return cached
     ring = g.param.ring
-    rows = [[ring.one() if a == b else ring.zero() for b in range(g.size)]
-            for a in range(g.size)]
-    for target, source, coeff in g.updates():
-        # column update on the identity: row `source` picks up coeff at `target`
-        rows[source - 1][target - 1] = rows[source - 1][target - 1] + coeff
-    m = Mat(ring, rows)
+    m = Mat._box(ring, _apply_gens(
+        ring, Mat.identity(ring, g.size)._payloads(), (g,)))
     if g.family == FAMILY_SP:
         f = psi(ring, g.size // 2)
         if m.transpose() @ f @ m != f:
@@ -287,20 +288,29 @@ def word_from_pairs(ring: Ring, size: int, family: str, triples) -> GenWord:
 # ---------------------------------------------------------------------------
 # fast application (sparse column/row operations)
 
+def _apply_gens(ring: Ring, rows, gens):
+    """Right-multiply rows of canonical payloads of ``ring`` by each
+    generator in turn, in place: col_t += c * col_s for every sparse update,
+    skipping rows whose source entry is zero.  Returns ``rows``."""
+    add, mul = ring.add, ring.mul
+    zero = ring.zero().payload
+    for g in gens:
+        for target, source, coeff in g.updates():
+            t, s, c = target - 1, source - 1, coeff.payload
+            for r in rows:
+                x = r[s]
+                if x != zero:
+                    r[t] = add(r[t], mul(c, x))
+    return rows
+
+
 def apply_word_right(m: Mat, w: GenWord) -> Mat:
     """m @ eval(w) via column operations, O(len(w) * rows)."""
     if m.cols != w.size:
         raise DescriptorMismatch("word size does not match matrix columns")
     if m.ring != w.ring:
         raise DescriptorMismatch("word ring does not match matrix ring")
-    rows = [list(r) for r in m.entries]
-    for g in w.gens:
-        for target, source, coeff in g.updates():
-            t, s = target - 1, source - 1
-            for r in rows:
-                if not r[s].is_zero():
-                    r[t] = r[t] + coeff * r[s]
-    return Mat(m.ring, rows)
+    return Mat._box(m.ring, _apply_gens(m.ring, m._payloads(), w.gens))
 
 
 def apply_word_left(w: GenWord, m: Mat) -> Mat:
@@ -322,13 +332,11 @@ def apply_word_left(w: GenWord, m: Mat) -> Mat:
 
 def apply_word_to_row(row, w: GenWord):
     """Right action on a 1 x size row given as a list of ring values."""
-    out = list(row)
-    for g in w.gens:
-        for target, source, coeff in g.updates():
-            t, s = target - 1, source - 1
-            if not out[s].is_zero():
-                out[t] = out[t] + coeff * out[s]
-    return out
+    ring = w.ring
+    if any(v.ring != ring for v in row):
+        raise DescriptorMismatch("word ring does not match row ring")
+    out = _apply_gens(ring, [[v.payload for v in row]], w.gens)[0]
+    return [RingValue(ring, p) for p in out]
 
 
 def eval_word(w: GenWord) -> Mat:

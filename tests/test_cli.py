@@ -1,6 +1,10 @@
 """CLI: round trips, exit codes, determinism, harness suites."""
 
+import contextlib
+import io
 import json
+
+import pytest
 
 from cgf.cli import main, parse_ring
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
@@ -80,6 +84,91 @@ def test_usage_error_exit_code(capsys):
     code = main(["reduce-row", "--ring", "bogus:ring", "--row", "[1,0]"])
     capsys.readouterr()
     assert code == 1
+
+
+# each of these once escaped as a raw traceback
+MALFORMED_ARGV = {
+    "bad JSON row": ["reduce-row", "--ring", "mod:4", "--row", "[2,3"],
+    "ring missing a key": ["reduce-row", "--ring", '{"kind":"mod"}',
+                           "--row", "[1,0]"],
+    "bad ring integer": ["reduce-row", "--ring", "mod:x", "--row", "[1,0]"],
+    "zero denominator": ["reduce-row", "--ring", "locint:5",
+                         "--row", "[[1,0]]"],
+    "missing @file": ["reduce-row", "--ring", "mod:4",
+                      "--row", "@{missing}"],
+    "input without ring": ["homotopy-commute", "--flavor", "linear",
+                           "--input", "{}"],
+    "ring without modulus": ["reduce-row", "--ring", "mod", "--row", "[1,0]"],
+    "deeply nested ring": ["reduce-row", "--ring", "poly:" * 2000 + "int",
+                           "--row", "[1,0]"],
+    "deeply nested row": ["reduce-row", "--ring", "mod:4",
+                          "--row", "[" * 10 ** 5],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV.values(),
+                         ids=MALFORMED_ARGV.keys())
+def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code = main([a.replace("{missing}", missing) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("usage error: ")
+
+
+def test_domain_errors_in_decoded_input_still_exit_2(capsys):
+    for ring, row, err in (("mod:0", "[1,0]", "unsupported_ring"),
+                           ("locint:5", "[[1,5],[1,1]]",
+                            "descriptor_mismatch")):
+        code, out = run_cli(capsys, "reduce-row", "--ring", ring,
+                            "--row", row)
+        assert code == 2
+        assert json.loads(out)["code"] == err
+
+
+def _malformed_rings(st):
+    shorthand = st.builds("{}:{}".format, st.sampled_from(
+        ("mod", "prime", "locint", "polyloc", "poly", "int", "rat")),
+        st.text(max_size=6))
+    documents = st.sampled_from((
+        "{", "{}", '{"kind":"mod"}', '{"kind":"mod","n":"x"}',
+        '{"kind":"poly"}', '{"kind":"poly","base":[]}',
+        '{"kind":"frac","base":{"kind":"int"},"s":0}',
+        '{"kind":"quot","base":{"kind":"int"},"gens":5}', "@", "mod:4:",
+        "locint", "poly:mod:4"))
+    return st.one_of(st.text(max_size=12), shorthand, documents)
+
+
+def _malformed_rows(st):
+    entries = st.one_of(st.integers(-50, 50), st.text(max_size=3),
+                        st.lists(st.integers(-5, 5), max_size=3),
+                        st.none(), st.floats(allow_nan=True))
+    return st.one_of(st.text(max_size=10),
+                     st.lists(entries, max_size=4).map(json.dumps),
+                     st.sampled_from(("[", "[1,", "{}", "5", '"x"', "@")))
+
+
+def test_malformed_ring_and_row_never_escape():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(_malformed_rings(st), _malformed_rows(st))
+    def check(ring, row):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["reduce-row", "--ring", ring, "--row", row])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1
+        else:
+            assert len(out.getvalue().splitlines()) == 1
+
+    check()
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,5 +1,6 @@
 """BFS orbit oracle: exhaustive counts, path certificates, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -114,3 +115,22 @@ def test_table_json_round_trip():
     assert back.orbit_count() == table.orbit_count()
     w = certify_equivalence((0, 1), (1, 0), back)
     assert w is not None
+
+
+# sha256 of json.dumps(table.to_json(), sort_keys=True), recorded before the
+# generator action moved onto the shared payload kernel
+GOLDEN_TABLES = [
+    (ModularRing(4), "row", FAMILY_LIN, 3, 0,
+     "8f25d19eef89d24418374de312b7f20f601d65bb978d519939ace85535077dae"),
+    (PrimeField(3), "frame", FAMILY_SP, 4, 2,
+     "aeee2a473e688844545ebb4b6a14e6c0a55b24dc624a21646a22fdbffff0e0ae"),
+]
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
+                         GOLDEN_TABLES, ids=["Um_3(Z/4)", "F_3 sp frames"])
+def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
+                                  digest):
+    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    blob = json.dumps(table.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -9,7 +9,8 @@ from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
                         UnsupportedQuotient, UnsupportedRing)
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
-                       TruncatedPolyLocal, arith, inverse, is_unit,
+                       RationalField, TruncatedPolyLocal, _factor, _is_prime,
+                       _prime_power_base, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
                        substitute, unit_ideal_witness, ideal_combination)
 
@@ -157,6 +158,86 @@ def test_fraction_ring_membership():
         Z6.coerce(Fraction(1, 5))
     assert is_unit(Z6.coerce(Fraction(4, 3)))
     assert not is_unit(Z6.coerce(Fraction(5, 6)))
+
+
+# the three subrings of Q share one Fraction arithmetic; their admitted
+# denominators, units and error messages stay their own
+FRACTION_CASES = [
+    (RationalField(), 1.5, "rational payload expected, got 1.5",
+     [2, 5, Fraction(3, 7)], [0]),
+    (LocalizedIntegers(5), Fraction(1, 5),
+     "1/5 has denominator divisible by 5", [2, 3, Fraction(3, 7)],
+     [0, 5, Fraction(10, 3)]),
+    (FractionRing(IntegerRing(), 6), Fraction(1, 5),
+     "1/5 does not lie in Z[1/6]", [2, 3, Fraction(4, 3)],
+     [0, 5, Fraction(5, 6)]),
+]
+
+
+@pytest.mark.parametrize("ring, bad, message, units, non_units",
+                         FRACTION_CASES, ids=["Q", "Z_(5)", "Z[1/6]"])
+def test_fraction_rings(ring, bad, message, units, non_units):
+    with pytest.raises(DescriptorMismatch) as exc:
+        ring.coerce(bad)
+    assert exc.value.code == "descriptor_mismatch"
+    assert exc.value.message == message
+    if isinstance(bad, Fraction):
+        with pytest.raises(DescriptorMismatch) as exc:
+            ring.value_from_json([bad.numerator, bad.denominator])
+        assert exc.value.message == message
+    for other in (ModularRing(5).coerce(1), PolyExt(ring).coerce(1)):
+        with pytest.raises(DescriptorMismatch, match="value from another ring"):
+            ring.coerce(other)
+    for u in units:
+        v = ring.coerce(u)
+        assert v.is_unit() and v * v.inverse() == ring.one()
+    for n in non_units:
+        v = ring.coerce(n)
+        assert not v.is_unit()
+        with pytest.raises(NotAUnit) as exc:
+            v.inverse()
+        assert exc.value.message == f"{v} is not a unit in {ring}"
+    x = ring.coerce(Fraction(2, 3))
+    assert ring.value_from_json(x.to_json()) == x
+    assert x.to_json() == [2, 3] and ring.coerce(7).to_json() == [7, 1]
+
+
+def test_fraction_ring_inputs_by_kind():
+    Z = IntegerRing()
+    assert FractionRing(Z, 6).coerce(Z.coerce(3)) == FractionRing(Z, 6).coerce(3)
+    assert LocalizedIntegers(5).coerce((1, 2)).payload == Fraction(1, 2)
+    for ring in (RationalField(), LocalizedIntegers(5)):
+        with pytest.raises(DescriptorMismatch, match="value from another ring"):
+            ring.coerce(Z.coerce(3))
+    with pytest.raises(DescriptorMismatch,
+                       match="rational payload expected"):
+        RationalField().coerce((1, 2))
+
+
+def test_base_coerce():
+    for ring in (IntegerRing(), RationalField(), ModularRing(6),
+                 PrimeField(5)):
+        v = ring.coerce(4)
+        assert ring.coerce(v) is v
+        with pytest.raises(DescriptorMismatch, match="value from another ring"):
+            ring.coerce(ModularRing(7).coerce(4))
+    assert ModularRing(6).coerce(-1).payload == 5
+    with pytest.raises(DescriptorMismatch, match="residue payload expected"):
+        ModularRing(6).coerce("1")
+
+
+def test_factor_by_trial_division():
+    assert list(_factor(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(_factor(97)) == [(97, 1)]
+    assert list(_factor(2 * 101 ** 2)) == [(2, 1), (101, 2)]
+    assert [list(_factor(n)) for n in (1, 0, -4)] == [[], [], []]
+    assert [n for n in range(-2, 40) if _is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert [_prime_power_base(n) for n in (0, 1, 2, 8, 9, 12, 25, 97, 100)] \
+        == [None, None, 2, 2, 3, None, 5, 97, None]
+    # both stop at the smallest prime factor, never searching the cofactor
+    assert not _is_prime(2 * (10 ** 12 + 39))
+    assert _prime_power_base(2 * (10 ** 12 + 39)) is None
 
 
 # ---------------------------------------------------------------------------
