@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (DescriptorMismatch, FormViolation, NotInvertible,
                      NotLocal, SizeBound)
-from .factor import (_block_upper_gens, sp_inverse, whitehead_linear,
-                     whitehead_symplectic)
+from .factor import _block_upper_gens, whitehead_linear, whitehead_symplectic
 from .matrices import IsotropicFrame, Mat, block_perp, identity, membership
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
@@ -64,7 +63,8 @@ class Homotopy:
             raise FormViolation(
                 f"homotopy leaves {_FLAVOR_GROUP[self.flavor]} over R[T]")
         if self.word is not None:
-            if self.word.eval() != self.delta_t:
+            w_mat = self.word.eval()
+            if w_mat is not self.delta_t and w_mat != self.delta_t:
                 raise FormViolation("backing word does not evaluate to d(T)")
 
     @classmethod
@@ -126,8 +126,9 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
         d_mat = d.delta_t
     else:
         d_mat = block_perp(d.delta_t, identity(rt, msize - nsize))
+    w_t_inv = w_t.invert()
     w_mat = w_t.eval()
-    w_inv = w_t.invert().eval()
+    w_inv = w_t_inv.eval()
     sigma_t = w_inv @ d_mat @ w_mat
 
     mode = "word" if d.is_word_backed() else "assert"
@@ -136,7 +137,7 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
         if len(completion) == 0 or len(d.word) == 0:
             eps_word = empty_word(rt, msize, family)
         else:
-            eps_word = (w_t.invert() + d_word.invert() + w_t + d_word)
+            eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
         eps_mat = eps_word.eval()
     else:
         eps_word = None
@@ -279,12 +280,13 @@ def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     if (a.delta_t @ b_t) != (b_t @ a.delta_t @ eps_t.eval()):
         raise FormViolation("internal: commutator identity failed over R[T]")
     eps = eps_t.specialize(ring.one())
+    eps_mat = eps.eval()
     alpha = a.at(1)
-    if (alpha @ b) != (b @ alpha @ eps.eval()):
+    if (alpha @ b) != (b @ alpha @ eps_mat):
         raise FormViolation("internal: commutator identity failed at T = 1")
-    if eps.eval().det() != ring.one():
+    if eps_mat.det() != ring.one():
         raise FormViolation("internal: commutator witness determinant != 1")
-    if a.flavor == "symplectic" and not membership(eps.eval(), "Sp"):
+    if a.flavor == "symplectic" and not membership(eps_mat, "Sp"):
         raise FormViolation("internal: commutator witness left Sp")
     return eps
 
@@ -301,7 +303,8 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
 
     The Whitehead word of d, with parameters scaled by T, is the homotopy;
     the engine runs on V ⊥ I and the block structure of the result is
-    checked exactly."""
+    checked exactly.  The Whitehead construction has already checked that
+    its word evaluates to d ⊥ d^{-1}, so d^{-1} is read off that matrix."""
     if flavor == "linear":
         if not membership(d, "SL"):
             raise NotInvertible("transport expects d in SL")
@@ -311,7 +314,6 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
         if n != d.rows:
             raise SizeBound("V must have as many rows as d")
         white = whitehead_linear(d)
-        d_inv = d.inverse()
         v_big = block_perp(v_mat, identity(ring, n))
     elif flavor == "symplectic":
         if not membership(d, "Sp"):
@@ -323,13 +325,14 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
         if 2 * n != d.rows:
             raise SizeBound("the frame must have as many rows as d")
         white = whitehead_symplectic(d)
-        d_inv = sp_inverse(d)
         v_big = block_perp(v_mat, identity(ring, 2 * n))
     else:
         raise DescriptorMismatch(f"unknown transport flavor {flavor!r}")
 
     if not ring.is_local:
         raise NotLocal("the witnessed transport needs a local ring")
+    k = d.rows
+    d_inv = white.eval().submatrix(k, 2 * k, k, 2 * k)
     rt = PolyExt(ring, "T")
     hom = Homotopy.from_word(flavor, white.times_variable(rt))
     if flavor == "linear":
@@ -346,7 +349,7 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     sig_word = sig_word_t.specialize(ring.one())
     s_full = sig_word.eval()
 
-    cut = big - (d.rows if flavor == "linear" else d.rows)
+    cut = big - k
     alpha = s_full.submatrix(0, cut, 0, cut)
     beta = s_full.submatrix(0, cut, cut, big)
     gamma = s_full.submatrix(cut, big, 0, cut)

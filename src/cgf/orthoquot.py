@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (HalfNotInvertible, NotClassifiable, NotOrthogonal,
-                     ReductionFailed, SizeBound, UnsupportedPresentation,
-                     FormViolation, NotLocal)
+from .errors import (HalfNotInvertible, NoUnitEntry, NotClassifiable,
+                     NotOrthogonal, ReductionFailed, SizeBound,
+                     UnsupportedPresentation, FormViolation, NotLocal)
 from .matrices import Mat, block_perp, identity, membership, phi
 from .reduce import _orth_frame_reduction
 from .rings import PolyExt, Ring, RingValue, has_half
@@ -83,7 +83,6 @@ def vaserstein_quotient(a: Mat) -> tuple[Mat, GenWord]:
     if not membership(a, "O"):
         raise NotOrthogonal("matrix does not preserve the symmetric form")
     work = [list(row) for row in a.entries]
-    from .errors import NoUnitEntry
     try:
         acc = _orth_frame_reduction(work, m - 1, 2 * m, ring)
     except (FormViolation, NoUnitEntry) as e:
@@ -308,7 +307,8 @@ def commutator_harness(a: FactoredOrthogonal,
     am, bm = a.matrix(), b.matrix()
     comm = am @ bm @ orth_inverse(am) @ orth_inverse(bm)
     target = block_perp(comm, identity(ring, 2))
-    check_exact = word.eval() == target
+    word_mat = word.eval()
+    check_exact = word_mat == target
     checks = [
         ("inputs are orthogonal",
          membership(am, "O") and membership(bm, "O")),
@@ -318,7 +318,7 @@ def commutator_harness(a: FactoredOrthogonal,
     if isinstance(ring, PolyExt):
         from .homotopy import mat_substitute
         for point in (ring.base.zero(), ring.base.one()):
-            lhs = mat_substitute(word.eval(), point)
+            lhs = mat_substitute(word_mat, point)
             rhs = mat_substitute(target, point)
             checks.append((f"specialization at X = {point!r} agrees",
                            lhs == rhs))

@@ -184,7 +184,7 @@ def complete_um_linear(v: Mat) -> GenWord:
         raise NotRightInvertible("more rows than columns")
     work = [list(row) for row in v.entries]
     acc: list[Generator] = []
-    one, zero = ring.one(), ring.zero()
+    one = ring.one()
     for i in range(n):
         if m - i == 1:
             if work[i][i] != one:

@@ -2,8 +2,9 @@
 
 Three families share one shape: linear e_ij(z) = I + z E_ij, symplectic
 se_ij(z) and orthogonal oe_ij(z), the latter two built on the index pairing
-(1,2),(3,4),...  Words store generators, never matrices, so that every
-membership claim is certified by exhibition.
+(1,2),(3,4),...  A word is its generators, so that every membership
+claim is certified by exhibition; ``eval`` keeps the matrix it computes
+beside the word, outside its fields.
 
 Every generator acts on the right by one or two sparse column updates
 col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
@@ -99,16 +100,9 @@ class Generator:
         return {"i": self.i, "j": self.j, "param": self.param.to_json()}
 
 
-_GEN_MATRIX_CACHE: dict = {}
-
-
 def gen_matrix(g: Generator) -> Mat:
     """The defining matrix of a generator; form preservation is asserted
     for the symplectic and orthogonal families."""
-    key = (g.param.ring.key(), g.family, g.size, g.i, g.j, g.param.payload)
-    cached = _GEN_MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
     ring = g.param.ring
     m = Mat._box(ring, _apply_gens(
         ring, Mat.identity(ring, g.size)._payloads(), (g,)))
@@ -120,9 +114,6 @@ def gen_matrix(g: Generator) -> Mat:
         f = phi(ring, g.size // 2)
         if m.transpose() @ f @ m != f:
             raise FormViolation(f"{g} does not preserve the symmetric form")
-    if len(_GEN_MATRIX_CACHE) > 1 << 16:
-        _GEN_MATRIX_CACHE.clear()
-    _GEN_MATRIX_CACHE[key] = m
     return m
 
 
@@ -170,7 +161,15 @@ class GenWord:
 
     # -- evaluation --------------------------------------------------------
     def eval(self) -> Mat:
-        return apply_word_right(Mat.identity(self.ring, self.size), self)
+        """The matrix of the word, computed on the first call and kept.
+
+        A word is immutable, so it is evaluated at most once.  The matrix is
+        not a dataclass field: ==, hash, repr and to_json ignore it."""
+        m = self.__dict__.get("_mat")
+        if m is None:
+            m = apply_word_right(Mat.identity(self.ring, self.size), self)
+            object.__setattr__(self, "_mat", m)
+        return m
 
     def invert(self) -> "GenWord":
         return GenWord(self.ring, self.size, self.family,

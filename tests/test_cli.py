@@ -1,13 +1,18 @@
 """CLI: round trips, exit codes, determinism, harness suites."""
 
 import contextlib
+import hashlib
 import io
 import json
 
 import pytest
 
+import cgf.factor
 from cgf.cli import main, parse_ring
+from cgf.matrices import Mat
+from cgf.orthoquot import O2Class
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
+from cgf.words import GenWord
 
 
 def run_cli(capsys, *argv):
@@ -256,3 +261,151 @@ def test_classify_and_quotient_verbs(capsys):
     code, out = run_cli(capsys, "ortho-quotient", "--ring", "prime:5",
                         "--matrix", json.dumps(ident6))
     assert code == 0
+
+
+# sha256 of the stdout of each verb whose checks its construction enforces,
+# recorded while the verbs still recomputed those checks themselves: any
+# change to a check's name, count, order or status changes the digest.
+GOLDEN_WITNESSES = {
+    "complete-linear": (
+        ["complete", "--ring", "mod:9", "--matrix", "[[1,2,3],[0,1,4]]"],
+        "f219af648135962933ce0d34216155a72daaadac5725425341748a82770df1a8"),
+    "complete-sp": (
+        ["complete", "--flavor", "sp", "--ring", "mod:9",
+         "--matrix", "[[1,2,0,3],[0,1,0,0]]"],
+        "a0c69e151edfb943630c24f9cac91db3528457b2ec536efa951c62efecbee57f"),
+    "complete-orth": (
+        ["complete", "--flavor", "orth", "--ring", "prime:5",
+         "--matrix", "[[1,0,2,3,0,0,1,4],[0,1,0,0,0,0,0,0]]"],
+        "bc3a448971e061141b084428caa8aa13ebbcd7d2ac3454a77d717df59666f1cc"),
+    "whitehead-linear": (
+        ["whitehead", "--flavor", "linear", "--ring", "mod:9",
+         "--matrix", "[[1,2],[0,1]]"],
+        "ba0d320cad89d28aa7c650504b1f748ad7340447191c4e4354b4ba85756b39c8"),
+    "whitehead-sp": (
+        ["whitehead", "--flavor", "sp", "--ring", "prime:5",
+         "--matrix", "[[2,1,0,0],[1,1,0,0],[0,0,1,3],[0,0,0,1]]"],
+        "d9ca211e128edfd47ef4f0a40527497a2f8a252619a45ad8ada5809d7eae7a3d"),
+    "transvection": (
+        ["transvection", "--ring", "mod:9", "--col", "[1,2,3]",
+         "--row", "[1,1,8]"],
+        "2705eb0660cf4f828323f4963b12ca92a7d0d4b30152e631c0ad6db157d0c9e7"),
+    "common-perp": (
+        ["common-perp", "--ring", "mod:9", "--v1", "[1,2,3]",
+         "--v2", "[1,5,7]", "--w", "[1,0,0]"],
+        "3e14a9e1ac9da326b324026ca32b9ce60d4969541325135bed90e989a28b7292"),
+    "two-row": (
+        ["two-row", "--ring", "mod:9", "--matrix", "[[1,2,3],[0,1,4]]"],
+        "d86df1e94265849b4ff0494110156fe763737143a0c69a84384de98a12749b3e"),
+    "roitman": (
+        ["roitman", "--ring", "mod:4", "--row", "[2,1,0]", "--k", "1",
+         "--target", "[0,1]"],
+        "9bd5bcd35f494d7df8923280b200ffe7314c95744bddc8e2f022080165099450"),
+    "ortho-quotient": (
+        ["ortho-quotient", "--ring", "prime:5", "--matrix",
+         "[[0,0,2,0,0,3],[0,1,0,3,0,0],[2,0,1,0,0,1],[0,3,0,0,0,0],"
+         "[0,0,0,0,0,2],[0,2,0,3,3,0]]"],
+        "206f732e5d59334e3dcc007cbd5ff36b8de761adfc908f80144709f131daf198"),
+    "classify-o2": (
+        ["classify-o2", "--ring", "prime:5", "--matrix", "[[0,2],[3,0]]"],
+        "093bf6a68bfc2d3a9c18b6df4585cc9128fab2f3721b47f3b07b9ad6046645ed"),
+}
+
+
+@pytest.mark.parametrize("verb", GOLDEN_WITNESSES)
+def test_witness_bytes_are_golden(verb, capsys):
+    argv, digest = GOLDEN_WITNESSES[verb]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _bump_matrix(row):
+    """Add 1 to the last entry of one row of an evaluated matrix."""
+    def corrupt(m):
+        entries = [list(r) for r in m.entries]
+        entries[row][-1] = entries[row][-1] + m.ring.one()
+        return Mat(m.ring, entries)
+    return corrupt
+
+
+def _bump_row(values):
+    return values[:-1] + [values[-1] + values[-1].ring.one()]
+
+
+# verb, what to corrupt, how, which call (0 first, -1 last), and the error
+# the construction must raise instead of returning
+NEGATIVE_CONTROLS = {
+    "complete-linear rows": (
+        "complete-linear", GenWord, "eval", _bump_matrix(0), 0,
+        "form_violation", "internal: completion lost the input rows"),
+    "complete-sp rows": (
+        "complete-sp", GenWord, "eval", _bump_matrix(0), -1,
+        "form_violation", "internal: completion lost the frame rows"),
+    "complete-sp group": (
+        "complete-sp", GenWord, "eval", _bump_matrix(-1), -1,
+        "form_violation", "internal: completion left the symplectic group"),
+    "complete-orth rows": (
+        "complete-orth", GenWord, "eval", _bump_matrix(0), -1,
+        "form_violation", "internal: completion lost the frame rows"),
+    "complete-orth group": (
+        "complete-orth", GenWord, "eval", _bump_matrix(-1), -1,
+        "form_violation", "internal: completion left the orthogonal group"),
+    "whitehead-linear": (
+        "whitehead-linear", GenWord, "eval", _bump_matrix(0), -1,
+        "form_violation", "internal: Whitehead word mismatch"),
+    "whitehead-sp": (
+        "whitehead-sp", GenWord, "eval", _bump_matrix(0), -1,
+        "form_violation", "internal: completion lost the frame rows"),
+    "transvection": (
+        "transvection", GenWord, "eval", _bump_matrix(0), -1,
+        "form_violation", "internal: transvection word mismatch"),
+    "common-perp": (
+        "common-perp", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "form_violation", "internal: common-perpendicular word mismatch"),
+    "two-row": (
+        "two-row", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "form_violation", "internal: common-perpendicular word mismatch"),
+    "roitman": (
+        "roitman", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "form_violation", "internal: quotient-lift word mismatch"),
+    "ortho-quotient": (
+        "ortho-quotient", GenWord, "eval", _bump_matrix(0), -1,
+        "reduction_failed", "internal: factorization mismatch"),
+    "classify-o2": (
+        "classify-o2", O2Class, "reconstruct", _bump_matrix(0), -1,
+        "not_classifiable", "internal: reconstruction mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_CONTROLS)
+def test_recorded_pass_is_a_check_the_construction_ran(case, capsys,
+                                                       monkeypatch):
+    """Corrupt the evaluation behind a check the verb records as pass:
+    the construction must refuse with its own error, and no witness is
+    printed."""
+    verb, owner, attr, corrupt, which, code, message = NEGATIVE_CONTROLS[case]
+    argv = GOLDEN_WITNESSES[verb][0]
+    original = getattr(owner, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    target = which % len(calls)
+    calls.clear()
+
+    def corrupted(*args, **kwargs):
+        calls.append(None)
+        out = original(*args, **kwargs)
+        return corrupt(out) if len(calls) - 1 == target else out
+
+    monkeypatch.setattr(owner, attr, corrupted)
+    exit_code, out = run_cli(capsys, *argv)
+    assert exit_code == 2
+    obj = json.loads(out)
+    assert (obj["code"], obj["message"]) == (code, message)
+    assert "checks" not in obj

@@ -1,9 +1,11 @@
 """Homotopy-commutativity: witnessed conjugation, commutators, transport."""
 
+import json
 import random
 
 import pytest
 
+from cgf import words
 from cgf.errors import FormViolation, NotLocal, SizeBound
 from cgf.homotopy import (Homotopy, commutator_witness,
                           homotopy_commute_linear, homotopy_commute_orthogonal,
@@ -213,3 +215,35 @@ def test_transport_randomized():
         fr, _ = random_frame(rng, Z5, "sp", 1, 2, 4)
         res = vaserstein_transport(d, fr, "symplectic")
         assert res.witness.all_passed()
+
+
+def _record_evaluations(monkeypatch):
+    """The word of every evaluation: GenWord.eval runs through
+    words.apply_word_right."""
+    seen = []
+    original = words.apply_word_right
+
+    def recording(m, w):
+        seen.append(json.dumps(w.to_json(), sort_keys=True))
+        return original(m, w)
+
+    monkeypatch.setattr(words, "apply_word_right", recording)
+    return seen
+
+
+@pytest.mark.parametrize("flavor,family,size", [
+    ("linear", FAMILY_LIN, 3), ("symplectic", FAMILY_SP, 4)])
+def test_each_word_is_evaluated_once(flavor, family, size, monkeypatch):
+    rng = random.Random(127)
+    Z9 = ModularRing(9)
+    rt = PolyExt(Z9, "T")
+    base = random_word(rng, Z9, family, size, 3)
+    b = random_word(rng, Z9, family, size, 4).eval()
+    word_t = base.times_variable(rt)
+    seen = _record_evaluations(monkeypatch)
+    a = Homotopy.from_word(flavor, word_t)
+    assert seen == [json.dumps(word_t.to_json(), sort_keys=True)]
+    seen.clear()
+    eps = commutator_witness(a, b)
+    assert json.dumps(eps.to_json(), sort_keys=True) in seen
+    assert len(seen) == len(set(seen)) == 3  # completion, eps(T), eps(1)

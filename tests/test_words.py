@@ -1,5 +1,6 @@
 """Generator words: defining matrices, evaluation, inversion, substitution."""
 
+import json
 import random
 
 import pytest
@@ -181,3 +182,16 @@ def test_word_json_round_trip():
     Z9 = ModularRing(9)
     w = word_from_pairs(Z9, 4, FAMILY_SP, [(1, 2, 5), (3, 1, 2)])
     assert GenWord.from_json(w.to_json()) == w
+
+
+def test_eval_runs_once_and_is_not_a_field():
+    Z9 = ModularRing(9)
+    triples = [(1, 2, 3), (2, 3, 5), (3, 1, 1)]
+    w = word_from_pairs(Z9, 3, FAMILY_LIN, triples)
+    fresh = word_from_pairs(Z9, 3, FAMILY_LIN, triples)
+    assert w.eval() is w.eval()
+    assert w == fresh and fresh == w
+    assert hash(w) == hash(fresh)
+    assert repr(w) == repr(fresh)
+    assert json.dumps(w.to_json()) == json.dumps(fresh.to_json())
+    assert fresh.eval() == w.eval()
