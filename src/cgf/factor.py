@@ -14,12 +14,12 @@ more generally, and the finite-ring oracle is the certification boundary.
 
 from __future__ import annotations
 
-from .errors import (BadPerp, IdealNotComaximal, NotInvertible,
+from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
                      NotPerpendicular, NotRightInvertible, NotSymplectic,
                      SizeBound, UnsupportedQuotient, FormViolation)
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
                        membership, psi)
-from .reduce import _lowest_unit, _require_local, complete_sp, reduce_row_linear
+from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import QuotientRing, ideal_combination, unit_ideal_witness
 from .words import (FAMILY_LIN, Generator, GenWord, apply_word_to_row,
                     empty_word)
@@ -98,36 +98,6 @@ def whitehead_symplectic(d: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # transvections and row equivalences
 
-def _reduce_col_linear(c: Mat) -> GenWord:
-    """A word g with eval(g) @ c = e_1 (column), by unit-pivot row operations."""
-    ring = c.ring
-    m = c.rows
-    col = [row[0] for row in c.entries]
-    one = ring.one()
-    emitted: list[Generator] = []
-
-    def gen(i, j, z):
-        if z.is_zero():
-            return
-        g = Generator(FAMILY_LIN, i, j, z, m)
-        emitted.append(g)
-        # left action of I + z E_ij on a column: entry_i += z * entry_j
-        col[i - 1] = col[i - 1] + z * col[j - 1]
-
-    if col[0] != one:
-        k = _lowest_unit(col)
-        if k is None:
-            raise NotRightInvertible("column has no unit entry")
-        if k == 0:
-            gen(2, 1, col[0].inverse() * (one - col[1]))
-            k = 1
-        gen(1, k + 1, col[k].inverse() * (one - col[0]))
-    for i in range(2, m + 1):
-        gen(i, 1, -col[i - 1])
-    # eval(word) must act with the first emitted operation innermost
-    return GenWord(ring, m, FAMILY_LIN, tuple(reversed(emitted)))
-
-
 def transvection_factor(c: Mat, r: Mat) -> GenWord:
     """A word evaluating to I + c·r for a unimodular column c with r·c = 0."""
     if c.cols != 1 or r.rows != 1 or c.rows != r.cols:
@@ -142,7 +112,15 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
         raise NotPerpendicular("r . c must vanish", got=rc)
     if all(v.is_zero() for v in r.entries[0]):
         return empty_word(ring, m, FAMILY_LIN)
-    gamma = _reduce_col_linear(c)
+    try:
+        rho = reduce_row_linear(c.transpose())
+    except NoUnitEntry:
+        raise NotRightInvertible("column has no unit entry") from None
+    # eval(gamma) @ c = e_1 for gamma = rho transposed and reversed, since
+    # eval(gamma) = eval(rho)^t
+    gamma = GenWord(ring, m, FAMILY_LIN, tuple(
+        Generator(FAMILY_LIN, g.j, g.i, g.param, m)
+        for g in reversed(rho.gens)))
     r_prime = apply_word_to_row(list(r.entries[0]), gamma.invert())
     if not r_prime[0].is_zero():
         raise FormViolation("internal: transported row kept its first entry")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
-from .rings import (IntegerRing, ModularRing, RationalField, Ring, RingValue,
-                    _dot, _factor, has_half)
+from .rings import (IntegerRing, ModularRing, Ring, RingValue, _dot, _factor,
+                    has_half)
 
 DET_SIZE_CAP = 12
 
@@ -492,8 +492,6 @@ def right_inverse(a: Mat) -> RightInverseCert:
         if sol is None:
             raise NotRightInvertible("no integral right inverse")
         return RightInverseCert(a, Mat(ring, sol))
-    if isinstance(ring, RationalField):
-        return RightInverseCert(a, _right_inverse_local(a))
     raise UnsupportedRing(
         f"right-inverse solving over {ring} is unsupported; supply a certificate")
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import (ObjectOutOfDomain, SearchBudgetExceeded, UnsupportedRing)
 from .matrices import Mat
-from .rings import ModularRing, QuotientRing, Ring, ring_from_json
+from .rings import (ModularRing, QuotientRing, Ring, ring_from_json,
+                    unit_ideal_witness)
 from .words import FAMILY_ORTH, Generator, GenWord, _apply_gens, paired_index
 
 FORMAT_VERSION = 1
@@ -28,19 +30,12 @@ def _is_unimodular_row(ring: Ring, values) -> bool:
     if ring.is_local:
         return any(v.is_unit() for v in values)
     if isinstance(ring, ModularRing):
-        from math import gcd
-        g = ring.n
-        for v in values:
-            g = gcd(g, v.payload)
-        return g == 1
-    if isinstance(ring, QuotientRing) and ring.style == "integer":
-        from math import gcd
-        g = ring.modulus
-        for v in values:
-            g = gcd(g, v.payload)
-        return g == 1
-    from .rings import unit_ideal_witness
-    return unit_ideal_witness(ring, list(values)) is not None
+        modulus = ring.n
+    elif isinstance(ring, QuotientRing) and ring.style == "integer":
+        modulus = ring.modulus
+    else:
+        return unit_ideal_witness(ring, list(values)) is not None
+    return gcd(modulus, *(v.payload for v in values)) == 1
 
 
 def generator_catalog(ring: Ring, family: str, size: int):

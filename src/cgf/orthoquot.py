@@ -17,7 +17,7 @@ from .errors import (HalfNotInvertible, NoUnitEntry, NotClassifiable,
                      NotOrthogonal, ReductionFailed, SizeBound,
                      UnsupportedPresentation, FormViolation, NotLocal)
 from .matrices import Mat, block_perp, identity, membership, phi
-from .reduce import _orth_frame_reduction
+from .reduce import _Reduction
 from .rings import PolyExt, Ring, RingValue, has_half
 from .words import FAMILY_ORTH, Generator, GenWord, Witness
 
@@ -82,21 +82,17 @@ def vaserstein_quotient(a: Mat) -> tuple[Mat, GenWord]:
         raise NotLocal("the quotient reduction needs a local ring")
     if not membership(a, "O"):
         raise NotOrthogonal("matrix does not preserve the symmetric form")
-    work = [list(row) for row in a.entries]
+    red = _Reduction(a, FAMILY_ORTH)
     try:
-        acc = _orth_frame_reduction(work, m - 1, 2 * m, ring)
+        red.pairs(m - 1)
     except (FormViolation, NoUnitEntry) as e:
         raise ReductionFailed(str(e), partial_state=[
-            [v.to_json() for v in row] for row in work]) from e
+            [ring.value_to_json(p) for p in row] for row in red.rows]) from e
     cut = 2 * m - 2
-    for i in range(cut, 2 * m):
-        for j in range(cut):
-            if not work[i][j].is_zero():
-                raise ReductionFailed(
-                    "orthogonality failed to clear the corner block")
-    delta = Mat(ring, [[work[cut][cut], work[cut][cut + 1]],
-                       [work[cut + 1][cut], work[cut + 1][cut + 1]]])
-    word = GenWord(ring, 2 * m, FAMILY_ORTH, tuple(acc)).invert()
+    if any(x != red.zero for row in red.rows[cut:] for x in row[:cut]):
+        raise ReductionFailed("orthogonality failed to clear the corner block")
+    delta = Mat._box(ring, [row[cut:] for row in red.rows[cut:]])
+    word = red.word().invert()
     delta, word = _normalize_corner(delta, word, m)
     if block_perp(identity(ring, cut), delta) @ word.eval() != a:
         raise ReductionFailed("internal: factorization mismatch")

@@ -2,10 +2,22 @@
 and right-invertible blocks are completed to elementary (symplectic,
 orthogonal) matrices, returning the acting word in every case.
 
-All pivots follow one deterministic rule: the lowest index whose entry is a
-unit wins, and clearing passes sweep left to right (the paired families
-clear the partner column last because the cross terms of their generators
-feed it).  Identical inputs therefore yield identical witnesses.
+Every construction here repeats one step, carried out by one engine,
+``_Reduction``, on rows of canonical payloads (the form the kernel
+``words._apply_gens`` acts on); values are boxed only in the generators it
+emits and the errors it raises.  Its sweep carries row[lo:] to
+(1, 0, ..., 0) on the window of columns lo+1..size, for every family: the
+lowest unit entry is pulled into slot 1, through the pump slot (2 for lin
+and sp, 3 for orth, whose oe_21 is excluded) when it sits before it; then a
+clearing pass zeroes the other slots against that 1.  The paired families
+clear the partner slot last, because the cross terms of their generators
+feed it: sp with a generator, while for orth isotropy must already have
+cleared it (1/2 being a unit).  Its frame-pair loop sweeps the first row of
+each pair of an isotropic frame and clears the second row with the same
+pass, pivoting on the pair's second slot.
+
+All pivots follow this one deterministic rule, so identical inputs yield
+identical witnesses.
 """
 
 from __future__ import annotations
@@ -25,113 +37,97 @@ def _require_local(ring: Ring, what: str):
         raise NotLocal(f"{what} needs a local ring, got {ring}")
 
 
-def _lowest_unit(row, start: int = 0):
-    for idx in range(start, len(row)):
-        if row[idx].is_unit():
-            return idx
-    return None
+class _Reduction:
+    """The rows of a matrix as canonical payloads, reduced in place by the
+    generators of one family; ``acc`` lists them in the order applied."""
 
+    def __init__(self, mat: Mat, family: str):
+        self.ring, self.size, self.family = mat.ring, mat.cols, family
+        self.rows = mat._payloads()
+        self.acc: list[Generator] = []
+        self.zero = self.ring.zero().payload
+        self.one = self.ring.one().payload
 
-def _emit(rows, acc, g: Generator):
-    """Record g and apply it to the working rows of ring values.  The rows
-    are reboxed in place: the window engines hold aliases to them."""
-    if g.param.is_zero():
-        return
-    acc.append(g)
-    ring = g.param.ring
-    payloads = _apply_gens(ring, [[v.payload for v in r] for r in rows], (g,))
-    for r, new in zip(rows, payloads):
-        r[:] = [RingValue(ring, p) for p in new]
+    def box(self, payload) -> RingValue:
+        return RingValue(self.ring, payload)
 
+    def word(self) -> GenWord:
+        return GenWord(self.ring, self.size, self.family, tuple(self.acc))
 
-# ---------------------------------------------------------------------------
-# window engines (local 1-based indices; caller shifts into the ambient)
+    def emit(self, i: int, j: int, z):
+        """Record the generator (i, j, z) and apply it; z = 0 is skipped."""
+        if z != self.zero:
+            g = Generator(self.family, i, j, self.box(z), self.size)
+            self.acc.append(g)
+            _apply_gens(self.ring, self.rows, (g,))
 
-def _reduce_window_linear(rows, row_idx: int, lo: int, size: int, ring, acc):
-    """Carry rows[row_idx][lo:] to (1, 0, ..., 0) with e_ij acting on
-    columns lo+1..size (1-based); mutates rows, appends to acc."""
-    one = ring.one()
-    row = rows[row_idx]
-    width = size - lo
+    def _set_one(self, lo: int, src: int, dst: int):
+        """Window slot dst of row lo becomes 1: add to it a multiple of the
+        unit in slot src (slots are 1-based)."""
+        ring, row = self.ring, self.rows[lo]
+        z = ring.mul(ring.inverse_payload(row[lo + src - 1]),
+                     ring.sub(self.one, row[lo + dst - 1]))
+        self.emit(lo + src, lo + dst, z)
 
-    def gen(i, j, z):
-        _emit(rows, acc, Generator(FAMILY_LIN, lo + i, lo + j, z, size))
+    def sweep(self, lo: int):
+        """Carry rows[lo][lo:] to (1, 0, ..., 0)."""
+        ring, row, width = self.ring, self.rows[lo], self.size - lo
+        if row[lo] != self.one:
+            k = next((t for t in range(1, width + 1)
+                      if ring.is_unit_payload(row[lo + t - 1])), None)
+            if k is None:
+                raise NoUnitEntry("row has no unit entry over the local ring")
+            pump = 3 if self.family == FAMILY_ORTH else 2
+            if k < pump:
+                if self.family == FAMILY_ORTH and width < 4:
+                    raise SizeBound(
+                        "orthogonal pivot transport needs width >= 4")
+                self._set_one(lo, k, pump)
+                k = pump
+            self._set_one(lo, k, 1)
+        if self.clear(lo, 1) is not None:
+            raise FormViolation(
+                "partner entry did not vanish; the row is not isotropic")
 
-    if row[lo] != one:
-        k = _lowest_unit(row, lo)
-        if k is None or k >= size:
-            raise NoUnitEntry("row has no unit entry over the local ring")
-        k -= lo
-        if k == 0:
-            if width < 2:
-                raise NotRightInvertible(
-                    "single-column block must already equal 1")
-            # pump a 1 into the second slot, then pull it back
-            gen(1, 2, row[lo].inverse() * (one - row[lo + 1]))
-            k = 1
-        gen(k + 1, 1, row[lo + k].inverse() * (one - row[lo]))
-    for j in range(2, width + 1):
-        if not row[lo + j - 1].is_zero():
-            gen(1, j, -row[lo + j - 1])
+    def clear(self, lo: int, pivot: int):
+        """Zero row lo + pivot - 1 on the window from column lo+1 against
+        the 1 in its window slot ``pivot`` (1 or 2).  Returns the partner
+        entry an orthogonal row still has, or None."""
+        row, width = self.rows[lo + pivot - 1], self.size - lo
+        if self.family == FAMILY_LIN:
+            slots = range(2, width + 1)
+        else:
+            slots = [*range(3, width + 1), 3 - pivot]
+        for j in slots:
+            z = row[lo + j - 1]
+            if z != self.zero:
+                if self.family == FAMILY_ORTH and j == 3 - pivot:
+                    return z
+                self.emit(lo + pivot, lo + j, self.ring.neg(z))
+        return None
 
-
-def _reduce_window_symplectic(rows, row_idx: int, lo: int, size: int, ring, acc):
-    """Same contract with se_ij generators; lo is even."""
-    one = ring.one()
-    row = rows[row_idx]
-    width = size - lo
-
-    def gen(i, j, z):
-        _emit(rows, acc, Generator(FAMILY_SP, lo + i, lo + j, z, size))
-
-    if row[lo] != one:
-        k = _lowest_unit(row, lo)
-        if k is None:
-            raise NoUnitEntry("row has no unit entry over the local ring")
-        k -= lo
-        if k == 0:
-            gen(1, 2, row[lo].inverse() * (one - row[lo + 1]))
-            k = 1
-        gen(k + 1, 1, row[lo + k].inverse() * (one - row[lo]))
-    for j in range(3, width + 1):
-        if not row[lo + j - 1].is_zero():
-            gen(1, j, -row[lo + j - 1])
-    if not row[lo + 1].is_zero():
-        gen(1, 2, -row[lo + 1])
-
-
-def _reduce_window_orthogonal(rows, row_idx: int, lo: int, size: int, ring, acc):
-    """Carry an isotropic unimodular row to e_1 with oe_ij generators.
-
-    Needs window width >= 4 to transport a pivot out of the first pair;
-    the partner entry is annihilated by isotropy (1/2 being a unit), not
-    by a generator.
-    """
-    one = ring.one()
-    row = rows[row_idx]
-    width = size - lo
-
-    def gen(i, j, z):
-        _emit(rows, acc, Generator(FAMILY_ORTH, lo + i, lo + j, z, size))
-
-    if row[lo] != one:
-        k = _lowest_unit(row, lo)
-        if k is None:
-            raise NoUnitEntry("row has no unit entry over the local ring")
-        k -= lo
-        if k <= 1:
-            if width < 4:
-                raise SizeBound("orthogonal pivot transport needs width >= 4")
-            # move a unit to the third slot (outside the first pair)
-            gen(k + 1, 3, row[lo + k].inverse() * (one - row[lo + 2]))
-            k = 2
-        gen(k + 1, 1, row[lo + k].inverse() * (one - row[lo]))
-    for j in range(3, width + 1):
-        if not row[lo + j - 1].is_zero():
-            gen(1, j, -row[lo + j - 1])
-    if not row[lo + 1].is_zero():
-        raise FormViolation(
-            "partner entry did not vanish; the row is not isotropic")
+    def pairs(self, n_pairs: int):
+        """Carry the first n_pairs row pairs of a frame to standard rows."""
+        for k in range(n_pairs):
+            lo = 2 * k
+            if any(x != self.zero for x in self.rows[lo][:lo]):
+                raise FormViolation(
+                    "form identity failed to clear the leading columns")
+            try:
+                self.sweep(lo)
+            except NoUnitEntry as e:
+                if self.family != FAMILY_SP:
+                    raise
+                raise NoUnitEntry(str(e), pair=k) from e
+            partner = self.rows[lo + 1][lo + 1]
+            if partner != self.one:
+                raise FormViolation(
+                    "the form did not force a unit partner entry",
+                    got=self.box(partner))
+            z = self.clear(lo, 2)
+            if z is not None:
+                raise FormViolation("isotropy failed to clear the partner row",
+                                    got=self.box(z))
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +140,9 @@ def reduce_row_linear(v: Mat) -> GenWord:
     if v.cols < 2:
         raise SizeBound("row reduction needs length >= 2")
     _require_local(v.ring, "linear row reduction")
-    rows = [list(v.entries[0])]
-    acc: list[Generator] = []
-    _reduce_window_linear(rows, 0, 0, v.cols, v.ring, acc)
-    word = GenWord(v.ring, v.cols, FAMILY_LIN, tuple(acc))
-    return word
+    red = _Reduction(v, FAMILY_LIN)
+    red.sweep(0)
+    return red.word()
 
 
 def reduce_row_symplectic(v: Mat) -> GenWord:
@@ -158,10 +152,9 @@ def reduce_row_symplectic(v: Mat) -> GenWord:
     if v.cols < 2 or v.cols % 2:
         raise SizeBound("symplectic rows have even length >= 2")
     _require_local(v.ring, "symplectic row reduction")
-    rows = [list(v.entries[0])]
-    acc: list[Generator] = []
-    _reduce_window_symplectic(rows, 0, 0, v.cols, v.ring, acc)
-    return GenWord(v.ring, v.cols, FAMILY_SP, tuple(acc))
+    red = _Reduction(v, FAMILY_SP)
+    red.sweep(0)
+    return red.word()
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +175,25 @@ def complete_um_linear(v: Mat) -> GenWord:
         raise SizeBound("completion needs m >= 2")
     if n > m:
         raise NotRightInvertible("more rows than columns")
-    work = [list(row) for row in v.entries]
-    acc: list[Generator] = []
-    one = ring.one()
+    red = _Reduction(v, FAMILY_LIN)
+    work, one, zero = red.rows, red.one, red.zero
     for i in range(n):
         if m - i == 1:
             if work[i][i] != one:
                 raise NotRightInvertible(
                     "square blocks complete only with determinant 1",
-                    pivot=work[i][i])
+                    pivot=red.box(work[i][i]))
         else:
             try:
-                _reduce_window_linear(work, i, i, m, ring, acc)
+                red.sweep(i)
             except NoUnitEntry as e:
                 raise NotRightInvertible(str(e)) from e
         for t in range(i):
-            c = work[i][t]
-            if not c.is_zero():
-                _emit(work, acc, Generator(FAMILY_LIN, i + 1, t + 1, -c, m))
-        if work[i][i] != one or any(not work[i][j].is_zero()
+            red.emit(i + 1, t + 1, ring.neg(work[i][t]))
+        if work[i][i] != one or any(work[i][j] != zero
                                     for j in range(m) if j != i):
             raise NotRightInvertible("row failed to reduce to a standard row")
-    word = GenWord(ring, m, FAMILY_LIN, tuple(acc)).invert()
+    word = red.word().invert()
     got = word.eval()
     if Mat(ring, got.entries[:n]) != v:
         raise FormViolation("internal: completion lost the input rows")
@@ -220,63 +210,16 @@ def complete_sp(frame: IsotropicFrame) -> GenWord:
     V = frame.mat
     ring = V.ring
     _require_local(ring, "symplectic completion")
-    n, m = frame.n_pairs, frame.m_pairs
-    work = [list(row) for row in V.entries]
-    acc: list[Generator] = []
-    one = ring.one()
-    size = 2 * m
-    for k in range(n):
-        r = 2 * k
-        if any(not work[r][t].is_zero() for t in range(2 * k)):
-            raise FormViolation(
-                "form identity failed to clear the leading columns")
-        try:
-            _reduce_window_symplectic(work, r, 2 * k, size, ring, acc)
-        except NoUnitEntry as e:
-            raise NoUnitEntry(str(e), pair=k) from e
-        b = work[r + 1]
-        if b[2 * k + 1] != one:
-            raise FormViolation("the form did not force a unit partner entry",
-                                got=b[2 * k + 1])
-        for j in range(2 * k + 3, size + 1):
-            if not b[j - 1].is_zero():
-                _emit(work, acc,
-                      Generator(FAMILY_SP, 2 * k + 2, j, -b[j - 1], size))
-        if not b[2 * k].is_zero():
-            _emit(work, acc,
-                  Generator(FAMILY_SP, 2 * k + 2, 2 * k + 1, -b[2 * k], size))
-    word = GenWord(ring, size, FAMILY_SP, tuple(acc)).invert()
+    n = frame.n_pairs
+    red = _Reduction(V, FAMILY_SP)
+    red.pairs(n)
+    word = red.word().invert()
     got = word.eval()
     if Mat(ring, got.entries[:2 * n]) != V:
         raise FormViolation("internal: completion lost the frame rows")
     if not membership(got, "Sp"):
         raise FormViolation("internal: completion left the symplectic group")
     return word
-
-
-def _orth_frame_reduction(work, n_pairs: int, size: int, ring) -> list:
-    """Standardize the first n_pairs row pairs of an orthogonal frame in
-    place; returns the generator list.  Windows must keep width >= 4."""
-    acc: list[Generator] = []
-    one = ring.one()
-    for k in range(n_pairs):
-        r = 2 * k
-        if any(not work[r][t].is_zero() for t in range(2 * k)):
-            raise FormViolation(
-                "form identity failed to clear the leading columns")
-        _reduce_window_orthogonal(work, r, 2 * k, size, ring, acc)
-        b = work[r + 1]
-        if b[2 * k + 1] != one:
-            raise FormViolation("the form did not force a unit partner entry",
-                                got=b[2 * k + 1])
-        for j in range(2 * k + 3, size + 1):
-            if not b[j - 1].is_zero():
-                _emit(work, acc,
-                      Generator(FAMILY_ORTH, 2 * k + 2, j, -b[j - 1], size))
-        if not b[2 * k].is_zero():
-            raise FormViolation(
-                "isotropy failed to clear the partner row", got=b[2 * k])
-    return acc
 
 
 def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
@@ -300,9 +243,9 @@ def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
         warnings.warn("orthogonal completion at the boundary size "
                       "(n=1, m=3); the inductive argument above uses m > 3",
                       stacklevel=2)
-    work = [list(row) for row in V.entries]
-    acc = _orth_frame_reduction(work, n, 2 * m, ring)
-    word = GenWord(ring, 2 * m, FAMILY_ORTH, tuple(acc)).invert()
+    red = _Reduction(V, FAMILY_ORTH)
+    red.pairs(n)
+    word = red.word().invert()
     got = word.eval()
     if Mat(ring, got.entries[:2 * n]) != V:
         raise FormViolation("internal: completion lost the frame rows")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import BadIndices
 from .matrices import IsotropicFrame, Mat
 from .rings import Ring
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
@@ -25,6 +26,9 @@ def random_nonzero(rng: random.Random, ring: Ring, tries: int = 32):
 
 
 def random_indices(rng: random.Random, family: str, size: int):
+    # orthogonal generators exclude the pair (1, 2), the only one at size 2
+    if size < 2 or (family == FAMILY_ORTH and size == 2):
+        raise BadIndices(f"no admissible {family} index pair at size {size}")
     while True:
         i = rng.randrange(1, size + 1)
         j = rng.randrange(1, size + 1)

@@ -9,7 +9,7 @@ beside the word, outside its fields.
 Every generator acts on the right by one or two sparse column updates
 col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
 canonical payloads; word evaluation, the right actions on matrices and rows,
-generator matrices, the reduction engines and the orbit oracle all call it,
+generator matrices, the reduction engine and the orbit oracle all call it,
 and box values as ``RingValue`` only where they hand a result back.
 
 Only zero-parameter generators are dropped automatically.  The optional

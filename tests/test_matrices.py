@@ -217,6 +217,12 @@ def test_right_inverse_integers():
         right_inverse(Mat(Z, [[2, 4, 6]]))
 
 
+def test_right_inverse_rationals():
+    Q = RationalField()
+    a = Mat(Q, [[2, 3, 0], [0, 1, 5]])
+    assert (a @ right_inverse(a).beta).is_identity()
+
+
 def test_right_inverse_unsupported_over_poly():
     RT = PolyExt(ModularRing(4), "T")
     with pytest.raises(UnsupportedRing):

@@ -7,7 +7,7 @@ import pytest
 
 from cgf.errors import ObjectOutOfDomain, SearchBudgetExceeded
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
-from cgf.rings import ModularRing, PrimeField
+from cgf.rings import IntegerRing, ModularRing, PrimeField, QuotientRing
 from cgf.words import FAMILY_LIN, FAMILY_SP, apply_word_to_row
 
 from conftest import local_test_rings
@@ -49,6 +49,15 @@ def test_certify_out_of_domain_mod4():
     table = enumerate_orbits(Z4, "row", FAMILY_LIN, 2)
     with pytest.raises(ObjectOutOfDomain):
         certify_equivalence((2, 2), (1, 0), table)
+
+
+def test_unimodular_rows_over_a_non_local_modulus():
+    # the gcd test of the modulus, for Z/6 and for Z/(6) as a quotient of Z:
+    # |Um_2(Z/6)| = |Um_2(F_2)| * |Um_2(F_3)| = 3 * 8, in one orbit
+    for ring in (ModularRing(6), QuotientRing(IntegerRing(), [6])):
+        table = enumerate_orbits(ring, "row", FAMILY_LIN, 2)
+        assert len(table.orbit_of) == 24
+        assert table.orbit_count() == 1
 
 
 def test_local_transitivity_cross_checks_reduction():

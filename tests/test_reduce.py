@@ -1,18 +1,25 @@
 """Row reduction and completion round trips."""
 
+import hashlib
+import itertools
+import json
 import random
 import warnings
 
 import pytest
 
-from cgf.errors import (NoUnitEntry, NotLocal, NotRightInvertible,
+from cgf import orthoquot
+from cgf.errors import (CgfError, NoUnitEntry, NotLocal, NotRightInvertible,
                         SizeBound)
+from cgf.factor import transvection_factor, whitehead_symplectic
 from cgf.matrices import IsotropicFrame, Mat, identity, membership
+from cgf.orthoquot import vaserstein_quotient
 from cgf.reduce import (complete_orth, complete_sp, complete_um_linear,
                         reduce_row_linear, reduce_row_symplectic)
-from cgf.rings import IntegerRing, ModularRing, PrimeField, TruncatedPolyLocal
+from cgf.rings import (IntegerRing, ModularRing, PrimeField,
+                       TruncatedPolyLocal, has_half)
 from cgf.sampling import random_frame, random_unimodular_rows, random_word
-from cgf.words import FAMILY_SP, apply_word_to_row
+from cgf.words import FAMILY_ORTH, FAMILY_SP, apply_word_to_row
 
 from conftest import local_test_rings
 
@@ -169,3 +176,269 @@ def test_pivot_determinism():
     w1 = reduce_row_linear(v)
     w2 = reduce_row_linear(v)
     assert w1 == w2
+
+
+# ---------------------------------------------------------------------------
+# golden words and errors of every reduction entry point
+#
+# Each digest is the sha256 of json.dumps of the list of outcomes (the word
+# JSON, or the error JSON with its code, message and context) over a fixed
+# corpus; the digests were recorded before the row and frame reductions were
+# merged into one sweep, so every word must stay generator-for-generator
+# identical and every error must keep its code, message and context.
+
+def _outcome(f, *args, **kwargs):
+    try:
+        out = f(*args, **kwargs)
+    except CgfError as e:
+        return e.to_json()
+    if isinstance(out, tuple):
+        return [x.to_json() for x in out]
+    return out.to_json()
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+
+
+def _golden_rows(reduce):
+    """Every row of length 1-3 over each local test ring, and of length 4
+    over the rings with at most five elements."""
+    out = []
+    for ring in local_test_rings():
+        elements = list(ring.elements())
+        for m in (1, 2, 3, 4):
+            if m == 4 and len(elements) > 5:
+                continue
+            for combo in itertools.product(elements, repeat=m):
+                out.append(_outcome(reduce, Mat(ring, [list(combo)])))
+    return out
+
+
+def _golden_complete_linear():
+    rng = random.Random(4101)
+    out = []
+    for ring in local_test_rings():
+        for n, m in ((1, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (3, 4)):
+            for _ in range(6):
+                v, _ = random_unimodular_rows(rng, ring, n, m, 6)
+                out.append(_outcome(complete_um_linear, v))
+            for _ in range(3):
+                v = Mat(ring, [[ring.random(rng) for _ in range(m)]
+                               for _ in range(n)])
+                out.append(_outcome(complete_um_linear, v))
+    return out
+
+
+def _golden_complete_sp():
+    rng = random.Random(4102)
+    out = []
+    for ring in local_test_rings():
+        for n, m in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
+            for _ in range(5):
+                fr, _ = random_frame(rng, ring, "sp", n, m, 6)
+                out.append(_outcome(complete_sp, fr))
+        for _ in range(3):
+            d = random_word(rng, ring, FAMILY_SP, 2, 4).eval()
+            out.append(_outcome(whitehead_symplectic, d))
+    return out
+
+
+def _half_rings():
+    return [ring for ring in local_test_rings() if has_half(ring)]
+
+
+def _golden_complete_orth():
+    rng = random.Random(4103)
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for ring in _half_rings():
+            two, three = ring.coerce(2), ring.coerce(3)
+            for u in (two, three):
+                if u.is_unit():
+                    # pivots inside the only pair: the transport needs room
+                    fr = IsotropicFrame(Mat(ring, [[u, 0], [0, u.inverse()]]),
+                                        "orth")
+                    out.append(_outcome(complete_orth, fr, permissive=True))
+                    out.append(_outcome(complete_orth, fr))
+            for n, m in ((1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (2, 5)):
+                for _ in range(5):
+                    fr, _ = random_frame(rng, ring, "orth", n, m, 6)
+                    out.append(_outcome(complete_orth, fr, permissive=True))
+                out.append(_outcome(complete_orth, fr))
+    return out
+
+
+def _golden_transvections():
+    rng = random.Random(4104)
+    out = []
+    for ring in local_test_rings():
+        for m in (3, 4, 5):
+            for t in range(8):
+                if t % 4 == 3:
+                    c = [ring.random(rng) for _ in range(m)]
+                else:
+                    c = list(random_unimodular_rows(rng, ring, 1, m, 6)[0]
+                             .entries[0])
+                r = [ring.zero()] * m
+                for _ in range(t % 3):
+                    i, j = rng.sample(range(m), 2)
+                    a = ring.random(rng)
+                    r[i] = r[i] + a * c[j]
+                    r[j] = r[j] - a * c[i]
+                out.append(_outcome(transvection_factor,
+                                    Mat(ring, [[x] for x in c]),
+                                    Mat(ring, [r])))
+    return out
+
+
+def _golden_vaserstein():
+    rng = random.Random(4105)
+    out = []
+    for ring in _half_rings():
+        two = ring.coerce(2)
+        corners = [Mat(ring, [[1, 0], [0, 1]]), Mat(ring, [[0, 1], [1, 0]]),
+                   Mat(ring, [[two, 0], [0, two.inverse()]])]
+        for m in (3, 4):
+            for t in range(6):
+                w = random_word(rng, ring, FAMILY_ORTH, 2 * m, 8).eval()
+                twist = identity(ring, 2 * m - 2).block_perp(corners[t % 3])
+                a = twist @ w if t % 2 else w @ twist
+                out.append(_outcome(vaserstein_quotient, a))
+    return out
+
+
+GOLDEN = {
+    "reduce_row_linear": (
+        lambda: _golden_rows(reduce_row_linear),
+        "fbc53af585d2e1e956d508075fd251b84b8701f95bec5834c8f4c2603a7b15ff"),
+    "reduce_row_symplectic": (
+        lambda: _golden_rows(reduce_row_symplectic),
+        "0c8e20e6b18d1de105c7fa0db3f5566f9cf9826126d2b56d9368c77347390c04"),
+    "complete_um_linear": (
+        _golden_complete_linear,
+        "52246a1f17f58ea967b62b40f0a63884d14da9ef79df3cc438acbf693fe5ad45"),
+    "complete_sp": (
+        _golden_complete_sp,
+        "6df843c7a0de744cf9dbca2455c7bd8655aeeff7752da5bf0b9c80be248d03df"),
+    "complete_orth": (
+        _golden_complete_orth,
+        "0e50f8b9ae127f74cbefe0b926006508b5d6f6c2bc8f5a7c36689d52e25d7091"),
+    "transvection_factor": (
+        _golden_transvections,
+        "02ef4bae19f89adf4a428303632a4740ba5020168883e04b598c48f8b5c5fa84"),
+    "vaserstein_quotient": (
+        _golden_vaserstein,
+        "14f9e91f3ad21cd3c9332b4fff58ede9b9e385059d1b760a22868bbfea2916ef"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GOLDEN))
+def test_golden_words_and_errors(entry):
+    corpus, digest = GOLDEN[entry]
+    assert _digest(corpus()) == digest
+
+
+def _unchecked_frame(mat, kind):
+    """A frame that skips the form check, to reach the failures a valid
+    frame never triggers."""
+    frame = object.__new__(IsotropicFrame)
+    object.__setattr__(frame, "mat", mat)
+    object.__setattr__(frame, "kind", kind)
+    return frame
+
+
+_Z4, _Z9, _F5 = ModularRing(4), ModularRing(9), PrimeField(5)
+_NO_UNIT = "row has no unit entry over the local ring"
+
+ERROR_PINS = [
+    ("linear row without a unit",
+     lambda: reduce_row_linear(Mat(_Z4, [[2, 0]])),
+     ("no_unit_entry", _NO_UNIT, {})),
+    ("symplectic row without a unit",
+     lambda: reduce_row_symplectic(Mat(_Z4, [[2, 2]])),
+     ("no_unit_entry", _NO_UNIT, {})),
+    ("linear completion row without a unit",
+     lambda: complete_um_linear(Mat(_Z4, [[1, 0, 0], [2, 2, 0]])),
+     ("not_right_invertible", _NO_UNIT, {})),
+    ("linear completion square block",
+     lambda: complete_um_linear(Mat(_Z9, [[2, 0], [0, 1]])),
+     ("not_right_invertible",
+      "square blocks complete only with determinant 1", {"pivot": "2"})),
+    ("symplectic pair 0 without a unit",
+     lambda: complete_sp(_unchecked_frame(
+         Mat(_Z4, [[2, 0, 0, 2], [0, 1, 0, 0]]), "sp")),
+     ("no_unit_entry", _NO_UNIT, {"pair": "0"})),
+    ("symplectic pair 1 without a unit",
+     lambda: complete_sp(_unchecked_frame(
+         Mat(_Z4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]),
+         "sp")),
+     ("no_unit_entry", _NO_UNIT, {"pair": "1"})),
+    ("symplectic partner entry not a unit",
+     lambda: complete_sp(_unchecked_frame(
+         Mat(_Z4, [[1, 0, 0, 0], [0, 2, 0, 0]]), "sp")),
+     ("form_violation", "the form did not force a unit partner entry",
+      {"got": "2"})),
+    ("symplectic leading columns not cleared",
+     lambda: complete_sp(_unchecked_frame(
+         Mat(_Z4, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]),
+         "sp")),
+     ("form_violation", "form identity failed to clear the leading columns",
+      {})),
+    ("transvection column without a unit",
+     lambda: transvection_factor(Mat(_Z4, [[2], [0], [0]]),
+                                 Mat(_Z4, [[0, 1, 0]])),
+     ("not_right_invertible", "column has no unit entry", {})),
+    ("orthogonal window narrower than 4",
+     lambda: complete_orth(IsotropicFrame(Mat(_F5, [[2, 0], [0, 3]]), "orth"),
+                           permissive=True),
+     ("size_bound", "orthogonal pivot transport needs width >= 4", {})),
+    ("orthogonal row partner does not vanish",
+     lambda: complete_orth(_unchecked_frame(
+         Mat(_F5, [[1, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]]), "orth")),
+     ("form_violation",
+      "partner entry did not vanish; the row is not isotropic", {})),
+    ("orthogonal partner row does not vanish",
+     lambda: complete_orth(_unchecked_frame(
+         Mat(_F5, [[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0]]), "orth")),
+     ("form_violation", "isotropy failed to clear the partner row",
+      {"got": "1"})),
+]
+
+
+@pytest.mark.parametrize("thunk, expected",
+                         [pin[1:] for pin in ERROR_PINS],
+                         ids=[pin[0] for pin in ERROR_PINS])
+def test_reduction_error_paths_are_pinned(thunk, expected):
+    code, message, context = expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(CgfError) as info:
+            thunk()
+    assert info.value.to_json() == {"code": code, "message": message,
+                                    "context": context}
+
+
+def test_vaserstein_quotient_reports_the_partial_state(monkeypatch):
+    # membership is bypassed: an orthogonal input never fails the reduction
+    monkeypatch.setattr(orthoquot, "membership", lambda a, group: True)
+    rows = [[0, 1, 0, 0, 0, 0], [2, 0, 1, 0, 0, 0]] + [
+        list(r) for r in identity(_F5, 6).entries[2:]]
+    with pytest.raises(CgfError) as info:
+        vaserstein_quotient(Mat(_F5, rows))
+    e = info.value
+    assert (e.code, e.message) == (
+        "reduction_failed", "the form did not force a unit partner entry")
+    assert e.context["partial_state"] == [
+        [1, 0, 0, 0, 0, 0], [3, 2, 3, 3, 0, 0], [1, 0, 0, 1, 0, 0],
+        [4, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    rows = [[3, 0, 0, 0, 0, 0]] + [list(r)
+                                   for r in identity(_Z9, 6).entries[1:]]
+    with pytest.raises(CgfError) as info:
+        vaserstein_quotient(Mat(_Z9, rows))
+    e = info.value
+    assert (e.code, e.message) == ("reduction_failed", _NO_UNIT)
+    assert e.context["partial_state"] == [
+        [3, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]

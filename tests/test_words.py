@@ -2,13 +2,14 @@
 
 import json
 import random
+import threading
 
 import pytest
 
 from cgf.errors import BadIndices, HalfNotInvertible, WordLimitExceeded
 from cgf.matrices import Mat, membership
 from cgf.rings import ModularRing, PolyExt, PrimeField
-from cgf.sampling import random_word
+from cgf.sampling import random_frame, random_unimodular_rows, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                        Witness, apply_word_to_row, empty_word, gen_matrix,
                        paired_index, word_from_pairs)
@@ -195,3 +196,26 @@ def test_eval_runs_once_and_is_not_a_field():
     assert repr(w) == repr(fresh)
     assert json.dumps(w.to_json()) == json.dumps(fresh.to_json())
     assert fresh.eval() == w.eval()
+
+
+def test_sampling_rejects_sizes_without_generators():
+    # no (i, j) is admissible at size 1, nor for orth at size 2; the index
+    # draw used to retry forever, so the calls run in a thread with a
+    # deadline and must raise BadIndices
+    Z5 = PrimeField(5)
+    calls = [lambda: random_unimodular_rows(random.Random(1), Z5, 1, 1),
+             lambda: random_word(random.Random(1), Z5, FAMILY_SP, 1, 3),
+             lambda: random_frame(random.Random(1), Z5, "orth", 1, 1)]
+    for call in calls:
+        raised = []
+
+        def run():
+            try:
+                call()
+            except BadIndices as e:
+                raised.append(e)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and len(raised) == 1
