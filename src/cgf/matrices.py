@@ -25,7 +25,7 @@ DET_SIZE_CAP = 12
 class Mat:
     """An exact rows x cols matrix over one ring of the tower."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries", "_cp")
 
     def __init__(self, ring: Ring, entries):
         grid = tuple(tuple(ring.coerce(e) for e in row) for row in entries)
@@ -37,7 +37,7 @@ class Mat:
         if not grid or not grid[0]:
             raise ShapeMismatch("matrices must be non-empty")
         for name, value in zip(self.__slots__,
-                               (ring, len(grid), len(grid[0]), grid)):
+                               (ring, len(grid), len(grid[0]), grid, None)):
             object.__setattr__(self, name, value)
         return self
 
@@ -70,10 +70,6 @@ class Mat:
     @staticmethod
     def row_vector(ring: Ring, values) -> "Mat":
         return Mat(ring, [list(values)])
-
-    @staticmethod
-    def col_vector(ring: Ring, values) -> "Mat":
-        return Mat(ring, [[v] for v in values])
 
     # -- basics --------------------------------------------------------------
     def __getitem__(self, ij):
@@ -165,9 +161,16 @@ class Mat:
         return Mat(new_ring, [[fn(e) for e in row] for row in self.entries])
 
     # -- determinant and inverse ---------------------------------------------
-    def _charpoly(self) -> list:
-        """Payloads [1, c_1, ..., c_n] of the characteristic polynomial
-        det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n.
+    def _charpoly(self) -> tuple:
+        """Payloads (1, c_1, ..., c_n) of the characteristic polynomial
+        det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n, computed once per
+        matrix (a Mat is immutable), so det() and inverse() share it."""
+        if self._cp is None:
+            object.__setattr__(self, "_cp", tuple(self._berkowitz()))
+        return self._cp
+
+    def _berkowitz(self) -> list:
+        """The characteristic polynomial's payloads [1, c_1, ..., c_n].
 
         Berkowitz: the polynomial of each leading (k+1) x (k+1) block is a
         Toeplitz matrix with first column [1, -a_kk, -R C, -R M C, ...,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import warnings
 
 from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
-                     SizeBound)
+                     ShapeMismatch, SizeBound)
 from .matrices import IsotropicFrame, Mat, membership
 from .rings import Ring, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
@@ -136,7 +136,7 @@ class _Reduction:
 def reduce_row_linear(v: Mat) -> GenWord:
     """A word w with v . eval(w) = e_1 over a local ring; length <= 2m."""
     if v.rows != 1:
-        raise NotRightInvertible("expected a single row")
+        raise ShapeMismatch("expected a single row")
     if v.cols < 2:
         raise SizeBound("row reduction needs length >= 2")
     _require_local(v.ring, "linear row reduction")
@@ -148,7 +148,7 @@ def reduce_row_linear(v: Mat) -> GenWord:
 def reduce_row_symplectic(v: Mat) -> GenWord:
     """A word w in se-generators with v . eval(w) = e_1 over a local ring."""
     if v.rows != 1:
-        raise NoUnitEntry("expected a single row")
+        raise ShapeMismatch("expected a single row")
     if v.cols < 2 or v.cols % 2:
         raise SizeBound("symplectic rows have even length >= 2")
     _require_local(v.ring, "symplectic row reduction")

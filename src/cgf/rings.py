@@ -51,7 +51,9 @@ def _prime_power_base(n: int):
 
 
 def _dot(ring: "Ring", acc, xs, ys):
-    """acc + sum(x * y) over payloads of ``ring``."""
+    """acc + sum(x * y) over payloads of ``ring``; R[T] fuses the sum."""
+    if ring.kind == "poly":
+        return ring.dot(acc, xs, ys)
     add, mul = ring.add, ring.mul
     for x, y in zip(xs, ys):
         acc = add(acc, mul(x, y))
@@ -176,13 +178,15 @@ class Ring:
     is_finite = False
     is_zero_ring = False
     characteristic = 0
+    _zero = _one = None
 
     # -- identity of the descriptor --------------------------------------
     def key(self):
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and other.key() == self.key()
+        return other is self or (isinstance(other, Ring)
+                                 and other.key() == self.key())
 
     def __hash__(self):
         return hash(self.key())
@@ -209,10 +213,19 @@ class Ring:
         return RingValue(self, self.canon(payload))
 
     def zero(self) -> RingValue:
-        return self.coerce(0)
+        """coerce(0), built once per ring instance; sharing the value is
+        safe because a RingValue is immutable."""
+        z = self._zero
+        if z is None:
+            z = self._zero = self.coerce(0)
+        return z
 
     def one(self) -> RingValue:
-        return self.coerce(1)
+        """coerce(1), built once per ring instance and shared like zero()."""
+        o = self._one
+        if o is None:
+            o = self._one = self.coerce(1)
+        return o
 
     # -- arithmetic on payloads ------------------------------------------
     def add(self, a, b):
@@ -669,6 +682,12 @@ class PolyExt(Ring):
     Payloads are tuples of base payloads, constant term first, trailing
     zeros stripped.  Degrees above ``degree_cap`` raise instead of
     truncating silently.
+
+    ``dot`` (which ``_dot``, and so matmul and the determinant, use here)
+    adds every product into one coefficient list and trims once.  It raises
+    ``DegreeCapExceeded`` exactly when the term-by-term ``add(acc, mul(x,
+    y))`` loop would: a term whose untrimmed product degree exceeds the cap
+    takes that loop's path, so every other partial sum stays within the cap.
     """
 
     kind = "poly"
@@ -690,7 +709,11 @@ class PolyExt(Ring):
     def canon(self, payload):
         if isinstance(payload, int):
             payload = (self.base.coerce(payload).payload,)
-        coeffs = [self.base.canon(c) for c in payload]
+        return self._trim([self.base.canon(c) for c in payload])
+
+    def _trim(self, coeffs: list):
+        """The payload of a list of canonical base payloads: trailing zeros
+        stripped (in place), then the degree cap checked."""
         z = self.base.zero().payload
         while coeffs and coeffs[-1] == z:
             coeffs.pop()
@@ -740,19 +763,40 @@ class PolyExt(Ring):
         z = self.base.zero().payload
         out = [self.base.add(a[i] if i < len(a) else z,
                              b[i] if i < len(b) else z) for i in range(n)]
-        return self.canon(out)
+        return self._trim(out)
 
-    def mul(self, a, b):
-        if not a or not b:
-            return ()
+    def _mac(self, out: list, a, b):
+        """out[i + j] += a_i * b_j in place; ``out`` is long enough."""
+        add, mul = self.base.add, self.base.mul
         z = self.base.zero().payload
-        out = [z] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca == z:
                 continue
             for j, cb in enumerate(b):
-                out[i + j] = self.base.add(out[i + j], self.base.mul(ca, cb))
-        return self.canon(out)
+                out[i + j] = add(out[i + j], mul(ca, cb))
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        out = [self.base.zero().payload] * (len(a) + len(b) - 1)
+        self._mac(out, a, b)
+        return self._trim(out)
+
+    def dot(self, acc, xs, ys):
+        """acc + sum(x * y) in one coefficient list, trimmed once."""
+        z = self.base.zero().payload
+        out = list(acc)
+        for a, b in zip(xs, ys):
+            if not a or not b:
+                continue
+            n = len(a) + len(b) - 1
+            if n - 1 > self.degree_cap:
+                out = list(self.add(self._trim(out), self.mul(a, b)))
+                continue
+            if len(out) < n:
+                out.extend([z] * (n - len(out)))
+            self._mac(out, a, b)
+        return self._trim(out)
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)

@@ -13,10 +13,6 @@ from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     paired_index)
 
 
-def random_value(rng: random.Random, ring: Ring):
-    return ring.random(rng)
-
-
 def random_nonzero(rng: random.Random, ring: Ring, tries: int = 32):
     for _ in range(tries):
         v = ring.random(rng)

@@ -189,6 +189,24 @@ def test_transport_linear_frozen():
     assert res.word.size == 5  # n + m
 
 
+def test_transport_runs_berkowitz_once_per_matrix(monkeypatch):
+    # det(d) for the SL check and d^{-1} for the Whitehead word share one
+    # characteristic polynomial; the other three runs are on other matrices
+    runs = []
+    berkowitz = Mat._berkowitz
+
+    def counting(self):
+        runs.append((str(self.ring), self.rows))
+        return berkowitz(self)
+
+    monkeypatch.setattr(Mat, "_berkowitz", counting)
+    Z9 = ModularRing(9)
+    d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3), (2, 1, 2)]).eval()
+    v = Mat(Z9, [[1, 0, 0], [0, 1, 0]])
+    assert vaserstein_transport(d, v, "linear").witness.all_passed()
+    assert runs == [("Z/9", 2), ("Z/9[T]", 4), ("Z/9[T]", 5), ("Z/9", 3)]
+
+
 def test_transport_symplectic():
     Z9 = ModularRing(9)
     d = word_from_pairs(Z9, 2, FAMILY_SP, [(2, 1, 2)]).eval()

@@ -4,18 +4,24 @@
 `apply_word_to_row`, `gen_matrix`, the reduction engines and the orbit
 oracle each carried before they shared `words._apply_gens`; `_matmul` is
 the triple loop `Mat.__matmul__` ran before it shared the payload dot
-product with the determinant.  Both are kept here unchanged as references.
+product with the determinant.  `_dot_reference` is that dot product's
+term-by-term loop, and `_poly_add`/`_poly_mul` are the R[T] addition and
+multiplication it called, ending in the full canon `_poly_canon`, before
+R[T] fused the sum and trimmed instead.  All are kept here unchanged as
+references.
 """
 
 import random
 
 import pytest
 
+from cgf.errors import DegreeCapExceeded
 from cgf.matrices import Mat, identity
-from cgf.rings import has_half
+from cgf.rings import (LocalizedIntegers, ModularRing, PolyExt, PrimeField,
+                       TruncatedPolyLocal, _dot, has_half)
 from cgf.sampling import random_word
-from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_right,
-                       apply_word_to_row, gen_matrix)
+from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
+                       apply_word_right, apply_word_to_row, gen_matrix)
 
 from conftest import all_test_rings
 
@@ -53,6 +59,57 @@ def _matmul(a, b):
             out_row.append(acc)
         out.append(out_row)
     return Mat(a.ring, out)
+
+
+def _poly_canon(ring, payload):
+    # reference: canonical R[T] coefficients, trailing zeros stripped,
+    # degree cap checked
+    coeffs = [ring.base.canon(c) for c in payload]
+    z = ring.base.zero().payload
+    while coeffs and coeffs[-1] == z:
+        coeffs.pop()
+    if len(coeffs) - 1 > ring.degree_cap:
+        raise DegreeCapExceeded(
+            f"degree {len(coeffs) - 1} exceeds cap {ring.degree_cap}")
+    return tuple(coeffs)
+
+
+def _poly_add(ring, a, b):
+    # reference: R[T] addition ending in a full canon
+    n = max(len(a), len(b))
+    z = ring.base.zero().payload
+    out = [ring.base.add(a[i] if i < len(a) else z,
+                         b[i] if i < len(b) else z) for i in range(n)]
+    return _poly_canon(ring, out)
+
+
+def _poly_mul(ring, a, b):
+    # reference: R[T] multiplication ending in a full canon
+    if not a or not b:
+        return ()
+    z = ring.base.zero().payload
+    out = [z] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == z:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = ring.base.add(out[i + j], ring.base.mul(ca, cb))
+    return _poly_canon(ring, out)
+
+
+def _dot_reference(ring, acc, xs, ys):
+    # reference: acc + sum(x * y) one term at a time
+    for x, y in zip(xs, ys):
+        acc = _poly_add(ring, acc, _poly_mul(ring, x, y))
+    return acc
+
+
+def _outcome(fn, *args):
+    """The result, or the DegreeCapExceeded message."""
+    try:
+        return fn(*args)
+    except DegreeCapExceeded as e:
+        return ("raised", str(e))
 
 
 def _random_mat(rng, ring, rows, cols):
@@ -113,3 +170,52 @@ def test_matmul_matches_reference(ring_idx, n, k, m, seed):
     assert a @ b == _matmul(a, b)
     assert a @ identity(ring, k) == a
 
+
+
+@SETTINGS
+@hypothesis.given(words(), st.integers(1, 4))
+def test_apply_word_left_matches_eval(case, n_cols):
+    ring, word, rng = case
+    m = _random_mat(rng, ring, word.size, n_cols)
+    assert apply_word_left(word, m) == word.eval() @ m
+
+
+POLY_BASES = (ModularRing(9), PrimeField(5), LocalizedIntegers(5),
+              ModularRing(4), TruncatedPolyLocal(2, 2))
+
+
+@st.composite
+def poly_terms(draw):
+    """(ring, acc, xs, ys): payloads of R[T] with a degree cap of 0 to 4."""
+    base = draw(st.sampled_from(POLY_BASES))
+    ring = PolyExt(base, "T", degree_cap=draw(st.integers(0, 4)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def poly():
+        coeffs = [base.random(rng).payload
+                  for _ in range(rng.randrange(ring.degree_cap + 2))]
+        return _poly_canon(ring, coeffs)
+
+    n = draw(st.integers(0, 5))
+    return ring, poly(), [poly() for _ in range(n)], [poly()
+                                                      for _ in range(n)]
+
+
+@hypothesis.settings(SETTINGS, max_examples=1000)
+@hypothesis.given(poly_terms())
+def test_poly_dot_matches_reference(case):
+    # equal sums, and DegreeCapExceeded with the same message exactly when
+    # the term-by-term loop raises
+    ring, acc, xs, ys = case
+    expected = _outcome(_dot_reference, ring, acc, xs, ys)
+    assert _outcome(ring.dot, acc, xs, ys) == expected
+    assert _outcome(_dot, ring, acc, xs, ys) == expected
+    for x, y in zip(xs, ys):
+        assert _outcome(ring.add, x, y) == _outcome(_poly_add, ring, x, y)
+        assert _outcome(ring.mul, x, y) == _outcome(_poly_mul, ring, x, y)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_zero_and_one_are_cached(ring):
+    assert ring.zero() == ring.coerce(0) and ring.one() == ring.coerce(1)
+    assert ring.zero() is ring.zero() and ring.one() is ring.one()

@@ -359,6 +359,12 @@ ERROR_PINS = [
     ("symplectic row without a unit",
      lambda: reduce_row_symplectic(Mat(_Z4, [[2, 2]])),
      ("no_unit_entry", _NO_UNIT, {})),
+    ("linear row reduction of two rows",
+     lambda: reduce_row_linear(identity(_Z4, 2)),
+     ("shape_mismatch", "expected a single row", {})),
+    ("symplectic row reduction of two rows",
+     lambda: reduce_row_symplectic(identity(_Z4, 2)),
+     ("shape_mismatch", "expected a single row", {})),
     ("linear completion row without a unit",
      lambda: complete_um_linear(Mat(_Z4, [[1, 0, 0], [2, 2, 0]])),
      ("not_right_invertible", _NO_UNIT, {})),
