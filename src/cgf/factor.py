@@ -18,11 +18,11 @@ from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
                      NotPerpendicular, NotRightInvertible, NotSymplectic,
                      SizeBound, UnsupportedQuotient, FormViolation)
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
-                       membership, psi)
+                       _form_inverse, membership)
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import QuotientRing, ideal_combination, unit_ideal_witness
-from .words import (FAMILY_LIN, Generator, GenWord, apply_word_to_row,
-                    empty_word)
+from .words import (FAMILY_LIN, Generator, GenWord, _transpose_gens,
+                    apply_word_to_row, empty_word)
 
 
 def _block_upper_gens(a: Mat, n: int, size: int):
@@ -76,9 +76,7 @@ def whitehead_linear(d: Mat) -> GenWord:
 
 def sp_inverse(d: Mat) -> Mat:
     """d^{-1} for symplectic d via the form: d^{-1} = psi^{-1} d^t psi."""
-    n = d.rows // 2
-    f = psi(d.ring, n)
-    return (-f) @ d.transpose() @ f
+    return _form_inverse(d, "sp")
 
 
 def whitehead_symplectic(d: Mat) -> GenWord:
@@ -116,11 +114,8 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
         rho = reduce_row_linear(c.transpose())
     except NoUnitEntry:
         raise NotRightInvertible("column has no unit entry") from None
-    # eval(gamma) @ c = e_1 for gamma = rho transposed and reversed, since
-    # eval(gamma) = eval(rho)^t
-    gamma = GenWord(ring, m, FAMILY_LIN, tuple(
-        Generator(FAMILY_LIN, g.j, g.i, g.param, m)
-        for g in reversed(rho.gens)))
+    # eval(gamma) @ c = e_1 for gamma with eval(gamma) = eval(rho)^t
+    gamma = GenWord(ring, m, FAMILY_LIN, _transpose_gens(rho.gens))
     r_prime = apply_word_to_row(list(r.entries[0]), gamma.invert())
     if not r_prime[0].is_zero():
         raise FormViolation("internal: transported row kept its first entry")

@@ -8,6 +8,10 @@ tower: Berkowitz's division-free characteristic polynomial (S. J. Berkowitz,
 of processors", Inf. Proc. Letters 18, 1984), O(n^4) ring operations up to
 the size cap.  The inverse is the adjugate from Cayley-Hamilton, scaled by
 the inverse of a unit determinant.
+
+No product by the forms psi_n and phi_n is ever formed: one kernel,
+``_form``, applies either form as a signed swap of paired rows, for every
+use of the forms in the library.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
-from .rings import (IntegerRing, ModularRing, Ring, RingValue, _dot, _factor,
-                    has_half)
+from .rings import (ModularRing, Ring, RingValue, _dot, _factor,
+                    _residue_modulus, has_half)
 
 DET_SIZE_CAP = 12
 
@@ -262,29 +266,46 @@ class Form:
     pairs: int = 0
 
     def matrix(self, ring: Ring) -> Mat:
-        if self.kind == "sp":
-            return psi(ring, self.pairs)
-        if self.kind == "orth":
-            return phi(ring, self.pairs)
+        if self.kind in ("sp", "orth"):
+            return _form(self.kind, Mat.identity(ring, 2 * self.pairs))
         raise ShapeMismatch("the trivial form has no matrix")
+
+
+def _form(kind: str, m: Mat) -> Mat:
+    """F @ m for F = psi ("sp") or phi ("orth") of m's even row count, by
+    swapping each row pair (2k-1, 2k) of payloads: psi [top; bottom] =
+    [bottom; -top] and phi [top; bottom] = [bottom; top].
+
+    F^t = F^-1 = sF with s = -1 for psi and 1 for phi, so every product
+    with a form reduces to this one: m F = s (F m^t)^t, and in F^-1 a^t F
+    and F_m V^t F_n^-1 the two signs cancel."""
+    ring = m.ring
+    rows = m._payloads()
+    out = []
+    for top, bottom in zip(rows[0::2], rows[1::2]):
+        if kind == "sp":
+            top = [ring.neg(p) for p in top]
+        out += (bottom, top)
+    return Mat._box(ring, out)
+
+
+def _form_inverse(a: Mat, kind: str) -> Mat:
+    """a^-1 = F^-1 a^t F = F (F a)^t for a in the group of the form F."""
+    if a.rows != a.cols or a.rows % 2:
+        raise ShapeMismatch(
+            f"the form inverse needs an even square matrix, got "
+            f"{a.rows}x{a.cols}")
+    return _form(kind, _form(kind, a).transpose())
 
 
 def psi(ring: Ring, n: int) -> Mat:
     """psi_n: block sum of n copies of [[0,1],[-1,0]]."""
-    blk = Mat(ring, [[0, 1], [-1, 0]])
-    out = blk
-    for _ in range(n - 1):
-        out = out.block_perp(blk)
-    return out
+    return Form("sp", n).matrix(ring)
 
 
 def phi(ring: Ring, n: int) -> Mat:
     """phi_n: block sum of n copies of [[0,1],[1,0]]."""
-    blk = Mat(ring, [[0, 1], [1, 0]])
-    out = blk
-    for _ in range(n - 1):
-        out = out.block_perp(blk)
-    return out
+    return Form("orth", n).matrix(ring)
 
 
 def membership(a: Mat, group: str) -> bool:
@@ -298,18 +319,14 @@ def membership(a: Mat, group: str) -> bool:
     if group in ("Sp", "O", "SO"):
         if a.rows % 2:
             raise ShapeMismatch(f"{group} requires even size")
-        n = a.rows // 2
-        if group == "Sp":
-            form = psi(a.ring, n)
-            return a.transpose() @ form @ a == form
-        if not has_half(a.ring):
+        kind = "sp" if group == "Sp" else "orth"
+        if kind == "orth" and not has_half(a.ring):
             raise HalfNotInvertible(
                 f"orthogonal membership needs 1/2 in {a.ring}")
-        form = phi(a.ring, n)
-        ok = a.transpose() @ form @ a == form
-        if group == "SO":
-            return ok and a.det() == a.ring.one()
-        return ok
+        form = Form(kind, a.rows // 2).matrix(a.ring)
+        if a.transpose() @ _form(kind, a) != form:
+            return False
+        return group != "SO" or a.det() == a.ring.one()
     raise ValueError(f"unknown group {group!r}")
 
 
@@ -452,10 +469,9 @@ def _snf_solve_int(a_rows, rhs_cols):
     return [[X_cols[c][r] for c in range(len(X_cols))] for r in range(m)]
 
 
-def _right_inverse_modular(a: Mat) -> Mat:
-    """CRT over the prime-power factors of the modulus."""
-    ring: ModularRing = a.ring
-    n_mod = ring.n
+def _right_inverse_modular(a: Mat, n_mod: int) -> Mat:
+    """CRT over the prime-power factors of the modulus of Z/n_mod."""
+    ring = a.ring
     parts = []
     for q in (p ** k for p, k in _factor(n_mod)):
         Rq = ModularRing(q)
@@ -486,9 +502,10 @@ def right_inverse(a: Mat) -> RightInverseCert:
         raise NotRightInvertible("more rows than columns")
     if ring.is_local or ring.is_field:
         return RightInverseCert(a, _right_inverse_local(a))
-    if isinstance(ring, ModularRing):
-        return RightInverseCert(a, _right_inverse_modular(a))
-    if isinstance(ring, IntegerRing):
+    n = _residue_modulus(ring)
+    if n:
+        return RightInverseCert(a, _right_inverse_modular(a, n))
+    if n == 0:
         rows = [[e.payload for e in row] for row in a.entries]
         rhs = [[int(i == j) for i in range(a.rows)] for j in range(a.rows)]
         sol = _snf_solve_int(rows, rhs)
@@ -517,13 +534,9 @@ class IsotropicFrame:
             raise ShapeMismatch("frame kind must be sp or orth")
         if self.kind == "orth" and not has_half(V.ring):
             raise HalfNotInvertible(f"orthogonal frames need 1/2 in {V.ring}")
-        fm = self._form(V.cols // 2)
-        fn = self._form(V.rows // 2)
-        if V @ fm @ V.transpose() != fn:
+        if V @ _form(self.kind, V.transpose()) != \
+                Form(self.kind, V.rows // 2).matrix(V.ring):
             raise FormViolation("V F_m V^t != F_n")
-
-    def _form(self, k: int) -> Mat:
-        return psi(self.mat.ring, k) if self.kind == "sp" else phi(self.mat.ring, k)
 
     @property
     def n_pairs(self) -> int:
@@ -544,13 +557,11 @@ class IsotropicFrame:
         return IsotropicFrame(ident, kind)
 
     def right_inverse(self) -> RightInverseCert:
-        """The form identity yields an explicit right inverse."""
+        """The form identity yields an explicit right inverse,
+        beta = F_m V^t F_n^-1 = F_m (F_n V)^t."""
         V = self.mat
-        fm = self._form(V.cols // 2)
-        fn = self._form(V.rows // 2)
-        fn_inv = -fn if self.kind == "sp" else fn  # psi^-1 = -psi, phi^-1 = phi
-        beta = fm @ V.transpose() @ fn_inv
-        return RightInverseCert(V, beta)
+        return RightInverseCert(
+            V, _form(self.kind, _form(self.kind, V).transpose()))
 
 
 @dataclass(frozen=True)

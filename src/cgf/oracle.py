@@ -5,7 +5,7 @@ any claimed equivalence can be re-derived as an explicit path word.
 Determinism: objects are enumerated in lexicographic payload order,
 generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
-wins.
+wins: the frontier is kept in key order, so that pair proposes it first.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from math import gcd
 
 from .errors import (ObjectOutOfDomain, SearchBudgetExceeded, UnsupportedRing)
 from .matrices import Mat
-from .rings import (ModularRing, QuotientRing, Ring, ring_from_json,
-                    unit_ideal_witness)
+from .rings import Ring, _residue_modulus, ring_from_json, unit_ideal_witness
 from .words import FAMILY_ORTH, Generator, GenWord, _apply_gens, paired_index
 
 FORMAT_VERSION = 1
@@ -29,11 +28,8 @@ def _is_unimodular_row(ring: Ring, values) -> bool:
         return True
     if ring.is_local:
         return any(v.is_unit() for v in values)
-    if isinstance(ring, ModularRing):
-        modulus = ring.n
-    elif isinstance(ring, QuotientRing) and ring.style == "integer":
-        modulus = ring.modulus
-    else:
+    modulus = _residue_modulus(ring)
+    if modulus is None:
         return unit_ideal_witness(ring, list(values)) is not None
     return gcd(modulus, *(v.payload for v in values)) == 1
 
@@ -171,7 +167,7 @@ class OrbitTable:
 
 def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS; ties between frontier edges pick the
-    least (parent, generator)."""
+    least (parent, generator), which is the first to propose the object."""
     for root in start_keys:
         if root in table.orbit_of:
             continue
@@ -183,16 +179,12 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
         while frontier:
             proposals: dict = {}
             for node in frontier:
-                for gi, g in enumerate(gens):
+                for g in gens:
                     new = _act(table, node, g)
-                    if new in table.orbit_of:
-                        continue
-                    cand = (table._key_order(node), gi, node, g)
-                    best = proposals.get(new)
-                    if best is None or cand[:2] < best[:2]:
-                        proposals[new] = cand
+                    if new not in table.orbit_of:
+                        proposals.setdefault(new, (node, g))
             next_frontier = []
-            for new, (_, _, parent, g) in sorted(
+            for new, (parent, g) in sorted(
                     proposals.items(), key=lambda kv: table._key_order(kv[0])):
                 table.orbit_of[new] = oid
                 table.pred[new] = (parent, g)
@@ -204,13 +196,13 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
 
 
 def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
-                     frame_rows: int = 0, budget: int = DEFAULT_BUDGET,
-                     seeds=()) -> OrbitTable:
+                     frame_rows: int = 0,
+                     budget: int = DEFAULT_BUDGET) -> OrbitTable:
     """Exhaustive orbits of the right generator action.
 
     kind "row": partitions all unimodular rows of the given length.
-    kind "frame": the closure of the standard frame [I | 0] (plus any
-    extra seed frames), pruned to form-compatible objects by construction.
+    kind "frame": the closure of the standard frame [I | 0], pruned to
+    form-compatible objects by construction.
     """
     if not ring.is_finite:
         raise UnsupportedRing("orbit enumeration needs a finite ring")
@@ -241,9 +233,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         gens = generator_catalog(ring, family, size)
         ident = Mat.identity(ring, size)
         standard = _frame_key([list(ident.entries[i]) for i in range(frame_rows)])
-        starts = [standard] + [
-            _frame_key(s.entries if isinstance(s, Mat) else s) for s in seeds]
-        _bfs_closure(table, starts, gens, budget)
+        _bfs_closure(table, [standard], gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 

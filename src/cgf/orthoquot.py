@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import (HalfNotInvertible, NoUnitEntry, NotClassifiable,
                      NotOrthogonal, ReductionFailed, SizeBound,
                      UnsupportedPresentation, FormViolation, NotLocal)
-from .matrices import Mat, block_perp, identity, membership, phi
+from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
 from .rings import PolyExt, Ring, RingValue, has_half
 from .words import FAMILY_ORTH, Generator, GenWord, Witness
@@ -24,8 +24,7 @@ from .words import FAMILY_ORTH, Generator, GenWord, Witness
 
 def orth_inverse(a: Mat) -> Mat:
     """a^{-1} for orthogonal a via the form: a^{-1} = phi a^t phi."""
-    f = phi(a.ring, a.rows // 2)
-    return f @ a.transpose() @ f
+    return _form_inverse(a, "orth")
 
 
 @dataclass(frozen=True)

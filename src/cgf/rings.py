@@ -701,7 +701,7 @@ class PolyExt(Ring):
         self.is_zero_ring = base.is_zero_ring
 
     def key(self):
-        return ("poly", self.base.key(), self.var)
+        return ("poly", self.base.key(), self.var, self.degree_cap)
 
     def describe(self):
         return f"{self.base.describe()}[{self.var}]"
@@ -866,7 +866,10 @@ class PolyExt(Ring):
         return self.coerce([self.base.random(rng) for _ in range(deg + 1)])
 
     def to_json(self):
-        return {"kind": "poly", "base": self.base.to_json(), "var": self.var}
+        out = {"kind": "poly", "base": self.base.to_json(), "var": self.var}
+        if self.degree_cap != DEFAULT_DEGREE_CAP:
+            out["degree_cap"] = self.degree_cap
+        return out
 
     def value_to_json(self, payload):
         return [self.base.value_to_json(c) for c in payload]
@@ -1139,7 +1142,8 @@ def ring_from_json(obj: dict) -> Ring:
     if kind == "loc_int":
         return LocalizedIntegers(int(obj["p"]))
     if kind == "poly":
-        return PolyExt(ring_from_json(obj["base"]), obj.get("var", "T"))
+        return PolyExt(ring_from_json(obj["base"]), obj.get("var", "T"),
+                       int(obj.get("degree_cap", DEFAULT_DEGREE_CAP)))
     if kind == "frac":
         base = ring_from_json(obj["base"])
         s = base.value_from_json(obj["s"])
@@ -1236,6 +1240,16 @@ def _xgcd_chain(ints):
     return g, coeffs
 
 
+def _residue_modulus(ring: Ring):
+    """n when the ring is a residue ring Z/n (a ModularRing, or an
+    integer-style QuotientRing), 0 when it is Z itself, and None otherwise."""
+    if isinstance(ring, ModularRing):
+        return ring.n
+    if isinstance(ring, QuotientRing) and ring.style == "integer":
+        return ring.modulus
+    return 0 if isinstance(ring, IntegerRing) else None
+
+
 def unit_ideal_witness(ring: Ring, values):
     """Coefficients c_i with sum(c_i * v_i) = 1, or None if (v_i) != (1).
 
@@ -1254,9 +1268,8 @@ def unit_ideal_witness(ring: Ring, values):
                 out[i] = v.inverse()
                 return out
         return None
-    if isinstance(ring, (IntegerRing, ModularRing)) or (
-            isinstance(ring, QuotientRing) and ring.style == "integer"):
-        n = getattr(ring, "n", None) or getattr(ring, "modulus", 0)
+    n = _residue_modulus(ring)
+    if n is not None:
         acc_g, acc_coeffs = _xgcd_chain(int(v.payload) for v in values)
         if n:
             if gcd(acc_g, n) != 1:
@@ -1287,9 +1300,8 @@ def ideal_combination(ring: Ring, gens, target):
         return None if not target.is_zero() else []
     if ring.is_zero_ring:
         return [ring.zero() for _ in gens]
-    if isinstance(ring, (IntegerRing, ModularRing)) or (
-            isinstance(ring, QuotientRing) and ring.style == "integer"):
-        n = getattr(ring, "n", None) or getattr(ring, "modulus", 0)
+    n = _residue_modulus(ring)
+    if n is not None:
         ints = [int(g.payload) for g in gens]
         t = int(target.payload)
         acc_g, acc_coeffs = _xgcd_chain(ints)  # sum c_i g_i = acc_g >= 0

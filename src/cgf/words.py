@@ -12,9 +12,9 @@ canonical payloads; word evaluation, the right actions on matrices and rows,
 generator matrices, the reduction engine and the orbit oracle all call it,
 and box values as ``RingValue`` only where they hand a result back.
 
-Only zero-parameter generators are dropped automatically.  The optional
-peephole pass cancels adjacent inverses and merges same-position entries but
-is never required for correctness.
+The left action on matrices runs the same kernel on the transpose: the
+transpose of a generator (i, j, z) is the generator (j, i, z) of the same
+family.  Only zero-parameter generators are dropped from a word.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
                      FormViolation, WordLimitExceeded)
-from .matrices import Mat, phi, psi
+from .matrices import Mat, membership
 from .rings import PolyExt, Ring, RingValue, has_half
 
 FAMILY_LIN = "lin"
@@ -106,14 +106,10 @@ def gen_matrix(g: Generator) -> Mat:
     ring = g.param.ring
     m = Mat._box(ring, _apply_gens(
         ring, Mat.identity(ring, g.size)._payloads(), (g,)))
-    if g.family == FAMILY_SP:
-        f = psi(ring, g.size // 2)
-        if m.transpose() @ f @ m != f:
-            raise FormViolation(f"{g} does not preserve the alternating form")
-    elif g.family == FAMILY_ORTH:
-        f = phi(ring, g.size // 2)
-        if m.transpose() @ f @ m != f:
-            raise FormViolation(f"{g} does not preserve the symmetric form")
+    if g.family == FAMILY_SP and not membership(m, "Sp"):
+        raise FormViolation(f"{g} does not preserve the alternating form")
+    if g.family == FAMILY_ORTH and not membership(m, "O"):
+        raise FormViolation(f"{g} does not preserve the symmetric form")
     return m
 
 
@@ -240,19 +236,6 @@ class GenWord:
                      for g in self.gens)
         return GenWord(self.ring, new_size, self.family, gens)
 
-    def simplify(self) -> "GenWord":
-        """Optional peephole: merge adjacent same-position generators."""
-        out: list[Generator] = []
-        for g in self.gens:
-            if out and out[-1].i == g.i and out[-1].j == g.j:
-                merged = out.pop()
-                s = merged.param + g.param
-                if not s.is_zero():
-                    out.append(Generator(g.family, g.i, g.j, s, g.size))
-            else:
-                out.append(g)
-        return GenWord(self.ring, self.size, self.family, tuple(out))
-
     def __repr__(self):
         return f"[{', '.join(repr(g) for g in self.gens)}]"
 
@@ -312,21 +295,23 @@ def apply_word_right(m: Mat, w: GenWord) -> Mat:
     return Mat._box(m.ring, _apply_gens(m.ring, m._payloads(), w.gens))
 
 
+def _transpose_gens(gens) -> tuple:
+    """Generators whose product is the transpose of the product of
+    ``gens``: each generator (i, j, z) transposes to (j, i, z), in reverse
+    order."""
+    return tuple(Generator(g.family, g.j, g.i, g.param, g.size)
+                 for g in reversed(gens))
+
+
 def apply_word_left(w: GenWord, m: Mat) -> Mat:
-    """eval(w) @ m via row operations."""
+    """eval(w) @ m = (m^t @ eval(w)^t)^t via column operations on m^t."""
     if m.rows != w.size:
         raise DescriptorMismatch("word size does not match matrix rows")
     if m.ring != w.ring:
         raise DescriptorMismatch("word ring does not match matrix ring")
-    rows = [list(r) for r in m.entries]
-    # right-to-left: eval(w) @ m = g1 @ (g2 @ (... @ m))
-    for g in reversed(w.gens):
-        for target, source, coeff in g.updates():
-            # column update col_t += c col_s corresponds, on the left,
-            # to row update row_s += c row_t
-            t, s = target - 1, source - 1
-            rows[s] = [a + coeff * b for a, b in zip(rows[s], rows[t])]
-    return Mat(m.ring, rows)
+    cols = _apply_gens(m.ring, [list(c) for c in zip(*m._payloads())],
+                       _transpose_gens(w.gens))
+    return Mat._box(m.ring, zip(*cols))
 
 
 def apply_word_to_row(row, w: GenWord):

@@ -7,16 +7,22 @@ the triple loop `Mat.__matmul__` ran before it shared the payload dot
 product with the determinant.  `_dot_reference` is that dot product's
 term-by-term loop, and `_poly_add`/`_poly_mul` are the R[T] addition and
 multiplication it called, ending in the full canon `_poly_canon`, before
-R[T] fused the sum and trimmed instead.  All are kept here unchanged as
-references.
+R[T] fused the sum and trimmed instead.  `_psi`/`_phi` build the standard
+forms from `block_perp`s, and the form references below multiply by them,
+as membership, the isotropic frames, `sp_inverse` and `orth_inverse` did
+before they shared the signed pair swap `matrices._form`.  All are kept
+here unchanged as references.
 """
 
 import random
 
 import pytest
 
-from cgf.errors import DegreeCapExceeded
-from cgf.matrices import Mat, identity
+from cgf.errors import DegreeCapExceeded, FormViolation, ShapeMismatch
+from cgf.factor import sp_inverse
+from cgf.matrices import (IsotropicFrame, Mat, _form, identity, membership,
+                          phi, psi)
+from cgf.orthoquot import orth_inverse
 from cgf.rings import (LocalizedIntegers, ModularRing, PolyExt, PrimeField,
                        TruncatedPolyLocal, _dot, has_half)
 from cgf.sampling import random_word
@@ -118,10 +124,10 @@ def _random_mat(rng, ring, rows, cols):
 
 
 @st.composite
-def words(draw):
+def words(draw, families=(FAMILY_LIN, FAMILY_SP, FAMILY_ORTH)):
     """(ring, word, rng): a random word over one of the test rings."""
     ring = RINGS[draw(st.integers(0, len(RINGS) - 1))]
-    family = draw(st.sampled_from((FAMILY_LIN, FAMILY_SP, FAMILY_ORTH)))
+    family = draw(st.sampled_from(families))
     if family == FAMILY_ORTH:
         hypothesis.assume(has_half(ring))
     size = draw(st.sampled_from({FAMILY_LIN: (2, 3, 4, 5), FAMILY_SP: (2, 4),
@@ -219,3 +225,142 @@ def test_poly_dot_matches_reference(case):
 def test_zero_and_one_are_cached(ring):
     assert ring.zero() == ring.coerce(0) and ring.one() == ring.coerce(1)
     assert ring.zero() is ring.zero() and ring.one() is ring.one()
+
+
+def _psi(ring, n):
+    # reference: block sum of n copies of [[0,1],[-1,0]]
+    blk = Mat(ring, [[0, 1], [-1, 0]])
+    out = blk
+    for _ in range(n - 1):
+        out = out.block_perp(blk)
+    return out
+
+
+def _phi(ring, n):
+    # reference: block sum of n copies of [[0,1],[1,0]]
+    blk = Mat(ring, [[0, 1], [1, 0]])
+    out = blk
+    for _ in range(n - 1):
+        out = out.block_perp(blk)
+    return out
+
+
+def _form_ref(family, ring, n):
+    return _psi(ring, n) if family == FAMILY_SP else _phi(ring, n)
+
+
+def _membership_ref(a, family):
+    # reference: a^t F a == F
+    f = _form_ref(family, a.ring, a.rows // 2)
+    return a.transpose() @ f @ a == f
+
+
+def _inverse_ref(a, family):
+    # reference: (-psi) d^t psi, and phi a^t phi
+    f = _form_ref(family, a.ring, a.rows // 2)
+    return (-f if family == FAMILY_SP else f) @ a.transpose() @ f
+
+
+def _frame_ref(v, family):
+    # reference: whether V F_m V^t == F_n, and F_m V^t F_n^-1
+    fm = _form_ref(family, v.ring, v.cols // 2)
+    fn = _form_ref(family, v.ring, v.rows // 2)
+    fn_inv = -fn if family == FAMILY_SP else fn
+    return v @ fm @ v.transpose() == fn, fm @ v.transpose() @ fn_inv
+
+
+FORM_WORDS = words(families=(FAMILY_SP, FAMILY_ORTH))
+
+
+def _member_and_other(case):
+    """A group member evaluated from the word, and a random matrix of the
+    same size (almost never a member)."""
+    ring, word, rng = case
+    return word.eval(), _random_mat(rng, ring, word.size, word.size)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_form_matrices_match_block_sums(ring):
+    for n in range(1, 5):
+        assert psi(ring, n) == _psi(ring, n)
+        if has_half(ring):
+            assert phi(ring, n) == _phi(ring, n)
+
+
+@SETTINGS
+@hypothesis.given(FORM_WORDS, st.integers(1, 4))
+def test_form_kernel_matches_products(case, n_cols):
+    ring, word, rng = case
+    m = _random_mat(rng, ring, word.size, n_cols)
+    assert _form(word.family, m) == _form_ref(word.family, ring,
+                                              word.size // 2) @ m
+
+
+@SETTINGS
+@hypothesis.given(FORM_WORDS)
+def test_membership_matches_reference(case):
+    group = "Sp" if case[1].family == FAMILY_SP else "O"
+    member, other = _member_and_other(case)
+    assert membership(member, group) and _membership_ref(member, case[1].family)
+    assert membership(other, group) == _membership_ref(other, case[1].family)
+
+
+@SETTINGS
+@hypothesis.given(FORM_WORDS)
+def test_form_inverse_matches_reference(case):
+    inverse = sp_inverse if case[1].family == FAMILY_SP else orth_inverse
+    for a in _member_and_other(case):
+        assert inverse(a) == _inverse_ref(a, case[1].family)
+    assert inverse(case[1].eval()) == case[1].invert().eval()
+
+
+@SETTINGS
+@hypothesis.given(FORM_WORDS, st.integers(0, 2))
+def test_isotropic_frame_matches_reference(case, cut):
+    # the leading 2n rows of a member are a frame; of a random matrix,
+    # almost never
+    family = case[1].family
+    n_rows = max(2, case[1].size - 2 * cut)
+    for a in _member_and_other(case):
+        v = a.submatrix(0, n_rows, 0, a.cols)
+        is_frame, beta = _frame_ref(v, family)
+        try:
+            frame = IsotropicFrame(v, family)
+        except FormViolation:
+            assert not is_frame
+            continue
+        assert is_frame
+        assert frame.right_inverse().beta == beta
+
+
+def test_form_inverse_needs_an_even_square_matrix():
+    ring = PrimeField(5)
+    for a in (identity(ring, 3), Mat(ring, [[1, 0, 0, 0], [0, 1, 0, 0]])):
+        for inverse in (sp_inverse, orth_inverse):
+            with pytest.raises(ShapeMismatch):
+                inverse(a)
+
+
+def test_form_paths_count_products(monkeypatch):
+    # the forms are applied by row swaps, never multiplied: membership and
+    # the frame check take one product each, the form inverses none, and the
+    # frame's right inverse only its certificate's check alpha @ beta
+    calls = []
+    matmul = Mat.__matmul__
+    monkeypatch.setattr(Mat, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    ring = ModularRing(9)
+    for word in (random_word(random.Random(5), ring, FAMILY_SP, 4, 6),
+                 random_word(random.Random(5), ring, FAMILY_ORTH, 4, 6)):
+        a = word.eval()
+        group = "Sp" if word.family == FAMILY_SP else "O"
+        inverse = sp_inverse if word.family == FAMILY_SP else orth_inverse
+        frame = IsotropicFrame(a.submatrix(0, 2, 0, 4), word.family)
+        for fn, args, expected in (
+                (membership, (a, group), 1),
+                (IsotropicFrame, (frame.mat, word.family), 1),
+                (frame.right_inverse, (), 1),
+                (inverse, (a,), 0)):
+            calls.clear()
+            fn(*args)
+            assert len(calls) == expected, fn

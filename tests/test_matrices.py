@@ -11,7 +11,8 @@ from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat, block_perp,
                           hyperbolic_pair_check, identity, membership, phi,
                           psi, right_inverse)
 from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
-                       PrimeField, RationalField, TruncatedPolyLocal)
+                       PrimeField, QuotientRing, RationalField,
+                       TruncatedPolyLocal)
 from cgf.sampling import random_word
 from cgf.words import FAMILY_LIN
 
@@ -206,6 +207,19 @@ def test_right_inverse_non_local_modulus():
     a = Mat(Z6, [[2, 3, 1], [0, 1, 0]])
     cert = right_inverse(a)
     assert (a @ cert.beta).is_identity()
+
+
+def test_right_inverse_over_residue_quotients():
+    # Z/(6) presented as a quotient of Z or of Z/12 solves like Z/6
+    grid = [[2, 3, 1], [0, 1, 0]]
+    expected = right_inverse(Mat(ModularRing(6), grid)).beta
+    for ring in (QuotientRing(IntegerRing(), [6]),
+                 QuotientRing(ModularRing(12), [6])):
+        beta = right_inverse(Mat(ring, grid)).beta
+        assert beta.ring == ring
+        assert beta._payloads() == expected._payloads()
+        with pytest.raises(NotRightInvertible):
+            right_inverse(Mat(ring, [[2, 4]]))
 
 
 def test_right_inverse_integers():

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from cgf import oracle
 from cgf.errors import ObjectOutOfDomain, SearchBudgetExceeded
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
-from cgf.rings import IntegerRing, ModularRing, PrimeField, QuotientRing
-from cgf.words import FAMILY_LIN, FAMILY_SP, apply_word_to_row
+from cgf.rings import (IntegerRing, ModularRing, PrimeField, QuotientRing,
+                       TruncatedPolyLocal)
+from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
 
 from conftest import local_test_rings
 
@@ -143,3 +145,48 @@ def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
     blob = json.dumps(table.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _bfs_closure_ref(table, start_keys, gens, budget):
+    # reference: the BFS that compared every (parent, generator) proposal
+    # of an object by (key order of the parent, generator position)
+    for root in start_keys:
+        if root in table.orbit_of:
+            continue
+        oid = len(table.reps)
+        table.reps.append(root)
+        table.orbit_of[root] = oid
+        table.pred[root] = None
+        frontier = [root]
+        while frontier:
+            proposals = {}
+            for node in frontier:
+                for gi, g in enumerate(gens):
+                    new = oracle._act(table, node, g)
+                    if new in table.orbit_of:
+                        continue
+                    cand = (table._key_order(node), gi, node, g)
+                    best = proposals.get(new)
+                    if best is None or cand[:2] < best[:2]:
+                        proposals[new] = cand
+            next_frontier = []
+            for new, (_, _, parent, g) in sorted(
+                    proposals.items(), key=lambda kv: table._key_order(kv[0])):
+                table.orbit_of[new] = oid
+                table.pred[new] = (parent, g)
+                next_frontier.append(new)
+            frontier = next_frontier
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows", [
+    (ModularRing(6), "row", FAMILY_LIN, 2, 0),
+    (TruncatedPolyLocal(2, 2), "row", FAMILY_LIN, 2, 0),
+    (ModularRing(4), "frame", FAMILY_SP, 4, 1),
+    (PrimeField(3), "frame", FAMILY_ORTH, 4, 2),
+])
+def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
+                                              size, frame_rows):
+    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    monkeypatch.setattr(oracle, "_bfs_closure", _bfs_closure_ref)
+    ref = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    assert table.to_json() == ref.to_json()

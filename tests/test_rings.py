@@ -10,7 +10,7 @@ from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
                        RationalField, TruncatedPolyLocal, _factor, _is_prime,
-                       _prime_power_base, arith, inverse, is_unit,
+                       _prime_power_base, _residue_modulus, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
                        substitute, unit_ideal_witness, ideal_combination)
 
@@ -284,6 +284,35 @@ def test_degree_cap():
     RT = PolyExt(ModularRing(5), "T", degree_cap=4)
     with pytest.raises(DegreeCapExceeded):
         RT.coerce([1] * 7)
+
+
+def test_degree_cap_is_part_of_the_descriptor():
+    F5 = PrimeField(5)
+    capped, default = PolyExt(F5, "T", degree_cap=4), PolyExt(F5, "T")
+    assert capped != default and capped.key() != default.key()
+    assert PolyExt(F5, "T", degree_cap=64) == default
+    x, y = capped.one(), default.coerce([0] * 10 + [1])
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(DescriptorMismatch):
+            a + b
+    # the cap survives a JSON round trip, and a default cap is not written
+    assert capped.to_json()["degree_cap"] == 4
+    assert ring_from_json(capped.to_json()).degree_cap == 4
+    assert ring_from_json(capped.to_json()) == capped
+    assert default.to_json() == {"kind": "poly", "base": F5.to_json(),
+                                 "var": "T"}
+
+
+def test_residue_modulus():
+    Z = IntegerRing()
+    for ring, n in ((Z, 0), (ModularRing(6), 6), (PrimeField(5), 5),
+                    (QuotientRing(Z, [6]), 6),
+                    (QuotientRing(ModularRing(12), [6]), 6),
+                    (QuotientRing(Z, [0]), 0), (RationalField(), None),
+                    (LocalizedIntegers(5), None),
+                    (PolyExt(ModularRing(6), "T"), None),
+                    (QuotientRing(PolyExt(PrimeField(3)), [[1, 0, 1]]), None)):
+        assert _residue_modulus(ring) == n, ring
 
 
 def test_fraction_ring_base_restriction():

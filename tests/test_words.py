@@ -161,15 +161,6 @@ def test_shift_and_embed_preserve_action():
     assert inner == w.embed(6).eval().submatrix(0, 6, 0, 6)
 
 
-def test_simplify_peephole():
-    Z9 = ModularRing(9)
-    w = word_from_pairs(Z9, 3, FAMILY_LIN,
-                        [(1, 2, 4), (1, 2, 5), (2, 3, 1)])
-    s = w.simplify()
-    assert len(s) == 1  # 4+5 = 0 cancels, leaving e_23(1)
-    assert s.eval() == w.eval()
-
-
 def test_witness_reports():
     w = Witness.certify("claim", {}, {}, [("a", True), ("b", None)])
     assert not w.all_passed()
