@@ -6,6 +6,16 @@ Determinism: objects are enumerated in lexicographic payload order,
 generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
+
+The generator action is compiled once per enumeration: each catalog
+generator becomes its column updates col_t += c * col_s as 0-based payload
+triples, and one row kernel applies them to a payload tuple.  A frame key
+applies the kernel to each of its rows, a row key is a one-row frame, and
+the path check of ``certify_equivalence`` runs the same kernel.  The kernel
+reports a generator whose source entries are all zero as fixing the object
+instead of copying it.  Skipping that edge keeps the tie rule: the fixed
+object is the parent itself, already in the table, so it was never a
+proposal.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import (ObjectOutOfDomain, SearchBudgetExceeded, UnsupportedRing)
+from .errors import (DescriptorMismatch, ObjectOutOfDomain,
+                     SearchBudgetExceeded, ShapeMismatch, UnsupportedRing)
 from .matrices import Mat
 from .rings import Ring, _residue_modulus, ring_from_json, unit_ideal_witness
-from .words import FAMILY_ORTH, Generator, GenWord, _apply_gens, paired_index
+from .words import FAMILY_ORTH, Generator, GenWord, paired_index
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -58,13 +69,42 @@ def _frame_key(rows):
     return tuple(tuple(v.payload for v in row) for row in rows)
 
 
-def _act(table: "OrbitTable", key, g: Generator):
-    """The right action of one generator on a table key: a frame key is a
-    tuple of payload rows, and a row key acts as a one-row frame."""
+def _compile(g: Generator) -> tuple:
+    """The column updates of ``g`` as 0-based (target, source, payload)."""
+    return tuple((t - 1, s - 1, c.payload) for t, s, c in g.updates())
+
+
+def _key_action(table: "OrbitTable"):
+    """The right action of one compiled generator on a key of ``table``:
+    the new key, or None when every source entry is zero, so that the
+    generator fixes the key."""
+    ring = table.ring
+    add, mul, zero = ring.add, ring.mul, ring.zero().payload
+
+    def act_row(row, updates):
+        new = None
+        for t, s, c in updates:
+            x = (new or row)[s]
+            if x != zero:
+                if new is None:
+                    new = list(row)
+                new[t] = add(new[t], mul(c, x))
+        return None if new is None else tuple(new)
+
     if table.kind == "row":
-        return tuple(_apply_gens(table.ring, [list(key)], (g,))[0])
-    return tuple(map(tuple, _apply_gens(table.ring, [list(r) for r in key],
-                                        (g,))))
+        return act_row
+
+    def act_frame(frame, updates):
+        new = None
+        for k, row in enumerate(frame):
+            moved = act_row(row, updates)
+            if moved is not None:
+                if new is None:
+                    new = list(frame)
+                new[k] = moved
+        return None if new is None else tuple(new)
+
+    return act_frame
 
 
 @dataclass
@@ -168,6 +208,8 @@ class OrbitTable:
 def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS; ties between frontier edges pick the
     least (parent, generator), which is the first to propose the object."""
+    act = _key_action(table)
+    compiled = [(g, _compile(g)) for g in gens]
     for root in start_keys:
         if root in table.orbit_of:
             continue
@@ -179,9 +221,9 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
         while frontier:
             proposals: dict = {}
             for node in frontier:
-                for g in gens:
-                    new = _act(table, node, g)
-                    if new not in table.orbit_of:
+                for g, updates in compiled:
+                    new = act(node, updates)
+                    if new is not None and new not in table.orbit_of:
                         proposals.setdefault(new, (node, g))
             next_frontier = []
             for new, (parent, g) in sorted(
@@ -238,14 +280,24 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 
 
+def _table_key(v, table: OrbitTable):
+    """The key of a row or frame given as a ``Mat`` or as payloads."""
+    if not isinstance(v, Mat):
+        return tuple(v)
+    if v.ring != table.ring:
+        raise DescriptorMismatch(
+            f"object over {v.ring} does not match table over {table.ring}")
+    if table.kind == "frame":
+        return _frame_key(v.entries)
+    if v.rows != 1:
+        raise ShapeMismatch("expected a single row")
+    return _row_key(v.entries[0])
+
+
 def certify_equivalence(v1, v2, table: OrbitTable):
     """An explicit word with v1 . eval(word) = v2, or None when the
     exhaustive table proves there is none."""
-    k1 = _row_key(v1.entries[0]) if isinstance(v1, Mat) else tuple(v1)
-    k2 = _row_key(v2.entries[0]) if isinstance(v2, Mat) else tuple(v2)
-    if table.kind == "frame":
-        k1 = _frame_key(v1.entries) if isinstance(v1, Mat) else v1
-        k2 = _frame_key(v2.entries) if isinstance(v2, Mat) else v2
+    k1, k2 = _table_key(v1, table), _table_key(v2, table)
     for k in (k1, k2):
         if k not in table.orbit_of:
             raise ObjectOutOfDomain(f"{k} is not in the table's domain")
@@ -253,9 +305,10 @@ def certify_equivalence(v1, v2, table: OrbitTable):
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
+    act = _key_action(table)
     cur = k1
     for g in word:
-        cur = _act(table, cur, g)
+        cur = act(cur, _compile(g)) or cur
     if cur != k2:
         raise ObjectOutOfDomain("internal: path verification failed")
     return word

@@ -704,7 +704,9 @@ class PolyExt(Ring):
         return ("poly", self.base.key(), self.var, self.degree_cap)
 
     def describe(self):
-        return f"{self.base.describe()}[{self.var}]"
+        cap = ("" if self.degree_cap == DEFAULT_DEGREE_CAP
+               else f"; degree_cap={self.degree_cap}")
+        return f"{self.base.describe()}[{self.var}{cap}]"
 
     def canon(self, payload):
         if isinstance(payload, int):

@@ -9,8 +9,10 @@ beside the word, outside its fields.
 Every generator acts on the right by one or two sparse column updates
 col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
 canonical payloads; word evaluation, the right actions on matrices and rows,
-generator matrices, the reduction engine and the orbit oracle all call it,
-and box values as ``RingValue`` only where they hand a result back.
+generator matrices and the reduction engine all call it, and box values as
+``RingValue`` only where they hand a result back.  The orbit oracle compiles
+the same updates into payload triples once per enumeration, and its tests
+check it against this kernel.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same

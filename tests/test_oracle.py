@@ -6,11 +6,14 @@ import json
 import pytest
 
 from cgf import oracle
-from cgf.errors import ObjectOutOfDomain, SearchBudgetExceeded
+from cgf.errors import (DescriptorMismatch, ObjectOutOfDomain,
+                        SearchBudgetExceeded, ShapeMismatch)
+from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PrimeField, QuotientRing,
                        TruncatedPolyLocal)
-from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
+from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, _apply_gens,
+                       apply_word_to_row)
 
 from conftest import local_test_rings
 
@@ -51,6 +54,31 @@ def test_certify_out_of_domain_mod4():
     table = enumerate_orbits(Z4, "row", FAMILY_LIN, 2)
     with pytest.raises(ObjectOutOfDomain):
         certify_equivalence((2, 2), (1, 0), table)
+
+
+def test_certify_rejects_a_mat_of_the_wrong_shape_or_ring():
+    Z2 = ModularRing(2)
+    table = enumerate_orbits(Z2, "row", FAMILY_LIN, 2)
+    e1 = Mat.row_vector(Z2, [1, 0])
+    assert certify_equivalence(e1, Mat.row_vector(Z2, [1, 1]), table)
+    # a two-row Mat is not certified by its first row
+    with pytest.raises(ShapeMismatch) as err:
+        certify_equivalence(Mat.identity(Z2, 2), e1, table)
+    assert err.value.to_json() == {"code": "shape_mismatch",
+                                   "message": "expected a single row",
+                                   "context": {}}
+    # a Z/3 row whose payloads are also Z/2 payloads is still a Z/3 row
+    with pytest.raises(DescriptorMismatch):
+        certify_equivalence(Mat.row_vector(ModularRing(3), [1, 0]), e1, table)
+    with pytest.raises(DescriptorMismatch):
+        certify_equivalence(e1, Mat.row_vector(ModularRing(3), [1, 1]), table)
+    # the same for a frame table
+    frames = enumerate_orbits(ModularRing(4), "frame", FAMILY_SP, 4,
+                              frame_rows=1)
+    standard = frames.reps[0]
+    with pytest.raises(DescriptorMismatch):
+        certify_equivalence(Mat(ModularRing(5), [list(standard[0])]),
+                            standard, frames)
 
 
 def test_unimodular_rows_over_a_non_local_modulus():
@@ -138,13 +166,66 @@ GOLDEN_TABLES = [
 ]
 
 
+# the same digest, recorded before the generator action was compiled into
+# payload triples
+COMPILED_ACTION_GOLDEN_TABLES = [
+    (ModularRing(6), "row", FAMILY_SP, 4, 0,
+     "6afc56b52ac2b4d070796bcedb23f34089924697ecc8b4209d0016ac0f76172a"),
+    (PrimeField(3), "row", FAMILY_ORTH, 4, 0,
+     "d0c47dc33ccd2454d722af4f2c4742ce5414e65aa0482797840a08a7b405d092"),
+    (TruncatedPolyLocal(2, 2), "row", FAMILY_LIN, 3, 0,
+     "0c507967514f62cc1bf00bb920e7cfad91babf08e265f42570a2d911be157c94"),
+    (ModularRing(4), "frame", FAMILY_SP, 4, 1,
+     "ddc3081e31d07c4c85091eb735876229af8ae37bbd81b8ee44a02856df9a8352"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
-                         GOLDEN_TABLES, ids=["Um_3(Z/4)", "F_3 sp frames"])
+                         GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES,
+                         ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
+                              "F_3 orth rows", "F_2[x]/(x^2) lin rows",
+                              "Z/4 sp frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
     blob = json.dumps(table.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def _act_ref(table, key, g):
+    # reference action: the shared kernel on one generator, a row key
+    # acting as a one-row frame
+    rows = [list(key)] if table.kind == "row" else [list(r) for r in key]
+    out = _apply_gens(table.ring, rows, (g,))
+    return tuple(out[0]) if table.kind == "row" else tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows", [
+    (ModularRing(6), "row", FAMILY_SP, 2, 0),
+    (ModularRing(4), "row", FAMILY_LIN, 3, 0),
+    (PrimeField(3), "row", FAMILY_ORTH, 4, 0),
+    (TruncatedPolyLocal(2, 2), "row", FAMILY_SP, 4, 0),
+    (TruncatedPolyLocal(2, 2), "frame", FAMILY_LIN, 2, 2),
+    (ModularRing(4), "frame", FAMILY_SP, 4, 1),
+    (PrimeField(3), "frame", FAMILY_ORTH, 4, 2),
+])
+def test_compiled_action_matches_apply_gens(ring, kind, family, size,
+                                            frame_rows):
+    # every catalog generator on every object of the table: the compiled
+    # kernel gives the shared kernel's image, and reports "fixed" exactly
+    # when every source entry of every row is zero
+    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    act = oracle._key_action(table)
+    zero = ring.zero().payload
+    rows_of = (lambda k: [k]) if kind == "row" else list
+    for g in oracle.generator_catalog(ring, family, size):
+        updates = oracle._compile(g)
+        for key in table.orbit_of:
+            got = act(key, updates)
+            fixed = all(row[s] == zero for row in rows_of(key)
+                        for _, s, _ in updates)
+            assert (got is None) == fixed
+            assert (key if got is None else got) == _act_ref(table, key, g)
 
 
 def _bfs_closure_ref(table, start_keys, gens, budget):
@@ -162,7 +243,7 @@ def _bfs_closure_ref(table, start_keys, gens, budget):
             proposals = {}
             for node in frontier:
                 for gi, g in enumerate(gens):
-                    new = oracle._act(table, node, g)
+                    new = _act_ref(table, node, g)
                     if new in table.orbit_of:
                         continue
                     cand = (table._key_order(node), gi, node, g)

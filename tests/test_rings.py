@@ -295,6 +295,13 @@ def test_degree_cap_is_part_of_the_descriptor():
     for a, b in ((x, y), (y, x)):
         with pytest.raises(DescriptorMismatch):
             a + b
+    # the mismatch message tells the two rings apart; a default cap is not
+    # shown, so default-cap text and witness bytes are unchanged
+    with pytest.raises(DescriptorMismatch,
+                       match=r"^operands live in different rings: "
+                             r"F_5\[T; degree_cap=4\] vs F_5\[T\]$"):
+        capped.one() + default.one()
+    assert default.describe() == "F_5[T]"
     # the cap survives a JSON round trip, and a default cap is not written
     assert capped.to_json()["degree_cap"] == 4
     assert ring_from_json(capped.to_json()).degree_cap == 4
