@@ -33,7 +33,7 @@ from .reduce import (complete_orth, complete_sp, complete_um_linear,
 from .rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                     PrimeField, RationalField, Ring, TruncatedPolyLocal,
                     ring_from_json)
-from .words import GenWord, Witness, apply_word_to_row
+from .words import GenWord, Witness, apply_word_right, apply_word_to_row
 
 
 class _UsageError(Exception):
@@ -344,7 +344,7 @@ def _harness_lemmas(rng, budget, corrupt=False):
     for _ in range(budget):
         v, _ = random_unimodular_rows(rng, ring, 2, 4, 5)
         word = complete_um_linear(v)
-        if Mat(ring, word.eval().entries[:2]) != v:
+        if word.eval()._grid[:2] != v._grid:
             n_fail += 1
     checks.append({"name": "linear completion round trip",
                    "instances": budget, "failures": n_fail})
@@ -354,7 +354,7 @@ def _harness_lemmas(rng, budget, corrupt=False):
     for _ in range(budget):
         fr, _ = random_frame(rng, ring, "sp", 1, 2, 5)
         word = complete_sp(fr)
-        if Mat(ring, word.eval().entries[:2]) != fr.mat:
+        if word.eval()._grid[:2] != fr.mat._grid:
             n_fail += 1
     checks.append({"name": "symplectic completion round trip",
                    "instances": budget, "failures": n_fail})
@@ -366,10 +366,9 @@ def _harness_lemmas(rng, budget, corrupt=False):
     for _ in range(budget):
         m, _ = random_unimodular_rows(rng, Z4, 2, 3, 5)
         eps = two_row_equiv(m, right_inverse(m))
-        got = apply_word_to_row(list(m.entries[0]), eps)
-        ok = got == list(m.entries[1])
-        key1 = tuple(v.payload for v in m.entries[0])
-        key2 = tuple(v.payload for v in m.entries[1])
+        key1, key2 = m._grid
+        row1 = m.submatrix(0, 1, 0, m.cols)
+        ok = apply_word_right(row1, eps)._grid == (key2,)
         ok = ok and certify_equivalence(key1, key2, table) is not None
         if not ok:
             n_fail += 1

@@ -161,11 +161,9 @@ def two_row_equiv(a: Mat, cert: RightInverseCert) -> GenWord:
     if cert.alpha != a:
         raise NotRightInvertible("certificate does not certify this matrix")
     ring = a.ring
-    w = Mat.row_vector(ring, [cert.beta.entries[i][0] + cert.beta.entries[i][1]
-                              for i in range(a.cols)])
-    row1 = Mat(ring, [a.entries[0]])
-    row2 = Mat(ring, [a.entries[1]])
-    return common_perp(row1, row2, w)
+    w = Mat._box(ring, [[ring.add(r[0], r[1]) for r in cert.beta._grid]])
+    return common_perp(a.submatrix(0, 1, 0, a.cols),
+                       a.submatrix(1, 2, 0, a.cols), w)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ def mat_substitute(m: Mat, t: RingValue) -> Mat:
     rt = m.ring
     if not isinstance(rt, PolyExt):
         raise DescriptorMismatch("matrix does not live over R[T]")
-    return Mat(rt.base, [[rt.eval_at(e.payload, t) for e in row]
-                         for row in m.entries])
+    if t.ring != rt.base:
+        raise DescriptorMismatch("evaluation point from another ring")
+    return Mat._box(rt.base, [[rt._horner(p, t.payload) for p in row]
+                              for row in m._grid])
 
 
 @dataclass(frozen=True)
@@ -360,8 +362,7 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     check_commutes = (d @ v_mat) == (v_mat @ alpha)
 
     if flavor == "linear":
-        beta_zero = all(e.is_zero() for row in beta.entries for e in row)
-        if beta_zero:
+        if beta == Mat.zeros(ring, beta.rows, beta.cols):
             word = sig_word
         else:
             x = alpha.inverse().scale(-ring.one()) @ beta
@@ -369,7 +370,7 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
                                       tuple(_block_upper_gens(x, cut, big)))
     else:
         # the perp pairing forces the off-diagonal block to vanish
-        if any(not e.is_zero() for row in beta.entries for e in row):
+        if beta != Mat.zeros(ring, beta.rows, beta.cols):
             raise FormViolation("internal: symplectic transport kept a "
                                 "nonzero off-diagonal block")
         word = sig_word

@@ -191,7 +191,7 @@ def fixed_frame_check(v: Mat, theta: GenWord) -> bool:
         raise ShapeMismatch("frame width must match the word size")
     if v.ring != theta.ring:
         raise DescriptorMismatch("frame and word rings differ")
-    zero = v.ring.zero()
-    padded = Mat(v.ring, list(v.entries) +
-                 [[zero] * v.cols for _ in range(theta.size - v.rows)])
+    zero = v.ring.zero().payload
+    padded = Mat._box(v.ring, v._grid +
+                      ((zero,) * v.cols,) * (theta.size - v.rows))
     return apply_word_right(padded, theta) == padded

@@ -1,7 +1,10 @@
 """Dense exact matrices, the standard alternating/symmetric forms, and
 group-membership predicates.
 
-Everything is immutable: a matrix is a tuple-of-tuples of ring values.
+Everything is immutable.  A matrix keeps rows of canonical payloads and
+computes on them; ring values are boxed only at the API edge, once per
+matrix, when a caller reads ``entries``, a row, a column or an entry.
+
 Determinants and inverses come from one algorithm for every ring of the
 tower: Berkowitz's division-free characteristic polynomial (S. J. Berkowitz,
 "On computing the determinant in small parallel time using a small number
@@ -11,7 +14,8 @@ the inverse of a unit determinant.
 
 No product by the forms psi_n and phi_n is ever formed: one kernel,
 ``_form``, applies either form as a signed swap of paired rows, for every
-use of the forms in the library.
+use of the forms in the library.  Membership in Sp and O and the isotropic
+frame check read only the upper triangle of their product (``_gram_is_form``).
 """
 
 from __future__ import annotations
@@ -27,12 +31,15 @@ DET_SIZE_CAP = 12
 
 
 class Mat:
-    """An exact rows x cols matrix over one ring of the tower."""
+    """An exact rows x cols matrix over one ring of the tower, kept as rows
+    of canonical payloads (``_grid``).  ``Mat(ring, entries)`` coerces each
+    entry once; ``entries`` boxes them on the first read and keeps them."""
 
-    __slots__ = ("ring", "rows", "cols", "entries", "_cp")
+    __slots__ = ("ring", "rows", "cols", "_grid", "_entries", "_cp")
 
     def __init__(self, ring: Ring, entries):
-        grid = tuple(tuple(ring.coerce(e) for e in row) for row in entries)
+        grid = tuple(tuple(ring.coerce(e).payload for e in row)
+                     for row in entries)
         if grid and grid[0] and any(len(r) != len(grid[0]) for r in grid):
             raise ShapeMismatch("ragged rows")
         self._fill(ring, grid)
@@ -40,21 +47,20 @@ class Mat:
     def _fill(self, ring: Ring, grid: tuple) -> "Mat":
         if not grid or not grid[0]:
             raise ShapeMismatch("matrices must be non-empty")
-        for name, value in zip(self.__slots__,
-                               (ring, len(grid), len(grid[0]), grid, None)):
+        for name, value in zip(self.__slots__, (ring, len(grid), len(grid[0]),
+                                                grid, None, None)):
             object.__setattr__(self, name, value)
         return self
 
     @staticmethod
     def _box(ring: Ring, rows) -> "Mat":
-        """A matrix from rows of canonical payloads of ``ring``, boxed
-        without coercing them again."""
-        return object.__new__(Mat)._fill(ring, tuple(
-            tuple(RingValue(ring, p) for p in row) for row in rows))
+        """A matrix from rows of canonical payloads of ``ring``, taken as
+        they are."""
+        return object.__new__(Mat)._fill(ring, tuple(map(tuple, rows)))
 
     def _payloads(self) -> list:
         """The entries as fresh rows of canonical payloads."""
-        return [[e.payload for e in row] for row in self.entries]
+        return [list(row) for row in self._grid]
 
     def __setattr__(self, *a):
         raise AttributeError("Mat is immutable")
@@ -68,14 +74,24 @@ class Mat:
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Mat":
-        zero = ring.zero()
-        return Mat(ring, [[zero] * cols for _ in range(rows)])
+        return Mat._box(ring, ((ring.zero().payload,) * cols,) * rows)
 
     @staticmethod
     def row_vector(ring: Ring, values) -> "Mat":
         return Mat(ring, [list(values)])
 
     # -- basics --------------------------------------------------------------
+    @property
+    def entries(self) -> tuple:
+        """The rows of ring values, boxed on the first read and kept."""
+        boxed = self._entries
+        if boxed is None:
+            ring = self.ring
+            boxed = tuple(tuple(RingValue(ring, p) for p in row)
+                          for row in self._grid)
+            object.__setattr__(self, "_entries", boxed)
+        return boxed
+
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -87,36 +103,38 @@ class Mat:
         return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
-        return (isinstance(other, Mat) and other.ring == self.ring
-                and other.entries == self.entries)
+        return other is self or (isinstance(other, Mat)
+                                 and other.ring == self.ring
+                                 and other._grid == self._grid)
 
     def __hash__(self):
-        return hash((self.ring.key(), self.entries))
+        return hash((self.ring.key(), self._grid))
 
     def __repr__(self):
-        body = "; ".join(" ".join(repr(e) for e in row) for row in self.entries)
+        render = self.ring.render
+        body = "; ".join(" ".join(map(render, row)) for row in self._grid)
         return f"Mat({self.ring}, [{body}])"
 
     def _require_same_ring(self, other: "Mat"):
         if self.ring != other.ring:
             raise ShapeMismatch("matrices over different rings")
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op, what: str) -> "Mat":
         self._require_same_ring(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("addition shape mismatch")
-        return Mat(self.ring, [[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
+            raise ShapeMismatch(f"{what} shape mismatch")
+        return Mat._box(self.ring, [map(op, r1, r2) for r1, r2
+                                    in zip(self._grid, other._grid)])
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, self.ring.add, "addition")
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._require_same_ring(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeMismatch("subtraction shape mismatch")
-        return Mat(self.ring, [[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.entries, other.entries)])
+        return self._entrywise(other, self.ring.sub, "subtraction")
 
     def __neg__(self) -> "Mat":
-        return Mat(self.ring, [[-a for a in row] for row in self.entries])
+        return Mat._box(self.ring, [map(self.ring.neg, row)
+                                    for row in self._grid])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         self._require_same_ring(other)
@@ -125,42 +143,44 @@ class Mat:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ring = self.ring
         zero = ring.zero().payload
-        cols = list(zip(*other._payloads()))
+        cols = list(zip(*other._grid))
         return Mat._box(ring, [[_dot(ring, zero, row, col) for col in cols]
-                               for row in self._payloads()])
+                               for row in self._grid])
 
     __mul__ = __matmul__
 
-    def scale(self, c: RingValue) -> "Mat":
-        return Mat(self.ring, [[c * a for a in row] for row in self.entries])
+    def scale(self, c) -> "Mat":
+        """c times the matrix, for a value of its ring or an int."""
+        ring = self.ring
+        c = (c * ring.one()).payload
+        return Mat._box(ring, [[ring.mul(c, p) for p in row]
+                               for row in self._grid])
 
     def transpose(self) -> "Mat":
-        return Mat(self.ring, list(zip(*self.entries)))
+        return Mat._box(self.ring, zip(*self._grid))
 
     def block_perp(self, other: "Mat") -> "Mat":
         """Place self then other on the diagonal (orthogonal sum)."""
         self._require_same_ring(other)
-        zero = self.ring.zero()
-        out = []
-        for row in self.entries:
-            out.append(list(row) + [zero] * other.cols)
-        for row in other.entries:
-            out.append([zero] * self.cols + list(row))
-        return Mat(self.ring, out)
+        zero = self.ring.zero().payload
+        right, left = (zero,) * other.cols, (zero,) * self.cols
+        return Mat._box(self.ring, [row + right for row in self._grid]
+                        + [left + row for row in other._grid])
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Mat":
-        return Mat(self.ring, [row[c0:c1] for row in self.entries[r0:r1]])
+        return Mat._box(self.ring, [row[c0:c1] for row in self._grid[r0:r1]])
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = self.ring.one(), self.ring.zero()
-        return all(e == (one if i == j else zero)
-                   for i, row in enumerate(self.entries)
-                   for j, e in enumerate(row))
+        return (self.rows == self.cols and
+                self._grid == Mat.identity(self.ring, self.rows)._grid)
 
     def map_ring(self, new_ring: Ring, fn=None) -> "Mat":
-        """Entrywise retyping, e.g. lifting constants into R[T]."""
+        """Entrywise retyping, e.g. lifting constants into R[T]; ``fn``
+        (``new_ring.coerce`` by default) maps each ring value."""
+        if fn is None and new_ring.kind == "poly" and new_ring.base == self.ring:
+            lift = new_ring._trim
+            return Mat._box(new_ring, [[lift([p]) for p in row]
+                                       for row in self._grid])
         fn = fn or new_ring.coerce
         return Mat(new_ring, [[fn(e) for e in row] for row in self.entries])
 
@@ -188,7 +208,7 @@ class Mat:
             raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
         ring = self.ring
         zero = ring.zero().payload
-        a = self._payloads()
+        a = self._grid
         poly = [ring.one().payload]
         for k in range(n):
             cols = [[row[j] for row in a[:k]] for j in range(k + 1)]
@@ -223,7 +243,7 @@ class Mat:
             raise NotInvertible("determinant is not a unit", det=d)
         scale = (d.inverse() if n % 2 else -d.inverse()).payload
         zero = ring.zero().payload
-        a = self._payloads()
+        a = self._grid
         horner = [[c[0] if i == j else zero for j in range(n)]
                   for i in range(n)]
         for k in range(1, n):
@@ -237,7 +257,8 @@ class Mat:
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
                 "ring": self.ring.to_json(),
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
+                "entries": [[self.ring.value_to_json(p) for p in row]
+                            for row in self._grid]}
 
     @staticmethod
     def from_json(obj: dict) -> "Mat":
@@ -280,7 +301,7 @@ def _form(kind: str, m: Mat) -> Mat:
     with a form reduces to this one: m F = s (F m^t)^t, and in F^-1 a^t F
     and F_m V^t F_n^-1 the two signs cancel."""
     ring = m.ring
-    rows = m._payloads()
+    rows = m._grid
     out = []
     for top, bottom in zip(rows[0::2], rows[1::2]):
         if kind == "sp":
@@ -308,6 +329,25 @@ def phi(ring: Ring, n: int) -> Mat:
     return Form("orth", n).matrix(ring)
 
 
+def _gram_is_form(left: Mat, right: Mat) -> bool:
+    """Whether G = left @ right is the form psi or phi of its size, read
+    off the upper triangle of G.
+
+    Membership takes G = a^t (F a) and the frame check G = V (F V^t).
+    G_ji sums the products of G_ij up to the sign of F, so G is symmetric
+    for phi and alternating for psi, like F, and its upper triangle with
+    the diagonal decides G = F.  Those entries form every product of the
+    full G, in the same order, so they raise DegreeCapExceeded exactly
+    when the full product does."""
+    ring = left.ring
+    zero, one = ring.zero().payload, ring.one().payload
+    cols = list(zip(*right._grid))
+    upper = [[_dot(ring, zero, x, y) for y in cols[i:]]
+             for i, x in enumerate(left._grid)]
+    return all(g == (one if j == 1 and i % 2 == 0 else zero)
+               for i, row in enumerate(upper) for j, g in enumerate(row))
+
+
 def membership(a: Mat, group: str) -> bool:
     """Exact membership test for GL, SL, Sp, O, SO."""
     if a.rows != a.cols:
@@ -323,8 +363,7 @@ def membership(a: Mat, group: str) -> bool:
         if kind == "orth" and not has_half(a.ring):
             raise HalfNotInvertible(
                 f"orthogonal membership needs 1/2 in {a.ring}")
-        form = Form(kind, a.rows // 2).matrix(a.ring)
-        if a.transpose() @ _form(kind, a) != form:
+        if not _gram_is_form(a.transpose(), _form(kind, a)):
             return False
         return group != "SO" or a.det() == a.ring.one()
     raise ValueError(f"unknown group {group!r}")
@@ -347,41 +386,29 @@ class RightInverseCert:
 
 
 def _right_inverse_local(a: Mat) -> Mat:
-    """Column reduction with unit pivots over a local ring (or field)."""
+    """Column reduction with unit pivots over a local ring (or field), on
+    the payload rows of a stacked over I_m: the column operations that
+    bring a to the identity on its pivot columns bring I_m to beta."""
     ring = a.ring
     n, m = a.rows, a.cols
-    work = [list(row) for row in a.entries]
-    trans = [list(row) for row in Mat.identity(ring, m).entries]
+    rows = a._payloads() + Mat.identity(ring, m)._payloads()
+    zero = ring.zero().payload
     pivots = []
-    used = set()
     for i in range(n):
-        piv = None
-        for j in range(m):
-            if j not in used and work[i][j].is_unit():
-                piv = j
-                break
+        piv = next((j for j in range(m) if j not in pivots
+                    and ring.is_unit_payload(rows[i][j])), None)
         if piv is None:
             raise NotRightInvertible(f"row {i} of the matrix has no unit pivot")
-        inv = work[i][piv].inverse()
-        for r in range(n):
-            work[r][piv] = work[r][piv] * inv
-        for r in range(m):
-            trans[r][piv] = trans[r][piv] * inv
+        inv = ring.inverse_payload(rows[i][piv])
+        for r in rows:
+            r[piv] = ring.mul(r[piv], inv)
         for j in range(m):
-            if j == piv:
-                continue
-            f = work[i][j]
-            if f.is_zero():
-                continue
-            for r in range(n):
-                work[r][j] = work[r][j] - f * work[r][piv]
-            for r in range(m):
-                trans[r][j] = trans[r][j] - f * trans[r][piv]
+            f = rows[i][j]
+            if j != piv and f != zero:
+                for r in rows:
+                    r[j] = ring.sub(r[j], ring.mul(f, r[piv]))
         pivots.append(piv)
-        used.add(piv)
-    beta = Mat(ring, [[trans[r][pivots[i]] for i in range(n)]
-                      for r in range(m)])
-    return beta
+    return Mat._box(ring, [[r[p] for p in pivots] for r in rows[n:]])
 
 
 def _snf_solve_int(a_rows, rhs_cols):
@@ -471,28 +498,18 @@ def _snf_solve_int(a_rows, rhs_cols):
 
 def _right_inverse_modular(a: Mat, n_mod: int) -> Mat:
     """CRT over the prime-power factors of the modulus of Z/n_mod."""
-    ring = a.ring
-    parts = []
-    for q in (p ** k for p, k in _factor(n_mod)):
-        Rq = ModularRing(q)
-        aq = Mat(Rq, [[e.payload for e in row] for row in a.entries])
-        parts.append((q, _right_inverse_local(aq)))
-    # CRT entrywise
-    entries = []
-    for r in range(a.cols):
-        row = []
-        for c in range(a.rows):
-            x = 0
-            mod = 1
-            for q, beta in parts:
-                v = beta.entries[r][c].payload
-                # extend x to satisfy x = v (mod q) as well
-                k = ((v - x) * pow(mod % q, -1, q)) % q
-                x = x + mod * k
-                mod *= q
-            row.append(x)
-        entries.append(row)
-    return Mat(ring, entries)
+    parts = [(q, _right_inverse_local(Mat(ModularRing(q), a._grid))._grid)
+             for q in (p ** k for p, k in _factor(n_mod))]
+
+    def crt(r, c):
+        x, mod = 0, 1
+        for q, beta in parts:
+            # extend x to satisfy x = beta_rc (mod q) as well
+            x += mod * ((beta[r][c] - x) * pow(mod % q, -1, q) % q)
+            mod *= q
+        return x
+    return Mat(a.ring, [[crt(r, c) for c in range(a.rows)]
+                        for r in range(a.cols)])
 
 
 def right_inverse(a: Mat) -> RightInverseCert:
@@ -506,7 +523,7 @@ def right_inverse(a: Mat) -> RightInverseCert:
     if n:
         return RightInverseCert(a, _right_inverse_modular(a, n))
     if n == 0:
-        rows = [[e.payload for e in row] for row in a.entries]
+        rows = a._payloads()
         rhs = [[int(i == j) for i in range(a.rows)] for j in range(a.rows)]
         sol = _snf_solve_int(rows, rhs)
         if sol is None:
@@ -534,8 +551,7 @@ class IsotropicFrame:
             raise ShapeMismatch("frame kind must be sp or orth")
         if self.kind == "orth" and not has_half(V.ring):
             raise HalfNotInvertible(f"orthogonal frames need 1/2 in {V.ring}")
-        if V @ _form(self.kind, V.transpose()) != \
-                Form(self.kind, V.rows // 2).matrix(V.ring):
+        if not _gram_is_form(V, _form(self.kind, V.transpose())):
             raise FormViolation("V F_m V^t != F_n")
 
     @property
@@ -548,13 +564,9 @@ class IsotropicFrame:
 
     @staticmethod
     def standard(ring: Ring, kind: str, n: int, m: int) -> "IsotropicFrame":
-        ident = Mat.identity(ring, 2 * n)
-        if m > n:
-            pad = Mat.zeros(ring, 2 * n, 2 * (m - n))
-            rows = [list(r1) + list(r2) for r1, r2 in
-                    zip(ident.entries, pad.entries)]
-            return IsotropicFrame(Mat(ring, rows), kind)
-        return IsotropicFrame(ident, kind)
+        k = 2 * max(m, n)
+        return IsotropicFrame(
+            Mat.identity(ring, k).submatrix(0, 2 * n, 0, k), kind)
 
     def right_inverse(self) -> RightInverseCert:
         """The form identity yields an explicit right inverse,

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import (DescriptorMismatch, ObjectOutOfDomain,
-                     SearchBudgetExceeded, ShapeMismatch, UnsupportedRing)
+                     SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
+                     WitnessCheckFailed)
 from .matrices import Mat
 from .rings import Ring, _residue_modulus, ring_from_json, unit_ideal_witness
 from .words import FAMILY_ORTH, Generator, GenWord, paired_index
@@ -59,14 +60,6 @@ def generator_catalog(ring: Ring, family: str, size: int):
             for z in nonzero:
                 gens.append(Generator(family, i, j, z, size))
     return gens
-
-
-def _row_key(values):
-    return tuple(v.payload for v in values)
-
-
-def _frame_key(rows):
-    return tuple(tuple(v.payload for v in row) for row in rows)
 
 
 def _compile(g: Generator) -> tuple:
@@ -148,12 +141,14 @@ class OrbitTable:
         gens.reverse()
         return GenWord(self.ring, self.size, self.family, tuple(gens))
 
-    def to_json(self) -> dict:
-        def enc_key(k):
-            if self.kind == "row":
-                return [self.ring.value_to_json(p) for p in k]
-            return [[self.ring.value_to_json(p) for p in row] for row in k]
+    def _enc_key(self, key):
+        enc = self.ring.value_to_json
+        if self.kind == "row":
+            return [enc(p) for p in key]
+        return [[enc(p) for p in row] for row in key]
 
+    def to_json(self) -> dict:
+        enc_key = self._enc_key
         objects = []
         for key in sorted(self.orbit_of, key=self._key_order):
             link = self.pred.get(key)
@@ -182,12 +177,9 @@ class OrbitTable:
 
         table = OrbitTable(ring, kind, obj["family"], int(obj["size"]),
                            int(obj.get("frame_rows", 0)))
-        reps_seen = {}
         for entry in obj["objects"]:
             key = dec_key(entry["v"])
-            oid = int(entry["orbit"])
-            table.orbit_of[key] = oid
-            reps_seen.setdefault(oid, key)
+            table.orbit_of[key] = int(entry["orbit"])
             if entry["pred"] is not None:
                 pk = dec_key(entry["pred"][0])
                 gj = entry["pred"][1]
@@ -196,8 +188,36 @@ class OrbitTable:
                 table.pred[key] = (pk, g)
             else:
                 table.pred[key] = None
-        table.reps = [reps_seen[i] for i in range(len(reps_seen))]
+        table.reps = sorted((k for k, link in table.pred.items()
+                             if link is None), key=table.orbit_of.get)
+        table._check_links()
         return table
+
+    def _check_links(self):
+        """Raise unless each link is one generator step inside one orbit,
+        the objects without a link are one representative per orbit id in
+        id order, and each chain of links ends at one.  Objects that share
+        an orbit id are then equivalent."""
+        act, of = _key_action(self), self.orbit_of
+        for key, link in self.pred.items():
+            if link is not None and (of.get(link[0]) != of[key] or
+                                     act(link[0], _compile(link[1])) != key):
+                raise WitnessCheckFailed("orbit table link fails its check",
+                                         object=self._enc_key(key))
+        for oid, rep in enumerate(self.reps):
+            if of[rep] != oid:
+                raise WitnessCheckFailed(
+                    "orbit table needs one representative per orbit id",
+                    object=self._enc_key(rep))
+        rooted = set(self.reps)
+        for key in of:
+            chain = [key]
+            while chain[-1] not in rooted:
+                if len(chain) > len(of):
+                    raise WitnessCheckFailed("orbit table links form a cycle",
+                                             object=self._enc_key(chain[-1]))
+                chain.append(self.pred[chain[-1]][0])
+            rooted.update(chain)
 
     def _key_order(self, key):
         if self.kind == "row":
@@ -258,7 +278,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         domain = []
         for combo in itertools.product(pool, repeat=size):
             if _is_unimodular_row(ring, combo):
-                domain.append(_row_key(combo))
+                domain.append(tuple(v.payload for v in combo))
         domain.sort(key=table._key_order)
         if not gens:
             for key in domain:
@@ -273,8 +293,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
         table = OrbitTable(ring, "frame", family, size, frame_rows)
         gens = generator_catalog(ring, family, size)
-        ident = Mat.identity(ring, size)
-        standard = _frame_key([list(ident.entries[i]) for i in range(frame_rows)])
+        standard = Mat.identity(ring, size)._grid[:frame_rows]
         _bfs_closure(table, [standard], gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
@@ -288,10 +307,10 @@ def _table_key(v, table: OrbitTable):
         raise DescriptorMismatch(
             f"object over {v.ring} does not match table over {table.ring}")
     if table.kind == "frame":
-        return _frame_key(v.entries)
+        return v._grid
     if v.rows != 1:
         raise ShapeMismatch("expected a single row")
-    return _row_key(v.entries[0])
+    return v._grid[0]
 
 
 def certify_equivalence(v1, v2, table: OrbitTable):

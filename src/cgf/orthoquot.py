@@ -236,11 +236,10 @@ def hyperbolic_square_word(ring: Ring, size: int, pair_p: int, pair_q: int,
         src, dst = (a, b + 1) if (i, j) == (1, 2) else (b + 1, a)
         gens.append(Generator(FAMILY_ORTH, src, dst, z, size))
     word = GenWord(ring, size, FAMILY_ORTH, tuple(gens))
-    expected = [[ring.one() if r == c else ring.zero() for c in range(size)]
-                for r in range(size)]
-    expected[a - 1][a - 1] = t * t
-    expected[a][a] = (t * t).inverse()
-    if word.eval() != Mat(ring, expected):
+    expected = Mat.identity(ring, size)._payloads()
+    expected[a - 1][a - 1] = (t * t).payload
+    expected[a][a] = (t * t).inverse().payload
+    if word.eval() != Mat._box(ring, expected):
         raise FormViolation("internal: square scaling word mismatch")
     return word
 

@@ -195,7 +195,7 @@ def complete_um_linear(v: Mat) -> GenWord:
             raise NotRightInvertible("row failed to reduce to a standard row")
     word = red.word().invert()
     got = word.eval()
-    if Mat(ring, got.entries[:n]) != v:
+    if got._grid[:n] != v._grid:
         raise FormViolation("internal: completion lost the input rows")
     return word
 
@@ -215,7 +215,7 @@ def complete_sp(frame: IsotropicFrame) -> GenWord:
     red.pairs(n)
     word = red.word().invert()
     got = word.eval()
-    if Mat(ring, got.entries[:2 * n]) != V:
+    if got._grid[:2 * n] != V._grid:
         raise FormViolation("internal: completion lost the frame rows")
     if not membership(got, "Sp"):
         raise FormViolation("internal: completion left the symplectic group")
@@ -247,7 +247,7 @@ def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
     red.pairs(n)
     word = red.word().invert()
     got = word.eval()
-    if Mat(ring, got.entries[:2 * n]) != V:
+    if got._grid[:2 * n] != V._grid:
         raise FormViolation("internal: completion lost the frame rows")
     if not membership(got, "O"):
         raise FormViolation("internal: completion left the orthogonal group")

@@ -833,10 +833,15 @@ class PolyExt(Ring):
         """Horner evaluation of a payload at a base-ring point."""
         if t.ring != self.base:
             raise DescriptorMismatch("evaluation point from another ring")
+        return RingValue(self.base, self._horner(a, t.payload))
+
+    def _horner(self, a, t):
+        """The base payload of a payload ``a`` at a base payload ``t``."""
+        add, mul = self.base.add, self.base.mul
         acc = self.base.zero().payload
         for c in reversed(a):
-            acc = self.base.add(self.base.mul(acc, t.payload), c)
-        return RingValue(self.base, acc)
+            acc = add(mul(acc, t), c)
+        return acc
 
     def compose_scale(self, a, b: RingValue):
         """Payload of f(b*T) for f with payload ``a``; b in the base ring."""
@@ -1220,7 +1225,8 @@ def localize_denominator_check(a: RingValue, allowed) -> bool:
 
 def has_half(ring: Ring) -> bool:
     """Whether 1/2 exists in the ring."""
-    return ring.coerce(2).is_unit()
+    one = ring.one().payload
+    return ring.is_unit_payload(ring.add(one, one))
 
 
 def _xgcd(a: int, b: int):

@@ -50,7 +50,7 @@ def random_frame(rng: random.Random, ring: Ring, kind: str, n: int, m: int,
     family = FAMILY_SP if kind == "sp" else FAMILY_ORTH
     w = random_word(rng, ring, family, 2 * m, length)
     full = w.eval()
-    top = Mat(ring, full.entries[:2 * n])
+    top = full.submatrix(0, 2 * n, 0, full.cols)
     return IsotropicFrame(top, kind), w
 
 
@@ -59,7 +59,7 @@ def random_unimodular_rows(rng: random.Random, ring: Ring, n: int, m: int,
     """Leading n rows of a random elementary matrix: a right-invertible n x m."""
     w = random_word(rng, ring, FAMILY_LIN, m, length)
     full = w.eval()
-    return Mat(ring, full.entries[:n]), w
+    return full.submatrix(0, n, 0, full.cols), w
 
 
 def random_unit(rng: random.Random, ring: Ring, tries: int = 64):

@@ -9,10 +9,10 @@ beside the word, outside its fields.
 Every generator acts on the right by one or two sparse column updates
 col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
 canonical payloads; word evaluation, the right actions on matrices and rows,
-generator matrices and the reduction engine all call it, and box values as
-``RingValue`` only where they hand a result back.  The orbit oracle compiles
-the same updates into payload triples once per enumeration, and its tests
-check it against this kernel.
+generator matrices and the reduction engine all call it.  Matrices keep the
+payload rows it returns; only ``apply_word_to_row`` boxes its result as
+``RingValue``s.  The orbit oracle compiles the same updates into payload
+triples once per enumeration, and its tests check it against this kernel.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
@@ -311,7 +311,7 @@ def apply_word_left(w: GenWord, m: Mat) -> Mat:
         raise DescriptorMismatch("word size does not match matrix rows")
     if m.ring != w.ring:
         raise DescriptorMismatch("word ring does not match matrix ring")
-    cols = _apply_gens(m.ring, [list(c) for c in zip(*m._payloads())],
+    cols = _apply_gens(m.ring, [list(c) for c in zip(*m._grid)],
                        _transpose_gens(w.gens))
     return Mat._box(m.ring, zip(*cols))
 

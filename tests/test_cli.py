@@ -250,6 +250,27 @@ def test_orbit_cache_and_certify(capsys, tmp_path):
     assert obj["equivalent"] is True
 
 
+def test_certify_refuses_a_tampered_table(capsys, tmp_path):
+    # a cached table whose orbit ids contradict its own pred links is
+    # refused with exit 2 instead of answering "not equivalent"
+    cache = tmp_path / "um3-z4.json"
+    code, _ = run_cli(capsys, "orbits", "--ring", "mod:4", "--kind", "row",
+                      "--size", "3", "--cache", str(cache))
+    assert code == 0
+    certify = ("certify", "--table", str(cache), "--v1", "[1,0,0]",
+               "--v2", "[3,2,1]")
+    code, out = run_cli(capsys, *certify)
+    assert code == 0 and json.loads(out)["equivalent"] is True
+    obj = json.loads(cache.read_text())
+    next(e for e in obj["objects"] if e["v"] == [3, 2, 1])["orbit"] = 1
+    cache.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, *certify)
+    assert code == 2
+    assert json.loads(out) == {"code": "witness_check_failed",
+                               "message": "orbit table link fails its check",
+                               "context": {"object": "[3, 2, 1]"}}
+
+
 def test_classify_and_quotient_verbs(capsys):
     code, out = run_cli(capsys, "classify-o2", "--ring", "prime:5",
                         "--matrix", "[[2,0],[0,3]]")

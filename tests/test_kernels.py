@@ -10,22 +10,28 @@ multiplication it called, ending in the full canon `_poly_canon`, before
 R[T] fused the sum and trimmed instead.  `_psi`/`_phi` build the standard
 forms from `block_perp`s, and the form references below multiply by them,
 as membership, the isotropic frames, `sp_inverse` and `orth_inverse` did
-before they shared the signed pair swap `matrices._form`.  All are kept
-here unchanged as references.
+before they shared the signed pair swap `matrices._form`.  The `_ref`
+functions near the end are the `Mat` bodies that read and built boxed ring
+values before `Mat` kept payload rows, and `_full_gram_is_form` is the whole
+product that membership and the frame check compared before they read its
+upper triangle.  All are kept here unchanged as references.
 """
 
 import random
 
 import pytest
 
-from cgf.errors import DegreeCapExceeded, FormViolation, ShapeMismatch
+from cgf import matrices
+from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation,
+                        ShapeMismatch)
 from cgf.factor import sp_inverse
+from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
 from cgf.matrices import (IsotropicFrame, Mat, _form, identity, membership,
                           phi, psi)
 from cgf.orthoquot import orth_inverse
 from cgf.rings import (LocalizedIntegers, ModularRing, PolyExt, PrimeField,
-                       TruncatedPolyLocal, _dot, has_half)
-from cgf.sampling import random_word
+                       RingValue, TruncatedPolyLocal, _dot, has_half)
+from cgf.sampling import random_frame, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
                        apply_word_right, apply_word_to_row, gen_matrix)
 
@@ -343,12 +349,15 @@ def test_form_inverse_needs_an_even_square_matrix():
 
 def test_form_paths_count_products(monkeypatch):
     # the forms are applied by row swaps, never multiplied: membership and
-    # the frame check take one product each, the form inverses none, and the
-    # frame's right inverse only its certificate's check alpha @ beta
-    calls = []
+    # the frame check take no Mat product but the upper triangle of theirs
+    # (n(n+1)/2 dot products for an n x n result), the form inverses none,
+    # and the frame's right inverse only its certificate's check alpha @ beta
+    calls, dots = [], []
     matmul = Mat.__matmul__
     monkeypatch.setattr(Mat, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
+    monkeypatch.setattr(matrices, "_dot",
+                        lambda *args: dots.append(1) or _dot(*args))
     ring = ModularRing(9)
     for word in (random_word(random.Random(5), ring, FAMILY_SP, 4, 6),
                  random_word(random.Random(5), ring, FAMILY_ORTH, 4, 6)):
@@ -356,11 +365,249 @@ def test_form_paths_count_products(monkeypatch):
         group = "Sp" if word.family == FAMILY_SP else "O"
         inverse = sp_inverse if word.family == FAMILY_SP else orth_inverse
         frame = IsotropicFrame(a.submatrix(0, 2, 0, 4), word.family)
-        for fn, args, expected in (
-                (membership, (a, group), 1),
-                (IsotropicFrame, (frame.mat, word.family), 1),
-                (frame.right_inverse, (), 1),
-                (inverse, (a,), 0)):
+        for fn, args, expected, n_dots in (
+                (membership, (a, group), 0, 10),
+                (IsotropicFrame, (frame.mat, word.family), 0, 3),
+                (frame.right_inverse, (), 1, 4),
+                (inverse, (a,), 0, 0)):
             calls.clear()
+            dots.clear()
             fn(*args)
-            assert len(calls) == expected, fn
+            assert (len(calls), len(dots)) == (expected, n_dots), fn
+
+
+# The boxed Mat bodies that the payload-native Mat replaced, kept unchanged
+# as references: each reads ring values from `entries` and builds its
+# result through `Mat(ring, ...)`, which coerces every entry again.
+
+def _add_ref(a, b):
+    return Mat(a.ring, [[x + y for x, y in zip(r1, r2)]
+                        for r1, r2 in zip(a.entries, b.entries)])
+
+
+def _sub_ref(a, b):
+    return Mat(a.ring, [[x - y for x, y in zip(r1, r2)]
+                        for r1, r2 in zip(a.entries, b.entries)])
+
+
+def _neg_ref(a):
+    return Mat(a.ring, [[-x for x in row] for row in a.entries])
+
+
+def _scale_ref(a, c):
+    return Mat(a.ring, [[c * x for x in row] for row in a.entries])
+
+
+def _transpose_ref(a):
+    return Mat(a.ring, list(zip(*a.entries)))
+
+
+def _block_perp_ref(a, b):
+    zero = a.ring.zero()
+    out = [list(row) + [zero] * b.cols for row in a.entries]
+    out += [[zero] * a.cols + list(row) for row in b.entries]
+    return Mat(a.ring, out)
+
+
+def _submatrix_ref(a, r0, r1, c0, c1):
+    return Mat(a.ring, [row[c0:c1] for row in a.entries[r0:r1]])
+
+
+def _is_identity_ref(a):
+    if a.rows != a.cols:
+        return False
+    one, zero = a.ring.one(), a.ring.zero()
+    return all(e == (one if i == j else zero)
+               for i, row in enumerate(a.entries) for j, e in enumerate(row))
+
+
+def _map_ring_ref(a, new_ring, fn=None):
+    fn = fn or new_ring.coerce
+    return Mat(new_ring, [[fn(e) for e in row] for row in a.entries])
+
+
+def _mat_substitute_ref(m, t):
+    rt = m.ring
+    return Mat(rt.base, [[rt.eval_at(e.payload, t) for e in row]
+                         for row in m.entries])
+
+
+def _to_json_ref(a):
+    return {"rows": a.rows, "cols": a.cols, "ring": a.ring.to_json(),
+            "entries": [[e.to_json() for e in row] for row in a.entries]}
+
+
+def _full_gram_is_form(kind, xs_mat, ys_mat):
+    # reference: the whole product G = xs_mat @ ys_mat compared with F
+    g = xs_mat @ ys_mat
+    return g == _form(kind, identity(g.ring, g.rows))
+
+
+def _raised(fn, *args):
+    """The result, or the class and message of the CgfError raised."""
+    try:
+        return fn(*args)
+    except CgfError as e:
+        return ("raised", type(e).__name__, str(e))
+
+
+def _fresh(m):
+    """An equal matrix whose boxed view has not been read."""
+    return Mat._box(m.ring, m._grid)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, len(RINGS) - 1), st.integers(1, 4),
+                  st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_payload_ops_match_boxed_reference(ring_idx, n, m, seed):
+    ring, rng = RINGS[ring_idx], random.Random(seed)
+    a, b = _random_mat(rng, ring, n, m), _random_mat(rng, ring, n, m)
+    other = _random_mat(rng, ring, rng.randint(1, 3), rng.randint(1, 3))
+    c = ring.random(rng)
+    r0, c0 = rng.randrange(n), rng.randrange(m)
+    r1, c1 = rng.randint(r0 + 1, n), rng.randint(c0 + 1, m)
+    rt = PolyExt(ring, "T")
+    for got, expected in (
+            (a + b, _add_ref(a, b)), (a - b, _sub_ref(a, b)),
+            (-a, _neg_ref(a)), (a.scale(c), _scale_ref(a, c)),
+            (a.scale(-3), _scale_ref(a, -3)),
+            (a.transpose(), _transpose_ref(a)),
+            (a.block_perp(other), _block_perp_ref(a, other)),
+            (a.submatrix(r0, r1, c0, c1), _submatrix_ref(a, r0, r1, c0, c1)),
+            (a.map_ring(rt), _map_ring_ref(a, rt)),
+            (a.map_ring(ring), _map_ring_ref(a, ring)),
+            (a.map_ring(rt, rt.embed_const), _map_ring_ref(a, rt,
+                                                           rt.embed_const))):
+        assert got == expected and hash(got) == hash(expected)
+        assert got.to_json() == _to_json_ref(expected)
+        assert repr(_fresh(got)) == repr(expected)
+    squares = [a, identity(ring, n)]
+    if n <= m:
+        squares.append(identity(ring, n) + b.submatrix(0, n, 0, n))
+    for square in squares:
+        assert square.is_identity() == _is_identity_ref(square)
+    # a value or a ring from elsewhere is refused as the boxed code did
+    alien = ModularRing(7)
+    assert _raised(a.scale, alien.one()) == _raised(_scale_ref, a, alien.one())
+    assert _raised(a.map_ring, alien) == _raised(_map_ring_ref, a, alien)
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(st.integers(0, len(RINGS) - 1), st.integers(1, 3),
+                  st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_boxed_view_is_the_coerced_payloads(ring_idx, n, m, seed):
+    ring, rng = RINGS[ring_idx], random.Random(seed)
+    a = _random_mat(rng, ring, n, m)
+    b = _fresh(a)
+    assert a == b and hash(a) == hash(b)
+    boxed = tuple(tuple(ring.coerce(p) for p in row) for row in a._grid)
+    assert b.entries == boxed and b.entries is b.entries
+    assert all(b[i, j] == boxed[i][j] and b[i, j].ring == ring
+               for i in range(n) for j in range(m))
+    assert _fresh(a).row(n - 1) == boxed[n - 1]
+    assert _fresh(a).col(m - 1) == tuple(r[m - 1] for r in boxed)
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(st.sampled_from(POLY_BASES), st.integers(1, 3),
+                  st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_mat_substitute_matches_reference(base, n, m, seed):
+    rng = random.Random(seed)
+    rt = PolyExt(base, "T")
+    mt = _random_mat(rng, rt, n, m)
+    for t in (base.zero(), base.one(), base.random(rng)):
+        assert mat_substitute(mt, t) == _mat_substitute_ref(mt, t)
+    alien = PolyExt(base, "T").one()
+    assert _raised(mat_substitute, mt, alien) == \
+        _raised(_mat_substitute_ref, mt, alien)
+
+
+@hypothesis.settings(SETTINGS, max_examples=150)
+@hypothesis.given(FORM_WORDS, st.integers(0, 2))
+def test_upper_triangle_matches_full_product(case, cut):
+    # membership and the frame check against the whole product they took
+    # before, on members and on (almost always) non-members
+    kind, group = (("sp", "Sp") if case[1].family == FAMILY_SP
+                   else ("orth", "O"))
+    for a in _member_and_other(case):
+        assert membership(a, group) == _full_gram_is_form(
+            kind, a.transpose(), _form(kind, a))
+        v = a.submatrix(0, max(2, a.rows - 2 * cut), 0, a.cols)
+        full = _full_gram_is_form(kind, v, _form(kind, v.transpose()))
+        assert _raised(IsotropicFrame, v, kind) == (
+            IsotropicFrame(v, kind) if full else
+            ("raised", "FormViolation", "V F_m V^t != F_n"))
+
+
+@hypothesis.settings(SETTINGS, max_examples=150)
+@hypothesis.given(st.sampled_from(("sp", "orth")), st.integers(1, 3),
+                  st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_upper_triangle_raises_like_full_product(kind, pairs, cap, seed):
+    # over R[T] with a small degree cap, the half product raises
+    # DegreeCapExceeded with the same message as the whole product, or
+    # agrees with it
+    rng = random.Random(seed)
+    rt = PolyExt(PrimeField(5), "T", degree_cap=cap)
+    size = 2 * pairs
+    a = Mat(rt, [[rt.coerce([rng.randrange(5) for _ in range(
+        rng.randint(0, cap + 1))]) for _ in range(size)] for _ in range(size)])
+    group = "Sp" if kind == "sp" else "O"
+    assert _raised(membership, a, group) == _raised(
+        _full_gram_is_form, kind, a.transpose(), _form(kind, a))
+
+
+def _count_values(monkeypatch):
+    """A list that grows by one for every RingValue built from now on."""
+    built = []
+    init = RingValue.__init__
+    monkeypatch.setattr(RingValue, "__init__",
+                        lambda self, r, p: built.append(1) or init(self, r, p))
+    return built
+
+
+def test_payload_ops_build_no_ring_values(monkeypatch):
+    ring = ModularRing(9)
+    rt = PolyExt(ring, "T")
+    rng = random.Random(11)
+    sp = random_word(rng, ring, FAMILY_SP, 4, 8).eval()
+    orth = random_word(rng, ring, FAMILY_ORTH, 4, 8).eval()
+    poly = random_word(rng, ring, FAMILY_SP, 4, 3).times_variable(rt).eval()
+    # zero() and one() box once per ring, then are cached
+    one = ring.one()
+    ring.zero(), rt.zero(), rt.one()
+    built = _count_values(monkeypatch)
+    assert membership(sp, "Sp") and membership(orth, "O")
+    assert membership(poly, "Sp")
+    for fn in (lambda: sp @ orth, sp.transpose, lambda: sp.block_perp(orth),
+               lambda: sp.submatrix(0, 2, 1, 4), lambda: sp + orth,
+               lambda: sp - orth, lambda: _form("sp", sp),
+               lambda: _form("orth", orth), lambda: mat_substitute(poly, one),
+               lambda: IsotropicFrame(sp.submatrix(0, 2, 0, 4), "sp"),
+               sp.is_identity, lambda: sp.map_ring(rt), sp.to_json):
+        fn()
+    assert built == []
+    fresh = _fresh(sp)
+    first = fresh.entries
+    assert len(built) == 16
+    assert fresh.entries is first and fresh[1, 2] is first[1][2]
+    assert len(built) == 16
+
+
+# RingValues one seeded (n, m) = (2, 4) orthogonal homotopy over Z/9[T]
+# builds, from the homotopy's construction to its witness: 2,126 while Mat
+# boxed every result, 137 with payload rows inside.
+ORTH_HOMOTOPY_VALUES = 160
+
+
+def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):
+    rng = random.Random(2024)
+    ring = ModularRing(9)
+    rt = PolyExt(ring, "T")
+    base = random_word(rng, ring, FAMILY_ORTH, 4, 2)
+    frame, _ = random_frame(rng, ring, "orth", 2, 4, 5)
+    ring.zero(), ring.one(), rt.zero(), rt.one()
+    built = _count_values(monkeypatch)
+    d = Homotopy.from_word("orthogonal", base.times_variable(rt))
+    res = homotopy_commute_orthogonal(d, frame)
+    assert res.witness.all_passed()
+    assert len(built) <= ORTH_HOMOTOPY_VALUES, len(built)

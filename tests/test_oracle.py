@@ -7,7 +7,8 @@ import pytest
 
 from cgf import oracle
 from cgf.errors import (DescriptorMismatch, ObjectOutOfDomain,
-                        SearchBudgetExceeded, ShapeMismatch)
+                        SearchBudgetExceeded, ShapeMismatch,
+                        WitnessCheckFailed)
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PrimeField, QuotientRing,
@@ -144,6 +145,81 @@ def test_budget_guard():
     Z5 = PrimeField(5)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_orbits(Z5, "row", FAMILY_LIN, 3, budget=10)
+
+
+def _um3_z4():
+    return enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3)
+
+
+def _entry(obj, v):
+    return next(e for e in obj["objects"] if e["v"] == v)
+
+
+def _tamper_orbit(obj):
+    # [3,2,1] leaves the orbit of its parent; its children's links now
+    # leave its orbit too
+    _entry(obj, [3, 2, 1])["orbit"] = 1
+    return "orbit table link fails its check", _children(obj, [3, 2, 1])
+
+
+def _tamper_param(obj):
+    _entry(obj, [3, 2, 1])["pred"][1]["param"] += 1
+    return "orbit table link fails its check", [[3, 2, 1]]
+
+
+def _tamper_root(obj):
+    # the representative takes the link of another object
+    _entry(obj, [1, 0, 0])["pred"] = _entry(obj, [3, 2, 1])["pred"]
+    return "orbit table link fails its check", [[1, 0, 0]]
+
+
+def _tamper_unlinked(obj):
+    # a second object without a link claims the same orbit id
+    _entry(obj, [3, 2, 1])["pred"] = None
+    return "orbit table needs one representative per orbit id", [[3, 2, 1]]
+
+
+def _tamper_cycle(obj):
+    # x's parent p gets x as its parent, through the inverse generator:
+    # both links are generator steps inside the orbit, but the chains
+    # through them never reach the representative
+    x = (3, 2, 1)
+    parent, g = OrbitTable.from_json(obj).pred[x]
+    assert _entry(obj, list(parent))["pred"] is not None
+    _entry(obj, list(parent))["pred"] = [list(x), g.inverse().to_json()]
+    return "orbit table links form a cycle", [list(x), list(parent)]
+
+
+def _children(obj, v):
+    return [v] + [e["v"] for e in obj["objects"]
+                  if e["pred"] is not None and e["pred"][0] == v]
+
+
+@pytest.mark.parametrize("tamper", [_tamper_orbit, _tamper_param,
+                                    _tamper_root, _tamper_unlinked,
+                                    _tamper_cycle])
+def test_cached_table_links_are_checked(tamper):
+    obj = json.loads(json.dumps(_um3_z4().to_json()))
+    back = OrbitTable.from_json(obj)
+    assert certify_equivalence((1, 0, 0), (3, 2, 1), back) is not None
+    message, named = tamper(obj)
+    with pytest.raises(WitnessCheckFailed) as info:
+        OrbitTable.from_json(obj)
+    assert info.value.message == message
+    assert info.value.context["object"] in named
+
+
+def test_cached_frame_table_links_are_checked():
+    table = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
+                             frame_rows=2, budget=10 ** 6)
+    obj = json.loads(json.dumps(table.to_json()))
+    back = OrbitTable.from_json(obj)
+    assert (back.orbit_of, back.reps) == (table.orbit_of, table.reps)
+    last = obj["objects"][-1]
+    last["pred"][1]["param"] = 3 - last["pred"][1]["param"]
+    with pytest.raises(WitnessCheckFailed) as info:
+        OrbitTable.from_json(obj)
+    assert info.value.context == {"object": last["v"]}
 
 
 def test_table_json_round_trip():
