@@ -5,6 +5,14 @@ Everything is immutable.  A matrix keeps rows of canonical payloads and
 computes on them; ring values are boxed only at the API edge, once per
 matrix, when a caller reads ``entries``, a row, a column or an entry.
 
+Every sum of products here (an entry of a product, a step of the
+determinant or the inverse, the form checks) is one ``ring.dot(acc, xs,
+ys)``, the multiply-accumulate that each ring owns.  Over Z and Z/n (prime
+fields included) it sums the exact integer products and reduces mod n once
+per entry; over R[T] with such a base it sums the coefficient products the
+same way and reduces each coefficient once, before the trim; every other
+ring adds one product at a time.
+
 Determinants and inverses come from one algorithm for every ring of the
 tower: Berkowitz's division-free characteristic polynomial (S. J. Berkowitz,
 "On computing the determinant in small parallel time using a small number
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
-from .rings import (ModularRing, Ring, RingValue, _dot, _factor,
-                    _residue_modulus, has_half)
+from .rings import (ModularRing, Ring, RingValue, _factor, _residue_modulus,
+                    has_half)
 
 DET_SIZE_CAP = 12
 
@@ -144,7 +152,8 @@ class Mat:
         ring = self.ring
         zero = ring.zero().payload
         cols = list(zip(*other._grid))
-        return Mat._box(ring, [[_dot(ring, zero, row, col) for col in cols]
+        dot = ring.dot
+        return Mat._box(ring, [[dot(zero, row, col) for col in cols]
                                for row in self._grid])
 
     __mul__ = __matmul__
@@ -207,7 +216,7 @@ class Mat:
         if n > DET_SIZE_CAP:
             raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
         ring = self.ring
-        zero = ring.zero().payload
+        dot, zero = ring.dot, ring.zero().payload
         a = self._grid
         poly = [ring.one().payload]
         for k in range(n):
@@ -215,12 +224,11 @@ class Mat:
             toeplitz = [ring.neg(a[k][k])]
             vec = a[k][:k]
             for j in range(k):
-                toeplitz.append(ring.neg(_dot(ring, zero, vec, cols[k])))
+                toeplitz.append(ring.neg(dot(zero, vec, cols[k])))
                 if j < k - 1:
-                    vec = [_dot(ring, zero, vec, col) for col in cols[:k]]
+                    vec = [dot(zero, vec, col) for col in cols[:k]]
             poly = poly[:1] + [
-                _dot(ring, poly[i] if i <= k else zero, poly[i - 1::-1],
-                     toeplitz)
+                dot(poly[i] if i <= k else zero, poly[i - 1::-1], toeplitz)
                 for i in range(1, k + 2)]
         return poly
 
@@ -242,13 +250,13 @@ class Mat:
         if not d.is_unit():
             raise NotInvertible("determinant is not a unit", det=d)
         scale = (d.inverse() if n % 2 else -d.inverse()).payload
-        zero = ring.zero().payload
+        dot, zero = ring.dot, ring.zero().payload
         a = self._grid
         horner = [[c[0] if i == j else zero for j in range(n)]
                   for i in range(n)]
         for k in range(1, n):
             cols = list(zip(*horner))
-            horner = [[_dot(ring, c[k] if i == j else zero, row, col)
+            horner = [[dot(c[k] if i == j else zero, row, col)
                        for j, col in enumerate(cols)]
                       for i, row in enumerate(a)]
         return Mat._box(ring, [[ring.mul(scale, p) for p in row]
@@ -340,9 +348,9 @@ def _gram_is_form(left: Mat, right: Mat) -> bool:
     full G, in the same order, so they raise DegreeCapExceeded exactly
     when the full product does."""
     ring = left.ring
-    zero, one = ring.zero().payload, ring.one().payload
+    dot, zero, one = ring.dot, ring.zero().payload, ring.one().payload
     cols = list(zip(*right._grid))
-    upper = [[_dot(ring, zero, x, y) for y in cols[i:]]
+    upper = [[dot(zero, x, y) for y in cols[i:]]
              for i, x in enumerate(left._grid)]
     return all(g == (one if j == 1 and i % 2 == 0 else zero)
                for i, row in enumerate(upper) for j, g in enumerate(row))
@@ -602,9 +610,9 @@ class HyperbolicVector:
 
 def _sum_of_products(fs, xs) -> RingValue:
     ring = fs[0].ring
-    return RingValue(ring, _dot(ring, ring.zero().payload,
-                                [f.payload for f in fs],
-                                [x.payload for x in xs]))
+    return RingValue(ring, ring.dot(ring.zero().payload,
+                                    [f.payload for f in fs],
+                                    [x.payload for x in xs]))
 
 
 def hyperbolic_pair_check(w1: HyperbolicVector, w2: HyperbolicVector) -> bool:

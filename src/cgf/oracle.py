@@ -9,9 +9,10 @@ wins: the frontier is kept in key order, so that pair proposes it first.
 
 The generator action is compiled once per enumeration: each catalog
 generator becomes its column updates col_t += c * col_s as 0-based payload
-triples, and one row kernel applies them to a payload tuple.  A frame key
-applies the kernel to each of its rows, a row key is a one-row frame, and
-the path check of ``certify_equivalence`` runs the same kernel.  The kernel
+triples (``Generator._payload_updates``), and one row kernel applies them to
+a payload tuple with the ring's ``fma``.  A frame key applies the kernel to
+each of its rows, a row key is a one-row frame, and the path check and the
+closure check of ``certify_equivalence`` run the same kernel.  The kernel
 reports a generator whose source entries are all zero as fixing the object
 instead of copying it.  Skipping that edge keeps the tie rule: the fixed
 object is the parent itself, already in the table, so it was never a
@@ -62,17 +63,12 @@ def generator_catalog(ring: Ring, family: str, size: int):
     return gens
 
 
-def _compile(g: Generator) -> tuple:
-    """The column updates of ``g`` as 0-based (target, source, payload)."""
-    return tuple((t - 1, s - 1, c.payload) for t, s, c in g.updates())
-
-
 def _key_action(table: "OrbitTable"):
-    """The right action of one compiled generator on a key of ``table``:
-    the new key, or None when every source entry is zero, so that the
-    generator fixes the key."""
+    """The right action of one compiled generator (its
+    ``_payload_updates()``) on a key of ``table``: the new key, or None when
+    every source entry is zero, so that the generator fixes the key."""
     ring = table.ring
-    add, mul, zero = ring.add, ring.mul, ring.zero().payload
+    fma, zero = ring.fma, ring.zero().payload
 
     def act_row(row, updates):
         new = None
@@ -81,7 +77,7 @@ def _key_action(table: "OrbitTable"):
             if x != zero:
                 if new is None:
                     new = list(row)
-                new[t] = add(new[t], mul(c, x))
+                new[t] = fma(new[t], c, x)
         return None if new is None else tuple(new)
 
     if table.kind == "row":
@@ -200,8 +196,9 @@ class OrbitTable:
         an orbit id are then equivalent."""
         act, of = _key_action(self), self.orbit_of
         for key, link in self.pred.items():
-            if link is not None and (of.get(link[0]) != of[key] or
-                                     act(link[0], _compile(link[1])) != key):
+            if link is not None and (
+                    of.get(link[0]) != of[key] or
+                    act(link[0], link[1]._payload_updates()) != key):
                 raise WitnessCheckFailed("orbit table link fails its check",
                                          object=self._enc_key(key))
         for oid, rep in enumerate(self.reps):
@@ -229,7 +226,7 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS; ties between frontier edges pick the
     least (parent, generator), which is the first to propose the object."""
     act = _key_action(table)
-    compiled = [(g, _compile(g)) for g in gens]
+    compiled = [(g, g._payload_updates()) for g in gens]
     for root in start_keys:
         if root in table.orbit_of:
             continue
@@ -313,21 +310,39 @@ def _table_key(v, table: OrbitTable):
     return v._grid[0]
 
 
+def _check_closed(table: OrbitTable, oid: int):
+    """Raise unless every catalog generator maps every object of orbit
+    ``oid`` to an object of that orbit.  The objects with that id then hold
+    the whole orbit, so an object with another id lies outside it."""
+    act, of = _key_action(table), table.orbit_of
+    compiled = [g._payload_updates() for g in
+                generator_catalog(table.ring, table.family, table.size)]
+    for key in [k for k, o in of.items() if o == oid]:
+        for updates in compiled:
+            image = act(key, updates)
+            if image is not None and of.get(image) != oid:
+                raise WitnessCheckFailed(
+                    "orbit table orbit is not closed under the generators",
+                    object=table._enc_key(key))
+
+
 def certify_equivalence(v1, v2, table: OrbitTable):
     """An explicit word with v1 . eval(word) = v2, or None when the
-    exhaustive table proves there is none."""
+    exhaustive table proves there is none: before None, v1's orbit is
+    checked to be closed under the generator catalog."""
     k1, k2 = _table_key(v1, table), _table_key(v2, table)
     for k in (k1, k2):
         if k not in table.orbit_of:
             raise ObjectOutOfDomain(f"{k} is not in the table's domain")
     if table.orbit_of[k1] != table.orbit_of[k2]:
+        _check_closed(table, table.orbit_of[k1])
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
     act = _key_action(table)
     cur = k1
     for g in word:
-        cur = act(cur, _compile(g)) or cur
+        cur = act(cur, g._payload_updates()) or cur
     if cur != k2:
         raise ObjectOutOfDomain("internal: path verification failed")
     return word

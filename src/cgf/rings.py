@@ -14,6 +14,7 @@ F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -48,16 +49,6 @@ def _prime_power_base(n: int):
     """Return p if n = p^k for a prime p and k >= 1, else None."""
     p, k = next(_factor(n), (None, 0))
     return p if p is not None and p ** k == n else None
-
-
-def _dot(ring: "Ring", acc, xs, ys):
-    """acc + sum(x * y) over payloads of ``ring``; R[T] fuses the sum."""
-    if ring.kind == "poly":
-        return ring.dot(acc, xs, ys)
-    add, mul = ring.add, ring.mul
-    for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y))
-    return acc
 
 
 def _divides_power(d: int, s: int) -> bool:
@@ -240,6 +231,18 @@ class Ring:
     def neg(self, a):
         raise NotImplementedError
 
+    def dot(self, acc, xs, ys):
+        """acc + sum(x * y) over payloads, one term at a time.  Z, Z/n
+        (and so F_p) and R[T] override it with a fused sum."""
+        add, mul = self.add, self.mul
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
+
+    def fma(self, a, c, x):
+        """a + c * x over payloads."""
+        return self.add(a, self.mul(c, x))
+
     def is_unit_payload(self, a) -> bool:
         raise NotImplementedError
 
@@ -298,6 +301,12 @@ class IntegerRing(Ring):
 
     def neg(self, a):
         return -a
+
+    def dot(self, acc, xs, ys):
+        return acc + sum(map(operator.mul, xs, ys))
+
+    def fma(self, a, c, x):
+        return a + c * x
 
     def is_unit_payload(self, a):
         return a in (1, -1)
@@ -424,6 +433,14 @@ class ModularRing(Ring):
 
     def neg(self, a):
         return (-a) % self.n
+
+    def dot(self, acc, xs, ys):
+        # lazy reduction (Dumas, Giorgi, Pernet, ACM TOMS 34, 2008): the
+        # exact integer sum, reduced once; Python ints cannot overflow
+        return (acc + sum(map(operator.mul, xs, ys))) % self.n
+
+    def fma(self, a, c, x):
+        return (a + c * x) % self.n
 
     def is_unit_payload(self, a):
         if self.is_zero_ring:
@@ -683,8 +700,11 @@ class PolyExt(Ring):
     zeros stripped.  Degrees above ``degree_cap`` raise instead of
     truncating silently.
 
-    ``dot`` (which ``_dot``, and so matmul and the determinant, use here)
-    adds every product into one coefficient list and trims once.  It raises
+    ``mul`` and ``dot`` (and so ``fma``, matmul and the determinant over
+    R[T]) add every coefficient product into one list and trim once.  Over
+    Z and Z/n that list holds the exact integer sums, and each coefficient
+    is reduced mod n once, just before the trim; over every other base each
+    product and sum goes through the base ring.  ``dot`` raises
     ``DegreeCapExceeded`` exactly when the term-by-term ``add(acc, mul(x,
     y))`` loop would: a term whose untrimmed product degree exceeds the cap
     takes that loop's path, so every other partial sum stays within the cap.
@@ -699,6 +719,9 @@ class PolyExt(Ring):
         self.degree_cap = degree_cap
         self.characteristic = base.characteristic
         self.is_zero_ring = base.is_zero_ring
+        # integer coefficients accumulate unreduced; 0 means none to reduce
+        self._raw = isinstance(base, (IntegerRing, ModularRing))
+        self._modulus = base.n if isinstance(base, ModularRing) else 0
 
     def key(self):
         return ("poly", self.base.key(), self.var, self.degree_cap)
@@ -768,7 +791,14 @@ class PolyExt(Ring):
         return self._trim(out)
 
     def _mac(self, out: list, a, b):
-        """out[i + j] += a_i * b_j in place; ``out`` is long enough."""
+        """out[i + j] += a_i * b_j in place; ``out`` is long enough.  Over Z
+        and Z/n the sums stay unreduced until ``_reduced``."""
+        if self._raw:
+            for i, ca in enumerate(a):
+                if ca:
+                    for k, cb in enumerate(b, i):
+                        out[k] += ca * cb
+            return
         add, mul = self.base.add, self.base.mul
         z = self.base.zero().payload
         for i, ca in enumerate(a):
@@ -777,15 +807,22 @@ class PolyExt(Ring):
             for j, cb in enumerate(b):
                 out[i + j] = add(out[i + j], mul(ca, cb))
 
+    def _reduced(self, out: list):
+        """The canonical payload of what ``_mac`` accumulated: each
+        coefficient reduced once (over Z/n), then trimmed."""
+        n = self._modulus
+        return self._trim([c % n for c in out] if n else out)
+
     def mul(self, a, b):
         if not a or not b:
             return ()
         out = [self.base.zero().payload] * (len(a) + len(b) - 1)
         self._mac(out, a, b)
-        return self._trim(out)
+        return self._reduced(out)
 
     def dot(self, acc, xs, ys):
-        """acc + sum(x * y) in one coefficient list, trimmed once."""
+        """acc + sum(x * y) in one coefficient list, reduced and trimmed
+        once."""
         z = self.base.zero().payload
         out = list(acc)
         for a, b in zip(xs, ys):
@@ -793,12 +830,15 @@ class PolyExt(Ring):
                 continue
             n = len(a) + len(b) - 1
             if n - 1 > self.degree_cap:
-                out = list(self.add(self._trim(out), self.mul(a, b)))
+                out = list(self.add(self._reduced(out), self.mul(a, b)))
                 continue
             if len(out) < n:
                 out.extend([z] * (n - len(out)))
             self._mac(out, a, b)
-        return self._trim(out)
+        return self._reduced(out)
+
+    def fma(self, a, c, x):
+        return self.dot(a, (c,), (x,))
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -837,10 +877,10 @@ class PolyExt(Ring):
 
     def _horner(self, a, t):
         """The base payload of a payload ``a`` at a base payload ``t``."""
-        add, mul = self.base.add, self.base.mul
+        fma = self.base.fma
         acc = self.base.zero().payload
         for c in reversed(a):
-            acc = add(mul(acc, t), c)
+            acc = fma(c, acc, t)
         return acc
 
     def compose_scale(self, a, b: RingValue):
@@ -1292,7 +1332,7 @@ def unit_ideal_witness(ring: Ring, values):
         zero, one = ring.zero().payload, ring.one().payload
         payloads = [v.payload for v in values]
         for combo in itertools.product(pool, repeat=len(values)):
-            if _dot(ring, zero, [c.payload for c in combo], payloads) == one:
+            if ring.dot(zero, [c.payload for c in combo], payloads) == one:
                 return list(combo)
         return None
     raise UnsupportedRing(f"no unit-ideal test for {ring}")

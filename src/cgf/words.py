@@ -7,12 +7,14 @@ claim is certified by exhibition; ``eval`` keeps the matrix it computes
 beside the word, outside its fields.
 
 Every generator acts on the right by one or two sparse column updates
-col_t += c * col_s.  One kernel, ``_apply_gens``, performs them on rows of
-canonical payloads; word evaluation, the right actions on matrices and rows,
-generator matrices and the reduction engine all call it.  Matrices keep the
-payload rows it returns; only ``apply_word_to_row`` boxes its result as
-``RingValue``s.  The orbit oracle compiles the same updates into payload
-triples once per enumeration, and its tests check it against this kernel.
+col_t += c * col_s, which ``Generator._payload_updates`` lists as 0-based
+payload triples without boxing a value.  One kernel, ``_apply_gens``,
+performs them on rows of canonical payloads with the ring's ``fma``; word
+evaluation, the right actions on matrices and rows, generator matrices and
+the reduction engine all call it.  Matrices keep the payload rows it
+returns; only ``apply_word_to_row`` boxes its result as ``RingValue``s.  The
+orbit oracle reads the same triples once per enumeration, and its tests
+check its row kernel against this one.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
@@ -83,16 +85,24 @@ class Generator:
 
         Returns ((target, source, coeff), ...): col_target += coeff * col_source.
         """
-        z = self.param
+        ring = self.param.ring
+        return tuple((t + 1, s + 1, RingValue(ring, c))
+                     for t, s, c in self._payload_updates())
+
+    def _payload_updates(self) -> tuple:
+        """``updates()`` as 0-based (target, source, payload) triples, the
+        form the kernels read: -z is negated on the payload, not boxed."""
+        ring, z = self.param.ring, self.param.payload
+        i, j = self.i - 1, self.j - 1
         if self.family == FAMILY_LIN:
-            return ((self.j, self.i, z),)
-        si, sj = paired_index(self.i), paired_index(self.j)
+            return ((j, i, z),)
+        si, sj = paired_index(self.i) - 1, paired_index(self.j) - 1
         if self.family == FAMILY_SP:
-            if self.i == sj:
-                return ((self.j, self.i, z),)
-            c = -z if (self.i + self.j) % 2 == 0 else z
-            return ((self.j, self.i, z), (si, sj, c))
-        return ((self.j, self.i, z), (si, sj, -z))
+            if i == sj:
+                return ((j, i, z),)
+            c = ring.neg(z) if (i + j) % 2 == 0 else z
+            return ((j, i, z), (si, sj, c))
+        return ((j, i, z), (si, sj, ring.neg(z)))
 
     def __repr__(self):
         tag = {"lin": "e", "sp": "se", "orth": "oe"}[self.family]
@@ -274,17 +284,17 @@ def word_from_pairs(ring: Ring, size: int, family: str, triples) -> GenWord:
 
 def _apply_gens(ring: Ring, rows, gens):
     """Right-multiply rows of canonical payloads of ``ring`` by each
-    generator in turn, in place: col_t += c * col_s for every sparse update,
-    skipping rows whose source entry is zero.  Returns ``rows``."""
-    add, mul = ring.add, ring.mul
+    generator in turn, in place: col_t += c * col_s, one ``ring.fma`` for
+    every sparse update, skipping rows whose source entry is zero.  Returns
+    ``rows``."""
+    fma = ring.fma
     zero = ring.zero().payload
     for g in gens:
-        for target, source, coeff in g.updates():
-            t, s, c = target - 1, source - 1, coeff.payload
+        for t, s, c in g._payload_updates():
             for r in rows:
                 x = r[s]
                 if x != zero:
-                    r[t] = add(r[t], mul(c, x))
+                    r[t] = fma(r[t], c, x)
     return rows
 
 

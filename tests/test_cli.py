@@ -271,6 +271,49 @@ def test_certify_refuses_a_tampered_table(capsys, tmp_path):
                                "context": {"object": "[3, 2, 1]"}}
 
 
+def test_certify_refuses_a_rerooted_table(capsys, tmp_path):
+    # re-rooting [3,2,1] under a new orbit id keeps every pred link valid,
+    # but the generators still join the two ids, so "not equivalent" is
+    # refused with exit 2
+    cache = tmp_path / "um3-z4.json"
+    code, _ = run_cli(capsys, "orbits", "--ring", "mod:4", "--kind", "row",
+                      "--size", "3", "--cache", str(cache))
+    assert code == 0
+    obj = json.loads(cache.read_text())
+    children = {}
+    for e in obj["objects"]:
+        if e["pred"] is not None:
+            children.setdefault(str(e["pred"][0]), []).append(e)
+    root = next(e for e in obj["objects"] if e["v"] == [3, 2, 1])
+    root["pred"], stack = None, [root]
+    while stack:
+        e = stack.pop()
+        e["orbit"] = 1
+        stack += children.get(str(e["v"]), [])
+    cache.write_text(json.dumps(obj))
+    code, out = run_cli(capsys, "certify", "--table", str(cache),
+                        "--v1", "[1,0,0]", "--v2", "[3,2,1]")
+    assert code == 2
+    err = json.loads(out)
+    assert (err["code"], err["message"]) == (
+        "witness_check_failed",
+        "orbit table orbit is not closed under the generators")
+
+
+def test_certify_answers_false_across_genuine_orbits(capsys, tmp_path):
+    # O_4(F_3) keeps q(v) = v1 v2 + v3 v4, so its 80 unimodular rows fall
+    # into three orbits; a row with q = 0 and one with q = 1 are inequivalent
+    cache = tmp_path / "orth4-f3.json"
+    code, out = run_cli(capsys, "orbits", "--ring", "prime:3", "--kind",
+                        "row", "--family", "orth", "--size", "4", "--cache",
+                        str(cache))
+    assert code == 0 and json.loads(out)["orbits"] == 3
+    for v2, equivalent in (("[1,1,0,0]", False), ("[0,1,0,0]", True)):
+        code, out = run_cli(capsys, "certify", "--table", str(cache),
+                            "--v1", "[1,0,0,0]", "--v2", v2)
+        assert code == 0 and json.loads(out)["equivalent"] is equivalent
+
+
 def test_classify_and_quotient_verbs(capsys):
     code, out = run_cli(capsys, "classify-o2", "--ring", "prime:5",
                         "--matrix", "[[2,0],[0,3]]")

@@ -7,7 +7,9 @@ the triple loop `Mat.__matmul__` ran before it shared the payload dot
 product with the determinant.  `_dot_reference` is that dot product's
 term-by-term loop, and `_poly_add`/`_poly_mul` are the R[T] addition and
 multiplication it called, ending in the full canon `_poly_canon`, before
-R[T] fused the sum and trimmed instead.  `_psi`/`_phi` build the standard
+R[T] fused the sum and trimmed instead; `_term_by_term` is the loop that
+every ring ran before each owned its `dot` and `fma`, and over Z and Z/n
+summed and reduced one product at a time.  `_psi`/`_phi` build the standard
 forms from `block_perp`s, and the form references below multiply by them,
 as membership, the isotropic frames, `sp_inverse` and `orth_inverse` did
 before they shared the signed pair swap `matrices._form`.  The `_ref`
@@ -21,7 +23,6 @@ import random
 
 import pytest
 
-from cgf import matrices
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation,
                         ShapeMismatch)
 from cgf.factor import sp_inverse
@@ -29,8 +30,8 @@ from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
 from cgf.matrices import (IsotropicFrame, Mat, _form, identity, membership,
                           phi, psi)
 from cgf.orthoquot import orth_inverse
-from cgf.rings import (LocalizedIntegers, ModularRing, PolyExt, PrimeField,
-                       RingValue, TruncatedPolyLocal, _dot, has_half)
+from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
+                       PrimeField, RingValue, TruncatedPolyLocal, has_half)
 from cgf.sampling import random_frame, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
                        apply_word_right, apply_word_to_row, gen_matrix)
@@ -116,6 +117,16 @@ def _dot_reference(ring, acc, xs, ys):
     return acc
 
 
+def _term_by_term(ring, acc, xs, ys):
+    # reference: add(acc, mul(x, y)) one term at a time, over R[T] with the
+    # reference addition and multiplication
+    if ring.kind == "poly":
+        return _dot_reference(ring, acc, xs, ys)
+    for x, y in zip(xs, ys):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
 def _outcome(fn, *args):
     """The result, or the DegreeCapExceeded message."""
     try:
@@ -193,7 +204,8 @@ def test_apply_word_left_matches_eval(case, n_cols):
 
 
 POLY_BASES = (ModularRing(9), PrimeField(5), LocalizedIntegers(5),
-              ModularRing(4), TruncatedPolyLocal(2, 2))
+              ModularRing(4), TruncatedPolyLocal(2, 2), IntegerRing(),
+              ModularRing(1))
 
 
 @st.composite
@@ -221,10 +233,46 @@ def test_poly_dot_matches_reference(case):
     ring, acc, xs, ys = case
     expected = _outcome(_dot_reference, ring, acc, xs, ys)
     assert _outcome(ring.dot, acc, xs, ys) == expected
-    assert _outcome(_dot, ring, acc, xs, ys) == expected
     for x, y in zip(xs, ys):
         assert _outcome(ring.add, x, y) == _outcome(_poly_add, ring, x, y)
         assert _outcome(ring.mul, x, y) == _outcome(_poly_mul, ring, x, y)
+        assert _outcome(ring.fma, acc, x, y) == _outcome(
+            _dot_reference, ring, acc, (x,), (y,))
+
+
+DOT_RINGS = RINGS + [PolyExt(base, "T", degree_cap=cap)
+                     for base in (IntegerRing(), ModularRing(1),
+                                  ModularRing(4), ModularRing(9),
+                                  PrimeField(5))
+                     for cap in range(5)]
+
+
+@hypothesis.settings(SETTINGS, max_examples=600)
+@hypothesis.given(st.integers(0, len(DOT_RINGS) - 1), st.integers(0, 6),
+                  st.integers(0, 2 ** 32 - 1))
+def test_ring_dot_and_fma_match_term_by_term(ring_idx, n, seed):
+    # every ring's fused dot and fma against add(acc, mul(x, y)): the same
+    # canonical payload, or DegreeCapExceeded with the same message exactly
+    # when the term-by-term loop raises
+    ring, rng = DOT_RINGS[ring_idx], random.Random(seed)
+    if ring.kind == "poly" and ring.degree_cap < 64:
+        def draw():
+            return _poly_canon(ring, [
+                ring.base.random(rng).payload
+                for _ in range(rng.randrange(ring.degree_cap + 2))])
+    else:
+        def draw():
+            return ring.random(rng).payload
+    acc, xs, ys = draw(), [draw() for _ in range(n)], [draw()
+                                                       for _ in range(n)]
+    expected = _outcome(_term_by_term, ring, acc, xs, ys)
+    got = _outcome(ring.dot, acc, xs, ys)
+    assert got == expected
+    raised = isinstance(got, tuple) and got[:1] == ("raised",)
+    assert raised or ring.canon(got) == got
+    for x, y in zip(xs, ys):
+        assert _outcome(ring.fma, acc, x, y) == _outcome(
+            _term_by_term, ring, acc, (x,), (y,))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
@@ -353,11 +401,11 @@ def test_form_paths_count_products(monkeypatch):
     # (n(n+1)/2 dot products for an n x n result), the form inverses none,
     # and the frame's right inverse only its certificate's check alpha @ beta
     calls, dots = [], []
-    matmul = Mat.__matmul__
+    matmul, dot = Mat.__matmul__, ModularRing.dot
     monkeypatch.setattr(Mat, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
-    monkeypatch.setattr(matrices, "_dot",
-                        lambda *args: dots.append(1) or _dot(*args))
+    monkeypatch.setattr(ModularRing, "dot",
+                        lambda *args: dots.append(1) or dot(*args))
     ring = ModularRing(9)
     for word in (random_word(random.Random(5), ring, FAMILY_SP, 4, 6),
                  random_word(random.Random(5), ring, FAMILY_ORTH, 4, 6)):
@@ -595,8 +643,9 @@ def test_payload_ops_build_no_ring_values(monkeypatch):
 
 # RingValues one seeded (n, m) = (2, 4) orthogonal homotopy over Z/9[T]
 # builds, from the homotopy's construction to its witness: 2,126 while Mat
-# boxed every result, 137 with payload rows inside.
-ORTH_HOMOTOPY_VALUES = 160
+# boxed every result, 137 with payload rows inside, 63 once the kernels read
+# generator updates as payload triples instead of boxing -z.
+ORTH_HOMOTOPY_VALUES = 80
 
 
 def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):

@@ -295,7 +295,7 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
     zero = ring.zero().payload
     rows_of = (lambda k: [k]) if kind == "row" else list
     for g in oracle.generator_catalog(ring, family, size):
-        updates = oracle._compile(g)
+        updates = g._payload_updates()
         for key in table.orbit_of:
             got = act(key, updates)
             fixed = all(row[s] == zero for row in rows_of(key)
