@@ -229,7 +229,8 @@ def poly_terms(draw):
 @hypothesis.given(poly_terms())
 def test_poly_dot_matches_reference(case):
     # equal sums, and DegreeCapExceeded with the same message exactly when
-    # the term-by-term loop raises
+    # the term-by-term loop raises, for dot, fma and the lazy mul over Z and
+    # Z/n as for the reducing loop over the other bases
     ring, acc, xs, ys = case
     expected = _outcome(_dot_reference, ring, acc, xs, ys)
     assert _outcome(ring.dot, acc, xs, ys) == expected
@@ -240,39 +241,20 @@ def test_poly_dot_matches_reference(case):
             _dot_reference, ring, acc, (x,), (y,))
 
 
-DOT_RINGS = RINGS + [PolyExt(base, "T", degree_cap=cap)
-                     for base in (IntegerRing(), ModularRing(1),
-                                  ModularRing(4), ModularRing(9),
-                                  PrimeField(5))
-                     for cap in range(5)]
-
-
-@hypothesis.settings(SETTINGS, max_examples=600)
-@hypothesis.given(st.integers(0, len(DOT_RINGS) - 1), st.integers(0, 6),
+@SETTINGS
+@hypothesis.given(st.integers(0, len(RINGS) - 1), st.integers(0, 6),
                   st.integers(0, 2 ** 32 - 1))
 def test_ring_dot_and_fma_match_term_by_term(ring_idx, n, seed):
-    # every ring's fused dot and fma against add(acc, mul(x, y)): the same
-    # canonical payload, or DegreeCapExceeded with the same message exactly
-    # when the term-by-term loop raises
-    ring, rng = DOT_RINGS[ring_idx], random.Random(seed)
-    if ring.kind == "poly" and ring.degree_cap < 64:
-        def draw():
-            return _poly_canon(ring, [
-                ring.base.random(rng).payload
-                for _ in range(rng.randrange(ring.degree_cap + 2))])
-    else:
-        def draw():
-            return ring.random(rng).payload
-    acc, xs, ys = draw(), [draw() for _ in range(n)], [draw()
-                                                       for _ in range(n)]
-    expected = _outcome(_term_by_term, ring, acc, xs, ys)
-    got = _outcome(ring.dot, acc, xs, ys)
-    assert got == expected
-    raised = isinstance(got, tuple) and got[:1] == ("raised",)
-    assert raised or ring.canon(got) == got
+    # every test ring's fused dot and fma against add(acc, mul(x, y)), to
+    # the same canonical payload; R[T] over Z, Z/1, Z/4, Z/9 and F_5 with
+    # small degree caps is test_poly_dot_matches_reference's
+    ring, rng = RINGS[ring_idx], random.Random(seed)
+    acc, *terms = (ring.random(rng).payload for _ in range(2 * n + 1))
+    xs, ys = terms[:n], terms[n:]
+    got = ring.dot(acc, xs, ys)
+    assert got == _term_by_term(ring, acc, xs, ys) and ring.canon(got) == got
     for x, y in zip(xs, ys):
-        assert _outcome(ring.fma, acc, x, y) == _outcome(
-            _term_by_term, ring, acc, (x,), (y,))
+        assert ring.fma(acc, x, y) == _term_by_term(ring, acc, (x,), (y,))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)
