@@ -33,7 +33,8 @@ from .reduce import (complete_orth, complete_sp, complete_um_linear,
 from .rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                     PrimeField, RationalField, Ring, TruncatedPolyLocal,
                     ring_from_json)
-from .words import GenWord, Witness, apply_word_right, apply_word_to_row
+from .words import (GenWord, Witness, apply_word_right, apply_word_to_row,
+                    word_limit)
 
 
 class _UsageError(Exception):
@@ -508,6 +509,8 @@ _SUITES = {"lemmas": _harness_lemmas, "homotopy": _harness_homotopy,
 
 
 def _cmd_harness(args) -> int:
+    if args.budget < 0:
+        raise _UsageError(f"--budget must be >= 0, got {args.budget}")
     rng = random.Random(args.seed)
     checks, failures = _SUITES[args.suite](rng, args.budget,
                                            corrupt=args.corrupt)
@@ -641,6 +644,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     try:
+        with _decoding("CGF_WORD_LIMIT"):
+            word_limit()
         return args.fn(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -266,6 +266,8 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
     if not ring.is_finite:
         raise UnsupportedRing("orbit enumeration needs a finite ring")
     if kind == "row":
+        if size < 0:
+            raise ObjectOutOfDomain(f"row size must be >= 0, got {size}")
         if ring.cardinality() ** size > budget:
             raise SearchBudgetExceeded(
                 f"{ring.cardinality()}^{size} objects exceed budget {budget}")

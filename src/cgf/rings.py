@@ -702,8 +702,9 @@ class PolyExt(Ring):
 
     ``mul`` and ``dot`` (and so ``fma``, matmul and the determinant over
     R[T]) add every coefficient product into one list and trim once.  Over
-    Z and Z/n that list holds the exact integer sums, and each coefficient
-    is reduced mod n once, just before the trim; over every other base each
+    Z and Z/n, in any descriptor that ``_residue_modulus`` names, that list
+    holds the exact integer sums, and each coefficient is reduced mod n
+    once, just before the trim; over every other base each
     product and sum goes through the base ring.  ``dot`` raises
     ``DegreeCapExceeded`` exactly when the term-by-term ``add(acc, mul(x,
     y))`` loop would: a term whose untrimmed product degree exceeds the cap
@@ -720,8 +721,9 @@ class PolyExt(Ring):
         self.characteristic = base.characteristic
         self.is_zero_ring = base.is_zero_ring
         # integer coefficients accumulate unreduced; 0 means none to reduce
-        self._raw = isinstance(base, (IntegerRing, ModularRing))
-        self._modulus = base.n if isinstance(base, ModularRing) else 0
+        n = _residue_modulus(base)
+        self._raw = n is not None
+        self._modulus = n or 0
 
     def key(self):
         return ("poly", self.base.key(), self.var, self.degree_cap)
@@ -960,12 +962,88 @@ def _poly_xgcd_field(a, b, poly: PolyExt):
     return r0, u0, v0
 
 
-class QuotientRing(Ring):
-    """R/I for the decidable ideal shapes of the tower.
+class _PolyRemainders(Ring):
+    """F[x]/(f) on payloads, for a field F and a monic f of degree >= 1:
+    remainders modulo f.  The arithmetic of a polynomial ``QuotientRing``,
+    whose description it carries for its messages."""
 
-    Supported: integer-style bases (Z, Z/n, prime fields) with any finite
-    generating set, reduced to the single modulus gcd(n, gens); and R[x]
-    over a field with one generator whose leading coefficient is a unit.
+    def __init__(self, poly: PolyExt, f, name: str):
+        self.poly, self.field, self.f, self.name = poly, poly.base, f, name
+        self.is_finite = poly.base.is_finite
+        self.characteristic = poly.characteristic
+
+    def describe(self):
+        return self.name
+
+    def _reduce(self, payload):
+        return _poly_divmod_field(payload, self.f, self.field)[1]
+
+    def canon(self, payload):
+        return self._reduce(self.poly.canon(payload))
+
+    def add(self, a, b):
+        return self._reduce(self.poly.add(a, b))
+
+    def mul(self, a, b):
+        return self._reduce(self.poly.mul(a, b))
+
+    def neg(self, a):
+        return self._reduce(self.poly.neg(a))
+
+    def is_unit_payload(self, a):
+        g, _, _ = _poly_xgcd_field(a, self.f, self.poly)
+        return len(g) == 1
+
+    def inverse_payload(self, a):
+        g, u, _ = _poly_xgcd_field(a, self.f, self.poly)
+        if len(g) != 1:
+            raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
+        scale = self.field.inverse_payload(g[0])
+        return self._reduce(tuple(self.field.mul(c, scale) for c in u))
+
+    def is_nilpotent_payload(self, a):
+        x = a
+        for _ in range(len(self.f).bit_length() + 2):
+            x = self.mul(x, x)
+        return x == ()
+
+    def elements(self):
+        if not self.field.is_finite:
+            raise UnsupportedRing(f"{self} is not finite")
+        coeffs = [v.payload for v in self.field.elements()]
+        return (RingValue(self, self.canon(combo)) for combo in
+                itertools.product(coeffs, repeat=len(self.f) - 1))
+
+    def cardinality(self):
+        return self.field.cardinality() ** (len(self.f) - 1)
+
+    def sort_key(self, payload):
+        return (len(payload), payload)
+
+    def random(self, rng):
+        return RingValue(self, self.canon(tuple(
+            self.field.random(rng).payload for _ in range(len(self.f) - 1))))
+
+    def render(self, payload):
+        return self.poly.render(payload)
+
+    def value_to_json(self, payload):
+        return self.poly.value_to_json(payload)
+
+
+class QuotientRing(Ring):
+    """R/I for the decidable ideal shapes of the tower: a quotient
+    descriptor over the ring ``residues`` that does its arithmetic.
+
+    Over an integer-style base (Z, Z/n, a prime field) with any finite
+    generating set, R/I is Z/m for m = gcd(n, gens), and the quotient is
+    Z/m's arithmetic under a quotient descriptor: ``residues`` is
+    ``ModularRing(m)``, or ``IntegerRing()`` when m = 0.  Over R[x] for a
+    field R, with one generator whose leading coefficient is a unit, the
+    payloads are remainders modulo its monic associate.  Every payload
+    operation and flag is the residue ring's own; the quotient keeps the
+    descriptor and the value JSON, re-boxes elements and samples, and maps
+    values along ``project`` and ``lift``.
     """
 
     kind = "quot"
@@ -983,17 +1061,10 @@ class QuotientRing(Ring):
         self.gens = tuple(payloads)
 
         if isinstance(base, (IntegerRing, ModularRing)):
-            self.style = "integer"
-            n0 = 0 if isinstance(base, IntegerRing) else base.n
-            m = n0
-            for g in payloads:
-                m = gcd(m, g)
-            self.modulus = m  # 0 means quotient by the zero ideal of Z
-            self.is_finite = m >= 1
-            self.is_field = _is_prime(m)
-            self.is_zero_ring = m == 1
-            self.is_local = m == 1 or (_prime_power_base(m) is not None)
-            self.characteristic = m
+            # 0 means the quotient by the zero ideal of Z
+            self.modulus = gcd(base.characteristic, *payloads)
+            residues = (ModularRing(self.modulus) if self.modulus
+                        else IntegerRing())
         elif isinstance(base, PolyExt) and base.base.is_field:
             if len(payloads) != 1:
                 raise UnsupportedQuotient(
@@ -1006,14 +1077,18 @@ class QuotientRing(Ring):
                 raise UnsupportedQuotient(
                     "generator needs a unit leading coefficient")
             lc_inv = base.base.inverse_payload(f[-1])
-            self.style = "poly"
             self.modulus = tuple(base.base.mul(c, lc_inv) for c in f)  # monic
-            self.field = base.base
-            self.is_finite = base.base.is_finite
-            self.characteristic = base.characteristic
+            residues = _PolyRemainders(base, self.modulus, self.describe())
         else:
             raise UnsupportedQuotient(
                 f"quotients of {base} are not supported")
+        self.residues = residues
+        for name in ("canon", "add", "sub", "mul", "neg", "dot", "fma",
+                     "is_unit_payload", "inverse_payload",
+                     "is_nilpotent_payload", "cardinality", "sort_key",
+                     "render", "value_to_json", "is_finite", "is_field",
+                     "is_local", "is_zero_ring", "characteristic"):
+            setattr(self, name, getattr(residues, name))
 
     def key(self):
         return ("quot", self.base.key(), self.gens)
@@ -1022,36 +1097,20 @@ class QuotientRing(Ring):
         gs = ",".join(self.base.render(g) for g in self.gens)
         return f"{self.base.describe()}/({gs})"
 
-    # -- representatives ---------------------------------------------------
-    def _reduce(self, base_payload):
-        if self.style == "integer":
-            return base_payload % self.modulus if self.modulus else base_payload
-        _, r = _poly_divmod_field(base_payload, self.modulus, self.field)
-        return r
-
-    def canon(self, payload):
-        if self.style == "integer":
-            if not isinstance(payload, int):
-                raise DescriptorMismatch("integer payload expected")
-            return self._reduce(payload)
-        return self._reduce(self.base.canon(payload))
-
     def coerce(self, x):
         if isinstance(x, RingValue):
             if x.ring == self:
                 return x
-            if x.ring == self.base:
-                return RingValue(self, self._reduce(x.payload))
-            raise DescriptorMismatch("value from another ring")
-        if self.style == "integer":
-            return RingValue(self, self.canon(int(x)))
-        return RingValue(self, self._reduce(self.base.coerce(x).payload))
+            if x.ring != self.base:
+                raise DescriptorMismatch("value from another ring")
+            return self.project(x)
+        return self.project(self.base.coerce(x))
 
     def project(self, v: RingValue) -> RingValue:
         """Image of a base-ring element in the quotient."""
         if v.ring != self.base:
             raise DescriptorMismatch("projection expects a base-ring value")
-        return RingValue(self, self._reduce(v.payload))
+        return RingValue(self, self.canon(v.payload))
 
     def lift(self, v: RingValue) -> RingValue:
         """The canonical representative of a residue, as a base-ring element."""
@@ -1059,116 +1118,18 @@ class QuotientRing(Ring):
             raise DescriptorMismatch("lift expects a quotient value")
         return RingValue(self.base, self.base.canon(v.payload))
 
-    def add(self, a, b):
-        if self.style == "integer":
-            return self._reduce(a + b)
-        return self._reduce(self.base.add(a, b))
-
-    def mul(self, a, b):
-        if self.style == "integer":
-            return self._reduce(a * b)
-        return self._reduce(self.base.mul(a, b))
-
-    def neg(self, a):
-        if self.style == "integer":
-            return self._reduce(-a)
-        return self._reduce(self.base.neg(a))
-
-    def is_unit_payload(self, a):
-        if self.style == "integer":
-            if self.modulus == 0:
-                return a in (1, -1)
-            if self.is_zero_ring:
-                return True
-            return gcd(a, self.modulus) == 1
-        g, _, _ = _poly_xgcd_field(a, self.modulus, self.base)
-        return len(g) == 1
-
-    def inverse_payload(self, a):
-        if self.style == "integer":
-            if self.modulus == 0:
-                if a in (1, -1):
-                    return a
-                raise NotAUnit(f"{a} is not a unit")
-            if self.is_zero_ring:
-                return 0
-            if gcd(a, self.modulus) != 1:
-                raise NotAUnit(f"{a} is not a unit mod {self.modulus}")
-            return pow(a, -1, self.modulus)
-        g, u, _ = _poly_xgcd_field(a, self.modulus, self.base)
-        if len(g) != 1:
-            raise NotAUnit(f"{self.render(a)} is not a unit in {self}")
-        scale = self.field.inverse_payload(g[0])
-        return self._reduce(tuple(self.field.mul(c, scale) for c in u))
-
-    def is_nilpotent_payload(self, a):
-        if self.style == "integer":
-            if self.modulus == 0:
-                return a == 0
-            x = a % self.modulus if self.modulus else a
-            for _ in range(max(1, self.modulus.bit_length())):
-                x = (x * x) % self.modulus
-            return x == 0
-        x = a
-        for _ in range(len(self.modulus).bit_length() + 2):
-            x = self.mul(x, x)
-        return x == ()
-
     def elements(self):
-        if self.style == "integer":
-            if self.modulus == 0:
-                raise UnsupportedRing(f"{self} is not finite")
-            return (RingValue(self, i) for i in range(self.modulus))
-        if not self.field.is_finite:
-            raise UnsupportedRing(f"{self} is not finite")
-        deg = len(self.modulus) - 1
-        coeff_values = [v.payload for v in self.field.elements()]
-
-        def gen():
-            for combo in itertools.product(coeff_values, repeat=deg):
-                yield RingValue(self, self._reduce(self.base.canon(combo)))
-        return gen()
-
-    def cardinality(self):
-        if self.style == "integer":
-            if self.modulus == 0:
-                raise UnsupportedRing(f"{self} is not finite")
-            return self.modulus
-        return self.field.cardinality() ** (len(self.modulus) - 1)
-
-    def sort_key(self, payload):
-        if self.style == "integer":
-            return payload
-        return (len(payload), payload)
+        return (RingValue(self, v.payload) for v in self.residues.elements())
 
     def random(self, rng):
-        if self.style == "integer":
-            if self.modulus == 0:
-                return RingValue(self, rng.randint(-9, 9))
-            return RingValue(self, rng.randrange(self.modulus))
-        deg = len(self.modulus) - 1
-        return RingValue(self, self._reduce(self.base.canon(
-            tuple(self.field.random(rng).payload for _ in range(deg)))))
-
-    def render(self, payload):
-        if self.style == "integer":
-            return str(payload)
-        return self.base.render(payload)
+        return RingValue(self, self.residues.random(rng).payload)
 
     def to_json(self):
         return {"kind": "quot", "base": self.base.to_json(),
                 "gens": [self.base.value_to_json(g) for g in self.gens]}
 
-    def value_to_json(self, payload):
-        if self.style == "integer":
-            return payload
-        return self.base.value_to_json(payload)
-
     def value_from_json(self, obj):
-        if self.style == "integer":
-            return self.coerce(int(obj))
-        return RingValue(self, self._reduce(
-            self.base.value_from_json(obj).payload))
+        return self.project(self.base.value_from_json(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -1289,59 +1250,26 @@ def _xgcd_chain(ints):
 
 
 def _residue_modulus(ring: Ring):
-    """n when the ring is a residue ring Z/n (a ModularRing, or an
-    integer-style QuotientRing), 0 when it is Z itself, and None otherwise."""
+    """n when the ring is Z/n (a ModularRing, or a QuotientRing whose
+    residues are one), 0 when it is Z (itself or as Z/(0)), and None
+    otherwise: the one place that knows which rings are Z/m."""
+    if isinstance(ring, QuotientRing):
+        ring = ring.residues
     if isinstance(ring, ModularRing):
         return ring.n
-    if isinstance(ring, QuotientRing) and ring.style == "integer":
-        return ring.modulus
     return 0 if isinstance(ring, IntegerRing) else None
 
 
 def unit_ideal_witness(ring: Ring, values):
-    """Coefficients c_i with sum(c_i * v_i) = 1, or None if (v_i) != (1).
-
-    Supported: local rings (pick a unit entry), integer-style rings via
-    Bezout, and small finite rings by exhaustive search.
-    """
-    values = list(values)
-    if not values:
-        return None
-    if ring.is_zero_ring:
-        return [ring.zero() for _ in values]
-    if ring.is_local:
-        for i, v in enumerate(values):
-            if v.is_unit():
-                out = [ring.zero() for _ in values]
-                out[i] = v.inverse()
-                return out
-        return None
-    n = _residue_modulus(ring)
-    if n is not None:
-        acc_g, acc_coeffs = _xgcd_chain(int(v.payload) for v in values)
-        if n:
-            if gcd(acc_g, n) != 1:
-                return None
-            t = pow(acc_g % n, -1, n)
-            return [ring.coerce(c * t) for c in acc_coeffs]
-        if acc_g == 1:
-            return [ring.coerce(c) for c in acc_coeffs]
-        return None
-    if ring.is_finite and ring.cardinality() ** len(values) <= 10 ** 5:
-        pool = list(ring.elements())
-        zero, one = ring.zero().payload, ring.one().payload
-        payloads = [v.payload for v in values]
-        for combo in itertools.product(pool, repeat=len(values)):
-            if ring.dot(zero, [c.payload for c in combo], payloads) == one:
-                return list(combo)
-        return None
-    raise UnsupportedRing(f"no unit-ideal test for {ring}")
+    """Coefficients c_i with sum(c_i * v_i) = 1, or None if (v_i) != (1)."""
+    return ideal_combination(ring, values, ring.one())
 
 
 def ideal_combination(ring: Ring, gens, target):
     """Coefficients q_i with sum(q_i * g_i) = target, or None.
 
-    Used to clear residues known to lie in the ideal (g_1, ..., g_k).
+    Supported: Z and Z/n in any descriptor via Bezout, local rings (a unit
+    entry), and small finite rings by exhaustive search.
     """
     gens = list(gens)
     if not gens:
@@ -1371,5 +1299,13 @@ def ideal_combination(ring: Ring, gens, target):
                 out = [ring.zero() for _ in gens]
                 out[i] = g.inverse() * target
                 return out
+        return None
+    if ring.is_finite and ring.cardinality() ** len(gens) <= 10 ** 5:
+        zero, payloads = ring.zero().payload, [g.payload for g in gens]
+        for combo in itertools.product(list(ring.elements()),
+                                       repeat=len(gens)):
+            if ring.dot(zero, [c.payload for c in combo],
+                        payloads) == target.payload:
+                return list(combo)
         return None
     raise UnsupportedRing(f"no ideal membership solver for {ring}")

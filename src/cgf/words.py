@@ -145,9 +145,10 @@ class GenWord:
                 raise DescriptorMismatch("generator parameter ring mismatch")
             if not g.param.is_zero():
                 kept.append(g)
-        if len(kept) > word_limit():
+        limit = word_limit()
+        if len(kept) > limit:
             raise WordLimitExceeded(
-                f"word length {len(kept)} exceeds limit {word_limit()}")
+                f"word length {len(kept)} exceeds limit {limit}")
         object.__setattr__(self, "gens", tuple(kept))
 
     def __len__(self):

@@ -77,12 +77,15 @@ def test_homotopy_commute_trivial(capsys):
 
 
 def test_domain_error_exit_code(capsys):
-    code, out = run_cli(capsys, "reduce-row", "--ring", "mod:4",
-                        "--row", "[2,2]")
-    assert code == 2
-    obj = json.loads(out)
-    assert obj["code"] == "no_unit_entry"
-    assert "message" in obj
+    for argv, err in ((["reduce-row", "--ring", "mod:4", "--row", "[2,2]"],
+                       "no_unit_entry"),
+                      (["orbits", "--ring", "mod:2", "--size", "-1"],
+                       "object_out_of_domain")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        obj = json.loads(out)
+        assert obj["code"] == err
+        assert "message" in obj
 
 
 def test_usage_error_exit_code(capsys):
@@ -201,6 +204,31 @@ def test_harness_zero_budget(capsys):
         assert all(c["instances"] == 0 or c["failures"] == 0
                    for c in obj["checks"])
         assert sum(c["instances"] for c in obj["checks"]) == 0
+
+
+def test_harness_negative_budget_is_a_usage_error(capsys):
+    code = main(["harness", "lemmas", "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "usage error: --budget must be >= 0, got -1\n"
+
+
+def test_malformed_word_limit_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CGF_WORD_LIMIT", "abc")
+    for argv in (["reduce-row", "--ring", "mod:4", "--row", "[2,3,0]"],
+                 ["harness", "lemmas", "--budget", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error: malformed CGF_WORD_LIMIT")
+    # an empty value means the default limit
+    monkeypatch.setenv("CGF_WORD_LIMIT", "")
+    code, _ = run_cli(capsys, "reduce-row", "--ring", "mod:4", "--row",
+                      "[2,3,0]")
+    assert code == 0
 
 
 def test_harness_corrupt_negative_control(capsys):

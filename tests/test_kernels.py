@@ -16,22 +16,30 @@ before they shared the signed pair swap `matrices._form`.  The `_ref`
 functions near the end are the `Mat` bodies that read and built boxed ring
 values before `Mat` kept payload rows, and `_full_gram_is_form` is the whole
 product that membership and the frame check compared before they read its
-upper triangle.  All are kept here unchanged as references.
+upper triangle.  `_IntegerQuotientRef` holds the integer-style
+`QuotientRing` bodies from before the quotient took Z/m's arithmetic from
+`ModularRing(m)` (`IntegerRing()` for m = 0), and `_unit_ideal_witness_ref`
+the unit-ideal solver from before `unit_ideal_witness` asked
+`ideal_combination` for the target 1.  All are kept here unchanged as
+references.
 """
 
+import itertools
 import random
+from math import gcd
 
 import pytest
 
-from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation,
-                        ShapeMismatch)
+from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotAUnit,
+                        ShapeMismatch, UnsupportedRing)
 from cgf.factor import sp_inverse
 from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
 from cgf.matrices import (IsotropicFrame, Mat, _form, identity, membership,
                           phi, psi)
 from cgf.orthoquot import orth_inverse
 from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
-                       PrimeField, RingValue, TruncatedPolyLocal, has_half)
+                       PrimeField, QuotientRing, RingValue, TruncatedPolyLocal,
+                       _xgcd_chain, has_half, unit_ideal_witness)
 from cgf.sampling import random_frame, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
                        apply_word_right, apply_word_to_row, gen_matrix)
@@ -642,3 +650,244 @@ def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):
     res = homotopy_commute_orthogonal(d, frame)
     assert res.witness.all_passed()
     assert len(built) <= ORTH_HOMOTOPY_VALUES, len(built)
+
+
+# ---------------------------------------------------------------------------
+# integer quotients: Z/m's own arithmetic under a quotient descriptor
+
+class _IntegerQuotientRef:
+    # reference: the integer-style QuotientRing bodies, before the quotient
+    # took its arithmetic from ModularRing(m) / IntegerRing(); it had no
+    # dot or fma of its own, so those are the Ring defaults
+    def __init__(self, ring):
+        m = 0 if isinstance(ring.base, IntegerRing) else ring.base.n
+        for g in ring.gens:
+            m = gcd(m, g)
+        self.modulus = m
+        self.is_zero_ring = m == 1
+
+    def _reduce(self, base_payload):
+        return base_payload % self.modulus if self.modulus else base_payload
+
+    def add(self, a, b):
+        return self._reduce(a + b)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return self._reduce(a * b)
+
+    def neg(self, a):
+        return self._reduce(-a)
+
+    def dot(self, acc, xs, ys):
+        for x, y in zip(xs, ys):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def fma(self, a, c, x):
+        return self.add(a, self.mul(c, x))
+
+    def is_unit_payload(self, a):
+        if self.modulus == 0:
+            return a in (1, -1)
+        if self.is_zero_ring:
+            return True
+        return gcd(a, self.modulus) == 1
+
+    def inverse_payload(self, a):
+        if self.modulus == 0:
+            if a in (1, -1):
+                return a
+            raise NotAUnit(f"{a} is not a unit")
+        if self.is_zero_ring:
+            return 0
+        if gcd(a, self.modulus) != 1:
+            raise NotAUnit(f"{a} is not a unit mod {self.modulus}")
+        return pow(a, -1, self.modulus)
+
+    def is_nilpotent_payload(self, a):
+        if self.modulus == 0:
+            return a == 0
+        x = a % self.modulus if self.modulus else a
+        for _ in range(max(1, self.modulus.bit_length())):
+            x = (x * x) % self.modulus
+        return x == 0
+
+    def elements(self):
+        return list(range(self.modulus))
+
+    def sort_key(self, payload):
+        return payload
+
+    def random(self, rng):
+        if self.modulus == 0:
+            return rng.randint(-9, 9)
+        return rng.randrange(self.modulus)
+
+
+def _residue_modulus_ref(ring):
+    # reference: _residue_modulus when integer quotients were a style
+    if isinstance(ring, ModularRing):
+        return ring.n
+    if (isinstance(ring, QuotientRing)
+            and isinstance(ring.base, (IntegerRing, ModularRing))):
+        return ring.modulus
+    return 0 if isinstance(ring, IntegerRing) else None
+
+
+def _unit_ideal_witness_ref(ring, values):
+    # reference: the unit-ideal solver before unit_ideal_witness asked
+    # ideal_combination for the target 1
+    values = list(values)
+    if not values:
+        return None
+    if ring.is_zero_ring:
+        return [ring.zero() for _ in values]
+    if ring.is_local:
+        for i, v in enumerate(values):
+            if v.is_unit():
+                out = [ring.zero() for _ in values]
+                out[i] = v.inverse()
+                return out
+        return None
+    n = _residue_modulus_ref(ring)
+    if n is not None:
+        acc_g, acc_coeffs = _xgcd_chain(int(v.payload) for v in values)
+        if n:
+            if gcd(acc_g, n) != 1:
+                return None
+            t = pow(acc_g % n, -1, n)
+            return [ring.coerce(c * t) for c in acc_coeffs]
+        if acc_g == 1:
+            return [ring.coerce(c) for c in acc_coeffs]
+        return None
+    if ring.is_finite and ring.cardinality() ** len(values) <= 10 ** 5:
+        pool = list(ring.elements())
+        zero, one = ring.zero().payload, ring.one().payload
+        payloads = [v.payload for v in values]
+        for combo in itertools.product(pool, repeat=len(values)):
+            if ring.dot(zero, [c.payload for c in combo], payloads) == one:
+                return list(combo)
+        return None
+    raise UnsupportedRing(f"no unit-ideal test for {ring}")
+
+
+_Z = IntegerRing()
+# Z/(6), (Z/12)/(8) = Z/4, (Z/9)/(3) = Z/3, (Z/4)/(), the zero ring Z/(1)
+# and Z/(10,4) = Z/2
+FINITE_INTEGER_QUOTIENTS = [
+    QuotientRing(_Z, [6]), QuotientRing(ModularRing(12), [8]),
+    QuotientRing(ModularRing(9), [3]), QuotientRing(ModularRing(4), []),
+    QuotientRing(_Z, [1]), QuotientRing(_Z, [10, 4])]
+Z_MOD_0 = QuotientRing(_Z, [0])
+Z_MOD_0_SAMPLE = list(range(-12, 13)) + [2 ** 70 + 1, -(3 ** 50)]
+
+
+def _inverse_outcome(fn, a):
+    try:
+        return fn(a)
+    except NotAUnit as e:
+        return ("raised", str(e))
+
+
+def _check_integer_quotient(q, payloads):
+    ref = _IntegerQuotientRef(q)
+    assert q.modulus == ref.modulus
+    for a in payloads:
+        assert q.neg(a) == ref.neg(a)
+        assert q.is_unit_payload(a) == ref.is_unit_payload(a)
+        assert q.is_nilpotent_payload(a) == ref.is_nilpotent_payload(a)
+        assert q.sort_key(a) == ref.sort_key(a)
+        got, want = (_inverse_outcome(q.inverse_payload, a),
+                     _inverse_outcome(ref.inverse_payload, a))
+        if ref.modulus == 0 and isinstance(want, tuple):
+            # Z/(0) now answers with Z's own message
+            want = ("raised", want[1] + " in Z")
+        assert got == want
+        for b in payloads:
+            for op in ("add", "sub", "mul"):
+                assert getattr(q, op)(a, b) == getattr(ref, op)(a, b)
+            for c in payloads[:6]:
+                assert q.fma(a, b, c) == ref.fma(a, b, c)
+                assert q.dot(a, [b, c, a], [c, a, b]) == \
+                    ref.dot(a, [b, c, a], [c, a, b])
+
+
+@pytest.mark.parametrize("q", FINITE_INTEGER_QUOTIENTS, ids=str)
+def test_integer_quotient_matches_reference(q):
+    ref = _IntegerQuotientRef(q)
+    elements = list(q.elements())
+    assert [v.payload for v in elements] == ref.elements()
+    assert all(v.ring is q for v in elements)
+    assert q.cardinality() == len(elements)
+    _check_integer_quotient(q, ref.elements())
+    for seed in range(20):
+        v = q.random(random.Random(seed))
+        assert v.ring is q and v.payload == ref.random(random.Random(seed))
+
+
+def test_integer_quotient_of_zero_ideal_matches_reference():
+    q = Z_MOD_0
+    assert not q.is_finite and q.modulus == 0
+    _check_integer_quotient(q, Z_MOD_0_SAMPLE)
+    for seed in range(20):
+        v = q.random(random.Random(seed))
+        ref = _IntegerQuotientRef(q).random(random.Random(seed))
+        assert v.ring is q and v.payload == ref
+    for fn in (q.elements, q.cardinality):
+        with pytest.raises(UnsupportedRing):
+            fn()
+
+
+def test_poly_over_integer_quotient_matches_modular():
+    # R[T] over Z/(6) takes the fused integer path, so its payloads are
+    # those over Z/6 and the quotient's own add and mul are never called
+    q, z6 = QuotientRing(_Z, [6]), ModularRing(6)
+    over_q, over_z6 = PolyExt(q, "T"), PolyExt(z6, "T")
+    for name in ("add", "mul"):
+        setattr(q, name, None)
+    rng = random.Random(6)
+
+    def poly():
+        return over_z6.canon([rng.randrange(6)
+                              for _ in range(rng.randrange(5))])
+    for _ in range(200):
+        acc = poly()
+        xs, ys = [poly() for _ in range(3)], [poly() for _ in range(3)]
+        assert over_q.mul(xs[0], ys[0]) == over_z6.mul(xs[0], ys[0])
+        assert over_q.dot(acc, xs, ys) == over_z6.dot(acc, xs, ys)
+
+
+UNIT_IDEAL_RINGS = FINITE_INTEGER_QUOTIENTS + [
+    # F_2[x]/(x^2 + x): neither local nor Z/m, so the exhaustive search
+    QuotientRing(PolyExt(PrimeField(2), "x"), [[0, 1, 1]])]
+
+
+@pytest.mark.parametrize("ring", UNIT_IDEAL_RINGS, ids=str)
+def test_unit_ideal_witness_matches_reference(ring):
+    pool = list(ring.elements())
+    for k in (1, 2, 3):
+        for values in itertools.product(pool, repeat=k):
+            got = unit_ideal_witness(ring, values)
+            assert (got is None) == (
+                _unit_ideal_witness_ref(ring, values) is None), values
+            if got is not None:
+                total = ring.zero()
+                for c, v in zip(got, values):
+                    total = total + c * v
+                assert total == ring.one()
+
+
+def test_unit_ideal_witness_over_z_mod_0_matches_reference():
+    rng = random.Random(0)
+    for _ in range(300):
+        values = [Z_MOD_0.coerce(rng.choice(Z_MOD_0_SAMPLE))
+                  for _ in range(rng.randrange(1, 4))]
+        got = unit_ideal_witness(Z_MOD_0, values)
+        assert (got is None) == (
+            _unit_ideal_witness_ref(Z_MOD_0, values) is None), values
+        if got is not None:
+            assert sum((c * v for c, v in zip(got, values)),
+                       Z_MOD_0.zero()) == Z_MOD_0.one()

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import cgf.words
 from cgf.errors import BadIndices, HalfNotInvertible, WordLimitExceeded
 from cgf.matrices import Mat, membership
 from cgf.rings import ModularRing, PolyExt, PrimeField
@@ -144,9 +145,15 @@ def test_specialize_at_zero_is_identity_for_t_multiples():
 def test_word_limit(monkeypatch):
     monkeypatch.setenv("CGF_WORD_LIMIT", "4")
     Z4 = ModularRing(4)
-    with pytest.raises(WordLimitExceeded):
+    with pytest.raises(WordLimitExceeded, match="exceeds limit 4$"):
         word_from_pairs(Z4, 2, FAMILY_LIN, [(1, 2, 1)] * 5)
     monkeypatch.delenv("CGF_WORD_LIMIT")
+    # the limit is read once per word, on the error path too
+    reads = []
+    monkeypatch.setattr(cgf.words, "word_limit", lambda: reads.append(1) or 4)
+    with pytest.raises(WordLimitExceeded):
+        word_from_pairs(Z4, 2, FAMILY_LIN, [(1, 2, 1)] * 5)
+    assert len(reads) == 1
 
 
 def test_shift_and_embed_preserve_action():
