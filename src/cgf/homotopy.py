@@ -10,6 +10,12 @@ elementary matrix W makes s(T) = W^{-1} (d(T) ⊥ I) W work by pure algebra,
 and when d(T) itself is word-backed the whole conjugate is a word.  The
 commutator and transport corollaries then fall out by specializing at T = 1.
 
+W is a short word, so every conjugate and every product by a word is the
+sparse action of its generators (``apply_word_left``/``apply_word_right``),
+never a dense matmul over R[T] and never an evaluation of W on the identity.
+The checks compare the same exact products: σ(T)·ε becomes σ(T) acted on by
+the word ε, at T and at T = 1.  Only the public ε matrix is evaluated.
+
 Two witness modes: "word" exhibits every membership by a generator word;
 "assert" certifies the matrix identities exactly but records elementary
 membership as unverified rather than faking it.
@@ -26,7 +32,7 @@ from .matrices import IsotropicFrame, Mat, block_perp, identity, membership
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord, Witness,
-                    empty_word)
+                    apply_word_left, apply_word_right, empty_word)
 
 _FLAVOR_FAMILY = {"linear": FAMILY_LIN, "symplectic": FAMILY_SP,
                   "orthogonal": FAMILY_ORTH}
@@ -115,6 +121,11 @@ class CommuteResult:
     mode: str  # "word" | "assert"
 
 
+def _conjugate(w: GenWord, w_inv: GenWord, m: Mat) -> Mat:
+    """eval(w)^{-1} m eval(w), by the sparse actions of the two words."""
+    return apply_word_right(apply_word_left(w_inv, m), w)
+
+
 def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
                   claim: str) -> CommuteResult:
     rt = d.poly_ring
@@ -129,9 +140,7 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
     else:
         d_mat = block_perp(d.delta_t, identity(rt, msize - nsize))
     w_t_inv = w_t.invert()
-    w_mat = w_t.eval()
-    w_inv = w_t_inv.eval()
-    sigma_t = w_inv @ d_mat @ w_mat
+    sigma_t = _conjugate(w_t, w_t_inv, d_mat)
 
     mode = "word" if d.is_word_backed() else "assert"
     if mode == "word":
@@ -141,27 +150,27 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
         else:
             eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
         eps_mat = eps_word.eval()
+        check_eps = apply_word_right(sigma_t, eps_word) == d_mat
     else:
         eps_word = None
-        eps_mat = w_inv @ d_mat.inverse() @ w_mat @ d_mat
+        eps_mat = _conjugate(w_t, w_t_inv, d_mat.inverse()) @ d_mat
+        check_eps = (sigma_t @ eps_mat) == d_mat
 
     v_t = v_mat.map_ring(rt)
     check_commute = (d.delta_t @ v_t) == (v_t @ sigma_t)
     check_start = mat_substitute(sigma_t, base.zero()).is_identity()
-    check_eps = (sigma_t @ eps_mat) == d_mat
     check_group = membership(sigma_t, _FLAVOR_GROUP[d.flavor])
 
     one = base.one()
     sigma_1 = mat_substitute(sigma_t, one)
     delta_1 = d.at(one)
     check_spec = (delta_1 @ v_mat) == (v_mat @ sigma_1)
+    d1_mat = mat_substitute(d_mat, one)
     if mode == "word":
         eps_1 = eps_word.specialize(one)
-        d1_mat = mat_substitute(d_mat, one)
-        check_spec_eps = (sigma_1 @ eps_1.eval()) == d1_mat
+        check_spec_eps = apply_word_right(sigma_1, eps_1) == d1_mat
     else:
-        check_spec_eps = (sigma_1 @ mat_substitute(eps_mat, one)) == \
-            mat_substitute(d_mat, one)
+        check_spec_eps = (sigma_1 @ mat_substitute(eps_mat, one)) == d1_mat
 
     witness = Witness.certify(
         claim,
@@ -279,7 +288,7 @@ def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     eps_t = d_word.invert() + w_t.invert() + d_word + w_t
     # polynomial-level identity: d(T) b = b d(T) eval(eps_t)
     b_t = b.map_ring(rt)
-    if (a.delta_t @ b_t) != (b_t @ a.delta_t @ eps_t.eval()):
+    if (a.delta_t @ b_t) != apply_word_right(b_t @ a.delta_t, eps_t):
         raise FormViolation("internal: commutator identity failed over R[T]")
     eps = eps_t.specialize(ring.one())
     eps_mat = eps.eval()

@@ -291,7 +291,7 @@ class IntegerRing(Ring):
     def canon(self, payload):
         if not isinstance(payload, int):
             raise DescriptorMismatch(f"integer payload expected, got {payload!r}")
-        return payload
+        return int(payload)  # a bool is an int, but its JSON is not
 
     def add(self, a, b):
         return a + b
@@ -700,15 +700,16 @@ class PolyExt(Ring):
     zeros stripped.  Degrees above ``degree_cap`` raise instead of
     truncating silently.
 
-    ``mul`` and ``dot`` (and so ``fma``, matmul and the determinant over
-    R[T]) add every coefficient product into one list and trim once.  Over
-    Z and Z/n, in any descriptor that ``_residue_modulus`` names, that list
-    holds the exact integer sums, and each coefficient is reduced mod n
-    once, just before the trim; over every other base each
-    product and sum goes through the base ring.  ``dot`` raises
-    ``DegreeCapExceeded`` exactly when the term-by-term ``add(acc, mul(x,
-    y))`` loop would: a term whose untrimmed product degree exceeds the cap
-    takes that loop's path, so every other partial sum stays within the cap.
+    ``mul`` and ``dot`` (and so matmul and the determinant over R[T]) add
+    every coefficient product into one list and trim once.  Over Z and Z/n,
+    in any descriptor that ``_residue_modulus`` names, ``mul``, ``dot`` and
+    ``fma`` are one path, ``_raw_sum``: the list holds the exact integer
+    sums, and each coefficient is reduced mod n once, just before the trim.
+    Over every other base each product and sum goes through the base ring.
+    ``dot`` and ``fma`` raise ``DegreeCapExceeded`` exactly when the
+    term-by-term ``add(acc, mul(x, y))`` loop would: a term whose untrimmed
+    product degree exceeds the cap takes that loop's path, so every other
+    partial sum stays within the cap.
     """
 
     kind = "poly"
@@ -793,14 +794,8 @@ class PolyExt(Ring):
         return self._trim(out)
 
     def _mac(self, out: list, a, b):
-        """out[i + j] += a_i * b_j in place; ``out`` is long enough.  Over Z
-        and Z/n the sums stay unreduced until ``_reduced``."""
-        if self._raw:
-            for i, ca in enumerate(a):
-                if ca:
-                    for k, cb in enumerate(b, i):
-                        out[k] += ca * cb
-            return
+        """out[i + j] += a_i * b_j in place through the base ring; ``out``
+        is long enough."""
         add, mul = self.base.add, self.base.mul
         z = self.base.zero().payload
         for i, ca in enumerate(a):
@@ -809,22 +804,56 @@ class PolyExt(Ring):
             for j, cb in enumerate(b):
                 out[i + j] = add(out[i + j], mul(ca, cb))
 
-    def _reduced(self, out: list):
-        """The canonical payload of what ``_mac`` accumulated: each
-        coefficient reduced once (over Z/n), then trimmed."""
-        n = self._modulus
-        return self._trim([c % n for c in out] if n else out)
+    def _raw_sum(self, acc, pairs):
+        """acc + sum(a * b for a, b in pairs) over Z and Z/n: exact integer
+        coefficient sums, each reduced mod n once, then trimmed once.
+
+        A product whose untrimmed degree exceeds the cap is reduced and
+        trimmed on its own first, and raises if its degree still exceeds
+        it, as the term-by-term loop does; every other summand stays within
+        the cap, and so does the sum."""
+        cap, n = self.degree_cap, self._modulus
+        out = None
+        for a, b in pairs:
+            if not a or not b:
+                continue
+            if out is None:
+                out = list(acc)
+            size = len(a) + len(b) - 1
+            dest = out if size <= cap + 1 else [0] * size
+            if len(dest) < size:
+                dest.extend([0] * (size - len(dest)))
+            for i, ca in enumerate(a):
+                if ca:
+                    for k, cb in enumerate(b, i):
+                        dest[k] += ca * cb
+            if dest is not out:
+                prod = self._trim([c % n for c in dest] if n else dest)
+                if len(out) < len(prod):
+                    out.extend([0] * (len(prod) - len(out)))
+                for k, c in enumerate(prod):
+                    out[k] += c
+        if out is None:
+            return acc
+        if n:
+            out = [c % n for c in out]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def mul(self, a, b):
+        if self._raw:
+            return self._raw_sum((), ((a, b),))
         if not a or not b:
             return ()
         out = [self.base.zero().payload] * (len(a) + len(b) - 1)
         self._mac(out, a, b)
-        return self._reduced(out)
+        return self._trim(out)
 
     def dot(self, acc, xs, ys):
-        """acc + sum(x * y) in one coefficient list, reduced and trimmed
-        once."""
+        """acc + sum(x * y) in one coefficient list, trimmed once."""
+        if self._raw:
+            return self._raw_sum(acc, zip(xs, ys))
         z = self.base.zero().payload
         out = list(acc)
         for a, b in zip(xs, ys):
@@ -832,15 +861,17 @@ class PolyExt(Ring):
                 continue
             n = len(a) + len(b) - 1
             if n - 1 > self.degree_cap:
-                out = list(self.add(self._reduced(out), self.mul(a, b)))
+                out = list(self.add(self._trim(out), self.mul(a, b)))
                 continue
             if len(out) < n:
                 out.extend([z] * (n - len(out)))
             self._mac(out, a, b)
-        return self._reduced(out)
+        return self._trim(out)
 
     def fma(self, a, c, x):
-        return self.dot(a, (c,), (x,))
+        if self._raw:
+            return self._raw_sum(a, ((c, x),))
+        return self.add(a, self.mul(c, x))
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)

@@ -19,6 +19,12 @@ check its row kernel against this one.
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
 family.  Only zero-parameter generators are dropped from a word.
+
+A product by a short word costs O(len(w) * rows) ring operations, against
+O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
+the completion word W as ``apply_word_right(apply_word_left(W^{-1}, m), W)``
+and checks products by a witness word with ``apply_word_right``, without
+evaluating either word.
 """
 
 from __future__ import annotations

@@ -5,15 +5,19 @@ import random
 
 import pytest
 
-from cgf import words
-from cgf.errors import FormViolation, NotLocal, SizeBound
-from cgf.homotopy import (Homotopy, commutator_witness,
+from cgf import homotopy, words
+from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
+                        SizeBound)
+from cgf.homotopy import (_FLAVOR_FAMILY, _FLAVOR_GROUP, CommuteResult,
+                          Homotopy, _commute_core, commutator_witness,
                           homotopy_commute_linear, homotopy_commute_orthogonal,
                           homotopy_commute_symplectic, mat_substitute,
                           vaserstein_transport)
 from cgf.matrices import IsotropicFrame, Mat, block_perp, identity, membership
+from cgf.reduce import complete_orth, complete_sp, complete_um_linear
 from cgf.rings import IntegerRing, ModularRing, PolyExt, PrimeField
-from cgf.sampling import random_frame, random_unimodular_rows, random_word
+from cgf.sampling import (random_frame, random_indices,
+                          random_unimodular_rows, random_word)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord,
                        word_from_pairs)
 
@@ -236,16 +240,25 @@ def test_transport_randomized():
 
 
 def _record_evaluations(monkeypatch):
-    """The word of every evaluation: GenWord.eval runs through
-    words.apply_word_right."""
+    """("eval" or "apply", word) for every sparse action, an evaluation
+    being an action on the identity.  GenWord.eval runs through
+    words.apply_word_right, and homotopy.py calls both actions by its own
+    names, so both modules' bindings are recorded."""
     seen = []
-    original = words.apply_word_right
 
-    def recording(m, w):
-        seen.append(json.dumps(w.to_json(), sort_keys=True))
-        return original(m, w)
+    def recorder(original, right):
+        def recording(*args):
+            m, w = args if right else args[::-1]
+            kind = "eval" if m.is_identity() else "apply"
+            seen.append((kind, json.dumps(w.to_json(), sort_keys=True)))
+            return original(*args)
+        return recording
 
-    monkeypatch.setattr(words, "apply_word_right", recording)
+    for module in (words, homotopy):
+        for name, right in (("apply_word_right", True),
+                            ("apply_word_left", False)):
+            monkeypatch.setattr(module, name,
+                                recorder(getattr(module, name), right))
     return seen
 
 
@@ -260,8 +273,211 @@ def test_each_word_is_evaluated_once(flavor, family, size, monkeypatch):
     word_t = base.times_variable(rt)
     seen = _record_evaluations(monkeypatch)
     a = Homotopy.from_word(flavor, word_t)
-    assert seen == [json.dumps(word_t.to_json(), sort_keys=True)]
+    assert seen == [("eval", json.dumps(word_t.to_json(), sort_keys=True))]
     seen.clear()
     eps = commutator_witness(a, b)
-    assert json.dumps(eps.to_json(), sort_keys=True) in seen
-    assert len(seen) == len(set(seen)) == 3  # completion, eps(T), eps(1)
+    evaluated = [w for kind, w in seen if kind == "eval"]
+    applied = [w for kind, w in seen if kind == "apply"]
+    assert json.dumps(eps.to_json(), sort_keys=True) in evaluated
+    assert len(evaluated) == len(set(evaluated)) == 2  # completion, eps(1)
+    # eps(T) acts once on b d(T) and is never evaluated
+    assert len(applied) == 1 and applied[0] not in evaluated
+    assert json.loads(applied[0])["ring"] == rt.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the sparse engine against the dense one it replaced
+
+def _commute_core_dense(d, v_mat, completion, claim):
+    # reference: the engine before it conjugated by word actions; W and
+    # W^{-1} are evaluated on the identity, and every conjugate, ε and
+    # check product is a dense matmul over R[T]
+    rt = d.poly_ring
+    base = d.base_ring
+    family = _FLAVOR_FAMILY[d.flavor]
+    msize = completion.size
+    nsize = d.size
+
+    w_t = completion.lift_to(rt)
+    if msize == nsize:
+        d_mat = d.delta_t
+    else:
+        d_mat = block_perp(d.delta_t, identity(rt, msize - nsize))
+    w_t_inv = w_t.invert()
+    w_mat = w_t.eval()
+    w_inv = w_t_inv.eval()
+    sigma_t = w_inv @ d_mat @ w_mat
+
+    mode = "word" if d.is_word_backed() else "assert"
+    if mode == "word":
+        d_word = d.word.embed(msize)
+        if len(completion) == 0 or len(d.word) == 0:
+            eps_word = words.empty_word(rt, msize, family)
+        else:
+            eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
+        eps_mat = eps_word.eval()
+    else:
+        eps_word = None
+        eps_mat = w_inv @ d_mat.inverse() @ w_mat @ d_mat
+
+    v_t = v_mat.map_ring(rt)
+    check_commute = (d.delta_t @ v_t) == (v_t @ sigma_t)
+    check_start = mat_substitute(sigma_t, base.zero()).is_identity()
+    check_eps = (sigma_t @ eps_mat) == d_mat
+    check_group = membership(sigma_t, _FLAVOR_GROUP[d.flavor])
+
+    one = base.one()
+    sigma_1 = mat_substitute(sigma_t, one)
+    delta_1 = d.at(one)
+    check_spec = (delta_1 @ v_mat) == (v_mat @ sigma_1)
+    if mode == "word":
+        eps_1 = eps_word.specialize(one)
+        d1_mat = mat_substitute(d_mat, one)
+        check_spec_eps = (sigma_1 @ eps_1.eval()) == d1_mat
+    else:
+        check_spec_eps = (sigma_1 @ mat_substitute(eps_mat, one)) == \
+            mat_substitute(d_mat, one)
+
+    witness = words.Witness.certify(
+        claim,
+        inputs={"delta_t": d.delta_t, "v": v_mat},
+        outputs={"sigma_t": sigma_t,
+                 "epsilon": eps_word if eps_word is not None else eps_mat},
+        checks=[
+            ("delta_t @ V == V @ sigma_t (polynomial identity)", check_commute),
+            ("sigma(0) == I", check_start),
+            ("sigma_t @ epsilon == delta_t ⊥ I (exact)", check_eps),
+            ("sigma_t stays in the flavor group over R[T]", check_group),
+            ("T = 1 specialization commutes", check_spec),
+            ("T = 1 epsilon specializes consistently", check_spec_eps),
+            ("epsilon elementary membership",
+             True if mode == "word" else None),
+        ],
+        mode=mode)
+    return CommuteResult(sigma_t, eps_word, eps_mat, witness, mode)
+
+
+_COMPLETE = {
+    "linear": (FAMILY_LIN, complete_um_linear),
+    "symplectic": (FAMILY_SP, lambda v: complete_sp(IsotropicFrame(v, "sp"))),
+    "orthogonal": (FAMILY_ORTH,
+                   lambda v: complete_orth(IsotropicFrame(v, "orth"))),
+}
+
+
+def _engine_case(rng, rt, flavor, rows, cols, mode, deg=1):
+    """(d, v, completion): a homotopy of two generators whose parameters
+    have T-degree 1..deg and vanish at T = 0, word-backed in word mode and
+    given by its matrix in assert mode, and the leading ``rows`` rows V of
+    a random elementary matrix with a word W completing V."""
+    family, complete = _COMPLETE[flavor]
+    base = rt.base
+    triples = []
+    for _ in range(2):
+        i, j = random_indices(rng, family, rows)
+        triples.append((i, j, [0] + [base.random(rng)
+                                     for _ in range(rng.randint(1, deg))]))
+    word = word_from_pairs(rt, rows, family, triples)
+    d = (Homotopy.from_word(flavor, word) if mode == "word"
+         else Homotopy.from_matrix(flavor, word.eval()))
+    full = random_word(rng, base, family, cols, 5)
+    v = full.eval().submatrix(0, rows, 0, cols)
+    # over Z, which is not local, the random word itself completes V
+    return d, v, complete(v) if base.is_local else full
+
+
+def _witness_bytes(res):
+    return json.dumps(res.witness.to_json(), sort_keys=True)
+
+
+ENGINE_SHAPES = [("linear", 2, 3), ("linear", 3, 3), ("symplectic", 4, 6),
+                 ("orthogonal", 4, 8)]
+# over Z[T], whose base is not local, the engine runs the linear flavor only
+ENGINE_CASES = ([(base, *shape) for base in (ModularRing(9), PrimeField(5))
+                 for shape in ENGINE_SHAPES]
+                + [(IntegerRing(), *shape) for shape in ENGINE_SHAPES[:2]])
+
+
+@pytest.mark.parametrize("mode", ["word", "assert"])
+@pytest.mark.parametrize("base,flavor,rows,cols", ENGINE_CASES,
+                         ids=str)
+def test_sparse_engine_matches_dense(base, flavor, rows, cols, mode):
+    # σ(T) and ε equal the dense conjugate W^{-1} (d ⊥ I) W and its ε, the
+    # witness bytes agree, and each sparse check product equals the dense
+    # product it replaced
+    rng = random.Random(f"{base}:{flavor}:{rows}x{cols}:{mode}")
+    rt = PolyExt(base, "T")
+    one = base.one()
+    for _ in range(4):
+        d, v, completion = _engine_case(rng, rt, flavor, rows, cols, mode)
+        claim = f"homotopy_commute_{flavor}"
+        res = _commute_core(d, v, completion, claim)
+        ref = _commute_core_dense(d, v, completion, claim)
+        w = completion.lift_to(rt)
+        d_mat = block_perp(d.delta_t, identity(rt, cols - rows)) \
+            if cols > rows else d.delta_t
+        assert res.sigma_t == w.invert().eval() @ d_mat @ w.eval()
+        assert res.sigma_t == ref.sigma_t
+        assert res.epsilon_mat == ref.epsilon_mat
+        assert res.epsilon_word == ref.epsilon_word
+        assert _witness_bytes(res) == _witness_bytes(ref)
+        assert res.witness.all_passed() == (mode == "word")
+        if mode == "word":
+            eps_1 = res.epsilon_word.specialize(one)
+            sigma_1 = mat_substitute(res.sigma_t, one)
+            assert words.apply_word_right(res.sigma_t, res.epsilon_word) == \
+                res.sigma_t @ res.epsilon_mat
+            assert words.apply_word_right(sigma_1, eps_1) == \
+                sigma_1 @ eps_1.eval()
+
+
+def _outcome(fn, *args):
+    """The witness bytes, or the error code."""
+    try:
+        return _witness_bytes(fn(*args))
+    except CgfError as e:
+        return e.code
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_small_degree_caps_never_raise_where_dense_returns(cap):
+    # the sparse engine forms fewer products than the dense one, so at a
+    # small cap it may return where the dense engine raised, never the
+    # other way; when both return, the witness bytes agree
+    returned = 0
+    for base in (ModularRing(9), PrimeField(5)):
+        rt = PolyExt(base, "T", degree_cap=cap)
+        for flavor, rows, cols in ENGINE_SHAPES:
+            for mode in ("word", "assert"):
+                rng = random.Random(f"cap:{cap}:{base}:{flavor}:{mode}")
+                for _ in range(12):
+                    try:
+                        d, v, completion = _engine_case(
+                            rng, rt, flavor, rows, cols, mode, deg=cap)
+                    except DegreeCapExceeded:
+                        continue  # d(T) itself is above the cap
+                    claim = f"homotopy_commute_{flavor}"
+                    ref = _outcome(_commute_core_dense, d, v, completion,
+                                   claim)
+                    got = _outcome(_commute_core, d, v, completion, claim)
+                    if ref == "degree_cap_exceeded":
+                        assert got == ref or got.startswith("{")
+                    else:
+                        assert got == ref
+                        returned += 1
+    assert returned > 0
+
+
+def test_small_cap_input_that_only_the_dense_engine_rejects():
+    # σ(T)·ε over F_5[T; degree_cap=2]: the dense product has terms of
+    # degree 3 that cancel, while ε's generators act on σ(T) one at a time
+    rt = PolyExt(PrimeField(5), "T", degree_cap=2)
+    d = Homotopy.from_word(
+        "linear", word_from_pairs(rt, 2, FAMILY_LIN, [(2, 1, [0, 3])]))
+    v = Mat(PrimeField(5), [[3, 1, 0], [2, 1, 0]])
+    with pytest.raises(DegreeCapExceeded, match="degree 3 exceeds cap 2"):
+        _commute_core_dense(d, v, complete_um_linear(v),
+                            "homotopy_commute_linear")
+    res = homotopy_commute_linear(d, v)
+    assert res.mode == "word" and res.witness.all_passed()
+    assert (d.delta_t @ v.map_ring(rt)) == (v.map_ring(rt) @ res.sigma_t)

@@ -233,6 +233,29 @@ def poly_terms(draw):
                                                       for _ in range(n)]
 
 
+def _poly_edge_cases():
+    """(ring, acc, xs, ys) at degree cap 2 over each base: an accumulator
+    longer and shorter than the products, zero operands, and products of
+    degree exactly the cap and cap + 1 (over Z/4 the top coefficient of
+    (1 + 2T)(2T^2) vanishes, elsewhere it raises)."""
+    cases = []
+    for base in POLY_BASES:
+        ring = PolyExt(base, "T", degree_cap=2)
+
+        def p(*coeffs):
+            return _poly_canon(ring, [base.coerce(c).payload for c in coeffs])
+        cases += [
+            (ring, p(1, 2, 3), [p(2)], [p(3)]),
+            (ring, p(1), [p(0, 1), p(2)], [p(0, 1), p(1, 1)]),
+            (ring, p(1, 1), [(), p(1, 2), p(0, 0, 1)], [p(3), (), ()]),
+            (ring, (), [()], [()]),
+            (ring, p(0, 1), [p(1, 1)], [p(1, 1)]),
+            (ring, p(1), [p(1, 1), p(0, 1)], [p(1), p(0, 0, 1)]),
+            (ring, p(0, 3), [p(1, 1), p(1, 2)], [p(1), p(0, 0, 2)]),
+        ]
+    return cases
+
+
 @hypothesis.settings(SETTINGS, max_examples=1000)
 @hypothesis.given(poly_terms())
 def test_poly_dot_matches_reference(case):
@@ -249,6 +272,11 @@ def test_poly_dot_matches_reference(case):
             _dot_reference, ring, acc, (x,), (y,))
 
 
+for _case in _poly_edge_cases():
+    test_poly_dot_matches_reference = hypothesis.example(_case)(
+        test_poly_dot_matches_reference)
+
+
 @SETTINGS
 @hypothesis.given(st.integers(0, len(RINGS) - 1), st.integers(0, 6),
                   st.integers(0, 2 ** 32 - 1))
@@ -263,6 +291,11 @@ def test_ring_dot_and_fma_match_term_by_term(ring_idx, n, seed):
     assert got == _term_by_term(ring, acc, xs, ys) and ring.canon(got) == got
     for x, y in zip(xs, ys):
         assert ring.fma(acc, x, y) == _term_by_term(ring, acc, (x,), (y,))
+    # zero operands, which R[T] over Z and Z/n skips without a product
+    zero = ring.zero().payload
+    xs, ys = [zero, *xs, acc], [acc, *ys, zero]
+    assert ring.dot(acc, xs, ys) == _term_by_term(ring, acc, xs, ys) == got
+    assert ring.fma(acc, zero, acc) == acc == ring.fma(acc, acc, zero)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=str)

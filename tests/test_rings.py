@@ -1,5 +1,6 @@
 """Ring tower: canonical forms, axioms, units, substitution, localization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
                         UnsupportedQuotient, UnsupportedRing)
+from cgf.matrices import Mat
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
                        RationalField, TruncatedPolyLocal, _factor, _is_prime,
@@ -224,6 +226,16 @@ def test_base_coerce():
     assert ModularRing(6).coerce(-1).payload == 5
     with pytest.raises(DescriptorMismatch, match="residue payload expected"):
         ModularRing(6).coerce("1")
+
+
+def test_integer_payload_of_a_bool_is_an_int():
+    # a bool is an int in Python, but its JSON is true/false, not the
+    # integer the schema promises
+    for ring in (IntegerRing(), QuotientRing(IntegerRing(), [0])):
+        one = ring.coerce(True)
+        assert type(one.payload) is int and one == ring.one()
+        m = Mat(ring, [[True, 2], [False, 1]])
+        assert json.dumps(m.to_json()["entries"]) == "[[1, 2], [0, 1]]"
 
 
 def test_factor_by_trial_division():
