@@ -18,7 +18,7 @@ from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
                      NotPerpendicular, NotRightInvertible, NotSymplectic,
                      SizeBound, UnsupportedQuotient, FormViolation)
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
-                       _form_inverse, membership)
+                       _form_inverse, membership, right_inverse)
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import QuotientRing, ideal_combination, unit_ideal_witness
 from .words import (FAMILY_LIN, Generator, GenWord, _transpose_gens,
@@ -209,7 +209,6 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
     tail_bar = [rbar.project(v) for v in tail]
     y_bar = [rbar.project(v) for v in ye]
     if width >= 3:
-        from .matrices import right_inverse
         alpha_bar = Mat(rbar, [tail_bar, y_bar])
         eps_bar = two_row_equiv(alpha_bar, right_inverse(alpha_bar))
     else:

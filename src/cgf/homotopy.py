@@ -16,6 +16,11 @@ never a dense matmul over R[T] and never an evaluation of W on the identity.
 The checks compare the same exact products: σ(T)·ε becomes σ(T) acted on by
 the word ε, at T and at T = 1.  Only the public ε matrix is evaluated.
 
+One flavor table, ``_FLAVORS``, gives each flavor its generator family, its
+group, the frame kind V must have and its completion; ``_commute`` runs the
+guards of the three public entries from it.  Transport builds V ⊥ I, which
+meets those guards by construction, and enters at the core.
+
 Two witness modes: "word" exhibits every membership by a generator word;
 "assert" certifies the matrix identities exactly but records elementary
 membership as unverified rather than faking it.
@@ -24,6 +29,7 @@ membership as unverified rather than faking it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .errors import (DescriptorMismatch, FormViolation, NotInvertible,
                      NotLocal, SizeBound)
@@ -34,9 +40,19 @@ from .rings import PolyExt, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord, Witness,
                     apply_word_left, apply_word_right, empty_word)
 
-_FLAVOR_FAMILY = {"linear": FAMILY_LIN, "symplectic": FAMILY_SP,
-                  "orthogonal": FAMILY_ORTH}
-_FLAVOR_GROUP = {"linear": "SL", "symplectic": "Sp", "orthogonal": "SO"}
+
+class _Flavor(NamedTuple):
+    family: str
+    group: str
+    frame: str | None  # the IsotropicFrame kind V must have; None: V is a Mat
+    complete: Callable  # V (a Mat or a frame) -> an elementary word W
+
+
+_FLAVORS = {
+    "linear": _Flavor(FAMILY_LIN, "SL", None, complete_um_linear),
+    "symplectic": _Flavor(FAMILY_SP, "Sp", "sp", complete_sp),
+    "orthogonal": _Flavor(FAMILY_ORTH, "SO", "orth", complete_orth),
+}
 
 
 def mat_substitute(m: Mat, t: RingValue) -> Mat:
@@ -60,16 +76,16 @@ class Homotopy:
     word: GenWord | None = None
 
     def __post_init__(self):
-        if self.flavor not in _FLAVOR_FAMILY:
+        if self.flavor not in _FLAVORS:
             raise DescriptorMismatch(f"unknown flavor {self.flavor!r}")
         rt = self.delta_t.ring
         if not isinstance(rt, PolyExt):
             raise DescriptorMismatch("homotopies live over R[T]")
         if not mat_substitute(self.delta_t, rt.base.zero()).is_identity():
             raise FormViolation("homotopy does not start at the identity")
-        if not membership(self.delta_t, _FLAVOR_GROUP[self.flavor]):
-            raise FormViolation(
-                f"homotopy leaves {_FLAVOR_GROUP[self.flavor]} over R[T]")
+        group = _FLAVORS[self.flavor].group
+        if not membership(self.delta_t, group):
+            raise FormViolation(f"homotopy leaves {group} over R[T]")
         if self.word is not None:
             w_mat = self.word.eval()
             if w_mat is not self.delta_t and w_mat != self.delta_t:
@@ -130,7 +146,7 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
                   claim: str) -> CommuteResult:
     rt = d.poly_ring
     base = d.base_ring
-    family = _FLAVOR_FAMILY[d.flavor]
+    flavor = _FLAVORS[d.flavor]
     msize = completion.size
     nsize = d.size
 
@@ -146,7 +162,7 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
     if mode == "word":
         d_word = d.word.embed(msize)
         if len(completion) == 0 or len(d.word) == 0:
-            eps_word = empty_word(rt, msize, family)
+            eps_word = empty_word(rt, msize, flavor.family)
         else:
             eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
         eps_mat = eps_word.eval()
@@ -157,9 +173,11 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
         check_eps = (sigma_t @ eps_mat) == d_mat
 
     v_t = v_mat.map_ring(rt)
-    check_commute = (d.delta_t @ v_t) == (v_t @ sigma_t)
+    d_v = (apply_word_left(d.word, v_t) if mode == "word"
+           else d.delta_t @ v_t)
+    check_commute = d_v == (v_t @ sigma_t)
     check_start = mat_substitute(sigma_t, base.zero()).is_identity()
-    check_group = membership(sigma_t, _FLAVOR_GROUP[d.flavor])
+    check_group = membership(sigma_t, flavor.group)
 
     one = base.one()
     sigma_1 = mat_substitute(sigma_t, one)
@@ -191,65 +209,41 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
     return CommuteResult(sigma_t, eps_word, eps_mat, witness, mode)
 
 
-def _check_sizes(n: int, m: int, allow_small: bool):
-    if allow_small:
-        if not (m >= n >= 1):
-            raise SizeBound(f"need m >= n >= 1, got n={n}, m={m}")
-        return
-    if not (m > n >= 2 or m == n >= 3):
-        raise SizeBound(
-            f"need m > n >= 2 or m = n >= 3, got n={n}, m={m}")
-
-
-def homotopy_commute_linear(d: Homotopy, v: Mat, *,
-                            _allow_small: bool = False) -> CommuteResult:
-    """d(T) V = V s(T) with s(T)^{-1}(d(T) ⊥ I) elementary, V in Um_{n,m}."""
-    if d.flavor != "linear":
-        raise DescriptorMismatch("expected a linear homotopy")
-    if v.ring != d.base_ring:
+def _commute(d: Homotopy, v, flavor: str) -> CommuteResult:
+    """The guards of the three public entries, in one order, then the core.
+    V is a Mat for the linear flavor and an IsotropicFrame otherwise."""
+    spec = _FLAVORS[flavor]
+    if d.flavor != flavor:
+        raise DescriptorMismatch(f"expected a {flavor} homotopy")
+    if spec.frame and v.kind != spec.frame:
+        raise FormViolation(f"expected a {flavor} frame")
+    v_mat = v.mat if spec.frame else v
+    if v_mat.ring != d.base_ring:
         raise DescriptorMismatch("V and the homotopy live over different rings")
-    if not v.ring.is_local:
+    if not v_mat.ring.is_local:
         raise NotLocal("the witnessed construction needs a local ring")
-    if v.rows != d.size:
+    if v_mat.rows != d.size:
         raise SizeBound("V must have as many rows as the homotopy size")
-    _check_sizes(d.size, v.cols, _allow_small)
-    completion = complete_um_linear(v)
-    return _commute_core(d, v, completion, "homotopy_commute_linear")
+    n, m = (v.n_pairs, v.m_pairs) if spec.frame else (v.rows, v.cols)
+    orth = flavor == "orthogonal"
+    if not (m >= n + 2 and n >= 2 if orth else m > n >= 2 or m == n >= 3):
+        bound = "m >= n + 2 and n >= 2" if orth else "m > n >= 2 or m = n >= 3"
+        raise SizeBound(f"need {bound}, got n={n}, m={m}")
+    return _commute_core(d, v_mat, spec.complete(v),
+                         f"homotopy_commute_{flavor}")
 
 
-def homotopy_commute_symplectic(d: Homotopy, v: IsotropicFrame, *,
-                                _allow_small: bool = False) -> CommuteResult:
-    if d.flavor != "symplectic":
-        raise DescriptorMismatch("expected a symplectic homotopy")
-    if v.kind != "sp":
-        raise FormViolation("expected a symplectic frame")
-    if v.mat.ring != d.base_ring:
-        raise DescriptorMismatch("frame and homotopy rings differ")
-    if not v.mat.ring.is_local:
-        raise NotLocal("the witnessed construction needs a local ring")
-    if v.mat.rows != d.size:
-        raise SizeBound("frame row count must match the homotopy size")
-    _check_sizes(v.n_pairs, v.m_pairs, _allow_small)
-    completion = complete_sp(v)
-    return _commute_core(d, v.mat, completion, "homotopy_commute_symplectic")
+def homotopy_commute_linear(d: Homotopy, v: Mat) -> CommuteResult:
+    """d(T) V = V s(T) with s(T)^{-1}(d(T) ⊥ I) elementary, V in Um_{n,m}."""
+    return _commute(d, v, "linear")
+
+
+def homotopy_commute_symplectic(d: Homotopy, v: IsotropicFrame) -> CommuteResult:
+    return _commute(d, v, "symplectic")
 
 
 def homotopy_commute_orthogonal(d: Homotopy, v: IsotropicFrame) -> CommuteResult:
-    if d.flavor != "orthogonal":
-        raise DescriptorMismatch("expected an orthogonal homotopy")
-    if v.kind != "orth":
-        raise FormViolation("expected an orthogonal frame")
-    if v.mat.ring != d.base_ring:
-        raise DescriptorMismatch("frame and homotopy rings differ")
-    if not v.mat.ring.is_local:
-        raise NotLocal("the witnessed construction needs a local ring")
-    if v.mat.rows != d.size:
-        raise SizeBound("frame row count must match the homotopy size")
-    n, m = v.n_pairs, v.m_pairs
-    if not (m >= n + 2 and n >= 2):
-        raise SizeBound(f"need m >= n + 2 and n >= 2, got n={n}, m={m}")
-    completion = complete_orth(v)
-    return _commute_core(d, v.mat, completion, "homotopy_commute_orthogonal")
+    return _commute(d, v, "orthogonal")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,8 @@ def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     eps_t = d_word.invert() + w_t.invert() + d_word + w_t
     # polynomial-level identity: d(T) b = b d(T) eval(eps_t)
     b_t = b.map_ring(rt)
-    if (a.delta_t @ b_t) != apply_word_right(b_t @ a.delta_t, eps_t):
+    if apply_word_left(d_word, b_t) != apply_word_right(
+            apply_word_right(b_t, d_word), eps_t):
         raise FormViolation("internal: commutator identity failed over R[T]")
     eps = eps_t.specialize(ring.one())
     eps_mat = eps.eval()
@@ -316,43 +311,36 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     the engine runs on V ⊥ I and the block structure of the result is
     checked exactly.  The Whitehead construction has already checked that
     its word evaluates to d ⊥ d^{-1}, so d^{-1} is read off that matrix."""
-    if flavor == "linear":
-        if not membership(d, "SL"):
-            raise NotInvertible("transport expects d in SL")
-        v_mat = v if isinstance(v, Mat) else v.mat
-        ring = d.ring
-        n, m = v_mat.rows, v_mat.cols
-        if n != d.rows:
-            raise SizeBound("V must have as many rows as d")
-        white = whitehead_linear(d)
-        v_big = block_perp(v_mat, identity(ring, n))
-    elif flavor == "symplectic":
-        if not membership(d, "Sp"):
-            raise FormViolation("transport expects d in Sp")
-        frame = v if isinstance(v, IsotropicFrame) else IsotropicFrame(v, "sp")
-        v_mat = frame.mat
-        ring = d.ring
-        n, m = v_mat.rows // 2, v_mat.cols // 2
-        if 2 * n != d.rows:
-            raise SizeBound("the frame must have as many rows as d")
-        white = whitehead_symplectic(d)
-        v_big = block_perp(v_mat, identity(ring, 2 * n))
-    else:
+    if flavor not in ("linear", "symplectic"):
         raise DescriptorMismatch(f"unknown transport flavor {flavor!r}")
-
+    linear = flavor == "linear"
+    group = _FLAVORS[flavor].group
+    if not membership(d, group):
+        raise (NotInvertible if linear else FormViolation)(
+            f"transport expects d in {group}")
+    if linear:
+        v_mat = v if isinstance(v, Mat) else v.mat
+    else:
+        v_mat = (v if isinstance(v, IsotropicFrame)
+                 else IsotropicFrame(v, "sp")).mat
+    ring, k = d.ring, d.rows
+    if v_mat.rows != k:
+        raise SizeBound("V must have as many rows as d")
+    white = (whitehead_linear if linear else whitehead_symplectic)(d)
+    v_big = block_perp(v_mat, identity(ring, k))
     if not ring.is_local:
         raise NotLocal("the witnessed transport needs a local ring")
-    k = d.rows
+    if v_mat.rows > v_mat.cols:
+        raise SizeBound("V must have at most as many rows as columns")
     d_inv = white.eval().submatrix(k, 2 * k, k, 2 * k)
     rt = PolyExt(ring, "T")
     hom = Homotopy.from_word(flavor, white.times_variable(rt))
-    if flavor == "linear":
-        result = homotopy_commute_linear(hom, v_big, _allow_small=True)
-        big = m + n
-    else:
-        result = homotopy_commute_symplectic(
-            hom, IsotropicFrame(v_big, "sp"), _allow_small=True)
-        big = 2 * (m + n)
+    # V ⊥ I meets every guard of _commute but the size bound, which the
+    # core does not need: same ring, a local ring, rows = size, m >= n
+    frame = v_big if linear else IsotropicFrame(v_big, "sp")
+    result = _commute_core(hom, v_big, _FLAVORS[flavor].complete(frame),
+                           f"homotopy_commute_{flavor}")
+    big, cut = v_big.cols, v_mat.cols
 
     # sigma'(T) = (d(T) ⊥ I) eval(eps)^{-1}; as a word, specialize at T = 1
     sig_word_t = hom.word.embed(result.epsilon_word.size) + \
@@ -360,29 +348,23 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     sig_word = sig_word_t.specialize(ring.one())
     s_full = sig_word.eval()
 
-    cut = big - k
     alpha = s_full.submatrix(0, cut, 0, cut)
     beta = s_full.submatrix(0, cut, cut, big)
     gamma = s_full.submatrix(cut, big, 0, cut)
     zeta = s_full.submatrix(cut, big, cut, big)
-    zero_block = Mat.zeros(ring, big - cut, cut)
-    check_gamma = gamma == zero_block
+    check_gamma = gamma == Mat.zeros(ring, k, cut)
     check_zeta = zeta == d_inv
     check_commutes = (d @ v_mat) == (v_mat @ alpha)
 
-    if flavor == "linear":
-        if beta == Mat.zeros(ring, beta.rows, beta.cols):
-            word = sig_word
-        else:
-            x = alpha.inverse().scale(-ring.one()) @ beta
-            word = sig_word + GenWord(ring, big, FAMILY_LIN,
-                                      tuple(_block_upper_gens(x, cut, big)))
-    else:
-        # the perp pairing forces the off-diagonal block to vanish
-        if beta != Mat.zeros(ring, beta.rows, beta.cols):
+    word = sig_word
+    if beta != Mat.zeros(ring, cut, k):
+        # in Sp the perp pairing forces the off-diagonal block to vanish
+        if not linear:
             raise FormViolation("internal: symplectic transport kept a "
                                 "nonzero off-diagonal block")
-        word = sig_word
+        x = alpha.inverse().scale(-ring.one()) @ beta
+        word += GenWord(ring, big, FAMILY_LIN,
+                        tuple(_block_upper_gens(x, cut, big)))
     target = alpha.block_perp(d_inv)
     check_word = word.eval() == target
 

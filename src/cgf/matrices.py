@@ -24,16 +24,23 @@ No product by the forms psi_n and phi_n is ever formed: one kernel,
 ``_form``, applies either form as a signed swap of paired rows, for every
 use of the forms in the library.  Membership in Sp and O and the isotropic
 frame check read only the upper triangle of their product (``_gram_is_form``).
+
+``right_inverse`` has two paths.  A local ring (every field included) keeps
+unit pivots (``_right_inverse_local``): there a row is unimodular exactly
+when it has a unit entry, and the two-row factorizations read their
+witnesses off that beta.  Z, Z/n and their quotients, the rings
+``_residue_modulus`` names, use extended-gcd column operations
+(``_right_inverse_integral``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
-from .rings import (ModularRing, Ring, RingValue, _factor, _residue_modulus,
-                    has_half)
+from .rings import Ring, RingValue, _residue_modulus, _xgcd, has_half
 
 DET_SIZE_CAP = 12
 
@@ -419,105 +426,41 @@ def _right_inverse_local(a: Mat) -> Mat:
     return Mat._box(ring, [[r[p] for p in pivots] for r in rows[n:]])
 
 
-def _snf_solve_int(a_rows, rhs_cols):
-    """Solve A X = B over the integers via Smith reduction; None if unsolvable.
-
-    a_rows: list of int lists (n x m); rhs_cols: list of int column vectors.
-    Returns X as list of int rows (m x k).
-    """
-    n = len(a_rows)
-    m = len(a_rows[0])
-    A = [list(r) for r in a_rows]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def row_op(i1, i2, q):  # row i1 -= q * row i2
-        A[i1] = [x - q * y for x, y in zip(A[i1], A[i2])]
-        U[i1] = [x - q * y for x, y in zip(U[i1], U[i2])]
-
-    def col_op(j1, j2, q):  # col j1 -= q * col j2
-        for r in range(n):
-            A[r][j1] -= q * A[r][j2]
-        for r in range(m):
-            V[r][j1] -= q * V[r][j2]
-
-    def swap_rows(i1, i2):
-        A[i1], A[i2] = A[i2], A[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-
-    def swap_cols(j1, j2):
-        for r in range(n):
-            A[r][j1], A[r][j2] = A[r][j2], A[r][j1]
-        for r in range(m):
-            V[r][j1], V[r][j2] = V[r][j2], V[r][j1]
-
-    t = 0
-    while t < min(n, m):
-        # find a nonzero pivot
-        piv = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            done = True
-            for i in range(t + 1, n):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_op(i, t, q)
-                    if A[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, m):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_op(j, t, q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        t += 1
-    # A = U * original * V is now diagonal (first t entries)
-    X_cols = []
-    for b in rhs_cols:
-        ub = [sum(U[i][r] * b[r] for r in range(n)) for i in range(n)]
-        y = [0] * m
-        for i in range(n):
-            d = A[i][i] if i < m else 0
-            if d == 0:
-                if ub[i] != 0:
-                    return None
-                continue
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        x = [sum(V[r][c] * y[c] for c in range(m)) for r in range(m)]
-        X_cols.append(x)
-    return [[X_cols[c][r] for c in range(len(X_cols))] for r in range(m)]
-
-
-def _right_inverse_modular(a: Mat, n_mod: int) -> Mat:
-    """CRT over the prime-power factors of the modulus of Z/n_mod."""
-    parts = [(q, _right_inverse_local(Mat(ModularRing(q), a._grid))._grid)
-             for q in (p ** k for p, k in _factor(n_mod))]
-
-    def crt(r, c):
-        x, mod = 0, 1
-        for q, beta in parts:
-            # extend x to satisfy x = beta_rc (mod q) as well
-            x += mod * ((beta[r][c] - x) * pow(mod % q, -1, q) % q)
-            mod *= q
-        return x
-    return Mat(a.ring, [[crt(r, c) for c in range(a.rows)]
-                        for r in range(a.cols)])
+def _right_inverse_integral(a: Mat, n: int) -> Mat:
+    """Hermite column reduction (H. Cohen, GTM 138, 2.4) over Z (n = 0) or
+    Z/n, on the payload rows of a stacked over I_m: extended-gcd column
+    operations gather each row into a pivot, which must be a unit, is
+    scaled to 1 and cleared from the earlier pivots; beta is the pivot
+    columns below."""
+    red = (lambda x: x % n) if n else (lambda x: x)
+    m = a.cols
+    rows = [[red(x) for x in r] for r in a._payloads()] + \
+        [[int(i == j) for j in range(m)] for i in range(m)]
+    pivots: list[int] = []
+    for i, row in enumerate(rows[:a.rows]):
+        piv, *rest = [j for j in range(m) if j not in pivots]
+        for j in rest:
+            if row[j]:
+                g, u, w = _xgcd(row[piv], row[j])
+                x, y = row[piv] // g, row[j] // g
+                for r in rows:
+                    r[piv], r[j] = (red(u * r[piv] + w * r[j]),
+                                    red(x * r[j] - y * r[piv]))
+        g = row[piv]
+        if gcd(g, n) != 1:  # gcd(g, 0) = |g|
+            raise NotRightInvertible(
+                f"row {i} of the matrix has no unit pivot" if n
+                else "no integral right inverse")
+        inv = pow(g, -1, n) if n else g
+        for r in rows:
+            r[piv] = red(r[piv] * inv)
+        for j in pivots:
+            f = row[j]
+            if f:
+                for r in rows:
+                    r[j] = red(r[j] - f * r[piv])
+        pivots.append(piv)
+    return Mat._box(a.ring, [[r[p] for p in pivots] for r in rows[a.rows:]])
 
 
 def right_inverse(a: Mat) -> RightInverseCert:
@@ -525,20 +468,13 @@ def right_inverse(a: Mat) -> RightInverseCert:
     ring = a.ring
     if a.rows > a.cols:
         raise NotRightInvertible("more rows than columns")
-    if ring.is_local or ring.is_field:
+    if ring.is_local:
         return RightInverseCert(a, _right_inverse_local(a))
     n = _residue_modulus(ring)
-    if n:
-        return RightInverseCert(a, _right_inverse_modular(a, n))
-    if n == 0:
-        rows = a._payloads()
-        rhs = [[int(i == j) for i in range(a.rows)] for j in range(a.rows)]
-        sol = _snf_solve_int(rows, rhs)
-        if sol is None:
-            raise NotRightInvertible("no integral right inverse")
-        return RightInverseCert(a, Mat(ring, sol))
-    raise UnsupportedRing(
-        f"right-inverse solving over {ring} is unsupported; supply a certificate")
+    if n is None:
+        raise UnsupportedRing(f"right-inverse solving over {ring} is "
+                              f"unsupported; supply a certificate")
+    return RightInverseCert(a, _right_inverse_integral(a, n))
 
 
 # ---------------------------------------------------------------------------

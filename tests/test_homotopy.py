@@ -8,7 +8,7 @@ import pytest
 from cgf import homotopy, words
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
                         SizeBound)
-from cgf.homotopy import (_FLAVOR_FAMILY, _FLAVOR_GROUP, CommuteResult,
+from cgf.homotopy import (_FLAVORS, CommuteResult,
                           Homotopy, _commute_core, commutator_witness,
                           homotopy_commute_linear, homotopy_commute_orthogonal,
                           homotopy_commute_symplectic, mat_substitute,
@@ -280,9 +280,12 @@ def test_each_word_is_evaluated_once(flavor, family, size, monkeypatch):
     applied = [w for kind, w in seen if kind == "apply"]
     assert json.dumps(eps.to_json(), sort_keys=True) in evaluated
     assert len(evaluated) == len(set(evaluated)) == 2  # completion, eps(1)
-    # eps(T) acts once on b d(T) and is never evaluated
-    assert len(applied) == 1 and applied[0] not in evaluated
-    assert json.loads(applied[0])["ring"] == rt.to_json()
+    # d(T) acts on b from the left and from the right, then eps(T) acts
+    # once on b d(T); neither is evaluated
+    d_json = json.dumps(word_t.to_json(), sort_keys=True)
+    assert applied[:2] == [d_json, d_json] and len(applied) == 3
+    assert applied[2] not in evaluated
+    assert json.loads(applied[2])["ring"] == rt.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,7 @@ def _commute_core_dense(d, v_mat, completion, claim):
     # check product is a dense matmul over R[T]
     rt = d.poly_ring
     base = d.base_ring
-    family = _FLAVOR_FAMILY[d.flavor]
+    family = _FLAVORS[d.flavor].family
     msize = completion.size
     nsize = d.size
 
@@ -324,7 +327,7 @@ def _commute_core_dense(d, v_mat, completion, claim):
     check_commute = (d.delta_t @ v_t) == (v_t @ sigma_t)
     check_start = mat_substitute(sigma_t, base.zero()).is_identity()
     check_eps = (sigma_t @ eps_mat) == d_mat
-    check_group = membership(sigma_t, _FLAVOR_GROUP[d.flavor])
+    check_group = membership(sigma_t, _FLAVORS[d.flavor].group)
 
     one = base.one()
     sigma_1 = mat_substitute(sigma_t, one)
@@ -481,3 +484,108 @@ def test_small_cap_input_that_only_the_dense_engine_rejects():
     res = homotopy_commute_linear(d, v)
     assert res.mode == "word" and res.witness.all_passed()
     assert (d.delta_t @ v.map_ring(rt)) == (v.map_ring(rt) @ res.sigma_t)
+
+
+# ---------------------------------------------------------------------------
+# the guards of the public entries
+
+_ENTRIES = {"linear": homotopy_commute_linear,
+            "symplectic": homotopy_commute_symplectic,
+            "orthogonal": homotopy_commute_orthogonal}
+_FAMILIES = {"linear": FAMILY_LIN, "symplectic": FAMILY_SP,
+             "orthogonal": FAMILY_ORTH}
+_FRAME_KINDS = {"linear": None, "symplectic": "sp", "orthogonal": "orth"}
+# (n, m) in rows for the linear flavor and in pairs for the frames: inside
+# the size bound, and outside it
+_GOOD_SIZES = {"linear": (2, 3), "symplectic": (2, 3), "orthogonal": (2, 4)}
+_BAD_SIZES = {"linear": (2, 2), "symplectic": (2, 2), "orthogonal": (2, 3)}
+_OTHER_FLAVOR = {"linear": "symplectic", "symplectic": "linear",
+                 "orthogonal": "linear"}
+
+
+def _guard_homotopy(flavor, ring, n, kind_of=None):
+    """A word-backed homotopy of the given flavor over ring[T], of the size
+    that an n-row V (n pairs for a frame) of ``kind_of``'s flavor needs."""
+    size = n if _FRAME_KINDS[kind_of or flavor] is None else 2 * n
+    rt = PolyExt(ring, "T")
+    word = random_word(random.Random(size), ring, _FAMILIES[flavor], size, 2)
+    return Homotopy.from_word(flavor, word.times_variable(rt))
+
+
+def _guard_v(flavor, ring, n, m, kind=None):
+    kind = kind or _FRAME_KINDS[flavor]
+    if kind is None:
+        return identity(ring, m).submatrix(0, n, 0, m)
+    return IsotropicFrame.standard(ring, kind, n, m)
+
+
+def _error_code(fn, *args):
+    try:
+        fn(*args)
+    except CgfError as e:
+        return e.code
+    return "ok"
+
+
+@pytest.mark.parametrize("flavor", sorted(_ENTRIES))
+def test_commute_guards_keep_their_codes(flavor):
+    Z9, Z15, F5 = ModularRing(9), ModularRing(15), PrimeField(5)
+    entry = _ENTRIES[flavor]
+    n, m = _GOOD_SIZES[flavor]
+    d = _guard_homotopy(flavor, Z9, n)
+    assert entry(d, _guard_v(flavor, Z9, n, m)).witness.all_passed()
+    other = _OTHER_FLAVOR[flavor]
+    kind = _FRAME_KINDS[flavor]
+    cases = {
+        "wrong flavor": (_guard_homotopy(other, Z9, n, flavor),
+                         _guard_v(flavor, Z9, n, m), "descriptor_mismatch"),
+        "ring mismatch": (d, _guard_v(flavor, F5, n, m),
+                          "descriptor_mismatch"),
+        "non-local ring": (_guard_homotopy(flavor, Z15, n),
+                           _guard_v(flavor, Z15, n, m), "not_local"),
+        "row mismatch": (d, _guard_v(flavor, Z9, n + 1, m + 1),
+                         "size_bound"),
+        "size bound": (d, _guard_v(flavor, Z9, *_BAD_SIZES[flavor]),
+                       "size_bound"),
+        # precedence: the first failing guard names the error
+        "wrong flavor over a non-local ring": (
+            _guard_homotopy(other, Z15, n, flavor),
+            _guard_v(flavor, Z15, n, m), "descriptor_mismatch"),
+        "ring mismatch and row mismatch": (
+            d, _guard_v(flavor, F5, n + 1, m + 1), "descriptor_mismatch"),
+        "non-local ring and size bound": (
+            _guard_homotopy(flavor, Z15, n),
+            _guard_v(flavor, Z15, *_BAD_SIZES[flavor]), "not_local"),
+    }
+    if kind is not None:
+        wrong = "orth" if kind == "sp" else "sp"
+        cases["wrong frame kind"] = (d, _guard_v(flavor, Z9, n, m, wrong),
+                                     "form_violation")
+        cases["wrong frame kind over another ring"] = (
+            d, _guard_v(flavor, F5, n, m, wrong), "form_violation")
+        cases["wrong flavor and wrong frame kind"] = (
+            _guard_homotopy(other, Z9, n, flavor),
+            _guard_v(flavor, Z9, n, m, wrong), "descriptor_mismatch")
+    for name, (hom, v, code) in cases.items():
+        assert _error_code(entry, hom, v) == code, name
+
+
+def test_transport_certifies_at_its_smallest_sizes():
+    Z9 = ModularRing(9)
+    for d, v, sigma in [
+            (Mat(Z9, [[1]]), Mat(Z9, [[1]]), [[1]]),
+            (Mat(Z9, [[1]]), Mat(Z9, [[2, 3]]), identity(Z9, 2)._payloads()),
+            (word_from_pairs(Z9, 2, FAMILY_SP, [(2, 1, 2)]).eval(),
+             IsotropicFrame.standard(Z9, "sp", 1, 1), [[1, 0], [2, 1]])]:
+        flavor = "linear" if isinstance(v, Mat) else "symplectic"
+        res = vaserstein_transport(d, v, flavor)
+        assert res.witness.all_passed()
+        assert res.sigma._payloads() == sigma
+        assert res.word.eval() == block_perp(res.sigma, d.inverse())
+
+
+def test_transport_needs_as_many_columns_as_rows():
+    Z9 = ModularRing(9)
+    d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3)]).eval()
+    with pytest.raises(SizeBound):
+        vaserstein_transport(d, Mat(Z9, [[1], [0]]), "linear")

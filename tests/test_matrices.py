@@ -1,5 +1,7 @@
 """Matrices: forms, membership, determinants, right inverses, frames."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -229,6 +231,76 @@ def test_right_inverse_integers():
     assert (a @ cert.beta).is_identity()
     with pytest.raises(NotRightInvertible):
         right_inverse(Mat(Z, [[2, 4, 6]]))
+
+
+# (ring, m) with the ring Z/m, m = 0 meaning Z; all but the last two are
+# not local, so the integral solver answers them
+_INTEGRAL_RINGS = [
+    (IntegerRing(), 0), (ModularRing(6), 6), (ModularRing(10), 10),
+    (ModularRing(12), 12), (ModularRing(15), 15),
+    (QuotientRing(IntegerRing(), [0]), 0),
+    (QuotientRing(IntegerRing(), [6]), 6),
+    (QuotientRing(ModularRing(12), [6]), 6),
+    (QuotientRing(ModularRing(12), [0]), 12),
+    (QuotientRing(IntegerRing(), [4]), 4),
+    (QuotientRing(ModularRing(12), [3]), 3),
+]
+
+
+def _unit_minor_gcd(a, m):
+    # independent criterion: a (n x k over Z/m) is right invertible exactly
+    # when its n x n minors, with m, generate the unit ideal of Z
+    n, k = a.rows, a.cols
+    g = m
+    for cols in itertools.combinations(range(k), n):
+        sub = [[row[j] for j in cols] for row in a._payloads()]
+        g = math.gcd(g, Mat(IntegerRing(), sub).det().payload)
+    return g == 1
+
+
+def test_right_inverse_exactly_when_minors_generate_the_unit_ideal():
+    rng = random.Random(71)
+    solvable = 0
+    for case in range(1500):
+        ring, m = _INTEGRAL_RINGS[case % len(_INTEGRAL_RINGS)]
+        n = rng.randint(1, 3)
+        k = rng.randint(n, 4)
+        a = Mat(ring, [[rng.randint(-6, 6) for _ in range(k)]
+                       for _ in range(n)])
+        expected = _unit_minor_gcd(a, m)
+        try:
+            cert = right_inverse(a)
+        except NotRightInvertible:
+            assert not expected, a
+            continue
+        assert expected, a
+        assert cert.beta.ring == ring and (a @ cert.beta).is_identity()
+        solvable += 1
+    assert 300 < solvable < 1200
+
+
+@pytest.mark.parametrize("n,grid,beta", [
+    (4, [[2, 3, 0]], [[0], [3], [0]]),
+    (4, [[1, 2, 3], [2, 1, 1]], [[1, 2], [2, 1], [0, 0]]),
+    (4, [[2, 1, 0, 3], [1, 0, 2, 2]], [[0, 1], [1, 2], [0, 0], [0, 0]]),
+    (9, [[3, 4, 1]], [[0], [7], [0]]),
+    (9, [[1, 2, 0], [3, 6, 1]], [[1, 0], [0, 0], [6, 1]]),
+    (9, [[6, 3, 2, 5], [0, 1, 4, 7], [3, 3, 3, 1]],
+     [[0, 0, 0], [4, 7, 3], [8, 6, 8], [0, 6, 4]]),
+])
+def test_right_inverse_over_local_moduli_is_pinned(n, grid, beta):
+    # local rings keep unit pivots: the two-row witnesses read this beta
+    assert right_inverse(Mat(ModularRing(n), grid)).beta._payloads() == beta
+
+
+def test_integral_failure_messages():
+    over_z = "^no integral right inverse$"
+    with pytest.raises(NotRightInvertible, match=over_z):
+        right_inverse(Mat(IntegerRing(), [[2, 4, 6], [1, 1, 1]]))
+    with pytest.raises(NotRightInvertible, match=over_z):
+        right_inverse(Mat(QuotientRing(IntegerRing(), [0]), [[1, 0], [0, 0]]))
+    with pytest.raises(NotRightInvertible, match="no unit pivot"):
+        right_inverse(Mat(ModularRing(6), [[2, 4, 0]]))
 
 
 def test_right_inverse_rationals():
