@@ -492,8 +492,6 @@ def test_small_cap_input_that_only_the_dense_engine_rejects():
 _ENTRIES = {"linear": homotopy_commute_linear,
             "symplectic": homotopy_commute_symplectic,
             "orthogonal": homotopy_commute_orthogonal}
-_FAMILIES = {"linear": FAMILY_LIN, "symplectic": FAMILY_SP,
-             "orthogonal": FAMILY_ORTH}
 _FRAME_KINDS = {"linear": None, "symplectic": "sp", "orthogonal": "orth"}
 # (n, m) in rows for the linear flavor and in pairs for the frames: inside
 # the size bound, and outside it
@@ -508,7 +506,8 @@ def _guard_homotopy(flavor, ring, n, kind_of=None):
     that an n-row V (n pairs for a frame) of ``kind_of``'s flavor needs."""
     size = n if _FRAME_KINDS[kind_of or flavor] is None else 2 * n
     rt = PolyExt(ring, "T")
-    word = random_word(random.Random(size), ring, _FAMILIES[flavor], size, 2)
+    family = _COMPLETE[flavor][0]
+    word = random_word(random.Random(size), ring, family, size, 2)
     return Homotopy.from_word(flavor, word.times_variable(rt))
 
 
