@@ -7,16 +7,24 @@ generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
 
-The generator action is compiled once per enumeration: each catalog
-generator becomes its column updates col_t += c * col_s as 0-based payload
-triples (``Generator._payload_updates``), and one row kernel applies them to
-a payload tuple with the ring's ``fma``.  A frame key applies the kernel to
-each of its rows, a row key is a one-row frame, and the path check and the
-closure check of ``certify_equivalence`` run the same kernel.  The kernel
-reports a generator whose source entries are all zero as fixing the object
-instead of copying it.  Skipping that edge keeps the tie rule: the fixed
-object is the parent itself, already in the table, so it was never a
-proposal.
+The BFS and the checks run on integer codes (the numbering of points in
+orbit algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, section 4.1).  ``_Codec`` ranks the ring's elements in
+``ring.sort_key`` order, and a key's entries, row by row, are the digits of
+one base-q integer, most significant first, so integer order is key order.
+Each catalog generator compiles once from ``Generator._payload_updates``
+into (source position, target position, weight q^k, coefficient rank)
+updates, and one kernel, ``step``, adds (rank(a + x*c) - a) * q^k for each
+update whose source digit x is nonzero, a being the target digit.  A
+generator's sources are never its targets, so every update reads the
+digits of the object it acts on.  The rows rank(a + .) and rank(x * .) for
+an entry value are built the first time ``digits`` meets an object that
+holds it, so their cost never exceeds the BFS work that reaches them, even
+over a large ring.  The kernel serves the BFS, the link check of a loaded
+table, the closure check and the path check of ``certify_equivalence``.  A
+generator that fixes an object returns its own code, which the table
+already holds, so it is never a proposal and the tie rule is kept.  The
+payload keys of the table are decoded once, when the BFS ends.
 """
 
 from __future__ import annotations
@@ -63,37 +71,85 @@ def generator_catalog(ring: Ring, family: str, size: int):
     return gens
 
 
-def _key_action(table: "OrbitTable"):
-    """The right action of one compiled generator (its
-    ``_payload_updates()``) on a key of ``table``: the new key, or None when
-    every source entry is zero, so that the generator fixes the key."""
-    ring = table.ring
-    fma, zero = ring.fma, ring.zero().payload
+class _Codec:
+    """The keys of one table as base-q integers, and the kernel ``step``
+    that acts on them (see the module docstring)."""
 
-    def act_row(row, updates):
-        new = None
-        for t, s, c in updates:
-            x = (new or row)[s]
-            if x != zero:
-                if new is None:
-                    new = list(row)
-                new[t] = fma(new[t], c, x)
-        return None if new is None else tuple(new)
+    def __init__(self, table: "OrbitTable"):
+        ring = table.ring
+        values = sorted((v.payload for v in ring.elements()),
+                        key=ring.sort_key)
+        rank = {p: r for r, p in enumerate(values)}
+        q = len(values)
+        # distinct keys get distinct codes, in key order, only if no two
+        # elements tie in sort_key
+        assert len(rank) == q and all(
+            ring.sort_key(a) < ring.sort_key(b)
+            for a, b in zip(values, values[1:])), "sort_key ties elements"
+        self.values, self.rank, self.q = values, rank, q
+        self.is_row = table.kind == "row"
+        self.rows = 1 if self.is_row else table.frame_rows
+        self.width = table.size
+        n = self.rows * self.width
+        self.weights = [q ** (n - 1 - k) for k in range(n)]
+        zero = rank[ring.zero().payload]
+        add = [None] * q  # add[a][y] = rank(a + y), built on first sight
+        mul = [None] * q  # mul[x][c] = rank(x * c), built with it
+        ring_add, ring_mul = ring.add, ring.mul
 
-    if table.kind == "row":
-        return act_row
+        def digits(code):
+            """The digits of ``code``; builds the rows of new values."""
+            ds = [0] * n
+            for k in range(n - 1, -1, -1):
+                code, ds[k] = divmod(code, q)
+            for d in ds:
+                if add[d] is None:
+                    a = values[d]
+                    add[d] = [rank[ring_add(a, y)] for y in values]
+                    mul[d] = [rank[ring_mul(a, y)] for y in values]
+            return ds
 
-    def act_frame(frame, updates):
-        new = None
-        for k, row in enumerate(frame):
-            moved = act_row(row, updates)
-            if moved is not None:
-                if new is None:
-                    new = list(frame)
-                new[k] = moved
-        return None if new is None else tuple(new)
+        def step(code, ds, updates):
+            """The code of the image under one compiled generator of the
+            object with code ``code`` and digits ``ds``."""
+            for s, t, w, c in updates:
+                x = ds[s]
+                if x != zero:
+                    a = ds[t]
+                    code += (add[a][mul[x][c]] - a) * w
+            return code
 
-    return act_frame
+        self.digits, self.step = digits, step
+
+    def encode(self, key) -> int:
+        rank, q, code = self.rank, self.q, 0
+        for row in ((key,) if self.is_row else key):
+            for p in row:
+                code = code * q + rank[p]
+        return code
+
+    def decode(self, code):
+        values = self.values
+        flat = [values[d] for d in self.digits(code)]
+        if self.is_row:
+            return tuple(flat)
+        w = self.width
+        return tuple(tuple(flat[r * w:(r + 1) * w]) for r in range(self.rows))
+
+    def compile(self, g: Generator) -> list:
+        """``g``'s column updates on every row, as (source position, target
+        position, weight, coefficient rank)."""
+        updates = g._payload_updates()
+        targets = {t for t, _, _ in updates}
+        # each update may read the digits from before the step
+        assert len(targets) == len(updates) and targets.isdisjoint(
+            s for _, s, _ in updates), "a generator source is a target"
+        weights, rank, width = self.weights, self.rank, self.width
+        out = []
+        for base in range(0, self.rows * width, width):
+            for t, s, c in updates:
+                out.append((base + s, base + t, weights[base + t], rank[c]))
+        return out
 
 
 @dataclass
@@ -164,15 +220,22 @@ class OrbitTable:
             raise UnsupportedRing(f"unknown table version {obj.get('version')}")
         ring = ring_from_json(obj["ring"])
         kind = obj["kind"]
+        table = OrbitTable(ring, kind, obj["family"], int(obj["size"]),
+                           int(obj.get("frame_rows", 0)))
+        rows = 1 if kind == "row" else table.frame_rows
 
         def dec_key(v):
+            # a key of another shape would share a code with one of the
+            # table's shape
+            grid = [v] if kind == "row" else v
+            if len(grid) != rows or any(len(r) != table.size for r in grid):
+                raise WitnessCheckFailed(
+                    "orbit table object has the wrong shape", object=v)
             if kind == "row":
                 return tuple(ring.value_from_json(p).payload for p in v)
             return tuple(tuple(ring.value_from_json(p).payload for p in row)
                          for row in v)
 
-        table = OrbitTable(ring, kind, obj["family"], int(obj["size"]),
-                           int(obj.get("frame_rows", 0)))
         for entry in obj["objects"]:
             key = dec_key(entry["v"])
             table.orbit_of[key] = int(entry["orbit"])
@@ -194,13 +257,18 @@ class OrbitTable:
         the objects without a link are one representative per orbit id in
         id order, and each chain of links ends at one.  Objects that share
         an orbit id are then equivalent."""
-        act, of = _key_action(self), self.orbit_of
+        codec, of = _Codec(self), self.orbit_of
         for key, link in self.pred.items():
-            if link is not None and (
-                    of.get(link[0]) != of[key] or
-                    act(link[0], link[1]._payload_updates()) != key):
-                raise WitnessCheckFailed("orbit table link fails its check",
-                                         object=self._enc_key(key))
+            if link is None:
+                continue
+            parent, g = link
+            if of.get(parent) == of[key]:
+                code = codec.encode(parent)
+                image = codec.step(code, codec.digits(code), codec.compile(g))
+                if image == codec.encode(key):
+                    continue
+            raise WitnessCheckFailed("orbit table link fails its check",
+                                     object=self._enc_key(key))
         for oid, rep in enumerate(self.reps):
             if of[rep] != oid:
                 raise WitnessCheckFailed(
@@ -223,35 +291,47 @@ class OrbitTable:
 
 
 def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
-    """Deterministic multi-source BFS; ties between frontier edges pick the
-    least (parent, generator), which is the first to propose the object."""
-    act = _key_action(table)
-    compiled = [(g, g._payload_updates()) for g in gens]
+    """Deterministic multi-source BFS into the empty ``table``; ties
+    between frontier edges pick the least (parent, generator), which is the
+    first to propose the object.  It runs on codes and decodes each object
+    once at the end, in the order the objects were reached."""
+    codec = _Codec(table)
+    digits, step = codec.digits, codec.step
+    compiled = [(g, codec.compile(g)) for g in gens]
+    orbit: dict = {}  # code -> orbit id
+    link: dict = {}  # code -> (parent code, Generator), or None for a root
+    reps = []
     for root in start_keys:
-        if root in table.orbit_of:
+        code = codec.encode(root)
+        if code in orbit:
             continue
-        oid = len(table.reps)
-        table.reps.append(root)
-        table.orbit_of[root] = oid
-        table.pred[root] = None
-        frontier = [root]
+        oid = len(reps)
+        reps.append(code)
+        orbit[code] = oid
+        link[code] = None
+        frontier = [code]
         while frontier:
             proposals: dict = {}
             for node in frontier:
+                ds = digits(node)
                 for g, updates in compiled:
-                    new = act(node, updates)
-                    if new is not None and new not in table.orbit_of:
+                    new = step(node, ds, updates)
+                    if new not in orbit:
                         proposals.setdefault(new, (node, g))
-            next_frontier = []
-            for new, (parent, g) in sorted(
-                    proposals.items(), key=lambda kv: table._key_order(kv[0])):
-                table.orbit_of[new] = oid
-                table.pred[new] = (parent, g)
-                next_frontier.append(new)
-                if len(table.orbit_of) > budget:
+            frontier = sorted(proposals)
+            for new in frontier:
+                orbit[new] = oid
+                link[new] = proposals[new]
+                if len(orbit) > budget:
                     raise SearchBudgetExceeded(
                         f"orbit table exceeded budget {budget}")
-            frontier = next_frontier
+    keys = {}
+    for code, oid in orbit.items():
+        keys[code] = key = codec.decode(code)
+        table.orbit_of[key] = oid
+        edge = link[code]
+        table.pred[key] = None if edge is None else (keys[edge[0]], edge[1])
+    table.reps.extend(keys[code] for code in reps)
 
 
 def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
@@ -316,13 +396,15 @@ def _check_closed(table: OrbitTable, oid: int):
     """Raise unless every catalog generator maps every object of orbit
     ``oid`` to an object of that orbit.  The objects with that id then hold
     the whole orbit, so an object with another id lies outside it."""
-    act, of = _key_action(table), table.orbit_of
-    compiled = [g._payload_updates() for g in
+    codec = _Codec(table)
+    compiled = [codec.compile(g) for g in
                 generator_catalog(table.ring, table.family, table.size)]
-    for key in [k for k, o in of.items() if o == oid]:
+    members = {codec.encode(k): k for k, o in table.orbit_of.items()
+               if o == oid}
+    for code, key in members.items():
+        ds = codec.digits(code)
         for updates in compiled:
-            image = act(key, updates)
-            if image is not None and of.get(image) != oid:
+            if codec.step(code, ds, updates) not in members:
                 raise WitnessCheckFailed(
                     "orbit table orbit is not closed under the generators",
                     object=table._enc_key(key))
@@ -341,10 +423,10 @@ def certify_equivalence(v1, v2, table: OrbitTable):
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
-    act = _key_action(table)
-    cur = k1
+    codec = _Codec(table)
+    cur = codec.encode(k1)
     for g in word:
-        cur = act(cur, g._payload_updates()) or cur
-    if cur != k2:
+        cur = codec.step(cur, codec.digits(cur), codec.compile(g))
+    if cur != codec.encode(k2):
         raise ObjectOutOfDomain("internal: path verification failed")
     return word

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -11,8 +12,8 @@ from cgf.errors import (DescriptorMismatch, ObjectOutOfDomain,
                         WitnessCheckFailed)
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
-from cgf.rings import (IntegerRing, ModularRing, PrimeField, QuotientRing,
-                       TruncatedPolyLocal)
+from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
+                       QuotientRing, TruncatedPolyLocal)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, _apply_gens,
                        apply_word_to_row)
 
@@ -147,6 +148,31 @@ def test_budget_guard():
         enumerate_orbits(Z5, "row", FAMILY_LIN, 3, budget=10)
 
 
+def test_large_ring_tables_meet_their_budget_quickly():
+    # the codec's rank rows are built only for the values the BFS meets:
+    # q x q tables over Z/10007 would take seconds before the budget
+    # check, so the calls run in a thread with a deadline
+    ring = ModularRing(10007)
+    results = []
+
+    def run():
+        try:
+            enumerate_orbits(ring, "frame", FAMILY_LIN, 2, frame_rows=1,
+                             budget=1000)
+        except SearchBudgetExceeded as e:
+            results.append(e)
+        # no orthogonal generator exists at size 2
+        results.append(enumerate_orbits(ring, "frame", FAMILY_ORTH, 2,
+                                        frame_rows=1))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and len(results) == 2
+    assert isinstance(results[0], SearchBudgetExceeded)
+    assert results[1].orbit_of == {((1, 0),): 0}
+
+
 def _um3_z4():
     return enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3)
 
@@ -190,6 +216,21 @@ def _tamper_cycle(obj):
     return "orbit table links form a cycle", [list(x), list(parent)]
 
 
+def _tamper_short_root(obj):
+    # a key one entry short, as a new representative: with codes it would
+    # share the code of [0, 1, 0]
+    obj["objects"].append({"v": [1, 0], "orbit": 1, "pred": None})
+    return "orbit table object has the wrong shape", [[1, 0]]
+
+
+def _tamper_short_link(obj):
+    # the short key takes the orbit and the link of [0, 1, 0]
+    twin = _entry(obj, [0, 1, 0])
+    obj["objects"].append({"v": [1, 0], "orbit": twin["orbit"],
+                           "pred": twin["pred"]})
+    return "orbit table object has the wrong shape", [[1, 0]]
+
+
 def _children(obj, v):
     return [v] + [e["v"] for e in obj["objects"]
                   if e["pred"] is not None and e["pred"][0] == v]
@@ -197,7 +238,8 @@ def _children(obj, v):
 
 @pytest.mark.parametrize("tamper", [_tamper_orbit, _tamper_param,
                                     _tamper_root, _tamper_unlinked,
-                                    _tamper_cycle])
+                                    _tamper_cycle, _tamper_short_root,
+                                    _tamper_short_link])
 def test_cached_table_links_are_checked(tamper):
     obj = json.loads(json.dumps(_um3_z4().to_json()))
     back = OrbitTable.from_json(obj)
@@ -256,11 +298,36 @@ COMPILED_ACTION_GOLDEN_TABLES = [
 ]
 
 
+# F_2[x]/(1 + x + x^2), whose sort key (len, payload) is not payload order
+F4 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 1, 1)])
+
+
+# the same digest, recorded before the BFS ran on integer codes
+CODED_GOLDEN_TABLES = [
+    (F4, "row", FAMILY_LIN, 3, 0,
+     "edd3a0cf00f5997a20979b61ea9acb2c3f0de89f7f527cd18355d6f9c8770f5e"),
+    (F4, "frame", FAMILY_SP, 4, 1,
+     "8348cc1887d2df20aac8f5fbc7ea5d496c52aa0ecd22744f7a57a36076cb6244"),
+    (QuotientRing(IntegerRing(), [10]), "row", FAMILY_SP, 2, 0,
+     "36cd2d5687223d43e263b6693f87272ff5553b88c84c06983e03d463460fe9e7"),
+    (ModularRing(1), "row", FAMILY_LIN, 3, 0,
+     "3569e2206f4b8483e18b39fdc26362517e1164a17d3fa03f593781c9df72cc53"),
+    (TruncatedPolyLocal(2, 2), "frame", FAMILY_LIN, 2, 2,
+     "6abf74788c754aabac5c6f262bcde1f24537701ca5d4ea38d77034837776d177"),
+    (PrimeField(5), "frame", FAMILY_ORTH, 4, 1,
+     "12af648c6c508f84411c7c5347bffd26533b2010de7162244b0311635be482bc"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
-                         GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES,
+                         GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES +
+                         CODED_GOLDEN_TABLES,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
-                              "Z/4 sp frames"])
+                              "Z/4 sp frames", "F_4 lin rows",
+                              "F_4 sp frames", "Z/(10) sp rows",
+                              "Z/1 lin rows", "F_2[x]/(x^2) lin frames",
+                              "F_5 orth frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
@@ -287,21 +354,41 @@ def _act_ref(table, key, g):
 ])
 def test_compiled_action_matches_apply_gens(ring, kind, family, size,
                                             frame_rows):
-    # every catalog generator on every object of the table: the compiled
-    # kernel gives the shared kernel's image, and reports "fixed" exactly
-    # when every source entry of every row is zero
+    # every catalog generator on every object of the table: the coded
+    # kernel gives the shared kernel's image, and returns the object's own
+    # code when every source entry of every row is zero
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
-    act = oracle._key_action(table)
+    codec = oracle._Codec(table)
     zero = ring.zero().payload
     rows_of = (lambda k: [k]) if kind == "row" else list
     for g in oracle.generator_catalog(ring, family, size):
-        updates = g._payload_updates()
+        updates = codec.compile(g)
         for key in table.orbit_of:
-            got = act(key, updates)
-            fixed = all(row[s] == zero for row in rows_of(key)
-                        for _, s, _ in updates)
-            assert (got is None) == fixed
-            assert (key if got is None else got) == _act_ref(table, key, g)
+            code = codec.encode(key)
+            got = codec.step(code, codec.digits(code), updates)
+            assert codec.decode(got) == _act_ref(table, key, g)
+            if all(row[s] == zero for row in rows_of(key)
+                   for _, s, _ in g._payload_updates()):
+                assert got == code
+
+
+# F_2[x]/(1 + x + x^2) and Z/12/(6) are quotients whose payloads are
+# tuples and residues of another ring's arithmetic
+@pytest.mark.parametrize("ring", [
+    ModularRing(1), ModularRing(6), PrimeField(5), TruncatedPolyLocal(2, 2),
+    F4, QuotientRing(IntegerRing(), [10]), QuotientRing(ModularRing(12), [6]),
+], ids=["Z/1", "Z/6", "F_5", "F_2[x]/(x^2)", "F_4", "Z/(10)", "Z/12/(6)"])
+def test_codes_preserve_key_order(ring):
+    # a row table and a frame table: decoding an encoded key gives it
+    # back, and codes sort the keys as _key_order does
+    for kind, size, frame_rows in (("row", 2, 0), ("frame", 2, 2)):
+        table = enumerate_orbits(ring, kind, FAMILY_LIN, size,
+                                 frame_rows=frame_rows)
+        codec = oracle._Codec(table)
+        keys = list(table.orbit_of)
+        assert [codec.decode(codec.encode(k)) for k in keys] == keys
+        assert (sorted(keys, key=codec.encode) ==
+                sorted(keys, key=table._key_order))
 
 
 def _bfs_closure_ref(table, start_keys, gens, budget):
