@@ -5,6 +5,11 @@ Exit codes: 0 on success, 2 on domain errors (structured JSON on stdout) or
 failed harness checks, 1 on usage errors, malformed input among them.
 Identical (command, input, seed) invocations print byte-identical JSON.
 
+The argument parser is built once per process, on the first ``main`` call
+(not at import), and reused by every later call: it raises instead of
+exiting and every default it holds is immutable, so a parse leaves no state
+behind.
+
 Each witness check is computed once.  A check its construction already made
 (the construction raises instead of returning when it fails) is recorded as
 ``pass``; the verbs compute only the checks no construction makes.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import random
 import sys
@@ -297,8 +303,8 @@ def _cmd_orbits(args) -> int:
                              frame_rows=args.frame_rows, budget=args.budget)
     if args.cache:
         with open(args.cache, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json(), fh, sort_keys=True,
-                      separators=(",", ":"))
+            fh.write(json.dumps(table.to_json(), sort_keys=True,
+                                separators=(",", ":")))
     return _emit({"orbits": table.orbit_count(),
                   "sizes": sorted(table.orbit_sizes()),
                   "objects": len(table.orbit_of)})
@@ -523,6 +529,7 @@ def _cmd_harness(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="cgf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -21,24 +21,27 @@ digits of the object it acts on.  The rows rank(a + .) and rank(x * .) for
 an entry value are built the first time ``digits`` meets an object that
 holds it, so their cost never exceeds the BFS work that reaches them, even
 over a large ring.  The kernel serves the BFS, the link check of a loaded
-table, the closure check and the path check of ``certify_equivalence``.  A
-generator that fixes an object returns its own code, which the table
-already holds, so it is never a proposal and the tie rule is kept.  The
-payload keys of the table are decoded once, when the BFS ends.
+table, the closure check and the path check of ``certify_equivalence``, all
+through the one codec a table builds on first use, so the rank rows built
+by one of them serve the others.  A generator that fixes an object returns
+its own code, which the table already holds, so it is never a proposal and
+the tie rule is kept.  The payload keys of the table are decoded once, when
+the BFS ends.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
-from .errors import (DescriptorMismatch, ObjectOutOfDomain,
+from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
 from .rings import Ring, _residue_modulus, ring_from_json, unit_ideal_witness
-from .words import FAMILY_ORTH, Generator, GenWord, paired_index
+from .words import FAMILY_ORTH, FAMILY_SP, Generator, GenWord, paired_index
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -56,7 +59,10 @@ def _is_unimodular_row(ring: Ring, values) -> bool:
 
 
 def generator_catalog(ring: Ring, family: str, size: int):
-    """All generators with nonzero parameters, in canonical order."""
+    """All generators with nonzero parameters, in canonical order.  The
+    paired families need an even size, also where the catalog is empty."""
+    if family in (FAMILY_SP, FAMILY_ORTH) and size % 2:
+        raise BadIndices(f"{family} generators need even size")
     nonzero = [v for v in ring.elements() if not v.is_zero()]
     nonzero.sort(key=lambda v: ring.sort_key(v.payload))
     gens = []
@@ -174,6 +180,12 @@ class OrbitTable:
             sizes[oid] += 1
         return sizes
 
+    @cached_property
+    def _codec(self) -> _Codec:
+        """The table's codec, built on first use (not a dataclass field, so
+        ``==`` and ``to_json`` ignore it)."""
+        return _Codec(self)
+
     def contains(self, key) -> bool:
         return key in self.orbit_of
 
@@ -257,7 +269,7 @@ class OrbitTable:
         the objects without a link are one representative per orbit id in
         id order, and each chain of links ends at one.  Objects that share
         an orbit id are then equivalent."""
-        codec, of = _Codec(self), self.orbit_of
+        codec, of = self._codec, self.orbit_of
         for key, link in self.pred.items():
             if link is None:
                 continue
@@ -295,7 +307,7 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     between frontier edges pick the least (parent, generator), which is the
     first to propose the object.  It runs on codes and decodes each object
     once at the end, in the order the objects were reached."""
-    codec = _Codec(table)
+    codec = table._codec
     digits, step = codec.digits, codec.step
     compiled = [(g, codec.compile(g)) for g in gens]
     orbit: dict = {}  # code -> orbit id
@@ -352,7 +364,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
             raise SearchBudgetExceeded(
                 f"{ring.cardinality()}^{size} objects exceed budget {budget}")
         table = OrbitTable(ring, "row", family, size)
-        gens = generator_catalog(ring, family, size) if size >= 2 else []
+        gens = generator_catalog(ring, family, size)
         pool = list(ring.elements())
         domain = []
         for combo in itertools.product(pool, repeat=size):
@@ -396,7 +408,7 @@ def _check_closed(table: OrbitTable, oid: int):
     """Raise unless every catalog generator maps every object of orbit
     ``oid`` to an object of that orbit.  The objects with that id then hold
     the whole orbit, so an object with another id lies outside it."""
-    codec = _Codec(table)
+    codec = table._codec
     compiled = [codec.compile(g) for g in
                 generator_catalog(table.ring, table.family, table.size)]
     members = {codec.encode(k): k for k, o in table.orbit_of.items()
@@ -423,7 +435,7 @@ def certify_equivalence(v1, v2, table: OrbitTable):
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
-    codec = _Codec(table)
+    codec = table._codec
     cur = codec.encode(k1)
     for g in word:
         cur = codec.step(cur, codec.digits(cur), codec.compile(g))

@@ -4,10 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import cgf.factor
+from cgf import cli
 from cgf.cli import main, parse_ring
 from cgf.matrices import Mat
 from cgf.orthoquot import O2Class
@@ -80,7 +84,13 @@ def test_domain_error_exit_code(capsys):
     for argv, err in ((["reduce-row", "--ring", "mod:4", "--row", "[2,2]"],
                        "no_unit_entry"),
                       (["orbits", "--ring", "mod:2", "--size", "-1"],
-                       "object_out_of_domain")):
+                       "object_out_of_domain"),
+                      # size 1 has no generator pair, but a paired family
+                      # needs an even size
+                      (["orbits", "--ring", "mod:4", "--family", "sp",
+                        "--size", "1"], "bad_indices"),
+                      (["orbits", "--ring", "mod:4", "--family", "orth",
+                        "--size", "1"], "bad_indices")):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         obj = json.loads(out)
@@ -276,6 +286,17 @@ def test_orbit_cache_and_certify(capsys, tmp_path):
     assert code == 0
     obj = json.loads(out)
     assert obj["equivalent"] is True
+
+
+def test_orbit_cache_bytes_are_golden(capsys, tmp_path):
+    # sha256 of the file, recorded while the table was written through
+    # json.dump's pure-Python encoder
+    cache = tmp_path / "um3-z4.json"
+    code, _ = run_cli(capsys, "orbits", "--ring", "mod:4", "--kind", "row",
+                      "--family", "lin", "--size", "3", "--cache", str(cache))
+    assert code == 0
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
+        "5b7be2fc5b95ae58c0a2f2524825eda48f917d669d37e4526d295de799449912"
 
 
 def test_certify_refuses_a_tampered_table(capsys, tmp_path):
@@ -501,3 +522,75 @@ def test_recorded_pass_is_a_check_the_construction_ran(case, capsys,
     obj = json.loads(out)
     assert (obj["code"], obj["message"]) == (code, message)
     assert "checks" not in obj
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process and reused by every main call
+
+def _run_all(capsys, argvs):
+    """(exit code, stdout, stderr) of each argv, in order."""
+    out = []
+    for argv in argvs:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_cached_parser_matches_a_fresh_one(capsys, monkeypatch):
+    argvs = [argv for argv, _ in GOLDEN_WITNESSES.values()]
+    # twice through the cached parser, so every parse follows all the others
+    cached = _run_all(capsys, argvs + argvs)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_all(capsys, argvs)
+    assert cached == fresh + fresh
+
+
+USAGE_ERRORS = {
+    "unknown ring": ["reduce-row", "--ring", "bogus:ring", "--row", "[1,0]"],
+    "missing --size": ["orbits", "--ring", "mod:4"],
+    "bad --flavor": ["homotopy-commute", "--flavor", "bogus",
+                     "--input", "{}"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(),
+                         ids=USAGE_ERRORS.keys())
+def test_a_usage_error_leaves_no_parser_state(argv, capsys):
+    for verb, (valid, digest) in GOLDEN_WITNESSES.items():
+        [(code, out, err)] = _run_all(capsys, [argv])
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        [(code, out, err)] = _run_all(capsys, [valid])
+        assert (code, err) == (0, ""), verb
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, verb
+
+
+def test_help_prints_the_same_bytes_twice(capsys):
+    for argv in (["--help"], ["orbits", "--help"]):
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 0
+            printed.append(capsys.readouterr())
+        assert printed[0].out.startswith("usage: cgf")
+        assert printed[0] == printed[1]
+
+
+def test_parser_is_built_once_on_the_first_main_call():
+    # in a new process: importing builds nothing, and five main calls
+    # build the parser once
+    script = """
+import contextlib, io
+import cgf.cli as cli
+assert cli._build_parser.cache_info().misses == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    for _ in range(5):
+        assert cli.main(["orbits", "--ring", "mod:2", "--size", "2"]) == 0
+info = cli._build_parser.cache_info()
+assert (info.misses, info.hits) == (1, 4), info
+"""
+    src = os.path.dirname(os.path.dirname(cgf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)

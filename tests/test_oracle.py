@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from cgf import oracle
-from cgf.errors import (DescriptorMismatch, ObjectOutOfDomain,
+from cgf.errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                         SearchBudgetExceeded, ShapeMismatch,
                         WitnessCheckFailed)
 from cgf.matrices import Mat
@@ -38,6 +38,19 @@ def test_size_one_no_generators():
     Z3 = ModularRing(3)
     table = enumerate_orbits(Z3, "row", FAMILY_LIN, 1)
     assert table.orbit_count() == 2  # units 1 and 2, each its own orbit
+
+
+@pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
+@pytest.mark.parametrize("kind, size, frame_rows", [
+    ("row", 1, 0), ("row", 3, 0), ("row", 5, 0),
+    ("frame", 1, 1), ("frame", 3, 2),
+])
+def test_paired_families_refuse_every_odd_size(family, kind, size,
+                                               frame_rows):
+    # size 1 has no generator pair at all, but is refused as size 3 is
+    with pytest.raises(BadIndices, match=f"^{family} generators need even"):
+        enumerate_orbits(ModularRing(4), kind, family, size,
+                         frame_rows=frame_rows)
 
 
 def test_certify_equivalence_small():
@@ -272,6 +285,31 @@ def test_table_json_round_trip():
     assert back.orbit_count() == table.orbit_count()
     w = certify_equivalence((0, 1), (1, 0), back)
     assert w is not None
+
+
+def test_a_table_builds_one_codec(monkeypatch):
+    # O_4(F_3) has three orbits on its rows: loading the table and two
+    # answers (a path, and a closure check before "not equivalent") share
+    # the codec the table builds on first use
+    obj = enumerate_orbits(PrimeField(3), "row", FAMILY_ORTH, 4).to_json()
+    built = []
+
+    class Counted(oracle._Codec):
+        def __init__(self, table):
+            built.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(oracle, "_Codec", Counted)
+    table = OrbitTable.from_json(obj)
+    assert certify_equivalence((1, 0, 0, 0), (0, 1, 0, 0), table) is not None
+    assert certify_equivalence((1, 0, 0, 0), (1, 1, 0, 0), table) is None
+    assert built == [table]
+    # the codec is no field: equality and the table bytes ignore it
+    assert table.to_json() == obj
+    bare = OrbitTable(table.ring, table.kind, table.family, table.size,
+                      table.frame_rows, dict(table.orbit_of), list(table.reps),
+                      dict(table.pred))
+    assert "_codec" not in vars(bare) and bare == table
 
 
 # sha256 of json.dumps(table.to_json(), sort_keys=True), recorded before the
