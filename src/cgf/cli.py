@@ -5,11 +5,6 @@ Exit codes: 0 on success, 2 on domain errors (structured JSON on stdout) or
 failed harness checks, 1 on usage errors, malformed input among them.
 Identical (command, input, seed) invocations print byte-identical JSON.
 
-The argument parser is built once per process, on the first ``main`` call
-(not at import), and reused by every later call: it raises instead of
-exiting and every default it holds is immutable, so a parse leaves no state
-behind.
-
 Each witness check is computed once.  A check its construction already made
 (the construction raises instead of returning when it fails) is recorded as
 ``pass``; the verbs compute only the checks no construction makes.
@@ -529,6 +524,11 @@ def _cmd_harness(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# The parser is built on the first ``main`` call (not at import) and reused
+# by every later call in the same process; a ``cgf`` process calls ``main``
+# once, so only in-process callers that call it repeatedly gain.  Every
+# default the tree holds is immutable and a usage error raises instead of
+# exiting (``--help`` still exits), so a parse leaves no state behind.
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="cgf", description=__doc__)

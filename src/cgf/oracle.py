@@ -58,11 +58,16 @@ def _is_unimodular_row(ring: Ring, values) -> bool:
     return gcd(modulus, *(v.payload for v in values)) == 1
 
 
-def generator_catalog(ring: Ring, family: str, size: int):
-    """All generators with nonzero parameters, in canonical order.  The
-    paired families need an even size, also where the catalog is empty."""
+def _check_paired_size(family: str, size: int):
+    """The paired families need an even size, also where the catalog would
+    be empty."""
     if family in (FAMILY_SP, FAMILY_ORTH) and size % 2:
         raise BadIndices(f"{family} generators need even size")
+
+
+def generator_catalog(ring: Ring, family: str, size: int):
+    """All generators with nonzero parameters, in canonical order."""
+    _check_paired_size(family, size)
     nonzero = [v for v in ring.elements() if not v.is_zero()]
     nonzero.sort(key=lambda v: ring.sort_key(v.payload))
     gens = []
@@ -232,6 +237,7 @@ class OrbitTable:
             raise UnsupportedRing(f"unknown table version {obj.get('version')}")
         ring = ring_from_json(obj["ring"])
         kind = obj["kind"]
+        _check_paired_size(obj["family"], int(obj["size"]))
         table = OrbitTable(ring, kind, obj["family"], int(obj["size"]),
                            int(obj.get("frame_rows", 0)))
         rows = 1 if kind == "row" else table.frame_rows
@@ -269,12 +275,14 @@ class OrbitTable:
         the objects without a link are one representative per orbit id in
         id order, and each chain of links ends at one.  Objects that share
         an orbit id are then equivalent."""
-        codec, of = self._codec, self.orbit_of
+        of = self.orbit_of
         for key, link in self.pred.items():
             if link is None:
                 continue
             parent, g = link
             if of.get(parent) == of[key]:
+                # read here, so a table without links builds no codec
+                codec = self._codec
                 code = codec.encode(parent)
                 image = codec.step(code, codec.digits(code), codec.compile(g))
                 if image == codec.encode(key):

@@ -312,6 +312,35 @@ def test_a_table_builds_one_codec(monkeypatch):
     assert "_codec" not in vars(bare) and bare == table
 
 
+# the orth frame table of size 2, one row, over Z/100003: one object, the
+# representative, so no link to check
+_LINKLESS = {"version": 1, "ring": {"kind": "mod", "n": 100003},
+             "kind": "frame", "family": FAMILY_ORTH, "size": 2,
+             "frame_rows": 1,
+             "objects": [{"v": [[1, 0]], "orbit": 0, "pred": None}]}
+
+
+def test_loading_a_table_without_links_builds_no_codec(monkeypatch):
+    # a codec ranks all q elements of the ring; a load with no link to
+    # step through has no use for one
+    def refuse(table):
+        raise AssertionError("codec built")
+
+    monkeypatch.setattr(oracle, "_Codec", refuse)
+    table = OrbitTable.from_json(_LINKLESS)
+    assert table.reps == [((1, 0),)] and "_codec" not in vars(table)
+
+
+@pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
+@pytest.mark.parametrize("size", [1, 3])
+def test_loading_an_odd_paired_table_is_refused(family, size):
+    # refused as enumerate_orbits refuses it, before any object is read
+    # (the objects here are not even a list)
+    obj = dict(_LINKLESS, family=family, size=size, objects=None)
+    with pytest.raises(BadIndices, match=f"^{family} generators need even"):
+        OrbitTable.from_json(obj)
+
+
 # sha256 of json.dumps(table.to_json(), sort_keys=True), recorded before the
 # generator action moved onto the shared payload kernel
 GOLDEN_TABLES = [
