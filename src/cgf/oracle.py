@@ -2,10 +2,19 @@
 of the right generator action on rows and frames, with predecessor links so
 any claimed equivalence can be re-derived as an explicit path word.
 
-Determinism: objects are enumerated in lexicographic payload order,
+Determinism: objects are enumerated in key order (a row domain is the
+product of the elements in ``ring.sort_key`` order, so it needs no sort),
 generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
+
+A row table's BFS starts from its whole domain, every unimodular row, and
+the generators keep a row unimodular, so every image lies in the domain.
+Once each row is in the table or proposed, no later edge can propose one,
+and the first proposal of each row is already made: the BFS stops expanding
+there and commits its last frontier, with the orbit ids, links and
+representatives the full BFS gives.  A frame table's closure has no size
+known in advance, so its BFS runs to the end.
 
 The BFS and the checks run on integer codes (the numbering of points in
 orbit algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -40,22 +49,48 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import Ring, _residue_modulus, ring_from_json, unit_ideal_witness
+from .rings import (Ring, RingValue, _residue_modulus, ring_from_json,
+                    unit_ideal_witness)
 from .words import FAMILY_ORTH, FAMILY_SP, Generator, GenWord, paired_index
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _is_unimodular_row(ring: Ring, values) -> bool:
+def _is_unimodular_row(ring: Ring, payloads) -> bool:
+    """Whether the row of ``payloads`` generates the unit ideal; only the
+    fallback of a non-local ring that is no Z/m boxes the entries."""
     if ring.is_zero_ring:
         return True
     if ring.is_local:
-        return any(v.is_unit() for v in values)
+        return any(map(ring.is_unit_payload, payloads))
     modulus = _residue_modulus(ring)
     if modulus is None:
-        return unit_ideal_witness(ring, list(values)) is not None
-    return gcd(modulus, *(v.payload for v in values)) == 1
+        values = [RingValue(ring, p) for p in payloads]
+        return unit_ideal_witness(ring, values) is not None
+    return gcd(modulus, *payloads) == 1
+
+
+def _row_domain(ring: Ring, size: int) -> list:
+    """Every unimodular row of length ``size``, as payload keys in
+    ``_key_order``: the product of the elements in ``ring.sort_key`` order
+    comes out in that order, so it needs no sort."""
+    values = sorted((v.payload for v in ring.elements()), key=ring.sort_key)
+    return [row for row in itertools.product(values, repeat=size)
+            if _is_unimodular_row(ring, row)]
+
+
+def _power_exceeds(q: int, size: int, budget: int) -> bool:
+    """Whether q ** size > budget, without forming q ** size: for q >= 2
+    the product passes the budget within about log_q(budget) + 1 steps."""
+    if q <= 1:
+        return q ** min(size, 1) > budget  # 0 ** 0 == 1 ** size == 1
+    count = 1
+    for _ in range(size):
+        if count > budget:
+            return True
+        count *= q
+    return count > budget
 
 
 def _check_paired_size(family: str, size: int):
@@ -69,6 +104,9 @@ def generator_catalog(ring: Ring, family: str, size: int):
     """All generators with nonzero parameters, in canonical order."""
     _check_paired_size(family, size)
     nonzero = [v for v in ring.elements() if not v.is_zero()]
+    if not nonzero:
+        # the zero ring: no parameter, so no generator at any size
+        return []
     nonzero.sort(key=lambda v: ring.sort_key(v.payload))
     gens = []
     for i in range(1, size + 1):
@@ -314,10 +352,17 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS into the empty ``table``; ties
     between frontier edges pick the least (parent, generator), which is the
     first to propose the object.  It runs on codes and decodes each object
-    once at the end, in the order the objects were reached."""
+    once at the end, in the order the objects were reached.
+
+    For a row table ``start_keys`` is the whole domain, closed under the
+    generators, so the BFS stops expanding once every key is in an orbit
+    or proposed: a later edge could only propose a key already proposed,
+    and the first proposal stands, so the ids and links do not change."""
     codec = table._codec
     digits, step = codec.digits, codec.step
     compiled = [(g, codec.compile(g)) for g in gens]
+    # a row table's start keys are its whole domain; -1 is never reached
+    full = len(start_keys) if table.kind == "row" else -1
     orbit: dict = {}  # code -> orbit id
     link: dict = {}  # code -> (parent code, Generator), or None for a root
     reps = []
@@ -333,6 +378,8 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
         while frontier:
             proposals: dict = {}
             for node in frontier:
+                if len(orbit) + len(proposals) == full:
+                    break  # every object is reached; no edge proposes more
                 ds = digits(node)
                 for g, updates in compiled:
                     new = step(node, ds, updates)
@@ -368,17 +415,13 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
     if kind == "row":
         if size < 0:
             raise ObjectOutOfDomain(f"row size must be >= 0, got {size}")
-        if ring.cardinality() ** size > budget:
+        q = ring.cardinality()
+        if _power_exceeds(q, size, budget):
             raise SearchBudgetExceeded(
-                f"{ring.cardinality()}^{size} objects exceed budget {budget}")
+                f"{q}^{size} objects exceed budget {budget}")
         table = OrbitTable(ring, "row", family, size)
         gens = generator_catalog(ring, family, size)
-        pool = list(ring.elements())
-        domain = []
-        for combo in itertools.product(pool, repeat=size):
-            if _is_unimodular_row(ring, combo):
-                domain.append(tuple(v.payload for v in combo))
-        domain.sort(key=table._key_order)
+        domain = _row_domain(ring, size)
         if not gens:
             for key in domain:
                 table.orbit_of[key] = len(table.reps)

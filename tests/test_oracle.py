@@ -1,8 +1,11 @@
 """BFS orbit oracle: exhaustive counts, path certificates, determinism."""
 
 import hashlib
+import itertools
 import json
 import threading
+import time
+from math import gcd
 
 import pytest
 
@@ -13,7 +16,8 @@ from cgf.errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
-                       QuotientRing, TruncatedPolyLocal)
+                       QuotientRing, TruncatedPolyLocal, _residue_modulus,
+                       unit_ideal_witness)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, _apply_gens,
                        apply_word_to_row)
 
@@ -184,6 +188,46 @@ def test_large_ring_tables_meet_their_budget_quickly():
     assert not worker.is_alive() and len(results) == 2
     assert isinstance(results[0], SearchBudgetExceeded)
     assert results[1].orbit_of == {((1, 0),): 0}
+
+
+def _within(seconds, call):
+    # run ``call`` in a thread with a deadline; its result, or the
+    # exception it raised.  The clock is read as well: one long C call
+    # (a huge int power) holds the interpreter lock past the join's timeout
+    results = []
+
+    def run():
+        try:
+            results.append(call())
+        except Exception as e:  # the caller checks which
+            results.append(e)
+
+    start = time.monotonic()
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive() and len(results) == 1
+    assert time.monotonic() - start < seconds
+    return results[0]
+
+
+def test_a_huge_row_size_meets_its_budget_quickly():
+    # 2^(10^30) is never formed: the budget check multiplies by q until the
+    # product passes the budget
+    got = _within(10, lambda: enumerate_orbits(
+        ModularRing(2), "row", FAMILY_LIN, 10 ** 30, budget=10 ** 5))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == f"2^{10 ** 30} objects exceed budget 100000"
+
+
+def test_zero_ring_rows_of_a_large_size_answer_quickly():
+    # Z/1 has no nonzero parameter, so the catalog is empty without its
+    # size^2 (i, j) loop; the one row of zeros is its own orbit
+    got = _within(10, lambda: enumerate_orbits(
+        ModularRing(1), "row", FAMILY_LIN, 10 ** 5, budget=10 ** 5))
+    assert isinstance(got, OrbitTable)
+    assert got.orbit_of == {(0,) * 10 ** 5: 0}
+    assert oracle.generator_catalog(ModularRing(1), FAMILY_SP, 10 ** 5) == []
 
 
 def _um3_z4():
@@ -441,10 +485,15 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
 
 # F_2[x]/(1 + x + x^2) and Z/12/(6) are quotients whose payloads are
 # tuples and residues of another ring's arithmetic
-@pytest.mark.parametrize("ring", [
+_KEY_ORDER_RINGS = [
     ModularRing(1), ModularRing(6), PrimeField(5), TruncatedPolyLocal(2, 2),
     F4, QuotientRing(IntegerRing(), [10]), QuotientRing(ModularRing(12), [6]),
-], ids=["Z/1", "Z/6", "F_5", "F_2[x]/(x^2)", "F_4", "Z/(10)", "Z/12/(6)"])
+]
+_KEY_ORDER_IDS = ["Z/1", "Z/6", "F_5", "F_2[x]/(x^2)", "F_4", "Z/(10)",
+                  "Z/12/(6)"]
+
+
+@pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
 def test_codes_preserve_key_order(ring):
     # a row table and a frame table: decoding an encoded key gives it
     # back, and codes sort the keys as _key_order does
@@ -489,11 +538,22 @@ def _bfs_closure_ref(table, start_keys, gens, budget):
             frontier = next_frontier
 
 
+# F_2[x]/(x + x^2) = F_2 x F_2: neither local nor a Z/m, so its rows take
+# the unit_ideal_witness fallback
+F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows", [
     (ModularRing(6), "row", FAMILY_LIN, 2, 0),
     (TruncatedPolyLocal(2, 2), "row", FAMILY_LIN, 2, 0),
     (ModularRing(4), "frame", FAMILY_SP, 4, 1),
     (PrimeField(3), "frame", FAMILY_ORTH, 4, 2),
+    # five orbits: the row BFS stops early only in the last one
+    (PrimeField(5), "row", FAMILY_ORTH, 4, 0),
+    # the gcd test of a non-local modulus
+    (ModularRing(6), "row", FAMILY_LIN, 3, 0),
+    (ModularRing(1), "row", FAMILY_LIN, 3, 0),
+    (F2xF2, "row", FAMILY_LIN, 2, 0),
 ])
 def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
                                               size, frame_rows):
@@ -501,3 +561,57 @@ def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
     monkeypatch.setattr(oracle, "_bfs_closure", _bfs_closure_ref)
     ref = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
     assert table.to_json() == ref.to_json()
+
+
+def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
+    # Um_3(Z/4) is one orbit of 56 rows under 18 generators: the full BFS
+    # takes 56 * 18 steps, most of them after the last new row is proposed
+    steps = []
+
+    class Counted(oracle._Codec):
+        def __init__(self, table):
+            super().__init__(table)
+            step = self.step
+
+            def counted(code, ds, updates):
+                steps.append(code)
+                return step(code, ds, updates)
+
+            self.step = counted
+
+    monkeypatch.setattr(oracle, "_Codec", Counted)
+    table = _um3_z4()
+    assert table.orbit_sizes() == [56]
+    assert len(oracle.generator_catalog(ModularRing(4), FAMILY_LIN, 3)) == 18
+    assert 0 < len(steps) < 56 * 18
+
+
+def _is_unimodular_row_ref(ring, values):
+    # reference: the test on boxed values that the row domain used before
+    # it read payloads
+    if ring.is_zero_ring:
+        return True
+    if ring.is_local:
+        return any(v.is_unit() for v in values)
+    modulus = _residue_modulus(ring)
+    if modulus is None:
+        return unit_ideal_witness(ring, list(values)) is not None
+    return gcd(modulus, *(v.payload for v in values)) == 1
+
+
+@pytest.mark.parametrize("ring", _KEY_ORDER_RINGS + [F2xF2],
+                         ids=_KEY_ORDER_IDS + ["F_2xF_2"])
+def test_row_domain_matches_the_boxed_reference(ring):
+    # every row of size <= 3: the payload test agrees with the boxed one,
+    # and the domain comes out in key order without a sort
+    for size in range(4):
+        table = OrbitTable(ring, "row", FAMILY_LIN, size)
+        want = []
+        for combo in itertools.product(list(ring.elements()), repeat=size):
+            row = tuple(v.payload for v in combo)
+            unimodular = _is_unimodular_row_ref(ring, combo)
+            assert oracle._is_unimodular_row(ring, row) == unimodular, row
+            if unimodular:
+                want.append(row)
+        assert oracle._row_domain(ring, size) == sorted(
+            want, key=table._key_order)
