@@ -29,8 +29,9 @@ from .matrices import IsotropicFrame, Mat, RightInverseCert, right_inverse
 from .oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from .orthoquot import (FactoredOrthogonal, classify_o2, commutator_harness,
                         vaserstein_quotient)
-from .reduce import (complete_orth, complete_sp, complete_um_linear,
-                     reduce_row_linear, reduce_row_symplectic)
+from .reduce import (_require_local, complete_orth, complete_sp,
+                     complete_um_linear, reduce_row_linear,
+                     reduce_row_symplectic)
 from .rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                     PrimeField, RationalField, Ring, TruncatedPolyLocal,
                     ring_from_json)
@@ -203,11 +204,10 @@ def _cmd_common_perp(args) -> int:
 def _cmd_two_row(args) -> int:
     ring = parse_ring(args.ring) if args.ring else None
     mat = _parse_matrix(args.matrix, ring)
-    if args.beta:
-        beta = _parse_matrix(args.beta, mat.ring)
-        cert = RightInverseCert(mat, beta)
-    else:
-        cert = right_inverse(mat)
+    beta = _parse_matrix(args.beta, mat.ring) if args.beta else None
+    # local-only: refuse before the solver can choose the error code
+    _require_local(mat.ring, "two-row equivalence")
+    cert = RightInverseCert(mat, beta) if args.beta else right_inverse(mat)
     word = two_row_equiv(mat, cert)
     return _emit(_word_witness("two_row_equiv", {"matrix": mat}, word,
                                [("row1 . eval(word) == row2", True)]))

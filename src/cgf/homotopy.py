@@ -8,7 +8,8 @@ right-invertible V over a local ring, produce s(T) with
 together with a word for s(T)^{-1} (d(T) ⊥ I): completing V to an
 elementary matrix W makes s(T) = W^{-1} (d(T) ⊥ I) W work by pure algebra,
 and when d(T) itself is word-backed the whole conjugate is a word.  The
-commutator and transport corollaries then fall out by specializing at T = 1.
+commutator corollary falls out by specializing at T = 1; transport's word
+is the engine's T = 1 word d·d^{-1}·W^{-1}·d·W on V ⊥ I, built over R.
 
 W is a short word, so every conjugate and every product by a word is the
 sparse action of its generators (``apply_word_left``/``apply_word_right``),
@@ -18,8 +19,7 @@ the word ε, at T and at T = 1.  Only the public ε matrix is evaluated.
 
 One flavor table, ``_FLAVORS``, gives each flavor its generator family, its
 group, the frame kind V must have and its completion; ``_commute`` runs the
-guards of the three public entries from it.  Transport builds V ⊥ I, which
-meets those guards by construction, and enters at the core.
+guards of the three public entries from it.
 
 Two witness modes: "word" exhibits every membership by a generator word;
 "assert" certifies the matrix identities exactly but records elementary
@@ -307,10 +307,10 @@ class TransportResult:
 def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     """d V = V s with an explicit elementary word for s ⊥ d^{-1}.
 
-    The Whitehead word of d, with parameters scaled by T, is the homotopy;
-    the engine runs on V ⊥ I and the block structure of the result is
-    checked exactly.  The Whitehead construction has already checked that
-    its word evaluates to d ⊥ d^{-1}, so d^{-1} is read off that matrix."""
+    The word is the engine's T = 1 word d'·d'^{-1}·W^{-1}·d'·W, built over
+    R, for d' the Whitehead word of d ⊥ d^{-1} (d^{-1} is read off it) and
+    W the completion of V ⊥ I; every block of its matrix is checked exactly.
+    d and, when the block β is nonzero, σ must be at most DET_SIZE_CAP."""
     if flavor not in ("linear", "symplectic"):
         raise DescriptorMismatch(f"unknown transport flavor {flavor!r}")
     linear = flavor == "linear"
@@ -333,19 +333,17 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     if v_mat.rows > v_mat.cols:
         raise SizeBound("V must have at most as many rows as columns")
     d_inv = white.eval().submatrix(k, 2 * k, k, 2 * k)
-    rt = PolyExt(ring, "T")
-    hom = Homotopy.from_word(flavor, white.times_variable(rt))
-    # V ⊥ I meets every guard of _commute but the size bound, which the
-    # core does not need: same ring, a local ring, rows = size, m >= n
     frame = v_big if linear else IsotropicFrame(v_big, "sp")
-    result = _commute_core(hom, v_big, _FLAVORS[flavor].complete(frame),
-                           f"homotopy_commute_{flavor}")
+    completion = _FLAVORS[flavor].complete(frame)
     big, cut = v_big.cols, v_mat.cols
 
-    # sigma'(T) = (d(T) ⊥ I) eval(eps)^{-1}; as a word, specialize at T = 1
-    sig_word_t = hom.word.embed(result.epsilon_word.size) + \
-        result.epsilon_word.invert()
-    sig_word = sig_word_t.specialize(ring.one())
+    # σ' = (d ⊥ I) ε^{-1}, ε = W^{-1} d'^{-1} W d' concatenated as the
+    # engine does, so a word-limit error reports the same length
+    d_word = white.embed(big)
+    sig_word = d_word
+    if len(completion) and len(white):
+        eps = completion.invert() + d_word.invert() + completion + d_word
+        sig_word += eps.invert()
     s_full = sig_word.eval()
 
     alpha = s_full.submatrix(0, cut, 0, cut)

@@ -98,6 +98,25 @@ def test_domain_error_exit_code(capsys):
         assert "message" in obj
 
 
+def test_two_row_refuses_a_non_local_ring_before_solving(capsys,
+                                                         monkeypatch):
+    # the CI smoke rows: over Z the first has a right inverse and the second
+    # none, and Z/6 is not local either; each is refused before the
+    # right-inverse solver runs, and before a given beta is checked
+    def unreachable(mat):
+        raise AssertionError("right_inverse ran over a non-local ring")
+
+    monkeypatch.setattr(cli, "right_inverse", unreachable)
+    for ring, matrix in (("int", "[[2,3,0],[1,2,1]]"),
+                         ("int", "[[2,4,6],[1,1,1]]"),
+                         ("mod:6", "[[2,3,1],[0,1,0]]")):
+        for beta in ([], ["--beta", "[[0,0],[0,0],[0,0]]"]):
+            code, out = run_cli(capsys, "two-row", "--ring", ring,
+                                "--matrix", matrix, *beta)
+            assert code == 2
+            assert json.loads(out)["code"] == "not_local", (ring, matrix)
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["reduce-row", "--ring", "bogus:ring", "--row", "[1,0]"])
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Homotopy-commutativity: witnessed conjugation, commutators, transport."""
 
+import hashlib
 import json
 import random
 
@@ -8,6 +9,8 @@ import pytest
 from cgf import homotopy, words
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
                         SizeBound)
+from cgf.factor import (_block_upper_gens, whitehead_linear,
+                        whitehead_symplectic)
 from cgf.homotopy import (_FLAVORS, CommuteResult,
                           Homotopy, _commute_core, commutator_witness,
                           homotopy_commute_linear, homotopy_commute_orthogonal,
@@ -208,7 +211,21 @@ def test_transport_runs_berkowitz_once_per_matrix(monkeypatch):
     d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3), (2, 1, 2)]).eval()
     v = Mat(Z9, [[1, 0, 0], [0, 1, 0]])
     assert vaserstein_transport(d, v, "linear").witness.all_passed()
-    assert runs == [("Z/9", 2), ("Z/9[T]", 4), ("Z/9[T]", 5), ("Z/9", 3)]
+    assert runs == [("Z/9", 2), ("Z/9", 3)]
+
+
+def test_transport_builds_no_polynomial_ring(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("transport built a polynomial ring")
+
+    monkeypatch.setattr(PolyExt, "__init__", refuse)
+    Z9 = ModularRing(9)
+    d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3), (2, 1, 2)]).eval()
+    v = Mat(Z9, [[1, 2, 0], [0, 1, 4]])
+    assert vaserstein_transport(d, v, "linear").witness.all_passed()
+    d = word_from_pairs(Z9, 2, FAMILY_SP, [(2, 1, 2)]).eval()
+    fr = IsotropicFrame.standard(Z9, "sp", 1, 2)
+    assert vaserstein_transport(d, fr, "symplectic").witness.all_passed()
 
 
 def test_transport_symplectic():
@@ -286,6 +303,161 @@ def test_each_word_is_evaluated_once(flavor, family, size, monkeypatch):
     assert applied[:2] == [d_json, d_json] and len(applied) == 3
     assert applied[2] not in evaluated
     assert json.loads(applied[2])["ring"] == rt.to_json()
+
+
+# ---------------------------------------------------------------------------
+# transport over R against the R[T] engine run it replaced
+
+def _transport_through_rt(d, v, flavor):
+    # reference, for inputs that pass the guards: the transport before it
+    # built its word over R; the engine runs over R[T] on V ⊥ I with the
+    # homotopy z -> z·T of d's Whitehead word, and the word is
+    # (d(T) ⊥ I)·ε^{-1} specialized at T = 1
+    linear = flavor == "linear"
+    v_mat = v if linear else v.mat
+    ring, k = d.ring, d.rows
+    white = (whitehead_linear if linear else whitehead_symplectic)(d)
+    v_big = block_perp(v_mat, identity(ring, k))
+    d_inv = white.eval().submatrix(k, 2 * k, k, 2 * k)
+    hom = Homotopy.from_word(flavor, white.times_variable(PolyExt(ring, "T")))
+    frame = v_big if linear else IsotropicFrame(v_big, "sp")
+    eps = _commute_core(hom, v_big, _FLAVORS[flavor].complete(frame),
+                        f"homotopy_commute_{flavor}").epsilon_word
+    big, cut = v_big.cols, v_mat.cols
+    word = (hom.word.embed(eps.size) + eps.invert()).specialize(ring.one())
+    s_full = word.eval()
+    alpha = s_full.submatrix(0, cut, 0, cut)
+    beta = s_full.submatrix(0, cut, cut, big)
+    gamma = s_full.submatrix(cut, big, 0, cut)
+    zeta = s_full.submatrix(cut, big, cut, big)
+    checks = [("gamma block vanishes", gamma == Mat.zeros(ring, k, cut)),
+              ("zeta block equals d^{-1}", zeta == d_inv),
+              ("d V == V sigma", (d @ v_mat) == (v_mat @ alpha))]
+    if beta != Mat.zeros(ring, cut, k):
+        x = alpha.inverse().scale(-ring.one()) @ beta
+        word += GenWord(ring, big, FAMILY_LIN,
+                        tuple(_block_upper_gens(x, cut, big)))
+    checks.append(("word evaluates to sigma ⊥ d^{-1}",
+                   word.eval() == alpha.block_perp(d_inv)))
+    witness = words.Witness.certify(
+        "vaserstein_transport", inputs={"d": d, "v": v_mat},
+        outputs={"sigma": alpha, "word": word}, checks=checks)
+    return homotopy.TransportResult(alpha, word, witness)
+
+
+def _transport_cases(rng, ring):
+    """(d, v, flavor): linear k = 1..5 with V of k and k + 1 columns, and
+    sp n = 1, 2 with m = n and n + 1 pairs; each shape with a random d and
+    V, with d = I, and with V the leading rows of the identity."""
+    shapes = ([("linear", k, m) for k in range(1, 6) for m in (k, k + 1)]
+              + [("symplectic", n, m) for n in (1, 2) for m in (n, n + 1)])
+    for flavor, n, m in shapes:
+        size = n if flavor == "linear" else 2 * n
+        for variant in ("random", "identity d", "standard V"):
+            if flavor == "linear":
+                d = (random_word(rng, ring, FAMILY_LIN, n, 4).eval()
+                     if n > 1 and variant != "identity d"
+                     else identity(ring, n))
+                v = (identity(ring, m).submatrix(0, n, 0, m)
+                     if variant == "standard V" or m == 1
+                     else random_unimodular_rows(rng, ring, n, m, 6)[0])
+            else:
+                d = (identity(ring, size) if variant == "identity d"
+                     else random_word(rng, ring, FAMILY_SP, size, 3).eval())
+                v = (IsotropicFrame.standard(ring, "sp", n, m)
+                     if variant == "standard V"
+                     else random_frame(rng, ring, "sp", n, m, 5)[0])
+            yield d, v, flavor
+
+
+TRANSPORT_RINGS = [ModularRing(9), PrimeField(5), ModularRing(4),
+                   ModularRing(8)]
+
+
+@pytest.mark.parametrize("ring", TRANSPORT_RINGS, ids=str)
+def test_transport_over_r_matches_the_rt_engine(ring):
+    rng = random.Random(f"transport:{ring}")
+    for d, v, flavor in _transport_cases(rng, ring):
+        res = vaserstein_transport(d, v, flavor)
+        ref = _transport_through_rt(d, v, flavor)
+        assert res.word == ref.word
+        assert res.sigma == ref.sigma
+        assert _witness_bytes(res) == _witness_bytes(ref)
+        assert res.witness.all_passed()
+
+
+@pytest.mark.parametrize("limit", [40, 90, 160])
+def test_transport_word_limit_errors_match_the_rt_engine(limit, monkeypatch):
+    # a word-limit error names the first concatenation past the limit, so
+    # the word must be concatenated in the order the engine used
+    monkeypatch.setenv("CGF_WORD_LIMIT", str(limit))
+    outcomes = []
+    for ring in TRANSPORT_RINGS[:2]:
+        rng = random.Random(f"limit:{limit}:{ring}")
+        for d, v, flavor in _transport_cases(rng, ring):
+            pair = []
+            for fn in (vaserstein_transport, _transport_through_rt):
+                try:
+                    pair.append(_witness_bytes(fn(d, v, flavor)))
+                except CgfError as e:
+                    pair.append(e.to_json())
+            assert pair[0] == pair[1]
+            outcomes.append(pair[0])
+    assert any(isinstance(o, dict) for o in outcomes)
+
+
+def _golden_transports():
+    rng = random.Random(601)
+    shapes = ([("linear", k, k + 1) for k in (1, 2, 3, 4)]
+              + [("linear", k, k) for k in (2, 3)]
+              + [("symplectic", n, m)
+                 for n, m in ((1, 1), (1, 2), (2, 2), (2, 3))])
+    for ring in TRANSPORT_RINGS:
+        for flavor, n, m in shapes:
+            if flavor == "linear":
+                d = (identity(ring, 1) if n == 1
+                     else random_word(rng, ring, FAMILY_LIN, n, 4).eval())
+                v, _ = random_unimodular_rows(rng, ring, n, m, 6)
+            else:
+                d = random_word(rng, ring, FAMILY_SP, 2 * n, 3).eval()
+                v, _ = random_frame(rng, ring, "sp", n, m, 5)
+            yield d, v, flavor
+    # the guards, in their order: a non-local ring, d outside SL, V narrower
+    # than it is tall
+    Z15, Z9 = ModularRing(15), ModularRing(9)
+    yield identity(Z15, 2), identity(Z15, 3).submatrix(0, 2, 0, 3), "linear"
+    yield (Mat(Z9, [[2, 0], [0, 1]]), identity(Z9, 3).submatrix(0, 2, 0, 3),
+           "linear")
+    yield identity(Z9, 2), Mat(Z9, [[1], [0]]), "linear"
+
+
+def test_transport_witness_bytes_are_golden():
+    # sha256 of the witness JSON lines (the error JSON for the three guard
+    # cases) of 43 seeded transports, recorded while the word was still
+    # built by running the engine over R[T] and specializing at T = 1
+    lines = []
+    for d, v, flavor in _golden_transports():
+        try:
+            out = vaserstein_transport(d, v, flavor).witness.to_json()
+        except CgfError as e:
+            out = e.to_json()
+        lines.append(json.dumps(out, sort_keys=True))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "2765983a930fa745b6b67f05b1c4eae915e372148bb4ce351c3403bd004b847c"
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_transport_certifies_past_the_rt_determinant_cap(k):
+    # V is k x (k + 1): the engine over R[T] on V ⊥ I would take the
+    # determinant of σ(T), of size 2k + 1 > DET_SIZE_CAP, while transport
+    # takes them only of d (k x k) and σ ((k + 1) x (k + 1))
+    Z9 = ModularRing(9)
+    rng = random.Random(k)
+    d = random_word(rng, Z9, FAMILY_LIN, k, 2 * k).eval()
+    v, _ = random_unimodular_rows(rng, Z9, k, k + 1, 3 * k)
+    res = vaserstein_transport(d, v, "linear")
+    assert res.witness.all_passed()
+    assert res.word.eval() == block_perp(res.sigma, d.inverse())
 
 
 # ---------------------------------------------------------------------------
