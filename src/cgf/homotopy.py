@@ -96,8 +96,9 @@ class Homotopy:
         rt = word.ring
         if not isinstance(rt, PolyExt):
             raise DescriptorMismatch("word-backed homotopies live over R[T]")
+        zero = rt.base.zero().payload
         for g in word:
-            if not rt.constant_term(g.param).is_zero():
+            if g.param.payload and g.param.payload[0] != zero:
                 raise FormViolation(
                     "word parameters must vanish at T = 0", generator=str(g))
         return cls(flavor, word.eval(), word)
@@ -354,17 +355,20 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     check_zeta = zeta == d_inv
     check_commutes = (d @ v_mat) == (v_mat @ alpha)
 
-    word = sig_word
+    # word = sig_word · correction evaluates to s_full acted on by the
+    # correction, so the check acts on s_full instead of re-evaluating word
+    word, word_mat = sig_word, s_full
     if beta != Mat.zeros(ring, cut, k):
         # in Sp the perp pairing forces the off-diagonal block to vanish
         if not linear:
             raise FormViolation("internal: symplectic transport kept a "
                                 "nonzero off-diagonal block")
         x = alpha.inverse().scale(-ring.one()) @ beta
-        word += GenWord(ring, big, FAMILY_LIN,
-                        tuple(_block_upper_gens(x, cut, big)))
-    target = alpha.block_perp(d_inv)
-    check_word = word.eval() == target
+        correction = GenWord(ring, big, FAMILY_LIN,
+                             tuple(_block_upper_gens(x, cut, big)))
+        word += correction
+        word_mat = apply_word_right(s_full, correction)
+    check_word = word_mat == alpha.block_perp(d_inv)
 
     witness = Witness.certify(
         "vaserstein_transport",

@@ -364,7 +364,15 @@ def _gram_is_form(left: Mat, right: Mat) -> bool:
 
 
 def membership(a: Mat, group: str) -> bool:
-    """Exact membership test for GL, SL, Sp, O, SO."""
+    """Exact membership test for GL, SL, Sp, O, SO.
+
+    SO over R[T] is O with det a(0) = 1, read off the constant terms by a
+    determinant over R: for a in O, a^t phi a = phi gives (det a)^2 = 1, so
+    u = det a is a unit of R[T], u = a_0 + N with N in T R[T] nilpotent
+    (Atiyah-Macdonald, ch. 1, ex. 2).  From u^2 = 1 and a_0^2 = 1,
+    N (2 a_0 + N) = 0, and 2 a_0 + N is a unit because 1/2 is in R (O needs
+    it), so N = 0 and det a = det a(0).  No locality is needed, and the
+    argument repeats down a tower R[T][S]."""
     if a.rows != a.cols:
         raise ShapeMismatch("group membership needs a square matrix")
     if group == "GL":
@@ -380,7 +388,14 @@ def membership(a: Mat, group: str) -> bool:
                 f"orthogonal membership needs 1/2 in {a.ring}")
         if not _gram_is_form(a.transpose(), _form(kind, a)):
             return False
-        return group != "SO" or a.det() == a.ring.one()
+        if group != "SO":
+            return True
+        while a.ring.kind == "poly":
+            base = a.ring.base
+            zero = base.zero().payload
+            a = Mat._box(base, [[p[0] if p else zero for p in row]
+                                for row in a._grid])
+        return a.det() == a.ring.one()
     raise ValueError(f"unknown group {group!r}")
 
 

@@ -20,6 +20,14 @@ The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
 family.  Only zero-parameter generators are dropped from a word.
 
+Words are checked at the edge: ``Generator`` and ``GenWord`` check every
+field they are given.  A word rebuilt from generators that already passed
+those checks (an inverse, a concatenation, an embedding, a shift, a lift, a
+specialization, a dilation, a transpose) is made by ``_gen`` and
+``_rebuilt``, which check only what the rebuild can break: the word limit,
+a shifted index range, and zero parameters, which a specialization or a
+dilation can make.
+
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
 the completion word W as ``apply_word_right(apply_word_left(W^{-1}, m), W)``
@@ -84,7 +92,7 @@ class Generator:
             raise BadIndices("linear generators need size >= 2")
 
     def inverse(self) -> "Generator":
-        return Generator(self.family, self.i, self.j, -self.param, self.size)
+        return _gen(self.family, self.i, self.j, -self.param, self.size)
 
     def updates(self):
         """The sparse column updates of right multiplication.
@@ -116,6 +124,28 @@ class Generator:
 
     def to_json(self):
         return {"i": self.i, "j": self.j, "param": self.param.to_json()}
+
+
+_set = object.__setattr__
+
+
+def _gen(family: str, i: int, j: int, param: RingValue,
+         size: int) -> Generator:
+    """A generator rebuilt from one that passed ``Generator``'s checks, with
+    a parameter from the same ring; the checks are not run again."""
+    g = object.__new__(Generator)
+    _set(g, "family", family)
+    _set(g, "i", i)
+    _set(g, "j", j)
+    _set(g, "param", param)
+    _set(g, "size", size)
+    return g
+
+
+def _check_length(n: int):
+    limit = word_limit()
+    if n > limit:
+        raise WordLimitExceeded(f"word length {n} exceeds limit {limit}")
 
 
 def gen_matrix(g: Generator) -> Mat:
@@ -151,10 +181,7 @@ class GenWord:
                 raise DescriptorMismatch("generator parameter ring mismatch")
             if not g.param.is_zero():
                 kept.append(g)
-        limit = word_limit()
-        if len(kept) > limit:
-            raise WordLimitExceeded(
-                f"word length {len(kept)} exceeds limit {limit}")
+        _check_length(len(kept))
         object.__setattr__(self, "gens", tuple(kept))
 
     def __len__(self):
@@ -167,7 +194,8 @@ class GenWord:
         if (other.ring != self.ring or other.size != self.size
                 or other.family != self.family):
             raise DescriptorMismatch("cannot concatenate incompatible words")
-        return GenWord(self.ring, self.size, self.family, self.gens + other.gens)
+        return _rebuilt(self.ring, self.size, self.family,
+                        self.gens + other.gens)
 
     def gen(self, i: int, j: int, param) -> "GenWord":
         """Convenience: this word extended by one generator."""
@@ -187,8 +215,8 @@ class GenWord:
         return m
 
     def invert(self) -> "GenWord":
-        return GenWord(self.ring, self.size, self.family,
-                       tuple(g.inverse() for g in reversed(self.gens)))
+        return _rebuilt(self.ring, self.size, self.family,
+                        tuple(g.inverse() for g in reversed(self.gens)))
 
     # -- parameter transport -------------------------------------------------
     def dilate(self, b: RingValue) -> "GenWord":
@@ -198,11 +226,11 @@ class GenWord:
         rt: PolyExt = self.ring
         if b.ring != rt.base:
             raise DescriptorMismatch("dilation scale must live in the base ring")
-        gens = tuple(Generator(g.family, g.i, g.j,
-                               RingValue(rt, rt.compose_scale(g.param.payload, b)),
-                               g.size)
-                     for g in self.gens)
-        return GenWord(self.ring, self.size, self.family, gens)
+        zero = rt.zero().payload
+        scaled = ((g, rt.compose_scale(g.param.payload, b)) for g in self.gens)
+        return _rebuilt(rt, self.size, self.family, tuple(
+            _gen(g.family, g.i, g.j, RingValue(rt, p), g.size)
+            for g, p in scaled if p != zero))
 
     def specialize(self, t: RingValue) -> "GenWord":
         """T -> t on every parameter, producing a word over the base ring."""
@@ -211,29 +239,29 @@ class GenWord:
         rt: PolyExt = self.ring
         if t.ring != rt.base:
             raise DescriptorMismatch("specialization point must be in the base")
-        gens = tuple(Generator(g.family, g.i, g.j, rt.eval_at(g.param.payload, t),
-                               g.size)
-                     for g in self.gens)
-        return GenWord(rt.base, self.size, self.family, gens)
+        base, zero = rt.base, rt.base.zero().payload
+        values = ((g, rt._horner(g.param.payload, t.payload))
+                  for g in self.gens)
+        return _rebuilt(base, self.size, self.family, tuple(
+            _gen(g.family, g.i, g.j, RingValue(base, p), g.size)
+            for g, p in values if p != zero))
 
     def lift_to(self, rt: PolyExt) -> "GenWord":
         """Constant-embed an R-word into R[T]."""
         if rt.base != self.ring:
             raise DescriptorMismatch("polynomial ring has a different base")
-        gens = tuple(Generator(g.family, g.i, g.j, rt.embed_const(g.param),
-                               g.size)
-                     for g in self.gens)
-        return GenWord(rt, self.size, self.family, gens)
+        return _rebuilt(rt, self.size, self.family, tuple(
+            _gen(g.family, g.i, g.j, rt.embed_const(g.param), g.size)
+            for g in self.gens))
 
     def times_variable(self, rt: PolyExt) -> "GenWord":
         """Parameters z -> z*T: the straight-line homotopy of an R-word."""
         if rt.base != self.ring:
             raise DescriptorMismatch("polynomial ring has a different base")
         T = rt.variable()
-        gens = tuple(Generator(g.family, g.i, g.j, rt.embed_const(g.param) * T,
-                               g.size)
-                     for g in self.gens)
-        return GenWord(rt, self.size, self.family, gens)
+        return _rebuilt(rt, self.size, self.family, tuple(
+            _gen(g.family, g.i, g.j, rt.embed_const(g.param) * T, g.size)
+            for g in self.gens))
 
     # -- index transport -----------------------------------------------------
     def embed(self, new_size: int) -> "GenWord":
@@ -242,18 +270,22 @@ class GenWord:
             raise BadIndices("cannot embed into a smaller size")
         if self.family != FAMILY_LIN and new_size % 2:
             raise BadIndices("paired families need even ambient size")
-        gens = tuple(Generator(g.family, g.i, g.j, g.param, new_size)
-                     for g in self.gens)
-        return GenWord(self.ring, new_size, self.family, gens)
+        return _rebuilt(self.ring, new_size, self.family, tuple(
+            _gen(g.family, g.i, g.j, g.param, new_size) for g in self.gens))
 
     def shift(self, offset: int, new_size: int) -> "GenWord":
         """Indices += offset (offset even for the paired families)."""
         if self.family != FAMILY_LIN and offset % 2:
             raise BadIndices("paired families shift by even offsets")
-        gens = tuple(Generator(g.family, g.i + offset, g.j + offset, g.param,
-                               new_size)
-                     for g in self.gens)
-        return GenWord(self.ring, new_size, self.family, gens)
+        for g in self.gens:
+            i, j = g.i + offset, g.j + offset
+            if not (1 <= i <= new_size and 1 <= j <= new_size):
+                raise BadIndices(f"indices ({i},{j}) out of 1..{new_size}")
+            if self.family != FAMILY_LIN and new_size % 2:
+                raise BadIndices(f"{self.family} generators need even size")
+        return _rebuilt(self.ring, new_size, self.family, tuple(
+            _gen(g.family, g.i + offset, g.j + offset, g.param, new_size)
+            for g in self.gens))
 
     def __repr__(self):
         return f"[{', '.join(repr(g) for g in self.gens)}]"
@@ -273,6 +305,20 @@ class GenWord:
                                ring.value_from_json(g["param"]), size)
                      for g in obj["gens"])
         return GenWord(ring, size, family, gens)
+
+
+def _rebuilt(ring: Ring, size: int, family: str, gens: tuple) -> GenWord:
+    """A word of generators of ``ring`` and ``size`` that passed their
+    checks (or were rebuilt from such by ``_gen``), none with a zero
+    parameter: only the word limit is checked again, with ``GenWord``'s
+    message at the same length."""
+    _check_length(len(gens))
+    w = object.__new__(GenWord)
+    _set(w, "ring", ring)
+    _set(w, "size", size)
+    _set(w, "family", family)
+    _set(w, "gens", gens)
+    return w
 
 
 def empty_word(ring: Ring, size: int, family: str) -> GenWord:
@@ -318,7 +364,7 @@ def _transpose_gens(gens) -> tuple:
     """Generators whose product is the transpose of the product of
     ``gens``: each generator (i, j, z) transposes to (j, i, z), in reverse
     order."""
-    return tuple(Generator(g.family, g.j, g.i, g.param, g.size)
+    return tuple(_gen(g.family, g.j, g.i, g.param, g.size)
                  for g in reversed(gens))
 
 

@@ -760,3 +760,50 @@ def test_transport_needs_as_many_columns_as_rows():
     d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3)]).eval()
     with pytest.raises(SizeBound):
         vaserstein_transport(d, Mat(Z9, [[1], [0]]), "linear")
+
+
+# ---------------------------------------------------------------------------
+# witness bytes of the homotopy engine and the commutator corollary
+
+HOMOTOPY_SHAPES = [("linear", 2, 3), ("linear", 2, 4), ("linear", 3, 3),
+                   ("symplectic", 2, 3), ("symplectic", 3, 3),
+                   ("orthogonal", 2, 4), ("orthogonal", 2, 5)]
+
+
+def _golden_homotopies():
+    # the benchmark's seven (flavor, n, m) shapes over Z/9[T] and F_5[T]:
+    # d(T) is a 2-generator word times T, V the leading rows of a random
+    # elementary matrix; a square V is also the commutator's b
+    rng = random.Random(701)
+    for ring in (ModularRing(9), PrimeField(5)):
+        rt = PolyExt(ring, "T")
+        for flavor, n, m in HOMOTOPY_SHAPES:
+            family = _FLAVORS[flavor].family
+            dsize = n if flavor == "linear" else 2 * n
+            d = Homotopy.from_word(
+                flavor, random_word(rng, ring, family, dsize, 2)
+                .times_variable(rt))
+            if flavor == "linear":
+                v, _ = random_unimodular_rows(rng, ring, n, m, 4)
+            else:
+                v, _ = random_frame(rng, ring, _FRAME_KINDS[flavor], n, m, 4)
+            yield d, v, flavor, n == m and flavor != "orthogonal"
+
+
+def test_homotopy_witness_bytes_are_golden():
+    # sha256 of the witness JSON lines of 14 seeded commutes and the words
+    # of the 4 commutator witnesses among them, recorded before generator
+    # words were rebuilt without re-running their checks and before SO
+    # membership over R[T] read the determinant off the constant terms
+    lines = []
+    for d, v, flavor, square in _golden_homotopies():
+        res = _ENTRIES[flavor](d, v)
+        assert res.mode == "word" and res.witness.all_passed()
+        lines.append(json.dumps(res.witness.to_json(), sort_keys=True))
+        if square:
+            b = v if flavor == "linear" else v.mat
+            eps = commutator_witness(d, b)
+            lines.append(json.dumps(eps.to_json(), sort_keys=True))
+    assert len(lines) == 18
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "e3ab72939129095731b9b0d2c9a9c4cbdb7935116c88dca89e16bb4930c075bf"

@@ -667,8 +667,9 @@ def test_payload_ops_build_no_ring_values(monkeypatch):
 # RingValues one seeded (n, m) = (2, 4) orthogonal homotopy over Z/9[T]
 # builds, from the homotopy's construction to its witness: 2,126 while Mat
 # boxed every result, 137 with payload rows inside, 63 once the kernels read
-# generator updates as payload triples instead of boxing -z.
-ORTH_HOMOTOPY_VALUES = 80
+# generator updates as payload triples instead of boxing -z, 61 once the
+# homotopy read its word's constant terms off the payloads.
+ORTH_HOMOTOPY_VALUES = 61
 
 
 def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cgf.errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
-                        SizeLimit, UnsupportedRing, FormViolation)
+from cgf.errors import (CgfError, HalfNotInvertible, NotInvertible,
+                        NotRightInvertible, SizeLimit, UnsupportedRing,
+                        FormViolation)
 from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat, block_perp,
                           hyperbolic_pair_check, identity, membership, phi,
                           psi, right_inverse)
@@ -16,7 +17,7 @@ from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                        PrimeField, QuotientRing, RationalField,
                        TruncatedPolyLocal)
 from cgf.sampling import random_word
-from cgf.words import FAMILY_LIN
+from cgf.words import FAMILY_LIN, FAMILY_ORTH
 
 
 def test_block_perp_builds_psi():
@@ -373,3 +374,83 @@ def test_serialization_round_trip():
     Z9 = ModularRing(9)
     m = psi(Z9, 2)
     assert Mat.from_json(m.to_json()) == m
+
+
+# ---------------------------------------------------------------------------
+# SO over R[T]: det a = det a(0) for every a in O
+
+def _so_by_rt_det(a):
+    # reference: SO as it was decided over R[T] before, the form check and
+    # then a Berkowitz determinant over R[T]
+    return membership(a, "O") and a.det() == a.ring.one()
+
+
+def _outcome(fn, a):
+    try:
+        return fn(a)
+    except CgfError as e:
+        return e.code
+
+
+def _pair_swap(ring, size):
+    # [[0, 1], [1, 0]] ⊥ I: in O (it swaps a hyperbolic pair), det -1
+    rows = identity(ring, size)._payloads()
+    rows[0], rows[1] = rows[1], rows[0]
+    return Mat._box(ring, rows)
+
+
+def _so_cases(rng, rt, size, count):
+    for _ in range(count):
+        a = random_word(rng, rt, FAMILY_ORTH, size, 4).eval()
+        yield a, True, True
+        yield _pair_swap(rt, size) @ a, True, False
+        yield random_word(rng, rt, FAMILY_LIN, size, 2).eval(), False, False
+
+
+SO_RINGS = [PolyExt(ModularRing(9), "T"), PolyExt(PrimeField(5), "T"),
+            # non-local, with 1/2
+            PolyExt(ModularRing(15), "T"),
+            PolyExt(PolyExt(ModularRing(9), "T"), "S")]
+
+
+@pytest.mark.parametrize("rt", SO_RINGS, ids=str)
+def test_so_over_rt_matches_the_rt_determinant(rt):
+    rng = random.Random(f"so:{rt}")
+    sizes = (4,) if rt.base.kind == "poly" else (4, 6, 8)
+    for size in sizes:
+        for a, in_o, in_so in _so_cases(rng, rt, size, 3):
+            assert membership(a, "O") is in_o
+            assert membership(a, "SO") is in_so
+            assert _so_by_rt_det(a) is in_so
+
+
+def test_so_over_rt_keeps_the_determinant_size_cap():
+    rt = PolyExt(ModularRing(9), "T")
+    a = random_word(random.Random(14), rt, FAMILY_ORTH, 14, 6).eval()
+    assert membership(a, "O")
+    for fn in (lambda m: membership(m, "SO"), _so_by_rt_det):
+        with pytest.raises(SizeLimit):
+            fn(a)
+
+
+def test_so_over_rt_at_small_caps_returns_wherever_the_rt_determinant_does():
+    # the constant terms form no R[T] products, so a small cap may now let
+    # SO return where the R[T] determinant raised, never the reverse
+    newly_returned = 0
+    for cap in (2, 3, 4, 6):
+        rng = random.Random(f"so-cap:{cap}")
+        rt = PolyExt(ModularRing(9), "T", degree_cap=cap)
+        for size in (4, 6):
+            for _ in range(4):
+                try:
+                    a = random_word(rng, rt, FAMILY_ORTH, size, 3).eval()
+                except CgfError:
+                    continue
+                ref = _outcome(_so_by_rt_det, a)
+                got = _outcome(lambda m: membership(m, "SO"), a)
+                assert got in (True, False, "degree_cap_exceeded")
+                if ref != "degree_cap_exceeded":
+                    assert got == ref
+                elif got != ref:
+                    newly_returned += 1
+    assert newly_returned

@@ -7,9 +7,10 @@ import threading
 import pytest
 
 import cgf.words
-from cgf.errors import BadIndices, HalfNotInvertible, WordLimitExceeded
+from cgf.errors import (BadIndices, CgfError, HalfNotInvertible,
+                        WordLimitExceeded)
 from cgf.matrices import Mat, membership
-from cgf.rings import ModularRing, PolyExt, PrimeField
+from cgf.rings import ModularRing, PolyExt, PrimeField, RingValue
 from cgf.sampling import random_frame, random_unimodular_rows, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                        Witness, apply_word_to_row, empty_word, gen_matrix,
@@ -217,3 +218,113 @@ def test_sampling_rejects_sizes_without_generators():
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive() and len(raised) == 1
+
+
+# ---------------------------------------------------------------------------
+# rebuilt words against the public construction whose checks they skip
+
+def _ref_map(w, fn, ring=None, size=None, order=None):
+    # reference: the public construction, every generator and the word
+    # checked again; fn maps a generator to its (i, j, param)
+    gens = w.gens if order is None else order(w.gens)
+    size = w.size if size is None else size
+    return GenWord(ring or w.ring, size, w.family, tuple(
+        Generator(w.family, *fn(g), size) for g in gens))
+
+
+def _rebuilds(w, u):
+    """(name, rebuild, public construction) for an R-word w and an R[T]-word
+    u over R = w.ring, all of the same family and size."""
+    ring, rt, size = w.ring, u.ring, w.size
+    T = rt.variable()
+    out = [
+        ("invert", w.invert, lambda: _ref_map(
+            w, lambda g: (g.i, g.j, -g.param), order=reversed)),
+        ("add", lambda: w + w.invert(), lambda: GenWord(
+            ring, size, w.family, w.gens + w.invert().gens)),
+        ("embed", lambda: w.embed(size + 2), lambda: _ref_map(
+            w, lambda g: (g.i, g.j, g.param), size=size + 2)),
+        ("shift", lambda: w.shift(2, size + 2), lambda: _ref_map(
+            w, lambda g: (g.i + 2, g.j + 2, g.param), size=size + 2)),
+        ("lift_to", lambda: w.lift_to(rt), lambda: _ref_map(
+            w, lambda g: (g.i, g.j, rt.embed_const(g.param)), ring=rt)),
+        ("times_variable", lambda: w.times_variable(rt), lambda: _ref_map(
+            w, lambda g: (g.i, g.j, rt.embed_const(g.param) * T), ring=rt)),
+        ("transpose", lambda: GenWord(
+            ring, size, w.family, cgf.words._transpose_gens(w.gens)),
+         lambda: _ref_map(w, lambda g: (g.j, g.i, g.param), order=reversed)),
+    ]
+    for t in (0, 1, 3):
+        t = ring.coerce(t)
+        out.append((f"specialize({t})", lambda t=t: u.specialize(t),
+                    lambda t=t: _ref_map(u, lambda g: (
+                        g.i, g.j, rt.eval_at(g.param.payload, t)), ring=ring)))
+        out.append((f"dilate({t})", lambda t=t: u.dilate(t),
+                    lambda t=t: _ref_map(u, lambda g: (
+                        g.i, g.j, RingValue(rt, rt.compose_scale(
+                            g.param.payload, t))))))
+    return out
+
+
+def _rebuild_words(length):
+    # over Z/9 and Z/9[T]: a third of the R[T] parameters are 3T, which
+    # specialize(3) and dilate(3) send to zero
+    rng = random.Random(f"rebuild:{length}")
+    Z9 = ModularRing(9)
+    rt = PolyExt(Z9, "T")
+    for family, size in ((FAMILY_LIN, 3), (FAMILY_SP, 4), (FAMILY_ORTH, 6)):
+        w = random_word(rng, Z9, family, size, length)
+        u = random_word(rng, rt, family, size, length) + \
+            word_from_pairs(rt, size, family, [
+                (g.i, g.j, [0, 3]) for g in w.gens[:length // 3]])
+        yield w, u
+
+
+def _outcome(fn):
+    try:
+        w = fn()
+    except CgfError as e:
+        return e.to_json()
+    return (w, [g._payload_updates() for g in w], w.eval())
+
+
+def test_rebuilt_words_equal_the_public_construction():
+    dropped = set()
+    for w, u in _rebuild_words(6):
+        for name, fn, ref in _rebuilds(w, u):
+            got = _outcome(fn)
+            assert got == _outcome(ref), name
+            if name.startswith(("specialize", "dilate")) and len(got[0]) < len(u):
+                dropped.add(name)
+    assert {"specialize(0)", "specialize(3)", "dilate(0)",
+            "dilate(3)"} <= dropped
+
+
+@pytest.mark.parametrize("limit", [40, 90, 160])
+def test_rebuilt_words_keep_the_word_limit_errors(limit, monkeypatch):
+    words = [pair for length in (30, 60, 120) for pair in _rebuild_words(length)]
+    monkeypatch.setenv("CGF_WORD_LIMIT", str(limit))
+    codes = set()
+    for w, u in words:
+        for name, fn, ref in _rebuilds(w, u):
+            got = _outcome(fn)
+            assert got == _outcome(ref), name
+            if isinstance(got, dict):
+                codes.add(got["code"])
+                assert got["message"].endswith(f"exceeds limit {limit}")
+    assert codes == {"word_limit_exceeded"}
+
+
+def test_shift_keeps_its_index_guards():
+    Z9 = ModularRing(9)
+    cases = [(word_from_pairs(Z9, 4, FAMILY_LIN, [(1, 2, 1), (3, 4, 2)]),
+              offset, size) for offset, size in ((1, 4), (-1, 4), (2, 5))]
+    cases += [(word_from_pairs(Z9, 4, FAMILY_SP, [(1, 3, 1), (2, 4, 2)]),
+               offset, size) for offset, size in ((2, 5), (2, 7), (-2, 6))]
+    cases.append((word_from_pairs(Z9, 4, FAMILY_ORTH, [(1, 3, 1)]), 2, 5))
+    for w, offset, size in cases:
+        got = _outcome(lambda: w.shift(offset, size))
+        ref = _outcome(lambda: _ref_map(
+            w, lambda g: (g.i + offset, g.j + offset, g.param), size=size))
+        assert got == ref
+        assert got["code"] == "bad_indices", got
