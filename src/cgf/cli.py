@@ -322,112 +322,88 @@ def _cmd_certify(args) -> int:
 # ---------------------------------------------------------------------------
 # harness suites
 
+def _tally(checks, name, budget, trial):
+    """Run ``trial`` ``budget`` times and append the check it makes: its
+    failures are the runs that returned False.  Returns the check."""
+    check = {"name": name, "instances": budget,
+             "failures": sum(not trial() for _ in range(budget))}
+    checks.append(check)
+    return check
+
+
 def _harness_lemmas(rng, budget, corrupt=False):
     from .sampling import random_frame, random_unimodular_rows
     from .words import FAMILY_LIN
     checks = []
-    failures = 0
     ring = ModularRing(9)
-    n_fail = 0
-    for _ in range(budget):
+
+    def row_reduction():
         v, _ = random_unimodular_rows(rng, ring, 1, 3, 5)
         w = reduce_row_linear(v)
         out = apply_word_to_row(list(v.entries[0]), w)
         expected = [ring.one(), ring.zero(), ring.zero()]
         if corrupt:
             expected = [ring.zero()] * 3
-        if out != expected:
-            n_fail += 1
-    checks.append({"name": "row reduction reaches e_1", "instances": budget,
-                   "failures": n_fail})
-    failures += n_fail
+        return out == expected
 
-    n_fail = 0
-    for _ in range(budget):
+    def linear_completion():
         v, _ = random_unimodular_rows(rng, ring, 2, 4, 5)
-        word = complete_um_linear(v)
-        if word.eval()._grid[:2] != v._grid:
-            n_fail += 1
-    checks.append({"name": "linear completion round trip",
-                   "instances": budget, "failures": n_fail})
-    failures += n_fail
+        return complete_um_linear(v).eval()._grid[:2] == v._grid
 
-    n_fail = 0
-    for _ in range(budget):
+    def sp_completion():
         fr, _ = random_frame(rng, ring, "sp", 1, 2, 5)
-        word = complete_sp(fr)
-        if word.eval()._grid[:2] != fr.mat._grid:
-            n_fail += 1
-    checks.append({"name": "symplectic completion round trip",
-                   "instances": budget, "failures": n_fail})
-    failures += n_fail
+        return complete_sp(fr).eval()._grid[:2] == fr.mat._grid
 
-    n_fail = 0
     Z4 = ModularRing(4)
     table = enumerate_orbits(Z4, "row", FAMILY_LIN, 3) if budget else None
-    for _ in range(budget):
+
+    def two_row():
         m, _ = random_unimodular_rows(rng, Z4, 2, 3, 5)
         eps = two_row_equiv(m, right_inverse(m))
         key1, key2 = m._grid
         row1 = m.submatrix(0, 1, 0, m.cols)
-        ok = apply_word_right(row1, eps)._grid == (key2,)
-        ok = ok and certify_equivalence(key1, key2, table) is not None
-        if not ok:
-            n_fail += 1
-    checks.append({"name": "two-row equivalence vs oracle",
-                   "instances": budget, "failures": n_fail})
-    failures += n_fail
-    return checks, failures
+        return (apply_word_right(row1, eps)._grid == (key2,)
+                and certify_equivalence(key1, key2, table) is not None)
+
+    _tally(checks, "row reduction reaches e_1", budget, row_reduction)
+    _tally(checks, "linear completion round trip", budget, linear_completion)
+    _tally(checks, "symplectic completion round trip", budget, sp_completion)
+    _tally(checks, "two-row equivalence vs oracle", budget, two_row)
+    return checks
 
 
 def _harness_homotopy(rng, budget, corrupt=False):
-    from .sampling import random_unimodular_rows, random_word
+    from .homotopy import commutator_witness, vaserstein_transport
+    from .sampling import random_frame, random_unimodular_rows, random_word
     from .words import FAMILY_LIN, FAMILY_SP
     checks = []
-    failures = 0
     ring = ModularRing(9)
     rt = PolyExt(ring, "T")
-    n_fail = 0
-    for _ in range(budget):
+
+    def linear_commute():
         base = random_word(rng, ring, FAMILY_LIN, 2, 2)
         hom = Homotopy.from_word("linear", base.times_variable(rt))
         v, _ = random_unimodular_rows(rng, ring, 2, 3, 4)
-        res = homotopy_commute_linear(hom, v)
-        ok = res.witness.all_passed()
-        if corrupt:
-            ok = not ok
-        if not ok:
-            n_fail += 1
-    checks.append({"name": "linear homotopy commutation",
-                   "instances": budget, "failures": n_fail})
-    failures += n_fail
+        ok = homotopy_commute_linear(hom, v).witness.all_passed()
+        return ok != corrupt
 
-    n_fail = 0
-    from .homotopy import commutator_witness, vaserstein_transport
-    for _ in range(budget):
+    def commutator():
         base = random_word(rng, ring, FAMILY_LIN, 3, 2)
         hom = Homotopy.from_word("linear", base.times_variable(rt))
         b = random_word(rng, ring, FAMILY_LIN, 3, 4).eval()
         eps = commutator_witness(hom, b)
         alpha = hom.at(1)
-        if (alpha @ b) != (b @ alpha @ eps.eval()):
-            n_fail += 1
-    checks.append({"name": "commutator witnesses", "instances": budget,
-                   "failures": n_fail})
-    failures += n_fail
+        return (alpha @ b) == (b @ alpha @ eps.eval())
 
-    n_fail = 0
-    for _ in range(budget):
+    def sp_transport():
         d = random_word(rng, ring, FAMILY_SP, 2, 2).eval()
-        from .sampling import random_frame
         fr, _ = random_frame(rng, ring, "sp", 1, 2, 4)
-        res = vaserstein_transport(d, fr, "symplectic")
-        if not res.witness.all_passed():
-            n_fail += 1
-    checks.append({"name": "symplectic transport", "instances": budget,
-                   "failures": n_fail})
-    failures += n_fail
-    return checks, failures
+        return vaserstein_transport(d, fr, "symplectic").witness.all_passed()
+
+    _tally(checks, "linear homotopy commutation", budget, linear_commute)
+    _tally(checks, "commutator witnesses", budget, commutator)
+    _tally(checks, "symplectic transport", budget, sp_transport)
+    return checks
 
 
 def _harness_localglobal(rng, budget, corrupt=False):
@@ -435,22 +411,18 @@ def _harness_localglobal(rng, budget, corrupt=False):
     from .rings import FractionRing
     from .words import FAMILY_LIN, word_from_pairs
     checks = []
-    failures = 0
     rt = PolyExt(FractionRing(IntegerRing(), 6), "T")
-    if budget:
+
+    def documented():
         theta = word_from_pairs(rt, 2, FAMILY_LIN,
                                 [(1, 2, rt.coerce([0, Fraction(1, 6)]))])
         res = quillen_split(theta, 3, -2, exponent=2)
         ok = res.witness.all_passed() and res.b == rt.base.coerce(4)
-        if corrupt:
-            ok = not ok
-        checks.append({"name": "documented split instance (b = 4)",
-                       "instances": 1, "failures": 0 if ok else 1})
-        failures += 0 if ok else 1
+        return ok != corrupt
 
-    n_fail = 0
-    n_split = 0
-    for _ in range(budget):
+    splits = []
+
+    def seeded_split():
         num = rng.randint(-5, 5)
         k = rng.randrange(3)
         coeff = Fraction(num, 6 ** k) if num else Fraction(0)
@@ -459,50 +431,41 @@ def _harness_localglobal(rng, budget, corrupt=False):
                                  (2, 3, rt.coerce([0, Fraction(rng.randint(-3, 3))]))])
         try:
             res = quillen_split(theta, 3, -2)
-            n_split += 1
-            if not res.witness.all_passed():
-                n_fail += 1
         except CgfError:
-            pass  # exhaustion is a reported outcome, not a failure
-    checks.append({"name": "seeded splits verify or report exhaustion",
-                   "instances": budget, "failures": n_fail,
-                   "splits": n_split})
-    failures += n_fail
-    return checks, failures
+            return True  # exhaustion is a reported outcome, not a failure
+        splits.append(res)
+        return res.witness.all_passed()
+
+    if budget:
+        _tally(checks, "documented split instance (b = 4)", 1, documented)
+    check = _tally(checks, "seeded splits verify or report exhaustion",
+                   budget, seeded_split)
+    check["splits"] = len(splits)
+    return checks
 
 
 def _harness_ortho(rng, budget, corrupt=False):
     from .sampling import random_word
     from .words import FAMILY_ORTH
     checks = []
-    failures = 0
     Z5 = PrimeField(5)
-    n_fail = 0
-    for _ in range(budget):
-        w = random_word(rng, Z5, FAMILY_ORTH, 6, 5)
-        delta, word = vaserstein_quotient(w.eval())
-        ok = delta.is_identity()
-        if corrupt:
-            ok = not ok
-        if not ok:
-            n_fail += 1
-    checks.append({"name": "elementary words reduce to the trivial corner",
-                   "instances": budget, "failures": n_fail})
-    failures += n_fail
 
-    n_fail = 0
-    for _ in range(budget):
+    def trivial_corner():
+        w = random_word(rng, Z5, FAMILY_ORTH, 6, 5)
+        delta, _ = vaserstein_quotient(w.eval())
+        return delta.is_identity() != corrupt
+
+    def commutator():
         a = FactoredOrthogonal.from_word(random_word(rng, Z5, FAMILY_ORTH,
                                                      6, 4))
         b = FactoredOrthogonal.from_word(random_word(rng, Z5, FAMILY_ORTH,
                                                      6, 4))
-        _, witness = commutator_harness(a, b)
-        if not witness.all_passed():
-            n_fail += 1
-    checks.append({"name": "commutator harness", "instances": budget,
-                   "failures": n_fail})
-    failures += n_fail
-    return checks, failures
+        return commutator_harness(a, b)[1].all_passed()
+
+    _tally(checks, "elementary words reduce to the trivial corner", budget,
+           trivial_corner)
+    _tally(checks, "commutator harness", budget, commutator)
+    return checks
 
 
 _SUITES = {"lemmas": _harness_lemmas, "homotopy": _harness_homotopy,
@@ -513,8 +476,8 @@ def _cmd_harness(args) -> int:
     if args.budget < 0:
         raise _UsageError(f"--budget must be >= 0, got {args.budget}")
     rng = random.Random(args.seed)
-    checks, failures = _SUITES[args.suite](rng, args.budget,
-                                           corrupt=args.corrupt)
+    checks = _SUITES[args.suite](rng, args.budget, corrupt=args.corrupt)
+    failures = sum(c["failures"] for c in checks)
     report = {"suite": args.suite, "seed": args.seed, "budget": args.budget,
               "checks": checks, "failures": failures,
               "ok": failures == 0}

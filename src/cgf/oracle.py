@@ -49,8 +49,8 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, _residue_modulus, ring_from_json,
-                    unit_ideal_witness)
+from .rings import (Ring, RingValue, _json_int, _residue_modulus,
+                    ring_from_json, unit_ideal_witness)
 from .words import FAMILY_ORTH, FAMILY_SP, Generator, GenWord, paired_index
 
 FORMAT_VERSION = 1
@@ -275,9 +275,10 @@ class OrbitTable:
             raise UnsupportedRing(f"unknown table version {obj.get('version')}")
         ring = ring_from_json(obj["ring"])
         kind = obj["kind"]
-        _check_paired_size(obj["family"], int(obj["size"]))
-        table = OrbitTable(ring, kind, obj["family"], int(obj["size"]),
-                           int(obj.get("frame_rows", 0)))
+        size = _json_int(obj["size"])
+        _check_paired_size(obj["family"], size)
+        table = OrbitTable(ring, kind, obj["family"], size,
+                           _json_int(obj.get("frame_rows", 0)))
         rows = 1 if kind == "row" else table.frame_rows
 
         def dec_key(v):
@@ -294,12 +295,13 @@ class OrbitTable:
 
         for entry in obj["objects"]:
             key = dec_key(entry["v"])
-            table.orbit_of[key] = int(entry["orbit"])
+            table.orbit_of[key] = _json_int(entry["orbit"])
             if entry["pred"] is not None:
                 pk = dec_key(entry["pred"][0])
                 gj = entry["pred"][1]
-                g = Generator(obj["family"], int(gj["i"]), int(gj["j"]),
-                              ring.value_from_json(gj["param"]), int(obj["size"]))
+                g = Generator(obj["family"], _json_int(gj["i"]),
+                              _json_int(gj["j"]),
+                              ring.value_from_json(gj["param"]), size)
                 table.pred[key] = (pk, g)
             else:
                 table.pred[key] = None

@@ -6,6 +6,10 @@ localized at a prime, polynomial extensions R[T], quotients by decidable
 ideals, and rings of fractions Z_s.  Every element is stored in a canonical
 form, so equality is literal payload equality and all operations are pure.
 
+One arithmetic serves every F[x]/(f): ``_PolyRemainders``, remainders
+modulo a monic f.  A polynomial ``QuotientRing`` computes on it, and so does
+F_p[x]/(x^e), which is F_p[x] mod x^e under its own descriptor.
+
 Locality ("every unimodular tuple contains a unit") is computed from the
 constructor, never asserted by the caller: Z/p^k, prime fields,
 F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.
@@ -64,6 +68,14 @@ def _divides_power(d: int, s: int) -> bool:
             d //= g
         g = gcd(d, s)
     return d == 1
+
+
+def _json_int(obj) -> int:
+    """An integer read from JSON.  A float or a string raises ValueError
+    instead of being truncated or parsed by ``int()``; a bool reads as 0/1."""
+    if not isinstance(obj, int):
+        raise ValueError(f"integer expected, got {obj!r}")
+    return int(obj)
 
 
 class RingValue:
@@ -326,7 +338,7 @@ class IntegerRing(Ring):
         return payload
 
     def value_from_json(self, obj):
-        return self.coerce(int(obj))
+        return self.coerce(_json_int(obj))
 
 
 class _Fractions(Ring):
@@ -377,7 +389,7 @@ class _Fractions(Ring):
     def value_from_json(self, obj):
         if isinstance(obj, int):
             return self.coerce(obj)
-        return self.coerce(Fraction(int(obj[0]), int(obj[1])))
+        return self.coerce(Fraction(_json_int(obj[0]), _json_int(obj[1])))
 
 
 class RationalField(_Fractions):
@@ -476,7 +488,7 @@ class ModularRing(Ring):
         return payload
 
     def value_from_json(self, obj):
-        return self.coerce(int(obj))
+        return self.coerce(_json_int(obj))
 
 
 class PrimeField(ModularRing):
@@ -498,117 +510,6 @@ class PrimeField(ModularRing):
 
     def to_json(self):
         return {"kind": "prime", "p": self.p}
-
-
-class TruncatedPolyLocal(Ring):
-    """F_p[x]/(x^e): a local ring with nilpotents for e > 1.
-
-    Payloads are coefficient tuples (constant term first) of length < e
-    with trailing zeros stripped; the empty tuple is zero.
-    """
-
-    kind = "polyloc"
-    is_finite = True
-    is_local = True
-
-    def __init__(self, p: int, e: int):
-        if not _is_prime(p):
-            raise UnsupportedRing(f"{p} is not prime")
-        if e < 1:
-            raise UnsupportedRing("truncation exponent must be >= 1")
-        self.p = p
-        self.e = e
-        self.characteristic = p
-        self.is_field = e == 1
-
-    def key(self):
-        return ("polyloc", self.p, self.e)
-
-    def describe(self):
-        return f"F_{self.p}[x]/(x^{self.e})"
-
-    def canon(self, payload):
-        if isinstance(payload, int):
-            payload = (payload,)
-        coeffs = [c % self.p for c in payload[:self.e]]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return tuple(coeffs)
-
-    def coerce(self, x):
-        if not isinstance(x, (RingValue, list, tuple, int)):
-            raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
-        return super().coerce(x)
-
-    def add(self, a, b):
-        n = max(len(a), len(b))
-        out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-               for i in range(n)]
-        return self.canon(out)
-
-    def mul(self, a, b):
-        out = [0] * min(self.e, len(a) + len(b) - 1 if a and b else 0)
-        for i, ca in enumerate(a):
-            if i >= self.e:
-                break
-            for j, cb in enumerate(b):
-                if i + j >= self.e:
-                    break
-                out[i + j] += ca * cb
-        return self.canon(out)
-
-    def neg(self, a):
-        return self.canon([-c for c in a])
-
-    def is_unit_payload(self, a):
-        return bool(a) and a[0] % self.p != 0
-
-    def inverse_payload(self, a):
-        if not self.is_unit_payload(a):
-            raise NotAUnit(f"{a} is not a unit in {self}")
-        # power-series inversion mod x^e
-        inv0 = pow(a[0], -1, self.p)
-        out = [inv0] + [0] * (self.e - 1)
-        for k in range(1, self.e):
-            s = sum(out[k - j] * a[j] for j in range(1, min(k, len(a) - 1) + 1))
-            out[k] = (-inv0 * s) % self.p
-        return self.canon(out)
-
-    def is_nilpotent_payload(self, a):
-        return not a or a[0] % self.p == 0
-
-    def elements(self):
-        for combo in itertools.product(range(self.p), repeat=self.e):
-            yield RingValue(self, self.canon(combo))
-
-    def cardinality(self):
-        return self.p ** self.e
-
-    def sort_key(self, payload):
-        return tuple(payload) + (0,) * (self.e - len(payload))
-
-    def random(self, rng):
-        return RingValue(self, self.canon([rng.randrange(self.p)
-                                           for _ in range(self.e)]))
-
-    def render(self, payload):
-        if not payload:
-            return "0"
-        terms = []
-        for i, c in enumerate(payload):
-            if c == 0:
-                continue
-            terms.append(str(c) if i == 0 else (f"{c}x^{i}" if i > 1 else f"{c}x"))
-        return "+".join(terms)
-
-    def to_json(self):
-        return {"kind": "polyloc", "p": self.p, "e": self.e}
-
-    def value_to_json(self, payload):
-        return list(payload)
-
-    def value_from_json(self, obj):
-        return self.coerce(obj if isinstance(obj, (list, int)) else list(obj))
 
 
 class LocalizedIntegers(_Fractions):
@@ -1002,12 +903,32 @@ class _PolyRemainders(Ring):
         self.poly, self.field, self.f, self.name = poly, poly.base, f, name
         self.is_finite = poly.base.is_finite
         self.characteristic = poly.characteristic
+        # x^d = -(f - x^d) modulo f; only f's nonzero lower terms act
+        z = self.field.zero().payload
+        self._tail = tuple((i, self.field.neg(c))
+                           for i, c in enumerate(f[:-1]) if c != z)
 
     def describe(self):
         return self.name
 
     def _reduce(self, payload):
-        return _poly_divmod_field(payload, self.f, self.field)[1]
+        """The remainder of a trimmed payload modulo the monic f: from the
+        top, each coefficient c of x^k, k >= d = deg f, is dropped and
+        c x^(k-d) (x^d - f) added.  With no nonzero lower term (f = x^e)
+        this is truncation."""
+        d = len(self.f) - 1
+        if len(payload) <= d:
+            return payload
+        add, mul, z = self.field.add, self.field.mul, self.field.zero().payload
+        out = list(payload)
+        for k in range(len(out) - 1, d - 1, -1):
+            c = out.pop()
+            if c != z:
+                for i, t in self._tail:
+                    out[k - d + i] = add(out[k - d + i], mul(c, t))
+        while out and out[-1] == z:
+            out.pop()
+        return tuple(out)
 
     def canon(self, payload):
         return self._reduce(self.poly.canon(payload))
@@ -1060,6 +981,78 @@ class _PolyRemainders(Ring):
 
     def value_to_json(self, payload):
         return self.poly.value_to_json(payload)
+
+
+class TruncatedPolyLocal(_PolyRemainders):
+    """F_p[x]/(x^e): a local ring with nilpotents for e > 1, computed as
+    F_p[x] mod x^e on ``_PolyRemainders``.
+
+    Payloads are coefficient tuples (constant term first) of length at most
+    e with trailing zeros stripped; the empty tuple is zero.  The ring keeps
+    its own descriptor, JSON, rendering and element order (``sort_key`` pads
+    to e), truncates instead of rejecting longer input, and reads units and
+    nilpotents off the constant term.
+    """
+
+    kind = "polyloc"
+    is_local = True
+
+    def __init__(self, p: int, e: int):
+        field = PrimeField(p)
+        if e < 1:
+            raise UnsupportedRing("truncation exponent must be >= 1")
+        self.p = p
+        self.e = e
+        self.is_field = e == 1
+        # a product of two remainders has degree up to 2e - 2
+        super().__init__(PolyExt(field, "x", degree_cap=2 * e),
+                         (0,) * e + (1,), self.describe())
+
+    def key(self):
+        return ("polyloc", self.p, self.e)
+
+    def describe(self):
+        return f"F_{self.p}[x]/(x^{self.e})"
+
+    def canon(self, payload):
+        if isinstance(payload, int):
+            payload = (payload,)
+        coeffs = [self.field.canon(c) for c in payload[:self.e]]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def coerce(self, x):
+        if not isinstance(x, (RingValue, list, tuple, int)):
+            raise DescriptorMismatch(f"cannot coerce {x!r} into {self}")
+        return super().coerce(x)
+
+    def is_unit_payload(self, a):
+        return bool(a) and a[0] != 0
+
+    def is_nilpotent_payload(self, a):
+        return not a or a[0] == 0
+
+    def sort_key(self, payload):
+        return tuple(payload) + (0,) * (self.e - len(payload))
+
+    def render(self, payload):
+        if not payload:
+            return "0"
+        terms = []
+        for i, c in enumerate(payload):
+            if c == 0:
+                continue
+            terms.append(str(c) if i == 0 else (f"{c}x^{i}" if i > 1 else f"{c}x"))
+        return "+".join(terms)
+
+    def to_json(self):
+        return {"kind": "polyloc", "p": self.p, "e": self.e}
+
+    def value_from_json(self, obj):
+        if isinstance(obj, int):
+            return self.coerce(obj)
+        return self.coerce([_json_int(c) for c in obj])
 
 
 class QuotientRing(Ring):
@@ -1173,16 +1166,16 @@ def ring_from_json(obj: dict) -> Ring:
     if kind == "rat":
         return RationalField()
     if kind == "mod":
-        return ModularRing(int(obj["n"]))
+        return ModularRing(_json_int(obj["n"]))
     if kind == "prime":
-        return PrimeField(int(obj["p"]))
+        return PrimeField(_json_int(obj["p"]))
     if kind == "polyloc":
-        return TruncatedPolyLocal(int(obj["p"]), int(obj["e"]))
+        return TruncatedPolyLocal(_json_int(obj["p"]), _json_int(obj["e"]))
     if kind == "loc_int":
-        return LocalizedIntegers(int(obj["p"]))
+        return LocalizedIntegers(_json_int(obj["p"]))
     if kind == "poly":
         return PolyExt(ring_from_json(obj["base"]), obj.get("var", "T"),
-                       int(obj.get("degree_cap", DEFAULT_DEGREE_CAP)))
+                       _json_int(obj.get("degree_cap", DEFAULT_DEGREE_CAP)))
     if kind == "frac":
         base = ring_from_json(obj["base"])
         s = base.value_from_json(obj["s"])

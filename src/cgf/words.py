@@ -297,11 +297,11 @@ class GenWord:
 
     @staticmethod
     def from_json(obj: dict) -> "GenWord":
-        from .rings import ring_from_json
+        from .rings import _json_int, ring_from_json
         ring = ring_from_json(obj["ring"])
-        size = int(obj["size"])
+        size = _json_int(obj["size"])
         family = obj["family"]
-        gens = tuple(Generator(family, int(g["i"]), int(g["j"]),
+        gens = tuple(Generator(family, _json_int(g["i"]), _json_int(g["j"]),
                                ring.value_from_json(g["param"]), size)
                      for g in obj["gens"])
         return GenWord(ring, size, family, gens)

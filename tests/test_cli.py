@@ -155,6 +155,84 @@ def test_malformed_input_is_a_usage_error(argv, capsys, tmp_path):
     assert captured.err.startswith("usage error: ")
 
 
+# a JSON number with a fraction part, or a string, where an integer is
+# expected: each once certified a truncated value, printed a witness whose
+# entries lie outside the ring, or escaped as a traceback
+NOT_AN_INTEGER_ARGV = {
+    "float modulus": ["--ring", '{"kind":"mod","n":4.7}', "--row", "[1,1]"],
+    "float residue": ["--ring", "mod:4", "--row", "[1.5,1]"],
+    "float numerator": ["--ring", "locint:3", "--row", "[[1.5,2],1]"],
+    "float polyloc constant": ["--ring", "polyloc:2:2",
+                               "--row", "[[1.5],[0]]"],
+    "float polyloc entry": ["--ring", "polyloc:2:2", "--row", "[[1],[0.5]]"],
+    "string polyloc entry": ["--ring", "polyloc:2:2",
+                             "--row", '[[1],["1"]]'],
+    "string prime": ["--ring", '{"kind":"prime","p":"5"}', "--row", "[1,0]"],
+    "float degree cap": ["--ring", '{"kind":"poly","base":{"kind":"mod",'
+                                   '"n":4},"degree_cap":8.5}',
+                         "--row", "[[1],[0]]"],
+}
+
+
+@pytest.mark.parametrize("argv", NOT_AN_INTEGER_ARGV.values(),
+                         ids=NOT_AN_INTEGER_ARGV.keys())
+def test_a_non_integer_number_is_malformed_input(argv, capsys):
+    code = main(["reduce-row", *argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("usage error: malformed ")
+
+
+def test_a_non_integer_in_a_word_or_table_is_malformed_input(capsys,
+                                                             tmp_path):
+    word = {"family": "lin", "size": 2,
+            "ring": {"kind": "poly", "base": {"kind": "int"}, "var": "T"},
+            "gens": [{"i": 1, "j": 2, "param": [0, 1]}]}
+    bad_words = [dict(word, size=2.0),
+                 dict(word, gens=[{"i": 1.0, "j": 2, "param": [0, 1]}]),
+                 dict(word, gens=[{"i": 1, "j": "2", "param": [0, 1]}])]
+    for bad in bad_words:
+        code = main(["split", "--theta", json.dumps(bad),
+                     "--s1", "3", "--s2", "-2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), bad
+        assert len(captured.err.splitlines()) == 1
+    table = tmp_path / "um2-z2.json"
+    assert main(["orbits", "--ring", "mod:2", "--size", "2",
+                 "--cache", str(table)]) == 0
+    capsys.readouterr()
+    good = json.loads(table.read_text())
+    linked = next(i for i, o in enumerate(good["objects"]) if o["pred"])
+
+    def edited(edit):
+        obj = json.loads(table.read_text())
+        edit(obj)
+        return obj
+
+    def pred_gen(key, value):
+        def edit(obj):
+            obj["objects"][linked]["pred"][1][key] = value
+        return edit
+
+    bad_tables = [edited(lambda o: o.update(size=2.0)),
+                  edited(lambda o: o.update(frame_rows="0")),
+                  edited(lambda o: o["objects"][0].update(orbit=0.0)),
+                  edited(pred_gen("i", 2.5)), edited(pred_gen("j", "1"))]
+    for bad in bad_tables:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code = main(["certify", "--table", str(path), "--v1", "[1,0]",
+                     "--v2", "[1,1]"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, ""), bad
+        assert len(captured.err.splitlines()) == 1
+    code, out = run_cli(capsys, "certify", "--table", str(table),
+                        "--v1", "[1,0]", "--v2", "[1,1]")
+    assert code == 0 and json.loads(out)["equivalent"] is True
+
+
 def test_domain_errors_in_decoded_input_still_exit_2(capsys):
     for ring, row, err in (("mod:0", "[1,0]", "unsupported_ring"),
                            ("locint:5", "[[1,5],[1,1]]",
@@ -179,8 +257,11 @@ def _malformed_rings(st):
 
 
 def _malformed_rows(st):
+    # coefficient lists (polyloc, fractions) may hold floats and strings too
+    coefficients = st.one_of(st.integers(-5, 5), st.text(max_size=2),
+                             st.floats(-3, 3), st.floats(allow_nan=True))
     entries = st.one_of(st.integers(-50, 50), st.text(max_size=3),
-                        st.lists(st.integers(-5, 5), max_size=3),
+                        st.lists(coefficients, max_size=3),
                         st.none(), st.floats(allow_nan=True))
     return st.one_of(st.text(max_size=10),
                      st.lists(entries, max_size=4).map(json.dumps),
@@ -613,3 +694,72 @@ assert (info.misses, info.hits) == (1, 4), info
     src = os.path.dirname(os.path.dirname(cgf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+# sha256 of each harness suite's stdout, recorded before the suites shared
+# one tally: the rng draw order, every field (the localglobal "splits"
+# among them) and the exit code stay as they were
+HARNESS_GOLDEN = {
+    ("lemmas", "--seed", "7", "--budget", "3"):
+        (0, "af9da98fefe2f0bd6337cc93b37b33051dfe400453f5ed4d5e3167afbf3a816b"),
+    ("lemmas", "--seed", "11", "--budget", "3"):
+        (0, "d2f6567af43d38395529268f835ded4f6337f148884a00835775a2937f089f7b"),
+    ("lemmas", "--corrupt", "--seed", "5", "--budget", "2"):
+        (2, "3547d74de0516f529df40c0166a38dd4988a13ca5fba4e0c8ca918be4c94193d"),
+    ("lemmas", "--budget", "0"):
+        (0, "d0bb388156b20d75ae6283c6542756f4c38e96854e1fa1af229327cdc8427558"),
+    ("homotopy", "--seed", "7", "--budget", "3"):
+        (0, "e9aa8b897286f0a46b8da6cad418d27d3575d583b7e11a2f98fdc84524e44e82"),
+    ("homotopy", "--seed", "11", "--budget", "3"):
+        (0, "c08c932fefb340b8000f8929fb58fc8bc1f5c3ee57a7d54b4afa4101b7c81155"),
+    ("homotopy", "--corrupt", "--seed", "5", "--budget", "2"):
+        (2, "ece69f6fbd619cc5b73c959218e015f8b151158a5b790bba11421cf2c1ac0f0c"),
+    ("homotopy", "--budget", "0"):
+        (0, "03f6ac6ceef6a307a6e3a5234b1f296df5f56d622ca017023a5e36d244ba8913"),
+    ("localglobal", "--seed", "7", "--budget", "3"):
+        (0, "880f293cef9a14576b783824448a35f51a0f7542096b16e8173eafe2103bdfd2"),
+    ("localglobal", "--seed", "11", "--budget", "3"):
+        (0, "182a0b6095d4d0d761eacc4dc53357545495c126a3626522edbc30ae14b7700b"),
+    ("localglobal", "--corrupt", "--seed", "5", "--budget", "2"):
+        (2, "209f2ff7749ad1ea2400bd2ab9ac70082eff4b2dbc1382bc15f085c1cf56b0a8"),
+    ("localglobal", "--budget", "0"):
+        (0, "a89079fd4660995fd2453aabc5a81af0017149e93a668d9086836269816117ee"),
+    ("ortho", "--seed", "7", "--budget", "3"):
+        (0, "fb743e39f08c7ead8f7a6118d5becd215d6d06f0f5a922e32a5e1c97443f88f7"),
+    ("ortho", "--seed", "11", "--budget", "3"):
+        (0, "6197d3ae0661fbfc9efd97e2c1344e1567ba6ffc2b6ebea5e1e6f618158746b0"),
+    ("ortho", "--corrupt", "--seed", "5", "--budget", "2"):
+        (2, "0a50fa80102105ab667f71b8ecd8af24ee21b64a9585a7c44666df7b5266adf4"),
+    ("ortho", "--budget", "0"):
+        (0, "66e2f6911fa0f75ad0b5485336a3ce552ca5cd6d6bf96d39e49e1be325b2c49d"),
+}
+
+
+@pytest.mark.parametrize("argv", HARNESS_GOLDEN,
+                         ids=[" ".join(a) for a in HARNESS_GOLDEN])
+def test_harness_report_bytes_are_golden(argv, capsys):
+    code, out = run_cli(capsys, "harness", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        HARNESS_GOLDEN[argv]
+
+
+def test_localglobal_counts_an_exhausted_split_as_no_failure(capsys,
+                                                             monkeypatch):
+    # the seeded splits all succeed today; force every other search to run
+    # out so that "splits" counts only the splits made
+    real, calls = cli.quillen_split, []
+
+    def every_other_exhausts(*args, **kwargs):
+        calls.append(args)
+        if len(calls) % 2 == 0:
+            raise cgf.errors.SplitExponentExhausted("no exponent found")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "quillen_split", every_other_exhausts)
+    code, out = run_cli(capsys, "harness", "localglobal", "--seed", "7",
+                        "--budget", "3")
+    obj = json.loads(out)
+    assert code == 0 and obj["failures"] == 0
+    seeded = obj["checks"][-1]
+    assert (seeded["instances"], seeded["failures"], seeded["splits"]) == \
+        (3, 0, 1)

@@ -1,0 +1,173 @@
+"""F_p[x]/(x^e) on the F[x]/(f) arithmetic, against a naive reference."""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from cgf.errors import NotAUnit
+from cgf.rings import (PolyExt, PrimeField, QuotientRing, TruncatedPolyLocal,
+                       _poly_divmod_field, ring_from_json)
+
+SHAPES = ((2, 1), (2, 2), (2, 3), (3, 2), (5, 2))
+
+# sha256 of the descriptor lines and, per element in elements() order, its
+# render, repr, JSON, sort key and payload; recorded on the ring's own
+# arithmetic before it moved onto F[x]/(f)
+SURFACE_DIGESTS = {
+    (2, 1): "b43acb4285e8ca73682fe3ded76be7083238c24fa5fb8aa91430d852add5d6e6",
+    (2, 2): "1ef7b4b782a3053f6be0ccd435e9575f7f9f9fae48346a0e725b48f0d484cd29",
+    (2, 3): "6b3806927f088fd5b2f761109e68f7740f0bff5038f0b837b439155a47dae2d1",
+    (3, 2): "5ec7473bf5ef2bda65b9cd49db5296ed04572ccde0bf1d3d8c64bf1cab4cf626",
+    (5, 2): "dbb876598c0848b8d9b28c84d0d59e26d1fd8d4bb4685d48a74808714a3a602e",
+}
+
+
+def _padded(payload, e):
+    return list(payload) + [0] * (e - len(payload))
+
+
+def _naive_mul(a, b, p, e):
+    """Truncated convolution mod p on padded coefficient lists."""
+    out = [0] * e
+    for i in range(e):
+        for j in range(e - i):
+            out[i + j] += a[i] * b[j]
+    return [c % p for c in out]
+
+
+def _naive_canon(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p,e", SHAPES)
+def test_every_element_and_pair_against_a_naive_reference(p, e):
+    R = TruncatedPolyLocal(p, e)
+    elements = list(R.elements())
+    payloads = [v.payload for v in elements]
+    assert len(set(payloads)) == len(payloads) == p ** e == R.cardinality()
+    assert payloads == sorted(payloads, key=R.sort_key)
+    one = [1] + [0] * (e - 1)
+    for a in elements:
+        pa = _padded(a.payload, e)
+        assert _padded((-a).payload, e) == [(-c) % p for c in pa]
+        assert a.is_unit() == (pa[0] != 0)
+        assert R.is_nilpotent_payload(a.payload) == (pa[0] == 0)
+        if a.is_unit():
+            assert _naive_mul(pa, _padded(a.inverse().payload, e), p, e) == one
+        else:
+            with pytest.raises(NotAUnit) as info:
+                a.inverse()
+            assert info.value.to_json()["code"] == "not_a_unit"
+            assert R.render(a.payload) in str(info.value)
+        for b in elements:
+            pb = _padded(b.payload, e)
+            assert _padded((a + b).payload, e) == \
+                [(x + y) % p for x, y in zip(pa, pb)]
+            assert _padded((a - b).payload, e) == \
+                [(x - y) % p for x, y in zip(pa, pb)]
+            assert _padded((a * b).payload, e) == _naive_mul(pa, pb, p, e)
+
+
+@pytest.mark.parametrize("p,e", SHAPES)
+def test_payloads_agree_with_the_polynomial_quotient(p, e):
+    R = TruncatedPolyLocal(p, e)
+    F = PolyExt(PrimeField(p), "x")
+    Q = QuotientRing(F, [F.coerce([0] * e + [1])])
+    payloads = [v.payload for v in R.elements()]
+    assert sorted(payloads) == sorted(v.payload for v in Q.elements())
+    for a in payloads:
+        assert R.neg(a) == Q.neg(a)
+        assert R.is_unit_payload(a) == Q.is_unit_payload(a)
+        assert R.is_nilpotent_payload(a) == Q.is_nilpotent_payload(a)
+        if R.is_unit_payload(a):
+            assert R.inverse_payload(a) == Q.inverse_payload(a)
+        for b in payloads:
+            assert R.add(a, b) == Q.add(a, b)
+            assert R.mul(a, b) == Q.mul(a, b)
+
+
+@pytest.mark.parametrize("p,e", SHAPES)
+def test_seeded_draws_are_canonical_coefficient_draws(p, e):
+    R = TruncatedPolyLocal(p, e)
+    for seed in range(20):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            coeffs = [reference.randrange(p) for _ in range(e)]
+            v = R.random(drawn)
+            assert v.payload == R.canon(coeffs) == _naive_canon(coeffs)
+
+
+@pytest.mark.parametrize("p,e", SHAPES)
+def test_describe_render_and_json_are_unchanged(p, e):
+    R = TruncatedPolyLocal(p, e)
+    lines = [R.describe(), repr(R), json.dumps(R.to_json(), sort_keys=True),
+             repr(R.key())]
+    for v in R.elements():
+        lines.append("|".join((R.render(v.payload), repr(v),
+                               json.dumps(v.to_json()),
+                               repr(R.sort_key(v.payload)), repr(v.payload))))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SURFACE_DIGESTS[(p, e)]
+    assert ring_from_json(R.to_json()) == R
+    for v in R.elements():
+        assert R.value_from_json(v.to_json()) == v
+
+
+def test_canon_truncates_and_reduces_each_coefficient():
+    R = TruncatedPolyLocal(3, 2)
+    assert R.value_from_json([4, 5, 7]).payload == (1, 2)
+    assert R.coerce(-1).payload == (2,)
+    assert R.coerce((3, 6, 1)).payload == ()
+    assert R.render((1, 2)) == "1+2x"
+    assert TruncatedPolyLocal(2, 3).render((0, 1, 1)) == "1x+1x^2"
+
+
+def test_a_non_unit_message_renders_the_polynomial():
+    R = TruncatedPolyLocal(2, 2)
+    with pytest.raises(NotAUnit, match=r"^1x is not a unit in F_2\[x\]/\(x\^2\)"):
+        R.coerce((0, 1)).inverse()
+
+
+def test_products_reach_twice_the_truncation_degree():
+    # a product of two degree-39 remainders has degree 78 before reduction,
+    # above PolyExt's default cap of 64
+    p, e = 2, 40
+    R = TruncatedPolyLocal(p, e)
+    rng = random.Random(40)
+    for _ in range(10):
+        pa = [1] + [rng.randrange(p) for _ in range(e - 2)] + [1]
+        pb = [rng.randrange(p) for _ in range(e - 1)] + [1]
+        a, b = R.coerce(pa), R.coerce(pb)
+        assert _padded((a * b).payload, e) == _naive_mul(pa, pb, p, e)
+        one = [1] + [0] * (e - 1)
+        assert _padded((a * a.inverse()).payload, e) == one
+        assert _naive_mul(pa, _padded(a.inverse().payload, e), p, e) == one
+
+
+def test_only_the_ring_specific_surface_is_its_own():
+    own = vars(TruncatedPolyLocal)
+    for name in ("add", "mul", "neg", "inverse_payload", "elements",
+                 "cardinality", "random"):
+        assert name not in own, name
+
+
+def test_remainders_agree_with_division_by_any_monic_f():
+    # the reduction acts only through f's nonzero lower terms; against
+    # long division with remainder, for dense and sparse f
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        F = PolyExt(PrimeField(p), "x")
+        for d in (1, 2, 3, 4):
+            for _ in range(6):
+                f = [rng.randrange(p) for _ in range(d)] + [1]
+                Q = QuotientRing(F, [F.coerce(f)])
+                for _ in range(30):
+                    a = F.canon([rng.randrange(p)
+                                 for _ in range(rng.randrange(2 * d + 2))])
+                    want = _poly_divmod_field(a, tuple(f), F.base)[1]
+                    assert Q.residues._reduce(a) == want, (p, f, a)
