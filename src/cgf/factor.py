@@ -20,32 +20,22 @@ from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
                        _form_inverse, membership, right_inverse)
 from .reduce import _require_local, complete_sp, reduce_row_linear
-from .rings import QuotientRing, ideal_combination, unit_ideal_witness
+from .rings import (QuotientRing, RingValue, ideal_combination,
+                    unit_ideal_witness)
 from .words import (FAMILY_LIN, Generator, GenWord, _transpose_gens,
                     apply_word_to_row, empty_word)
 
 
-def _block_upper_gens(a: Mat, n: int, size: int):
-    """[[I, A], [0, I]] as commuting e_(i, n+j)(A_ij), row-major; A has n
-    rows and any number of columns."""
-    out = []
-    for i in range(n):
-        for j in range(a.cols):
-            z = a.entries[i][j]
-            if not z.is_zero():
-                out.append(Generator(FAMILY_LIN, i + 1, n + j + 1, z, size))
-    return out
-
-
-def _block_lower_gens(b: Mat, n: int, size: int):
-    """[[I, 0], [B, I]] as commuting e_(n+i, j)(B_ij), row-major."""
-    out = []
-    for i in range(n):
-        for j in range(n):
-            z = b.entries[i][j]
-            if not z.is_zero():
-                out.append(Generator(FAMILY_LIN, n + i + 1, j + 1, z, size))
-    return out
+def _block_gens(m: Mat, row0: int, col0: int, size: int):
+    """The block m at rows row0+1.. and columns col0+1.. of I_size, for a
+    block off the diagonal, as commuting e_(row0+i, col0+j)(m_ij),
+    row-major; only the nonzero entries are boxed."""
+    ring = m.ring
+    zero = ring.zero().payload
+    for i, row in enumerate(m._grid, row0 + 1):
+        for j, p in enumerate(row, col0 + 1):
+            if p != zero:
+                yield Generator(FAMILY_LIN, i, j, RingValue(ring, p), size)
 
 
 def whitehead_linear(d: Mat) -> GenWord:
@@ -62,12 +52,9 @@ def whitehead_linear(d: Mat) -> GenWord:
     size = 2 * n
     ident = Mat.identity(ring, n)
     gens = []
-    gens += _block_upper_gens(d, n, size)
-    gens += _block_lower_gens(-dinv, n, size)
-    gens += _block_upper_gens(d, n, size)
-    gens += _block_upper_gens(-ident, n, size)
-    gens += _block_lower_gens(ident, n, size)
-    gens += _block_upper_gens(-ident, n, size)
+    for block, row0, col0 in ((d, 0, n), (-dinv, n, 0), (d, 0, n),
+                              (-ident, 0, n), (ident, n, 0), (-ident, 0, n)):
+        gens += _block_gens(block, row0, col0, size)
     word = GenWord(ring, size, FAMILY_LIN, tuple(gens))
     if word.eval() != d.block_perp(dinv):
         raise FormViolation("internal: Whitehead word mismatch")

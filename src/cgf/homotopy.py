@@ -8,8 +8,8 @@ right-invertible V over a local ring, produce s(T) with
 together with a word for s(T)^{-1} (d(T) ⊥ I): completing V to an
 elementary matrix W makes s(T) = W^{-1} (d(T) ⊥ I) W work by pure algebra,
 and when d(T) itself is word-backed the whole conjugate is a word.  The
-commutator corollary falls out by specializing at T = 1; transport's word
-is the engine's T = 1 word d·d^{-1}·W^{-1}·d·W on V ⊥ I, built over R.
+commutator corollary is the engine's word at T = 1 and transport's the
+engine's T = 1 word d·d^{-1}·W^{-1}·d·W on V ⊥ I, both built over R.
 
 W is a short word, so every conjugate and every product by a word is the
 sparse action of its generators (``apply_word_left``/``apply_word_right``),
@@ -33,8 +33,9 @@ from typing import Callable, NamedTuple
 
 from .errors import (DescriptorMismatch, FormViolation, NotInvertible,
                      NotLocal, SizeBound)
-from .factor import _block_upper_gens, whitehead_linear, whitehead_symplectic
-from .matrices import IsotropicFrame, Mat, block_perp, identity, membership
+from .factor import _block_gens, whitehead_linear, whitehead_symplectic
+from .matrices import (IsotropicFrame, Mat, _constant_terms, block_perp,
+                       identity, membership)
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord, Witness,
@@ -56,12 +57,15 @@ _FLAVORS = {
 
 
 def mat_substitute(m: Mat, t: RingValue) -> Mat:
-    """Entrywise evaluation of a matrix over R[T] at a base point."""
+    """Entrywise evaluation of a matrix over R[T] at a base point; at 0,
+    the constant terms."""
     rt = m.ring
     if not isinstance(rt, PolyExt):
         raise DescriptorMismatch("matrix does not live over R[T]")
     if t.ring != rt.base:
         raise DescriptorMismatch("evaluation point from another ring")
+    if t.payload == rt.base.zero().payload:
+        return _constant_terms(m)
     return Mat._box(rt.base, [[rt._horner(p, t.payload) for p in row]
                               for row in m._grid])
 
@@ -252,7 +256,10 @@ def homotopy_commute_orthogonal(d: Homotopy, v: IsotropicFrame) -> CommuteResult
 
 def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     """A word e with a(1) b = b a(1) eval(e), for word-backed a and b in the
-    flavor's group over a local ring."""
+    flavor's group over a local ring: e = d(1)^{-1}·W^{-1}·d(1)·W over R,
+    for W the completion of b, is ε(T) = d(T)^{-1}·W^{-1}·d(T)·W at T = 1.
+    d(1) has no parameter that vanishes at T = 1, so e may fit under a
+    CGF_WORD_LIMIT that ε(T) exceeds, never the reverse."""
     if not a.is_word_backed():
         raise NotInvertible("the commutator witness needs a word-backed homotopy")
     ring = a.base_ring
@@ -262,7 +269,6 @@ def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
         raise NotLocal("the witnessed construction needs a local ring")
     if b.rows != a.size or b.cols != a.size:
         raise SizeBound("b must match the homotopy size")
-    rt = a.poly_ring
     if a.flavor == "linear":
         if a.size < 3:
             raise SizeBound("the linear commutator needs n >= 3")
@@ -278,15 +284,9 @@ def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     else:
         raise DescriptorMismatch(
             "commutator witnesses cover the linear and symplectic flavors")
-    w_t = completion.lift_to(rt)
-    d_word = a.word
-    eps_t = d_word.invert() + w_t.invert() + d_word + w_t
-    # polynomial-level identity: d(T) b = b d(T) eval(eps_t)
-    b_t = b.map_ring(rt)
-    if apply_word_left(d_word, b_t) != apply_word_right(
-            apply_word_right(b_t, d_word), eps_t):
-        raise FormViolation("internal: commutator identity failed over R[T]")
-    eps = eps_t.specialize(ring.one())
+    # W is constant; specializing commutes with inversion and concatenation
+    d_1 = a.word.specialize(ring.one())
+    eps = d_1.invert() + completion.invert() + d_1 + completion
     eps_mat = eps.eval()
     alpha = a.at(1)
     if (alpha @ b) != (b @ alpha @ eps_mat):
@@ -365,7 +365,7 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
                                 "nonzero off-diagonal block")
         x = alpha.inverse().scale(-ring.one()) @ beta
         correction = GenWord(ring, big, FAMILY_LIN,
-                             tuple(_block_upper_gens(x, cut, big)))
+                             tuple(_block_gens(x, 0, cut, big)))
         word += correction
         word_mat = apply_word_right(s_full, correction)
     check_word = word_mat == alpha.block_perp(d_inv)

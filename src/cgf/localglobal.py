@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import (BadComaximal, DescriptorMismatch, FormViolation,
                      OverlapMismatch, ShapeMismatch, SplitExponentExhausted,
                      UnsupportedBase)
-from .matrices import Mat
+from .matrices import Mat, _constant_terms
 from .rings import (FractionRing, IntegerRing, PolyExt, RingValue,
                     localize_denominator_check)
 from .words import GenWord, Witness, apply_word_right
@@ -94,7 +94,7 @@ def quillen_split(theta: GenWord, s1: int, s2: int, n_max: int = 16,
              ("theta_b evaluation is s2-local (evaluation level)", eval_local),
              ("theta_a . theta_b == theta exactly", factorization),
              ("dilated word vanishes at T = 0",
-              theta_a.specialize(base.zero()).eval().is_identity())])
+              _constant_terms(theta_a.eval()).is_identity())])
         return SplitResult(theta_a, theta_b, b, n, witness)
     raise SplitExponentExhausted(
         f"no exponent up to {n_max} split the word", last_failure=last_fail)

@@ -291,6 +291,14 @@ def block_perp(a: Mat, b: Mat) -> Mat:
     return a.block_perp(b)
 
 
+def _constant_terms(m: Mat) -> Mat:
+    """m(0) over R for m over R[T], read off the payloads."""
+    base = m.ring.base
+    zero = base.zero().payload
+    return Mat._box(base, [[p[0] if p else zero for p in row]
+                           for row in m._grid])
+
+
 # ---------------------------------------------------------------------------
 # standard forms
 
@@ -391,10 +399,7 @@ def membership(a: Mat, group: str) -> bool:
         if group != "SO":
             return True
         while a.ring.kind == "poly":
-            base = a.ring.base
-            zero = base.zero().payload
-            a = Mat._box(base, [[p[0] if p else zero for p in row]
-                                for row in a._grid])
+            a = _constant_terms(a)
         return a.det() == a.ring.one()
     raise ValueError(f"unknown group {group!r}")
 

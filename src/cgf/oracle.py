@@ -14,7 +14,9 @@ Once each row is in the table or proposed, no later edge can propose one,
 and the first proposal of each row is already made: the BFS stops expanding
 there and commits its last frontier, with the orbit ids, links and
 representatives the full BFS gives.  A frame table's closure has no size
-known in advance, so its BFS runs to the end.
+known in advance, so its BFS runs to the end; an oversized one is refused
+before its catalog exists by a lower bound on its size
+(``_frame_orbit_exponent``).
 
 The BFS and the checks run on integer codes (the numbering of points in
 orbit algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -49,9 +51,10 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, _json_int, _residue_modulus,
+from .rings import (Ring, RingValue, _json_int, _residue_modulus, has_half,
                     ring_from_json, unit_ideal_witness)
-from .words import FAMILY_ORTH, FAMILY_SP, Generator, GenWord, paired_index
+from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
+                    paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -98,6 +101,26 @@ def _check_paired_size(family: str, size: int):
     be empty."""
     if family in (FAMILY_SP, FAMILY_ORTH) and size % 2:
         raise BadIndices(f"{family} generators need even size")
+
+
+def _frame_orbit_exponent(ring: Ring, family: str, size: int,
+                          frame_rows: int) -> int:
+    """k with q^k at most the size of the orbit of the standard frame
+    [I_r | 0] of r = ``frame_rows`` rows and s = ``size`` columns, q = |R|.
+
+    lin: e_ij(z) with i <= r < j never touch columns 1..r, so their
+    products reach every [I_r | Z]: k = r(s - r).  sp and orth, s = 2m and
+    P = ceil(r/2): take i <= r and j odd with j > 2P.  Each generator's
+    partner update adds column j+1, which no such generator touches, so it
+    stays zero, and the products reach every frame whose columns j are any
+    vectors: k = r(m - P).  Otherwise k = 0, and the catalog raises: an
+    unknown family, or orth without 1/2."""
+    r = frame_rows
+    if family == FAMILY_LIN:
+        return r * (size - r)
+    if family == FAMILY_SP or family == FAMILY_ORTH and has_half(ring):
+        return r * (size // 2 - (r + 1) // 2)
+    return 0
 
 
 def generator_catalog(ring: Ring, family: str, size: int):
@@ -423,18 +446,18 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
                 f"{q}^{size} objects exceed budget {budget}")
         table = OrbitTable(ring, "row", family, size)
         gens = generator_catalog(ring, family, size)
-        domain = _row_domain(ring, size)
-        if not gens:
-            for key in domain:
-                table.orbit_of[key] = len(table.reps)
-                table.pred[key] = None
-                table.reps.append(key)
-            return table
-        _bfs_closure(table, domain, gens, budget)
+        _bfs_closure(table, _row_domain(ring, size), gens, budget)
         return table
     if kind == "frame":
         if frame_rows <= 0 or frame_rows > size:
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
+        _check_paired_size(family, size)
+        # refused before the catalog and the identity are built; a
+        # one-object table never trips the BFS
+        q = ring.cardinality()
+        k = _frame_orbit_exponent(ring, family, size, frame_rows)
+        if q >= 2 and k >= 1 and _power_exceeds(q, k, budget):
+            raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
         table = OrbitTable(ring, "frame", family, size, frame_rows)
         gens = generator_catalog(ring, family, size)
         standard = Mat.identity(ring, size)._grid[:frame_rows]

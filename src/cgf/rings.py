@@ -12,7 +12,10 @@ F_p[x]/(x^e), which is F_p[x] mod x^e under its own descriptor.
 
 Locality ("every unimodular tuple contains a unit") is computed from the
 constructor, never asserted by the caller: Z/p^k, prime fields,
-F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.
+F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.  A
+polynomial quotient F[x]/(f) over a finite field is local exactly when f is
+a power of one irreducible, and a field when f is irreducible; over an
+infinite field it leaves both flags False.
 """
 
 from __future__ import annotations
@@ -959,6 +962,32 @@ class _PolyRemainders(Ring):
             x = self.mul(x, x)
         return x == ()
 
+    def _primary_flags(self) -> tuple:
+        """(is_local, is_field), by distinct-degree factorization over a
+        finite field of q elements: the first nonconstant h_i = gcd(x^(q^i)
+        - x, f) is the product of f's irreducible factors of the least
+        degree i.  F[x]/(f) is local iff f is a power of one irreducible,
+        that is deg h_i = i and f a power of h_i, and a field iff also
+        h_i = f.  Over an infinite field both are False."""
+        field, poly, f = self.field, self.poly, self.f
+        if not field.is_finite:
+            return False, False
+        x = self.canon((field.zero().payload, field.one().payload))
+        xq, i, h = x, 0, ()
+        while len(h) < 2:
+            i += 1
+            out, base, e = (field.one().payload,), xq, field.cardinality()
+            while e:
+                out = self.mul(out, base) if e & 1 else out
+                base, e = self.mul(base, base), e >> 1
+            xq = out
+            h = _poly_xgcd_field(poly.sub(xq, x), f, poly)[0]
+        local, rest = len(h) == i + 1, f
+        while local and len(rest) > 1:
+            rest, r = _poly_divmod_field(rest, h, field)
+            local = not r
+        return local, local and len(h) == len(f)
+
     def elements(self):
         if not self.field.is_finite:
             raise UnsupportedRing(f"{self} is not finite")
@@ -1103,6 +1132,7 @@ class QuotientRing(Ring):
             lc_inv = base.base.inverse_payload(f[-1])
             self.modulus = tuple(base.base.mul(c, lc_inv) for c in f)  # monic
             residues = _PolyRemainders(base, self.modulus, self.describe())
+            residues.is_local, residues.is_field = residues._primary_flags()
         else:
             raise UnsupportedQuotient(
                 f"quotients of {base} are not supported")

@@ -6,13 +6,15 @@ import pytest
 
 from cgf.errors import (BadPerp, IdealNotComaximal, NotInvertible,
                         NotPerpendicular, SizeBound)
-from cgf.factor import (common_perp, roitman, sp_inverse, transvection_factor,
-                        two_row_equiv, whitehead_linear, whitehead_symplectic)
+from cgf.factor import (_block_gens, common_perp, roitman, sp_inverse,
+                        transvection_factor, two_row_equiv, whitehead_linear,
+                        whitehead_symplectic)
 from cgf.matrices import Mat, identity, membership, right_inverse
 from cgf.oracle import certify_equivalence, enumerate_orbits
 from cgf.rings import IntegerRing, ModularRing, PrimeField
 from cgf.sampling import random_unimodular_rows, random_word
-from cgf.words import FAMILY_LIN, FAMILY_SP, apply_word_to_row
+from cgf.words import (FAMILY_LIN, FAMILY_SP, Generator, GenWord,
+                       apply_word_to_row)
 
 
 def test_whitehead_linear_identity_input():
@@ -43,6 +45,53 @@ def test_whitehead_linear_randomized():
             d = word.eval()
             w = whitehead_linear(d)
             assert w.eval() == d.block_perp(d.inverse())
+
+
+def _block_upper_gens_ref(a, n, size):
+    # reference: the upper block builder before the one block builder;
+    # [[I, A], [0, I]] as e_(i, n+j)(A_ij), row-major, from the boxed entries
+    return [Generator(FAMILY_LIN, i + 1, n + j + 1, a.entries[i][j], size)
+            for i in range(n) for j in range(a.cols)
+            if not a.entries[i][j].is_zero()]
+
+
+def _block_lower_gens_ref(b, n, size):
+    # reference: [[I, 0], [B, I]] as e_(n+i, j)(B_ij), row-major
+    return [Generator(FAMILY_LIN, n + i + 1, j + 1, b.entries[i][j], size)
+            for i in range(n) for j in range(n)
+            if not b.entries[i][j].is_zero()]
+
+
+def _whitehead_linear_ref(d):
+    # reference: the Whitehead word assembled from the two old builders
+    n, ident = d.rows, identity(d.ring, d.rows)
+    gens = (_block_upper_gens_ref(d, n, 2 * n)
+            + _block_lower_gens_ref(-d.inverse(), n, 2 * n)
+            + _block_upper_gens_ref(d, n, 2 * n)
+            + _block_upper_gens_ref(-ident, n, 2 * n)
+            + _block_lower_gens_ref(ident, n, 2 * n)
+            + _block_upper_gens_ref(-ident, n, 2 * n))
+    return GenWord(d.ring, 2 * n, FAMILY_LIN, tuple(gens))
+
+
+def test_block_gens_match_the_two_old_builders():
+    rng = random.Random(17)
+    for ring in (ModularRing(9), PrimeField(5), ModularRing(4),
+                 IntegerRing()):
+        for n in (1, 2, 3, 4):
+            for cols in (1, n, n + 2):
+                upper = Mat(ring, [[rng.choice([0, 0, 1, 2, -1])
+                                    for _ in range(cols)] for _ in range(n)])
+                lower = Mat(ring, [[rng.choice([0, 0, 1, 3])
+                                    for _ in range(n)] for _ in range(n)])
+                size = 2 * n + cols
+                assert list(_block_gens(upper, 0, n, size)) == \
+                    _block_upper_gens_ref(upper, n, size)
+                assert list(_block_gens(lower, n, 0, size)) == \
+                    _block_lower_gens_ref(lower, n, size)
+            d = (random_word(rng, ring, FAMILY_LIN, n, 6).eval() if n > 1
+                 else Mat(ring, [[-1]]))
+            assert whitehead_linear(d) == _whitehead_linear_ref(d)
 
 
 def test_whitehead_linear_rejects_non_units():

@@ -3,22 +3,24 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from cgf import homotopy, words
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
                         SizeBound)
-from cgf.factor import (_block_upper_gens, whitehead_linear,
-                        whitehead_symplectic)
+from cgf.factor import _block_gens, whitehead_linear, whitehead_symplectic
 from cgf.homotopy import (_FLAVORS, CommuteResult,
                           Homotopy, _commute_core, commutator_witness,
                           homotopy_commute_linear, homotopy_commute_orthogonal,
                           homotopy_commute_symplectic, mat_substitute,
                           vaserstein_transport)
+from cgf.localglobal import quillen_split
 from cgf.matrices import IsotropicFrame, Mat, block_perp, identity, membership
 from cgf.reduce import complete_orth, complete_sp, complete_um_linear
-from cgf.rings import IntegerRing, ModularRing, PolyExt, PrimeField
+from cgf.rings import (FractionRing, IntegerRing, ModularRing, PolyExt,
+                       PrimeField)
 from cgf.sampling import (random_frame, random_indices,
                           random_unimodular_rows, random_word)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord,
@@ -292,17 +294,127 @@ def test_each_word_is_evaluated_once(flavor, family, size, monkeypatch):
     a = Homotopy.from_word(flavor, word_t)
     assert seen == [("eval", json.dumps(word_t.to_json(), sort_keys=True))]
     seen.clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the commutator lifted a value into R[T]")
+
+    monkeypatch.setattr(GenWord, "lift_to", refuse)
+    monkeypatch.setattr(Mat, "map_ring", refuse)
     eps = commutator_witness(a, b)
     evaluated = [w for kind, w in seen if kind == "eval"]
-    applied = [w for kind, w in seen if kind == "apply"]
     assert json.dumps(eps.to_json(), sort_keys=True) in evaluated
     assert len(evaluated) == len(set(evaluated)) == 2  # completion, eps(1)
-    # d(T) acts on b from the left and from the right, then eps(T) acts
-    # once on b d(T); neither is evaluated
-    d_json = json.dumps(word_t.to_json(), sort_keys=True)
-    assert applied[:2] == [d_json, d_json] and len(applied) == 3
-    assert applied[2] not in evaluated
-    assert json.loads(applied[2])["ring"] == rt.to_json()
+    # the word is built over R: no word is evaluated or acts over R[T]
+    assert all(json.loads(w)["ring"] == Z9.to_json() for _, w in seen)
+
+
+# ---------------------------------------------------------------------------
+# the commutator over R against the R[T] route it replaced
+
+def _commutator_through_rt(a, b):
+    # reference, for inputs that pass the guards: the commutator before it
+    # was built over R; W is lifted into R[T], ε(T) = d(T)^{-1}·W^{-1}·
+    # d(T)·W is checked over R[T] and specialized at T = 1
+    ring, rt = a.base_ring, a.poly_ring
+    completion = (complete_um_linear(b) if a.flavor == "linear"
+                  else complete_sp(IsotropicFrame(b, "sp")))
+    w_t = completion.lift_to(rt)
+    d_word = a.word
+    eps_t = d_word.invert() + w_t.invert() + d_word + w_t
+    b_t = b.map_ring(rt)
+    assert homotopy.apply_word_left(d_word, b_t) == homotopy.apply_word_right(
+        homotopy.apply_word_right(b_t, d_word), eps_t)
+    eps = eps_t.specialize(ring.one())
+    alpha = a.at(1)
+    assert (alpha @ b) == (b @ alpha @ eps.eval())
+    return eps
+
+
+def _commutator_cases(rng, ring):
+    """(a, b): linear sizes 3, 4 and symplectic sizes 4, 6, each with a
+    random d(T) = word·T, an empty d(T), and d(T) with parameters that
+    vanish at T = 1; b a random elementary matrix."""
+    rt = PolyExt(ring, "T")
+    one_minus_t = rt.coerce([1, -1])
+    for flavor, family, size in (("linear", FAMILY_LIN, 3),
+                                 ("linear", FAMILY_LIN, 4),
+                                 ("symplectic", FAMILY_SP, 4),
+                                 ("symplectic", FAMILY_SP, 6)):
+        base = random_word(rng, ring, family, size, 3)
+        b = random_word(rng, ring, family, size, 5).eval()
+        word_t = base.times_variable(rt)
+        vanishing = GenWord(rt, size, family, tuple(
+            words.Generator(family, g.i, g.j, g.param * one_minus_t, size)
+            for g in word_t))
+        for d_word in (word_t, GenWord(rt, size, family, ()),
+                       word_t + vanishing):
+            yield Homotopy.from_word(flavor, d_word), b
+
+
+@pytest.mark.parametrize("ring", [ModularRing(9), PrimeField(5),
+                                  ModularRing(4)], ids=str)
+def test_commutator_over_r_matches_the_rt_route(ring):
+    rng = random.Random(f"commutator:{ring}")
+    for a, b in _commutator_cases(rng, ring):
+        eps = commutator_witness(a, b)
+        ref = _commutator_through_rt(a, b)
+        assert eps == ref
+        assert json.dumps(eps.to_json()) == json.dumps(ref.to_json())
+
+
+@pytest.mark.parametrize("limit", [12, 16, 20])
+def test_commutator_word_limit_never_raises_where_the_rt_route_returns(
+        limit, monkeypatch):
+    # d(1) drops the parameters that vanish at T = 1 before the
+    # concatenation, so the word over R may fit where ε(T) did not
+    monkeypatch.setenv("CGF_WORD_LIMIT", str(limit))
+    outcomes = set()
+    for ring in (ModularRing(9), PrimeField(5)):
+        rng = random.Random(f"commutator-limit:{ring}")
+        for a, b in _commutator_cases(rng, ring):
+            try:
+                ref = _commutator_through_rt(a, b)
+            except CgfError:
+                ref = None
+            try:
+                eps = commutator_witness(a, b)
+            except CgfError as e:
+                assert ref is None and e.code == "word_limit_exceeded"
+                outcomes.add("both raise")
+                continue
+            assert ref is None or eps == ref
+            outcomes.add("returns" if ref is not None else "only over R")
+    assert outcomes == {"both raise", "returns", "only over R"}
+
+
+def test_no_substitution_at_zero_runs_horner(monkeypatch):
+    # σ(0) = I, d(0) = I, SO membership over R[T] and the split's θ_a(0) = I
+    # read the constant terms; Horner runs only at T = 1
+    horner = PolyExt._horner
+
+    def guarded(self, a, t):
+        if t == self.base.zero().payload:
+            raise AssertionError("Horner at T = 0")
+        return horner(self, a, t)
+
+    monkeypatch.setattr(PolyExt, "_horner", guarded)
+    rng = random.Random(131)
+    Z9, F5 = ModularRing(9), PrimeField(5)
+    d = _linear_homotopy(rng, Z9, 2)
+    v, _ = random_unimodular_rows(rng, Z9, 2, 3, 5)
+    assert homotopy_commute_linear(d, v).witness.all_passed()
+    rt = PolyExt(F5, "T")
+    d = Homotopy.from_word(
+        "orthogonal", random_word(rng, F5, FAMILY_ORTH, 4, 2)
+        .times_variable(rt))
+    fr, _ = random_frame(rng, F5, "orth", 2, 4, 5)
+    assert homotopy_commute_orthogonal(d, fr).witness.all_passed()
+    rt = PolyExt(FractionRing(IntegerRing(), 6), "T")
+    theta = word_from_pairs(rt, 2, FAMILY_LIN,
+                            [(1, 2, rt.coerce([0, Fraction(1, 6)]))])
+    assert quillen_split(theta, 3, -2).witness.all_passed()
+    with pytest.raises(AssertionError, match="Horner at T = 0"):
+        rt._horner((1, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +448,7 @@ def _transport_through_rt(d, v, flavor):
     if beta != Mat.zeros(ring, cut, k):
         x = alpha.inverse().scale(-ring.one()) @ beta
         word += GenWord(ring, big, FAMILY_LIN,
-                        tuple(_block_upper_gens(x, cut, big)))
+                        tuple(_block_gens(x, 0, cut, big)))
     checks.append(("word evaluates to sigma ⊥ d^{-1}",
                    word.eval() == alpha.block_perp(d_inv)))
     witness = words.Witness.certify(

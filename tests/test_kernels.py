@@ -34,8 +34,8 @@ from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotAUnit,
                         ShapeMismatch, UnsupportedRing)
 from cgf.factor import sp_inverse
 from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
-from cgf.matrices import (IsotropicFrame, Mat, _form, identity, membership,
-                          phi, psi)
+from cgf.matrices import (IsotropicFrame, Mat, _constant_terms, _form,
+                          identity, membership, phi, psi)
 from cgf.orthoquot import orth_inverse
 from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                        PrimeField, QuotientRing, RingValue, TruncatedPolyLocal,
@@ -591,6 +591,22 @@ def test_mat_substitute_matches_reference(base, n, m, seed):
     alien = PolyExt(base, "T").one()
     assert _raised(mat_substitute, mt, alien) == \
         _raised(_mat_substitute_ref, mt, alien)
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(st.sampled_from(POLY_BASES), st.integers(1, 3),
+                  st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_constant_terms_are_horner_at_zero(base, n, m, seed):
+    # over R[T] and R[T][S]: m(0) read off the payloads is Horner at 0
+    rng = random.Random(seed)
+    rt = PolyExt(base, "T")
+    for ring in (rt, PolyExt(rt, "S")):
+        mt = _random_mat(rng, ring, n, m)
+        zero = ring.base.zero().payload
+        horner = Mat._box(ring.base, [[ring._horner(p, zero) for p in row]
+                                      for row in mt._grid])
+        assert _constant_terms(mt) == horner
+        assert mat_substitute(mt, ring.base.zero()) == horner
 
 
 @hypothesis.settings(SETTINGS, max_examples=150)

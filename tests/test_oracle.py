@@ -10,8 +10,8 @@ from math import gcd
 import pytest
 
 from cgf import oracle
-from cgf.errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
-                        SearchBudgetExceeded, ShapeMismatch,
+from cgf.errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
+                        ObjectOutOfDomain, SearchBudgetExceeded, ShapeMismatch,
                         WitnessCheckFailed)
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
@@ -230,6 +230,72 @@ def test_zero_ring_rows_of_a_large_size_answer_quickly():
     assert oracle.generator_catalog(ModularRing(1), FAMILY_SP, 10 ** 5) == []
 
 
+@pytest.mark.parametrize("ring, family, size", [
+    (ModularRing(4), FAMILY_LIN, 3000), (ModularRing(4), FAMILY_LIN, 300),
+    (PrimeField(5), FAMILY_LIN, 3000), (PrimeField(5), FAMILY_SP, 3000),
+    (PrimeField(5), FAMILY_ORTH, 3000)])
+def test_an_oversized_frame_table_is_refused_before_its_catalog(ring, family,
+                                                                size):
+    # the catalog alone would hold size^2 (q - 1) generators; the orbit's
+    # lower bound passes the budget first, with the BFS's own message
+    got = _within(10, lambda: enumerate_orbits(ring, "frame", family, size,
+                                               frame_rows=1))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == "orbit table exceeded budget 10000000"
+
+
+def test_the_frame_refusal_keeps_the_error_order():
+    # a bad frame_rows, then an odd paired size, then orth without 1/2
+    # (over Z/4), each at a size whose table would pass the budget
+    for call, error in (
+            (lambda: enumerate_orbits(ModularRing(4), "frame", FAMILY_LIN,
+                                      3000, frame_rows=0), ObjectOutOfDomain),
+            (lambda: enumerate_orbits(PrimeField(5), "frame", FAMILY_SP, 3001,
+                                      frame_rows=1), BadIndices),
+            (lambda: enumerate_orbits(ModularRing(4), "frame", FAMILY_ORTH,
+                                      3000, frame_rows=1),
+             HalfNotInvertible)):
+        assert type(_within(10, call)) is error
+    # a bound of one object never refuses, as the BFS never refuses the
+    # standard frame alone: no orth generator exists at size 2
+    table = enumerate_orbits(PrimeField(3), "frame", FAMILY_ORTH, 2,
+                             frame_rows=1, budget=0)
+    assert table.orbit_of == {((1, 0),): 0}
+    # 2^(1·3) = 8 objects at least: the bound refuses a budget of 7, and
+    # the BFS a budget of 8 (the orbit holds all 15 unimodular rows), with
+    # one message
+    with pytest.raises(SearchBudgetExceeded, match="exceeded budget 7$"):
+        enumerate_orbits(ModularRing(2), "frame", FAMILY_LIN, 4,
+                         frame_rows=1, budget=7)
+    with pytest.raises(SearchBudgetExceeded, match="exceeded budget 8$"):
+        enumerate_orbits(ModularRing(2), "frame", FAMILY_LIN, 4,
+                         frame_rows=1, budget=8)
+
+
+def test_the_frame_bound_never_exceeds_the_table_size():
+    checked = tight = 0
+    for ring in (ModularRing(2), PrimeField(3), ModularRing(3),
+                 ModularRing(4), PrimeField(5)):
+        q = ring.cardinality()
+        for family in (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH):
+            for size in range(2, 6):
+                if family != FAMILY_LIN and size % 2:
+                    continue
+                for rows in range(1, size + 1):
+                    bound = q ** oracle._frame_orbit_exponent(
+                        ring, family, size, rows)
+                    try:
+                        table = enumerate_orbits(ring, "frame", family, size,
+                                                 frame_rows=rows, budget=1000)
+                    except (SearchBudgetExceeded, HalfNotInvertible):
+                        continue
+                    assert bound <= len(table.orbit_of), (ring, family, size,
+                                                          rows)
+                    checked += 1
+                    tight += bound == len(table.orbit_of)
+    assert checked == 67 and tight == 10
+
+
 def _um3_z4():
     return enumerate_orbits(ModularRing(4), "row", FAMILY_LIN, 3)
 
@@ -411,6 +477,8 @@ COMPILED_ACTION_GOLDEN_TABLES = [
 
 # F_2[x]/(1 + x + x^2), whose sort key (len, payload) is not payload order
 F4 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 1, 1)])
+# the quotient F_2[x]/(x^2), local but not a field
+X2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 0, 1)])
 
 
 # the same digest, recorded before the BFS ran on integer codes
@@ -430,15 +498,28 @@ CODED_GOLDEN_TABLES = [
 ]
 
 
+# the same digest, recorded before a polynomial quotient computed is_local
+# and is_field (both were False)
+QUOTIENT_FLAG_GOLDEN_TABLES = [
+    (X2, "row", FAMILY_LIN, 3, 0,
+     "132e1d32223534be43e8cdc4f2beeb13aeb30cf9da58238ed315d38b23b5a5ab"),
+    (X2, "frame", FAMILY_SP, 4, 1,
+     "05434e11067780d114b0259bb07f616254bfccb66e93a3475d43d2fb5188b573"),
+    (F4, "frame", FAMILY_LIN, 3, 2,
+     "57b68f47d2e70dbd3e69417b2d078040b833e957e025de1edb624a789f16fe07"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
                          GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES +
-                         CODED_GOLDEN_TABLES,
+                         CODED_GOLDEN_TABLES + QUOTIENT_FLAG_GOLDEN_TABLES,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
                               "Z/4 sp frames", "F_4 lin rows",
                               "F_4 sp frames", "Z/(10) sp rows",
                               "Z/1 lin rows", "F_2[x]/(x^2) lin frames",
-                              "F_5 orth frames"])
+                              "F_5 orth frames", "quotient x^2 lin rows",
+                              "quotient x^2 sp frames", "F_4 lin frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)

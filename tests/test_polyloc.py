@@ -1,14 +1,16 @@
 """F_p[x]/(x^e) on the F[x]/(f) arithmetic, against a naive reference."""
 
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from cgf.cli import main
 from cgf.errors import NotAUnit
-from cgf.rings import (PolyExt, PrimeField, QuotientRing, TruncatedPolyLocal,
-                       _poly_divmod_field, ring_from_json)
+from cgf.rings import (PolyExt, PrimeField, QuotientRing, RationalField,
+                       TruncatedPolyLocal, _poly_divmod_field, ring_from_json)
 
 SHAPES = ((2, 1), (2, 2), (2, 3), (3, 2), (5, 2))
 
@@ -171,3 +173,80 @@ def test_remainders_agree_with_division_by_any_monic_f():
                                  for _ in range(rng.randrange(2 * d + 2))])
                     want = _poly_divmod_field(a, tuple(f), F.base)[1]
                     assert Q.residues._reduce(a) == want, (p, f, a)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotient_flags_match_brute_force(p):
+    # local iff every element is a unit or nilpotent, a field iff every
+    # nonzero element is a unit; for every monic f of degree 1 to 3
+    F = PolyExt(PrimeField(p), "x")
+    seen = set()
+    for d in (1, 2, 3):
+        for lower in itertools.product(range(p), repeat=d):
+            Q = QuotientRing(F, [F.coerce(list(lower) + [1])])
+            elements = [v.payload for v in Q.elements()]
+            one = Q.one().payload
+            units = {a for a in elements
+                     if any(Q.mul(a, b) == one for b in elements)}
+
+            def nilpotent(a):
+                x = a
+                for _ in range(d):
+                    x = Q.mul(x, a)
+                return x == ()
+
+            local = all(a in units or nilpotent(a) for a in elements)
+            field = len(units) == len(elements) - 1
+            assert (Q.is_local, Q.is_field) == (local, field), (p, lower)
+            seen.add((local, field))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_an_infinite_base_field_leaves_both_flags_false():
+    Q = QuotientRing(PolyExt(RationalField(), "x"), [[0, 0, 1]])
+    assert (Q.is_local, Q.is_field) == (False, False)
+
+
+# the quotient F_2[x]/(x^2) and polyloc:2:2 are one ring: every local-only
+# verb answers alike under both descriptors
+_X2 = json.dumps({"kind": "quot", "gens": [[0, 0, 1]],
+                  "base": {"kind": "poly", "var": "x",
+                           "base": {"kind": "prime", "p": 2}}})
+_LOCAL_VERBS = [
+    ["reduce-row", "--row", "[[0,1],[1]]"],
+    ["reduce-row", "--row", "[[0,1],[1,1],[1]]"],
+    ["reduce-row", "--row", "[[0,1],[0,1]]"],
+    ["reduce-row", "--flavor", "sp", "--row", "[[0,1],[1],[1],[0,1]]"],
+    ["complete", "--matrix", "[[[1],[0,1],[1]],[[0],[1],[0,1]]]"],
+    ["transvection", "--col", "[[1],[0,1],[1]]", "--row", "[[0,1],[1],[0]]"],
+    ["common-perp", "--v1", "[[1],[0,1],[1]]", "--v2", "[[1],[1],[0,1]]",
+     "--w", "[[1],[0],[0]]"],
+    ["two-row", "--matrix", "[[[1],[0,1],[1]],[[0],[1],[0,1]]]"],
+    ["roitman", "--row", "[[0,1],[1],[0]]", "--k", "1",
+     "--target", "[[0],[1]]"],
+    ["whitehead", "--flavor", "sp", "--matrix", "[[[1],[0,1]],[[0],[1]]]"],
+]
+
+
+@pytest.mark.parametrize("argv", _LOCAL_VERBS, ids=lambda a: a[0])
+def test_the_quotient_x2_answers_as_polyloc(argv, capsys):
+    outs = []
+    for ring in ("polyloc:2:2", _X2):
+        code = main([argv[0], "--ring", ring, *argv[1:]])
+        outs.append((code, capsys.readouterr().out))
+    (code, out), (qcode, qout) = outs
+    assert qcode == code
+    if code == 0:
+        polyloc = json.dumps(TruncatedPolyLocal(2, 2).to_json(),
+                             sort_keys=True, separators=(",", ":"))
+        quot = json.dumps(json.loads(_X2), sort_keys=True,
+                          separators=(",", ":"))
+        assert qout == out.replace(polyloc, quot)
+    else:
+        assert json.loads(qout)["code"] == json.loads(out)["code"]
+
+
+def test_reduce_row_over_the_quotient_x2_is_polyloc_word(capsys):
+    assert main(["reduce-row", "--ring", _X2, "--row", "[[1],[0,1]]"]) == 0
+    word = json.loads(capsys.readouterr().out)["outputs"]["word"]
+    assert word["gens"] == [{"i": 1, "j": 2, "param": [0, 1]}]
