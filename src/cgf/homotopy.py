@@ -15,7 +15,9 @@ W is a short word, so every conjugate and every product by a word is the
 sparse action of its generators (``apply_word_left``/``apply_word_right``),
 never a dense matmul over R[T] and never an evaluation of W on the identity.
 The checks compare the same exact products: σ(T)·ε becomes σ(T) acted on by
-the word ε, at T and at T = 1.  Only the public ε matrix is evaluated.
+the word ε, at T and at T = 1.  In word mode no check needs the ε matrix,
+so ``CommuteResult.epsilon_mat`` evaluates the word on its first read;
+d(1) ⊥ I is d(1), substituted once, padded by the identity.
 
 One flavor table, ``_FLAVORS``, gives each flavor its generator family, its
 group, the frame kind V must have and its completion; ``_commute`` runs the
@@ -133,13 +135,24 @@ class Homotopy:
 @dataclass(frozen=True)
 class CommuteResult:
     """s(T), the witness word for s(T)^{-1}(d(T) ⊥ I) when available, its
-    matrix in any case, and the verification report."""
+    matrix in any case, and the verification report.
+
+    In word mode ``epsilon_mat`` is ``epsilon_word.eval()``, evaluated on
+    its first read and kept by the word: no check reads it, and the witness
+    holds the word.  In assert mode it is the matrix the checks computed,
+    given as ``_epsilon_mat`` (None in word mode)."""
 
     sigma_t: Mat
     epsilon_word: GenWord | None
-    epsilon_mat: Mat
+    _epsilon_mat: Mat | None
     witness: Witness
     mode: str  # "word" | "assert"
+
+    @property
+    def epsilon_mat(self) -> Mat:
+        if self._epsilon_mat is None:
+            return self.epsilon_word.eval()
+        return self._epsilon_mat
 
 
 def _conjugate(w: GenWord, w_inv: GenWord, m: Mat) -> Mat:
@@ -170,7 +183,7 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
             eps_word = empty_word(rt, msize, flavor.family)
         else:
             eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
-        eps_mat = eps_word.eval()
+        eps_mat = None  # evaluated on the first read of epsilon_mat
         check_eps = apply_word_right(sigma_t, eps_word) == d_mat
     else:
         eps_word = None
@@ -188,7 +201,8 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
     sigma_1 = mat_substitute(sigma_t, one)
     delta_1 = d.at(one)
     check_spec = (delta_1 @ v_mat) == (v_mat @ sigma_1)
-    d1_mat = mat_substitute(d_mat, one)
+    d1_mat = (delta_1 if msize == nsize
+              else block_perp(delta_1, identity(base, msize - nsize)))
     if mode == "word":
         eps_1 = eps_word.specialize(one)
         check_spec_eps = apply_word_right(sigma_1, eps_1) == d1_mat

@@ -62,9 +62,13 @@ class Mat:
     def _fill(self, ring: Ring, grid: tuple) -> "Mat":
         if not grid or not grid[0]:
             raise ShapeMismatch("matrices must be non-empty")
-        for name, value in zip(self.__slots__, (ring, len(grid), len(grid[0]),
-                                                grid, None, None)):
-            object.__setattr__(self, name, value)
+        put = object.__setattr__
+        put(self, "ring", ring)
+        put(self, "rows", len(grid))
+        put(self, "cols", len(grid[0]))
+        put(self, "_grid", grid)
+        put(self, "_entries", None)
+        put(self, "_cp", None)
         return self
 
     @staticmethod
@@ -380,7 +384,9 @@ def membership(a: Mat, group: str) -> bool:
     (Atiyah-Macdonald, ch. 1, ex. 2).  From u^2 = 1 and a_0^2 = 1,
     N (2 a_0 + N) = 0, and 2 a_0 + N is a unit because 1/2 is in R (O needs
     it), so N = 0 and det a = det a(0).  No locality is needed, and the
-    argument repeats down a tower R[T][S]."""
+    argument repeats down a tower R[T][S].  When a(0) is the identity,
+    det a(0) = 1 needs no determinant; any other a(0), and every a over a
+    ring that is no R[T], takes the determinant."""
     if a.rows != a.cols:
         raise ShapeMismatch("group membership needs a square matrix")
     if group == "GL":
@@ -400,6 +406,8 @@ def membership(a: Mat, group: str) -> bool:
             return True
         while a.ring.kind == "poly":
             a = _constant_terms(a)
+            if a.is_identity():
+                return True
         return a.det() == a.ring.one()
     raise ValueError(f"unknown group {group!r}")
 

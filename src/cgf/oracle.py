@@ -36,8 +36,10 @@ table, the closure check and the path check of ``certify_equivalence``, all
 through the one codec a table builds on first use, so the rank rows built
 by one of them serve the others.  A generator that fixes an object returns
 its own code, which the table already holds, so it is never a proposal and
-the tie rule is kept.  The payload keys of the table are decoded once, when
-the BFS ends.
+the tie rule is kept.  When the BFS ends, a row table takes each payload
+key from its domain, whose keys it encoded on the way in, and a frame table
+decodes each key once.  ``OrbitTable.from_json`` decodes each distinct JSON
+entry of a cached table once.
 """
 
 from __future__ import annotations
@@ -303,6 +305,17 @@ class OrbitTable:
         table = OrbitTable(ring, kind, obj["family"], size,
                            _json_int(obj.get("frame_rows", 0)))
         rows = 1 if kind == "row" else table.frame_rows
+        seen: dict = {}  # _json_memo_key(entry) -> its RingValue
+
+        def dec(p):
+            # an entry that raises is never stored, so it raises each time
+            k = _json_memo_key(p)
+            if k is None:
+                return ring.value_from_json(p)
+            v = seen.get(k)
+            if v is None:
+                v = seen[k] = ring.value_from_json(p)
+            return v
 
         def dec_key(v):
             # a key of another shape would share a code with one of the
@@ -312,9 +325,8 @@ class OrbitTable:
                 raise WitnessCheckFailed(
                     "orbit table object has the wrong shape", object=v)
             if kind == "row":
-                return tuple(ring.value_from_json(p).payload for p in v)
-            return tuple(tuple(ring.value_from_json(p).payload for p in row)
-                         for row in v)
+                return tuple(dec(p).payload for p in v)
+            return tuple(tuple(dec(p).payload for p in row) for row in v)
 
         for entry in obj["objects"]:
             key = dec_key(entry["v"])
@@ -323,8 +335,7 @@ class OrbitTable:
                 pk = dec_key(entry["pred"][0])
                 gj = entry["pred"][1]
                 g = Generator(obj["family"], _json_int(gj["i"]),
-                              _json_int(gj["j"]),
-                              ring.value_from_json(gj["param"]), size)
+                              _json_int(gj["j"]), dec(gj["param"]), size)
                 table.pred[key] = (pk, g)
             else:
                 table.pred[key] = None
@@ -373,11 +384,26 @@ class OrbitTable:
         return tuple(tuple(self.ring.sort_key(p) for p in row) for row in key)
 
 
+def _json_memo_key(p):
+    """A hashable key for a JSON value under which equal keys decode
+    alike: the type tags every scalar, so ``true`` never meets ``1`` nor
+    ``1.0`` meets ``1``, and a list becomes a tuple.  None for a value
+    holding an object, which is never memoized."""
+    if isinstance(p, list):
+        keys = tuple(map(_json_memo_key, p))
+        return None if None in keys else (list, keys)
+    if isinstance(p, dict):
+        return None
+    return (type(p), p)
+
+
 def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     """Deterministic multi-source BFS into the empty ``table``; ties
     between frontier edges pick the least (parent, generator), which is the
-    first to propose the object.  It runs on codes and decodes each object
-    once at the end, in the order the objects were reached.
+    first to propose the object.  It runs on codes and, at the end, in the
+    order the objects were reached, maps each code back to its key: a row
+    table takes it from its start keys, each encoded once on the way in,
+    and a frame table decodes each object once.
 
     For a row table ``start_keys`` is the whole domain, closed under the
     generators, so the BFS stops expanding once every key is in an orbit
@@ -387,12 +413,16 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     digits, step = codec.digits, codec.step
     compiled = [(g, codec.compile(g)) for g in gens]
     # a row table's start keys are its whole domain; -1 is never reached
-    full = len(start_keys) if table.kind == "row" else -1
+    row = table.kind == "row"
+    full = len(start_keys) if row else -1
     orbit: dict = {}  # code -> orbit id
     link: dict = {}  # code -> (parent code, Generator), or None for a root
+    domain: dict = {}  # code -> key, every start key of a row table
     reps = []
     for root in start_keys:
         code = codec.encode(root)
+        if row:
+            domain[code] = root
         if code in orbit:
             continue
         oid = len(reps)
@@ -417,9 +447,10 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
                 if len(orbit) > budget:
                     raise SearchBudgetExceeded(
                         f"orbit table exceeded budget {budget}")
+    key_of = domain.__getitem__ if row else codec.decode
     keys = {}
     for code, oid in orbit.items():
-        keys[code] = key = codec.decode(code)
+        keys[code] = key = key_of(code)
         table.orbit_of[key] = oid
         edge = link[code]
         table.pred[key] = None if edge is None else (keys[edge[0]], edge[1])

@@ -606,14 +606,17 @@ class PolyExt(Ring):
 
     ``mul`` and ``dot`` (and so matmul and the determinant over R[T]) add
     every coefficient product into one list and trim once.  Over Z and Z/n,
-    in any descriptor that ``_residue_modulus`` names, ``mul``, ``dot`` and
-    ``fma`` are one path, ``_raw_sum``: the list holds the exact integer
-    sums, and each coefficient is reduced mod n once, just before the trim.
-    Over every other base each product and sum goes through the base ring.
-    ``dot`` and ``fma`` raise ``DegreeCapExceeded`` exactly when the
-    term-by-term ``add(acc, mul(x, y))`` loop would: a term whose untrimmed
-    product degree exceeds the cap takes that loop's path, so every other
-    partial sum stays within the cap.
+    in any descriptor that ``_residue_modulus`` names, ``mul`` and ``dot``
+    are one path, ``_raw_sum``: the list holds the exact integer sums, and
+    each coefficient is reduced mod n once, just before the trim.  ``fma``
+    there is its one-product case written out: one product, one reduction,
+    one trim, with no per-coefficient call.  Horner evaluation (``_horner``)
+    there is exact over Z and reduced mod n once.  Over every other base
+    each product and sum goes through the base ring.  ``dot`` and ``fma``
+    raise ``DegreeCapExceeded`` exactly when the term-by-term
+    ``add(acc, mul(x, y))`` loop would: a term whose untrimmed product
+    degree exceeds the cap takes that loop's path, so every other partial
+    sum stays within the cap.
     """
 
     kind = "poly"
@@ -773,9 +776,27 @@ class PolyExt(Ring):
         return self._trim(out)
 
     def fma(self, a, c, x):
-        if self._raw:
+        if not self._raw:
+            return self.add(a, self.mul(c, x))
+        if not c or not x:
+            return a
+        size = len(c) + len(x) - 1
+        if size > self.degree_cap + 1:
+            # raises unless the reduced product trims under the cap
             return self._raw_sum(a, ((c, x),))
-        return self.add(a, self.mul(c, x))
+        out = list(a)
+        if len(out) < size:
+            out.extend([0] * (size - len(out)))
+        for i, cc in enumerate(c):
+            if cc:
+                for k, cx in enumerate(x, i):
+                    out[k] += cc * cx
+        n = self._modulus
+        if n:
+            out = [v % n for v in out]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -813,7 +834,14 @@ class PolyExt(Ring):
         return RingValue(self.base, self._horner(a, t.payload))
 
     def _horner(self, a, t):
-        """The base payload of a payload ``a`` at a base payload ``t``."""
+        """The base payload of a payload ``a`` at a base payload ``t``.
+        Over Z and Z/n it is the exact integer Horner, reduced mod n once."""
+        if self._raw:
+            acc = 0
+            for c in reversed(a):
+                acc = acc * t + c
+            n = self._modulus
+            return acc % n if n else acc
         fma = self.base.fma
         acc = self.base.zero().payload
         for c in reversed(a):

@@ -9,7 +9,7 @@ import pytest
 
 from cgf import homotopy, words
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
-                        SizeBound)
+                        SizeBound, SizeLimit)
 from cgf.factor import _block_gens, whitehead_linear, whitehead_symplectic
 from cgf.homotopy import (_FLAVORS, CommuteResult,
                           Homotopy, _commute_core, commutator_witness,
@@ -17,7 +17,8 @@ from cgf.homotopy import (_FLAVORS, CommuteResult,
                           homotopy_commute_symplectic, mat_substitute,
                           vaserstein_transport)
 from cgf.localglobal import quillen_split
-from cgf.matrices import IsotropicFrame, Mat, block_perp, identity, membership
+from cgf.matrices import (IsotropicFrame, Mat, _constant_terms, block_perp,
+                          identity, membership)
 from cgf.reduce import complete_orth, complete_sp, complete_um_linear
 from cgf.rings import (FractionRing, IntegerRing, ModularRing, PolyExt,
                        PrimeField)
@@ -709,7 +710,15 @@ def test_sparse_engine_matches_dense(base, flavor, rows, cols, mode):
         assert res.epsilon_word == ref.epsilon_word
         assert _witness_bytes(res) == _witness_bytes(ref)
         assert res.witness.all_passed() == (mode == "word")
+        # d(1) ⊥ I is d(1), padded: the substitution the engine skips
+        d_1 = d.at(one)
+        assert mat_substitute(d_mat, one) == (
+            block_perp(d_1, identity(base, cols - rows)) if cols > rows
+            else d_1)
         if mode == "word":
+            # ε is the word's own matrix, evaluated on the first read
+            assert res._epsilon_mat is None
+            assert res.epsilon_mat is res.epsilon_word.eval()
             eps_1 = res.epsilon_word.specialize(one)
             sigma_1 = mat_substitute(res.sigma_t, one)
             assert words.apply_word_right(res.sigma_t, res.epsilon_word) == \
@@ -919,3 +928,52 @@ def test_homotopy_witness_bytes_are_golden():
     assert len(lines) == 18
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "e3ab72939129095731b9b0d2c9a9c4cbdb7935116c88dca89e16bb4930c075bf"
+
+
+def test_word_mode_evaluates_epsilon_on_first_read(monkeypatch):
+    # no check reads the ε matrix: a word-mode commute evaluates no ε word,
+    # and the first read of epsilon_mat evaluates it once
+    cases = list(_golden_homotopies())
+    seen = _record_evaluations(monkeypatch)
+    for d, v, flavor, _ in cases:
+        seen.clear()
+        res = _ENTRIES[flavor](d, v)
+        eps = ("eval", json.dumps(res.epsilon_word.to_json(), sort_keys=True))
+        assert eps not in seen
+        first = res.epsilon_mat
+        assert seen.count(eps) == 1
+        assert res.epsilon_mat is first and seen.count(eps) == 1
+        assert first == GenWord.from_json(res.epsilon_word.to_json()).eval()
+
+
+# Horner evaluations over the 14 golden commutes: 1,482 while the engine
+# substituted d(T) ⊥ I at T = 1 besides d(T) (540 of them), 942 once it
+# padded d(1) instead.
+GOLDEN_COMMUTE_HORNER = 942
+
+
+def test_golden_commutes_substitute_d_once(monkeypatch):
+    cases = list(_golden_homotopies())
+    runs = []
+    horner = PolyExt._horner
+    monkeypatch.setattr(PolyExt, "_horner",
+                        lambda self, a, t: runs.append(t) or horner(self, a, t))
+    for d, v, flavor, _ in cases:
+        assert _ENTRIES[flavor](d, v).witness.all_passed()
+    assert len(runs) <= GOLDEN_COMMUTE_HORNER, len(runs)
+
+
+def test_orthogonal_commute_certifies_past_the_determinant_cap():
+    # σ(0) = I, so SO membership of σ(T) takes no determinant: a 2 x 7
+    # frame gives a 14 x 14 σ(T), past DET_SIZE_CAP, where the determinant
+    # of σ(0) raised size_limit
+    Z9 = ModularRing(9)
+    rt = PolyExt(Z9, "T")
+    rng = random.Random(5)
+    d = Homotopy.from_word("orthogonal", random_word(
+        rng, Z9, FAMILY_ORTH, 4, 2).times_variable(rt))
+    fr, _ = random_frame(rng, Z9, "orth", 2, 7, 6)
+    res = homotopy_commute_orthogonal(d, fr)
+    assert res.sigma_t.rows == 14 and res.witness.all_passed()
+    with pytest.raises(SizeLimit):
+        _constant_terms(res.sigma_t).det()

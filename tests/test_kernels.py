@@ -492,6 +492,70 @@ def _is_identity_ref(a):
                for i, row in enumerate(a.entries) for j, e in enumerate(row))
 
 
+def _horner_ref(ring, a, t):
+    # reference: Horner through the base ring's fma, one call per
+    # coefficient, as R[T] evaluated over every base before Z and Z/n
+    # summed exactly and reduced once
+    acc = ring.base.zero().payload
+    for c in reversed(a):
+        acc = ring.base.fma(c, acc, t)
+    return acc
+
+
+RAW_BASES = (IntegerRing(), ModularRing(9), ModularRing(4), ModularRing(1),
+             PrimeField(5), QuotientRing(IntegerRing(), [6]),
+             QuotientRing(ModularRing(12), [8]))
+
+
+@pytest.mark.parametrize("base", RAW_BASES, ids=str)
+def test_fma_matches_raw_sum_around_the_cap(base):
+    # the one-product fma against _raw_sum's one-pair path, for products
+    # whose untrimmed degree is cap - 1, cap, cap + 1 and cap + 2: the same
+    # payload, or DegreeCapExceeded with the same message
+    rng = random.Random(f"fma:{base}")
+    nonzero = [p for p in (base.canon(k) for k in range(1, 13)) if p]
+    seen = set()
+
+    def poly(degree):
+        # a leading coefficient that is nonzero (a zero divisor over Z/4)
+        return tuple(base.random(rng).payload for _ in range(degree)) + (
+            rng.choice(nonzero),) if nonzero else ()
+
+    for cap in range(1, 5):
+        ring = PolyExt(base, "T", degree_cap=cap)
+        assert ring._raw
+        for _ in range(40):
+            degree = min(cap + rng.randint(-1, 2), 2 * cap)
+            da = rng.randint(max(0, degree - cap), min(cap, degree))
+            c, x = poly(da), poly(degree - da)
+            acc = _poly_canon(ring, [base.random(rng).payload
+                                     for _ in range(rng.randint(0, cap + 1))])
+            got = _outcome(ring.fma, acc, c, x)
+            assert got == _outcome(ring._raw_sum, acc, ((c, x),))
+            assert got == _outcome(_dot_reference, ring, acc, (c,), (x,))
+            assert got == _outcome(ring.fma, acc, x, c)
+            if c:
+                seen.add((degree - cap, got[:1] != ("raised",)))
+    if not base.is_zero_ring:
+        assert {(-1, True), (0, True), (1, False), (2, False)} <= seen
+
+
+@pytest.mark.parametrize("base", RAW_BASES, ids=str)
+def test_raw_horner_matches_the_fma_loop(base):
+    # the exact Horner reduced once against the base ring's fma loop, at
+    # 0, 1 and random points, over R[T] up to the default cap
+    rng = random.Random(f"horner:{base}")
+    ring = PolyExt(base, "T")
+    assert ring._raw
+    points = [base.zero().payload, base.one().payload]
+    for _ in range(30):
+        a = ring.canon([base.random(rng).payload
+                        for _ in range(rng.choice((0, 1, 2, 3, 8, 65)))])
+        for t in points + [base.random(rng).payload]:
+            got = ring._horner(a, t)
+            assert got == _horner_ref(ring, a, t) and base.canon(got) == got
+
+
 def _map_ring_ref(a, new_ring, fn=None):
     fn = fn or new_ring.coerce
     return Mat(new_ring, [[fn(e) for e in row] for row in a.entries])
@@ -684,8 +748,9 @@ def test_payload_ops_build_no_ring_values(monkeypatch):
 # builds, from the homotopy's construction to its witness: 2,126 while Mat
 # boxed every result, 137 with payload rows inside, 63 once the kernels read
 # generator updates as payload triples instead of boxing -z, 61 once the
-# homotopy read its word's constant terms off the payloads.
-ORTH_HOMOTOPY_VALUES = 61
+# homotopy read its word's constant terms off the payloads, 59 once SO
+# over R[T] took no determinant of the constant terms I.
+ORTH_HOMOTOPY_VALUES = 59
 
 
 def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):

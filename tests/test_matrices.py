@@ -10,9 +10,9 @@ import pytest
 from cgf.errors import (CgfError, HalfNotInvertible, NotInvertible,
                         NotRightInvertible, SizeLimit, UnsupportedRing,
                         FormViolation)
-from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat, block_perp,
-                          hyperbolic_pair_check, identity, membership, phi,
-                          psi, right_inverse)
+from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat,
+                          _constant_terms, block_perp, hyperbolic_pair_check,
+                          identity, membership, phi, psi, right_inverse)
 from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                        PrimeField, QuotientRing, RationalField,
                        TruncatedPolyLocal)
@@ -400,11 +400,20 @@ def _pair_swap(ring, size):
 
 
 def _so_cases(rng, rt, size, count):
+    """(a, in O, in SO): a(0) = I (a word times the variable), a(0) a pair
+    swap, a(0) a random word over the base, a word over R[T], and a
+    product of linear generators."""
     for _ in range(count):
         a = random_word(rng, rt, FAMILY_ORTH, size, 4).eval()
         yield a, True, True
         yield _pair_swap(rt, size) @ a, True, False
         yield random_word(rng, rt, FAMILY_LIN, size, 2).eval(), False, False
+        path = random_word(rng, rt.base, FAMILY_ORTH, size, 3) \
+            .times_variable(rt).eval()
+        yield path, True, True
+        yield _pair_swap(rt, size) @ path, True, False
+        const = random_word(rng, rt.base, FAMILY_ORTH, size, 3).lift_to(rt)
+        yield const.eval() @ path, True, True
 
 
 SO_RINGS = [PolyExt(ModularRing(9), "T"), PolyExt(PrimeField(5), "T"),
@@ -424,13 +433,63 @@ def test_so_over_rt_matches_the_rt_determinant(rt):
             assert _so_by_rt_det(a) is in_so
 
 
+def _so_by_constant_det(a):
+    # reference: SO over R[T] before a(0) = I skipped the determinant, the
+    # form check and then a Berkowitz determinant of the constant terms
+    if not membership(a, "O"):
+        return False
+    while a.ring.kind == "poly":
+        a = _constant_terms(a)
+    return a.det() == a.ring.one()
+
+
+@pytest.mark.parametrize("rt", SO_RINGS, ids=str)
+def test_so_at_identity_constant_terms_matches_the_determinant(rt,
+                                                               monkeypatch):
+    # a(0) = I decides SO with no determinant; every other a(0) takes one
+    rng = random.Random(f"so-id:{rt}")
+    runs = []
+    charpoly = Mat._charpoly
+
+    def counted(self):
+        runs.append(self.ring)
+        return charpoly(self)
+
+    for a, _, in_so in _so_cases(rng, rt, 4, 3):
+        at_identity = _constant_terms(a).is_identity()
+        ref = _so_by_constant_det(a)
+        monkeypatch.setattr(Mat, "_charpoly", counted)
+        runs.clear()
+        assert membership(a, "SO") is ref is in_so
+        monkeypatch.setattr(Mat, "_charpoly", charpoly)
+        assert (runs == []) is (at_identity or not membership(a, "O"))
+
+
+def test_so_over_a_base_ring_takes_the_determinant(monkeypatch):
+    # I over R is no R[T]: its SO test keeps the determinant
+    runs = []
+    charpoly = Mat._charpoly
+    monkeypatch.setattr(Mat, "_charpoly",
+                        lambda self: runs.append(self) or charpoly(self))
+    assert membership(identity(ModularRing(9), 4), "SO")
+    assert len(runs) == 1
+
+
 def test_so_over_rt_keeps_the_determinant_size_cap():
+    # past DET_SIZE_CAP the determinant of an a(0) other than I raises;
+    # a(0) = I needs none, so SO answers at any size
     rt = PolyExt(ModularRing(9), "T")
-    a = random_word(random.Random(14), rt, FAMILY_ORTH, 14, 6).eval()
-    assert membership(a, "O")
+    rng = random.Random(14)
+    a = random_word(rng, rt, FAMILY_ORTH, 14, 6).eval()
+    assert membership(a, "O") and not _constant_terms(a).is_identity()
     for fn in (lambda m: membership(m, "SO"), _so_by_rt_det):
         with pytest.raises(SizeLimit):
             fn(a)
+    path = random_word(rng, rt.base, FAMILY_ORTH, 14, 6) \
+        .times_variable(rt).eval()
+    assert membership(path, "SO")
+    with pytest.raises(SizeLimit):
+        _so_by_rt_det(path)
 
 
 def test_so_over_rt_at_small_caps_returns_wherever_the_rt_determinant_does():

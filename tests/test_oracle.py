@@ -667,6 +667,67 @@ def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
     assert 0 < len(steps) < 56 * 18
 
 
+def test_a_row_table_build_decodes_no_code(monkeypatch):
+    # a row table takes each key from its domain, which it encoded on the
+    # way in; a frame table decodes each of its objects once
+    decoded = []
+    decode = oracle._Codec.decode
+    monkeypatch.setattr(oracle._Codec, "decode",
+                        lambda self, code: decoded.append(code)
+                        or decode(self, code))
+    for ring, family, size in [(ModularRing(4), FAMILY_LIN, 3),
+                               (PrimeField(5), FAMILY_ORTH, 4),
+                               (ModularRing(6), FAMILY_LIN, 3),
+                               (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2)]:
+        assert enumerate_orbits(ring, "row", family, size).orbit_of
+    assert decoded == []
+    table = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
+                             frame_rows=2)
+    assert sorted(decoded) == sorted(set(decoded))
+    assert len(decoded) == len(table.orbit_of)
+
+
+def _counted_value_from_json(monkeypatch, cls):
+    calls = []
+    original = cls.value_from_json
+    monkeypatch.setattr(cls, "value_from_json",
+                        lambda self, p: calls.append(p) or original(self, p))
+    return calls
+
+
+def test_loading_decodes_each_distinct_entry_once(monkeypatch):
+    # Um_3(Z/4): keys and parameters hold four distinct entries; a true
+    # where a 1 stood is decoded apart from 1, to the same payload
+    obj = json.loads(json.dumps(_um3_z4().to_json()))
+    calls = _counted_value_from_json(monkeypatch, ModularRing)
+    assert OrbitTable.from_json(obj).to_json() == obj
+    assert sorted(calls) == [0, 1, 2, 3]
+    calls.clear()
+    _entry(obj, [1, 0, 0])["v"][0] = True
+    back = OrbitTable.from_json(obj)
+    assert sorted(map(repr, calls)) == ["0", "1", "2", "3", "True"]
+    assert (1, 0, 0) in back.orbit_of
+    # F_2[x]/(x^2): list entries, keyed as tuples
+    table = enumerate_orbits(TruncatedPolyLocal(2, 2), "row", FAMILY_LIN, 2)
+    obj = json.loads(json.dumps(table.to_json()))
+    calls = _counted_value_from_json(monkeypatch, TruncatedPolyLocal)
+    assert OrbitTable.from_json(obj).to_json() == obj
+    assert len(calls) == len({json.dumps(p) for p in calls}) == 4
+
+
+def test_a_bad_entry_raises_at_each_load_as_before():
+    # a failed decode is not kept: the same error, at every occurrence
+    obj = json.loads(json.dumps(_um3_z4().to_json()))
+    for e in obj["objects"][:2]:
+        e["v"][0] = 1.5
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integer expected, got 1.5"):
+            OrbitTable.from_json(obj)
+    obj["objects"][0]["v"][0] = {"n": 1}
+    with pytest.raises(ValueError, match="integer expected"):
+        OrbitTable.from_json(obj)
+
+
 def _is_unimodular_row_ref(ring, values):
     # reference: the test on boxed values that the row domain used before
     # it read payloads
