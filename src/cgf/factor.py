@@ -22,20 +22,22 @@ from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import (QuotientRing, RingValue, ideal_combination,
                     unit_ideal_witness)
-from .words import (FAMILY_LIN, Generator, GenWord, _transpose_gens,
-                    apply_word_to_row, empty_word)
+from .words import (FAMILY_LIN, Generator, GenWord, _gen, _rebuilt,
+                    _transpose_gens, apply_word_to_row, empty_word)
 
 
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
     """The block m at rows row0+1.. and columns col0+1.. of I_size, for a
     block off the diagonal, as commuting e_(row0+i, col0+j)(m_ij),
-    row-major; only the nonzero entries are boxed."""
+    row-major; only the nonzero entries are boxed.  Off the diagonal the
+    indices differ and lie in 1..size, so the generators are built by the
+    trusted ``_gen``."""
     ring = m.ring
     zero = ring.zero().payload
     for i, row in enumerate(m._grid, row0 + 1):
         for j, p in enumerate(row, col0 + 1):
             if p != zero:
-                yield Generator(FAMILY_LIN, i, j, RingValue(ring, p), size)
+                yield _gen(FAMILY_LIN, i, j, RingValue(ring, p), size)
 
 
 def whitehead_linear(d: Mat) -> GenWord:
@@ -55,7 +57,7 @@ def whitehead_linear(d: Mat) -> GenWord:
     for block, row0, col0 in ((d, 0, n), (-dinv, n, 0), (d, 0, n),
                               (-ident, 0, n), (ident, n, 0), (-ident, 0, n)):
         gens += _block_gens(block, row0, col0, size)
-    word = GenWord(ring, size, FAMILY_LIN, tuple(gens))
+    word = _rebuilt(ring, size, FAMILY_LIN, tuple(gens))
     if word.eval() != d.block_perp(dinv):
         raise FormViolation("internal: Whitehead word mismatch")
     return word

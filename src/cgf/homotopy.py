@@ -41,7 +41,7 @@ from .matrices import (IsotropicFrame, Mat, _constant_terms, block_perp,
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord, Witness,
-                    apply_word_left, apply_word_right, empty_word)
+                    _rebuilt, apply_word_left, apply_word_right, empty_word)
 
 
 class _Flavor(NamedTuple):
@@ -378,8 +378,8 @@ def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
             raise FormViolation("internal: symplectic transport kept a "
                                 "nonzero off-diagonal block")
         x = alpha.inverse().scale(-ring.one()) @ beta
-        correction = GenWord(ring, big, FAMILY_LIN,
-                             tuple(_block_gens(x, 0, cut, big)))
+        correction = _rebuilt(ring, big, FAMILY_LIN,
+                              tuple(_block_gens(x, 0, cut, big)))
         word += correction
         word_mat = apply_word_right(s_full, correction)
     check_word = word_mat == alpha.block_perp(d_inv)

@@ -13,24 +13,33 @@ per entry; over R[T] with such a base it sums the coefficient products the
 same way and reduces each coefficient once, before the trim; every other
 ring adds one product at a time.
 
-Determinants and inverses come from one algorithm for every ring of the
-tower: Berkowitz's division-free characteristic polynomial (S. J. Berkowitz,
-"On computing the determinant in small parallel time using a small number
-of processors", Inf. Proc. Letters 18, 1984), O(n^4) ring operations up to
-the size cap.  The inverse is the adjugate from Cayley-Hamilton, scaled by
-the inverse of a unit determinant.
+Determinants come from one algorithm for every ring of the tower:
+Berkowitz's division-free characteristic polynomial (S. J. Berkowitz, "On
+computing the determinant in small parallel time using a small number of
+processors", Inf. Proc. Letters 18, 1984), O(n^4) ring operations up to the
+size cap.  An inverse, up to the same cap, is the right inverse's column
+reduction, O(n^3), wherever ``right_inverse`` solves: over a commutative
+ring a square right inverse is the two-sided one, and the reduction finds
+no unit pivot exactly when the determinant is not a unit, which is then
+taken for the error.  Every other ring (R[T], Z[1/s], non-local polynomial
+quotients) takes the adjugate from Cayley-Hamilton, scaled by the inverse
+of a unit determinant.
 
 No product by the forms psi_n and phi_n is ever formed: one kernel,
 ``_form``, applies either form as a signed swap of paired rows, for every
 use of the forms in the library.  Membership in Sp and O and the isotropic
 frame check read only the upper triangle of their product (``_gram_is_form``).
 
-``right_inverse`` has two paths.  A local ring (every field included) keeps
-unit pivots (``_right_inverse_local``): there a row is unimodular exactly
-when it has a unit entry, and the two-row factorizations read their
-witnesses off that beta.  Z, Z/n and their quotients, the rings
-``_residue_modulus`` names, use extended-gcd column operations
-(``_right_inverse_integral``).
+``right_inverse`` and ``Mat.inverse`` share two paths, chosen in one place
+(``_solve_right_inverse``).  A local ring (every field included) keeps unit
+pivots (``_right_inverse_local``): there a row is unimodular exactly when it
+has a unit entry, and the two-row factorizations read their witnesses off
+that beta.  Z, Z/n and their quotients, the rings ``_residue_modulus``
+names, use extended-gcd column operations (``_right_inverse_integral``).
+
+A matrix is immutable, so ``membership`` decides each group at most once
+per matrix and keeps the answers beside it, like the characteristic
+polynomial.
 """
 
 from __future__ import annotations
@@ -50,7 +59,8 @@ class Mat:
     of canonical payloads (``_grid``).  ``Mat(ring, entries)`` coerces each
     entry once; ``entries`` boxes them on the first read and keeps them."""
 
-    __slots__ = ("ring", "rows", "cols", "_grid", "_entries", "_cp")
+    __slots__ = ("ring", "rows", "cols", "_grid", "_entries", "_cp",
+                 "_groups")
 
     def __init__(self, ring: Ring, entries):
         grid = tuple(tuple(ring.coerce(e).payload for e in row)
@@ -69,6 +79,7 @@ class Mat:
         put(self, "_grid", grid)
         put(self, "_entries", None)
         put(self, "_cp", None)
+        put(self, "_groups", None)
         return self
 
     @staticmethod
@@ -205,6 +216,12 @@ class Mat:
         return Mat(new_ring, [[fn(e) for e in row] for row in self.entries])
 
     # -- determinant and inverse ---------------------------------------------
+    def _require_det_size(self):
+        if self.rows != self.cols:
+            raise ShapeMismatch("determinant of a non-square matrix")
+        if self.rows > DET_SIZE_CAP:
+            raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
+
     def _charpoly(self) -> tuple:
         """Payloads (1, c_1, ..., c_n) of the characteristic polynomial
         det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n, computed once per
@@ -221,11 +238,8 @@ class Mat:
         -R M^(k-1) C] times that of the leading k x k block M, where R and C
         are the new row and column.
         """
-        if self.rows != self.cols:
-            raise ShapeMismatch("determinant of a non-square matrix")
+        self._require_det_size()
         n = self.rows
-        if n > DET_SIZE_CAP:
-            raise SizeLimit(f"determinant capped at size {DET_SIZE_CAP}")
         ring = self.ring
         dot, zero = ring.dot, ring.zero().payload
         a = self._grid
@@ -248,11 +262,25 @@ class Mat:
         return c_n if self.rows % 2 == 0 else -c_n
 
     def inverse(self) -> "Mat":
-        """Adjugate inverse; requires a unit determinant.
+        """The inverse of a square matrix with a unit determinant, up to
+        ``DET_SIZE_CAP``.
 
-        By Cayley-Hamilton, adj(A) = (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ...
-        + c_(n-1) I), evaluated by Horner.
+        Where ``right_inverse`` solves, it is the solver's beta: over a
+        commutative ring a square right inverse is the two-sided inverse,
+        and the determinant is taken only for the error when no unit pivot
+        is found.  Elsewhere it is the adjugate: by Cayley-Hamilton,
+        adj(A) = (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I),
+        evaluated by Horner.
         """
+        self._require_det_size()
+        try:
+            beta = _solve_right_inverse(self)
+        except NotRightInvertible:
+            raise NotInvertible("determinant is not a unit",
+                                det=self.det()) from None
+        return beta if beta is not None else self._adjugate_inverse()
+
+    def _adjugate_inverse(self) -> "Mat":
         c = self._charpoly()
         ring = self.ring
         n = self.rows
@@ -378,6 +406,11 @@ def _gram_is_form(left: Mat, right: Mat) -> bool:
 def membership(a: Mat, group: str) -> bool:
     """Exact membership test for GL, SL, Sp, O, SO.
 
+    Each group is decided at most once per matrix: the answer is kept in
+    the matrix's ``_groups`` slot, which ==, hash, repr and to_json ignore,
+    and a later call on the same object returns it.  A call that raises
+    keeps nothing.
+
     SO over R[T] is O with det a(0) = 1, read off the constant terms by a
     determinant over R: for a in O, a^t phi a = phi gives (det a)^2 = 1, so
     u = det a is a unit of R[T], u = a_0 + N with N in T R[T] nilpotent
@@ -387,6 +420,18 @@ def membership(a: Mat, group: str) -> bool:
     argument repeats down a tower R[T][S].  When a(0) is the identity,
     det a(0) = 1 needs no determinant; any other a(0), and every a over a
     ring that is no R[T], takes the determinant."""
+    known = a._groups
+    if known is not None and group in known:
+        return known[group]
+    ok = _decide_membership(a, group)
+    if known is None:
+        object.__setattr__(a, "_groups", {group: ok})
+    else:
+        known[group] = ok
+    return ok
+
+
+def _decide_membership(a: Mat, group: str) -> bool:
     if a.rows != a.cols:
         raise ShapeMismatch("group membership needs a square matrix")
     if group == "GL":
@@ -431,8 +476,11 @@ class RightInverseCert:
 def _right_inverse_local(a: Mat) -> Mat:
     """Column reduction with unit pivots over a local ring (or field), on
     the payload rows of a stacked over I_m: the column operations that
-    bring a to the identity on its pivot columns bring I_m to beta."""
+    bring a to the identity on its pivot columns bring I_m to beta.  Each
+    column update col_j -= f col_piv is one ``ring.fma`` per row, skipping
+    rows whose pivot entry is zero, as ``words._apply_gens`` does."""
     ring = a.ring
+    mul, fma = ring.mul, ring.fma
     n, m = a.rows, a.cols
     rows = a._payloads() + Mat.identity(ring, m)._payloads()
     zero = ring.zero().payload
@@ -443,13 +491,15 @@ def _right_inverse_local(a: Mat) -> Mat:
         if piv is None:
             raise NotRightInvertible(f"row {i} of the matrix has no unit pivot")
         inv = ring.inverse_payload(rows[i][piv])
-        for r in rows:
-            r[piv] = ring.mul(r[piv], inv)
+        live = [r for r in rows if r[piv] != zero]
+        for r in live:
+            r[piv] = mul(r[piv], inv)
         for j in range(m):
             f = rows[i][j]
             if j != piv and f != zero:
-                for r in rows:
-                    r[j] = ring.sub(r[j], ring.mul(f, r[piv]))
+                f = ring.neg(f)
+                for r in live:
+                    r[j] = fma(r[j], f, r[piv])
         pivots.append(piv)
     return Mat._box(ring, [[r[p] for p in pivots] for r in rows[n:]])
 
@@ -491,18 +541,26 @@ def _right_inverse_integral(a: Mat, n: int) -> Mat:
     return Mat._box(a.ring, [[r[p] for p in pivots] for r in rows[a.rows:]])
 
 
+def _solve_right_inverse(a: Mat) -> Mat | None:
+    """beta with a beta = I by the column reduction that solves over a's
+    ring, or None when no solver covers it: the one place that chooses
+    between the two paths, for ``right_inverse`` and ``Mat.inverse``.
+    Raises NotRightInvertible when a row finds no unit pivot."""
+    if a.ring.is_local:
+        return _right_inverse_local(a)
+    n = _residue_modulus(a.ring)
+    return None if n is None else _right_inverse_integral(a, n)
+
+
 def right_inverse(a: Mat) -> RightInverseCert:
     """A certified beta with a*beta = I, for the solvable ring families."""
-    ring = a.ring
     if a.rows > a.cols:
         raise NotRightInvertible("more rows than columns")
-    if ring.is_local:
-        return RightInverseCert(a, _right_inverse_local(a))
-    n = _residue_modulus(ring)
-    if n is None:
-        raise UnsupportedRing(f"right-inverse solving over {ring} is "
+    beta = _solve_right_inverse(a)
+    if beta is None:
+        raise UnsupportedRing(f"right-inverse solving over {a.ring} is "
                               f"unsupported; supply a certificate")
-    return RightInverseCert(a, _right_inverse_integral(a, n))
+    return RightInverseCert(a, beta)
 
 
 # ---------------------------------------------------------------------------

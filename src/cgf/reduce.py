@@ -18,6 +18,14 @@ pass, pivoting on the pair's second slot.
 
 All pivots follow this one deterministic rule, so identical inputs yield
 identical witnesses.
+
+The engine's generators and words are construction-internal, so it builds
+them with the trusted builders ``words._gen`` and ``words._rebuilt`` rather
+than the public checks: every index comes from its own loops over the
+window (distinct, in range, never a pair (i, pair(i)) for orth), ``emit``
+skips zero parameters, and an orthogonal reduction only runs on an
+``IsotropicFrame`` or an O-member, which have 1/2.  The word limit is still
+checked, with its message.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
 from .matrices import IsotropicFrame, Mat, membership
 from .rings import Ring, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _apply_gens)
+                    _apply_gens, _gen, _rebuilt)
 
 
 def _require_local(ring: Ring, what: str):
@@ -52,12 +60,12 @@ class _Reduction:
         return RingValue(self.ring, payload)
 
     def word(self) -> GenWord:
-        return GenWord(self.ring, self.size, self.family, tuple(self.acc))
+        return _rebuilt(self.ring, self.size, self.family, tuple(self.acc))
 
     def emit(self, i: int, j: int, z):
         """Record the generator (i, j, z) and apply it; z = 0 is skipped."""
         if z != self.zero:
-            g = Generator(self.family, i, j, self.box(z), self.size)
+            g = _gen(self.family, i, j, self.box(z), self.size)
             self.acc.append(g)
             _apply_gens(self.ring, self.rows, (g,))
 

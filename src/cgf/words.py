@@ -26,7 +26,12 @@ those checks (an inverse, a concatenation, an embedding, a shift, a lift, a
 specialization, a dilation, a transpose) is made by ``_gen`` and
 ``_rebuilt``, which check only what the rebuild can break: the word limit,
 a shifted index range, and zero parameters, which a specialization or a
-dilation can make.
+dilation can make.  So are the construction-internal words, whose indices
+come from the construction's own loops and whose zero parameters are
+skipped where they arise: the reduction engine's (``reduce._Reduction``),
+and the block factors of the linear Whitehead word and of transport's
+correction (``factor._block_gens``).  The public constructors and
+``word_from_pairs`` keep every check.
 
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
@@ -132,7 +137,10 @@ _set = object.__setattr__
 def _gen(family: str, i: int, j: int, param: RingValue,
          size: int) -> Generator:
     """A generator rebuilt from one that passed ``Generator``'s checks, with
-    a parameter from the same ring; the checks are not run again."""
+    a parameter from the same ring, or built by a construction from its own
+    indices; the checks are not run.  The caller answers for distinct
+    indices in 1..size, an even size for the paired families, i != pair(j)
+    and 1/2 in the ring for orth."""
     g = object.__new__(Generator)
     _set(g, "family", family)
     _set(g, "i", i)
@@ -308,10 +316,10 @@ class GenWord:
 
 
 def _rebuilt(ring: Ring, size: int, family: str, gens: tuple) -> GenWord:
-    """A word of generators of ``ring`` and ``size`` that passed their
-    checks (or were rebuilt from such by ``_gen``), none with a zero
-    parameter: only the word limit is checked again, with ``GenWord``'s
-    message at the same length."""
+    """A word of generators of ``ring``, ``size`` and ``family`` that passed
+    their checks (or were built by ``_gen``), none with a zero parameter:
+    only the word limit is checked, with ``GenWord``'s message at the same
+    length."""
     _check_length(len(gens))
     w = object.__new__(GenWord)
     _set(w, "ring", ring)

@@ -1,0 +1,72 @@
+"""Every object of a tiny domain through the constructions whose words are
+built by the trusted builders (``words._gen``/``words._rebuilt``).
+
+An orbit table of the oracle holds every object of its frame domain, so it
+serves as an exhaustive input source: each object is completed, its leading
+rows are read back off eval(word), and every generator of the word must
+survive a rebuild through the public ``Generator``/``GenWord`` checks
+unchanged (same indices, same nonzero parameters, same length).
+"""
+
+import random
+
+import pytest
+
+from cgf.factor import whitehead_linear
+from cgf.homotopy import vaserstein_transport
+from cgf.matrices import IsotropicFrame, Mat
+from cgf.oracle import enumerate_orbits
+from cgf.reduce import complete_orth, complete_sp, complete_um_linear
+from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
+from cgf.sampling import random_frame, random_unimodular_rows, random_word
+from cgf.words import FAMILY_LIN, Generator, GenWord
+
+
+def _publicly_rebuilt(word):
+    return GenWord(word.ring, word.size, word.family, tuple(
+        Generator(g.family, g.i, g.j, g.param, g.size) for g in word))
+
+
+@pytest.mark.parametrize("ring,family,size,frame_rows,objects", [
+    (ModularRing(4), "lin", 3, 2, 2688),
+    (TruncatedPolyLocal(2, 2), "lin", 3, 2, 2688),
+    (PrimeField(3), "sp", 4, 2, 2160),
+], ids=["lin-2x3-Z/4", "lin-2x3-F_2[x]/(x^2)", "sp-2x4-F_3"])
+def test_every_frame_of_a_table_completes(ring, family, size, frame_rows,
+                                          objects):
+    table = enumerate_orbits(ring, "frame", family, size, frame_rows)
+    assert len(table.orbit_of) == objects
+    for key in table.orbit_of:
+        v = Mat._box(ring, key)
+        word = (complete_um_linear(v) if family == "lin"
+                else complete_sp(IsotropicFrame(v, "sp")))
+        assert word.eval()._grid[:frame_rows] == key
+        assert _publicly_rebuilt(word) == word
+
+
+def test_seeded_orthogonal_completions_rebuild_publicly():
+    rng = random.Random(14)
+    for ring in (ModularRing(9), PrimeField(5)):
+        for n, m in ((1, 4), (2, 4), (2, 5)):
+            frame, _ = random_frame(rng, ring, "orth", n, m)
+            word = complete_orth(frame)
+            assert word.eval()._grid[:2 * n] == frame.mat._grid
+            assert _publicly_rebuilt(word) == word
+
+
+def test_seeded_whitehead_and_transport_words_rebuild_publicly():
+    rng = random.Random(22)
+    for ring in (ModularRing(9), PrimeField(5), ModularRing(12)):
+        for n in range(2, 9):
+            d = random_word(rng, ring, FAMILY_LIN, n, 2 * n).eval()
+            word = whitehead_linear(d)
+            assert _publicly_rebuilt(word) == word
+            assert word.eval() == d.block_perp(d.inverse())
+    # V of k x (k + 1) almost always takes transport's correction word
+    Z9 = ModularRing(9)
+    for k in (2, 3, 4):
+        d = random_word(rng, Z9, FAMILY_LIN, k, 2 * k).eval()
+        v, _ = random_unimodular_rows(rng, Z9, k, k + 1, 3 * k)
+        res = vaserstein_transport(d, v, "linear")
+        assert res.witness.all_passed()
+        assert _publicly_rebuilt(res.word) == res.word

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgf import homotopy, words
+from cgf import homotopy, matrices, words
 from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
                         SizeBound, SizeLimit)
 from cgf.factor import _block_gens, whitehead_linear, whitehead_symplectic
@@ -200,8 +200,9 @@ def test_transport_linear_frozen():
 
 
 def test_transport_runs_berkowitz_once_per_matrix(monkeypatch):
-    # det(d) for the SL check and d^{-1} for the Whitehead word share one
-    # characteristic polynomial; the other three runs are on other matrices
+    # det(d) for the SL check is the one run: d^{-1} for the Whitehead
+    # word and alpha^{-1} for the correction come from the right-inverse
+    # solver, which takes no determinant
     runs = []
     berkowitz = Mat._berkowitz
 
@@ -214,7 +215,25 @@ def test_transport_runs_berkowitz_once_per_matrix(monkeypatch):
     d = word_from_pairs(Z9, 2, FAMILY_LIN, [(1, 2, 3), (2, 1, 2)]).eval()
     v = Mat(Z9, [[1, 0, 0], [0, 1, 0]])
     assert vaserstein_transport(d, v, "linear").witness.all_passed()
-    assert runs == [("Z/9", 2), ("Z/9", 3)]
+    assert runs == [("Z/9", 2)]
+
+
+def test_symplectic_transport_decides_d_once(monkeypatch):
+    # transport's Sp check and the symplectic Whitehead word's own check
+    # ask of the same d; the second reads the kept answer
+    decided = []
+    decide = matrices._decide_membership
+
+    def counting(a, group):
+        decided.append((a.rows, group))
+        return decide(a, group)
+
+    monkeypatch.setattr(matrices, "_decide_membership", counting)
+    Z9 = ModularRing(9)
+    d = word_from_pairs(Z9, 2, FAMILY_SP, [(2, 1, 2), (1, 2, 4)]).eval()
+    fr = IsotropicFrame.standard(Z9, "sp", 1, 2)
+    assert vaserstein_transport(d, fr, "symplectic").witness.all_passed()
+    assert decided.count((2, "Sp")) == 1
 
 
 def test_transport_builds_no_polynomial_ring(monkeypatch):

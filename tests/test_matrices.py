@@ -7,15 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from cgf import matrices
 from cgf.errors import (CgfError, HalfNotInvertible, NotInvertible,
-                        NotRightInvertible, SizeLimit, UnsupportedRing,
-                        FormViolation)
+                        NotRightInvertible, ShapeMismatch, SizeLimit,
+                        UnsupportedRing, FormViolation)
 from cgf.matrices import (HyperbolicVector, IsotropicFrame, Mat,
                           _constant_terms, block_perp, hyperbolic_pair_check,
                           identity, membership, phi, psi, right_inverse)
-from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
-                       PrimeField, QuotientRing, RationalField,
-                       TruncatedPolyLocal)
+from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
+                       ModularRing, PolyExt, PrimeField, QuotientRing,
+                       RationalField, TruncatedPolyLocal, ring_from_json)
 from cgf.sampling import random_word
 from cgf.words import FAMILY_LIN, FAMILY_ORTH
 
@@ -331,6 +332,105 @@ def test_matrix_inverse_adjugate():
     assert (m @ m.inverse()).is_identity()
 
 
+# the rings the right-inverse solvers answer (local, then the Z/m family),
+# then the ones that keep the adjugate
+_X2 = ring_from_json({"kind": "quot", "base": {
+    "kind": "poly", "base": {"kind": "prime", "p": 2}, "var": "x"},
+    "gens": [[0, 0, 1]]})
+_SOLVED_RINGS = [ModularRing(9), PrimeField(5), RationalField(),
+                 LocalizedIntegers(5), TruncatedPolyLocal(2, 2), _X2,
+                 ModularRing(1), ModularRing(12), IntegerRing(),
+                 QuotientRing(IntegerRing(), [12])]
+_ADJUGATE_RINGS = [PolyExt(ModularRing(9), "T"), FractionRing(IntegerRing(), 6)]
+
+
+def _raised(f):
+    """f()'s matrix, or the class, code, message and context it raised."""
+    try:
+        return f()
+    except CgfError as e:
+        return type(e), e.code, str(e), e.context
+
+
+def _inverse_inputs(rng, ring, n):
+    """Random matrices (singular or not), an elementary matrix, that matrix
+    with one row scaled by a random element (a non-unit often), and with
+    its first row repeated (singular)."""
+    for _ in range(4 if n <= 4 else 2):
+        yield Mat(ring, [[ring.random(rng) for _ in range(n)]
+                         for _ in range(n)])
+    if n > 1:
+        e = random_word(rng, ring, FAMILY_LIN, n, 2 * n).eval()
+        yield e
+        c = ring.random(rng)
+        yield Mat(ring, [[c * x for x in row] if i == 0 else row
+                         for i, row in enumerate(e.entries)])
+        yield Mat(ring, [e.entries[0], *e.entries[:-1]])
+
+
+@pytest.mark.parametrize("ring", _SOLVED_RINGS + _ADJUGATE_RINGS, ids=str)
+def test_inverse_matches_the_adjugate(ring):
+    # the inverse (the solver's beta where a solver covers the ring) against
+    # the Cayley-Hamilton adjugate on a fresh copy of the same matrix: the
+    # same matrix, or the same NotInvertible with the same det
+    rng = random.Random(97)
+    inverted = singular = 0
+    for n in range(1, 9):
+        for m in _inverse_inputs(rng, ring, n):
+            got = _raised(m.inverse)
+            want = _raised(Mat._box(ring, m._grid)._adjugate_inverse)
+            assert got == want, (n, m)
+            if isinstance(got, Mat):
+                assert (m @ got).is_identity() and (got @ m).is_identity()
+                inverted += 1
+            else:
+                assert got[:3] == (NotInvertible, "not_invertible",
+                                   "determinant is not a unit")
+                assert got[3] == {"det": m.det()}
+                singular += 1
+    assert inverted >= 7
+    assert singular >= (0 if ring == ModularRing(1) else 7)
+
+
+@pytest.mark.parametrize("ring", _SOLVED_RINGS + _ADJUGATE_RINGS, ids=str)
+def test_inverse_keeps_the_shape_and_size_errors(ring):
+    def square(rows, cols):
+        return Mat.identity(ring, max(rows, cols)).submatrix(0, rows, 0, cols)
+
+    non_square = (ShapeMismatch, "shape_mismatch",
+                  "determinant of a non-square matrix", {})
+    too_big = (SizeLimit, "size_limit", "determinant capped at size 12", {})
+    for rows, cols, want in ((2, 3, non_square), (3, 2, non_square),
+                             (13, 14, non_square), (14, 13, non_square),
+                             (13, 13, too_big)):
+        m = square(rows, cols)
+        assert _raised(m.inverse) == want == _raised(m.det)
+    assert square(12, 12).inverse().is_identity()
+
+
+def test_inverse_takes_a_determinant_only_where_no_solver_runs(monkeypatch):
+    runs = []
+    berkowitz = Mat._berkowitz
+
+    def counting(self):
+        runs.append(str(self.ring))
+        return berkowitz(self)
+
+    monkeypatch.setattr(Mat, "_berkowitz", counting)
+    rng = random.Random(5)
+    for ring in _SOLVED_RINGS + _ADJUGATE_RINGS:
+        random_word(rng, ring, FAMILY_LIN, 4, 8).eval().inverse()
+    # an invertible matrix runs Berkowitz only where the adjugate is kept
+    assert runs == [str(r) for r in _ADJUGATE_RINGS]
+    # a singular one runs it once, for the det of its error
+    runs.clear()
+    proper = [r for r in _SOLVED_RINGS if r != ModularRing(1)]
+    for ring in proper:
+        with pytest.raises(NotInvertible):
+            Mat(ring, [[0, 0], [0, 1]]).inverse()
+    assert runs == [str(r) for r in proper]
+
+
 def test_hyperbolic_pairs():
     Z = IntegerRing()
     one, neg = Z.one(), Z.coerce(-1)
@@ -513,3 +613,79 @@ def test_so_over_rt_at_small_caps_returns_wherever_the_rt_determinant_does():
                 elif got != ref:
                     newly_returned += 1
     assert newly_returned
+
+
+# ---------------------------------------------------------------------------
+# membership is decided once per matrix
+
+def _fresh(a):
+    return Mat._box(a.ring, a._grid)
+
+
+def _memo_cases(rng):
+    """(matrix, groups) for members and non-members of every group, over
+    base rings and R[T]."""
+    for ring in (ModularRing(9), PrimeField(5), ModularRing(15),
+                 LocalizedIntegers(3)):
+        for size in (4, 6):
+            yield random_word(rng, ring, FAMILY_ORTH, size, 5).eval(), \
+                ("GL", "SL", "Sp", "O", "SO")
+            yield _pair_swap(ring, size), ("GL", "SL", "O", "SO")
+            yield Mat(ring, [[ring.random(rng) for _ in range(size)]
+                             for _ in range(size)]), ("GL", "SL", "Sp", "O")
+            yield psi(ring, size // 2), ("GL", "SL", "Sp", "O", "SO")
+    rt = PolyExt(ModularRing(9), "T")
+    for a, _, _ in _so_cases(rng, rt, 4, 2):
+        yield a, ("O", "SO")
+
+
+def test_membership_keeps_its_answers_and_they_match_a_fresh_copy():
+    rng = random.Random(31)
+    seen = set()
+    for a, groups in _memo_cases(rng):
+        for group in groups:
+            first = membership(a, group)
+            assert first is membership(a, group) is membership(_fresh(a), group)
+            seen.add((group, first))
+        assert a._groups == {g: membership(_fresh(a), g) for g in groups}
+        # ==, hash, repr and to_json ignore the kept answers
+        fresh = _fresh(a)
+        assert a == fresh and hash(a) == hash(fresh)
+        assert repr(a) == repr(fresh) and a.to_json() == fresh.to_json()
+    assert seen == {(g, b) for g in ("GL", "SL", "Sp", "O", "SO")
+                    for b in (True, False)}
+
+
+def test_o_then_so_on_one_matrix():
+    # a pair swap is in O with det -1: each group keeps its own answer
+    for ring in (ModularRing(9), PolyExt(ModularRing(9), "T")):
+        a = _pair_swap(ring, 4)
+        assert membership(a, "O") and not membership(a, "SO")
+        assert membership(a, "O") and not membership(a, "SO")
+        b = _pair_swap(ring, 4)
+        assert not membership(b, "SO") and membership(b, "O")
+        assert a._groups == b._groups == {"O": True, "SO": False}
+
+
+def test_membership_that_raises_keeps_nothing(monkeypatch):
+    calls = []
+    decide = matrices._decide_membership
+
+    def counting(a, group):
+        calls.append(group)
+        return decide(a, group)
+
+    monkeypatch.setattr(matrices, "_decide_membership", counting)
+    a = identity(ModularRing(4), 2)
+    for _ in range(2):
+        with pytest.raises(HalfNotInvertible):
+            membership(a, "O")
+    big = identity(ModularRing(9), 14)
+    for _ in range(2):
+        with pytest.raises(SizeLimit):
+            membership(big, "SL")
+    assert calls == ["O", "O", "SL", "SL"]
+    assert a._groups is None and big._groups is None
+    # a later group that returns is kept beside them
+    assert membership(a, "Sp") and membership(big, "Sp")
+    assert a._groups == big._groups == {"Sp": True}

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from cgf import orthoquot
+from cgf import matrices, orthoquot
 from cgf.errors import (CgfError, NoUnitEntry, NotLocal, NotRightInvertible,
                         SizeBound)
 from cgf.factor import transvection_factor, whitehead_symplectic
@@ -448,3 +448,27 @@ def test_vaserstein_quotient_reports_the_partial_state(monkeypatch):
     assert e.context["partial_state"] == [
         [3, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
         [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("kind", ["sp", "orth"])
+def test_completion_then_membership_runs_the_form_check_once(monkeypatch, kind):
+    # the completion decides eval(word) in Sp/O; a caller certifying the
+    # completion asks again of the same kept matrix and gets the kept answer
+    rng = random.Random(f"memo:{kind}")
+    ring = ModularRing(9)
+    frames = [random_frame(rng, ring, kind, n, m)[0]
+              for n, m in ((1, 4), (2, 5))]
+    runs = []
+    gram = matrices._gram_is_form
+
+    def counting(left, right):
+        runs.append(left.rows)
+        return gram(left, right)
+
+    monkeypatch.setattr(matrices, "_gram_is_form", counting)
+    complete = complete_sp if kind == "sp" else complete_orth
+    group = "Sp" if kind == "sp" else "O"
+    for frame in frames:
+        word = complete(frame)
+        assert membership(word.eval(), group)
+    assert runs == [8, 10]
