@@ -23,23 +23,40 @@ orbit algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
 Theory*, 2005, section 4.1).  ``_Codec`` ranks the ring's elements in
 ``ring.sort_key`` order, and a key's entries, row by row, are the digits of
 one base-q integer, most significant first, so integer order is key order.
-Each catalog generator compiles once from ``Generator._payload_updates``
-into (source position, target position, weight q^k, coefficient rank)
-updates, and one kernel, ``step``, adds (rank(a + x*c) - a) * q^k for each
-update whose source digit x is nonzero, a being the target digit.  A
-generator's sources are never its targets, so every update reads the
-digits of the object it acts on.  The rows rank(a + .) and rank(x * .) for
-an entry value are built the first time ``digits`` meets an object that
-holds it, so their cost never exceeds the BFS work that reaches them, even
-over a large ring.  The kernel serves the BFS, the link check of a loaded
-table, the closure check and the path check of ``certify_equivalence``, all
-through the one codec a table builds on first use, so the rank rows built
-by one of them serve the others.  A generator that fixes an object returns
-its own code, which the table already holds, so it is never a proposal and
-the tie rule is kept.  When the BFS ends, a row table takes each payload
-key from its domain, whose keys it encoded on the way in, and a frame table
+Each generator compiles from ``Generator._payload_updates`` into (source
+position, target position, weight q^k, coefficient rank) updates; an
+update whose source digit x is nonzero adds (rank(a + x*c) - a) * q^k, a
+being the target digit.  A generator's sources are never its targets, so
+every update reads the digits of the object it acts on.
+
+The BFS and the closure check expand a node by runs of generators: the
+catalog compiles once into runs of consecutive generators that share
+their (source, target, weight) positions, one run per (i, j), each holding
+its generators' coefficient ranks in catalog order, so the tie rule needs
+no sort.  A run of one update (every linear row, and the symplectic
+(i, pair i)) reads its source digit once per node: when it is zero every
+generator of the run fixes the node and the run is skipped, and otherwise
+each image is node - a*w + rank(a + x*c)*w, summed inline with no call.  A
+run of several updates (the other paired generators, and every run of a
+frame with several rows) sums its members' live terms one generator at a
+time, inline as well: with the few generators such runs hold, reading
+their digits once per run measured slower.  An image is proposed only if
+it is neither in the table nor proposed, so a generator that fixes its
+node, or repeats an image, allocates nothing and the first proposal
+stands.
+
+``digits`` splits a code at q^(n - h), h = n // 2, into two halves whose
+digit tuples it builds once each.  The rows rank(a + .) and rank(x * .)
+for an entry value are built with the first half that holds it, so their
+cost never exceeds the BFS work that reaches them, even over a large ring.
+One kernel, ``step``, acts by a single compiled generator: it serves the
+link check of a loaded table, which compiles each distinct link generator
+once, and the path check of ``certify_equivalence``.  All of them run on
+the one codec a table builds on first use, so the rank rows built by one
+serve the others.  When the BFS ends, a row table takes each payload key
+from its domain, whose keys it encoded on the way in, and a frame table
 decodes each key once.  ``OrbitTable.from_json`` decodes each distinct JSON
-entry of a cached table once.
+entry, and builds each distinct link generator, of a cached table once.
 """
 
 from __future__ import annotations
@@ -62,18 +79,20 @@ FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _is_unimodular_row(ring: Ring, payloads) -> bool:
-    """Whether the row of ``payloads`` generates the unit ideal; only the
-    fallback of a non-local ring that is no Z/m boxes the entries."""
+def _unimodular_test(ring: Ring):
+    """The test whether a row of payloads generates the unit ideal, with
+    the ring's case decided once: only the fallback of a non-local ring
+    that is no Z/m boxes the entries."""
     if ring.is_zero_ring:
-        return True
+        return lambda payloads: True
     if ring.is_local:
-        return any(map(ring.is_unit_payload, payloads))
+        is_unit = ring.is_unit_payload
+        return lambda payloads: any(map(is_unit, payloads))
     modulus = _residue_modulus(ring)
     if modulus is None:
-        values = [RingValue(ring, p) for p in payloads]
-        return unit_ideal_witness(ring, values) is not None
-    return gcd(modulus, *payloads) == 1
+        return lambda payloads: unit_ideal_witness(
+            ring, [RingValue(ring, p) for p in payloads]) is not None
+    return lambda payloads: gcd(modulus, *payloads) == 1
 
 
 def _row_domain(ring: Ring, size: int) -> list:
@@ -81,8 +100,8 @@ def _row_domain(ring: Ring, size: int) -> list:
     ``_key_order``: the product of the elements in ``ring.sort_key`` order
     comes out in that order, so it needs no sort."""
     values = sorted((v.payload for v in ring.elements()), key=ring.sort_key)
-    return [row for row in itertools.product(values, repeat=size)
-            if _is_unimodular_row(ring, row)]
+    return list(filter(_unimodular_test(ring),
+                       itertools.product(values, repeat=size)))
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -146,8 +165,9 @@ def generator_catalog(ring: Ring, family: str, size: int):
 
 
 class _Codec:
-    """The keys of one table as base-q integers, and the kernel ``step``
-    that acts on them (see the module docstring)."""
+    """The keys of one table as base-q integers, the kernel ``step`` that
+    acts on them by one generator, and ``expander``, which acts by a whole
+    catalog (see the module docstring)."""
 
     def __init__(self, table: "OrbitTable"):
         ring = table.ring
@@ -166,22 +186,39 @@ class _Codec:
         self.width = table.size
         n = self.rows * self.width
         self.weights = [q ** (n - 1 - k) for k in range(n)]
-        zero = rank[ring.zero().payload]
-        add = [None] * q  # add[a][y] = rank(a + y), built on first sight
-        mul = [None] * q  # mul[x][c] = rank(x * c), built with it
+        self.zero = zero = rank[ring.zero().payload]
+        # add[a][y] = rank(a + y), mul[x][c] = rank(x * c), both built
+        # when a half code holding a is first met
+        self.add = add = [None] * q
+        self.mul = mul = [None] * q
         ring_add, ring_mul = ring.add, ring.mul
+        # a code is hi * split + lo, hi holding the first n // 2 digits
+        low = n - n // 2
+        split = q ** low
+        halves = ({}, {})  # hi -> its digits, lo -> its digits
 
-        def digits(code):
-            """The digits of ``code``; builds the rows of new values."""
-            ds = [0] * n
-            for k in range(n - 1, -1, -1):
-                code, ds[k] = divmod(code, q)
+        def half(code, width, memo):
+            ds, rest = [0] * width, code
+            for k in range(width - 1, -1, -1):
+                rest, ds[k] = divmod(rest, q)
             for d in ds:
                 if add[d] is None:
                     a = values[d]
                     add[d] = [rank[ring_add(a, y)] for y in values]
                     mul[d] = [rank[ring_mul(a, y)] for y in values]
+            memo[code] = ds = tuple(ds)
             return ds
+
+        def digits(code):
+            """The digits of ``code``, from two memoized halves."""
+            hi, lo = divmod(code, split)
+            his = halves[0].get(hi)
+            if his is None:
+                his = half(hi, n - low, halves[0])
+            los = halves[1].get(lo)
+            if los is None:
+                los = half(lo, low, halves[1])
+            return his + los
 
         def step(code, ds, updates):
             """The code of the image under one compiled generator of the
@@ -224,6 +261,59 @@ class _Codec:
             for t, s, c in updates:
                 out.append((base + s, base + t, weights[base + t], rank[c]))
         return out
+
+    def expander(self, gens):
+        """``expand(node, seen, proposals)``: each image of the object with
+        code ``node`` under ``gens``, in their order, that is in neither
+        ``seen`` nor ``proposals`` becomes a proposal, linked to (node, g)
+        for the first generator g that gives it.
+
+        The generators compile once into runs of consecutive generators
+        that share their (source, target, weight) positions, one run per
+        (i, j) of a catalog.  A run of one update reads the node's source
+        digit once and is skipped when it is zero, since every member then
+        fixes the node; a run of several sums each member's live terms.
+        Every image is summed inline from the rank rows, with no call."""
+        runs = []  # (places, [(g, updates), ...])
+        for g in gens:
+            updates = self.compile(g)
+            places = [u[:3] for u in updates]
+            if not runs or runs[-1][0] != places:
+                runs.append((places, []))
+            runs[-1][1].append((g, updates))
+        # a run of one place: its source, target, weight, members and
+        # their coefficient ranks; a run of several: its members' updates
+        runs = [(*places[0], [g for g, _ in steps],
+                 [u[0][3] for _, u in steps], None) if len(places) == 1
+                else (None, None, None, None, None, steps)
+                for places, steps in runs]
+        digits, add, mul, zero = self.digits, self.add, self.mul, self.zero
+
+        def expand(node, seen, proposals):
+            ds = digits(node)
+            for s, t, w, members, col, steps in runs:
+                if steps:
+                    for g, updates in steps:
+                        new = node
+                        for s, t, w, c in updates:
+                            x = ds[s]
+                            if x != zero:
+                                a = ds[t]
+                                new += (add[a][mul[x][c]] - a) * w
+                        if new not in seen and new not in proposals:
+                            proposals[new] = (node, g)
+                    continue
+                x = ds[s]
+                if x == zero:
+                    continue
+                a = ds[t]
+                base, by_x, plus_a = node - a * w, mul[x], add[a]
+                for g, c in zip(members, col):
+                    new = base + plus_a[by_x[c]] * w
+                    if new not in seen and new not in proposals:
+                        proposals[new] = (node, g)
+
+        return expand
 
 
 @dataclass
@@ -328,15 +418,27 @@ class OrbitTable:
                 return tuple(dec(p).payload for p in v)
             return tuple(tuple(dec(p).payload for p in row) for row in v)
 
+        gens: dict = {}  # (i, j, _json_memo_key(param)) -> its Generator
+
+        def dec_gen(gj):
+            # each distinct link generator passes the public checks once;
+            # one that raises is never stored, so it raises each time
+            i, j = _json_int(gj["i"]), _json_int(gj["j"])
+            param = dec(gj["param"])
+            k = _json_memo_key(gj["param"])
+            g = None if k is None else gens.get((i, j, k))
+            if g is None:
+                g = Generator(obj["family"], i, j, param, size)
+                if k is not None:
+                    gens[i, j, k] = g
+            return g
+
         for entry in obj["objects"]:
             key = dec_key(entry["v"])
             table.orbit_of[key] = _json_int(entry["orbit"])
             if entry["pred"] is not None:
                 pk = dec_key(entry["pred"][0])
-                gj = entry["pred"][1]
-                g = Generator(obj["family"], _json_int(gj["i"]),
-                              _json_int(gj["j"]), dec(gj["param"]), size)
-                table.pred[key] = (pk, g)
+                table.pred[key] = (pk, dec_gen(entry["pred"][1]))
             else:
                 table.pred[key] = None
         table.reps = sorted((k for k, link in table.pred.items()
@@ -350,6 +452,7 @@ class OrbitTable:
         id order, and each chain of links ends at one.  Objects that share
         an orbit id are then equivalent."""
         of = self.orbit_of
+        compiled: dict = {}  # id(g) -> g compiled, once per generator
         for key, link in self.pred.items():
             if link is None:
                 continue
@@ -357,8 +460,11 @@ class OrbitTable:
             if of.get(parent) == of[key]:
                 # read here, so a table without links builds no codec
                 codec = self._codec
+                updates = compiled.get(id(g))
+                if updates is None:
+                    updates = compiled[id(g)] = codec.compile(g)
                 code = codec.encode(parent)
-                image = codec.step(code, codec.digits(code), codec.compile(g))
+                image = codec.step(code, codec.digits(code), updates)
                 if image == codec.encode(key):
                     continue
             raise WitnessCheckFailed("orbit table link fails its check",
@@ -405,13 +511,18 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     table takes it from its start keys, each encoded once on the way in,
     and a frame table decodes each object once.
 
+    Each node is expanded by ``gens`` compiled into runs (``_Codec.
+    expander``): one call per node, none per image, the node's digits read
+    from two memoized half codes, and a run of one update whose source
+    digit is zero skipped whole.  ``step``, the one-generator kernel, is
+    left to the link and path checks.
+
     For a row table ``start_keys`` is the whole domain, closed under the
     generators, so the BFS stops expanding once every key is in an orbit
     or proposed: a later edge could only propose a key already proposed,
     and the first proposal stands, so the ids and links do not change."""
     codec = table._codec
-    digits, step = codec.digits, codec.step
-    compiled = [(g, codec.compile(g)) for g in gens]
+    expand = codec.expander(gens)
     # a row table's start keys are its whole domain; -1 is never reached
     row = table.kind == "row"
     full = len(start_keys) if row else -1
@@ -435,11 +546,7 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
             for node in frontier:
                 if len(orbit) + len(proposals) == full:
                     break  # every object is reached; no edge proposes more
-                ds = digits(node)
-                for g, updates in compiled:
-                    new = step(node, ds, updates)
-                    if new not in orbit:
-                        proposals.setdefault(new, (node, g))
+                expand(node, orbit, proposals)
             frontier = sorted(proposals)
             for new in frontier:
                 orbit[new] = oid
@@ -516,17 +623,17 @@ def _check_closed(table: OrbitTable, oid: int):
     ``oid`` to an object of that orbit.  The objects with that id then hold
     the whole orbit, so an object with another id lies outside it."""
     codec = table._codec
-    compiled = [codec.compile(g) for g in
-                generator_catalog(table.ring, table.family, table.size)]
+    expand = codec.expander(
+        generator_catalog(table.ring, table.family, table.size))
     members = {codec.encode(k): k for k, o in table.orbit_of.items()
                if o == oid}
+    outside: dict = {}
     for code, key in members.items():
-        ds = codec.digits(code)
-        for updates in compiled:
-            if codec.step(code, ds, updates) not in members:
-                raise WitnessCheckFailed(
-                    "orbit table orbit is not closed under the generators",
-                    object=table._enc_key(key))
+        expand(code, members, outside)
+        if outside:
+            raise WitnessCheckFailed(
+                "orbit table orbit is not closed under the generators",
+                object=table._enc_key(key))
 
 
 def certify_equivalence(v1, v2, table: OrbitTable):

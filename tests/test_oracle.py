@@ -510,16 +510,33 @@ QUOTIENT_FLAG_GOLDEN_TABLES = [
 ]
 
 
+# the same digest, recorded before the BFS expanded a node by runs of
+# generators: the heaviest tables of the benchmark's oracle workload
+RUN_GOLDEN_TABLES = [
+    (PrimeField(7), "row", FAMILY_ORTH, 4, 0,
+     "c57a3dc74e2748dd97b3990b7385803e63ac3f4ae59a9d732f298aedbcbec5fa"),
+    (ModularRing(8), "row", FAMILY_LIN, 4, 0,
+     "0a1e6aba00a616830cbcf75dadd3c6ca6424a8e9172a6b6bac65bc98a2e7a412"),
+    (ModularRing(3), "frame", FAMILY_SP, 4, 2,
+     "4c118eaeb261f9fd362cec8fbdd5d31b3e12e57eab8ca26cf2eeafc30b3458e6"),
+    (ModularRing(23), "frame", FAMILY_SP, 2, 1,
+     "78fd216636a526ae4c711c76bea25675d61c23c4b883298156d22da55e75f14e"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
                          GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES +
-                         CODED_GOLDEN_TABLES + QUOTIENT_FLAG_GOLDEN_TABLES,
+                         CODED_GOLDEN_TABLES + QUOTIENT_FLAG_GOLDEN_TABLES +
+                         RUN_GOLDEN_TABLES,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
                               "Z/4 sp frames", "F_4 lin rows",
                               "F_4 sp frames", "Z/(10) sp rows",
                               "Z/1 lin rows", "F_2[x]/(x^2) lin frames",
                               "F_5 orth frames", "quotient x^2 lin rows",
-                              "quotient x^2 sp frames", "F_4 lin frames"])
+                              "quotient x^2 sp frames", "F_4 lin frames",
+                              "F_7 orth rows", "Z/8 lin rows",
+                              "Z/3 sp 2-row frames", "Z/23 sp frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
@@ -535,7 +552,7 @@ def _act_ref(table, key, g):
     return tuple(out[0]) if table.kind == "row" else tuple(map(tuple, out))
 
 
-@pytest.mark.parametrize("ring, kind, family, size, frame_rows", [
+_COMPILED_ACTION_CASES = [
     (ModularRing(6), "row", FAMILY_SP, 2, 0),
     (ModularRing(4), "row", FAMILY_LIN, 3, 0),
     (PrimeField(3), "row", FAMILY_ORTH, 4, 0),
@@ -543,7 +560,11 @@ def _act_ref(table, key, g):
     (TruncatedPolyLocal(2, 2), "frame", FAMILY_LIN, 2, 2),
     (ModularRing(4), "frame", FAMILY_SP, 4, 1),
     (PrimeField(3), "frame", FAMILY_ORTH, 4, 2),
-])
+]
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows",
+                         _COMPILED_ACTION_CASES)
 def test_compiled_action_matches_apply_gens(ring, kind, family, size,
                                             frame_rows):
     # every catalog generator on every object of the table: the coded
@@ -562,6 +583,66 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
             if all(row[s] == zero for row in rows_of(key)
                    for _, s, _ in g._payload_updates()):
                 assert got == code
+
+
+def _check_expansion(table, keys):
+    # the grouped expansion of each object against ``step`` under each
+    # catalog generator in catalog order: the same proposals, made in the
+    # same order, with what is seen or already proposed left alone.  Every
+    # third object counts as seen, and each expansion starts from one
+    # proposal already made.  Returns how many (object, generator) pairs
+    # had a zero source in some update and a nonzero one in another, and
+    # whether any generator has several updates.
+    codec = oracle._Codec(table)
+    gens = oracle.generator_catalog(table.ring, table.family, table.size)
+    compiled = [(g, codec.compile(g)) for g in gens]
+    expand = codec.expander(gens)
+    codes = [codec.encode(k) for k in keys]
+    seen = set(codes[::3])
+    partial = 0
+    for n, code in enumerate(codes):
+        was_seen = code in seen
+        seen.add(code)
+        ds = codec.digits(code)
+        earlier = codes[(n + 1) % len(codes)]
+        want = {earlier: "earlier"}
+        for g, updates in compiled:
+            new = codec.step(code, ds, updates)
+            if new not in seen and new not in want:
+                want[new] = (code, g)
+            live = {ds[s] != codec.zero for s, _, _, _ in updates}
+            partial += live == {True, False}
+        got = {earlier: "earlier"}
+        expand(code, seen, got)
+        assert list(got.items()) == list(want.items()), keys[n]
+        if not was_seen:
+            seen.discard(code)
+    return partial, any(len(updates) > 1 for _, updates in compiled)
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows",
+                         _COMPILED_ACTION_CASES + [
+                             (ModularRing(1), "row", FAMILY_LIN, 3, 0),
+                             (ModularRing(1), "frame", FAMILY_SP, 4, 2)])
+def test_grouped_expansion_matches_step(ring, kind, family, size, frame_rows):
+    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    partial, several = _check_expansion(table, list(table.orbit_of))
+    # a run of several updates (a paired family, or a frame of several
+    # rows) meets objects where only some of them have a nonzero source
+    assert partial > 0 if several else partial == 0
+
+
+def test_grouped_expansion_matches_step_over_a_large_ring():
+    # Z/10007: 10006 generators to a run, on frames whose catalog no table
+    # could hold, with zero and nonzero sources in one run
+    ring = ModularRing(10007)
+    for family, frame_rows, keys in [
+            (FAMILY_LIN, 2, [((1, 0), (0, 1)), ((0, 5), (3, 0)),
+                             ((2, 10006), (1, 1))]),
+            (FAMILY_SP, 1, [((1, 0),), ((0, 1),), ((5, 9),)])]:
+        table = OrbitTable(ring, "frame", family, 2, frame_rows)
+        partial, several = _check_expansion(table, keys)
+        assert several == (frame_rows > 1) and (partial > 0) == several
 
 
 # F_2[x]/(1 + x + x^2) and Z/12/(6) are quotients whose payloads are
@@ -635,6 +716,11 @@ F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
     (ModularRing(6), "row", FAMILY_LIN, 3, 0),
     (ModularRing(1), "row", FAMILY_LIN, 3, 0),
     (F2xF2, "row", FAMILY_LIN, 2, 0),
+    # runs of several updates over two frame rows, orthogonal runs of six
+    # generators, and a field whose sort key is not payload order
+    (PrimeField(3), "frame", FAMILY_SP, 4, 2),
+    (PrimeField(7), "row", FAMILY_ORTH, 4, 0),
+    (F4, "row", FAMILY_LIN, 3, 0),
 ])
 def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
                                               size, frame_rows):
@@ -646,25 +732,25 @@ def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
 
 def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
     # Um_3(Z/4) is one orbit of 56 rows under 18 generators: the full BFS
-    # takes 56 * 18 steps, most of them after the last new row is proposed
-    steps = []
+    # expands all 56 rows (56 * 18 images), most of them after the last new
+    # row is proposed
+    expanded = []
 
     class Counted(oracle._Codec):
-        def __init__(self, table):
-            super().__init__(table)
-            step = self.step
+        def expander(self, gens):
+            expand = super().expander(gens)
 
-            def counted(code, ds, updates):
-                steps.append(code)
-                return step(code, ds, updates)
+            def counted(node, seen, proposals):
+                expanded.append(node)
+                return expand(node, seen, proposals)
 
-            self.step = counted
+            return counted
 
     monkeypatch.setattr(oracle, "_Codec", Counted)
     table = _um3_z4()
     assert table.orbit_sizes() == [56]
     assert len(oracle.generator_catalog(ModularRing(4), FAMILY_LIN, 3)) == 18
-    assert 0 < len(steps) < 56 * 18
+    assert 0 < len(expanded) < 56
 
 
 def test_a_row_table_build_decodes_no_code(monkeypatch):
@@ -746,13 +832,14 @@ def _is_unimodular_row_ref(ring, values):
 def test_row_domain_matches_the_boxed_reference(ring):
     # every row of size <= 3: the payload test agrees with the boxed one,
     # and the domain comes out in key order without a sort
+    unimodular_row = oracle._unimodular_test(ring)
     for size in range(4):
         table = OrbitTable(ring, "row", FAMILY_LIN, size)
         want = []
         for combo in itertools.product(list(ring.elements()), repeat=size):
             row = tuple(v.payload for v in combo)
             unimodular = _is_unimodular_row_ref(ring, combo)
-            assert oracle._is_unimodular_row(ring, row) == unimodular, row
+            assert unimodular_row(row) == unimodular, row
             if unimodular:
                 want.append(row)
         assert oracle._row_domain(ring, size) == sorted(
