@@ -141,28 +141,30 @@ class _Reduction:
 # ---------------------------------------------------------------------------
 # rows
 
-def reduce_row_linear(v: Mat) -> GenWord:
-    """A word w with v . eval(w) = e_1 over a local ring; length <= 2m."""
+def _reduce_row(v: Mat, family: str) -> GenWord:
+    """Both row reductions: a single row of a length the family takes, over
+    a local ring, carried to e_1 by one sweep."""
+    lin = family == FAMILY_LIN
     if v.rows != 1:
         raise ShapeMismatch("expected a single row")
-    if v.cols < 2:
-        raise SizeBound("row reduction needs length >= 2")
-    _require_local(v.ring, "linear row reduction")
-    red = _Reduction(v, FAMILY_LIN)
+    if v.cols < 2 or (not lin and v.cols % 2):
+        raise SizeBound("row reduction needs length >= 2" if lin
+                        else "symplectic rows have even length >= 2")
+    _require_local(v.ring, ("linear" if lin else "symplectic")
+                   + " row reduction")
+    red = _Reduction(v, family)
     red.sweep(0)
     return red.word()
+
+
+def reduce_row_linear(v: Mat) -> GenWord:
+    """A word w with v . eval(w) = e_1 over a local ring; length <= 2m."""
+    return _reduce_row(v, FAMILY_LIN)
 
 
 def reduce_row_symplectic(v: Mat) -> GenWord:
     """A word w in se-generators with v . eval(w) = e_1 over a local ring."""
-    if v.rows != 1:
-        raise ShapeMismatch("expected a single row")
-    if v.cols < 2 or v.cols % 2:
-        raise SizeBound("symplectic rows have even length >= 2")
-    _require_local(v.ring, "symplectic row reduction")
-    red = _Reduction(v, FAMILY_SP)
-    red.sweep(0)
-    return red.word()
+    return _reduce_row(v, FAMILY_SP)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,22 @@ def complete_um_linear(v: Mat) -> GenWord:
     return word
 
 
+def _complete_frame(frame: IsotropicFrame, family: str, group: str,
+                    name: str) -> GenWord:
+    """The tail both frame completions share: the frame's pairs reduced,
+    the word inverted and evaluated, its leading rows compared with the
+    frame, then its matrix checked in ``group``."""
+    red = _Reduction(frame.mat, family)
+    red.pairs(frame.n_pairs)
+    word = red.word().invert()
+    got = word.eval()
+    if got._grid[:2 * frame.n_pairs] != frame.mat._grid:
+        raise FormViolation("internal: completion lost the frame rows")
+    if not membership(got, group):
+        raise FormViolation(f"internal: completion left the {name} group")
+    return word
+
+
 def complete_sp(frame: IsotropicFrame) -> GenWord:
     """Complete a 2n x 2m symplectic frame to an elementary symplectic
     matrix: reduce each pair's first row to a standard row, observe the
@@ -215,19 +233,8 @@ def complete_sp(frame: IsotropicFrame) -> GenWord:
     block (which the form forces to start with two zero columns)."""
     if frame.kind != "sp":
         raise FormViolation("expected a symplectic frame")
-    V = frame.mat
-    ring = V.ring
-    _require_local(ring, "symplectic completion")
-    n = frame.n_pairs
-    red = _Reduction(V, FAMILY_SP)
-    red.pairs(n)
-    word = red.word().invert()
-    got = word.eval()
-    if got._grid[:2 * n] != V._grid:
-        raise FormViolation("internal: completion lost the frame rows")
-    if not membership(got, "Sp"):
-        raise FormViolation("internal: completion left the symplectic group")
-    return word
+    _require_local(frame.mat.ring, "symplectic completion")
+    return _complete_frame(frame, FAMILY_SP, "Sp", "symplectic")
 
 
 def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
@@ -240,9 +247,7 @@ def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
     """
     if frame.kind != "orth":
         raise FormViolation("expected an orthogonal frame")
-    V = frame.mat
-    ring = V.ring
-    _require_local(ring, "orthogonal completion")
+    _require_local(frame.mat.ring, "orthogonal completion")
     n, m = frame.n_pairs, frame.m_pairs
     if not permissive and m < n + 2:
         raise SizeBound(f"orthogonal completion requires m >= n + 2, "
@@ -251,12 +256,4 @@ def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
         warnings.warn("orthogonal completion at the boundary size "
                       "(n=1, m=3); the inductive argument above uses m > 3",
                       stacklevel=2)
-    red = _Reduction(V, FAMILY_ORTH)
-    red.pairs(n)
-    word = red.word().invert()
-    got = word.eval()
-    if got._grid[:2 * n] != V._grid:
-        raise FormViolation("internal: completion lost the frame rows")
-    if not membership(got, "O"):
-        raise FormViolation("internal: completion left the orthogonal group")
-    return word
+    return _complete_frame(frame, FAMILY_ORTH, "O", "orthogonal")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 from .errors import (CgfError, DegreeCapExceeded, DescriptorMismatch, NotAUnit,
                      UnsupportedQuotient, UnsupportedRing)
@@ -34,7 +34,8 @@ DEFAULT_DEGREE_CAP = 64
 def _factor(n: int):
     """Trial division: yields (p, k) with n = prod p^k, primes ascending,
     and nothing for n < 2.  Lazy, so a caller that needs only the smallest
-    prime factor stops there."""
+    prime factor stops there.  O(sqrt n): the classifier below does not use
+    it, and its tests compare the two."""
     p = 2
     while p * p <= n:
         if n % p == 0:
@@ -48,14 +49,85 @@ def _factor(n: int):
         yield n, 1
 
 
+# Strong probable primes to the first 13 prime bases are prime below
+# 3.317 * 10^24 (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """The Miller-Rabin test of an odd n > a to the base a."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_prime(n: int) -> bool:
-    return next(_factor(n), None) == (n, 1)
+    """Whether n is prime, exactly: trial division by the 13 bases (which
+    decides every n below 43^2), then deterministic Miller-Rabin on them
+    below ``_MR_EXACT_BELOW``.  Above it a composite is still proven
+    composite, and a probable prime raises UnsupportedRing, so no
+    probabilistic answer reaches a ring's flags."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+        return False
+    if n < _MR_EXACT_BELOW:
+        return True
+    raise UnsupportedRing(
+        f"cannot decide whether {n} is prime: it passes Miller-Rabin to "
+        f"the first 13 prime bases, which decides only below "
+        f"{_MR_EXACT_BELOW}")
+
+
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 1: Newton's method from a
+    float estimate raised above the root, so a few steps reach it."""
+    e = log2(n) / k
+    x = (int(2 ** (e % 1 + 52)) << int(e)) >> 52
+    x += (x >> 20) + 2
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def _prime_power_base(n: int):
-    """Return p if n = p^k for a prime p and k >= 1, else None."""
-    p, k = next(_factor(n), (None, 0))
-    return p if p is not None and p ** k == n else None
+    """Return p if n = p^k for a prime p and k >= 1, else None: the
+    smallest base that divides n, or else the prime that n's exact roots
+    reach.  An exact q-th root replaces n; once no root is exact, n is p or
+    no prime power.  With no base dividing n, p >= 43, so only exponents q
+    with 43^q <= n are tried."""
+    if n < 2:
+        return None
+    for p in _MR_BASES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+    q = 2
+    while 43 ** q <= n:
+        r = _iroot(n, q)
+        if r ** q == n:
+            n, q = r, 2
+        else:
+            q += 1
+    return n if _is_prime(n) else None
 
 
 def _divides_power(d: int, s: int) -> bool:
@@ -425,9 +497,10 @@ class ModularRing(Ring):
             raise UnsupportedRing(f"modulus must be a positive integer, got {n!r}")
         self.n = n
         self.characteristic = n
-        self.is_field = _is_prime(n)
+        base = _prime_power_base(n)
+        self.is_field = base == n
         self.is_zero_ring = n == 1
-        self.is_local = n == 1 or _prime_power_base(n) is not None
+        self.is_local = n == 1 or base is not None
 
     def key(self):
         return ("mod", self.n)

@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 
 import pytest
 
@@ -26,3 +28,24 @@ def all_test_rings():
         FractionRing(IntegerRing(), 6),
         QuotientRing(ModularRing(4), [2]),
     ]
+
+
+def within(seconds, call):
+    """Run ``call`` in a thread with a deadline; its result, or the
+    exception it raised.  The clock is read as well: one long C call (a huge
+    int power) holds the interpreter lock past the join's timeout."""
+    results = []
+
+    def run():
+        try:
+            results.append(call())
+        except Exception as e:  # the caller checks which
+            results.append(e)
+
+    start = time.monotonic()
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive() and len(results) == 1
+    assert time.monotonic() - start < seconds
+    return results[0]

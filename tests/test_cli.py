@@ -18,6 +18,8 @@ from cgf.orthoquot import O2Class
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
 from cgf.words import GenWord
 
+from conftest import within
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -763,3 +765,34 @@ def test_localglobal_counts_an_exhausted_split_as_no_failure(capsys,
     seeded = obj["checks"][-1]
     assert (seeded["instances"], seeded["failures"], seeded["splits"]) == \
         (3, 0, 1)
+
+
+# every modulus answers in bounded time: a 61-bit prime, a 37-digit
+# semiprime, and M89 = 2^89 - 1, a prime above the bound where Miller-Rabin
+# on the first 13 prime bases is exact
+_P61 = 10 ** 18 + 3
+_SEMIPRIME = _P61 * (10 ** 18 + 9)
+_M89 = 2 ** 89 - 1
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["reduce-row", "--ring", f"prime:{_P61}", "--row", "[1,0]"], 0, None),
+    (["reduce-row", "--ring", f"polyloc:{_P61}:2", "--row", "[[1],[0]]"],
+     0, None),
+    (["reduce-row", "--ring", f"mod:{_SEMIPRIME}", "--row", "[1,0]"],
+     2, "not_local"),
+    (["orbits", "--ring", f"mod:{_SEMIPRIME}", "--kind", "row", "--family",
+      "lin", "--size", "2"], 2, "search_budget_exceeded"),
+    (["reduce-row", "--ring", f"prime:{_M89}", "--row", "[1,0]"],
+     2, "unsupported_ring"),
+    (["reduce-row", "--ring", f"mod:{_M89}", "--row", "[1,0]"],
+     2, "unsupported_ring"),
+], ids=["prime-61-bit", "polyloc-61-bit", "mod-semiprime",
+        "orbits-semiprime", "prime-above-bound", "mod-above-bound"])
+def test_large_moduli_answer_in_bounded_time(argv, code, error, capsys):
+    assert within(10, lambda: main(argv)) == code
+    out = capsys.readouterr().out
+    if error is None:
+        assert json.loads(out)["checks"][0]["status"] == "pass"
+    else:
+        assert json.loads(out)["code"] == error

@@ -1,22 +1,26 @@
 """Every object of a tiny domain through the constructions whose words are
 built by the trusted builders (``words._gen``/``words._rebuilt``).
 
-An orbit table of the oracle holds every object of its frame domain, so it
-serves as an exhaustive input source: each object is completed, its leading
-rows are read back off eval(word), and every generator of the word must
-survive a rebuild through the public ``Generator``/``GenWord`` checks
-unchanged (same indices, same nonzero parameters, same length).
+An orbit table of the oracle holds every object of its row or frame
+domain, so it serves as an exhaustive input source: each frame is
+completed and its leading rows are read back off eval(word), each
+symplectic row is reduced and carried to e_1 by the reference kernel's row
+action, and every generator of the word must survive a rebuild through the
+public ``Generator``/``GenWord`` checks unchanged (same indices, same
+nonzero parameters, same length).
 """
 
 import random
 
 import pytest
 
+import reference as ref
 from cgf.factor import whitehead_linear
 from cgf.homotopy import vaserstein_transport
 from cgf.matrices import IsotropicFrame, Mat
 from cgf.oracle import enumerate_orbits
-from cgf.reduce import complete_orth, complete_sp, complete_um_linear
+from cgf.reduce import (complete_orth, complete_sp, complete_um_linear,
+                        reduce_row_symplectic)
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
 from cgf.sampling import random_frame, random_unimodular_rows, random_word
 from cgf.words import FAMILY_LIN, Generator, GenWord
@@ -41,6 +45,21 @@ def test_every_frame_of_a_table_completes(ring, family, size, frame_rows,
         word = (complete_um_linear(v) if family == "lin"
                 else complete_sp(IsotropicFrame(v, "sp")))
         assert word.eval()._grid[:frame_rows] == key
+        assert _publicly_rebuilt(word) == word
+
+
+@pytest.mark.parametrize("ring,objects", [
+    (PrimeField(3), 80), (ModularRing(4), 240), (TruncatedPolyLocal(2, 2), 240),
+], ids=["F_3", "Z/4", "F_2[x]/(x^2)"])
+def test_every_symplectic_row_of_a_table_reduces(ring, objects):
+    # every unimodular row of length 4 reaches e_1 under its word, by the
+    # reference kernel's row action
+    table = enumerate_orbits(ring, "row", "sp", 4)
+    assert len(table.orbit_of) == objects
+    e1 = (ring.one().payload,) + (ring.zero().payload,) * 3
+    for key in table.orbit_of:
+        word = reduce_row_symplectic(Mat._box(ring, [key]))
+        assert ref.act_rows(ring, [key], word.gens) == [e1]
         assert _publicly_rebuilt(word) == word
 
 

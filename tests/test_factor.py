@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference as ref
 from cgf.errors import (BadPerp, IdealNotComaximal, NotInvertible,
                         NotPerpendicular, SizeBound)
 from cgf.factor import (_block_gens, common_perp, roitman, sp_inverse,
@@ -183,7 +184,7 @@ def test_common_perp_randomized_with_oracle():
         w = cert.beta.transpose()
         # v2 = v1 + u with u.w^t = 0
         u = [Z4.random(rng) for _ in range(3)]
-        uw = sum((a * b for a, b in zip(u, w.entries[0])), Z4.zero())
+        uw = Z4.coerce(ref.combination(Z4, u, w.entries[0]))
         v1w = w
         u = [a - uw * b for a, b in zip(u, v1)]  # (u - (u.w) v1) . w = 0
         v2 = [a + b for a, b in zip(v1, u)]

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference as ref
 from cgf import homotopy, matrices, words
-from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotLocal,
-                        SizeBound, SizeLimit)
+from cgf.errors import (DegreeCapExceeded, FormViolation, NotLocal, SizeBound,
+                        SizeLimit)
 from cgf.factor import _block_gens, whitehead_linear, whitehead_symplectic
 from cgf.homotopy import (_FLAVORS, CommuteResult,
                           Homotopy, _commute_core, commutator_witness,
@@ -342,11 +343,12 @@ def _commutator_through_rt(a, b):
     d_word = a.word
     eps_t = d_word.invert() + w_t.invert() + d_word + w_t
     b_t = b.map_ring(rt)
-    assert homotopy.apply_word_left(d_word, b_t) == homotopy.apply_word_right(
-        homotopy.apply_word_right(b_t, d_word), eps_t)
+    assert ref.matmul(ref.word_matrix(d_word), b_t) == ref.times_gens(
+        ref.times_gens(b_t, d_word.gens), eps_t.gens)
     eps = eps_t.specialize(ring.one())
     alpha = a.at(1)
-    assert (alpha @ b) == (b @ alpha @ eps.eval())
+    assert ref.matmul(alpha, b) == ref.times_gens(ref.matmul(b, alpha),
+                                                  eps.gens)
     return eps
 
 
@@ -377,9 +379,9 @@ def test_commutator_over_r_matches_the_rt_route(ring):
     rng = random.Random(f"commutator:{ring}")
     for a, b in _commutator_cases(rng, ring):
         eps = commutator_witness(a, b)
-        ref = _commutator_through_rt(a, b)
-        assert eps == ref
-        assert json.dumps(eps.to_json()) == json.dumps(ref.to_json())
+        old = _commutator_through_rt(a, b)
+        assert eps == old
+        assert json.dumps(eps.to_json()) == json.dumps(old.to_json())
 
 
 @pytest.mark.parametrize("limit", [12, 16, 20])
@@ -392,18 +394,16 @@ def test_commutator_word_limit_never_raises_where_the_rt_route_returns(
     for ring in (ModularRing(9), PrimeField(5)):
         rng = random.Random(f"commutator-limit:{ring}")
         for a, b in _commutator_cases(rng, ring):
-            try:
-                ref = _commutator_through_rt(a, b)
-            except CgfError:
-                ref = None
-            try:
-                eps = commutator_witness(a, b)
-            except CgfError as e:
-                assert ref is None and e.code == "word_limit_exceeded"
+            old = ref.outcome(_commutator_through_rt, a, b)
+            eps = ref.outcome(commutator_witness, a, b)
+            if isinstance(eps, ref.Raised):
+                assert isinstance(old, ref.Raised)
+                assert eps.code == "word_limit_exceeded"
                 outcomes.add("both raise")
                 continue
-            assert ref is None or eps == ref
-            outcomes.add("returns" if ref is not None else "only over R")
+            assert isinstance(old, ref.Raised) or eps == old
+            outcomes.add("only over R" if isinstance(old, ref.Raised)
+                         else "returns")
     assert outcomes == {"both raise", "returns", "only over R"}
 
 
@@ -457,20 +457,21 @@ def _transport_through_rt(d, v, flavor):
                         f"homotopy_commute_{flavor}").epsilon_word
     big, cut = v_big.cols, v_mat.cols
     word = (hom.word.embed(eps.size) + eps.invert()).specialize(ring.one())
-    s_full = word.eval()
+    s_full = ref.word_matrix(word)
     alpha = s_full.submatrix(0, cut, 0, cut)
     beta = s_full.submatrix(0, cut, cut, big)
     gamma = s_full.submatrix(cut, big, 0, cut)
     zeta = s_full.submatrix(cut, big, cut, big)
     checks = [("gamma block vanishes", gamma == Mat.zeros(ring, k, cut)),
               ("zeta block equals d^{-1}", zeta == d_inv),
-              ("d V == V sigma", (d @ v_mat) == (v_mat @ alpha))]
+              ("d V == V sigma",
+               ref.matmul(d, v_mat) == ref.matmul(v_mat, alpha))]
     if beta != Mat.zeros(ring, cut, k):
-        x = alpha.inverse().scale(-ring.one()) @ beta
+        x = ref.matmul(ref.mat_neg(alpha.inverse()), beta)
         word += GenWord(ring, big, FAMILY_LIN,
                         tuple(_block_gens(x, 0, cut, big)))
     checks.append(("word evaluates to sigma ⊥ d^{-1}",
-                   word.eval() == alpha.block_perp(d_inv)))
+                   ref.word_matrix(word) == alpha.block_perp(d_inv)))
     witness = words.Witness.certify(
         "vaserstein_transport", inputs={"d": d, "v": v_mat},
         outputs={"sigma": alpha, "word": word}, checks=checks)
@@ -511,10 +512,10 @@ def test_transport_over_r_matches_the_rt_engine(ring):
     rng = random.Random(f"transport:{ring}")
     for d, v, flavor in _transport_cases(rng, ring):
         res = vaserstein_transport(d, v, flavor)
-        ref = _transport_through_rt(d, v, flavor)
-        assert res.word == ref.word
-        assert res.sigma == ref.sigma
-        assert _witness_bytes(res) == _witness_bytes(ref)
+        old = _transport_through_rt(d, v, flavor)
+        assert res.word == old.word
+        assert res.sigma == old.sigma
+        assert _witness_bytes(res) == _witness_bytes(old)
         assert res.witness.all_passed()
 
 
@@ -527,15 +528,11 @@ def test_transport_word_limit_errors_match_the_rt_engine(limit, monkeypatch):
     for ring in TRANSPORT_RINGS[:2]:
         rng = random.Random(f"limit:{limit}:{ring}")
         for d, v, flavor in _transport_cases(rng, ring):
-            pair = []
-            for fn in (vaserstein_transport, _transport_through_rt):
-                try:
-                    pair.append(_witness_bytes(fn(d, v, flavor)))
-                except CgfError as e:
-                    pair.append(e.to_json())
+            pair = [_outcome(fn, d, v, flavor) for fn in (
+                vaserstein_transport, _transport_through_rt)]
             assert pair[0] == pair[1]
             outcomes.append(pair[0])
-    assert any(isinstance(o, dict) for o in outcomes)
+    assert any(isinstance(o, ref.Raised) for o in outcomes)
 
 
 def _golden_transports():
@@ -569,11 +566,9 @@ def test_transport_witness_bytes_are_golden():
     # built by running the engine over R[T] and specializing at T = 1
     lines = []
     for d, v, flavor in _golden_transports():
-        try:
-            out = vaserstein_transport(d, v, flavor).witness.to_json()
-        except CgfError as e:
-            out = e.to_json()
-        lines.append(json.dumps(out, sort_keys=True))
+        out = ref.outcome(vaserstein_transport, d, v, flavor)
+        lines.append(json.dumps(out.to_json() if isinstance(out, ref.Raised)
+                                else out.witness.to_json(), sort_keys=True))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
         "2765983a930fa745b6b67f05b1c4eae915e372148bb4ce351c3403bd004b847c"
 
@@ -611,9 +606,9 @@ def _commute_core_dense(d, v_mat, completion, claim):
     else:
         d_mat = block_perp(d.delta_t, identity(rt, msize - nsize))
     w_t_inv = w_t.invert()
-    w_mat = w_t.eval()
-    w_inv = w_t_inv.eval()
-    sigma_t = w_inv @ d_mat @ w_mat
+    w_mat = ref.word_matrix(w_t)
+    w_inv = ref.word_matrix(w_t_inv)
+    sigma_t = ref.matmul(ref.matmul(w_inv, d_mat), w_mat)
 
     mode = "word" if d.is_word_backed() else "assert"
     if mode == "word":
@@ -622,28 +617,29 @@ def _commute_core_dense(d, v_mat, completion, claim):
             eps_word = words.empty_word(rt, msize, family)
         else:
             eps_word = (w_t_inv + d_word.invert() + w_t + d_word)
-        eps_mat = eps_word.eval()
+        eps_mat = ref.word_matrix(eps_word)
     else:
         eps_word = None
-        eps_mat = w_inv @ d_mat.inverse() @ w_mat @ d_mat
+        eps_mat = ref.matmul(ref.matmul(ref.matmul(w_inv, d_mat.inverse()),
+                                        w_mat), d_mat)
 
     v_t = v_mat.map_ring(rt)
-    check_commute = (d.delta_t @ v_t) == (v_t @ sigma_t)
+    check_commute = ref.matmul(d.delta_t, v_t) == ref.matmul(v_t, sigma_t)
     check_start = mat_substitute(sigma_t, base.zero()).is_identity()
-    check_eps = (sigma_t @ eps_mat) == d_mat
+    check_eps = ref.matmul(sigma_t, eps_mat) == d_mat
     check_group = membership(sigma_t, _FLAVORS[d.flavor].group)
 
     one = base.one()
     sigma_1 = mat_substitute(sigma_t, one)
     delta_1 = d.at(one)
-    check_spec = (delta_1 @ v_mat) == (v_mat @ sigma_1)
+    check_spec = ref.matmul(delta_1, v_mat) == ref.matmul(v_mat, sigma_1)
     if mode == "word":
         eps_1 = eps_word.specialize(one)
         d1_mat = mat_substitute(d_mat, one)
-        check_spec_eps = (sigma_1 @ eps_1.eval()) == d1_mat
+        check_spec_eps = ref.matmul(sigma_1, ref.word_matrix(eps_1)) == d1_mat
     else:
-        check_spec_eps = (sigma_1 @ mat_substitute(eps_mat, one)) == \
-            mat_substitute(d_mat, one)
+        check_spec_eps = ref.matmul(
+            sigma_1, mat_substitute(eps_mat, one)) == mat_substitute(d_mat, one)
 
     witness = words.Witness.certify(
         claim,
@@ -719,15 +715,15 @@ def test_sparse_engine_matches_dense(base, flavor, rows, cols, mode):
         d, v, completion = _engine_case(rng, rt, flavor, rows, cols, mode)
         claim = f"homotopy_commute_{flavor}"
         res = _commute_core(d, v, completion, claim)
-        ref = _commute_core_dense(d, v, completion, claim)
+        old = _commute_core_dense(d, v, completion, claim)
         w = completion.lift_to(rt)
         d_mat = block_perp(d.delta_t, identity(rt, cols - rows)) \
             if cols > rows else d.delta_t
         assert res.sigma_t == w.invert().eval() @ d_mat @ w.eval()
-        assert res.sigma_t == ref.sigma_t
-        assert res.epsilon_mat == ref.epsilon_mat
-        assert res.epsilon_word == ref.epsilon_word
-        assert _witness_bytes(res) == _witness_bytes(ref)
+        assert res.sigma_t == old.sigma_t
+        assert res.epsilon_mat == old.epsilon_mat
+        assert res.epsilon_word == old.epsilon_word
+        assert _witness_bytes(res) == _witness_bytes(old)
         assert res.witness.all_passed() == (mode == "word")
         # d(1) ⊥ I is d(1), padded: the substitution the engine skips
         d_1 = d.at(one)
@@ -747,11 +743,9 @@ def test_sparse_engine_matches_dense(base, flavor, rows, cols, mode):
 
 
 def _outcome(fn, *args):
-    """The witness bytes, or the error code."""
-    try:
-        return _witness_bytes(fn(*args))
-    except CgfError as e:
-        return e.code
+    """The witness bytes, or what was raised."""
+    out = ref.outcome(fn, *args)
+    return out if isinstance(out, ref.Raised) else _witness_bytes(out)
 
 
 @pytest.mark.parametrize("cap", range(1, 7))
@@ -772,13 +766,16 @@ def test_small_degree_caps_never_raise_where_dense_returns(cap):
                     except DegreeCapExceeded:
                         continue  # d(T) itself is above the cap
                     claim = f"homotopy_commute_{flavor}"
-                    ref = _outcome(_commute_core_dense, d, v, completion,
+                    old = _outcome(_commute_core_dense, d, v, completion,
                                    claim)
                     got = _outcome(_commute_core, d, v, completion, claim)
-                    if ref == "degree_cap_exceeded":
-                        assert got == ref or got.startswith("{")
+                    if isinstance(old, ref.Raised):
+                        assert old.code == "degree_cap_exceeded"
+                        assert (got.code == old.code
+                                if isinstance(got, ref.Raised)
+                                else got.startswith("{"))
                     else:
-                        assert got == ref
+                        assert got == old
                         returned += 1
     assert returned > 0
 
@@ -830,14 +827,6 @@ def _guard_v(flavor, ring, n, m, kind=None):
     return IsotropicFrame.standard(ring, kind, n, m)
 
 
-def _error_code(fn, *args):
-    try:
-        fn(*args)
-    except CgfError as e:
-        return e.code
-    return "ok"
-
-
 @pytest.mark.parametrize("flavor", sorted(_ENTRIES))
 def test_commute_guards_keep_their_codes(flavor):
     Z9, Z15, F5 = ModularRing(9), ModularRing(15), PrimeField(5)
@@ -878,7 +867,7 @@ def test_commute_guards_keep_their_codes(flavor):
             _guard_homotopy(other, Z9, n, flavor),
             _guard_v(flavor, Z9, n, m, wrong), "descriptor_mismatch")
     for name, (hom, v, code) in cases.items():
-        assert _error_code(entry, hom, v) == code, name
+        assert ref.outcome(entry, hom, v).code == code, name
 
 
 def test_transport_certifies_at_its_smallest_sizes():

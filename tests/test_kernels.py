@@ -1,36 +1,29 @@
-"""The payload kernels against the RingValue loops they replaced.
+"""The payload kernels against the naive reference kernel.
 
-`_column_update` is the column update that `apply_word_right`,
-`apply_word_to_row`, `gen_matrix`, the reduction engines and the orbit
-oracle each carried before they shared `words._apply_gens`; `_matmul` is
-the triple loop `Mat.__matmul__` ran before it shared the payload dot
-product with the determinant.  `_dot_reference` is that dot product's
-term-by-term loop, and `_poly_add`/`_poly_mul` are the R[T] addition and
-multiplication it called, ending in the full canon `_poly_canon`, before
-R[T] fused the sum and trimmed instead; `_term_by_term` is the loop that
-every ring ran before each owned its `dot` and `fma`, and over Z and Z/n
-summed and reduced one product at a time.  `_psi`/`_phi` build the standard
-forms from `block_perp`s, and the form references below multiply by them,
-as membership, the isotropic frames, `sp_inverse` and `orth_inverse` did
-before they shared the signed pair swap `matrices._form`.  The `_ref`
-functions near the end are the `Mat` bodies that read and built boxed ring
-values before `Mat` kept payload rows, and `_full_gram_is_form` is the whole
-product that membership and the frame check compared before they read its
-upper triangle.  `_IntegerQuotientRef` holds the integer-style
-`QuotientRing` bodies from before the quotient took Z/m's arithmetic from
-`ModularRing(m)` (`IntegerRing()` for m = 0), and `_unit_ideal_witness_ref`
-the unit-ideal solver from before `unit_ideal_witness` asked
-`ideal_combination` for the target 1.  All are kept here unchanged as
-references.
+Every fast path here (``_apply_gens`` through the word actions and
+generator matrices, ``Mat.__matmul__`` and the other payload ``Mat`` bodies,
+each ring's ``dot`` and ``fma``, R[T]'s ``_raw_sum`` and ``_horner``, the
+form kernel ``_form`` behind membership, the form inverses and the
+isotropic frames) is compared with ``reference``, which shares no code with
+them.  ``_IntegerQuotientRef`` holds the integer-style ``QuotientRing``
+bodies from before the quotient took Z/m's arithmetic from
+``ModularRing(m)`` (``IntegerRing()`` for m = 0), and
+``_unit_ideal_witness_ref`` the unit-ideal solver from before
+``unit_ideal_witness`` asked ``ideal_combination`` for the target 1; both
+record replaced algorithms, and take their sums of products from the
+reference.
 """
 
+import ast
 import itertools
+import pathlib
 import random
 from math import gcd
 
 import pytest
 
-from cgf.errors import (CgfError, DegreeCapExceeded, FormViolation, NotAUnit,
+import reference as ref
+from cgf.errors import (DegreeCapExceeded, FormViolation, NotAUnit,
                         ShapeMismatch, UnsupportedRing)
 from cgf.factor import sp_inverse
 from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
@@ -53,94 +46,36 @@ RINGS = all_test_rings()
 SETTINGS = hypothesis.settings(max_examples=300, deadline=None,
                                database=None, derandomize=True)
 
-
-def _column_update(rows, gens):
-    # reference: col_t += c col_s on rows of ring values, skipping zero sources
-    rows = [list(r) for r in rows]
-    for g in gens:
-        for target, source, coeff in g.updates():
-            t, s = target - 1, source - 1
-            for r in rows:
-                if not r[s].is_zero():
-                    r[t] = r[t] + coeff * r[s]
-    return rows
+# the kernels that the reference must not reach: a defect in one of them
+# would pass both sides of its own differential test
+FAST_PATHS = {"dot", "fma", "updates", "_payload_updates", "_apply_gens",
+              "eval", "det", "inverse", "_berkowitz", "_charpoly",
+              "membership", "_form", "_gram_is_form", "_raw_sum", "_mac",
+              "_horner"}
 
 
-def _matmul(a, b):
-    # reference: the triple loop over ring values
-    cols = list(zip(*b.entries))
-    zero = a.ring.zero()
-    out = []
-    for row in a.entries:
-        out_row = []
-        for col in cols:
-            acc = zero
-            for x, y in zip(row, col):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return Mat(a.ring, out)
+def _fast_path_uses(source):
+    """(line, what) for each ``@`` and each call of a fast path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in FAST_PATHS or (name or "").startswith("apply_word_"):
+                found.append((node.lineno, name))
+    return found
 
 
-def _poly_canon(ring, payload):
-    # reference: canonical R[T] coefficients, trailing zeros stripped,
-    # degree cap checked
-    coeffs = [ring.base.canon(c) for c in payload]
-    z = ring.base.zero().payload
-    while coeffs and coeffs[-1] == z:
-        coeffs.pop()
-    if len(coeffs) - 1 > ring.degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {len(coeffs) - 1} exceeds cap {ring.degree_cap}")
-    return tuple(coeffs)
-
-
-def _poly_add(ring, a, b):
-    # reference: R[T] addition ending in a full canon
-    n = max(len(a), len(b))
-    z = ring.base.zero().payload
-    out = [ring.base.add(a[i] if i < len(a) else z,
-                         b[i] if i < len(b) else z) for i in range(n)]
-    return _poly_canon(ring, out)
-
-
-def _poly_mul(ring, a, b):
-    # reference: R[T] multiplication ending in a full canon
-    if not a or not b:
-        return ()
-    z = ring.base.zero().payload
-    out = [z] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == z:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = ring.base.add(out[i + j], ring.base.mul(ca, cb))
-    return _poly_canon(ring, out)
-
-
-def _dot_reference(ring, acc, xs, ys):
-    # reference: acc + sum(x * y) one term at a time
-    for x, y in zip(xs, ys):
-        acc = _poly_add(ring, acc, _poly_mul(ring, x, y))
-    return acc
-
-
-def _term_by_term(ring, acc, xs, ys):
-    # reference: add(acc, mul(x, y)) one term at a time, over R[T] with the
-    # reference addition and multiplication
-    if ring.kind == "poly":
-        return _dot_reference(ring, acc, xs, ys)
-    for x, y in zip(xs, ys):
-        acc = ring.add(acc, ring.mul(x, y))
-    return acc
-
-
-def _outcome(fn, *args):
-    """The result, or the DegreeCapExceeded message."""
-    try:
-        return fn(*args)
-    except DegreeCapExceeded as e:
-        return ("raised", str(e))
+def test_reference_kernel_calls_no_fast_path():
+    source = pathlib.Path(ref.__file__).read_text()
+    assert _fast_path_uses(source) == []
+    # the scan sees what it looks for
+    assert [what for _, what in _fast_path_uses(
+        "a @ b\nx @= y\nring.dot(0, xs, ys)\nw.eval()\n"
+        "apply_word_right(m, w)\n_apply_gens(r, rows, gens)\n")] == [
+            "@", "@", "dot", "eval", "apply_word_right", "_apply_gens"]
 
 
 def _random_mat(rng, ring, rows, cols):
@@ -167,10 +102,12 @@ def words(draw, families=(FAMILY_LIN, FAMILY_SP, FAMILY_ORTH)):
 def test_apply_word_right_matches_reference(case, n_rows):
     ring, word, rng = case
     m = _random_mat(rng, ring, n_rows, word.size)
-    assert apply_word_right(m, word) == Mat(ring, _column_update(m.entries,
-                                                                 word.gens))
-    assert word.eval() == Mat(ring, _column_update(
-        identity(ring, word.size).entries, word.gens))
+    assert apply_word_right(m, word) == ref.times_gens(m, word.gens)
+    # the row action agrees with the product of the generator matrices
+    product = ref.identity(ring, word.size)
+    for g in word:
+        product = ref.matmul(product, ref.generator_matrix(g))
+    assert word.eval() == ref.word_matrix(word) == product
 
 
 @SETTINGS
@@ -178,7 +115,8 @@ def test_apply_word_right_matches_reference(case, n_rows):
 def test_apply_word_to_row_matches_reference(case):
     ring, word, rng = case
     row = [ring.random(rng) for _ in range(word.size)]
-    assert apply_word_to_row(row, word) == _column_update([row], word.gens)[0]
+    want = ref.act_rows(ring, [[v.payload for v in row]], word.gens)[0]
+    assert apply_word_to_row(row, word) == [ring.coerce(p) for p in want]
 
 
 @SETTINGS
@@ -186,8 +124,8 @@ def test_apply_word_to_row_matches_reference(case):
 def test_gen_matrix_matches_reference(case):
     ring, word, _ = case
     for g in word:
-        assert gen_matrix(g) == Mat(ring, _column_update(
-            identity(ring, g.size).entries, (g,)))
+        assert gen_matrix(g) == ref.generator_matrix(g) == ref.times_gens(
+            ref.identity(ring, g.size), (g,))
 
 
 @SETTINGS
@@ -198,7 +136,7 @@ def test_matmul_matches_reference(ring_idx, n, k, m, seed):
     ring, rng = RINGS[ring_idx], random.Random(seed)
     a = _random_mat(rng, ring, n, k)
     b = _random_mat(rng, ring, k, m)
-    assert a @ b == _matmul(a, b)
+    assert a @ b == ref.matmul(a, b)
     assert a @ identity(ring, k) == a
 
 
@@ -208,7 +146,7 @@ def test_matmul_matches_reference(ring_idx, n, k, m, seed):
 def test_apply_word_left_matches_eval(case, n_cols):
     ring, word, rng = case
     m = _random_mat(rng, ring, word.size, n_cols)
-    assert apply_word_left(word, m) == word.eval() @ m
+    assert apply_word_left(word, m) == ref.matmul(ref.word_matrix(word), m)
 
 
 POLY_BASES = (ModularRing(9), PrimeField(5), LocalizedIntegers(5),
@@ -226,7 +164,7 @@ def poly_terms(draw):
     def poly():
         coeffs = [base.random(rng).payload
                   for _ in range(rng.randrange(ring.degree_cap + 2))]
-        return _poly_canon(ring, coeffs)
+        return ref.trim(ring, coeffs)
 
     n = draw(st.integers(0, 5))
     return ring, poly(), [poly() for _ in range(n)], [poly()
@@ -243,7 +181,7 @@ def _poly_edge_cases():
         ring = PolyExt(base, "T", degree_cap=2)
 
         def p(*coeffs):
-            return _poly_canon(ring, [base.coerce(c).payload for c in coeffs])
+            return ref.trim(ring, [base.coerce(c).payload for c in coeffs])
         cases += [
             (ring, p(1, 2, 3), [p(2)], [p(3)]),
             (ring, p(1), [p(0, 1), p(2)], [p(0, 1), p(1, 1)]),
@@ -263,13 +201,16 @@ def test_poly_dot_matches_reference(case):
     # the term-by-term loop raises, for dot, fma and the lazy mul over Z and
     # Z/n as for the reducing loop over the other bases
     ring, acc, xs, ys = case
-    expected = _outcome(_dot_reference, ring, acc, xs, ys)
-    assert _outcome(ring.dot, acc, xs, ys) == expected
+    def outcome(fn, *args):
+        return ref.outcome(fn, *args, catch=DegreeCapExceeded)
+
+    expected = outcome(ref.sum_of_products, ring, acc, xs, ys)
+    assert outcome(ring.dot, acc, xs, ys) == expected
     for x, y in zip(xs, ys):
-        assert _outcome(ring.add, x, y) == _outcome(_poly_add, ring, x, y)
-        assert _outcome(ring.mul, x, y) == _outcome(_poly_mul, ring, x, y)
-        assert _outcome(ring.fma, acc, x, y) == _outcome(
-            _dot_reference, ring, acc, (x,), (y,))
+        assert outcome(ring.add, x, y) == outcome(ref.add, ring, x, y)
+        assert outcome(ring.mul, x, y) == outcome(ref.mul, ring, x, y)
+        assert outcome(ring.fma, acc, x, y) == outcome(
+            ref.sum_of_products, ring, acc, (x,), (y,))
 
 
 for _case in _poly_edge_cases():
@@ -288,13 +229,16 @@ def test_ring_dot_and_fma_match_term_by_term(ring_idx, n, seed):
     acc, *terms = (ring.random(rng).payload for _ in range(2 * n + 1))
     xs, ys = terms[:n], terms[n:]
     got = ring.dot(acc, xs, ys)
-    assert got == _term_by_term(ring, acc, xs, ys) and ring.canon(got) == got
+    assert got == ref.sum_of_products(ring, acc, xs, ys)
+    assert ring.canon(got) == got
     for x, y in zip(xs, ys):
-        assert ring.fma(acc, x, y) == _term_by_term(ring, acc, (x,), (y,))
+        assert ring.fma(acc, x, y) == ref.sum_of_products(ring, acc, (x,),
+                                                          (y,))
     # zero operands, which R[T] over Z and Z/n skips without a product
     zero = ring.zero().payload
     xs, ys = [zero, *xs, acc], [acc, *ys, zero]
-    assert ring.dot(acc, xs, ys) == _term_by_term(ring, acc, xs, ys) == got
+    assert ring.dot(acc, xs, ys) == ref.sum_of_products(ring, acc, xs,
+                                                        ys) == got
     assert ring.fma(acc, zero, acc) == acc == ring.fma(acc, acc, zero)
 
 
@@ -302,48 +246,6 @@ def test_ring_dot_and_fma_match_term_by_term(ring_idx, n, seed):
 def test_zero_and_one_are_cached(ring):
     assert ring.zero() == ring.coerce(0) and ring.one() == ring.coerce(1)
     assert ring.zero() is ring.zero() and ring.one() is ring.one()
-
-
-def _psi(ring, n):
-    # reference: block sum of n copies of [[0,1],[-1,0]]
-    blk = Mat(ring, [[0, 1], [-1, 0]])
-    out = blk
-    for _ in range(n - 1):
-        out = out.block_perp(blk)
-    return out
-
-
-def _phi(ring, n):
-    # reference: block sum of n copies of [[0,1],[1,0]]
-    blk = Mat(ring, [[0, 1], [1, 0]])
-    out = blk
-    for _ in range(n - 1):
-        out = out.block_perp(blk)
-    return out
-
-
-def _form_ref(family, ring, n):
-    return _psi(ring, n) if family == FAMILY_SP else _phi(ring, n)
-
-
-def _membership_ref(a, family):
-    # reference: a^t F a == F
-    f = _form_ref(family, a.ring, a.rows // 2)
-    return a.transpose() @ f @ a == f
-
-
-def _inverse_ref(a, family):
-    # reference: (-psi) d^t psi, and phi a^t phi
-    f = _form_ref(family, a.ring, a.rows // 2)
-    return (-f if family == FAMILY_SP else f) @ a.transpose() @ f
-
-
-def _frame_ref(v, family):
-    # reference: whether V F_m V^t == F_n, and F_m V^t F_n^-1
-    fm = _form_ref(family, v.ring, v.cols // 2)
-    fn = _form_ref(family, v.ring, v.rows // 2)
-    fn_inv = -fn if family == FAMILY_SP else fn
-    return v @ fm @ v.transpose() == fn, fm @ v.transpose() @ fn_inv
 
 
 FORM_WORDS = words(families=(FAMILY_SP, FAMILY_ORTH))
@@ -359,9 +261,9 @@ def _member_and_other(case):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_form_matrices_match_block_sums(ring):
     for n in range(1, 5):
-        assert psi(ring, n) == _psi(ring, n)
+        assert psi(ring, n) == ref.form_matrix(FAMILY_SP, ring, n)
         if has_half(ring):
-            assert phi(ring, n) == _phi(ring, n)
+            assert phi(ring, n) == ref.form_matrix(FAMILY_ORTH, ring, n)
 
 
 @SETTINGS
@@ -369,8 +271,8 @@ def test_form_matrices_match_block_sums(ring):
 def test_form_kernel_matches_products(case, n_cols):
     ring, word, rng = case
     m = _random_mat(rng, ring, word.size, n_cols)
-    assert _form(word.family, m) == _form_ref(word.family, ring,
-                                              word.size // 2) @ m
+    assert _form(word.family, m) == ref.matmul(
+        ref.form_matrix(word.family, ring, word.size // 2), m)
 
 
 @SETTINGS
@@ -378,8 +280,8 @@ def test_form_kernel_matches_products(case, n_cols):
 def test_membership_matches_reference(case):
     group = "Sp" if case[1].family == FAMILY_SP else "O"
     member, other = _member_and_other(case)
-    assert membership(member, group) and _membership_ref(member, case[1].family)
-    assert membership(other, group) == _membership_ref(other, case[1].family)
+    assert membership(member, group) and ref.is_member(member, case[1].family)
+    assert membership(other, group) == ref.is_member(other, case[1].family)
 
 
 @SETTINGS
@@ -387,8 +289,8 @@ def test_membership_matches_reference(case):
 def test_form_inverse_matches_reference(case):
     inverse = sp_inverse if case[1].family == FAMILY_SP else orth_inverse
     for a in _member_and_other(case):
-        assert inverse(a) == _inverse_ref(a, case[1].family)
-    assert inverse(case[1].eval()) == case[1].invert().eval()
+        assert inverse(a) == ref.form_inverse(a, case[1].family)
+    assert inverse(case[1].eval()) == ref.word_matrix(case[1].invert())
 
 
 @SETTINGS
@@ -400,14 +302,14 @@ def test_isotropic_frame_matches_reference(case, cut):
     n_rows = max(2, case[1].size - 2 * cut)
     for a in _member_and_other(case):
         v = a.submatrix(0, n_rows, 0, a.cols)
-        is_frame, beta = _frame_ref(v, family)
+        is_frame = ref.is_frame(v, family)
         try:
             frame = IsotropicFrame(v, family)
         except FormViolation:
             assert not is_frame
             continue
         assert is_frame
-        assert frame.right_inverse().beta == beta
+        assert frame.right_inverse().beta == ref.frame_beta(v, family)
 
 
 def test_form_inverse_needs_an_even_square_matrix():
@@ -447,61 +349,6 @@ def test_form_paths_count_products(monkeypatch):
             assert (len(calls), len(dots)) == (expected, n_dots), fn
 
 
-# The boxed Mat bodies that the payload-native Mat replaced, kept unchanged
-# as references: each reads ring values from `entries` and builds its
-# result through `Mat(ring, ...)`, which coerces every entry again.
-
-def _add_ref(a, b):
-    return Mat(a.ring, [[x + y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(a.entries, b.entries)])
-
-
-def _sub_ref(a, b):
-    return Mat(a.ring, [[x - y for x, y in zip(r1, r2)]
-                        for r1, r2 in zip(a.entries, b.entries)])
-
-
-def _neg_ref(a):
-    return Mat(a.ring, [[-x for x in row] for row in a.entries])
-
-
-def _scale_ref(a, c):
-    return Mat(a.ring, [[c * x for x in row] for row in a.entries])
-
-
-def _transpose_ref(a):
-    return Mat(a.ring, list(zip(*a.entries)))
-
-
-def _block_perp_ref(a, b):
-    zero = a.ring.zero()
-    out = [list(row) + [zero] * b.cols for row in a.entries]
-    out += [[zero] * a.cols + list(row) for row in b.entries]
-    return Mat(a.ring, out)
-
-
-def _submatrix_ref(a, r0, r1, c0, c1):
-    return Mat(a.ring, [row[c0:c1] for row in a.entries[r0:r1]])
-
-
-def _is_identity_ref(a):
-    if a.rows != a.cols:
-        return False
-    one, zero = a.ring.one(), a.ring.zero()
-    return all(e == (one if i == j else zero)
-               for i, row in enumerate(a.entries) for j, e in enumerate(row))
-
-
-def _horner_ref(ring, a, t):
-    # reference: Horner through the base ring's fma, one call per
-    # coefficient, as R[T] evaluated over every base before Z and Z/n
-    # summed exactly and reduced once
-    acc = ring.base.zero().payload
-    for c in reversed(a):
-        acc = ring.base.fma(c, acc, t)
-    return acc
-
-
 RAW_BASES = (IntegerRing(), ModularRing(9), ModularRing(4), ModularRing(1),
              PrimeField(5), QuotientRing(IntegerRing(), [6]),
              QuotientRing(ModularRing(12), [8]))
@@ -512,6 +359,9 @@ def test_fma_matches_raw_sum_around_the_cap(base):
     # the one-product fma against _raw_sum's one-pair path, for products
     # whose untrimmed degree is cap - 1, cap, cap + 1 and cap + 2: the same
     # payload, or DegreeCapExceeded with the same message
+    def outcome(fn, *args):
+        return ref.outcome(fn, *args, catch=DegreeCapExceeded)
+
     rng = random.Random(f"fma:{base}")
     nonzero = [p for p in (base.canon(k) for k in range(1, 13)) if p]
     seen = set()
@@ -528,22 +378,22 @@ def test_fma_matches_raw_sum_around_the_cap(base):
             degree = min(cap + rng.randint(-1, 2), 2 * cap)
             da = rng.randint(max(0, degree - cap), min(cap, degree))
             c, x = poly(da), poly(degree - da)
-            acc = _poly_canon(ring, [base.random(rng).payload
-                                     for _ in range(rng.randint(0, cap + 1))])
-            got = _outcome(ring.fma, acc, c, x)
-            assert got == _outcome(ring._raw_sum, acc, ((c, x),))
-            assert got == _outcome(_dot_reference, ring, acc, (c,), (x,))
-            assert got == _outcome(ring.fma, acc, x, c)
+            acc = ref.trim(ring, [base.random(rng).payload
+                                  for _ in range(rng.randint(0, cap + 1))])
+            got = outcome(ring.fma, acc, c, x)
+            assert got == outcome(ring._raw_sum, acc, ((c, x),))
+            assert got == outcome(ref.sum_of_products, ring, acc, (c,), (x,))
+            assert got == outcome(ring.fma, acc, x, c)
             if c:
-                seen.add((degree - cap, got[:1] != ("raised",)))
+                seen.add((degree - cap, not isinstance(got, ref.Raised)))
     if not base.is_zero_ring:
         assert {(-1, True), (0, True), (1, False), (2, False)} <= seen
 
 
 @pytest.mark.parametrize("base", RAW_BASES, ids=str)
 def test_raw_horner_matches_the_fma_loop(base):
-    # the exact Horner reduced once against the base ring's fma loop, at
-    # 0, 1 and random points, over R[T] up to the default cap
+    # the exact Horner reduced once against the reference Horner, at 0, 1
+    # and random points, over R[T] up to the default cap
     rng = random.Random(f"horner:{base}")
     ring = PolyExt(base, "T")
     assert ring._raw
@@ -553,37 +403,7 @@ def test_raw_horner_matches_the_fma_loop(base):
                         for _ in range(rng.choice((0, 1, 2, 3, 8, 65)))])
         for t in points + [base.random(rng).payload]:
             got = ring._horner(a, t)
-            assert got == _horner_ref(ring, a, t) and base.canon(got) == got
-
-
-def _map_ring_ref(a, new_ring, fn=None):
-    fn = fn or new_ring.coerce
-    return Mat(new_ring, [[fn(e) for e in row] for row in a.entries])
-
-
-def _mat_substitute_ref(m, t):
-    rt = m.ring
-    return Mat(rt.base, [[rt.eval_at(e.payload, t) for e in row]
-                         for row in m.entries])
-
-
-def _to_json_ref(a):
-    return {"rows": a.rows, "cols": a.cols, "ring": a.ring.to_json(),
-            "entries": [[e.to_json() for e in row] for row in a.entries]}
-
-
-def _full_gram_is_form(kind, xs_mat, ys_mat):
-    # reference: the whole product G = xs_mat @ ys_mat compared with F
-    g = xs_mat @ ys_mat
-    return g == _form(kind, identity(g.ring, g.rows))
-
-
-def _raised(fn, *args):
-    """The result, or the class and message of the CgfError raised."""
-    try:
-        return fn(*args)
-    except CgfError as e:
-        return ("raised", type(e).__name__, str(e))
+            assert got == ref.horner(ring, a, t) and base.canon(got) == got
 
 
 def _fresh(m):
@@ -603,28 +423,30 @@ def test_payload_ops_match_boxed_reference(ring_idx, n, m, seed):
     r1, c1 = rng.randint(r0 + 1, n), rng.randint(c0 + 1, m)
     rt = PolyExt(ring, "T")
     for got, expected in (
-            (a + b, _add_ref(a, b)), (a - b, _sub_ref(a, b)),
-            (-a, _neg_ref(a)), (a.scale(c), _scale_ref(a, c)),
-            (a.scale(-3), _scale_ref(a, -3)),
-            (a.transpose(), _transpose_ref(a)),
-            (a.block_perp(other), _block_perp_ref(a, other)),
-            (a.submatrix(r0, r1, c0, c1), _submatrix_ref(a, r0, r1, c0, c1)),
-            (a.map_ring(rt), _map_ring_ref(a, rt)),
-            (a.map_ring(ring), _map_ring_ref(a, ring)),
-            (a.map_ring(rt, rt.embed_const), _map_ring_ref(a, rt,
-                                                           rt.embed_const))):
+            (a + b, ref.mat_add(a, b)), (a - b, ref.mat_add(a, ref.mat_neg(b))),
+            (-a, ref.mat_neg(a)), (a.scale(c), ref.scale(a, c)),
+            (a.scale(-3), ref.scale(a, -3)),
+            (a.transpose(), ref.transpose(a)),
+            (a.block_perp(other), ref.block_perp(a, other)),
+            (a.submatrix(r0, r1, c0, c1), ref.submatrix(a, r0, r1, c0, c1)),
+            (a.map_ring(rt), ref.map_ring(a, rt)),
+            (a.map_ring(ring), ref.map_ring(a, ring)),
+            (a.map_ring(rt, rt.embed_const), ref.map_ring(a, rt,
+                                                          rt.embed_const))):
         assert got == expected and hash(got) == hash(expected)
-        assert got.to_json() == _to_json_ref(expected)
+        assert got.to_json() == ref.to_json(expected)
         assert repr(_fresh(got)) == repr(expected)
     squares = [a, identity(ring, n)]
     if n <= m:
         squares.append(identity(ring, n) + b.submatrix(0, n, 0, n))
     for square in squares:
-        assert square.is_identity() == _is_identity_ref(square)
+        assert square.is_identity() == ref.is_identity(square)
     # a value or a ring from elsewhere is refused as the boxed code did
     alien = ModularRing(7)
-    assert _raised(a.scale, alien.one()) == _raised(_scale_ref, a, alien.one())
-    assert _raised(a.map_ring, alien) == _raised(_map_ring_ref, a, alien)
+    assert ref.outcome(a.scale, alien.one()) == ref.outcome(
+        ref.scale, a, alien.one())
+    assert ref.outcome(a.map_ring, alien) == ref.outcome(
+        ref.map_ring, a, alien)
 
 
 @hypothesis.settings(SETTINGS, max_examples=100)
@@ -651,10 +473,10 @@ def test_mat_substitute_matches_reference(base, n, m, seed):
     rt = PolyExt(base, "T")
     mt = _random_mat(rng, rt, n, m)
     for t in (base.zero(), base.one(), base.random(rng)):
-        assert mat_substitute(mt, t) == _mat_substitute_ref(mt, t)
+        assert mat_substitute(mt, t) == ref.substitute(mt, t)
     alien = PolyExt(base, "T").one()
-    assert _raised(mat_substitute, mt, alien) == \
-        _raised(_mat_substitute_ref, mt, alien)
+    assert ref.outcome(mat_substitute, mt, alien) == ref.outcome(
+        ref.substitute, mt, alien)
 
 
 @hypothesis.settings(SETTINGS, max_examples=100)
@@ -666,9 +488,7 @@ def test_constant_terms_are_horner_at_zero(base, n, m, seed):
     rt = PolyExt(base, "T")
     for ring in (rt, PolyExt(rt, "S")):
         mt = _random_mat(rng, ring, n, m)
-        zero = ring.base.zero().payload
-        horner = Mat._box(ring.base, [[ring._horner(p, zero) for p in row]
-                                      for row in mt._grid])
+        horner = ref.substitute(mt, ring.base.zero())
         assert _constant_terms(mt) == horner
         assert mat_substitute(mt, ring.base.zero()) == horner
 
@@ -681,13 +501,12 @@ def test_upper_triangle_matches_full_product(case, cut):
     kind, group = (("sp", "Sp") if case[1].family == FAMILY_SP
                    else ("orth", "O"))
     for a in _member_and_other(case):
-        assert membership(a, group) == _full_gram_is_form(
-            kind, a.transpose(), _form(kind, a))
+        assert membership(a, group) == ref.is_member(a, kind)
         v = a.submatrix(0, max(2, a.rows - 2 * cut), 0, a.cols)
-        full = _full_gram_is_form(kind, v, _form(kind, v.transpose()))
-        assert _raised(IsotropicFrame, v, kind) == (
-            IsotropicFrame(v, kind) if full else
-            ("raised", "FormViolation", "V F_m V^t != F_n"))
+        assert ref.outcome(IsotropicFrame, v, kind) == (
+            IsotropicFrame(v, kind) if ref.is_frame(v, kind) else
+            ref.Raised(FormViolation, "form_violation", "V F_m V^t != F_n",
+                       {}))
 
 
 @hypothesis.settings(SETTINGS, max_examples=150)
@@ -703,8 +522,8 @@ def test_upper_triangle_raises_like_full_product(kind, pairs, cap, seed):
     a = Mat(rt, [[rt.coerce([rng.randrange(5) for _ in range(
         rng.randint(0, cap + 1))]) for _ in range(size)] for _ in range(size)])
     group = "Sp" if kind == "sp" else "O"
-    assert _raised(membership, a, group) == _raised(
-        _full_gram_is_form, kind, a.transpose(), _form(kind, a))
+    assert ref.outcome(membership, a, group) == ref.outcome(
+        ref.is_member, a, kind)
 
 
 def _count_values(monkeypatch):
@@ -773,7 +592,7 @@ def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):
 class _IntegerQuotientRef:
     # reference: the integer-style QuotientRing bodies, before the quotient
     # took its arithmetic from ModularRing(m) / IntegerRing(); it had no
-    # dot or fma of its own, so those are the Ring defaults
+    # dot or fma of its own, so those are the reference sums of products
     def __init__(self, ring):
         m = 0 if isinstance(ring.base, IntegerRing) else ring.base.n
         for g in ring.gens:
@@ -795,14 +614,6 @@ class _IntegerQuotientRef:
 
     def neg(self, a):
         return self._reduce(-a)
-
-    def dot(self, acc, xs, ys):
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
-
-    def fma(self, a, c, x):
-        return self.add(a, self.mul(c, x))
 
     def is_unit_payload(self, a):
         if self.modulus == 0:
@@ -883,7 +694,8 @@ def _unit_ideal_witness_ref(ring, values):
         zero, one = ring.zero().payload, ring.one().payload
         payloads = [v.payload for v in values]
         for combo in itertools.product(pool, repeat=len(values)):
-            if ring.dot(zero, [c.payload for c in combo], payloads) == one:
+            if ref.sum_of_products(ring, zero, [c.payload for c in combo],
+                                   payloads) == one:
                 return list(combo)
         return None
     raise UnsupportedRing(f"no unit-ideal test for {ring}")
@@ -900,47 +712,41 @@ Z_MOD_0 = QuotientRing(_Z, [0])
 Z_MOD_0_SAMPLE = list(range(-12, 13)) + [2 ** 70 + 1, -(3 ** 50)]
 
 
-def _inverse_outcome(fn, a):
-    try:
-        return fn(a)
-    except NotAUnit as e:
-        return ("raised", str(e))
-
-
 def _check_integer_quotient(q, payloads):
-    ref = _IntegerQuotientRef(q)
-    assert q.modulus == ref.modulus
+    old = _IntegerQuotientRef(q)
+    assert q.modulus == old.modulus
     for a in payloads:
-        assert q.neg(a) == ref.neg(a)
-        assert q.is_unit_payload(a) == ref.is_unit_payload(a)
-        assert q.is_nilpotent_payload(a) == ref.is_nilpotent_payload(a)
-        assert q.sort_key(a) == ref.sort_key(a)
-        got, want = (_inverse_outcome(q.inverse_payload, a),
-                     _inverse_outcome(ref.inverse_payload, a))
-        if ref.modulus == 0 and isinstance(want, tuple):
+        assert q.neg(a) == old.neg(a)
+        assert q.is_unit_payload(a) == old.is_unit_payload(a)
+        assert q.is_nilpotent_payload(a) == old.is_nilpotent_payload(a)
+        assert q.sort_key(a) == old.sort_key(a)
+        got, want = (ref.outcome(q.inverse_payload, a, catch=NotAUnit),
+                     ref.outcome(old.inverse_payload, a, catch=NotAUnit))
+        if old.modulus == 0 and isinstance(want, ref.Raised):
             # Z/(0) now answers with Z's own message
-            want = ("raised", want[1] + " in Z")
+            want = ref.Raised(NotAUnit, "not_a_unit", want.message + " in Z",
+                              {})
         assert got == want
         for b in payloads:
             for op in ("add", "sub", "mul"):
-                assert getattr(q, op)(a, b) == getattr(ref, op)(a, b)
+                assert getattr(q, op)(a, b) == getattr(old, op)(a, b)
             for c in payloads[:6]:
-                assert q.fma(a, b, c) == ref.fma(a, b, c)
-                assert q.dot(a, [b, c, a], [c, a, b]) == \
-                    ref.dot(a, [b, c, a], [c, a, b])
+                assert q.fma(a, b, c) == ref.sum_of_products(q, a, [b], [c])
+                assert q.dot(a, [b, c, a], [c, a, b]) == ref.sum_of_products(
+                    q, a, [b, c, a], [c, a, b])
 
 
 @pytest.mark.parametrize("q", FINITE_INTEGER_QUOTIENTS, ids=str)
 def test_integer_quotient_matches_reference(q):
-    ref = _IntegerQuotientRef(q)
+    old = _IntegerQuotientRef(q)
     elements = list(q.elements())
-    assert [v.payload for v in elements] == ref.elements()
+    assert [v.payload for v in elements] == old.elements()
     assert all(v.ring is q for v in elements)
     assert q.cardinality() == len(elements)
-    _check_integer_quotient(q, ref.elements())
+    _check_integer_quotient(q, old.elements())
     for seed in range(20):
         v = q.random(random.Random(seed))
-        assert v.ring is q and v.payload == ref.random(random.Random(seed))
+        assert v.ring is q and v.payload == old.random(random.Random(seed))
 
 
 def test_integer_quotient_of_zero_ideal_matches_reference():
@@ -949,8 +755,8 @@ def test_integer_quotient_of_zero_ideal_matches_reference():
     _check_integer_quotient(q, Z_MOD_0_SAMPLE)
     for seed in range(20):
         v = q.random(random.Random(seed))
-        ref = _IntegerQuotientRef(q).random(random.Random(seed))
-        assert v.ring is q and v.payload == ref
+        old = _IntegerQuotientRef(q).random(random.Random(seed))
+        assert v.ring is q and v.payload == old
     for fn in (q.elements, q.cardinality):
         with pytest.raises(UnsupportedRing):
             fn()
@@ -989,10 +795,8 @@ def test_unit_ideal_witness_matches_reference(ring):
             assert (got is None) == (
                 _unit_ideal_witness_ref(ring, values) is None), values
             if got is not None:
-                total = ring.zero()
-                for c, v in zip(got, values):
-                    total = total + c * v
-                assert total == ring.one()
+                assert ref.combination(ring, got, values) == \
+                    ring.one().payload
 
 
 def test_unit_ideal_witness_over_z_mod_0_matches_reference():
@@ -1004,5 +808,4 @@ def test_unit_ideal_witness_over_z_mod_0_matches_reference():
         assert (got is None) == (
             _unit_ideal_witness_ref(Z_MOD_0, values) is None), values
         if got is not None:
-            assert sum((c * v for c, v in zip(got, values)),
-                       Z_MOD_0.zero()) == Z_MOD_0.one()
+            assert ref.combination(Z_MOD_0, got, values) == 1

@@ -4,11 +4,11 @@ import hashlib
 import itertools
 import json
 import threading
-import time
 from math import gcd
 
 import pytest
 
+import reference as ref
 from cgf import oracle
 from cgf.errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
                         ObjectOutOfDomain, SearchBudgetExceeded, ShapeMismatch,
@@ -18,10 +18,9 @@ from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
                        QuotientRing, TruncatedPolyLocal, _residue_modulus,
                        unit_ideal_witness)
-from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, _apply_gens,
-                       apply_word_to_row)
+from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
 
-from conftest import local_test_rings
+from conftest import local_test_rings, within
 
 
 def test_um2_z2_single_orbit_of_three():
@@ -190,31 +189,10 @@ def test_large_ring_tables_meet_their_budget_quickly():
     assert results[1].orbit_of == {((1, 0),): 0}
 
 
-def _within(seconds, call):
-    # run ``call`` in a thread with a deadline; its result, or the
-    # exception it raised.  The clock is read as well: one long C call
-    # (a huge int power) holds the interpreter lock past the join's timeout
-    results = []
-
-    def run():
-        try:
-            results.append(call())
-        except Exception as e:  # the caller checks which
-            results.append(e)
-
-    start = time.monotonic()
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive() and len(results) == 1
-    assert time.monotonic() - start < seconds
-    return results[0]
-
-
 def test_a_huge_row_size_meets_its_budget_quickly():
     # 2^(10^30) is never formed: the budget check multiplies by q until the
     # product passes the budget
-    got = _within(10, lambda: enumerate_orbits(
+    got = within(10, lambda: enumerate_orbits(
         ModularRing(2), "row", FAMILY_LIN, 10 ** 30, budget=10 ** 5))
     assert isinstance(got, SearchBudgetExceeded)
     assert got.message == f"2^{10 ** 30} objects exceed budget 100000"
@@ -223,7 +201,7 @@ def test_a_huge_row_size_meets_its_budget_quickly():
 def test_zero_ring_rows_of_a_large_size_answer_quickly():
     # Z/1 has no nonzero parameter, so the catalog is empty without its
     # size^2 (i, j) loop; the one row of zeros is its own orbit
-    got = _within(10, lambda: enumerate_orbits(
+    got = within(10, lambda: enumerate_orbits(
         ModularRing(1), "row", FAMILY_LIN, 10 ** 5, budget=10 ** 5))
     assert isinstance(got, OrbitTable)
     assert got.orbit_of == {(0,) * 10 ** 5: 0}
@@ -238,8 +216,8 @@ def test_an_oversized_frame_table_is_refused_before_its_catalog(ring, family,
                                                                 size):
     # the catalog alone would hold size^2 (q - 1) generators; the orbit's
     # lower bound passes the budget first, with the BFS's own message
-    got = _within(10, lambda: enumerate_orbits(ring, "frame", family, size,
-                                               frame_rows=1))
+    got = within(10, lambda: enumerate_orbits(ring, "frame", family, size,
+                                              frame_rows=1))
     assert isinstance(got, SearchBudgetExceeded)
     assert got.message == "orbit table exceeded budget 10000000"
 
@@ -255,7 +233,7 @@ def test_the_frame_refusal_keeps_the_error_order():
             (lambda: enumerate_orbits(ModularRing(4), "frame", FAMILY_ORTH,
                                       3000, frame_rows=1),
              HalfNotInvertible)):
-        assert type(_within(10, call)) is error
+        assert type(within(10, call)) is error
     # a bound of one object never refuses, as the BFS never refuses the
     # standard frame alone: no orth generator exists at size 2
     table = enumerate_orbits(PrimeField(3), "frame", FAMILY_ORTH, 2,
@@ -545,11 +523,11 @@ def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
 
 
 def _act_ref(table, key, g):
-    # reference action: the shared kernel on one generator, a row key
-    # acting as a one-row frame
-    rows = [list(key)] if table.kind == "row" else [list(r) for r in key]
-    out = _apply_gens(table.ring, rows, (g,))
-    return tuple(out[0]) if table.kind == "row" else tuple(map(tuple, out))
+    # reference action: the reference kernel's row action on one
+    # generator, a row key acting as a one-row frame
+    rows = [key] if table.kind == "row" else key
+    out = ref.act_rows(table.ring, rows, (g,))
+    return out[0] if table.kind == "row" else tuple(out)
 
 
 _COMPILED_ACTION_CASES = [
@@ -580,8 +558,8 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
             code = codec.encode(key)
             got = codec.step(code, codec.digits(code), updates)
             assert codec.decode(got) == _act_ref(table, key, g)
-            if all(row[s] == zero for row in rows_of(key)
-                   for _, s, _ in g._payload_updates()):
+            if all(row[s - 1] == zero for row in rows_of(key)
+                   for s, _, _ in ref.generator_entries(g)):
                 assert got == code
 
 

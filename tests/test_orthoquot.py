@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import reference as ref
 from cgf.errors import (NotOrthogonal, SizeBound,
                         UnsupportedPresentation)
 from cgf.homotopy import Homotopy
@@ -24,7 +25,7 @@ def _enumerate_o2(ring):
     pool = list(ring.elements())
     for a, b, c, d in itertools.product(pool, repeat=4):
         m = Mat(ring, [[a, b], [c, d]])
-        if membership(m, "O"):
+        if ref.is_member(m, FAMILY_ORTH):
             out.append(m)
     return out
 

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import reference as ref
 from cgf import matrices, orthoquot
 from cgf.errors import (CgfError, NoUnitEntry, NotLocal, NotRightInvertible,
                         SizeBound)
@@ -187,11 +188,9 @@ def test_pivot_determinism():
 # merged into one sweep, so every word must stay generator-for-generator
 # identical and every error must keep its code, message and context.
 
-def _outcome(f, *args, **kwargs):
-    try:
-        out = f(*args, **kwargs)
-    except CgfError as e:
-        return e.to_json()
+def _as_json(f, *args, **kwargs):
+    """The JSON of f's word (or words), or of the error it raised."""
+    out = ref.outcome(f, *args, **kwargs)
     if isinstance(out, tuple):
         return [x.to_json() for x in out]
     return out.to_json()
@@ -211,7 +210,7 @@ def _golden_rows(reduce):
             if m == 4 and len(elements) > 5:
                 continue
             for combo in itertools.product(elements, repeat=m):
-                out.append(_outcome(reduce, Mat(ring, [list(combo)])))
+                out.append(_as_json(reduce, Mat(ring, [list(combo)])))
     return out
 
 
@@ -222,11 +221,11 @@ def _golden_complete_linear():
         for n, m in ((1, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4), (3, 4)):
             for _ in range(6):
                 v, _ = random_unimodular_rows(rng, ring, n, m, 6)
-                out.append(_outcome(complete_um_linear, v))
+                out.append(_as_json(complete_um_linear, v))
             for _ in range(3):
                 v = Mat(ring, [[ring.random(rng) for _ in range(m)]
                                for _ in range(n)])
-                out.append(_outcome(complete_um_linear, v))
+                out.append(_as_json(complete_um_linear, v))
     return out
 
 
@@ -237,10 +236,10 @@ def _golden_complete_sp():
         for n, m in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3)):
             for _ in range(5):
                 fr, _ = random_frame(rng, ring, "sp", n, m, 6)
-                out.append(_outcome(complete_sp, fr))
+                out.append(_as_json(complete_sp, fr))
         for _ in range(3):
             d = random_word(rng, ring, FAMILY_SP, 2, 4).eval()
-            out.append(_outcome(whitehead_symplectic, d))
+            out.append(_as_json(whitehead_symplectic, d))
     return out
 
 
@@ -260,13 +259,13 @@ def _golden_complete_orth():
                     # pivots inside the only pair: the transport needs room
                     fr = IsotropicFrame(Mat(ring, [[u, 0], [0, u.inverse()]]),
                                         "orth")
-                    out.append(_outcome(complete_orth, fr, permissive=True))
-                    out.append(_outcome(complete_orth, fr))
+                    out.append(_as_json(complete_orth, fr, permissive=True))
+                    out.append(_as_json(complete_orth, fr))
             for n, m in ((1, 2), (2, 3), (1, 3), (1, 4), (2, 4), (2, 5)):
                 for _ in range(5):
                     fr, _ = random_frame(rng, ring, "orth", n, m, 6)
-                    out.append(_outcome(complete_orth, fr, permissive=True))
-                out.append(_outcome(complete_orth, fr))
+                    out.append(_as_json(complete_orth, fr, permissive=True))
+                out.append(_as_json(complete_orth, fr))
     return out
 
 
@@ -287,7 +286,7 @@ def _golden_transvections():
                     a = ring.random(rng)
                     r[i] = r[i] + a * c[j]
                     r[j] = r[j] - a * c[i]
-                out.append(_outcome(transvection_factor,
+                out.append(_as_json(transvection_factor,
                                     Mat(ring, [[x] for x in c]),
                                     Mat(ring, [r])))
     return out
@@ -305,7 +304,7 @@ def _golden_vaserstein():
                 w = random_word(rng, ring, FAMILY_ORTH, 2 * m, 8).eval()
                 twist = identity(ring, 2 * m - 2).block_perp(corners[t % 3])
                 a = twist @ w if t % 2 else w @ twist
-                out.append(_outcome(vaserstein_quotient, a))
+                out.append(_as_json(vaserstein_quotient, a))
     return out
 
 

@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+import reference as ref
 from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
                         UnsupportedQuotient, UnsupportedRing)
 from cgf.matrices import Mat
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
                        RationalField, TruncatedPolyLocal, _factor, _is_prime,
-                       _prime_power_base, _residue_modulus, arith, inverse, is_unit,
+                       _prime_power_base, _residue_modulus,
+                       _strong_probable_prime, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
                        substitute, unit_ideal_witness, ideal_combination)
 
@@ -110,10 +112,8 @@ def test_pivot_existence_on_local_rings():
             tup = [rng.choice(pool) for _ in range(3)]
             witness = unit_ideal_witness(ring, tup)
             if witness is not None:
-                total = ring.zero()
-                for c, v in zip(witness, tup):
-                    total = total + c * v
-                assert total == ring.one()
+                assert ref.combination(ring, witness, tup) == \
+                    ring.one().payload
                 assert any(v.is_unit() for v in tup)
 
 
@@ -252,6 +252,53 @@ def test_factor_by_trial_division():
     assert _prime_power_base(2 * (10 ** 12 + 39)) is None
 
 
+def test_classifier_matches_trial_division_below_10_5():
+    for n in range(-2, 10 ** 5):
+        factors = list(_factor(n))
+        assert _is_prime(n) == (factors == [(n, 1)]), n
+        assert _prime_power_base(n) == (
+            factors[0][0] if len(factors) == 1 else None), n
+
+
+# the first 13 prime bases decide primality exactly below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); M89 = 2^89 - 1 is a prime
+# above it
+_MR_BOUND = 3317044064679887385961981
+_M89 = 2 ** 89 - 1
+
+
+def test_classifier_on_strong_pseudoprimes_and_large_moduli():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases: a later
+    # base proves each composite
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for n, liars in ((3215031751, 4), (3825123056546413051, 11),
+                     (318665857834031151167461, 12)):
+        assert all(_strong_probable_prime(n, a) for a in bases[:liars])
+        assert not _is_prime(n) and _prime_power_base(n) is None
+        assert not ModularRing(n).is_local
+    # the bound itself is composite and fools all 13 bases
+    with pytest.raises(UnsupportedRing):
+        _is_prime(_MR_BOUND)
+    p, q = 10 ** 18 + 3, 10 ** 18 + 9
+    assert _is_prime(p) and _is_prime(q) and not _is_prime(p * q)
+    assert [_prime_power_base(n) for n in (p, p ** 3, p * q, 2 * p ** 2,
+                                           p ** 2 * q)] == [
+        p, p, None, None, None]
+    assert ModularRing(p ** 2).is_local and not ModularRing(p ** 2).is_field
+    assert PrimeField(p).is_field
+    # above the bound a composite is still proven composite, and a probable
+    # prime is refused rather than guessed
+    assert _M89 > _MR_BOUND and p * q * q > _MR_BOUND
+    assert not _is_prime(_M89 * p) and _prime_power_base(_M89 * p) is None
+    assert _prime_power_base(p * q * q) is None
+    for build in (ModularRing, PrimeField, LocalizedIntegers,
+                  lambda n: TruncatedPolyLocal(n, 2),
+                  lambda n: ModularRing(n ** 2)):
+        with pytest.raises(UnsupportedRing, match="cannot decide whether "
+                           f"{_M89} is prime"):
+            build(_M89)
+
+
 # ---------------------------------------------------------------------------
 # descriptor flags and tree
 
@@ -354,5 +401,5 @@ def test_ideal_combination_mod4():
     gens = [R.coerce(2)]
     q = ideal_combination(R, gens, R.coerce(2))
     assert q is not None
-    assert sum((c * g for c, g in zip(q, gens)), R.zero()) == R.coerce(2)
+    assert ref.combination(R, q, gens) == 2
     assert ideal_combination(R, gens, R.coerce(1)) is None

@@ -5,6 +5,7 @@ and signed Bezout witnesses over the integers."""
 import random
 import warnings
 
+import reference as ref
 from cgf import (Homotopy, IsotropicFrame, IntegerRing, LocalizedIntegers,
                  Mat, ModularRing, PolyExt, PrimeField, TruncatedPolyLocal,
                  block_perp, complete_orth, complete_sp, complete_um_linear,
@@ -68,14 +69,11 @@ def test_bezout_witnesses_with_negative_integers():
         values = [Z.coerce(v) for v in vals]
         w = unit_ideal_witness(Z, values)
         assert w is not None
-        total = Z.zero()
-        for c, v in zip(w, values):
-            total = total + c * v
-        assert total == Z.one()
+        assert ref.combination(Z, w, values) == 1
     assert unit_ideal_witness(Z, [Z.coerce(-4), Z.coerce(6)]) is None
 
     gens = [Z.coerce(-6), Z.coerce(10)]
     q = ideal_combination(Z, gens, Z.coerce(4))
     assert q is not None
-    assert sum((c * g for c, g in zip(q, gens)), Z.zero()) == Z.coerce(4)
+    assert ref.combination(Z, q, gens) == 4
     assert ideal_combination(Z, gens, Z.coerce(3)) is None

@@ -7,8 +7,8 @@ import threading
 import pytest
 
 import cgf.words
-from cgf.errors import (BadIndices, CgfError, HalfNotInvertible,
-                        WordLimitExceeded)
+import reference as ref
+from cgf.errors import BadIndices, HalfNotInvertible, WordLimitExceeded
 from cgf.matrices import Mat, membership
 from cgf.rings import ModularRing, PolyExt, PrimeField, RingValue
 from cgf.sampling import random_frame, random_unimodular_rows, random_word
@@ -281,10 +281,11 @@ def _rebuild_words(length):
 
 
 def _outcome(fn):
-    try:
-        w = fn()
-    except CgfError as e:
-        return e.to_json()
+    """fn's word with its update triples and matrix, or the JSON of what it
+    raised."""
+    w = ref.outcome(fn)
+    if isinstance(w, ref.Raised):
+        return w.to_json()
     return (w, [g._payload_updates() for g in w], w.eval())
 
 
