@@ -18,11 +18,13 @@ known in advance, so its BFS runs to the end; an oversized one is refused
 before its catalog exists by a lower bound on its size
 (``_frame_orbit_exponent``).
 
-The BFS and the checks run on integer codes (the numbering of points in
-orbit algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, 2005, section 4.1).  ``_Codec`` ranks the ring's elements in
-``ring.sort_key`` order, and a key's entries, row by row, are the digits of
-one base-q integer, most significant first, so integer order is key order.
+The BFS and the closure check, the two expansions by a whole catalog, run
+on integer codes (the numbering of points in orbit algorithms; Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1),
+and share the one codec a table builds on first use.  ``_Codec`` ranks the
+ring's elements in ``ring.sort_key`` order, and a key's entries, row by
+row, are the digits of one base-q integer, most significant first, so
+integer order is key order.
 Each generator compiles from ``Generator._payload_updates`` into (source
 position, target position, weight q^k, coefficient rank) updates; an
 update whose source digit x is nonzero adds (rank(a + x*c) - a) * q^k, a
@@ -49,14 +51,17 @@ stands.
 digit tuples it builds once each.  The rows rank(a + .) and rank(x * .)
 for an entry value are built with the first half that holds it, so their
 cost never exceeds the BFS work that reaches them, even over a large ring.
-One kernel, ``step``, acts by a single compiled generator: it serves the
-link check of a loaded table, which compiles each distinct link generator
-once, and the path check of ``certify_equivalence``.  All of them run on
-the one codec a table builds on first use, so the rank rows built by one
-serve the others.  When the BFS ends, a row table takes each payload key
-from its domain, whose keys it encoded on the way in, and a frame table
-decodes each key once.  ``OrbitTable.from_json`` decodes each distinct JSON
-entry, and builds each distinct link generator, of a cached table once.
+When the BFS ends, a row table takes each payload key from its domain,
+whose keys it encoded on the way in, and a frame table decodes each key
+once.
+
+The checks of one generator step, the link check of a loaded table and the
+path check of ``certify_equivalence``, share no code with the BFS they
+check: they act on payload keys through the shared kernel
+``words._apply_gens`` (``OrbitTable._act``), so neither a load nor an
+equivalence answer builds a codec.  ``OrbitTable.from_json`` decodes each
+distinct JSON entry, and builds each distinct link generator, of a cached
+table once.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .matrices import Mat
 from .rings import (Ring, RingValue, _json_int, _residue_modulus, has_half,
                     ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    paired_index)
+                    _apply_gens, paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -165,9 +170,8 @@ def generator_catalog(ring: Ring, family: str, size: int):
 
 
 class _Codec:
-    """The keys of one table as base-q integers, the kernel ``step`` that
-    acts on them by one generator, and ``expander``, which acts by a whole
-    catalog (see the module docstring)."""
+    """The keys of one table as base-q integers, and ``expander``, which
+    acts on them by a whole catalog (see the module docstring)."""
 
     def __init__(self, table: "OrbitTable"):
         ring = table.ring
@@ -186,7 +190,7 @@ class _Codec:
         self.width = table.size
         n = self.rows * self.width
         self.weights = [q ** (n - 1 - k) for k in range(n)]
-        self.zero = zero = rank[ring.zero().payload]
+        self.zero = rank[ring.zero().payload]
         # add[a][y] = rank(a + y), mul[x][c] = rank(x * c), both built
         # when a half code holding a is first met
         self.add = add = [None] * q
@@ -220,17 +224,7 @@ class _Codec:
                 los = half(lo, low, halves[1])
             return his + los
 
-        def step(code, ds, updates):
-            """The code of the image under one compiled generator of the
-            object with code ``code`` and digits ``ds``."""
-            for s, t, w, c in updates:
-                x = ds[s]
-                if x != zero:
-                    a = ds[t]
-                    code += (add[a][mul[x][c]] - a) * w
-            return code
-
-        self.digits, self.step = digits, step
+        self.digits = digits
 
     def encode(self, key) -> int:
         rank, q, code = self.rank, self.q, 0
@@ -340,9 +334,18 @@ class OrbitTable:
 
     @cached_property
     def _codec(self) -> _Codec:
-        """The table's codec, built on first use (not a dataclass field, so
-        ``==`` and ``to_json`` ignore it)."""
+        """The table's codec, built on first use by the BFS or the closure
+        check (not a dataclass field, so ``==`` and ``to_json`` ignore
+        it)."""
         return _Codec(self)
+
+    def _act(self, key, gens):
+        """The image of ``key`` under ``gens``, through the shared kernel
+        ``words._apply_gens`` on payload rows."""
+        if self.kind == "row":
+            return tuple(_apply_gens(self.ring, [list(key)], gens)[0])
+        return tuple(map(tuple, _apply_gens(self.ring, list(map(list, key)),
+                                            gens)))
 
     def contains(self, key) -> bool:
         return key in self.orbit_of
@@ -408,8 +411,7 @@ class OrbitTable:
             return v
 
         def dec_key(v):
-            # a key of another shape would share a code with one of the
-            # table's shape
+            # the kernel that checks a link reads each entry by position
             grid = [v] if kind == "row" else v
             if len(grid) != rows or any(len(r) != table.size for r in grid):
                 raise WitnessCheckFailed(
@@ -452,21 +454,12 @@ class OrbitTable:
         id order, and each chain of links ends at one.  Objects that share
         an orbit id are then equivalent."""
         of = self.orbit_of
-        compiled: dict = {}  # id(g) -> g compiled, once per generator
         for key, link in self.pred.items():
             if link is None:
                 continue
             parent, g = link
-            if of.get(parent) == of[key]:
-                # read here, so a table without links builds no codec
-                codec = self._codec
-                updates = compiled.get(id(g))
-                if updates is None:
-                    updates = compiled[id(g)] = codec.compile(g)
-                code = codec.encode(parent)
-                image = codec.step(code, codec.digits(code), updates)
-                if image == codec.encode(key):
-                    continue
+            if of.get(parent) == of[key] and self._act(parent, (g,)) == key:
+                continue
             raise WitnessCheckFailed("orbit table link fails its check",
                                      object=self._enc_key(key))
         for oid, rep in enumerate(self.reps):
@@ -514,8 +507,7 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     Each node is expanded by ``gens`` compiled into runs (``_Codec.
     expander``): one call per node, none per image, the node's digits read
     from two memoized half codes, and a run of one update whose source
-    digit is zero skipped whole.  ``step``, the one-generator kernel, is
-    left to the link and path checks.
+    digit is zero skipped whole.
 
     For a row table ``start_keys`` is the whole domain, closed under the
     generators, so the BFS stops expanding once every key is in an orbit
@@ -649,10 +641,6 @@ def certify_equivalence(v1, v2, table: OrbitTable):
         return None
     word = table.path_word(k1).invert() + table.path_word(k2)
     # re-verify the path before returning it
-    codec = table._codec
-    cur = codec.encode(k1)
-    for g in word:
-        cur = codec.step(cur, codec.digits(cur), codec.compile(g))
-    if cur != codec.encode(k2):
+    if table._act(k1, word.gens) != k2:
         raise ObjectOutOfDomain("internal: path verification failed")
     return word

@@ -31,24 +31,6 @@ from .errors import (CgfError, DegreeCapExceeded, DescriptorMismatch, NotAUnit,
 DEFAULT_DEGREE_CAP = 64
 
 
-def _factor(n: int):
-    """Trial division: yields (p, k) with n = prod p^k, primes ascending,
-    and nothing for n < 2.  Lazy, so a caller that needs only the smallest
-    prime factor stops there.  O(sqrt n): the classifier below does not use
-    it, and its tests compare the two."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            yield p, k
-        p += 1 if p == 2 else 2
-    if n > 1:
-        yield n, 1
-
-
 # Strong probable primes to the first 13 prime bases are prime below
 # 3.317 * 10^24 (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve
 # prime bases", Math. Comp. 86, 2017).
@@ -573,9 +555,12 @@ class PrimeField(ModularRing):
     kind = "prime"
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        # Z/p's own classification decides primality, so it runs once
+        if isinstance(p, int) and p < 2:
             raise UnsupportedRing(f"{p} is not prime")
         super().__init__(p)
+        if not self.is_field:
+            raise UnsupportedRing(f"{p} is not prime")
         self.p = p
 
     def key(self):

@@ -285,6 +285,22 @@ def generator_matrix(g):
     return Mat(g.param.ring, rows)
 
 
+def factor(n):
+    """Trial division: yields (p, k) with n = prod p^k, primes ascending,
+    and nothing for n < 2."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            yield p, k
+        p += 1 if p == 2 else 2
+    if n > 1:
+        yield n, 1
+
+
 def act_rows(ring, rows, gens):
     """Rows of payloads times each generator, row (I + N) = row + row N."""
     rows = [tuple(r) for r in rows]

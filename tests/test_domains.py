@@ -5,7 +5,9 @@ An orbit table of the oracle holds every object of its row or frame
 domain, so it serves as an exhaustive input source: each frame is
 completed and its leading rows are read back off eval(word), each
 symplectic row is reduced and carried to e_1 by the reference kernel's row
-action, and every generator of the word must survive a rebuild through the
+action, each two-row frame's first row is carried to its second (checked
+by the reference kernel and by an independent path through the oracle's
+row table), and every generator of the word must survive a rebuild through the
 public ``Generator``/``GenWord`` checks unchanged (same indices, same
 nonzero parameters, same length).
 """
@@ -15,10 +17,10 @@ import random
 import pytest
 
 import reference as ref
-from cgf.factor import whitehead_linear
+from cgf.factor import two_row_equiv, whitehead_linear
 from cgf.homotopy import vaserstein_transport
-from cgf.matrices import IsotropicFrame, Mat
-from cgf.oracle import enumerate_orbits
+from cgf.matrices import IsotropicFrame, Mat, right_inverse
+from cgf.oracle import certify_equivalence, enumerate_orbits
 from cgf.reduce import (complete_orth, complete_sp, complete_um_linear,
                         reduce_row_symplectic)
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
@@ -60,6 +62,22 @@ def test_every_symplectic_row_of_a_table_reduces(ring, objects):
     for key in table.orbit_of:
         word = reduce_row_symplectic(Mat._box(ring, [key]))
         assert ref.act_rows(ring, [key], word.gens) == [e1]
+        assert _publicly_rebuilt(word) == word
+
+
+def test_every_two_row_frame_of_a_table_is_an_equivalence():
+    # two_row_equiv (so common_perp and transvection_factor) on every
+    # right-invertible 2 x 3 matrix over Z/4: its word carries the first
+    # row to the second, and the row table certifies the pair equivalent
+    ring = ModularRing(4)
+    frames = enumerate_orbits(ring, "frame", FAMILY_LIN, 3, 2)
+    rows = enumerate_orbits(ring, "row", FAMILY_LIN, 3)
+    assert len(frames.orbit_of) == 2688
+    for row1, row2 in frames.orbit_of:
+        a = Mat._box(ring, [row1, row2])
+        word = two_row_equiv(a, right_inverse(a))
+        assert ref.act_rows(ring, [row1], word.gens) == [row2]
+        assert certify_equivalence(row1, row2, rows) is not None
         assert _publicly_rebuilt(word) == word
 
 

@@ -376,9 +376,9 @@ def test_table_json_round_trip():
 
 
 def test_a_table_builds_one_codec(monkeypatch):
-    # O_4(F_3) has three orbits on its rows: loading the table and two
-    # answers (a path, and a closure check before "not equivalent") share
-    # the codec the table builds on first use
+    # O_4(F_3) has three orbits on its rows: of loading the table and two
+    # answers, only the closure check before "not equivalent" reads the
+    # codec, which the table builds on first use
     obj = enumerate_orbits(PrimeField(3), "row", FAMILY_ORTH, 4).to_json()
     built = []
 
@@ -408,15 +408,32 @@ _LINKLESS = {"version": 1, "ring": {"kind": "mod", "n": 100003},
              "objects": [{"v": [[1, 0]], "orbit": 0, "pred": None}]}
 
 
-def test_loading_a_table_without_links_builds_no_codec(monkeypatch):
-    # a codec ranks all q elements of the ring; a load with no link to
-    # step through has no use for one
-    def refuse(table):
-        raise AssertionError("codec built")
+def _refuse_codec(table):
+    raise AssertionError("codec built")
 
-    monkeypatch.setattr(oracle, "_Codec", refuse)
+
+def test_loading_a_table_without_links_builds_no_codec(monkeypatch):
+    # a codec ranks all q elements of the ring, here 100003 of them
+    monkeypatch.setattr(oracle, "_Codec", _refuse_codec)
     table = OrbitTable.from_json(_LINKLESS)
     assert table.reps == [((1, 0),)] and "_codec" not in vars(table)
+
+
+def test_loads_and_equivalence_answers_build_no_codec(monkeypatch):
+    # the link check and the path check act on payload keys through the
+    # shared kernel, so only the BFS and the closure check build a codec
+    frames = enumerate_orbits(PrimeField(3), "frame", FAMILY_SP, 4,
+                              frame_rows=2, budget=2160)
+    cases = [(_um3_z4().to_json(), (1, 0, 0), (3, 2, 1)),
+             (frames.to_json(), frames.reps[0], max(frames.orbit_of))]
+    monkeypatch.setattr(oracle, "_Codec", _refuse_codec)
+    for obj, v1, v2 in cases:
+        table = OrbitTable.from_json(obj)
+        word = certify_equivalence(v1, v2, table)
+        assert ref.act_rows(table.ring, [v1] if table.kind == "row" else v1,
+                            word.gens) == ([v2] if table.kind == "row"
+                                           else list(v2))
+        assert "_codec" not in vars(table)
 
 
 @pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
@@ -522,6 +539,27 @@ def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+# the size of each frame table that a differential test below builds
+_FRAME_SIZES = {
+    (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2, 2): 48,
+    (ModularRing(4), FAMILY_SP, 4, 1): 240,
+    (PrimeField(3), FAMILY_ORTH, 4, 2): 288,
+    (ModularRing(1), FAMILY_SP, 4, 2): 1,
+    (PrimeField(3), FAMILY_SP, 4, 2): 2160,
+}
+
+
+def _bounded_table(ring, kind, family, size, frame_rows):
+    # the table, with its budget at its known size, so that a codec defect
+    # whose codes leave the orbit raises SearchBudgetExceeded instead of
+    # running on: a row table holds at most its domain, q^size, the least
+    # budget the row guard accepts, and a frame table its recorded size
+    budget = (ring.cardinality() ** size if kind == "row" else
+              _FRAME_SIZES[ring, family, size, frame_rows])
+    return enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows,
+                            budget=budget)
+
+
 def _act_ref(table, key, g):
     # reference action: the reference kernel's row action on one
     # generator, a row key acting as a one-row frame
@@ -545,32 +583,36 @@ _COMPILED_ACTION_CASES = [
                          _COMPILED_ACTION_CASES)
 def test_compiled_action_matches_apply_gens(ring, kind, family, size,
                                             frame_rows):
-    # every catalog generator on every object of the table: the coded
-    # kernel gives the shared kernel's image, and returns the object's own
-    # code when every source entry of every row is zero
-    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    # every catalog generator, expanded alone, on every object of the
+    # table, which counts as seen: the coded expansion proposes the
+    # reference kernel's image, and proposes nothing when that image is the
+    # object itself, as it is when every source entry of every row is zero
+    table = _bounded_table(ring, kind, family, size, frame_rows)
     codec = oracle._Codec(table)
     zero = ring.zero().payload
     rows_of = (lambda k: [k]) if kind == "row" else list
     for g in oracle.generator_catalog(ring, family, size):
-        updates = codec.compile(g)
+        expand = codec.expander([g])
         for key in table.orbit_of:
-            code = codec.encode(key)
-            got = codec.step(code, codec.digits(code), updates)
-            assert codec.decode(got) == _act_ref(table, key, g)
+            code, image = codec.encode(key), _act_ref(table, key, g)
+            got = {}
+            expand(code, {code}, got)
+            assert got == ({} if image == key else
+                           {codec.encode(image): (code, g)})
             if all(row[s - 1] == zero for row in rows_of(key)
                    for s, _, _ in ref.generator_entries(g)):
-                assert got == code
+                assert got == {}
 
 
 def _check_expansion(table, keys):
-    # the grouped expansion of each object against ``step`` under each
-    # catalog generator in catalog order: the same proposals, made in the
-    # same order, with what is seen or already proposed left alone.  Every
-    # third object counts as seen, and each expansion starts from one
-    # proposal already made.  Returns how many (object, generator) pairs
-    # had a zero source in some update and a nonzero one in another, and
-    # whether any generator has several updates.
+    # the grouped expansion of each object against one reference kernel
+    # step under each catalog generator in catalog order: the same
+    # proposals, made in the same order, with what is seen or already
+    # proposed left alone.  Every third object counts as seen, and each
+    # expansion starts from one proposal already made.  Returns how many
+    # (object, generator) pairs had a zero source in some update and a
+    # nonzero one in another, and whether any generator has several
+    # updates.
     codec = oracle._Codec(table)
     gens = oracle.generator_catalog(table.ring, table.family, table.size)
     compiled = [(g, codec.compile(g)) for g in gens]
@@ -585,7 +627,7 @@ def _check_expansion(table, keys):
         earlier = codes[(n + 1) % len(codes)]
         want = {earlier: "earlier"}
         for g, updates in compiled:
-            new = codec.step(code, ds, updates)
+            new = codec.encode(_act_ref(table, keys[n], g))
             if new not in seen and new not in want:
                 want[new] = (code, g)
             live = {ds[s] != codec.zero for s, _, _, _ in updates}
@@ -603,7 +645,7 @@ def _check_expansion(table, keys):
                              (ModularRing(1), "row", FAMILY_LIN, 3, 0),
                              (ModularRing(1), "frame", FAMILY_SP, 4, 2)])
 def test_grouped_expansion_matches_step(ring, kind, family, size, frame_rows):
-    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    table = _bounded_table(ring, kind, family, size, frame_rows)
     partial, several = _check_expansion(table, list(table.orbit_of))
     # a run of several updates (a paired family, or a frame of several
     # rows) meets objects where only some of them have a nonzero source
@@ -702,9 +744,9 @@ F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
 ])
 def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
                                               size, frame_rows):
-    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    table = _bounded_table(ring, kind, family, size, frame_rows)
     monkeypatch.setattr(oracle, "_bfs_closure", _bfs_closure_ref)
-    ref = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    ref = _bounded_table(ring, kind, family, size, frame_rows)
     assert table.to_json() == ref.to_json()
 
 

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
+from cgf import rings
 from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
                         UnsupportedQuotient, UnsupportedRing)
 from cgf.matrices import Mat
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
-                       RationalField, TruncatedPolyLocal, _factor, _is_prime,
+                       RationalField, TruncatedPolyLocal, _is_prime,
                        _prime_power_base, _residue_modulus,
                        _strong_probable_prime, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
@@ -239,10 +240,10 @@ def test_integer_payload_of_a_bool_is_an_int():
 
 
 def test_factor_by_trial_division():
-    assert list(_factor(360)) == [(2, 3), (3, 2), (5, 1)]
-    assert list(_factor(97)) == [(97, 1)]
-    assert list(_factor(2 * 101 ** 2)) == [(2, 1), (101, 2)]
-    assert [list(_factor(n)) for n in (1, 0, -4)] == [[], [], []]
+    assert list(ref.factor(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(ref.factor(97)) == [(97, 1)]
+    assert list(ref.factor(2 * 101 ** 2)) == [(2, 1), (101, 2)]
+    assert [list(ref.factor(n)) for n in (1, 0, -4)] == [[], [], []]
     assert [n for n in range(-2, 40) if _is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     assert [_prime_power_base(n) for n in (0, 1, 2, 8, 9, 12, 25, 97, 100)] \
@@ -254,10 +255,27 @@ def test_factor_by_trial_division():
 
 def test_classifier_matches_trial_division_below_10_5():
     for n in range(-2, 10 ** 5):
-        factors = list(_factor(n))
+        factors = list(ref.factor(n))
         assert _is_prime(n) == (factors == [(n, 1)]), n
         assert _prime_power_base(n) == (
             factors[0][0] if len(factors) == 1 else None), n
+
+
+def test_a_prime_field_classifies_its_modulus_once(monkeypatch):
+    # F_p takes Z/p's classification of p: the 13 strong probable-prime
+    # tests that decide 10^18 + 3 run once, as for Z/p
+    calls = []
+    spp = rings._strong_probable_prime
+    monkeypatch.setattr(rings, "_strong_probable_prime",
+                        lambda n, a: calls.append(n) or spp(n, a))
+    p = 10 ** 18 + 3
+    for build in (ModularRing, PrimeField):
+        calls.clear()
+        assert build(p).is_field
+        assert calls == [p] * 13
+    for n in (0, 1, -3, 4, True):
+        with pytest.raises(UnsupportedRing, match=f"^{n} is not prime$"):
+            PrimeField(n)
 
 
 # the first 13 prime bases decide primality exactly below this bound
