@@ -9,14 +9,17 @@ edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
 
 A row table's BFS starts from its whole domain, every unimodular row, and
-the generators keep a row unimodular, so every image lies in the domain.
+the generators keep a row unimodular, so every image lies in the domain,
+and a code outside it, a codec defect, is refused when it is committed.
 Once each row is in the table or proposed, no later edge can propose one,
 and the first proposal of each row is already made: the BFS stops expanding
 there and commits its last frontier, with the orbit ids, links and
 representatives the full BFS gives.  A frame table's closure has no size
 known in advance, so its BFS runs to the end; an oversized one is refused
 before its catalog exists by a lower bound on its size
-(``_frame_orbit_exponent``).
+(``_frame_orbit_exponent``).  Over the zero ring every table is one
+object, refused before it is built when it has more entries than the
+budget (``_check_entries``).
 
 The BFS and the closure check, the two expansions by a whole catalog, run
 on integer codes (the numbering of points in orbit algorithms; Holt, Eick
@@ -24,36 +27,40 @@ and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1),
 and share the one codec a table builds on first use.  ``_Codec`` ranks the
 ring's elements in ``ring.sort_key`` order, and a key's entries, row by
 row, are the digits of one base-q integer, most significant first, so
-integer order is key order.
-Each generator compiles from ``Generator._payload_updates`` into (source
-position, target position, weight q^k, coefficient rank) updates; an
-update whose source digit x is nonzero adds (rank(a + x*c) - a) * q^k, a
-being the target digit.  A generator's sources are never its targets, so
-every update reads the digits of the object it acts on.
+integer order is key order: a frame's code is its row codes as the digits
+of one base-q^size integer.
+A generator acts on each row alone, (V.g)_k = V_k.g, so the catalog
+compiles once on one row: each generator, from
+``Generator._payload_updates``, into (source position, target position,
+weight q^k, coefficient rank) updates; an update whose source digit x is
+nonzero adds (rank(a + x*c) - a) * q^k, a being the target digit.  A
+generator's sources are never its targets, so every update reads the
+digits of the row it acts on.
 
-The BFS and the closure check expand a node by runs of generators: the
-catalog compiles once into runs of consecutive generators that share
-their (source, target, weight) positions, one run per (i, j), each holding
-its generators' coefficient ranks in catalog order, so the tie rule needs
-no sort.  A run of one update (every linear row, and the symplectic
-(i, pair i)) reads its source digit once per node: when it is zero every
-generator of the run fixes the node and the run is skipped, and otherwise
-each image is node - a*w + rank(a + x*c)*w, summed inline with no call.  A
-run of several updates (the other paired generators, and every run of a
-frame with several rows) sums its members' live terms one generator at a
-time, inline as well: with the few generators such runs hold, reading
-their digits once per run measured slower.  An image is proposed only if
-it is neither in the table nor proposed, so a generator that fixes its
-node, or repeats an image, allocates nothing and the first proposal
-stands.
+A row code (a row table, or a frame of one row) expands by runs of
+consecutive generators that share their (source, target, weight)
+positions, one run per (i, j), each holding its generators' coefficient
+ranks in catalog order, so the tie rule needs no sort.  A run has one
+update (every linear run, and the symplectic (i, pair i)) or two (every
+other symplectic run, and every orthogonal one).  It reads its source and
+target digits once per node and is skipped when every source is zero,
+since every member then fixes the node; a run of two with one live source
+takes the one-update form, and otherwise each image is node - a*w - b*w'
+plus the two new digits, summed inline with no call.  A frame of several
+rows splits its code into row codes and memoizes, per (row position, row
+code), the row's delta under every generator, already scaled to its
+place; each image is the node plus its rows' deltas, and a generator whose
+deltas are all zero proposes nothing.  An image is proposed only if it is
+neither in the table nor proposed, so a generator that fixes its node, or
+repeats an image, allocates nothing and the first proposal stands.
 
-``digits`` splits a code at q^(n - h), h = n // 2, into two halves whose
-digit tuples it builds once each.  The rows rank(a + .) and rank(x * .)
-for an entry value are built with the first half that holds it, so their
-cost never exceeds the BFS work that reaches them, even over a large ring.
-When the BFS ends, a row table takes each payload key from its domain,
-whose keys it encoded on the way in, and a frame table decodes each key
-once.
+``digits`` splits a row code at q^(n - h), h = n // 2, into two halves
+whose digit tuples it builds once each.  The rows rank(a + .) and
+rank(x * .) for an entry value are built with the first half that holds
+it, so their cost never exceeds the BFS work that reaches them, even over
+a large ring.  When the BFS ends, a row table takes each payload key from
+its domain, whose keys it encoded on the way in, and a frame table decodes
+each key once, each distinct row of it once.
 
 The checks of one generator step, the link check of a loaded table and the
 path check of ``certify_equivalence``, share no code with the BFS they
@@ -67,6 +74,7 @@ table once.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
@@ -120,6 +128,18 @@ def _power_exceeds(q: int, size: int, budget: int) -> bool:
             return True
         count *= q
     return count > budget
+
+
+def _check_entries(q: int, entries: int, budget: int):
+    """Refuse an object of more than ``budget`` entries over the zero ring
+    (q = 1), before anything is built: there every table is one object,
+    whose length no count of objects bounds.  For q >= 2 a row of more
+    than ``budget`` entries has q^size > budget objects, refused already;
+    the rule would refuse otherwise only the one-object frame tables (lin
+    of size 1, orth of size 2) at a budget below their 1 to 4 entries."""
+    if q == 1 and entries > budget:
+        raise SearchBudgetExceeded(
+            f"an object of {entries} entries exceeds budget {budget}")
 
 
 def _check_paired_size(family: str, size: int):
@@ -187,8 +207,10 @@ class _Codec:
         self.values, self.rank, self.q = values, rank, q
         self.is_row = table.kind == "row"
         self.rows = 1 if self.is_row else table.frame_rows
-        self.width = table.size
-        n = self.rows * self.width
+        self.width = n = table.size
+        # a frame's code is its row codes as the digits of one base-q^n
+        # integer, most significant first
+        self.row_base = q ** n
         self.weights = [q ** (n - 1 - k) for k in range(n)]
         self.zero = rank[ring.zero().payload]
         # add[a][y] = rank(a + y), mul[x][c] = rank(x * c), both built
@@ -196,7 +218,7 @@ class _Codec:
         self.add = add = [None] * q
         self.mul = mul = [None] * q
         ring_add, ring_mul = ring.add, ring.mul
-        # a code is hi * split + lo, hi holding the first n // 2 digits
+        # a row code is hi * split + lo, hi holding the first n // 2 digits
         low = n - n // 2
         split = q ** low
         halves = ({}, {})  # hi -> its digits, lo -> its digits
@@ -214,7 +236,8 @@ class _Codec:
             return ds
 
         def digits(code):
-            """The digits of ``code``, from two memoized halves."""
+            """The digits of the row code ``code``, from two memoized
+            halves."""
             hi, lo = divmod(code, split)
             his = halves[0].get(hi)
             if his is None:
@@ -225,6 +248,15 @@ class _Codec:
             return his + los
 
         self.digits = digits
+        self._row_keys: dict = {}  # row code -> its payload row
+
+    def row_codes(self, code) -> list:
+        """The codes of the rows of the object with code ``code``, first
+        row first."""
+        out = [0] * self.rows
+        for r in range(self.rows - 1, -1, -1):
+            code, out[r] = divmod(code, self.row_base)
+        return out
 
     def encode(self, key) -> int:
         rank, q, code = self.rank, self.q, 0
@@ -234,26 +266,40 @@ class _Codec:
         return code
 
     def decode(self, code):
-        values = self.values
-        flat = [values[d] for d in self.digits(code)]
-        if self.is_row:
-            return tuple(flat)
-        w = self.width
-        return tuple(tuple(flat[r * w:(r + 1) * w]) for r in range(self.rows))
+        """The key of ``code``, each distinct row decoded once."""
+        memo, values = self._row_keys, self.values
+        rows = []
+        for row in ((code,) if self.is_row else self.row_codes(code)):
+            key = memo.get(row)
+            if key is None:
+                key = memo[row] = tuple(values[d] for d in self.digits(row))
+            rows.append(key)
+        return rows[0] if self.is_row else tuple(rows)
 
     def compile(self, g: Generator) -> list:
-        """``g``'s column updates on every row, as (source position, target
+        """``g``'s column updates on one row, as (source position, target
         position, weight, coefficient rank)."""
         updates = g._payload_updates()
         targets = {t for t, _, _ in updates}
         # each update may read the digits from before the step
         assert len(targets) == len(updates) and targets.isdisjoint(
             s for _, s, _ in updates), "a generator source is a target"
-        weights, rank, width = self.weights, self.rank, self.width
+        weights, rank = self.weights, self.rank
+        return [(s, t, weights[t], rank[c]) for t, s, c in updates]
+
+    def row_deltas(self, compiled, code, place) -> list:
+        """Each compiled generator's change to the row code ``code``,
+        scaled by ``place``: image code minus ``code``, times ``place``."""
+        ds, add, mul, zero = self.digits(code), self.add, self.mul, self.zero
         out = []
-        for base in range(0, self.rows * width, width):
-            for t, s, c in updates:
-                out.append((base + s, base + t, weights[base + t], rank[c]))
+        for updates in compiled:
+            delta = 0
+            for s, t, w, c in updates:
+                x = ds[s]
+                if x != zero:
+                    a = ds[t]
+                    delta += (add[a][mul[x][c]] - a) * w
+            out.append(delta * place)
         return out
 
     def expander(self, gens):
@@ -262,12 +308,12 @@ class _Codec:
         ``seen`` nor ``proposals`` becomes a proposal, linked to (node, g)
         for the first generator g that gives it.
 
-        The generators compile once into runs of consecutive generators
-        that share their (source, target, weight) positions, one run per
-        (i, j) of a catalog.  A run of one update reads the node's source
-        digit once and is skipped when it is zero, since every member then
-        fixes the node; a run of several sums each member's live terms.
-        Every image is summed inline from the rank rows, with no call."""
+        The generators compile on one row (see the module docstring): a
+        row code expands by runs of one update or two, and a frame of
+        several rows by its rows' deltas, memoized per (row position, row
+        code) (``row_deltas``)."""
+        if self.rows > 1:
+            return self._frame_expander(gens)
         runs = []  # (places, [(g, updates), ...])
         for g in gens:
             updates = self.compile(g)
@@ -275,35 +321,69 @@ class _Codec:
             if not runs or runs[-1][0] != places:
                 runs.append((places, []))
             runs[-1][1].append((g, updates))
-        # a run of one place: its source, target, weight, members and
-        # their coefficient ranks; a run of several: its members' updates
-        runs = [(*places[0], [g for g, _ in steps],
-                 [u[0][3] for _, u in steps], None) if len(places) == 1
-                else (None, None, None, None, None, steps)
-                for places, steps in runs]
+        # (source, target, weight, members, their coefficient ranks, and
+        # None, or the same four for a second update)
+        flat = []
+        for places, steps in runs:
+            assert len(places) <= 2, "a generator of three updates on a row"
+            second = None if len(places) == 1 else (
+                *places[1], [u[1][3] for _, u in steps])
+            flat.append((*places[0], [g for g, _ in steps],
+                         [u[0][3] for _, u in steps], second))
         digits, add, mul, zero = self.digits, self.add, self.mul, self.zero
 
         def expand(node, seen, proposals):
             ds = digits(node)
-            for s, t, w, members, col, steps in runs:
-                if steps:
-                    for g, updates in steps:
-                        new = node
-                        for s, t, w, c in updates:
-                            x = ds[s]
-                            if x != zero:
-                                a = ds[t]
-                                new += (add[a][mul[x][c]] - a) * w
-                        if new not in seen and new not in proposals:
-                            proposals[new] = (node, g)
-                    continue
+            for s, t, w, members, col, second in flat:
                 x = ds[s]
+                if second is not None:
+                    s2, t2, w2, col2 = second
+                    y = ds[s2]
+                    if y != zero:
+                        if x != zero:
+                            a, b = ds[t], ds[t2]
+                            base = node - a * w - b * w2
+                            by_x, plus_a = mul[x], add[a]
+                            by_y, plus_b = mul[y], add[b]
+                            for g, c, c2 in zip(members, col, col2):
+                                new = (base + plus_a[by_x[c]] * w
+                                       + plus_b[by_y[c2]] * w2)
+                                if new not in seen and new not in proposals:
+                                    proposals[new] = (node, g)
+                            continue
+                        # only the second source is live
+                        x, t, w, col = y, t2, w2, col2
                 if x == zero:
                     continue
                 a = ds[t]
                 base, by_x, plus_a = node - a * w, mul[x], add[a]
                 for g, c in zip(members, col):
                     new = base + plus_a[by_x[c]] * w
+                    if new not in seen and new not in proposals:
+                        proposals[new] = (node, g)
+
+        return expand
+
+    def _frame_expander(self, gens):
+        """``expander`` for a frame of several rows."""
+        compiled = [self.compile(g) for g in gens]
+        rows, base, build = self.rows, self.row_base, self.row_deltas
+        plus = operator.add
+        # memo[r]: row code at position r -> its scaled deltas
+        memo = [{} for _ in range(rows)]
+        places = [base ** (rows - 1 - r) for r in range(rows)]
+
+        def expand(node, seen, proposals):
+            sums, rest = None, node
+            for r in range(rows - 1, -1, -1):
+                rest, row = divmod(rest, base)
+                deltas = memo[r].get(row)
+                if deltas is None:
+                    deltas = memo[r][row] = build(compiled, row, places[r])
+                sums = deltas if sums is None else map(plus, sums, deltas)
+            for g, delta in zip(gens, sums):
+                if delta:
+                    new = node + delta
                     if new not in seen and new not in proposals:
                         proposals[new] = (node, g)
 
@@ -504,28 +584,28 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
     table takes it from its start keys, each encoded once on the way in,
     and a frame table decodes each object once.
 
-    Each node is expanded by ``gens`` compiled into runs (``_Codec.
-    expander``): one call per node, none per image, the node's digits read
-    from two memoized half codes, and a run of one update whose source
-    digit is zero skipped whole.
+    Each node is expanded by ``gens`` compiled on one row (``_Codec.
+    expander``): one call per node, none per image; a row's digits are read
+    from two memoized half codes, and a frame of several rows combines its
+    rows' memoized deltas.
 
     For a row table ``start_keys`` is the whole domain, closed under the
     generators, so the BFS stops expanding once every key is in an orbit
     or proposed: a later edge could only propose a key already proposed,
-    and the first proposal stands, so the ids and links do not change."""
+    and the first proposal stands, so the ids and links do not change.
+    A code outside the domain is a codec defect, refused when it is
+    committed, before it could run the BFS on without end."""
     codec = table._codec
     expand = codec.expander(gens)
-    # a row table's start keys are its whole domain; -1 is never reached
+    # code -> key of each start key, encoded once; a row table's are its
+    # whole domain, so -1, never reached, stands for a frame table's end
+    starts = {codec.encode(k): k for k in start_keys}
     row = table.kind == "row"
-    full = len(start_keys) if row else -1
+    full = len(starts) if row else -1
     orbit: dict = {}  # code -> orbit id
     link: dict = {}  # code -> (parent code, Generator), or None for a root
-    domain: dict = {}  # code -> key, every start key of a row table
     reps = []
-    for root in start_keys:
-        code = codec.encode(root)
-        if row:
-            domain[code] = root
+    for code in starts:
         if code in orbit:
             continue
         oid = len(reps)
@@ -540,13 +620,16 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
                     break  # every object is reached; no edge proposes more
                 expand(node, orbit, proposals)
             frontier = sorted(proposals)
+            if row and not starts.keys() >= proposals.keys():
+                raise ObjectOutOfDomain(
+                    "internal: a row orbit left the row domain")
             for new in frontier:
                 orbit[new] = oid
                 link[new] = proposals[new]
                 if len(orbit) > budget:
                     raise SearchBudgetExceeded(
                         f"orbit table exceeded budget {budget}")
-    key_of = domain.__getitem__ if row else codec.decode
+    key_of = starts.__getitem__ if row else codec.decode
     keys = {}
     for code, oid in orbit.items():
         keys[code] = key = key_of(code)
@@ -574,6 +657,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         if _power_exceeds(q, size, budget):
             raise SearchBudgetExceeded(
                 f"{q}^{size} objects exceed budget {budget}")
+        _check_entries(q, size, budget)
         table = OrbitTable(ring, "row", family, size)
         gens = generator_catalog(ring, family, size)
         _bfs_closure(table, _row_domain(ring, size), gens, budget)
@@ -582,15 +666,18 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         if frame_rows <= 0 or frame_rows > size:
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
         _check_paired_size(family, size)
-        # refused before the catalog and the identity are built; a
+        # refused before the catalog and the standard frame are built; a
         # one-object table never trips the BFS
         q = ring.cardinality()
         k = _frame_orbit_exponent(ring, family, size, frame_rows)
         if q >= 2 and k >= 1 and _power_exceeds(q, k, budget):
             raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
+        _check_entries(q, frame_rows * size, budget)
         table = OrbitTable(ring, "frame", family, size, frame_rows)
         gens = generator_catalog(ring, family, size)
-        standard = Mat.identity(ring, size)._grid[:frame_rows]
+        one, zero = ring.one().payload, ring.zero().payload
+        standard = tuple((zero,) * i + (one,) + (zero,) * (size - 1 - i)
+                         for i in range(frame_rows))
         _bfs_closure(table, [standard], gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")

@@ -796,3 +796,25 @@ def test_large_moduli_answer_in_bounded_time(argv, code, error, capsys):
         assert json.loads(out)["checks"][0]["status"] == "pass"
     else:
         assert json.loads(out)["code"] == error
+
+
+# over the zero ring every orbit table is one object: one longer than the
+# budget is refused before it is built, and one within it answers
+_REFUSED = '"code":"search_budget_exceeded"'
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (["orbits", "--ring", "mod:1", "--kind", "row", "--size",
+      str(10 ** 10)], 2, _REFUSED),
+    (["orbits", "--ring", "mod:1", "--kind", "row", "--size",
+      str(10 ** 20)], 2, _REFUSED),
+    (["orbits", "--ring", "mod:1", "--kind", "frame", "--family", "lin",
+      "--size", str(2 * 10 ** 7), "--frame-rows", "1"], 2, _REFUSED),
+    (["orbits", "--ring", "mod:1", "--kind", "frame", "--family", "lin",
+      "--size", str(10 ** 5), "--frame-rows", "2"], 0,
+     '{"objects":1,"orbits":1,"sizes":[1]}'),
+], ids=["row-10^10", "row-10^20", "frame-2x10^7", "frame-10^5-2-rows"])
+def test_zero_ring_orbits_answer_in_bounded_memory(argv, code, want,
+                                                   capsys):
+    assert within(10, lambda: main(argv)) == code
+    assert want in capsys.readouterr().out

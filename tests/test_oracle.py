@@ -208,6 +208,33 @@ def test_zero_ring_rows_of_a_large_size_answer_quickly():
     assert oracle.generator_catalog(ModularRing(1), FAMILY_SP, 10 ** 5) == []
 
 
+@pytest.mark.parametrize("kind, size, frame_rows, budget", [
+    ("row", 10 ** 10, 0, 10 ** 7), ("row", 10 ** 20, 0, 10 ** 7),
+    ("frame", 2 * 10 ** 7, 1, 10 ** 7), ("frame", 10 ** 5, 2, 10 ** 5)])
+def test_a_zero_ring_object_longer_than_the_budget_is_refused(
+        kind, size, frame_rows, budget):
+    # over Z/1 every table is one object, so the count of objects bounds
+    # nothing: an object of more entries than the budget is refused before
+    # its row, catalog or frame is built
+    got = within(10, lambda: enumerate_orbits(
+        ModularRing(1), kind, FAMILY_LIN, size, frame_rows=frame_rows,
+        budget=budget))
+    entries = size * max(frame_rows, 1)
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == (f"an object of {entries} entries exceeds budget "
+                           f"{budget}")
+
+
+@pytest.mark.parametrize("family", [FAMILY_LIN, FAMILY_SP])
+def test_a_long_zero_ring_frame_answers_with_one_object(family):
+    # the standard frame is built as its rows, not as a size x size
+    # identity
+    got = within(10, lambda: enumerate_orbits(
+        ModularRing(1), "frame", family, 10 ** 5, frame_rows=2))
+    assert isinstance(got, OrbitTable)
+    assert got.orbit_of == {((0,) * 10 ** 5,) * 2: 0}
+
+
 @pytest.mark.parametrize("ring, family, size", [
     (ModularRing(4), FAMILY_LIN, 3000), (ModularRing(4), FAMILY_LIN, 300),
     (PrimeField(5), FAMILY_LIN, 3000), (PrimeField(5), FAMILY_SP, 3000),
@@ -519,10 +546,20 @@ RUN_GOLDEN_TABLES = [
 ]
 
 
+# the same digest, recorded before a frame of several rows was expanded
+# row by row: SL_3(F_3) and SL_3(F_2) as frames of three rows
+ROW_GOLDEN_TABLES = [
+    (PrimeField(3), "frame", FAMILY_LIN, 3, 3,
+     "eda85f9e6841385126c3f5633ed82509a826af87c0440fa803854bf4e4fc22c7"),
+    (ModularRing(2), "frame", FAMILY_LIN, 3, 3,
+     "76ba84d2343390c88773c90f1fead7bb5de624145be3f428b0bcd35444c4fc4a"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
                          GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES +
                          CODED_GOLDEN_TABLES + QUOTIENT_FLAG_GOLDEN_TABLES +
-                         RUN_GOLDEN_TABLES,
+                         RUN_GOLDEN_TABLES + ROW_GOLDEN_TABLES,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
                               "Z/4 sp frames", "F_4 lin rows",
@@ -531,7 +568,9 @@ RUN_GOLDEN_TABLES = [
                               "F_5 orth frames", "quotient x^2 lin rows",
                               "quotient x^2 sp frames", "F_4 lin frames",
                               "F_7 orth rows", "Z/8 lin rows",
-                              "Z/3 sp 2-row frames", "Z/23 sp frames"])
+                              "Z/3 sp 2-row frames", "Z/23 sp frames",
+                              "F_3 lin 3-row frames",
+                              "Z/2 lin 3-row frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
@@ -546,6 +585,8 @@ _FRAME_SIZES = {
     (PrimeField(3), FAMILY_ORTH, 4, 2): 288,
     (ModularRing(1), FAMILY_SP, 4, 2): 1,
     (PrimeField(3), FAMILY_SP, 4, 2): 2160,
+    (ModularRing(2), FAMILY_LIN, 3, 3): 168,
+    (ModularRing(2), FAMILY_SP, 4, 3): 360,
 }
 
 
@@ -553,9 +594,12 @@ def _bounded_table(ring, kind, family, size, frame_rows):
     # the table, with its budget at its known size, so that a codec defect
     # whose codes leave the orbit raises SearchBudgetExceeded instead of
     # running on: a row table holds at most its domain, q^size, the least
-    # budget the row guard accepts, and a frame table its recorded size
+    # budget the row guard accepts, and a frame table its recorded size.
+    # Over the zero ring an object of more entries than the budget is
+    # refused, so there the least budget is the object's entry count.
     budget = (ring.cardinality() ** size if kind == "row" else
               _FRAME_SIZES[ring, family, size, frame_rows])
+    budget = max(budget, size * max(frame_rows, 1))
     return enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows,
                             budget=budget)
 
@@ -577,10 +621,13 @@ _COMPILED_ACTION_CASES = [
     (ModularRing(4), "frame", FAMILY_SP, 4, 1),
     (PrimeField(3), "frame", FAMILY_ORTH, 4, 2),
 ]
+# three rows: each image sums three rows' deltas (last in each list, so
+# the earlier cases keep their ids)
+_THREE_ROWS = (ModularRing(2), "frame", FAMILY_SP, 4, 3)
 
 
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows",
-                         _COMPILED_ACTION_CASES)
+                         _COMPILED_ACTION_CASES + [_THREE_ROWS])
 def test_compiled_action_matches_apply_gens(ring, kind, family, size,
                                             frame_rows):
     # every catalog generator, expanded alone, on every object of the
@@ -612,7 +659,8 @@ def _check_expansion(table, keys):
     # expansion starts from one proposal already made.  Returns how many
     # (object, generator) pairs had a zero source in some update and a
     # nonzero one in another, and whether any generator has several
-    # updates.
+    # updates.  A generator compiles on one row and acts on each row of a
+    # frame alike, so its updates on a frame are those of every row.
     codec = oracle._Codec(table)
     gens = oracle.generator_catalog(table.ring, table.family, table.size)
     compiled = [(g, codec.compile(g)) for g in gens]
@@ -623,27 +671,30 @@ def _check_expansion(table, keys):
     for n, code in enumerate(codes):
         was_seen = code in seen
         seen.add(code)
-        ds = codec.digits(code)
+        rows = [codec.digits(row) for row in codec.row_codes(code)]
         earlier = codes[(n + 1) % len(codes)]
         want = {earlier: "earlier"}
         for g, updates in compiled:
             new = codec.encode(_act_ref(table, keys[n], g))
             if new not in seen and new not in want:
                 want[new] = (code, g)
-            live = {ds[s] != codec.zero for s, _, _, _ in updates}
+            live = {ds[s] != codec.zero for ds in rows
+                    for s, _, _, _ in updates}
             partial += live == {True, False}
         got = {earlier: "earlier"}
         expand(code, seen, got)
         assert list(got.items()) == list(want.items()), keys[n]
         if not was_seen:
             seen.discard(code)
-    return partial, any(len(updates) > 1 for _, updates in compiled)
+    return partial, any(len(updates) * codec.rows > 1
+                        for _, updates in compiled)
 
 
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows",
                          _COMPILED_ACTION_CASES + [
                              (ModularRing(1), "row", FAMILY_LIN, 3, 0),
-                             (ModularRing(1), "frame", FAMILY_SP, 4, 2)])
+                             (ModularRing(1), "frame", FAMILY_SP, 4, 2),
+                             _THREE_ROWS])
 def test_grouped_expansion_matches_step(ring, kind, family, size, frame_rows):
     table = _bounded_table(ring, kind, family, size, frame_rows)
     partial, several = _check_expansion(table, list(table.orbit_of))
@@ -663,6 +714,41 @@ def test_grouped_expansion_matches_step_over_a_large_ring():
         table = OrbitTable(ring, "frame", family, 2, frame_rows)
         partial, several = _check_expansion(table, keys)
         assert several == (frame_rows > 1) and (partial > 0) == several
+
+
+@pytest.mark.parametrize("ring, family, keys", [
+    (PrimeField(3), FAMILY_SP,
+     [((1, 2, 0, 0), (0, 1, 0, 0)), ((1, 2, 0, 0), (0, 0, 2, 1)),
+      ((0, 0, 1, 1), (1, 2, 0, 0))]),
+    (ModularRing(2), FAMILY_SP,
+     [((1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 1)),
+      ((1, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)),
+      ((0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 0)),
+      ((0, 0, 1, 0), (0, 1, 1, 1), (1, 0, 1, 0))])])
+def test_frames_that_share_a_row_expand_alike(ring, family, keys):
+    # one expander memoizes a row's deltas per (row position, row code):
+    # the second frame shares its first row with the first frame, in the
+    # same position, and reuses its deltas; the later frames hold that row
+    # in another position and must get deltas scaled to it
+    table = OrbitTable(ring, "frame", family, 4, len(keys[0]))
+    partial, several = _check_expansion(table, keys)
+    assert several and partial > 0
+
+
+def test_a_frame_builds_each_row_once(monkeypatch):
+    # the F_3 sp 2-row table's 2,160 frames hold 4,320 rows, 80 distinct
+    # ones in each position: the BFS builds each (position, row)'s deltas
+    # once, and decoding the frames decodes each distinct row once
+    built = []
+    row_deltas = oracle._Codec.row_deltas
+    monkeypatch.setattr(
+        oracle._Codec, "row_deltas",
+        lambda self, compiled, code, place: built.append((place, code))
+        or row_deltas(self, compiled, code, place))
+    table = _bounded_table(PrimeField(3), "frame", FAMILY_SP, 4, 2)
+    rows = {(r, row) for key in table.orbit_of for r, row in enumerate(key)}
+    assert len(built) == len(set(built)) <= len(rows) == 2 * 80
+    assert len(table._codec._row_keys) == 80
 
 
 # F_2[x]/(1 + x + x^2) and Z/12/(6) are quotients whose payloads are
@@ -741,6 +827,9 @@ F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
     (PrimeField(3), "frame", FAMILY_SP, 4, 2),
     (PrimeField(7), "row", FAMILY_ORTH, 4, 0),
     (F4, "row", FAMILY_LIN, 3, 0),
+    # frames of three rows, each image the sum of three rows' deltas
+    (ModularRing(2), "frame", FAMILY_LIN, 3, 3),
+    (ModularRing(2), "frame", FAMILY_SP, 4, 3),
 ])
 def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
                                               size, frame_rows):
@@ -771,6 +860,29 @@ def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
     assert table.orbit_sizes() == [56]
     assert len(oracle.generator_catalog(ModularRing(4), FAMILY_LIN, 3)) == 18
     assert 0 < len(expanded) < 56
+
+
+def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
+    # a codec defect that proposes a code outside the row domain (here one
+    # past the last row code) is refused when the code is committed,
+    # instead of running the BFS on until memory runs out
+    class Leaky(oracle._Codec):
+        def expander(self, gens):
+            expand = super().expander(gens)
+            outside = self.q ** self.width
+
+            def leaky(node, seen, proposals):
+                expand(node, seen, proposals)
+                if outside not in seen:
+                    proposals.setdefault(outside, (node, gens[0]))
+
+            return leaky
+
+    monkeypatch.setattr(oracle, "_Codec", Leaky)
+    got = within(10, lambda: enumerate_orbits(ModularRing(6), "row",
+                                              FAMILY_LIN, 2))
+    assert isinstance(got, ObjectOutOfDomain)
+    assert got.message == "internal: a row orbit left the row domain"
 
 
 def test_a_row_table_build_decodes_no_code(monkeypatch):
