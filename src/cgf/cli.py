@@ -26,7 +26,8 @@ from .homotopy import Homotopy, homotopy_commute_linear, \
     homotopy_commute_orthogonal, homotopy_commute_symplectic
 from .localglobal import patch, quillen_split
 from .matrices import IsotropicFrame, Mat, RightInverseCert, right_inverse
-from .oracle import OrbitTable, certify_equivalence, enumerate_orbits
+from .oracle import (DEFAULT_BUDGET, OrbitTable, certify_equivalence,
+                     enumerate_orbits)
 from .orthoquot import (FactoredOrthogonal, classify_o2, commutator_harness,
                         vaserstein_quotient)
 from .reduce import (_require_local, complete_orth, complete_sp,
@@ -135,10 +136,8 @@ def _cmd_reduce_row(args) -> int:
     row = _parse_row(args.row, ring)
     if args.flavor == "linear":
         word = reduce_row_linear(row)
-    elif args.flavor == "sp":
-        word = reduce_row_symplectic(row)
     else:
-        raise _UsageError("reduce-row supports --flavor linear|sp")
+        word = reduce_row_symplectic(row)
     out = apply_word_to_row(list(row.entries[0]), word)
     target = [ring.one()] + [ring.zero()] * (row.cols - 1)
     return _emit(_word_witness(f"reduce_row_{args.flavor}",
@@ -156,12 +155,10 @@ def _cmd_complete(args) -> int:
     elif args.flavor == "sp":
         word = complete_sp(IsotropicFrame(mat, "sp"))
         group_check = ("eval(word) is symplectic", True)
-    elif args.flavor == "orth":
+    else:
         word = complete_orth(IsotropicFrame(mat, "orth"),
                              permissive=args.permissive)
         group_check = ("eval(word) is orthogonal", True)
-    else:
-        raise _UsageError("complete supports --flavor linear|sp|orth")
     return _emit(_word_witness(f"complete_{args.flavor}", {"matrix": mat},
                                word,
                                [("leading rows equal the input", True),
@@ -173,10 +170,8 @@ def _cmd_whitehead(args) -> int:
     mat = _parse_matrix(args.matrix, ring)
     if args.flavor == "linear":
         word = whitehead_linear(mat)
-    elif args.flavor == "sp":
-        word = whitehead_symplectic(mat)
     else:
-        raise _UsageError("whitehead supports --flavor linear|sp")
+        word = whitehead_symplectic(mat)
     return _emit(_word_witness(f"whitehead_{args.flavor}", {"matrix": mat},
                                word, [("eval(word) == d ⊥ d^{-1}", True)]))
 
@@ -498,20 +493,21 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("reduce-row")
-    sp.add_argument("--flavor", default="linear")
+    sp.add_argument("--flavor", default="linear", choices=("linear", "sp"))
     sp.add_argument("--ring", required=True)
     sp.add_argument("--row", required=True)
     sp.set_defaults(fn=_cmd_reduce_row)
 
     sp = sub.add_parser("complete")
-    sp.add_argument("--flavor", default="linear")
+    sp.add_argument("--flavor", default="linear",
+                    choices=("linear", "sp", "orth"))
     sp.add_argument("--ring")
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--permissive", action="store_true")
     sp.set_defaults(fn=_cmd_complete)
 
     sp = sub.add_parser("whitehead")
-    sp.add_argument("--flavor", default="linear")
+    sp.add_argument("--flavor", default="linear", choices=("linear", "sp"))
     sp.add_argument("--ring")
     sp.add_argument("--matrix", required=True)
     sp.set_defaults(fn=_cmd_whitehead)
@@ -586,7 +582,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--family", default="lin", choices=("lin", "sp", "orth"))
     sp.add_argument("--size", type=int, required=True)
     sp.add_argument("--frame-rows", type=int, default=0)
-    sp.add_argument("--budget", type=int, default=10 ** 7)
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sp.add_argument("--cache")
     sp.set_defaults(fn=_cmd_orbits)
 

@@ -103,33 +103,21 @@ def quillen_split(theta: GenWord, s1: int, s2: int, n_max: int = 16,
 # ---------------------------------------------------------------------------
 # patching
 
-def _patch_target(ring) -> tuple:
-    """(poly?, inner ring) for the supported chart rings."""
+def _patch_target(ring) -> bool:
+    """Whether a supported chart ring is a polynomial ring."""
     if isinstance(ring, PolyExt):
-        inner = ring.base
-        if isinstance(inner, (FractionRing, IntegerRing)):
-            return True, inner
+        if isinstance(ring.base, (FractionRing, IntegerRing)):
+            return True
         raise UnsupportedBase(f"cannot patch over {ring}")
     if isinstance(ring, (FractionRing, IntegerRing)):
-        return False, ring
+        return False
     raise UnsupportedBase(f"cannot patch over {ring}")
 
 
 def _entry_fractions(m: Mat, is_poly: bool):
     """Each entry as a tuple of Fractions (constant-only when not poly)."""
-    out = []
-    for row in m.entries:
-        out_row = []
-        for e in row:
-            if is_poly:
-                out_row.append(tuple(Fraction(c) if not isinstance(c, Fraction)
-                                     else c for c in e.payload))
-            else:
-                p = e.payload
-                out_row.append((Fraction(p) if not isinstance(p, Fraction)
-                                else p,))
-        out.append(out_row)
-    return out
+    return [[tuple(map(Fraction, e.payload)) if is_poly
+             else (Fraction(e.payload),) for e in row] for row in m.entries]
 
 
 def patch(sigma1: Mat, sigma2: Mat, s1: int, s2: int) -> Mat:
@@ -142,8 +130,8 @@ def patch(sigma1: Mat, sigma2: Mat, s1: int, s2: int) -> Mat:
         raise BadComaximal(f"s1 + s2 = {int(s1) + int(s2)} != 1")
     if (sigma1.rows, sigma1.cols) != (sigma2.rows, sigma2.cols):
         raise ShapeMismatch("chart matrices differ in shape")
-    poly1, _ = _patch_target(sigma1.ring)
-    poly2, _ = _patch_target(sigma2.ring)
+    poly1 = _patch_target(sigma1.ring)
+    poly2 = _patch_target(sigma2.ring)
     f1 = _entry_fractions(sigma1, poly1)
     f2 = _entry_fractions(sigma2, poly2)
     glued = []

@@ -106,10 +106,6 @@ class Mat:
     def zeros(ring: Ring, rows: int, cols: int) -> "Mat":
         return Mat._box(ring, ((ring.zero().payload,) * cols,) * rows)
 
-    @staticmethod
-    def row_vector(ring: Ring, values) -> "Mat":
-        return Mat(ring, [list(values)])
-
     # -- basics --------------------------------------------------------------
     @property
     def entries(self) -> tuple:

@@ -108,13 +108,18 @@ def _unimodular_test(ring: Ring):
     return lambda payloads: gcd(modulus, *payloads) == 1
 
 
+def _sorted_payloads(ring: Ring) -> list:
+    """The payloads of the elements in ``ring.sort_key`` order, the one
+    element order of keys, codes and catalogs."""
+    return sorted((v.payload for v in ring.elements()), key=ring.sort_key)
+
+
 def _row_domain(ring: Ring, size: int) -> list:
     """Every unimodular row of length ``size``, as payload keys in
     ``_key_order``: the product of the elements in ``ring.sort_key`` order
     comes out in that order, so it needs no sort."""
-    values = sorted((v.payload for v in ring.elements()), key=ring.sort_key)
     return list(filter(_unimodular_test(ring),
-                       itertools.product(values, repeat=size)))
+                       itertools.product(_sorted_payloads(ring), repeat=size)))
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -154,16 +159,20 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
     """k with q^k at most the size of the orbit of the standard frame
     [I_r | 0] of r = ``frame_rows`` rows and s = ``size`` columns, q = |R|.
 
-    lin: e_ij(z) with i <= r < j never touch columns 1..r, so their
-    products reach every [I_r | Z]: k = r(s - r).  sp and orth, s = 2m and
-    P = ceil(r/2): take i <= r and j odd with j > 2P.  Each generator's
+    lin: let L and U be lower and upper unitriangular r x r matrices, and
+    E(Z) the product of the e_ij(z) with i <= r < j, Z the r x (s - r)
+    matrix of their z.  With L and U acting on the first r columns,
+    [I_r | 0] L U E(Z) = [LU | LUZ].  LU is invertible and its factors are
+    unique, so distinct (L, U, Z) give distinct frames, over any ring:
+    q^(r(r - 1) + r(s - r)) of them, k = r(s - 1).  sp and orth, s = 2m
+    and P = ceil(r/2): take i <= r and j odd with j > 2P.  Each generator's
     partner update adds column j+1, which no such generator touches, so it
     stays zero, and the products reach every frame whose columns j are any
     vectors: k = r(m - P).  Otherwise k = 0, and the catalog raises: an
     unknown family, or orth without 1/2."""
     r = frame_rows
     if family == FAMILY_LIN:
-        return r * (size - r)
+        return r * (size - 1)
     if family == FAMILY_SP or family == FAMILY_ORTH and has_half(ring):
         return r * (size // 2 - (r + 1) // 2)
     return 0
@@ -172,11 +181,11 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
 def generator_catalog(ring: Ring, family: str, size: int):
     """All generators with nonzero parameters, in canonical order."""
     _check_paired_size(family, size)
-    nonzero = [v for v in ring.elements() if not v.is_zero()]
+    zero = ring.zero().payload
+    nonzero = [RingValue(ring, p) for p in _sorted_payloads(ring) if p != zero]
     if not nonzero:
         # the zero ring: no parameter, so no generator at any size
         return []
-    nonzero.sort(key=lambda v: ring.sort_key(v.payload))
     gens = []
     for i in range(1, size + 1):
         for j in range(1, size + 1):
@@ -195,8 +204,7 @@ class _Codec:
 
     def __init__(self, table: "OrbitTable"):
         ring = table.ring
-        values = sorted((v.payload for v in ring.elements()),
-                        key=ring.sort_key)
+        values = _sorted_payloads(ring)
         rank = {p: r for r, p in enumerate(values)}
         q = len(values)
         # distinct keys get distinct codes, in key order, only if no two
@@ -426,9 +434,6 @@ class OrbitTable:
             return tuple(_apply_gens(self.ring, [list(key)], gens)[0])
         return tuple(map(tuple, _apply_gens(self.ring, list(map(list, key)),
                                             gens)))
-
-    def contains(self, key) -> bool:
-        return key in self.orbit_of
 
     def path_word(self, key) -> GenWord:
         """The word carrying this orbit's representative to ``key``."""

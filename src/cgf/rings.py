@@ -302,7 +302,7 @@ class Ring:
 
     def dot(self, acc, xs, ys):
         """acc + sum(x * y) over payloads, one term at a time.  Z, Z/n
-        (and so F_p) and R[T] override it with a fused sum."""
+        (and so F_p) and R[T] over them override it with a fused sum."""
         add, mul = self.add, self.mul
         for x, y in zip(xs, ys):
             acc = add(acc, mul(x, y))
@@ -662,19 +662,15 @@ class PolyExt(Ring):
     zeros stripped.  Degrees above ``degree_cap`` raise instead of
     truncating silently.
 
-    ``mul`` and ``dot`` (and so matmul and the determinant over R[T]) add
-    every coefficient product into one list and trim once.  Over Z and Z/n,
-    in any descriptor that ``_residue_modulus`` names, ``mul`` and ``dot``
-    are one path, ``_raw_sum``: the list holds the exact integer sums, and
-    each coefficient is reduced mod n once, just before the trim.  ``fma``
+    Over Z and Z/n, in any descriptor that ``_residue_modulus`` names,
+    ``mul`` and ``dot`` (and so matmul and the determinant over R[T]) are
+    one fused path, ``_raw_sum``: one list holds the exact integer
+    coefficient sums, each reduced mod n once, then trimmed once.  ``fma``
     there is its one-product case written out: one product, one reduction,
     one trim, with no per-coefficient call.  Horner evaluation (``_horner``)
     there is exact over Z and reduced mod n once.  Over every other base
-    each product and sum goes through the base ring.  ``dot`` and ``fma``
-    raise ``DegreeCapExceeded`` exactly when the term-by-term
-    ``add(acc, mul(x, y))`` loop would: a term whose untrimmed product
-    degree exceeds the cap takes that loop's path, so every other partial
-    sum stays within the cap.
+    ``mul`` convolves through the base ring, and ``dot`` and ``fma`` are
+    ``Ring``'s term-by-term ``add(acc, mul(x, y))``.
     """
 
     kind = "poly"
@@ -758,17 +754,6 @@ class PolyExt(Ring):
                              b[i] if i < len(b) else z) for i in range(n)]
         return self._trim(out)
 
-    def _mac(self, out: list, a, b):
-        """out[i + j] += a_i * b_j in place through the base ring; ``out``
-        is long enough."""
-        add, mul = self.base.add, self.base.mul
-        z = self.base.zero().payload
-        for i, ca in enumerate(a):
-            if ca == z:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = add(out[i + j], mul(ca, cb))
-
     def _raw_sum(self, acc, pairs):
         """acc + sum(a * b for a, b in pairs) over Z and Z/n: exact integer
         coefficient sums, each reduced mod n once, then trimmed once.
@@ -811,31 +796,23 @@ class PolyExt(Ring):
             return self._raw_sum((), ((a, b),))
         if not a or not b:
             return ()
-        out = [self.base.zero().payload] * (len(a) + len(b) - 1)
-        self._mac(out, a, b)
+        add, mul = self.base.add, self.base.mul
+        z = self.base.zero().payload
+        out = [z] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca != z:
+                for k, cb in enumerate(b, i):
+                    out[k] = add(out[k], mul(ca, cb))
         return self._trim(out)
 
     def dot(self, acc, xs, ys):
-        """acc + sum(x * y) in one coefficient list, trimmed once."""
         if self._raw:
             return self._raw_sum(acc, zip(xs, ys))
-        z = self.base.zero().payload
-        out = list(acc)
-        for a, b in zip(xs, ys):
-            if not a or not b:
-                continue
-            n = len(a) + len(b) - 1
-            if n - 1 > self.degree_cap:
-                out = list(self.add(self._trim(out), self.mul(a, b)))
-                continue
-            if len(out) < n:
-                out.extend([z] * (n - len(out)))
-            self._mac(out, a, b)
-        return self._trim(out)
+        return super().dot(acc, xs, ys)
 
     def fma(self, a, c, x):
         if not self._raw:
-            return self.add(a, self.mul(c, x))
+            return super().fma(a, c, x)
         if not c or not x:
             return a
         size = len(c) + len(x) - 1
@@ -1353,10 +1330,7 @@ def localize_denominator_check(a: RingValue, allowed) -> bool:
         if not isinstance(base, (FractionRing, LocalizedIntegers, IntegerRing,
                                  RationalField)):
             raise UnsupportedRing(f"no denominator structure in {base}")
-        return all(_divides_power(Fraction(c).denominator
-                                  if not isinstance(c, Fraction) else c.denominator,
-                                  allowed)
-                   for c in a.payload)
+        return all(_divides_power(c.denominator, allowed) for c in a.payload)
     if isinstance(ring, (FractionRing, LocalizedIntegers, RationalField)):
         return _divides_power(a.payload.denominator, allowed)
     if isinstance(ring, IntegerRing):

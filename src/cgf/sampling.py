@@ -60,11 +60,3 @@ def random_unimodular_rows(rng: random.Random, ring: Ring, n: int, m: int,
     w = random_word(rng, ring, FAMILY_LIN, m, length)
     full = w.eval()
     return full.submatrix(0, n, 0, full.cols), w
-
-
-def random_unit(rng: random.Random, ring: Ring, tries: int = 64):
-    for _ in range(tries):
-        v = ring.random(rng)
-        if v.is_unit():
-            return v
-    return ring.one()

@@ -205,11 +205,6 @@ class GenWord:
         return _rebuilt(self.ring, self.size, self.family,
                         self.gens + other.gens)
 
-    def gen(self, i: int, j: int, param) -> "GenWord":
-        """Convenience: this word extended by one generator."""
-        g = Generator(self.family, i, j, self.ring.coerce(param), self.size)
-        return self + GenWord(self.ring, self.size, self.family, (g,))
-
     # -- evaluation --------------------------------------------------------
     def eval(self) -> Mat:
         """The matrix of the word, computed on the first call and kept.

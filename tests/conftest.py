@@ -30,6 +30,16 @@ def all_test_rings():
     ]
 
 
+def random_unit(rng, ring, tries=64):
+    """A random unit of ``ring`` drawn from ``rng``, or ``ring.one()``
+    after ``tries`` draws that are not units."""
+    for _ in range(tries):
+        v = ring.random(rng)
+        if v.is_unit():
+            return v
+    return ring.one()
+
+
 def within(seconds, call):
     """Run ``call`` in a thread with a deadline; its result, or the
     exception it raised.  The clock is read as well: one long C call (a huge

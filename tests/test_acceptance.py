@@ -372,7 +372,7 @@ def test_criterion_8_orthogonal_quotient():
         assert block_perp(identity(Z5, 4), delta) @ word.eval() == w.eval()
 
     from cgf.orthoquot import O2Class
-    from cgf.sampling import random_unit
+    from conftest import random_unit
     shapes = ("diag", "antidiag")
     for idx in range(100):
         da = O2Class(shapes[idx % 2], random_unit(rng, Z5)).reconstruct()

@@ -653,7 +653,25 @@ USAGE_ERRORS = {
     "missing --size": ["orbits", "--ring", "mod:4"],
     "bad --flavor": ["homotopy-commute", "--flavor", "bogus",
                      "--input", "{}"],
+    "bad reduce-row --flavor": ["reduce-row", "--flavor", "orth",
+                                "--ring", "mod:9", "--row", "[1,0]"],
+    "bad complete --flavor": ["complete", "--flavor", "bogus", "--ring",
+                              "mod:4", "--matrix", "[[1,0]]"],
+    "bad whitehead --flavor": ["whitehead", "--flavor", "orth", "--ring",
+                               "mod:9", "--matrix", "[[1,2],[0,1]]"],
 }
+
+
+@pytest.mark.parametrize("verb", ["reduce-row", "complete", "whitehead"])
+def test_a_bad_flavor_is_refused_before_the_ring_is_read(verb, capsys):
+    # argparse checks --flavor's choices while it parses, so an unknown
+    # ring after it is never read
+    argv = [verb, "--flavor", "bogus", "--ring", "bogus:ring",
+            "--row" if verb == "reduce-row" else "--matrix", "[[1,0]]"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "argument --flavor: invalid choice: 'bogus'" in err
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS.values(),
@@ -818,3 +836,15 @@ def test_zero_ring_orbits_answer_in_bounded_memory(argv, code, want,
                                                    capsys):
     assert within(10, lambda: main(argv)) == code
     assert want in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ring", ["mod:4", "mod:6"])
+def test_a_square_lin_frame_table_is_refused_before_its_catalog(ring,
+                                                                capsys):
+    # the orbit of [I_300 | 0] holds at least q^(300 * 299) frames, so the
+    # bound refuses it before the 269,100 (or 448,500) generators of its
+    # catalog are built
+    argv = ["orbits", "--ring", ring, "--kind", "frame", "--family", "lin",
+            "--size", "300", "--frame-rows", "300"]
+    assert within(10, lambda: main(argv)) == 2
+    assert _REFUSED in capsys.readouterr().out

@@ -30,9 +30,10 @@ from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
 from cgf.matrices import (IsotropicFrame, Mat, _constant_terms, _form,
                           identity, membership, phi, psi)
 from cgf.orthoquot import orth_inverse
-from cgf.rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
-                       PrimeField, QuotientRing, RingValue, TruncatedPolyLocal,
-                       _xgcd_chain, has_half, unit_ideal_witness)
+from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
+                       ModularRing, PolyExt, PrimeField, QuotientRing,
+                       RingValue, TruncatedPolyLocal, _xgcd_chain, has_half,
+                       unit_ideal_witness)
 from cgf.sampling import random_frame, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
                        apply_word_right, apply_word_to_row, gen_matrix)
@@ -149,9 +150,11 @@ def test_apply_word_left_matches_eval(case, n_cols):
     assert apply_word_left(word, m) == ref.matmul(ref.word_matrix(word), m)
 
 
+# Z[1/6] is the one base off the raw path that a workload reaches (the
+# split verb's Z[1/6][T])
 POLY_BASES = (ModularRing(9), PrimeField(5), LocalizedIntegers(5),
               ModularRing(4), TruncatedPolyLocal(2, 2), IntegerRing(),
-              ModularRing(1))
+              ModularRing(1), FractionRing(IntegerRing(), 6))
 
 
 @st.composite

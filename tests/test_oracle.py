@@ -77,8 +77,8 @@ def test_certify_out_of_domain_mod4():
 def test_certify_rejects_a_mat_of_the_wrong_shape_or_ring():
     Z2 = ModularRing(2)
     table = enumerate_orbits(Z2, "row", FAMILY_LIN, 2)
-    e1 = Mat.row_vector(Z2, [1, 0])
-    assert certify_equivalence(e1, Mat.row_vector(Z2, [1, 1]), table)
+    e1 = Mat(Z2, [[1, 0]])
+    assert certify_equivalence(e1, Mat(Z2, [[1, 1]]), table)
     # a two-row Mat is not certified by its first row
     with pytest.raises(ShapeMismatch) as err:
         certify_equivalence(Mat.identity(Z2, 2), e1, table)
@@ -87,9 +87,9 @@ def test_certify_rejects_a_mat_of_the_wrong_shape_or_ring():
                                    "context": {}}
     # a Z/3 row whose payloads are also Z/2 payloads is still a Z/3 row
     with pytest.raises(DescriptorMismatch):
-        certify_equivalence(Mat.row_vector(ModularRing(3), [1, 0]), e1, table)
+        certify_equivalence(Mat(ModularRing(3), [[1, 0]]), e1, table)
     with pytest.raises(DescriptorMismatch):
-        certify_equivalence(e1, Mat.row_vector(ModularRing(3), [1, 1]), table)
+        certify_equivalence(e1, Mat(ModularRing(3), [[1, 1]]), table)
     # the same for a frame table
     frames = enumerate_orbits(ModularRing(4), "frame", FAMILY_SP, 4,
                               frame_rows=1)
@@ -299,6 +299,22 @@ def test_the_frame_bound_never_exceeds_the_table_size():
                     checked += 1
                     tight += bound == len(table.orbit_of)
     assert checked == 67 and tight == 10
+
+
+def test_the_lin_frame_bound_holds_on_every_lin_table_built():
+    # q^(r(s - 1)) frames at least on every lin frame table the tests
+    # build, also on those past the sweep's budget of 1000: Z/4 2 x 3
+    # (256 <= 2,688), F_4 2 x 3 (256 <= 3,780) and F_3 3 x 3 (729 <= 5,616)
+    checked = 0
+    for (ring, family, size, rows), count in _FRAME_SIZES.items():
+        if family != FAMILY_LIN:
+            continue
+        table = _bounded_table(ring, "frame", family, size, rows)
+        k = oracle._frame_orbit_exponent(ring, family, size, rows)
+        assert k == rows * (size - 1)
+        assert ring.cardinality() ** k <= len(table.orbit_of) == count
+        checked += 1
+    assert checked == 5
 
 
 def _um3_z4():
@@ -573,12 +589,12 @@ ROW_GOLDEN_TABLES = [
                               "Z/2 lin 3-row frames"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
-    table = enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+    table = _bounded_table(ring, kind, family, size, frame_rows)
     blob = json.dumps(table.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-# the size of each frame table that a differential test below builds
+# the size of each frame table that a golden or differential test builds
 _FRAME_SIZES = {
     (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2, 2): 48,
     (ModularRing(4), FAMILY_SP, 4, 1): 240,
@@ -587,6 +603,15 @@ _FRAME_SIZES = {
     (PrimeField(3), FAMILY_SP, 4, 2): 2160,
     (ModularRing(2), FAMILY_LIN, 3, 3): 168,
     (ModularRing(2), FAMILY_SP, 4, 3): 360,
+    (F4, FAMILY_SP, 4, 1): 255,
+    (PrimeField(5), FAMILY_ORTH, 4, 1): 144,
+    (X2, FAMILY_SP, 4, 1): 240,
+    (F4, FAMILY_LIN, 3, 2): 3780,
+    (ModularRing(3), FAMILY_SP, 4, 2): 2160,
+    (ModularRing(23), FAMILY_SP, 2, 1): 528,
+    (PrimeField(3), FAMILY_LIN, 3, 3): 5616,
+    # every frame of Z/4 lin 2 x 3 (tests/test_domains.py)
+    (ModularRing(4), FAMILY_LIN, 3, 2): 2688,
 }
 
 

@@ -16,8 +16,10 @@ from cgf.orthoquot import (FactoredOrthogonal, O2Class, classify_o2,
                            hyperbolic_square_word, orth_inverse,
                            vaserstein_quotient)
 from cgf.rings import PolyExt, PrimeField
-from cgf.sampling import random_unit, random_word
+from cgf.sampling import random_word
 from cgf.words import FAMILY_ORTH
+
+from conftest import random_unit
 
 
 def _enumerate_o2(ring):

@@ -65,7 +65,7 @@ def test_row_action_example():
     out = apply_word_to_row(row, w)
     assert out == [Z4.one(), Z4.zero(), Z4.zero()]
     # and via full evaluation
-    assert (Mat.row_vector(Z4, row) @ w.eval()).entries[0] == tuple(out)
+    assert (Mat(Z4, [row]) @ w.eval()).entries[0] == tuple(out)
 
 
 def test_invert():
