@@ -20,8 +20,7 @@ from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
                        _form_inverse, membership, right_inverse)
 from .reduce import _require_local, complete_sp, reduce_row_linear
-from .rings import (QuotientRing, RingValue, ideal_combination,
-                    unit_ideal_witness)
+from .rings import QuotientRing, ideal_combination, unit_ideal_witness
 from .words import (FAMILY_LIN, Generator, GenWord, _gen, _rebuilt,
                     _transpose_gens, apply_word_to_row, empty_word)
 
@@ -29,15 +28,15 @@ from .words import (FAMILY_LIN, Generator, GenWord, _gen, _rebuilt,
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
     """The block m at rows row0+1.. and columns col0+1.. of I_size, for a
     block off the diagonal, as commuting e_(row0+i, col0+j)(m_ij),
-    row-major; only the nonzero entries are boxed.  Off the diagonal the
-    indices differ and lie in 1..size, so the generators are built by the
-    trusted ``_gen``."""
+    row-major, their parameters the entries' payloads; zero entries are
+    skipped.  Off the diagonal the indices differ and lie in 1..size, so the
+    generators are built by the trusted ``_gen``."""
     ring = m.ring
     zero = ring.zero().payload
     for i, row in enumerate(m._grid, row0 + 1):
         for j, p in enumerate(row, col0 + 1):
             if p != zero:
-                yield _gen(FAMILY_LIN, i, j, RingValue(ring, p), size)
+                yield _gen(FAMILY_LIN, i, j, ring, p, size)
 
 
 def whitehead_linear(d: Mat) -> GenWord:

@@ -104,7 +104,7 @@ class Homotopy:
             raise DescriptorMismatch("word-backed homotopies live over R[T]")
         zero = rt.base.zero().payload
         for g in word:
-            if g.param.payload and g.param.payload[0] != zero:
+            if g.z and g.z[0] != zero:
                 raise FormViolation(
                     "word parameters must vanish at T = 0", generator=str(g))
         return cls(flavor, word.eval(), word)

@@ -56,7 +56,7 @@ def quillen_split(theta: GenWord, s1: int, s2: int, n_max: int = 16,
     if s1 + s2 != 1:
         raise BadComaximal(f"s1 + s2 = {s1 + s2} != 1")
     for g in theta:
-        if not rt.constant_term(g.param).is_zero():
+        if not rt.constant_term(g.z).is_zero():
             raise FormViolation("split parameters must vanish at T = 0",
                                 generator=str(g))
     if len(theta) == 0:

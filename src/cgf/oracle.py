@@ -30,8 +30,8 @@ row, are the digits of one base-q integer, most significant first, so
 integer order is key order: a frame's code is its row codes as the digits
 of one base-q^size integer.
 A generator acts on each row alone, (V.g)_k = V_k.g, so the catalog
-compiles once on one row: each generator, from
-``Generator._payload_updates``, into (source position, target position,
+compiles once on one row: each generator, from its stored triples
+``Generator._triples``, into (source position, target position,
 weight q^k, coefficient rank) updates; an update whose source digit x is
 nonzero adds (rank(a + x*c) - a) * q^k, a being the target digit.  A
 generator's sources are never its targets, so every update reads the
@@ -287,7 +287,7 @@ class _Codec:
     def compile(self, g: Generator) -> list:
         """``g``'s column updates on one row, as (source position, target
         position, weight, coefficient rank)."""
-        updates = g._payload_updates()
+        updates = g._triples
         targets = {t for t, _, _ in updates}
         # each update may read the digits from before the step
         assert len(targets) == len(updates) and targets.isdisjoint(

@@ -4,8 +4,8 @@ orthogonal) matrices, returning the acting word in every case.
 
 Every construction here repeats one step, carried out by one engine,
 ``_Reduction``, on rows of canonical payloads (the form the kernel
-``words._apply_gens`` acts on); values are boxed only in the generators it
-emits and the errors it raises.  Its sweep carries row[lo:] to
+``words._apply_gens`` acts on); its generators hold payloads, so values are
+boxed only in the errors it raises.  Its sweep carries row[lo:] to
 (1, 0, ..., 0) on the window of columns lo+1..size, for every family: the
 lowest unit entry is pulled into slot 1, through the pump slot (2 for lin
 and sp, 3 for orth, whose oe_21 is excluded) when it sits before it; then a
@@ -65,7 +65,7 @@ class _Reduction:
     def emit(self, i: int, j: int, z):
         """Record the generator (i, j, z) and apply it; z = 0 is skipped."""
         if z != self.zero:
-            g = _gen(self.family, i, j, self.box(z), self.size)
+            g = _gen(self.family, i, j, self.ring, z, self.size)
             self.acc.append(g)
             _apply_gens(self.ring, self.rows, (g,))
 

@@ -6,19 +6,25 @@ se_ij(z) and orthogonal oe_ij(z), the latter two built on the index pairing
 claim is certified by exhibition; ``eval`` keeps the matrix it computes
 beside the word, outside its fields.
 
-Every generator acts on the right by one or two sparse column updates
-col_t += c * col_s, which ``Generator._payload_updates`` lists as 0-based
-payload triples without boxing a value.  One kernel, ``_apply_gens``,
-performs them on rows of canonical payloads with the ring's ``fma``; word
-evaluation, the right actions on matrices and rows, generator matrices and
-the reduction engine all call it.  Matrices keep the payload rows it
-returns; only ``apply_word_to_row`` boxes its result as ``RingValue``s.  The
-orbit oracle reads the same triples once per enumeration, and its tests
-check its row kernel against this one.
+A generator holds its parameter as the canonical payload ``z`` of its
+ring, never boxed inside the library: ``param`` builds a ``RingValue`` only
+when something reads it.  It acts on the right by one or two sparse column
+updates col_t += c * col_s, which it stores as 0-based payload triples
+(``Generator._triples``), built once with it by ``_gen``.  One kernel,
+``_apply_gens``, performs them on rows of canonical payloads with the
+ring's ``fma``; word evaluation, the right actions on matrices and rows,
+generator matrices and the reduction engine all call it.  Matrices keep the
+payload rows it returns; only ``apply_word_to_row`` boxes its result as
+``RingValue``s.  The orbit oracle reads the same triples once per
+enumeration, and its tests check its row kernel against this one.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
 family.  Only zero-parameter generators are dropped from a word.
+
+Every rebuild passes payloads: an inverse negates z on the payload, and a
+lift, a multiplication by T, a specialization and a dilation compute the
+new payload directly, so no word transport boxes a value.
 
 Words are checked at the edge: ``Generator`` and ``GenWord`` check every
 field they are given.  A word rebuilt from generators that already passed
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
                      FormViolation, WordLimitExceeded)
@@ -67,87 +74,120 @@ def paired_index(k: int) -> int:
     return k + 1 if k % 2 == 1 else k - 1
 
 
-@dataclass(frozen=True)
-class Generator:
-    """One elementary generator with 1-based indices."""
+class Generator(tuple):
+    """One elementary generator with 1-based indices.
 
-    family: str
-    i: int
-    j: int
-    param: RingValue
-    size: int
+    A tuple in the namedtuple style, (family, i, j, size, ring, z,
+    triples): ``z`` is the parameter's canonical payload in ``ring``, and
+    ``_triples`` the 0-based column updates of right multiplication, built
+    once with the generator (see ``_gen``).  ``param`` boxes ``z`` as a
+    ``RingValue`` on each read.  Being a tuple it is immutable; it equals
+    only another ``Generator`` with the same fields.
+    """
 
-    def __post_init__(self):
-        if self.family not in (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH):
-            raise BadIndices(f"unknown family {self.family!r}")
-        if not (1 <= self.i <= self.size and 1 <= self.j <= self.size):
-            raise BadIndices(f"indices ({self.i},{self.j}) out of 1..{self.size}")
-        if self.i == self.j:
+    __slots__ = ()
+
+    def __new__(cls, family: str, i: int, j: int, param: RingValue,
+                size: int):
+        if family not in (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH):
+            raise BadIndices(f"unknown family {family!r}")
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise BadIndices(f"indices ({i},{j}) out of 1..{size}")
+        if i == j:
             raise BadIndices("generator indices must differ")
-        if self.family in (FAMILY_SP, FAMILY_ORTH):
-            if self.size % 2 or self.size < 2:
-                raise BadIndices(f"{self.family} generators need even size")
-            if self.family == FAMILY_ORTH:
-                if self.i == paired_index(self.j):
+        if family in (FAMILY_SP, FAMILY_ORTH):
+            if size % 2 or size < 2:
+                raise BadIndices(f"{family} generators need even size")
+            if family == FAMILY_ORTH:
+                if i == paired_index(j):
                     raise BadIndices("orthogonal generators exclude i = pair(j)")
-                if not has_half(self.param.ring):
+                if not has_half(param.ring):
                     raise HalfNotInvertible(
-                        f"orthogonal generators need 1/2 in {self.param.ring}")
-        elif self.size < 2:
+                        f"orthogonal generators need 1/2 in {param.ring}")
+        elif size < 2:
             raise BadIndices("linear generators need size >= 2")
+        return _gen(family, i, j, param.ring, param.payload, size)
+
+    family = property(itemgetter(0))
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
+    size = property(itemgetter(3))
+    ring = property(itemgetter(4))
+    z = property(itemgetter(5))
+    # ((target, source, payload), ...), 0-based: col_target += c * col_source
+    _triples = property(itemgetter(6))
+
+    @property
+    def param(self) -> RingValue:
+        return RingValue(self[4], self[5])
+
+    def __eq__(self, other):
+        # False, never NotImplemented: a tuple must not equal a generator
+        return isinstance(other, Generator) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self[0], self[1], self[2], self[3], self[4].key(),
+                     self[5]))
+
+    def __reduce__(self):
+        # copies rebuild through _gen: the constructor takes a RingValue
+        return _gen, (self[0], self[1], self[2], self[4], self[5], self[3])
 
     def inverse(self) -> "Generator":
-        return _gen(self.family, self.i, self.j, -self.param, self.size)
+        return _gen(self[0], self[1], self[2], self[4], self[4].neg(self[5]),
+                    self[3])
 
     def updates(self):
         """The sparse column updates of right multiplication.
 
         Returns ((target, source, coeff), ...): col_target += coeff * col_source.
         """
-        ring = self.param.ring
+        ring = self[4]
         return tuple((t + 1, s + 1, RingValue(ring, c))
-                     for t, s, c in self._payload_updates())
+                     for t, s, c in self[6])
 
     def _payload_updates(self) -> tuple:
-        """``updates()`` as 0-based (target, source, payload) triples, the
-        form the kernels read: -z is negated on the payload, not boxed."""
-        ring, z = self.param.ring, self.param.payload
-        i, j = self.i - 1, self.j - 1
-        if self.family == FAMILY_LIN:
-            return ((j, i, z),)
-        si, sj = paired_index(self.i) - 1, paired_index(self.j) - 1
-        if self.family == FAMILY_SP:
-            if i == sj:
-                return ((j, i, z),)
-            c = ring.neg(z) if (i + j) % 2 == 0 else z
-            return ((j, i, z), (si, sj, c))
-        return ((j, i, z), (si, sj, ring.neg(z)))
+        """``_triples``: ``updates()`` as 0-based payload triples."""
+        return self[6]
 
     def __repr__(self):
-        tag = {"lin": "e", "sp": "se", "orth": "oe"}[self.family]
-        return f"{tag}_{self.i}{self.j}({self.param!r})"
+        tag = {"lin": "e", "sp": "se", "orth": "oe"}[self[0]]
+        return f"{tag}_{self[1]}{self[2]}({self[4].render(self[5])})"
 
     def to_json(self):
-        return {"i": self.i, "j": self.j, "param": self.param.to_json()}
+        return {"i": self[1], "j": self[2],
+                "param": self[4].value_to_json(self[5])}
 
 
-_set = object.__setattr__
+def _gen(family: str, i: int, j: int, ring: Ring, z, size: int) -> Generator:
+    """The generator (i, j) of ``family`` with the canonical payload ``z``
+    of ``ring``, and its update triples: one for lin and for sp (i, pair i),
+    two otherwise, the second on the partner indices with -z (orth; sp when
+    i + j is even) or z.
 
-
-def _gen(family: str, i: int, j: int, param: RingValue,
-         size: int) -> Generator:
-    """A generator rebuilt from one that passed ``Generator``'s checks, with
-    a parameter from the same ring, or built by a construction from its own
-    indices; the checks are not run.  The caller answers for distinct
+    The checks are not run: the generator is rebuilt from one that passed
+    ``Generator``'s checks, with a payload from the same ring, or built by a
+    construction from its own indices.  The caller answers for distinct
     indices in 1..size, an even size for the paired families, i != pair(j)
     and 1/2 in the ring for orth."""
-    g = object.__new__(Generator)
-    _set(g, "family", family)
-    _set(g, "i", i)
-    _set(g, "j", j)
-    _set(g, "param", param)
-    _set(g, "size", size)
-    return g
+    i0, j0 = i - 1, j - 1
+    if family == FAMILY_LIN:
+        triples = ((j0, i0, z),)
+    else:
+        # the 0-based partners: pair(k) - 1 is k for odd k, k - 2 for even
+        si = i0 - 1 if i % 2 == 0 else i
+        sj = j0 - 1 if j % 2 == 0 else j
+        if family == FAMILY_ORTH:
+            triples = ((j0, i0, z), (si, sj, ring.neg(z)))
+        elif i0 == sj:
+            triples = ((j0, i0, z),)
+        else:
+            triples = ((j0, i0, z),
+                       (si, sj, ring.neg(z) if (i + j) % 2 == 0 else z))
+    return tuple.__new__(Generator, (family, i, j, size, ring, z, triples))
 
 
 def _check_length(n: int):
@@ -159,7 +199,7 @@ def _check_length(n: int):
 def gen_matrix(g: Generator) -> Mat:
     """The defining matrix of a generator; form preservation is asserted
     for the symplectic and orthogonal families."""
-    ring = g.param.ring
+    ring = g.ring
     m = Mat._box(ring, _apply_gens(
         ring, Mat.identity(ring, g.size)._payloads(), (g,)))
     if g.family == FAMILY_SP and not membership(m, "Sp"):
@@ -180,14 +220,15 @@ class GenWord:
 
     def __post_init__(self):
         kept = []
+        zero = self.ring.zero().payload
         for g in self.gens:
             if not isinstance(g, Generator):
                 raise BadIndices(f"{g!r} is not a generator")
             if g.family != self.family or g.size != self.size:
                 raise DescriptorMismatch("generator family/size mismatch")
-            if g.param.ring != self.ring:
+            if g.ring != self.ring:
                 raise DescriptorMismatch("generator parameter ring mismatch")
-            if not g.param.is_zero():
+            if g.z != zero:
                 kept.append(g)
         _check_length(len(kept))
         object.__setattr__(self, "gens", tuple(kept))
@@ -230,9 +271,9 @@ class GenWord:
         if b.ring != rt.base:
             raise DescriptorMismatch("dilation scale must live in the base ring")
         zero = rt.zero().payload
-        scaled = ((g, rt.compose_scale(g.param.payload, b)) for g in self.gens)
+        scaled = ((g, rt.compose_scale(g.z, b)) for g in self.gens)
         return _rebuilt(rt, self.size, self.family, tuple(
-            _gen(g.family, g.i, g.j, RingValue(rt, p), g.size)
+            _gen(g.family, g.i, g.j, rt, p, g.size)
             for g, p in scaled if p != zero))
 
     def specialize(self, t: RingValue) -> "GenWord":
@@ -243,27 +284,29 @@ class GenWord:
         if t.ring != rt.base:
             raise DescriptorMismatch("specialization point must be in the base")
         base, zero = rt.base, rt.base.zero().payload
-        values = ((g, rt._horner(g.param.payload, t.payload))
-                  for g in self.gens)
+        values = ((g, rt._horner(g.z, t.payload)) for g in self.gens)
         return _rebuilt(base, self.size, self.family, tuple(
-            _gen(g.family, g.i, g.j, RingValue(base, p), g.size)
+            _gen(g.family, g.i, g.j, base, p, g.size)
             for g, p in values if p != zero))
 
     def lift_to(self, rt: PolyExt) -> "GenWord":
         """Constant-embed an R-word into R[T]."""
         if rt.base != self.ring:
             raise DescriptorMismatch("polynomial ring has a different base")
+        # a nonzero constant z has the payload (z,)
         return _rebuilt(rt, self.size, self.family, tuple(
-            _gen(g.family, g.i, g.j, rt.embed_const(g.param), g.size)
-            for g in self.gens))
+            _gen(g.family, g.i, g.j, rt, (g.z,), g.size) for g in self.gens))
 
     def times_variable(self, rt: PolyExt) -> "GenWord":
         """Parameters z -> z*T: the straight-line homotopy of an R-word."""
         if rt.base != self.ring:
             raise DescriptorMismatch("polynomial ring has a different base")
-        T = rt.variable()
+        # z*T has the payload (0, z) for z != 0; building T checks that
+        # the degree cap admits it
+        rt.variable()
+        zero = self.ring.zero().payload
         return _rebuilt(rt, self.size, self.family, tuple(
-            _gen(g.family, g.i, g.j, rt.embed_const(g.param) * T, g.size)
+            _gen(g.family, g.i, g.j, rt, (zero, g.z), g.size)
             for g in self.gens))
 
     # -- index transport -----------------------------------------------------
@@ -274,7 +317,8 @@ class GenWord:
         if self.family != FAMILY_LIN and new_size % 2:
             raise BadIndices("paired families need even ambient size")
         return _rebuilt(self.ring, new_size, self.family, tuple(
-            _gen(g.family, g.i, g.j, g.param, new_size) for g in self.gens))
+            _gen(g.family, g.i, g.j, g.ring, g.z, new_size)
+            for g in self.gens))
 
     def shift(self, offset: int, new_size: int) -> "GenWord":
         """Indices += offset (offset even for the paired families)."""
@@ -287,7 +331,7 @@ class GenWord:
             if self.family != FAMILY_LIN and new_size % 2:
                 raise BadIndices(f"{self.family} generators need even size")
         return _rebuilt(self.ring, new_size, self.family, tuple(
-            _gen(g.family, g.i + offset, g.j + offset, g.param, new_size)
+            _gen(g.family, g.i + offset, g.j + offset, g.ring, g.z, new_size)
             for g in self.gens))
 
     def __repr__(self):
@@ -308,6 +352,9 @@ class GenWord:
                                ring.value_from_json(g["param"]), size)
                      for g in obj["gens"])
         return GenWord(ring, size, family, gens)
+
+
+_set = object.__setattr__
 
 
 def _rebuilt(ring: Ring, size: int, family: str, gens: tuple) -> GenWord:
@@ -346,7 +393,7 @@ def _apply_gens(ring: Ring, rows, gens):
     fma = ring.fma
     zero = ring.zero().payload
     for g in gens:
-        for t, s, c in g._payload_updates():
+        for t, s, c in g._triples:
             for r in rows:
                 x = r[s]
                 if x != zero:
@@ -367,7 +414,7 @@ def _transpose_gens(gens) -> tuple:
     """Generators whose product is the transpose of the product of
     ``gens``: each generator (i, j, z) transposes to (j, i, z), in reverse
     order."""
-    return tuple(_gen(g.family, g.j, g.i, g.param, g.size)
+    return tuple(_gen(g.family, g.j, g.i, g.ring, g.z, g.size)
                  for g in reversed(gens))
 
 

@@ -1,5 +1,5 @@
 import random
-import threading
+import signal
 import time
 
 import pytest
@@ -40,22 +40,38 @@ def random_unit(rng, ring, tries=64):
     return ring.one()
 
 
+class _Deadline(BaseException):
+    """Raised by ``within``'s timer: not an ``Exception``, so no
+    ``except Exception`` in the code under test can swallow it."""
+
+
 def within(seconds, call):
-    """Run ``call`` in a thread with a deadline; its result, or the
-    exception it raised.  The clock is read as well: one long C call (a huge
-    int power) holds the interpreter lock past the join's timeout."""
-    results = []
+    """Run ``call`` with a deadline; its result, or the exception it raised.
 
-    def run():
-        try:
-            results.append(call())
-        except Exception as e:  # the caller checks which
-            results.append(e)
+    The call runs in the main thread under a real-time interval timer whose
+    handler raises ``_Deadline``, so a call that misses the deadline is
+    stopped and fails the assertion.  The clock is read as well: one long C
+    call (a huge int power) delays the signal until it returns."""
 
+    def expire(signum, frame):
+        raise _Deadline
+
+    missed = False
+    old = signal.signal(signal.SIGALRM, expire)
     start = time.monotonic()
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive() and len(results) == 1
+    try:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+            try:
+                result = call()
+            except Exception as e:  # the caller checks which
+                result = e
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+        except _Deadline:
+            missed = True
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert not missed, f"call missed its {seconds} s deadline"
     assert time.monotonic() - start < seconds
-    return results[0]
+    return result

@@ -25,8 +25,9 @@ import pytest
 import reference as ref
 from cgf.errors import (DegreeCapExceeded, FormViolation, NotAUnit,
                         ShapeMismatch, UnsupportedRing)
-from cgf.factor import sp_inverse
-from cgf.homotopy import Homotopy, homotopy_commute_orthogonal, mat_substitute
+from cgf.factor import sp_inverse, whitehead_linear
+from cgf.homotopy import (Homotopy, homotopy_commute_orthogonal,
+                          mat_substitute, vaserstein_transport)
 from cgf.matrices import (IsotropicFrame, Mat, _constant_terms, _form,
                           identity, membership, phi, psi)
 from cgf.orthoquot import orth_inverse
@@ -34,7 +35,7 @@ from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
                        RingValue, TruncatedPolyLocal, _xgcd_chain, has_half,
                        unit_ideal_witness)
-from cgf.sampling import random_frame, random_word
+from cgf.sampling import random_frame, random_unimodular_rows, random_word
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
                        apply_word_right, apply_word_to_row, gen_matrix)
 
@@ -52,7 +53,7 @@ SETTINGS = hypothesis.settings(max_examples=300, deadline=None,
 FAST_PATHS = {"dot", "fma", "updates", "_payload_updates", "_apply_gens",
               "eval", "det", "inverse", "_berkowitz", "_charpoly",
               "membership", "_form", "_gram_is_form", "_raw_sum", "_mac",
-              "_horner"}
+              "_horner", "_triples"}
 
 
 def _fast_path_uses(source):
@@ -77,6 +78,18 @@ def test_reference_kernel_calls_no_fast_path():
         "a @ b\nx @= y\nring.dot(0, xs, ys)\nw.eval()\n"
         "apply_word_right(m, w)\n_apply_gens(r, rows, gens)\n")] == [
             "@", "@", "dot", "eval", "apply_word_right", "_apply_gens"]
+
+
+def test_reference_reads_no_fast_path_attribute():
+    # a stored fast path, such as a generator's update triples, is read
+    # without a call, so the scan above cannot see it
+    def reads(source):
+        return [node.attr for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Attribute) and node.attr in FAST_PATHS]
+
+    assert reads(pathlib.Path(ref.__file__).read_text()) == []
+    assert reads("g._triples\nring.fma\ng.param.payload\n") == [
+        "_triples", "fma"]
 
 
 def _random_mat(rng, ring, rows, cols):
@@ -571,8 +584,10 @@ def test_payload_ops_build_no_ring_values(monkeypatch):
 # boxed every result, 137 with payload rows inside, 63 once the kernels read
 # generator updates as payload triples instead of boxing -z, 61 once the
 # homotopy read its word's constant terms off the payloads, 59 once SO
-# over R[T] took no determinant of the constant terms I.
-ORTH_HOMOTOPY_VALUES = 59
+# over R[T] took no determinant of the constant terms I, 1 (the variable T
+# that times_variable builds to check the degree cap) once generators held
+# payloads and every word rebuild passed payloads.
+ORTH_HOMOTOPY_VALUES = 1
 
 
 def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):
@@ -587,6 +602,29 @@ def test_orthogonal_homotopy_boxing_stays_bounded(monkeypatch):
     res = homotopy_commute_orthogonal(d, frame)
     assert res.witness.all_passed()
     assert len(built) <= ORTH_HOMOTOPY_VALUES, len(built)
+
+
+# RingValues the base-ring constructions build: the linear Whitehead word of
+# a seeded 8 x 8 matrix over Z/9 (151 generators), then the transport of a
+# seeded 3 x 3 d.  389 while generators held a boxed parameter (the Whitehead
+# blocks, the inverted words and the completion each boxed one per
+# generator), 4 once they held payloads: one in det, one in membership and
+# two for the -1 that scales transport's correction.
+BASE_CONSTRUCTION_VALUES = 4
+
+
+def test_base_ring_constructions_box_no_generator(monkeypatch):
+    rng = random.Random(2025)
+    ring = ModularRing(9)
+    d8 = random_word(rng, ring, FAMILY_LIN, 8, 24).eval()
+    d3 = random_word(rng, ring, FAMILY_LIN, 3, 9).eval()
+    v, _ = random_unimodular_rows(rng, ring, 3, 4, 9)
+    ring.zero(), ring.one()
+    built = _count_values(monkeypatch)
+    assert len(whitehead_linear(d8)) == 151
+    res = vaserstein_transport(d3, v, "linear")
+    assert res.witness.all_passed()
+    assert len(built) <= BASE_CONSTRUCTION_VALUES, len(built)
 
 
 # ---------------------------------------------------------------------------

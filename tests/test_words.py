@@ -1,5 +1,6 @@
 """Generator words: defining matrices, evaluation, inversion, substitution."""
 
+import copy
 import json
 import random
 import threading
@@ -10,11 +11,14 @@ import cgf.words
 import reference as ref
 from cgf.errors import BadIndices, HalfNotInvertible, WordLimitExceeded
 from cgf.matrices import Mat, membership
-from cgf.rings import ModularRing, PolyExt, PrimeField, RingValue
-from cgf.sampling import random_frame, random_unimodular_rows, random_word
+from cgf.rings import ModularRing, PolyExt, PrimeField, RingValue, has_half
+from cgf.sampling import (random_frame, random_nonzero,
+                          random_unimodular_rows, random_word)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                        Witness, apply_word_to_row, empty_word, gen_matrix,
                        paired_index, word_from_pairs)
+
+from conftest import all_test_rings
 
 
 def test_pairing():
@@ -329,3 +333,96 @@ def test_shift_keeps_its_index_guards():
             w, lambda g: (g.i + offset, g.j + offset, g.param), size=size))
         assert got == ref
         assert got["code"] == "bad_indices", got
+
+
+# ---------------------------------------------------------------------------
+# the generator contract: a tuple of payloads that behaves as a value
+
+# (repr, JSON) of random_nonzero(random.Random(k), ring) for the k-th ring of
+# all_test_rings(), pinned when generators still held a boxed parameter
+PARAM_PINS = [("3", "3"), ("2", "2"), ("1", "1"), ("1+1x", "[1,1]"),
+              ("1x", "[0,1]"), ("4", "4"), ("9", "9"), ("1/3", "[1,3]"),
+              ("1", "1"), ("2/9", "[2,9]"),
+              ("0 + (3)T + (3)T^2", "[0,3,3]"), ("4/3", "[4,3]"), ("1", "1")]
+TAGS = {FAMILY_LIN: "e", FAMILY_SP: "se", FAMILY_ORTH: "oe"}
+
+
+def _contract_cases():
+    """(k, ring, same ring built again, family, i, j, param) for every
+    admissible (i, j) at size 4, every family and every test ring that
+    admits it."""
+    for k, (ring, again) in enumerate(zip(all_test_rings(),
+                                          all_test_rings())):
+        z = random_nonzero(random.Random(k), ring)
+        for family in (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH):
+            if family == FAMILY_ORTH and not has_half(ring):
+                continue
+            for i in range(1, 5):
+                for j in range(1, 5):
+                    if i != j and not (family == FAMILY_ORTH
+                                       and i == paired_index(j)):
+                        yield k, ring, again, family, i, j, z
+
+
+def _derived_updates(g):
+    # the column updates of I + z E_ij, and of its partner entry
+    # -(-1)^(i+j) z E_(pair j, pair i) (sp) or -z E_(pair j, pair i) (orth)
+    z, i, j = g.param, g.i, g.j
+    if g.family == FAMILY_LIN or (g.family == FAMILY_SP
+                                  and i == paired_index(j)):
+        return ((j, i, z),)
+    c = -z if g.family == FAMILY_ORTH or (i + j) % 2 == 0 else z
+    return ((j, i, z), (paired_index(i), paired_index(j), c))
+
+
+def test_generator_contract():
+    seen = set()
+    for k, ring, again, family, i, j, z in _contract_cases():
+        g = Generator(family, i, j, z, 4)
+        # the trusted builder, over another instance of the same ring
+        h = cgf.words._gen(family, i, j, again, z.payload, 4)
+        assert g == h and h == g and not g != h
+        assert hash(g) == hash(h)
+        assert copy.copy(g) == g
+        assert (g.family, g.i, g.j, g.size) == (family, i, j, 4)
+        assert type(g.param) is RingValue and g.param == z
+        assert g.param.ring == ring and g.z == z.payload
+        # never equal to a non-generator, not even to its own fields
+        for other in (tuple(g), list(g), None, z, repr(g)):
+            assert g.__eq__(other) is False
+            assert g != other and other != g and not g == other
+        for name in ("family", "i", "j", "size", "param", "ring", "z",
+                     "_triples", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+        r, js = PARAM_PINS[k]
+        assert repr(g) == f"{TAGS[family]}_{i}{j}({r})"
+        assert json.dumps(g.to_json(), separators=(",", ":")) == \
+            f'{{"i":{i},"j":{j},"param":{js}}}'
+        inv = g.inverse()
+        assert (inv.family, inv.i, inv.j, inv.size) == (family, i, j, 4)
+        assert inv.ring == ring and inv.z == ring.neg(z.payload)
+        assert inv.param == -z and inv.inverse() == g
+        assert g.updates() == _derived_updates(g)
+        assert inv.updates() == _derived_updates(inv)
+        seen.add((family, len(g.updates())))
+    assert seen == {(FAMILY_LIN, 1), (FAMILY_SP, 1), (FAMILY_SP, 2),
+                    (FAMILY_ORTH, 2)}
+
+
+def test_generators_differing_in_one_field_differ():
+    gen = cgf.words._gen
+    for _, ring, _, family, i, j, z in _contract_cases():
+        g = gen(family, i, j, ring, z.payload, 4)
+        other_family = FAMILY_SP if family == FAMILY_LIN else FAMILY_LIN
+        variants = [gen(other_family, i, j, ring, z.payload, 4),
+                    gen(family, j, i, ring, z.payload, 4),
+                    gen(family, i, 5, ring, z.payload, 6),
+                    gen(family, i, j, ring, z.payload, 6),
+                    gen(family, i, j, ring, (z + 1).payload, 4)]
+        if family == FAMILY_LIN:  # another ring, the same payload
+            variants.append(gen(family, i, j, PolyExt(ring, "S"), z.payload, 4))
+        for v in variants:
+            assert v != g and g != v and not v == g
+        # the hash reads every field
+        assert hash(g) not in {hash(v) for v in variants}
