@@ -10,7 +10,8 @@ from cgf.errors import (BadPerp, IdealNotComaximal, NotInvertible,
 from cgf.factor import (_block_gens, common_perp, roitman, sp_inverse,
                         transvection_factor, two_row_equiv, whitehead_linear,
                         whitehead_symplectic)
-from cgf.matrices import Mat, identity, membership, right_inverse
+from cgf.matrices import (Mat, RightInverseCert, identity, membership,
+                          right_inverse)
 from cgf.oracle import certify_equivalence, enumerate_orbits
 from cgf.rings import IntegerRing, ModularRing, PrimeField
 from cgf.sampling import random_unimodular_rows, random_word
@@ -276,3 +277,36 @@ def test_roitman_oracle_cross_check():
                                        table) is not None
         count += 1
     assert count > 10
+
+
+def _refusal(fn, *args):
+    out = ref.outcome(fn, *args)
+    return (out.code, out.message) if isinstance(out, ref.Raised) else out
+
+
+def test_cross_ring_inputs_keep_their_errors():
+    # the rings are compared before any entry is read: a dot product of
+    # the payloads of two rings would answer here (r . c = 3 != 0 and
+    # <v1, w> = 2 != 1), and the answers would be not_perpendicular and
+    # bad_perp
+    Z9, F5 = ModularRing(9), PrimeField(5)
+    different = ("shape_mismatch", "matrices over different rings")
+    assert _refusal(transvection_factor, Mat(Z9, [[1], [0], [0]]),
+                    Mat(F5, [[1, 1, 2]])) == different
+    assert _refusal(common_perp, Mat(Z9, [[1, 0, 0]]), Mat(Z9, [[1, 1, 0]]),
+                    Mat(F5, [[2, 0, 0]])) == different
+    assert _refusal(common_perp, Mat(F5, [[1, 0, 0]]), Mat(Z9, [[1, 1, 0]]),
+                    Mat(F5, [[1, 0, 0]])) == different
+    # two_row_equiv reads its witness row off a certificate, which refuses
+    # a right inverse over another ring
+    a = Mat(F5, [[1, 0, 0], [0, 1, 0]])
+    beta = Mat(Z9, [[1, 0], [0, 1], [0, 0]])
+    assert _refusal(lambda: two_row_equiv(
+        a, RightInverseCert(a, beta))) == different
+    # roitman's tail minors multiply ring values of x and y
+    operands = ("descriptor_mismatch",
+                "operands live in different rings: Z/9 vs F_5")
+    assert _refusal(roitman, Mat(Z9, [[1, 0, 0]]), 0,
+                    Mat(F5, [[0, 1, 0]])) == operands
+    assert _refusal(roitman, Mat(Z9, [[2, 1, 0]]), 1,
+                    Mat(F5, [[1, 0]])) == operands

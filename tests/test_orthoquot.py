@@ -15,7 +15,7 @@ from cgf.orthoquot import (FactoredOrthogonal, O2Class, classify_o2,
                            conjugate_word_by_corner, corner_commutator_square_root,
                            hyperbolic_square_word, orth_inverse,
                            vaserstein_quotient)
-from cgf.rings import PolyExt, PrimeField
+from cgf.rings import ModularRing, PolyExt, PrimeField
 from cgf.sampling import random_word
 from cgf.words import FAMILY_ORTH
 
@@ -116,6 +116,40 @@ def test_hyperbolic_square_word():
         rows[5][5] = Z7.coerce(t * t).inverse()
         assert m == Mat(Z7, rows)
         assert membership(m, "O")
+
+
+def test_hyperbolic_square_word_keeps_its_refusals():
+    # every refusal, in the order the checks run: the pairs, the unit, the
+    # indices of the first move, an even size, 1/2, the ring of t
+    F7, Z4 = PrimeField(7), ModularRing(4)
+    three = F7.coerce(3)
+    for args, refusal in (
+            ((F7, 8, 3, 5, three),
+             ("bad_indices", "indices (5,9) out of 1..8")),
+            ((F7, 8, 5, 1, three),
+             ("bad_indices", "indices (9,1) out of 1..8")),
+            ((F7, 8, 0, 1, three),
+             ("bad_indices", "indices (-1,1) out of 1..8")),
+            ((F7, 7, 1, 2, three),
+             ("bad_indices", "orth generators need even size")),
+            ((F7, 7, 4, 1, three),
+             ("bad_indices", "orth generators need even size")),
+            ((F7, 8, 2, 2, three), ("size_bound", "the helper pair must "
+                                    "differ from the target pair")),
+            ((F7, 8, 1, 2, F7.zero()),
+             ("not_a_unit", "0 is not a unit mod 7")),
+            ((F7, 8, 5, 1, F7.zero()),
+             ("not_a_unit", "0 is not a unit mod 7")),
+            ((Z4, 8, 1, 2, Z4.coerce(3)),
+             ("half_not_invertible", "orthogonal generators need 1/2 in "
+                                     "Z/4")),
+            ((F7, 8, 1, 2, PrimeField(5).coerce(3)),
+             ("descriptor_mismatch", "generator parameter ring mismatch"))):
+        out = ref.outcome(hyperbolic_square_word, *args)
+        assert (out.code, out.message) == refusal, args
+    # over the zero ring every move has a zero parameter
+    Z1 = ModularRing(1)
+    assert len(hyperbolic_square_word(Z1, 8, 1, 2, Z1.one())) == 0
 
 
 def test_corner_commutator_square_root_table():
