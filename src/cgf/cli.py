@@ -36,8 +36,7 @@ from .reduce import (_require_local, complete_orth, complete_sp,
 from .rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                     PrimeField, RationalField, Ring, TruncatedPolyLocal,
                     ring_from_json)
-from .words import (GenWord, Witness, apply_word_right, apply_word_to_row,
-                    word_limit)
+from .words import GenWord, Witness, apply_word_right, word_limit
 
 
 class _UsageError(Exception):
@@ -138,11 +137,10 @@ def _cmd_reduce_row(args) -> int:
         word = reduce_row_linear(row)
     else:
         word = reduce_row_symplectic(row)
-    out = apply_word_to_row(list(row.entries[0]), word)
-    target = [ring.one()] + [ring.zero()] * (row.cols - 1)
-    return _emit(_word_witness(f"reduce_row_{args.flavor}",
-                               {"row": row}, word,
-                               [("row . eval(word) == e_1", out == target)]))
+    e_1 = Mat.identity(ring, row.cols).submatrix(0, 1, 0, row.cols)
+    return _emit(_word_witness(
+        f"reduce_row_{args.flavor}", {"row": row}, word,
+        [("row . eval(word) == e_1", apply_word_right(row, word) == e_1)]))
 
 
 def _cmd_complete(args) -> int:
@@ -334,12 +332,9 @@ def _harness_lemmas(rng, budget, corrupt=False):
 
     def row_reduction():
         v, _ = random_unimodular_rows(rng, ring, 1, 3, 5)
-        w = reduce_row_linear(v)
-        out = apply_word_to_row(list(v.entries[0]), w)
-        expected = [ring.one(), ring.zero(), ring.zero()]
-        if corrupt:
-            expected = [ring.zero()] * 3
-        return out == expected
+        expected = (Mat.zeros(ring, 1, 3) if corrupt
+                    else Mat.identity(ring, 3).submatrix(0, 1, 0, 3))
+        return apply_word_right(v, reduce_row_linear(v)) == expected
 
     def linear_completion():
         v, _ = random_unimodular_rows(rng, ring, 2, 4, 5)

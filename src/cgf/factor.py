@@ -10,6 +10,11 @@ produced by full row-column reduction of d ⊥ d^{-1} over a local ring, which
 covers every use made of it here.  All factorizations in this module that
 consume column reductions require a local base ring; their statements hold
 more generally, and the finite-ring oracle is the certification boundary.
+
+Every construction reads payload rows (``Mat._grid``), acts on them with
+``words._apply_gens`` or ``apply_word_right`` and builds its words with the
+trusted ``_gen``/``_rebuilt``.  Ring values are boxed only for the errors
+and for the ring-level solvers the quotient lift hands its entries to.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from .errors import (BadPerp, IdealNotComaximal, NoUnitEntry, NotInvertible,
 from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
                        _form_inverse, membership, right_inverse)
 from .reduce import _require_local, complete_sp, reduce_row_linear
-from .rings import QuotientRing, ideal_combination, unit_ideal_witness
-from .words import (FAMILY_LIN, Generator, GenWord, _gen, _rebuilt,
-                    _transpose_gens, apply_word_to_row, empty_word)
+from .rings import (QuotientRing, RingValue, ideal_combination,
+                    unit_ideal_witness)
+from .words import (FAMILY_LIN, GenWord, _apply_gens, _gen, _rebuilt,
+                    _transpose_gens, apply_word_right, empty_word)
 
 
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
@@ -93,23 +99,25 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
         raise SizeBound("transvection factorization needs m >= 3")
     ring = c.ring
     _require_local(ring, "transvection factorization")
-    rc = (r @ c).entries[0][0]
-    if not rc.is_zero():
-        raise NotPerpendicular("r . c must vanish", got=rc)
-    if all(v.is_zero() for v in r.entries[0]):
+    zero = ring.zero().payload
+    rc = (r @ c)._grid[0][0]
+    if rc != zero:
+        raise NotPerpendicular("r . c must vanish", got=RingValue(ring, rc))
+    if all(p == zero for p in r._grid[0]):
         return empty_word(ring, m, FAMILY_LIN)
     try:
         rho = reduce_row_linear(c.transpose())
     except NoUnitEntry:
         raise NotRightInvertible("column has no unit entry") from None
     # eval(gamma) @ c = e_1 for gamma with eval(gamma) = eval(rho)^t
-    gamma = GenWord(ring, m, FAMILY_LIN, _transpose_gens(rho.gens))
-    r_prime = apply_word_to_row(list(r.entries[0]), gamma.invert())
-    if not r_prime[0].is_zero():
+    gamma = _rebuilt(ring, m, FAMILY_LIN, _transpose_gens(rho.gens))
+    back = gamma.invert()
+    r_prime = _apply_gens(ring, r._payloads(), back.gens)[0]
+    if r_prime[0] != zero:
         raise FormViolation("internal: transported row kept its first entry")
-    middle = [Generator(FAMILY_LIN, 1, j + 1, r_prime[j], m)
-              for j in range(1, m) if not r_prime[j].is_zero()]
-    word = gamma.invert() + GenWord(ring, m, FAMILY_LIN, tuple(middle)) + gamma
+    middle = tuple(_gen(FAMILY_LIN, 1, j + 1, ring, r_prime[j], m)
+                   for j in range(1, m) if r_prime[j] != zero)
+    word = back + _rebuilt(ring, m, FAMILY_LIN, middle) + gamma
     expected = Mat.identity(ring, m) + (c @ r)
     if word.eval() != expected:
         raise FormViolation("internal: transvection word mismatch")
@@ -123,18 +131,17 @@ def common_perp(v1: Mat, v2: Mat, w: Mat) -> GenWord:
     if not (v1.rows == v2.rows == w.rows == 1) or \
             not (v1.cols == v2.cols == w.cols):
         raise BadPerp("expected three rows of equal length")
-    r = v1.cols
-    if r < 3:
+    if v1.cols < 3:
         raise SizeBound("common perpendicular needs length >= 3")
     ring = v1.ring
-    one = ring.one()
+    one = ring.one().payload
     for v in (v1, v2):
-        ip = (v @ w.transpose()).entries[0][0]
+        ip = (v @ w.transpose())._grid[0][0]
         if ip != one:
-            raise BadPerp("inner product with the witness row is not 1", got=ip)
+            raise BadPerp("inner product with the witness row is not 1",
+                          got=RingValue(ring, ip))
     word = transvection_factor(w.transpose(), v2 - v1)
-    got = apply_word_to_row(list(v1.entries[0]), word)
-    if got != list(v2.entries[0]):
+    if apply_word_right(v1, word) != v2:
         raise FormViolation("internal: common-perpendicular word mismatch")
     return word
 
@@ -202,31 +209,33 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
     else:
         eps_bar = _row_equiv_local(Mat(rbar, [tail_bar]), Mat(rbar, [y_bar]))
     # lift parameters back along canonical representatives
-    lifted = tuple(Generator(FAMILY_LIN, g.i, g.j, rbar.lift(g.param), g.size)
-                   for g in eps_bar)
-    word = GenWord(ring, width, FAMILY_LIN, lifted)
+    word = _rebuilt(ring, width, FAMILY_LIN, tuple(
+        _gen(FAMILY_LIN, g.i, g.j, ring, ring.canon(g.z), width)
+        for g in eps_bar))
     if k:
         word = word.shift(k, n + 1)
-    current = apply_word_to_row(xe, word)
-    # clear the residual ideal terms position by position
-    extra: list[Generator] = []
+    zero = ring.zero().payload
+    target = x._grid[0][:k] + y._grid[0]
+    current = _apply_gens(ring, x._payloads(), word.gens)
+    # clear the residual ideal terms position by position, one
+    # single-generator word at a time
+    extra = ()
     for p in range(k, n + 1):
-        a = current[p] - ye[p - k]
-        if a.is_zero():
+        a = ring.sub(current[0][p], target[p])
+        if a == zero:
             continue
-        coeffs = ideal_combination(ring, leading, a)
+        coeffs = ideal_combination(ring, leading, RingValue(ring, a))
         if coeffs is None:
             raise UnsupportedQuotient(
                 "cannot express the residual term inside the leading ideal")
         for j, q in enumerate(coeffs):
             if q.is_zero():
                 continue
-            g = Generator(FAMILY_LIN, j + 1, p + 1, -q, n + 1)
-            extra.append(g)
-            current = apply_word_to_row(current, GenWord(ring, n + 1,
-                                                         FAMILY_LIN, (g,)))
-    word = word + GenWord(ring, n + 1, FAMILY_LIN, tuple(extra))
-    target = leading + ye
-    if apply_word_to_row(xe, word) != target:
+            step = _rebuilt(ring, n + 1, FAMILY_LIN, (_gen(
+                FAMILY_LIN, j + 1, p + 1, ring, ring.neg(q.payload), n + 1),))
+            extra += step.gens
+            _apply_gens(ring, current, step.gens)
+    word = word + _rebuilt(ring, n + 1, FAMILY_LIN, extra)
+    if apply_word_right(x, word)._grid != (target,):
         raise FormViolation("internal: quotient-lift word mismatch")
     return word

@@ -3,7 +3,7 @@ group-membership predicates.
 
 Everything is immutable.  A matrix keeps rows of canonical payloads and
 computes on them; ring values are boxed only at the API edge, once per
-matrix, when a caller reads ``entries``, a row, a column or an entry.
+matrix, when a caller reads ``entries`` or an entry.
 
 Every sum of products here (an entry of a product, a step of the
 determinant or the inverse, the form checks) is one ``ring.dot(acc, xs,
@@ -121,12 +121,6 @@ class Mat:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
-
-    def col(self, j: int):
-        return tuple(r[j] for r in self.entries)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, Mat)

@@ -7,19 +7,24 @@ diag(t^2, t^-2) ⊥ I_2 has an explicit elementary word through an auxiliary
 hyperbolic pair: two SL_2 embeddings along (odd, odd) and (odd, even) slots
 multiply to the square scaling while cancelling on the helper pair.  That is
 exactly where the extra ⊥ I_2 is consumed.
+
+The O_2 classification, the corner conjugation and the square scaling
+compute on payloads and build their words with the trusted ``_gen`` and
+``_rebuilt``; the harness takes orthogonal words only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (HalfNotInvertible, NoUnitEntry, NotClassifiable,
-                     NotOrthogonal, ReductionFailed, SizeBound,
-                     UnsupportedPresentation, FormViolation, NotLocal)
+from .errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
+                     NoUnitEntry, NotClassifiable, NotOrthogonal,
+                     ReductionFailed, SizeBound, UnsupportedPresentation,
+                     FormViolation, NotLocal)
 from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
 from .rings import PolyExt, Ring, RingValue, has_half
-from .words import FAMILY_ORTH, Generator, GenWord, Witness
+from .words import FAMILY_ORTH, GenWord, Witness, _gen, _rebuilt
 
 
 def orth_inverse(a: Mat) -> Mat:
@@ -55,12 +60,14 @@ def classify_o2(a: Mat) -> O2Class:
         raise HalfNotInvertible(f"O_2 classification needs 1/2 in {a.ring}")
     if not membership(a, "O"):
         raise NotOrthogonal("matrix does not preserve the symmetric form")
-    (p, q), (r, s) = a.entries
-    one = a.ring.one()
-    if q.is_zero() and r.is_zero() and p.is_unit() and p * s == one:
-        cls = O2Class("diag", p)
-    elif p.is_zero() and s.is_zero() and q.is_unit() and q * r == one:
-        cls = O2Class("antidiag", q)
+    ring = a.ring
+    (p, q), (r, s) = a._grid
+    zero, one = ring.zero().payload, ring.one().payload
+    unit, mul = ring.is_unit_payload, ring.mul
+    if q == zero and r == zero and unit(p) and mul(p, s) == one:
+        cls = O2Class("diag", RingValue(ring, p))
+    elif p == zero and s == zero and unit(q) and mul(q, r) == one:
+        cls = O2Class("antidiag", RingValue(ring, q))
     else:
         raise NotClassifiable(
             "matrix fits neither normal form (nontrivial idempotents?)", a=a)
@@ -113,20 +120,21 @@ def _normalize_corner(delta: Mat, word: GenWord, m: int):
         cls = classify_o2(delta)
     except NotClassifiable:
         return delta, word
-    units = sorted((v for v in ring.elements() if v.is_unit()),
-                   key=lambda v: ring.sort_key(v.payload))
-    best = None
-    for t in units:
-        sq = t * t
-        u_new = cls.u * sq.inverse() if cls.shape == "diag" else cls.u * sq
-        key = (ring.sort_key(u_new.payload), ring.sort_key(t.payload))
-        if best is None or key < best[0]:
-            best = (key, t, u_new)
-    _, t, u_new = best
-    if t == ring.one():
+    mul, sort_key = ring.mul, ring.sort_key
+    u = cls.u.payload
+
+    def moved(t):
+        sq = mul(t, t)
+        return mul(u, ring.inverse_payload(sq) if cls.shape == "diag" else sq)
+    # the least moved u, then the least t, in the ring's order
+    t = min((v.payload for v in ring.elements() if v.is_unit()),
+            key=lambda t: (sort_key(moved(t)), sort_key(t)))
+    if t == ring.one().payload:
         return delta, word
-    word_new = hyperbolic_square_word(ring, 2 * m, m, 1, t) + word
-    return O2Class(cls.shape, u_new).reconstruct(), word_new
+    word_new = hyperbolic_square_word(ring, 2 * m, m, 1,
+                                      RingValue(ring, t)) + word
+    return O2Class(cls.shape, RingValue(ring, moved(t))).reconstruct(), \
+        word_new
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +156,9 @@ class FactoredOrthogonal:
             raise SizeBound("factored presentations need size >= 6")
         if not membership(self.delta, "O"):
             raise NotOrthogonal("corner block is not orthogonal")
+        if self.word.family != FAMILY_ORTH:
+            raise UnsupportedPresentation(
+                "the word must be in orthogonal generators")
 
     @property
     def size(self) -> int:
@@ -176,69 +187,63 @@ class FactoredOrthogonal:
 
 def conjugate_word_by_corner(word: GenWord, cls: O2Class) -> GenWord:
     """(I ⊥ delta) . eval(word) . (I ⊥ delta)^{-1} as a word: corner
-    conjugation permutes the last pair and rescales parameters."""
-    size = word.size
-    ring = word.ring
+    conjugation swaps the last pair (antidiag) and rescales parameters:
+    oe_ij(z) becomes oe_ij(d_i z / d_j) with d_prev = u (diag) or 1/u
+    (antidiag), d_last = 1/d_prev and d_k = 1 elsewhere.  At most one of
+    i, j lies in the last pair; a generator with neither is kept."""
+    if word.family != FAMILY_ORTH:
+        raise UnsupportedPresentation(
+            "corner conjugation needs a word in orthogonal generators")
+    ring, size, u = word.ring, word.size, cls.u
+    if u.ring != ring:
+        raise DescriptorMismatch(
+            f"operands live in different rings: {ring} vs {u.ring}")
     last, prev = size, size - 1
-    u = cls.u
-
-    def perm(k: int) -> int:
-        if cls.shape == "diag":
-            return k
-        if k == prev:
-            return last
-        if k == last:
-            return prev
-        return k
-
-    def dcoef(k: int) -> RingValue:
-        if cls.shape == "diag":
-            if k == prev:
-                return u
-            if k == last:
-                return u.inverse()
-            return ring.one()
-        if k == prev:
-            return u.inverse()
-        if k == last:
-            return u
-        return ring.one()
-
+    swap = cls.shape == "antidiag"
+    d = u.payload if not swap else ring.inverse_payload(u.payload)
+    up = {prev: d, last: ring.inverse_payload(d)}  # i in the last pair
+    down = {prev: up[last], last: d}               # j in the last pair
+    perm = {prev: last, last: prev} if swap else {}
     gens = []
     for g in word:
-        z = g.param * dcoef(g.i) * dcoef(g.j).inverse()
-        gens.append(Generator(FAMILY_ORTH, perm(g.i), perm(g.j), z, size))
-    return GenWord(ring, size, FAMILY_ORTH, tuple(gens))
-
-
-def _sl2_diag_triples(t: RingValue):
-    """diag(t, t^{-1}) as the classical six-move SL_2 word."""
-    ti = t.inverse()
-    one = t.ring.one()
-    return [(1, 2, t), (2, 1, -ti), (1, 2, t),
-            (1, 2, -one), (2, 1, one), (1, 2, -one)]
+        c = up.get(g.i, down.get(g.j))
+        gens.append(g if c is None else _gen(
+            FAMILY_ORTH, perm.get(g.i, g.i), perm.get(g.j, g.j), ring,
+            ring.mul(g.z, c), size))
+    return _rebuilt(ring, size, FAMILY_ORTH, tuple(gens))
 
 
 def hyperbolic_square_word(ring: Ring, size: int, pair_p: int, pair_q: int,
                            t: RingValue) -> GenWord:
     """A word for diag(t^2, t^{-2}) on pair_p, identity elsewhere, using
-    pair_q as the helper: two SL_2 embeddings whose helper actions cancel."""
+    pair_q as the helper: two SL_2 embeddings whose helper actions cancel.
+
+    The six moves of diag(t, 1/t) = e_12(t) e_21(-1/t) e_12(t) e_12(-1)
+    e_21(1) e_12(-1) act on the odd slots a, b of the two pairs, then on a
+    and the even slot b + 1.  The generator (a, b)'s checks cover them all."""
     if pair_p == pair_q:
         raise SizeBound("the helper pair must differ from the target pair")
     a, b = 2 * pair_p - 1, 2 * pair_q - 1
-    gens = []
-    for i, j, z in _sl2_diag_triples(t):
-        # embedding along the odd slots (partners follow automatically)
-        src, dst = (a, b) if (i, j) == (1, 2) else (b, a)
-        gens.append(Generator(FAMILY_ORTH, src, dst, z, size))
-    for i, j, z in _sl2_diag_triples(t):
-        # crossed embedding: odd slot of pair_p against even slot of pair_q
-        src, dst = (a, b + 1) if (i, j) == (1, 2) else (b + 1, a)
-        gens.append(Generator(FAMILY_ORTH, src, dst, z, size))
-    word = GenWord(ring, size, FAMILY_ORTH, tuple(gens))
+    tz, ti = t.payload, t.ring.inverse_payload(t.payload)
+    if not (1 <= a <= size and 1 <= b <= size):
+        raise BadIndices(f"indices ({a},{b}) out of 1..{size}")
+    if size % 2:
+        raise BadIndices("orth generators need even size")
+    if not has_half(t.ring):
+        raise HalfNotInvertible(
+            f"orthogonal generators need 1/2 in {t.ring}")
+    if t.ring != ring:
+        raise DescriptorMismatch("generator parameter ring mismatch")
+    zero, one, neg = ring.zero().payload, ring.one().payload, ring.neg
+    # (from slot a, parameter): True is e_12, False is e_21
+    moves = ((True, tz), (False, neg(ti)), (True, tz),
+             (True, neg(one)), (False, one), (True, neg(one)))
+    word = _rebuilt(ring, size, FAMILY_ORTH, tuple(
+        _gen(FAMILY_ORTH, a if fwd else h, h if fwd else a, ring, z, size)
+        for h in (b, b + 1) for fwd, z in moves if z != zero))
     expected = Mat.identity(ring, size)._payloads()
-    expected[a - 1][a - 1] = (t * t).payload
-    expected[a][a] = (t * t).inverse().payload
+    expected[a - 1][a - 1] = ring.mul(tz, tz)
+    expected[a][a] = ring.mul(ti, ti)
     if word.eval() != Mat._box(ring, expected):
         raise FormViolation("internal: square scaling word mismatch")
     return word

@@ -737,11 +737,6 @@ class PolyExt(Ring):
         return RingValue(self, self.canon((self.base.zero().payload,
                                            self.base.one().payload)))
 
-    def embed_const(self, v: RingValue) -> RingValue:
-        if v.ring != self.base:
-            raise DescriptorMismatch("constant from another ring")
-        return RingValue(self, self.canon((v.payload,)))
-
     def constant_term(self, a) -> RingValue:
         payload = a.payload if isinstance(a, RingValue) else a
         return RingValue(self.base,

@@ -13,10 +13,11 @@ updates col_t += c * col_s, which it stores as 0-based payload triples
 (``Generator._triples``), built once with it by ``_gen``.  One kernel,
 ``_apply_gens``, performs them on rows of canonical payloads with the
 ring's ``fma``; word evaluation, the right actions on matrices and rows,
-generator matrices and the reduction engine all call it.  Matrices keep the
-payload rows it returns; only ``apply_word_to_row`` boxes its result as
-``RingValue``s.  The orbit oracle reads the same triples once per
-enumeration, and its tests check its row kernel against this one.
+generator matrices, the reduction engine and the row lemmas all call it.
+Matrices keep the payload rows it returns.  ``apply_word_to_row`` boxes its
+result as ``RingValue``s for callers outside the library; no construction
+calls it.  The orbit oracle reads the same triples once per enumeration, and
+its tests check its row kernel against this one.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
@@ -35,9 +36,11 @@ a shifted index range, and zero parameters, which a specialization or a
 dilation can make.  So are the construction-internal words, whose indices
 come from the construction's own loops and whose zero parameters are
 skipped where they arise: the reduction engine's (``reduce._Reduction``),
-and the block factors of the linear Whitehead word and of transport's
-correction (``factor._block_gens``).  The public constructors and
-``word_from_pairs`` keep every check.
+the block factors of the linear Whitehead word and of transport's
+correction (``factor._block_gens``), the row lemmas' words (transvections,
+common perpendiculars, the quotient lift and its residual clearing), and
+the orthogonal corner conjugation and hyperbolic square.  The public
+constructors and ``word_from_pairs`` keep every check.
 
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
@@ -148,10 +151,6 @@ class Generator(tuple):
         ring = self[4]
         return tuple((t + 1, s + 1, RingValue(ring, c))
                      for t, s, c in self[6])
-
-    def _payload_updates(self) -> tuple:
-        """``_triples``: ``updates()`` as 0-based payload triples."""
-        return self[6]
 
     def __repr__(self):
         tag = {"lin": "e", "sp": "se", "orth": "oe"}[self[0]]

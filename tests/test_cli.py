@@ -478,6 +478,25 @@ def test_classify_and_quotient_verbs(capsys):
     assert code == 0
 
 
+def test_ortho_commutator_refuses_a_word_of_another_family(capsys):
+    f5 = {"kind": "prime", "p": 5}
+    i2 = json.dumps({"rows": 2, "cols": 2, "ring": f5,
+                     "entries": [[1, 0], [0, 1]]})
+    orth = json.dumps({"family": "orth", "size": 6, "ring": f5,
+                       "gens": [{"i": 1, "j": 3, "param": 1}]})
+    lin = json.dumps({"family": "lin", "size": 6, "ring": f5,
+                      "gens": [{"i": 1, "j": 3, "param": 2},
+                               {"i": 4, "j": 6, "param": 1}]})
+    for a_word, b_word in ((orth, lin), (lin, orth)):
+        code, out = run_cli(capsys, "ortho-commutator", "--a-delta", i2,
+                            "--a-word", a_word, "--b-delta", i2,
+                            "--b-word", b_word)
+        assert code == 2
+        assert json.loads(out) == {
+            "code": "unsupported_presentation", "context": {},
+            "message": "the word must be in orthogonal generators"}
+
+
 # sha256 of the stdout of each verb whose checks its construction enforces,
 # recorded while the verbs still recomputed those checks themselves: any
 # change to a check's name, count, order or status changes the digest.
@@ -544,10 +563,6 @@ def _bump_matrix(row):
     return corrupt
 
 
-def _bump_row(values):
-    return values[:-1] + [values[-1] + values[-1].ring.one()]
-
-
 # verb, what to corrupt, how, which call (0 first, -1 last), and the error
 # the construction must raise instead of returning
 NEGATIVE_CONTROLS = {
@@ -576,13 +591,13 @@ NEGATIVE_CONTROLS = {
         "transvection", GenWord, "eval", _bump_matrix(0), -1,
         "form_violation", "internal: transvection word mismatch"),
     "common-perp": (
-        "common-perp", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "common-perp", cgf.factor, "apply_word_right", _bump_matrix(0), -1,
         "form_violation", "internal: common-perpendicular word mismatch"),
     "two-row": (
-        "two-row", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "two-row", cgf.factor, "apply_word_right", _bump_matrix(0), -1,
         "form_violation", "internal: common-perpendicular word mismatch"),
     "roitman": (
-        "roitman", cgf.factor, "apply_word_to_row", _bump_row, -1,
+        "roitman", cgf.factor, "apply_word_right", _bump_matrix(0), -1,
         "form_violation", "internal: quotient-lift word mismatch"),
     "ortho-quotient": (
         "ortho-quotient", GenWord, "eval", _bump_matrix(0), -1,

@@ -310,3 +310,55 @@ def test_cross_ring_inputs_keep_their_errors():
                     Mat(F5, [[0, 1, 0]])) == operands
     assert _refusal(roitman, Mat(Z9, [[2, 1, 0]]), 1,
                     Mat(F5, [[1, 0]])) == operands
+
+
+def _perpendicular_row(rng, ring, c):
+    """A seeded row r with r . c = 0 for a unimodular column c."""
+    dual = right_inverse(c.transpose()).beta.transpose()  # dual . c = 1
+    u = [ring.random(rng) for _ in range(c.rows)]
+    uc = ring.coerce(ref.sum_of_products(
+        ring, ring.zero().payload, [x.payload for x in u],
+        [x for (x,) in c._grid]))
+    return Mat(ring, [[a - uc * ring.coerce(d) for a, d in
+                       zip(u, dual._grid[0])]])
+
+
+@pytest.mark.parametrize("ring", [ModularRing(9), PrimeField(5),
+                                  ModularRing(4)], ids=str)
+def test_row_lemmas_match_reference(ring):
+    # each word acts on rows as its claim says, by the reference's action
+    rng = random.Random(41)
+    for m in (3, 4, 5):
+        for _ in range(6):
+            col, _ = random_unimodular_rows(rng, ring, 1, m, 5)
+            c = col.transpose()
+            r = _perpendicular_row(rng, ring, c)
+            w = transvection_factor(c, r)
+            a = Mat(ring, [[ring.random(rng) for _ in range(m)]
+                           for _ in range(3)])
+            # a (I + c r) = a + (a c) r
+            assert ref.times_gens(a, w.gens) == ref.mat_add(
+                a, ref.matmul(ref.matmul(a, c), r))
+
+            v1, _ = random_unimodular_rows(rng, ring, 1, m, 5)
+            w_row = right_inverse(v1).beta.transpose()  # <v1, w> = 1
+            u = _perpendicular_row(rng, ring, w_row.transpose())
+            v2 = ref.mat_add(v1, u)
+            eps = common_perp(v1, v2, w_row)
+            assert ref.act_rows(ring, v1._grid, eps.gens) == list(v2._grid)
+
+    found = 0
+    for n, k in ((2, 1), (3, 1), (3, 2), (3, 0), (4, 1)):
+        for _ in range(12):
+            x, _ = random_unimodular_rows(rng, ring, 1, n + 1, 5)
+            y = Mat(ring, [[ring.random(rng) for _ in range(n - k + 1)]])
+            try:
+                eps = roitman(x, k, y)
+            except IdealNotComaximal:
+                continue
+            found += 1
+            assert ref.act_rows(ring, x._grid, eps.gens) == [
+                x._grid[0][:k] + y._grid[0]]
+            # shape I_k ⊥ e: no generator targets a leading column
+            assert all(g.j > k for g in eps)
+    assert found > 20

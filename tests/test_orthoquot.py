@@ -17,7 +17,7 @@ from cgf.orthoquot import (FactoredOrthogonal, O2Class, classify_o2,
                            vaserstein_quotient)
 from cgf.rings import ModularRing, PolyExt, PrimeField
 from cgf.sampling import random_word
-from cgf.words import FAMILY_ORTH
+from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, word_from_pairs
 
 from conftest import random_unit
 
@@ -105,6 +105,63 @@ def test_conjugation_by_corner_is_exact():
             assert conj.eval() == corner @ w.eval() @ corner.inverse()
 
 
+def _corner_pair(shape, u):
+    """delta and delta^{-1} for the O_2 normal form (shape, u)."""
+    ring, ui, zero = u.ring, u.inverse(), u.ring.zero()
+    if shape == "diag":
+        return (Mat(ring, [[u, zero], [zero, ui]]),
+                Mat(ring, [[ui, zero], [zero, u]]))
+    antidiag = Mat(ring, [[zero, u], [ui, zero]])
+    return antidiag, antidiag
+
+
+@pytest.mark.parametrize("ring", [PrimeField(5), ModularRing(9),
+                                  PolyExt(PrimeField(5), "T")], ids=str)
+def test_conjugation_by_corner_matches_reference(ring):
+    rng = random.Random(37)
+    base = ring.base if isinstance(ring, PolyExt) else ring
+    for size in (6, 8):
+        for shape in ("diag", "antidiag"):
+            for _ in range(8):
+                u = ring.coerce(random_unit(rng, base))
+                delta, delta_inv = _corner_pair(shape, u)
+                corner = ref.block_perp(ref.identity(ring, size - 2), delta)
+                back = ref.block_perp(ref.identity(ring, size - 2),
+                                      delta_inv)
+                w = random_word(rng, ring, FAMILY_ORTH, size, 6)
+                conj = conjugate_word_by_corner(w, O2Class(shape, u))
+                assert conj.family == FAMILY_ORTH and conj.size == size
+                assert ref.word_matrix(conj) == ref.matmul(
+                    ref.matmul(corner, ref.word_matrix(w)), back)
+
+
+def test_a_word_of_another_family_is_refused():
+    # a linear or symplectic word has no place in an orthogonal
+    # presentation: its matrix is not orthogonal, and renaming its
+    # generators orthogonal does not conjugate it
+    F5 = PrimeField(5)
+    lin = word_from_pairs(F5, 6, FAMILY_LIN, [(1, 3, 2), (4, 6, 1)])
+    sp = word_from_pairs(F5, 6, FAMILY_SP, [(1, 2, 1), (3, 5, 2)])
+    for w in (lin, sp):
+        out = ref.outcome(FactoredOrthogonal, identity(F5, 2), w)
+        assert (out.error, out.message) == (
+            UnsupportedPresentation,
+            "the word must be in orthogonal generators")
+        out = ref.outcome(conjugate_word_by_corner, w,
+                          O2Class("diag", F5.coerce(2)))
+        assert (out.error, out.message) == (
+            UnsupportedPresentation,
+            "corner conjugation needs a word in orthogonal generators")
+    # a corner over another ring is refused as multiplying its u was
+    orth = word_from_pairs(F5, 6, FAMILY_ORTH, [(1, 3, 2), (2, 6, 1)])
+    for shape in ("diag", "antidiag"):
+        out = ref.outcome(conjugate_word_by_corner, orth,
+                          O2Class(shape, ModularRing(9).coerce(2)))
+        assert (out.code, out.message) == (
+            "descriptor_mismatch",
+            "operands live in different rings: F_5 vs Z/9")
+
+
 def test_hyperbolic_square_word():
     Z7 = PrimeField(7)
     for t in (2, 3, 6):
@@ -116,6 +173,21 @@ def test_hyperbolic_square_word():
         rows[5][5] = Z7.coerce(t * t).inverse()
         assert m == Mat(Z7, rows)
         assert membership(m, "O")
+
+
+@pytest.mark.parametrize("ring, ts", [(PrimeField(7), (2, 3, 6)),
+                                      (ModularRing(9), (2, 4, 8))], ids=str)
+def test_hyperbolic_square_word_matches_reference(ring, ts):
+    # every ordered (target, helper) pair of the four pairs at size 8
+    for t in map(ring.coerce, ts):
+        sq = t * t
+        for p, q in itertools.permutations(range(1, 5), 2):
+            m = ref.word_matrix(hyperbolic_square_word(ring, 8, p, q, t))
+            rows = [list(r) for r in ref.identity(ring, 8)._grid]
+            rows[2 * p - 2][2 * p - 2] = sq.payload
+            rows[2 * p - 1][2 * p - 1] = sq.inverse().payload
+            assert m == Mat(ring, rows), (t, p, q)
+            assert ref.is_member(m, FAMILY_ORTH)
 
 
 def test_hyperbolic_square_word_keeps_its_refusals():

@@ -251,9 +251,9 @@ def _rebuilds(w, u):
         ("shift", lambda: w.shift(2, size + 2), lambda: _ref_map(
             w, lambda g: (g.i + 2, g.j + 2, g.param), size=size + 2)),
         ("lift_to", lambda: w.lift_to(rt), lambda: _ref_map(
-            w, lambda g: (g.i, g.j, rt.embed_const(g.param)), ring=rt)),
+            w, lambda g: (g.i, g.j, rt.coerce(g.param)), ring=rt)),
         ("times_variable", lambda: w.times_variable(rt), lambda: _ref_map(
-            w, lambda g: (g.i, g.j, rt.embed_const(g.param) * T), ring=rt)),
+            w, lambda g: (g.i, g.j, rt.coerce(g.param) * T), ring=rt)),
         ("transpose", lambda: GenWord(
             ring, size, w.family, cgf.words._transpose_gens(w.gens)),
          lambda: _ref_map(w, lambda g: (g.j, g.i, g.param), order=reversed)),
@@ -290,7 +290,7 @@ def _outcome(fn):
     w = ref.outcome(fn)
     if isinstance(w, ref.Raised):
         return w.to_json()
-    return (w, [g._payload_updates() for g in w], w.eval())
+    return (w, [g._triples for g in w], w.eval())
 
 
 def test_rebuilt_words_equal_the_public_construction():
