@@ -200,7 +200,7 @@ def conjugate_word_by_corner(word: GenWord, cls: O2Class) -> GenWord:
             f"operands live in different rings: {ring} vs {u.ring}")
     last, prev = size, size - 1
     swap = cls.shape == "antidiag"
-    d = u.payload if not swap else ring.inverse_payload(u.payload)
+    d = ring.inverse_payload(u.payload) if swap else u.payload
     up = {prev: d, last: ring.inverse_payload(d)}  # i in the last pair
     down = {prev: up[last], last: d}               # j in the last pair
     perm = {prev: last, last: prev} if swap else {}

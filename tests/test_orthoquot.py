@@ -176,7 +176,8 @@ def test_hyperbolic_square_word():
 
 
 @pytest.mark.parametrize("ring, ts", [(PrimeField(7), (2, 3, 6)),
-                                      (ModularRing(9), (2, 4, 8))], ids=str)
+                                      (ModularRing(9), (2, 4, 8))],
+                         ids=["F_7", "Z/9"])
 def test_hyperbolic_square_word_matches_reference(ring, ts):
     # every ordered (target, helper) pair of the four pairs at size 8
     for t in map(ring.coerce, ts):
