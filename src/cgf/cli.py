@@ -137,10 +137,11 @@ def _cmd_reduce_row(args) -> int:
         word = reduce_row_linear(row)
     else:
         word = reduce_row_symplectic(row)
-    e_1 = Mat.identity(ring, row.cols).submatrix(0, 1, 0, row.cols)
+    e_1 = (ring.one().payload,) + (ring.zero().payload,) * (row.cols - 1)
     return _emit(_word_witness(
         f"reduce_row_{args.flavor}", {"row": row}, word,
-        [("row . eval(word) == e_1", apply_word_right(row, word) == e_1)]))
+        [("row . eval(word) == e_1",
+          apply_word_right(row, word)._grid == (e_1,))]))
 
 
 def _cmd_complete(args) -> int:

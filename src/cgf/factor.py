@@ -27,8 +27,8 @@ from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import (QuotientRing, RingValue, ideal_combination,
                     unit_ideal_witness)
-from .words import (FAMILY_LIN, GenWord, _apply_gens, _gen, _rebuilt,
-                    _transpose_gens, apply_word_right, empty_word)
+from .words import (FAMILY_LIN, GenWord, _apply_gens, _check_length, _gen,
+                    _rebuilt, _transpose_gens, apply_word_right, empty_word)
 
 
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
@@ -217,9 +217,8 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
     zero = ring.zero().payload
     target = x._grid[0][:k] + y._grid[0]
     current = _apply_gens(ring, x._payloads(), word.gens)
-    # clear the residual ideal terms position by position, one
-    # single-generator word at a time
-    extra = ()
+    # clear the residual ideal terms position by position
+    extra = []
     for p in range(k, n + 1):
         a = ring.sub(current[0][p], target[p])
         if a == zero:
@@ -231,11 +230,14 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
         for j, q in enumerate(coeffs):
             if q.is_zero():
                 continue
-            step = _rebuilt(ring, n + 1, FAMILY_LIN, (_gen(
-                FAMILY_LIN, j + 1, p + 1, ring, ring.neg(q.payload), n + 1),))
-            extra += step.gens
-            _apply_gens(ring, current, step.gens)
-    word = word + _rebuilt(ring, n + 1, FAMILY_LIN, extra)
+            # each step is checked as a one-generator word, which keeps the
+            # message "word length 1 exceeds limit 0" at a word limit of 0
+            _check_length(1)
+            g = _gen(FAMILY_LIN, j + 1, p + 1, ring, ring.neg(q.payload),
+                     n + 1)
+            extra.append(g)
+            _apply_gens(ring, current, (g,))
+    word = word + _rebuilt(ring, n + 1, FAMILY_LIN, tuple(extra))
     if apply_word_right(x, word)._grid != (target,):
         raise FormViolation("internal: quotient-lift word mismatch")
     return word

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
-                     NoUnitEntry, NotClassifiable, NotOrthogonal,
-                     ReductionFailed, SizeBound, UnsupportedPresentation,
-                     FormViolation, NotLocal)
+from .errors import (DescriptorMismatch, HalfNotInvertible, NoUnitEntry,
+                     NotClassifiable, NotOrthogonal, ReductionFailed,
+                     SizeBound, UnsupportedPresentation, FormViolation,
+                     NotLocal)
 from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
 from .rings import PolyExt, Ring, RingValue, has_half
-from .words import FAMILY_ORTH, GenWord, Witness, _gen, _rebuilt
+from .words import FAMILY_ORTH, GenWord, Generator, Witness, _gen, _rebuilt
 
 
 def orth_inverse(a: Mat) -> Mat:
@@ -194,13 +194,12 @@ def conjugate_word_by_corner(word: GenWord, cls: O2Class) -> GenWord:
     if word.family != FAMILY_ORTH:
         raise UnsupportedPresentation(
             "corner conjugation needs a word in orthogonal generators")
-    ring, size, u = word.ring, word.size, cls.u
-    if u.ring != ring:
-        raise DescriptorMismatch(
-            f"operands live in different rings: {ring} vs {u.ring}")
+    ring, size = word.ring, word.size
+    # u's payload, or RingValue's refusal of a corner over another ring
+    u = ring.one()._coerce_other(cls.u)
     last, prev = size, size - 1
     swap = cls.shape == "antidiag"
-    d = ring.inverse_payload(u.payload) if swap else u.payload
+    d = ring.inverse_payload(u) if swap else u
     up = {prev: d, last: ring.inverse_payload(d)}  # i in the last pair
     down = {prev: up[last], last: d}               # j in the last pair
     perm = {prev: last, last: prev} if swap else {}
@@ -220,27 +219,25 @@ def hyperbolic_square_word(ring: Ring, size: int, pair_p: int, pair_q: int,
 
     The six moves of diag(t, 1/t) = e_12(t) e_21(-1/t) e_12(t) e_12(-1)
     e_21(1) e_12(-1) act on the odd slots a, b of the two pairs, then on a
-    and the even slot b + 1.  The generator (a, b)'s checks cover them all."""
+    and the even slot b + 1.  The first move is built by the checked
+    ``Generator``, whose checks cover them all."""
     if pair_p == pair_q:
         raise SizeBound("the helper pair must differ from the target pair")
     a, b = 2 * pair_p - 1, 2 * pair_q - 1
     tz, ti = t.payload, t.ring.inverse_payload(t.payload)
-    if not (1 <= a <= size and 1 <= b <= size):
-        raise BadIndices(f"indices ({a},{b}) out of 1..{size}")
-    if size % 2:
-        raise BadIndices("orth generators need even size")
-    if not has_half(t.ring):
-        raise HalfNotInvertible(
-            f"orthogonal generators need 1/2 in {t.ring}")
+    first = Generator(FAMILY_ORTH, a, b, t, size)
     if t.ring != ring:
         raise DescriptorMismatch("generator parameter ring mismatch")
     zero, one, neg = ring.zero().payload, ring.one().payload, ring.neg
-    # (from slot a, parameter): True is e_12, False is e_21
-    moves = ((True, tz), (False, neg(ti)), (True, tz),
-             (True, neg(one)), (False, one), (True, neg(one)))
-    word = _rebuilt(ring, size, FAMILY_ORTH, tuple(
+    # (helper slot, from slot a, parameter): True is e_12, False is e_21
+    moves = [(h, fwd, z) for h in (b, b + 1)
+             for fwd, z in ((True, tz), (False, neg(ti)), (True, tz),
+                            (True, neg(one)), (False, one), (True, neg(one)))]
+    gens = (first,) + tuple(
         _gen(FAMILY_ORTH, a if fwd else h, h if fwd else a, ring, z, size)
-        for h in (b, b + 1) for fwd, z in moves if z != zero))
+        for h, fwd, z in moves[1:])
+    word = _rebuilt(ring, size, FAMILY_ORTH,
+                    tuple(g for g in gens if g.z != zero))
     expected = Mat.identity(ring, size)._payloads()
     expected[a - 1][a - 1] = ring.mul(tz, tz)
     expected[a][a] = ring.mul(ti, ti)

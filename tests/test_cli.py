@@ -831,6 +831,18 @@ def test_large_moduli_answer_in_bounded_time(argv, code, error, capsys):
         assert json.loads(out)["code"] == error
 
 
+def test_reduce_row_checks_a_long_row_in_linear_time(capsys):
+    # the check compares the image with e_1 row against row: building e_1
+    # as the first row of I_m made 20,000 entries cost 4 * 10^8 slots
+    row = json.dumps([2] * 19999 + [3])
+    argv = ["reduce-row", "--ring", "mod:4", "--row", row]
+    assert within(10, lambda: main(argv)) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["outputs"]["word"]["gens"]) == 20000
+    assert obj["checks"] == [{"name": "row . eval(word) == e_1",
+                              "status": "pass"}]
+
+
 # over the zero ring every orbit table is one object: one longer than the
 # budget is refused before it is built, and one within it answers
 _REFUSED = '"code":"search_budget_exceeded"'

@@ -312,6 +312,19 @@ def test_cross_ring_inputs_keep_their_errors():
                     Mat(F5, [[1, 0]])) == operands
 
 
+def test_roitman_checks_each_residual_step_against_the_word_limit(
+        monkeypatch):
+    # a unit leading entry makes the quotient the zero ring, so the lifted
+    # word is empty and both tail positions are cleared by residual steps;
+    # each step is checked as a word of one generator
+    Z9 = ModularRing(9)
+    x, y = Mat(Z9, [[1, 2, 0]]), Mat(Z9, [[5, 3]])
+    assert len(roitman(x, 1, y)) == 2
+    monkeypatch.setenv("CGF_WORD_LIMIT", "0")
+    assert _refusal(roitman, x, 1, y) == (
+        "word_limit_exceeded", "word length 1 exceeds limit 0")
+
+
 def _perpendicular_row(rng, ring, c):
     """A seeded row r with r . c = 0 for a unimodular column c."""
     dual = right_inverse(c.transpose()).beta.transpose()  # dual . c = 1
