@@ -10,7 +10,8 @@ exactly where the extra ⊥ I_2 is consumed.
 
 The O_2 classification, the corner conjugation and the square scaling
 compute on payloads and build their words with the trusted ``_gen`` and
-``_rebuilt``; the harness takes orthogonal words only.
+``_rebuilt`` (the square's first move, on the caller's t, with ``Generator``);
+the harness takes orthogonal words only.
 """
 
 from __future__ import annotations

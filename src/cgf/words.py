@@ -39,8 +39,9 @@ skipped where they arise: the reduction engine's (``reduce._Reduction``),
 the block factors of the linear Whitehead word and of transport's
 correction (``factor._block_gens``), the row lemmas' words (transvections,
 common perpendiculars, the quotient lift and its residual clearing), and
-the orthogonal corner conjugation and hyperbolic square.  The public
-constructors and ``word_from_pairs`` keep every check.
+the orthogonal corner conjugation and hyperbolic square (whose first
+move, on the caller's parameter, is built by ``Generator`` for its checks).
+The public constructors and ``word_from_pairs`` keep every check.
 
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by

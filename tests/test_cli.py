@@ -832,8 +832,8 @@ def test_large_moduli_answer_in_bounded_time(argv, code, error, capsys):
 
 
 def test_reduce_row_checks_a_long_row_in_linear_time(capsys):
-    # the check compares the image with e_1 row against row: building e_1
-    # as the first row of I_m made 20,000 entries cost 4 * 10^8 slots
+    # the check must stay linear in the row's length: an e_1 read off I_m
+    # would cost 4 * 10^8 slots here
     row = json.dumps([2] * 19999 + [3])
     argv = ["reduce-row", "--ring", "mod:4", "--row", row]
     assert within(10, lambda: main(argv)) == 0
