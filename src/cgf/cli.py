@@ -294,9 +294,9 @@ def _cmd_orbits(args) -> int:
         with open(args.cache, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(table.to_json(), sort_keys=True,
                                 separators=(",", ":")))
-    return _emit({"orbits": table.orbit_count(),
-                  "sizes": sorted(table.orbit_sizes()),
-                  "objects": len(table.orbit_of)})
+    sizes = table.orbit_sizes()
+    return _emit({"orbits": table.orbit_count(), "sizes": sorted(sizes),
+                  "objects": sum(sizes)})
 
 
 def _cmd_certify(args) -> int:

@@ -8,76 +8,56 @@ generators are ordered by (i, j, parameter key), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
 
-A row table's BFS starts from its whole domain, every unimodular row, and
-the generators keep a row unimodular, so every image lies in the domain,
-and a code outside it, a codec defect, is refused when it is committed.
-Once each row is in the table or proposed, no later edge can propose one,
-and the first proposal of each row is already made: the BFS stops expanding
-there and commits its last frontier, with the orbit ids, links and
-representatives the full BFS gives.  A frame table's closure has no size
-known in advance, so its BFS runs to the end; an oversized one is refused
-before its catalog exists by a lower bound on its size
-(``_frame_orbit_exponent``).  Over the zero ring every table is one
-object, refused before it is built when it has more entries than the
-budget (``_check_entries``).
+A table is kept on integer codes (the numbering of points in orbit
+algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, section 4.1).  ``_Codec`` ranks the ring's elements in
+``ring.sort_key`` order (over Z/m the rank is the payload), and a key's
+entries, row by row, are the digits of one base-q integer, most
+significant first, so integer order is key order.  A row domain is
+generated as codes: the k-th tuple of the product of the elements in rank
+order has code k.
 
-The BFS and the closure check, the two expansions by a whole catalog, run
-on integer codes (the numbering of points in orbit algorithms; Holt, Eick
-and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.1),
-and share the one codec a table builds on first use.  ``_Codec`` ranks the
-ring's elements in ``ring.sort_key`` order, and a key's entries, row by
-row, are the digits of one base-q integer, most significant first, so
-integer order is key order: a frame's code is its row codes as the digits
-of one base-q^size integer.
+A row table's BFS starts from its whole domain, which the generators keep
+(a code outside it, a codec defect, is refused when it is committed), and
+stops expanding once each row is in the table or proposed.  A frame
+table's BFS runs to the end; an oversized one is refused before its
+catalog exists by a lower bound on its size (``_frame_orbit_exponent``),
+and over the zero ring, where every table is one object, one of more
+entries than the budget is refused (``_check_entries``).
+
 A generator acts on each row alone, (V.g)_k = V_k.g, so the catalog
-compiles once on one row: each generator, from its stored triples
-``Generator._triples``, into (source position, target position,
-weight q^k, coefficient rank) updates; an update whose source digit x is
-nonzero adds (rank(a + x*c) - a) * q^k, a being the target digit.  A
-generator's sources are never its targets, so every update reads the
-digits of the row it acts on.
+compiles once on one row into updates from ``Generator._triples``: one
+whose source digit x is nonzero adds (rank(a + x*c) - a) * q^k, a being
+the target digit.  A row code expands by runs of generators on the same
+positions, one run per (i, j), in catalog order, so the tie rule needs no
+sort; a run whose sources are all zero is skipped.  A frame of several
+rows memoizes, per (row position, row code), the row's delta under every
+generator.  An image is proposed only if it is neither in the table nor
+proposed, so the first proposal stands.  Digits come from two memoized
+half codes, and the rows rank(a + .) and rank(x * .) of an entry are
+built with the first half that holds it.
 
-A row code (a row table, or a frame of one row) expands by runs of
-consecutive generators that share their (source, target, weight)
-positions, one run per (i, j), each holding its generators' coefficient
-ranks in catalog order, so the tie rule needs no sort.  A run has one
-update (every linear run, and the symplectic (i, pair i)) or two (every
-other symplectic run, and every orthogonal one).  It reads its source and
-target digits once per node and is skipped when every source is zero,
-since every member then fixes the node; a run of two with one live source
-takes the one-update form, and otherwise each image is node - a*w - b*w'
-plus the two new digits, summed inline with no call.  A frame of several
-rows splits its code into row codes and memoizes, per (row position, row
-code), the row's delta under every generator, already scaled to its
-place; each image is the node plus its rows' deltas, and a generator whose
-deltas are all zero proposes nothing.  An image is proposed only if it is
-neither in the table nor proposed, so a generator that fixes its node, or
-repeats an image, allocates nothing and the first proposal stands.
+When the BFS ends its code dicts are the table, with nothing decoded; the
+payload-keyed ``orbit_of``, ``pred`` and ``reps`` are read-only views,
+built together on first read, which decodes each object once and each
+distinct row once.  ``to_json`` writes objects in code order, which is key
+order, each distinct row's JSON built once from the JSON of its ranks.
 
-``digits`` splits a row code at q^(n - h), h = n // 2, into two halves
-whose digit tuples it builds once each.  The rows rank(a + .) and
-rank(x * .) for an entry value are built with the first half that holds
-it, so their cost never exceeds the BFS work that reaches them, even over
-a large ring.  When the BFS ends, a row table takes each payload key from
-its domain, whose keys it encoded on the way in, and a frame table decodes
-each key once, each distinct row of it once.
-
-The checks of one generator step, the link check of a loaded table and the
-path check of ``certify_equivalence``, share no code with the BFS they
-check: they act on payload keys through the shared kernel
-``words._apply_gens`` (``OrbitTable._act``), so neither a load nor an
-equivalence answer builds a codec.  ``OrbitTable.from_json`` decodes each
-distinct JSON entry, and builds each distinct link generator, of a cached
-table once.
+The link check of a loaded table and the path check of
+``certify_equivalence`` share no code with the BFS they check: they act on
+payload rows through the shared kernel ``words._apply_gens``.
+``OrbitTable.from_json`` maps each distinct JSON entry to its rank once,
+through one dict, builds each distinct link generator once, and checks
+each link on the rows its JSON gives.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
+from types import MappingProxyType
 
 from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
@@ -114,12 +94,13 @@ def _sorted_payloads(ring: Ring) -> list:
     return sorted((v.payload for v in ring.elements()), key=ring.sort_key)
 
 
-def _row_domain(ring: Ring, size: int) -> list:
-    """Every unimodular row of length ``size``, as payload keys in
-    ``_key_order``: the product of the elements in ``ring.sort_key`` order
-    comes out in that order, so it needs no sort."""
-    return list(filter(_unimodular_test(ring),
-                       itertools.product(_sorted_payloads(ring), repeat=size)))
+def _row_domain(codec: "_Codec") -> list:
+    """The codes of every unimodular row of the codec's width, in
+    increasing order: the k-th tuple of the product of the elements in rank
+    order has code k, so no row is encoded."""
+    return list(itertools.compress(itertools.count(), map(
+        _unimodular_test(codec.ring),
+        itertools.product(codec.values, repeat=codec.width))))
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -198,91 +179,115 @@ def generator_catalog(ring: Ring, family: str, size: int):
     return gens
 
 
+def _split(code: int, base: int, count: int) -> list:
+    """The ``count`` base-``base`` digits of ``code``, highest first."""
+    out = [0] * count
+    for k in range(count - 1, -1, -1):
+        code, out[k] = divmod(code, base)
+    return out
+
+
 class _Codec:
-    """The keys of one table as base-q integers, and ``expander``, which
-    acts on them by a whole catalog (see the module docstring)."""
+    """The codes of one table's objects (see the module docstring), to
+    and from payload keys and to JSON, and their expansion by a catalog."""
 
     def __init__(self, table: "OrbitTable"):
-        ring = table.ring
-        values = _sorted_payloads(ring)
-        rank = {p: r for r, p in enumerate(values)}
-        q = len(values)
-        # distinct keys get distinct codes, in key order, only if no two
-        # elements tie in sort_key
-        assert len(rank) == q and all(
-            ring.sort_key(a) < ring.sort_key(b)
-            for a, b in zip(values, values[1:])), "sort_key ties elements"
-        self.values, self.rank, self.q = values, rank, q
+        ring = self.ring = table.ring
+        if _residue_modulus(ring):  # Z/m: the rank is the payload
+            values, rank = range(ring.cardinality()), None
+            self.rank = lambda p: p if isinstance(p, int) and \
+                0 <= p < self.q else None
+        else:
+            values = _sorted_payloads(ring)
+            rank = {p: r for r, p in enumerate(values)}
+            # distinct keys get distinct codes, in key order, only if no
+            # two elements tie in sort_key
+            assert len(rank) == len(values) and all(
+                ring.sort_key(a) < ring.sort_key(b)
+                for a, b in zip(values, values[1:])), "sort_key ties elements"
+            self.rank = rank.get  # the rank of a payload, None for no element
+        self.values, self._rank, self.q = values, rank, len(values)
         self.is_row = table.kind == "row"
         self.rows = 1 if self.is_row else table.frame_rows
-        self.width = n = table.size
-        # a frame's code is its row codes as the digits of one base-q^n
-        # integer, most significant first
-        self.row_base = q ** n
-        self.weights = [q ** (n - 1 - k) for k in range(n)]
-        self.zero = rank[ring.zero().payload]
-        # add[a][y] = rank(a + y), mul[x][c] = rank(x * c), both built
-        # when a half code holding a is first met
-        self.add = add = [None] * q
-        self.mul = mul = [None] * q
+        self.width = table.size
+
+    def encode(self, key):
+        """The code of the payload key ``key``, or None unless it is a
+        tuple of the table's shape whose entries are elements."""
+        grid = (key,) if self.is_row else key
+        if not isinstance(grid, tuple) or len(grid) != self.rows:
+            return None
+        code, q, n, rank = 0, self.q, self.width, self.rank
+        for row in grid:
+            if not isinstance(row, tuple) or len(row) != n:
+                return None
+            for p in row:
+                if (r := rank(p)) is None:
+                    return None
+                code = code * q + r
+        return code
+
+    def decoder(self):
+        """code -> payload key, each distinct row and object built once."""
+        q, n, values = self.q, self.width, self.values
+        row = cache(lambda c: tuple([values[d] for d in _split(c, q, n)]))
+        base, count = q ** n, self.rows
+        return row if self.is_row else cache(lambda code: tuple(
+            [row(r) for r in _split(code, base, count)]))
+
+    def writer(self):
+        """code -> JSON, a new list of rows for a frame; each rank's JSON
+        is written once and each row's list built once, and shared."""
+        q, n, values, ring = self.q, self.width, self.values, self.ring
+        entry = cache(lambda d: ring.value_to_json(values[d]))
+        row = cache(lambda c: [entry(d) for d in _split(c, q, n)])
+        if self.is_row:
+            return row
+        base, count = q ** n, self.rows
+
+        def frame(code):
+            out = [None] * count
+            for k in range(count - 1, -1, -1):
+                code, r = divmod(code, base)
+                out[k] = row(r)
+            return out
+
+        return frame
+
+    @cached_property
+    def _arith(self) -> tuple:
+        """The expansions' state, built on first use: every rank, zero's,
+        the weight of each digit, the rows add[a][y] = rank(a + y) and
+        mul[x][c] = rank(x * c), and ``digits`` (see the module
+        docstring)."""
+        ring, values, q, n = self.ring, self.values, self.q, self.width
+        rank = self._rank or dict(zip(values, values))
+        add, mul = [None] * q, [None] * q
         ring_add, ring_mul = ring.add, ring.mul
         # a row code is hi * split + lo, hi holding the first n // 2 digits
         low = n - n // 2
         split = q ** low
-        halves = ({}, {})  # hi -> its digits, lo -> its digits
 
-        def half(code, width, memo):
-            ds, rest = [0] * width, code
-            for k in range(width - 1, -1, -1):
-                rest, ds[k] = divmod(rest, q)
-            for d in ds:
-                if add[d] is None:
-                    a = values[d]
-                    add[d] = [rank[ring_add(a, y)] for y in values]
-                    mul[d] = [rank[ring_mul(a, y)] for y in values]
-            memo[code] = ds = tuple(ds)
-            return ds
+        def half(width):
+            @cache
+            def build(code):
+                ds = tuple(_split(code, q, width))
+                for d in ds:
+                    if add[d] is None:
+                        a = values[d]
+                        add[d] = [rank[ring_add(a, y)] for y in values]
+                        mul[d] = [rank[ring_mul(a, y)] for y in values]
+                return ds
+            return build
+
+        his, los = half(n - low), half(low)
 
         def digits(code):
-            """The digits of the row code ``code``, from two memoized
-            halves."""
             hi, lo = divmod(code, split)
-            his = halves[0].get(hi)
-            if his is None:
-                his = half(hi, n - low, halves[0])
-            los = halves[1].get(lo)
-            if los is None:
-                los = half(lo, low, halves[1])
-            return his + los
+            return his(hi) + los(lo)
 
-        self.digits = digits
-        self._row_keys: dict = {}  # row code -> its payload row
-
-    def row_codes(self, code) -> list:
-        """The codes of the rows of the object with code ``code``, first
-        row first."""
-        out = [0] * self.rows
-        for r in range(self.rows - 1, -1, -1):
-            code, out[r] = divmod(code, self.row_base)
-        return out
-
-    def encode(self, key) -> int:
-        rank, q, code = self.rank, self.q, 0
-        for row in ((key,) if self.is_row else key):
-            for p in row:
-                code = code * q + rank[p]
-        return code
-
-    def decode(self, code):
-        """The key of ``code``, each distinct row decoded once."""
-        memo, values = self._row_keys, self.values
-        rows = []
-        for row in ((code,) if self.is_row else self.row_codes(code)):
-            key = memo.get(row)
-            if key is None:
-                key = memo[row] = tuple(values[d] for d in self.digits(row))
-            rows.append(key)
-        return rows[0] if self.is_row else tuple(rows)
+        weights = [q ** (n - 1 - k) for k in range(n)]
+        return rank, rank[ring.zero().payload], weights, add, mul, digits
 
     def compile(self, g: Generator) -> list:
         """``g``'s column updates on one row, as (source position, target
@@ -292,13 +297,14 @@ class _Codec:
         # each update may read the digits from before the step
         assert len(targets) == len(updates) and targets.isdisjoint(
             s for _, s, _ in updates), "a generator source is a target"
-        weights, rank = self.weights, self.rank
+        rank, _, weights = self._arith[:3]
         return [(s, t, weights[t], rank[c]) for t, s, c in updates]
 
     def row_deltas(self, compiled, code, place) -> list:
         """Each compiled generator's change to the row code ``code``,
         scaled by ``place``: image code minus ``code``, times ``place``."""
-        ds, add, mul, zero = self.digits(code), self.add, self.mul, self.zero
+        _, zero, _, add, mul, digits = self._arith
+        ds = digits(code)
         out = []
         for updates in compiled:
             delta = 0
@@ -314,31 +320,22 @@ class _Codec:
         """``expand(node, seen, proposals)``: each image of the object with
         code ``node`` under ``gens``, in their order, that is in neither
         ``seen`` nor ``proposals`` becomes a proposal, linked to (node, g)
-        for the first generator g that gives it.
-
-        The generators compile on one row (see the module docstring): a
-        row code expands by runs of one update or two, and a frame of
-        several rows by its rows' deltas, memoized per (row position, row
-        code) (``row_deltas``)."""
+        for the first generator g that gives it."""
         if self.rows > 1:
             return self._frame_expander(gens)
-        runs = []  # (places, [(g, updates), ...])
-        for g in gens:
-            updates = self.compile(g)
-            places = [u[:3] for u in updates]
-            if not runs or runs[-1][0] != places:
-                runs.append((places, []))
-            runs[-1][1].append((g, updates))
         # (source, target, weight, members, their coefficient ranks, and
-        # None, or the same four for a second update)
+        # None, or the same four for a second update) per run
         flat = []
-        for places, steps in runs:
+        for places, steps in itertools.groupby(
+                ((g, self.compile(g)) for g in gens),
+                key=lambda step: [u[:3] for u in step[1]]):
+            steps = list(steps)
             assert len(places) <= 2, "a generator of three updates on a row"
             second = None if len(places) == 1 else (
                 *places[1], [u[1][3] for _, u in steps])
             flat.append((*places[0], [g for g, _ in steps],
                          [u[0][3] for _, u in steps], second))
-        digits, add, mul, zero = self.digits, self.add, self.mul, self.zero
+        _, zero, _, add, mul, digits = self._arith
 
         def expand(node, seen, proposals):
             ds = digits(node)
@@ -375,7 +372,7 @@ class _Codec:
     def _frame_expander(self, gens):
         """``expander`` for a frame of several rows."""
         compiled = [self.compile(g) for g in gens]
-        rows, base, build = self.rows, self.row_base, self.row_deltas
+        rows, base, build = self.rows, self.q ** self.width, self.row_deltas
         plus = operator.add
         # memo[r]: row code at position r -> its scaled deltas
         memo = [{} for _ in range(rows)]
@@ -398,34 +395,64 @@ class _Codec:
         return expand
 
 
-@dataclass
 class OrbitTable:
-    """Reachability data for one generator action over a finite ring."""
+    """Reachability data for one generator action over a finite ring, by
+    code: ``_orbit`` maps an object's code to its orbit id, ``_link`` to
+    (parent code, Generator) or None, and ``_reps`` lists representatives.
+    ``orbit_of``, ``pred`` and ``reps`` are the same by payload key, built
+    on first read; a table built from them compares equal."""
 
-    ring: Ring
-    kind: str  # "row" | "frame"
-    family: str
-    size: int  # row length, or the frame's column count
-    frame_rows: int = 0
-    orbit_of: dict = field(default_factory=dict)
-    reps: list = field(default_factory=list)
-    pred: dict = field(default_factory=dict)  # key -> (parent_key, Generator)
+    __hash__ = None
 
-    def orbit_count(self) -> int:
-        return len(self.reps)
+    def __init__(self, ring: Ring, kind: str, family: str, size: int,
+                 frame_rows: int = 0, orbit_of=None, reps=None, pred=None):
+        # kind "row" | "frame"; size: the row length or column count
+        self.ring, self.kind, self.family = ring, kind, family
+        self.size, self.frame_rows = size, frame_rows
 
-    def orbit_sizes(self) -> list:
-        sizes = [0] * len(self.reps)
-        for _, oid in self.orbit_of.items():
-            sizes[oid] += 1
-        return sizes
+        def code(key):
+            got = self._codec.encode(key)
+            if got is None:
+                raise ObjectOutOfDomain(f"{key} is not an object of the table")
+            return got
+
+        self._orbit = {code(k): oid for k, oid in (orbit_of or {}).items()}
+        self._link = {code(k): link and (code(link[0]), link[1])
+                      for k, link in (pred or {}).items()}
+        self._reps = [code(k) for k in reps or ()]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, a) == getattr(other, a) for a in (
+            "ring", "kind", "family", "size", "frame_rows", "_orbit",
+            "_reps", "_link"))
 
     @cached_property
     def _codec(self) -> _Codec:
-        """The table's codec, built on first use by the BFS or the closure
-        check (not a dataclass field, so ``==`` and ``to_json`` ignore
-        it)."""
         return _Codec(self)
+
+    @cached_property
+    def _views(self) -> tuple:
+        key = self._codec.decoder()
+        pred = {key(c): link and (key(link[0]), link[1])
+                for c, link in self._link.items()}
+        return (MappingProxyType({key(c): o for c, o in self._orbit.items()}),
+                tuple(map(key, self._reps)), MappingProxyType(pred))
+
+    # the views by payload key
+    orbit_of = property(lambda self: self._views[0])
+    reps = property(lambda self: self._views[1])
+    pred = property(lambda self: self._views[2])
+
+    def orbit_count(self) -> int:
+        return len(self._reps)
+
+    def orbit_sizes(self) -> list:
+        sizes = [0] * len(self._reps)
+        for oid in self._orbit.values():
+            sizes[oid] += 1
+        return sizes
 
     def _act(self, key, gens):
         """The image of ``key`` under ``gens``, through the shared kernel
@@ -437,179 +464,156 @@ class OrbitTable:
 
     def path_word(self, key) -> GenWord:
         """The word carrying this orbit's representative to ``key``."""
-        if key not in self.orbit_of:
+        code = self._codec.encode(key)
+        if code not in self._orbit:
             raise ObjectOutOfDomain(f"{key} is not in the table")
+        return self._path(code)
+
+    def _path(self, code) -> GenWord:
         gens = []
-        cur = key
-        while True:
-            link = self.pred.get(cur)
-            if link is None:
-                break
-            parent, g = link
+        while (link := self._link.get(code)) is not None:
+            code, g = link
             gens.append(g)
-            cur = parent
         gens.reverse()
         return GenWord(self.ring, self.size, self.family, tuple(gens))
 
-    def _enc_key(self, key):
-        enc = self.ring.value_to_json
-        if self.kind == "row":
-            return [enc(p) for p in key]
-        return [[enc(p) for p in row] for row in key]
-
     def to_json(self) -> dict:
-        enc_key = self._enc_key
+        """The table's JSON, its objects in code order, which is key order.
+        The objects share the list of each row, and the JSON of each
+        element: copy the result before editing it in place."""
+        write, orbit, link = self._codec.writer(), self._orbit, self._link
         objects = []
-        for key in sorted(self.orbit_of, key=self._key_order):
-            link = self.pred.get(key)
-            objects.append({
-                "v": enc_key(key),
-                "orbit": self.orbit_of[key],
-                "pred": None if link is None else
-                        [enc_key(link[0]), link[1].to_json()],
-            })
+        for code in sorted(orbit):
+            edge = link.get(code)
+            objects.append({"v": write(code), "orbit": orbit[code], "pred":
+                            edge and [write(edge[0]), edge[1].to_json()]})
         return {"version": FORMAT_VERSION, "ring": self.ring.to_json(),
                 "kind": self.kind, "family": self.family, "size": self.size,
                 "frame_rows": self.frame_rows, "objects": objects}
 
     @staticmethod
     def from_json(obj: dict) -> "OrbitTable":
+        """The table ``obj`` holds, once its links check: each distinct
+        JSON entry is mapped to its rank once, through one dict."""
         if obj.get("version") != FORMAT_VERSION:
             raise UnsupportedRing(f"unknown table version {obj.get('version')}")
         ring = ring_from_json(obj["ring"])
-        kind = obj["kind"]
+        kind, family = obj["kind"], obj["family"]
         size = _json_int(obj["size"])
-        _check_paired_size(obj["family"], size)
-        table = OrbitTable(ring, kind, obj["family"], size,
+        _check_paired_size(family, size)
+        table = OrbitTable(ring, kind, family, size,
                            _json_int(obj.get("frame_rows", 0)))
-        rows = 1 if kind == "row" else table.frame_rows
-        seen: dict = {}  # _json_memo_key(entry) -> its RingValue
+        if not ring.is_finite:
+            raise UnsupportedRing("orbit enumeration needs a finite ring")
+        codec = table._codec
+        q, rows, width, rank = codec.q, codec.rows, codec.width, codec.rank
+        one_row, values = codec.is_row, codec.values
+        as_is = codec._rank is None  # over Z/m each rank is its payload
+        ranks: dict = {}  # an int entry, or another's repr -> its rank
 
-        def dec(p):
-            # an entry that raises is never stored, so it raises each time
-            k = _json_memo_key(p)
-            if k is None:
-                return ring.value_from_json(p)
-            v = seen.get(k)
-            if v is None:
-                v = seen[k] = ring.value_from_json(p)
-            return v
+        def entry_rank(p):
+            # a true, a 1.0 and a 1 are read apart; an entry that raises is
+            # never stored, so it raises each time
+            k = p if type(p) is int else repr(p)
+            r = ranks.get(k)
+            if r is None:
+                r = ranks[k] = rank(ring.value_from_json(p).payload)
+            return r
 
-        def dec_key(v):
-            # the kernel that checks a link reads each entry by position
-            grid = [v] if kind == "row" else v
-            if len(grid) != rows or any(len(r) != table.size for r in grid):
+        def read(v):
+            # the code of the object v and its rows of payloads; the shape
+            # is checked first, since the link check reads entries by place
+            grid = [v] if one_row else v
+            if len(grid) != rows or any(map(width.__ne__, map(len, grid))):
                 raise WitnessCheckFailed(
                     "orbit table object has the wrong shape", object=v)
-            if kind == "row":
-                return tuple(dec(p).payload for p in v)
-            return tuple(tuple(dec(p).payload for p in row) for row in v)
+            code, out = 0, []
+            for row in grid:
+                line = []
+                for p in row:
+                    if type(p) is not int or (r := ranks.get(p)) is None:
+                        r = entry_rank(p)
+                    code = code * q + r
+                    line.append(r)
+                out.append(line if as_is else [values[r] for r in line])
+            return code, out
 
-        gens: dict = {}  # (i, j, _json_memo_key(param)) -> its Generator
+        gens: dict = {}  # (i, j, the param's rank) -> (its Generator,)
 
-        def dec_gen(gj):
+        def gen_of(gj):
             # each distinct link generator passes the public checks once;
             # one that raises is never stored, so it raises each time
-            i, j = _json_int(gj["i"]), _json_int(gj["j"])
-            param = dec(gj["param"])
-            k = _json_memo_key(gj["param"])
-            g = None if k is None else gens.get((i, j, k))
+            i, j, p = gj["i"], gj["j"], gj["param"]
+            if type(i) is not int or type(j) is not int:
+                i, j = _json_int(i), _json_int(j)
+            if type(p) is not int or (r := ranks.get(p)) is None:
+                r = entry_rank(p)
+            g = gens.get((i, j, r))
             if g is None:
-                g = Generator(obj["family"], i, j, param, size)
-                if k is not None:
-                    gens[i, j, k] = g
+                g = gens[i, j, r] = (Generator(
+                    family, i, j, RingValue(ring, values[r]), size),)
             return g
 
+        # code -> whether its link is a generator step, checked as read
+        orbit, link, steps = table._orbit, table._link, {}
         for entry in obj["objects"]:
-            key = dec_key(entry["v"])
-            table.orbit_of[key] = _json_int(entry["orbit"])
-            if entry["pred"] is not None:
-                pk = dec_key(entry["pred"][0])
-                table.pred[key] = (pk, dec_gen(entry["pred"][1]))
-            else:
-                table.pred[key] = None
-        table.reps = sorted((k for k, link in table.pred.items()
-                             if link is None), key=table.orbit_of.get)
-        table._check_links()
+            code, grid = read(entry["v"])
+            oid = entry["orbit"]
+            orbit[code] = oid if type(oid) is int else _json_int(oid)
+            pred = entry["pred"]
+            if pred is None:
+                link[code] = None
+                continue
+            parent, above = read(pred[0])
+            g = gen_of(pred[1])
+            link[code] = parent, g[0]
+            steps[code] = _apply_gens(ring, above, g) == grid
+        table._reps = sorted((c for c, edge in link.items() if edge is None),
+                             key=orbit.get)
+        table._check_links(steps)
         return table
 
-    def _check_links(self):
-        """Raise unless each link is one generator step inside one orbit,
-        the objects without a link are one representative per orbit id in
-        id order, and each chain of links ends at one.  Objects that share
-        an orbit id are then equivalent."""
-        of = self.orbit_of
-        for key, link in self.pred.items():
-            if link is None:
-                continue
-            parent, g = link
-            if of.get(parent) == of[key] and self._act(parent, (g,)) == key:
+    def _check_links(self, steps):
+        """Raise unless each link is a generator step (``steps``: code ->
+        whether it is) inside one orbit, the objects without a link are one
+        representative per orbit id in id order, and each chain of links
+        ends at one, so objects that share an orbit id are equivalent."""
+        of, json_of = self._orbit, self._codec.writer()
+        for code, link in self._link.items():
+            if link is None or of.get(link[0]) == of[code] and steps[code]:
                 continue
             raise WitnessCheckFailed("orbit table link fails its check",
-                                     object=self._enc_key(key))
-        for oid, rep in enumerate(self.reps):
+                                     object=json_of(code))
+        for oid, rep in enumerate(self._reps):
             if of[rep] != oid:
                 raise WitnessCheckFailed(
                     "orbit table needs one representative per orbit id",
-                    object=self._enc_key(rep))
-        rooted = set(self.reps)
-        for key in of:
-            chain = [key]
+                    object=json_of(rep))
+        rooted = set(self._reps)
+        for code in of:
+            chain = [code]
             while chain[-1] not in rooted:
                 if len(chain) > len(of):
                     raise WitnessCheckFailed("orbit table links form a cycle",
-                                             object=self._enc_key(chain[-1]))
-                chain.append(self.pred[chain[-1]][0])
+                                             object=json_of(chain[-1]))
+                chain.append(self._link[chain[-1]][0])
             rooted.update(chain)
 
-    def _key_order(self, key):
-        if self.kind == "row":
-            return tuple(self.ring.sort_key(p) for p in key)
-        return tuple(tuple(self.ring.sort_key(p) for p in row) for row in key)
 
-
-def _json_memo_key(p):
-    """A hashable key for a JSON value under which equal keys decode
-    alike: the type tags every scalar, so ``true`` never meets ``1`` nor
-    ``1.0`` meets ``1``, and a list becomes a tuple.  None for a value
-    holding an object, which is never memoized."""
-    if isinstance(p, list):
-        keys = tuple(map(_json_memo_key, p))
-        return None if None in keys else (list, keys)
-    if isinstance(p, dict):
-        return None
-    return (type(p), p)
-
-
-def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
-    """Deterministic multi-source BFS into the empty ``table``; ties
-    between frontier edges pick the least (parent, generator), which is the
-    first to propose the object.  It runs on codes and, at the end, in the
-    order the objects were reached, maps each code back to its key: a row
-    table takes it from its start keys, each encoded once on the way in,
-    and a frame table decodes each object once.
-
-    Each node is expanded by ``gens`` compiled on one row (``_Codec.
-    expander``): one call per node, none per image; a row's digits are read
-    from two memoized half codes, and a frame of several rows combines its
-    rows' memoized deltas.
-
-    For a row table ``start_keys`` is the whole domain, closed under the
-    generators, so the BFS stops expanding once every key is in an orbit
-    or proposed: a later edge could only propose a key already proposed,
-    and the first proposal stands, so the ids and links do not change.
-    A code outside the domain is a codec defect, refused when it is
-    committed, before it could run the BFS on without end."""
-    codec = table._codec
-    expand = codec.expander(gens)
-    # code -> key of each start key, encoded once; a row table's are its
-    # whole domain, so -1, never reached, stands for a frame table's end
-    starts = {codec.encode(k): k for k in start_keys}
+def _bfs_closure(table: OrbitTable, starts, gens, budget: int):
+    """Deterministic multi-source BFS from the codes ``starts`` into the
+    empty ``table``'s code dicts; ties between frontier edges pick the
+    least (parent, generator), which is the first to propose the object.
+    For a row table ``starts`` is the whole domain, so the BFS stops
+    expanding once every code is reached or proposed: the first proposal
+    stands, so the ids and links do not change."""
+    expand = table._codec.expander(gens)
+    # a row table's starts are its whole domain, so -1, never reached,
+    # stands for a frame table's end
     row = table.kind == "row"
-    full = len(starts) if row else -1
-    orbit: dict = {}  # code -> orbit id
-    link: dict = {}  # code -> (parent code, Generator), or None for a root
-    reps = []
+    domain = set(starts) if row else None
+    full = len(domain) if row else -1
+    orbit, link, reps = table._orbit, table._link, table._reps
     for code in starts:
         if code in orbit:
             continue
@@ -625,7 +629,7 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
                     break  # every object is reached; no edge proposes more
                 expand(node, orbit, proposals)
             frontier = sorted(proposals)
-            if row and not starts.keys() >= proposals.keys():
+            if row and not domain.issuperset(proposals):
                 raise ObjectOutOfDomain(
                     "internal: a row orbit left the row domain")
             for new in frontier:
@@ -634,14 +638,6 @@ def _bfs_closure(table: OrbitTable, start_keys, gens, budget: int):
                 if len(orbit) > budget:
                     raise SearchBudgetExceeded(
                         f"orbit table exceeded budget {budget}")
-    key_of = starts.__getitem__ if row else codec.decode
-    keys = {}
-    for code, oid in orbit.items():
-        keys[code] = key = key_of(code)
-        table.orbit_of[key] = oid
-        edge = link[code]
-        table.pred[key] = None if edge is None else (keys[edge[0]], edge[1])
-    table.reps.extend(keys[code] for code in reps)
 
 
 def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
@@ -665,7 +661,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         _check_entries(q, size, budget)
         table = OrbitTable(ring, "row", family, size)
         gens = generator_catalog(ring, family, size)
-        _bfs_closure(table, _row_domain(ring, size), gens, budget)
+        _bfs_closure(table, _row_domain(table._codec), gens, budget)
         return table
     if kind == "frame":
         if frame_rows <= 0 or frame_rows > size:
@@ -683,7 +679,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         one, zero = ring.one().payload, ring.zero().payload
         standard = tuple((zero,) * i + (one,) + (zero,) * (size - 1 - i)
                          for i in range(frame_rows))
-        _bfs_closure(table, [standard], gens, budget)
+        _bfs_closure(table, [table._codec.encode(standard)], gens, budget)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 
@@ -706,18 +702,16 @@ def _check_closed(table: OrbitTable, oid: int):
     """Raise unless every catalog generator maps every object of orbit
     ``oid`` to an object of that orbit.  The objects with that id then hold
     the whole orbit, so an object with another id lies outside it."""
-    codec = table._codec
-    expand = codec.expander(
+    expand = table._codec.expander(
         generator_catalog(table.ring, table.family, table.size))
-    members = {codec.encode(k): k for k, o in table.orbit_of.items()
-               if o == oid}
+    members = dict.fromkeys(c for c, o in table._orbit.items() if o == oid)
     outside: dict = {}
-    for code, key in members.items():
+    for code in members:
         expand(code, members, outside)
         if outside:
             raise WitnessCheckFailed(
                 "orbit table orbit is not closed under the generators",
-                object=table._enc_key(key))
+                object=table._codec.writer()(code))
 
 
 def certify_equivalence(v1, v2, table: OrbitTable):
@@ -725,13 +719,14 @@ def certify_equivalence(v1, v2, table: OrbitTable):
     exhaustive table proves there is none: before None, v1's orbit is
     checked to be closed under the generator catalog."""
     k1, k2 = _table_key(v1, table), _table_key(v2, table)
-    for k in (k1, k2):
-        if k not in table.orbit_of:
+    c1, c2 = table._codec.encode(k1), table._codec.encode(k2)
+    for k, c in ((k1, c1), (k2, c2)):
+        if c not in table._orbit:
             raise ObjectOutOfDomain(f"{k} is not in the table's domain")
-    if table.orbit_of[k1] != table.orbit_of[k2]:
-        _check_closed(table, table.orbit_of[k1])
+    if table._orbit[c1] != table._orbit[c2]:
+        _check_closed(table, table._orbit[c1])
         return None
-    word = table.path_word(k1).invert() + table.path_word(k2)
+    word = table._path(c1).invert() + table._path(c2)
     # re-verify the path before returning it
     if table._act(k1, word.gens) != k2:
         raise ObjectOutOfDomain("internal: path verification failed")

@@ -24,7 +24,7 @@ from .errors import (DescriptorMismatch, HalfNotInvertible, NoUnitEntry,
                      NotLocal)
 from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
-from .rings import PolyExt, Ring, RingValue, has_half
+from .rings import PolyExt, Ring, RingValue, _residue_modulus, has_half
 from .words import FAMILY_ORTH, GenWord, Generator, Witness, _gen, _rebuilt
 
 
@@ -39,6 +39,12 @@ class O2Class:
 
     shape: str  # "diag" | "antidiag"
     u: RingValue
+
+    def __post_init__(self):
+        if self.shape not in ("diag", "antidiag"):
+            raise DescriptorMismatch(f"unknown O_2 shape {self.shape!r}")
+        if not self.u.is_unit():
+            self.u.inverse()  # raises not_a_unit, with the ring's message
 
     def reconstruct(self) -> Mat:
         ring = self.u.ring
@@ -121,21 +127,51 @@ def _normalize_corner(delta: Mat, word: GenWord, m: int):
         cls = classify_o2(delta)
     except NotClassifiable:
         return delta, word
-    mul, sort_key = ring.mul, ring.sort_key
-    u = cls.u.payload
-
-    def moved(t):
-        sq = mul(t, t)
-        return mul(u, ring.inverse_payload(sq) if cls.shape == "diag" else sq)
-    # the least moved u, then the least t, in the ring's order
-    t = min((v.payload for v in ring.elements() if v.is_unit()),
-            key=lambda t: (sort_key(moved(t)), sort_key(t)))
+    t = _corner_root(ring, cls.shape, cls.u.payload)
     if t == ring.one().payload:
         return delta, word
     word_new = hyperbolic_square_word(ring, 2 * m, m, 1,
                                       RingValue(ring, t)) + word
-    return O2Class(cls.shape, RingValue(ring, moved(t))).reconstruct(), \
-        word_new
+    return O2Class(cls.shape, RingValue(ring, _moved(ring, cls.shape,
+                                                     cls.u.payload, t))
+                   ).reconstruct(), word_new
+
+
+def _moved(ring: Ring, shape: str, u, t):
+    """The corner's unit once diag(t^2, t^-2) is absorbed: u / t^2 (diag)
+    or u * t^2 (antidiag)."""
+    sq = ring.mul(t, t)
+    return ring.mul(u, ring.inverse_payload(sq) if shape == "diag" else sq)
+
+
+def _corner_root(ring: Ring, shape: str, u):
+    """The unit t of ``_normalize_corner``: the least moved u, then the
+    least t, in the ring's order.  Over an odd prime field the least of
+    u's square class is 1 if u is a square (Euler's criterion), else the
+    least non-residue c, and t is the smaller square root of u/c (diag) or
+    c/u (antidiag); any other finite ring scans its units."""
+    p = _residue_modulus(ring)
+    if not (p and p % 2 and ring.is_field):
+        key = ring.sort_key
+        return min((v.payload for v in ring.elements() if v.is_unit()),
+                   key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
+    z = 2  # the least non-residue
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = 1 if pow(u, (p - 1) // 2, p) == 1 else z
+    a = u * pow(c, -1, p) if shape == "diag" else c * pow(u, -1, p)
+    # Tonelli-Shanks: p - 1 = q 2^s with q odd, z^q of order 2^s
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    b, x, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while x != 1:  # x = a^-1 r^2 has order 2^i < 2^s
+        i, y = 0, x
+        while y != 1:
+            i, y = i + 1, y * y % p
+        f = pow(b, 1 << (s - i - 1), p)
+        s, b, x, r = i, f * f % p, x * f * f % p, r * f % p
+    return min(r, p - r)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import cgf.factor
 from cgf import cli
 from cgf.cli import main, parse_ring
 from cgf.matrices import Mat
+from cgf.oracle import OrbitTable
 from cgf.orthoquot import O2Class
 from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
 from cgf.words import GenWord
@@ -378,11 +379,17 @@ def test_split_and_patch_verbs(capsys, tmp_path):
     assert code == 0
 
 
-def test_orbit_cache_and_certify(capsys, tmp_path):
+def test_orbit_cache_and_certify(capsys, tmp_path, monkeypatch):
+    # both verbs read the table's codes: neither builds its payload views
+    def no_views(table):
+        raise AssertionError("views built")
+
+    monkeypatch.setattr(OrbitTable, "_views", property(no_views))
     cache = tmp_path / "table.json"
-    code, _ = run_cli(capsys, "orbits", "--ring", "mod:2", "--size", "2",
-                      "--cache", str(cache))
+    code, out = run_cli(capsys, "orbits", "--ring", "mod:2", "--size", "2",
+                        "--cache", str(cache))
     assert code == 0
+    assert json.loads(out) == {"objects": 3, "orbits": 1, "sizes": [3]}
     code, out = run_cli(capsys, "certify", "--table", str(cache),
                         "--v1", "[1,0]", "--v2", "[1,1]")
     assert code == 0

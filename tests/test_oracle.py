@@ -12,7 +12,7 @@ import reference as ref
 from cgf import oracle
 from cgf.errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
                         ObjectOutOfDomain, SearchBudgetExceeded, ShapeMismatch,
-                        WitnessCheckFailed)
+                        UnsupportedRing, WitnessCheckFailed)
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
@@ -419,9 +419,9 @@ def test_table_json_round_trip():
 
 
 def test_a_table_builds_one_codec(monkeypatch):
-    # O_4(F_3) has three orbits on its rows: of loading the table and two
-    # answers, only the closure check before "not equivalent" reads the
-    # codec, which the table builds on first use
+    # O_4(F_3) has three orbits on its rows: loading the table and two
+    # answers build one codec, and of them only the closure check before
+    # "not equivalent" builds the state that expands codes
     obj = enumerate_orbits(PrimeField(3), "row", FAMILY_ORTH, 4).to_json()
     built = []
 
@@ -433,14 +433,39 @@ def test_a_table_builds_one_codec(monkeypatch):
     monkeypatch.setattr(oracle, "_Codec", Counted)
     table = OrbitTable.from_json(obj)
     assert certify_equivalence((1, 0, 0, 0), (0, 1, 0, 0), table) is not None
+    assert "_arith" not in vars(table._codec)
     assert certify_equivalence((1, 0, 0, 0), (1, 1, 0, 0), table) is None
-    assert built == [table]
+    assert built == [table] and "_arith" in vars(table._codec)
     # the codec is no field: equality and the table bytes ignore it
     assert table.to_json() == obj
     bare = OrbitTable(table.ring, table.kind, table.family, table.size,
                       table.frame_rows, dict(table.orbit_of), list(table.reps),
                       dict(table.pred))
-    assert "_codec" not in vars(bare) and bare == table
+    assert bare._codec is not table._codec and bare == table
+
+
+def test_payload_keys_are_checked_and_the_views_are_read_only():
+    table = _um3_z4()
+    with pytest.raises(TypeError):
+        table.orbit_of[(1, 0, 0)] = 1
+    with pytest.raises(TypeError):
+        table.pred[(1, 0, 0)] = None
+    assert isinstance(table.reps, tuple)
+    # a key one entry short, or with an entry that is no element of Z/4,
+    # has no code
+    for key in ((1, 0), (4, 0, 0), [1, 0, 0]):
+        with pytest.raises(ObjectOutOfDomain,
+                           match="is not an object of the table$"):
+            OrbitTable(table.ring, "row", FAMILY_LIN, 3, 0, None, [key])
+        with pytest.raises(ObjectOutOfDomain, match="is not in the table$"):
+            table.path_word(key)
+    # a frame table asked about a row, or about rows that are not tuples
+    frames = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
+                              frame_rows=2)
+    standard = frames.reps[0]
+    for key in ((1, 0, 0, 0), (1, 0), tuple(map(list, standard))):
+        with pytest.raises(ObjectOutOfDomain, match="table's domain$"):
+            certify_equivalence(key, standard, frames)
 
 
 # the orth frame table of size 2, one row, over Z/100003: one object, the
@@ -451,32 +476,45 @@ _LINKLESS = {"version": 1, "ring": {"kind": "mod", "n": 100003},
              "objects": [{"v": [[1, 0]], "orbit": 0, "pred": None}]}
 
 
-def _refuse_codec(table):
-    raise AssertionError("codec built")
+def _refuse(*args):
+    raise AssertionError("refused call")
 
 
-def test_loading_a_table_without_links_builds_no_codec(monkeypatch):
-    # a codec ranks all q elements of the ring, here 100003 of them
-    monkeypatch.setattr(oracle, "_Codec", _refuse_codec)
-    table = OrbitTable.from_json(_LINKLESS)
-    assert table.reps == [((1, 0),)] and "_codec" not in vars(table)
+def test_loading_a_table_without_links_ranks_no_element(monkeypatch):
+    # over Z/m an element's rank is its payload: the load ranks none of the
+    # 100003 elements, nor builds the state that expands codes
+    monkeypatch.setattr(oracle, "_sorted_payloads", _refuse)
+    monkeypatch.setattr(ModularRing, "elements", _refuse)
+    table = within(0.05, lambda: OrbitTable.from_json(_LINKLESS))
+    assert table.reps == (((1, 0),),) and "_arith" not in vars(table._codec)
+    assert table.to_json() == _LINKLESS
 
 
-def test_loads_and_equivalence_answers_build_no_codec(monkeypatch):
-    # the link check and the path check act on payload keys through the
-    # shared kernel, so only the BFS and the closure check build a codec
+def test_loads_and_equivalence_answers_expand_no_code(monkeypatch):
+    # the link check and the path check act on payload rows through the
+    # shared kernel, so only the BFS and the closure check expand codes
     frames = enumerate_orbits(PrimeField(3), "frame", FAMILY_SP, 4,
                               frame_rows=2, budget=2160)
     cases = [(_um3_z4().to_json(), (1, 0, 0), (3, 2, 1)),
              (frames.to_json(), frames.reps[0], max(frames.orbit_of))]
-    monkeypatch.setattr(oracle, "_Codec", _refuse_codec)
+    monkeypatch.setattr(oracle._Codec, "_arith", property(_refuse))
     for obj, v1, v2 in cases:
         table = OrbitTable.from_json(obj)
         word = certify_equivalence(v1, v2, table)
         assert ref.act_rows(table.ring, [v1] if table.kind == "row" else v1,
                             word.gens) == ([v2] if table.kind == "row"
                                            else list(v2))
-        assert "_codec" not in vars(table)
+
+
+def test_loading_a_table_over_an_infinite_ring_is_refused():
+    # codes need a finite ring: refused after the header, as orbits
+    # refuses it, before any object is read (here they are not a list)
+    obj = dict(_LINKLESS, ring={"kind": "int"}, objects=None)
+    with pytest.raises(UnsupportedRing,
+                       match="^orbit enumeration needs a finite ring$"):
+        OrbitTable.from_json(obj)
+    with pytest.raises(BadIndices):
+        OrbitTable.from_json(dict(obj, size=3))
 
 
 @pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
@@ -572,10 +610,13 @@ ROW_GOLDEN_TABLES = [
 ]
 
 
+_GOLDEN = (GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES + CODED_GOLDEN_TABLES
+           + QUOTIENT_FLAG_GOLDEN_TABLES + RUN_GOLDEN_TABLES
+           + ROW_GOLDEN_TABLES)
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
-                         GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES +
-                         CODED_GOLDEN_TABLES + QUOTIENT_FLAG_GOLDEN_TABLES +
-                         RUN_GOLDEN_TABLES + ROW_GOLDEN_TABLES,
+                         _GOLDEN,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
                               "Z/4 sp frames", "F_4 lin rows",
@@ -592,6 +633,10 @@ def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
     table = _bounded_table(ring, kind, family, size, frame_rows)
     blob = json.dumps(table.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+    # a load of the bytes dumps them again, and equals the table
+    back = OrbitTable.from_json(json.loads(blob))
+    assert json.dumps(back.to_json(), sort_keys=True).encode() == blob
+    assert back == table
 
 
 # the size of each frame table that a golden or differential test builds
@@ -691,19 +736,21 @@ def _check_expansion(table, keys):
     compiled = [(g, codec.compile(g)) for g in gens]
     expand = codec.expander(gens)
     codes = [codec.encode(k) for k in keys]
+    zero = codec.rank(table.ring.zero().payload)
     seen = set(codes[::3])
     partial = 0
     for n, code in enumerate(codes):
         was_seen = code in seen
         seen.add(code)
-        rows = [codec.digits(row) for row in codec.row_codes(code)]
+        rows = [oracle._split(row, codec.q, codec.width) for row in
+                oracle._split(code, codec.q ** codec.width, codec.rows)]
         earlier = codes[(n + 1) % len(codes)]
         want = {earlier: "earlier"}
         for g, updates in compiled:
             new = codec.encode(_act_ref(table, keys[n], g))
             if new not in seen and new not in want:
                 want[new] = (code, g)
-            live = {ds[s] != codec.zero for ds in rows
+            live = {ds[s] != zero for ds in rows
                     for s, _, _, _ in updates}
             partial += live == {True, False}
         got = {earlier: "earlier"}
@@ -763,7 +810,8 @@ def test_frames_that_share_a_row_expand_alike(ring, family, keys):
 def test_a_frame_builds_each_row_once(monkeypatch):
     # the F_3 sp 2-row table's 2,160 frames hold 4,320 rows, 80 distinct
     # ones in each position: the BFS builds each (position, row)'s deltas
-    # once, and decoding the frames decodes each distinct row once
+    # once, and the first read of the views splits each frame's code into
+    # its rows once and each distinct row's code into its digits once
     built = []
     row_deltas = oracle._Codec.row_deltas
     monkeypatch.setattr(
@@ -771,9 +819,14 @@ def test_a_frame_builds_each_row_once(monkeypatch):
         lambda self, compiled, code, place: built.append((place, code))
         or row_deltas(self, compiled, code, place))
     table = _bounded_table(PrimeField(3), "frame", FAMILY_SP, 4, 2)
+    split, bases = oracle._split, []
+    monkeypatch.setattr(oracle, "_split", lambda code, base, count:
+                        bases.append(base) or split(code, base, count))
     rows = {(r, row) for key in table.orbit_of for r, row in enumerate(key)}
+    assert table.pred and table.reps
     assert len(built) == len(set(built)) <= len(rows) == 2 * 80
-    assert len(table._codec._row_keys) == 80
+    assert bases.count(3 ** 4) == len(table.orbit_of) == 2160
+    assert bases.count(3) == 80 and len(bases) == 2160 + 80
 
 
 # F_2[x]/(1 + x + x^2) and Z/12/(6) are quotients whose payloads are
@@ -786,49 +839,77 @@ _KEY_ORDER_IDS = ["Z/1", "Z/6", "F_5", "F_2[x]/(x^2)", "F_4", "Z/(10)",
                   "Z/12/(6)"]
 
 
+def _key_order_ref(ring, kind, key):
+    # reference: a key's order, the sort keys of its entries row by row
+    rows = [key] if kind == "row" else key
+    return tuple(tuple(ring.sort_key(p) for p in row) for row in rows)
+
+
 @pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
-def test_codes_preserve_key_order(ring):
+def test_codes_preserve_key_order(monkeypatch, ring):
     # a row table and a frame table: decoding an encoded key gives it
-    # back, and codes sort the keys as _key_order does
+    # back, and to_json writes the objects in key order from their codes
+    # alone, calling no sort key
     for kind, size, frame_rows in (("row", 2, 0), ("frame", 2, 2)):
         table = enumerate_orbits(ring, kind, FAMILY_LIN, size,
                                  frame_rows=frame_rows)
-        codec = oracle._Codec(table)
-        keys = list(table.orbit_of)
-        assert [codec.decode(codec.encode(k)) for k in keys] == keys
-        assert (sorted(keys, key=codec.encode) ==
-                sorted(keys, key=table._key_order))
+        codec, keys = table._codec, list(table.orbit_of)
+        decode = codec.decoder()
+        assert [decode(codec.encode(k)) for k in keys] == keys
+        want = [table._codec.writer()(codec.encode(k)) for k in
+                sorted(keys, key=lambda k: _key_order_ref(ring, kind, k))]
+        with monkeypatch.context() as m:
+            m.setattr(ring, "sort_key", _refuse)
+            assert [e["v"] for e in table.to_json()["objects"]] == want
 
 
-def _bfs_closure_ref(table, start_keys, gens, budget):
+def _bfs_closure_ref(ring, kind, family, size, frame_rows):
     # reference: the BFS that compared every (parent, generator) proposal
-    # of an object by (key order of the parent, generator position)
+    # of an object by (key order of the parent, generator position), from
+    # the rows the boxed test finds unimodular or the standard frame; its
+    # table by payload key, as (orbit_of, reps, pred)
+    table = OrbitTable(ring, kind, family, size, frame_rows)
+    order = lambda key: _key_order_ref(ring, kind, key)  # noqa: E731
+    if kind == "row":
+        elements = sorted(ring.elements(), key=lambda v: ring.sort_key(
+            v.payload))
+        start_keys = [tuple(v.payload for v in combo) for combo in
+                      itertools.product(elements, repeat=size)
+                      if _is_unimodular_row_ref(ring, combo)]
+    else:
+        one, zero = ring.one().payload, ring.zero().payload
+        start_keys = [tuple(tuple(one if c == r else zero
+                                  for c in range(size))
+                            for r in range(frame_rows))]
+    gens = oracle.generator_catalog(ring, family, size)
+    orbit_of, reps, pred = {}, [], {}
     for root in start_keys:
-        if root in table.orbit_of:
+        if root in orbit_of:
             continue
-        oid = len(table.reps)
-        table.reps.append(root)
-        table.orbit_of[root] = oid
-        table.pred[root] = None
+        oid = len(reps)
+        reps.append(root)
+        orbit_of[root] = oid
+        pred[root] = None
         frontier = [root]
         while frontier:
             proposals = {}
             for node in frontier:
                 for gi, g in enumerate(gens):
                     new = _act_ref(table, node, g)
-                    if new in table.orbit_of:
+                    if new in orbit_of:
                         continue
-                    cand = (table._key_order(node), gi, node, g)
+                    cand = (order(node), gi, node, g)
                     best = proposals.get(new)
                     if best is None or cand[:2] < best[:2]:
                         proposals[new] = cand
             next_frontier = []
             for new, (_, _, parent, g) in sorted(
-                    proposals.items(), key=lambda kv: table._key_order(kv[0])):
-                table.orbit_of[new] = oid
-                table.pred[new] = (parent, g)
+                    proposals.items(), key=lambda kv: order(kv[0])):
+                orbit_of[new] = oid
+                pred[new] = (parent, g)
                 next_frontier.append(new)
             frontier = next_frontier
+    return orbit_of, reps, pred
 
 
 # F_2[x]/(x + x^2) = F_2 x F_2: neither local nor a Z/m, so its rows take
@@ -836,7 +917,7 @@ def _bfs_closure_ref(table, start_keys, gens, budget):
 F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
 
 
-@pytest.mark.parametrize("ring, kind, family, size, frame_rows", [
+_REFERENCE_CASES = [
     (ModularRing(6), "row", FAMILY_LIN, 2, 0),
     (TruncatedPolyLocal(2, 2), "row", FAMILY_LIN, 2, 0),
     (ModularRing(4), "frame", FAMILY_SP, 4, 1),
@@ -855,13 +936,26 @@ F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
     # frames of three rows, each image the sum of three rows' deltas
     (ModularRing(2), "frame", FAMILY_LIN, 3, 3),
     (ModularRing(2), "frame", FAMILY_SP, 4, 3),
-])
-def test_bfs_matches_least_proposal_reference(monkeypatch, ring, kind, family,
-                                              size, frame_rows):
+]
+
+
+# every golden table as well, after the cases above so that they keep
+# their ids
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows",
+                         _REFERENCE_CASES + [
+                             spec[:5] for spec in _GOLDEN
+                             if spec[:5] not in _REFERENCE_CASES])
+def test_bfs_matches_least_proposal_reference(ring, kind, family, size,
+                                              frame_rows):
+    # the table's views are the reference BFS's tables, and a table built
+    # from those compares equal
     table = _bounded_table(ring, kind, family, size, frame_rows)
-    monkeypatch.setattr(oracle, "_bfs_closure", _bfs_closure_ref)
-    ref = _bounded_table(ring, kind, family, size, frame_rows)
-    assert table.to_json() == ref.to_json()
+    orbit_of, reps, pred = _bfs_closure_ref(ring, kind, family, size,
+                                            frame_rows)
+    assert table.orbit_of == orbit_of and table.pred == pred
+    assert table.reps == tuple(reps)
+    assert OrbitTable(ring, kind, family, size, frame_rows, orbit_of, reps,
+                      pred) == table
 
 
 def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
@@ -911,23 +1005,29 @@ def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
 
 
 def test_a_row_table_build_decodes_no_code(monkeypatch):
-    # a row table takes each key from its domain, which it encoded on the
-    # way in; a frame table decodes each of its objects once
-    decoded = []
-    decode = oracle._Codec.decode
-    monkeypatch.setattr(oracle._Codec, "decode",
-                        lambda self, code: decoded.append(code)
-                        or decode(self, code))
-    for ring, family, size in [(ModularRing(4), FAMILY_LIN, 3),
-                               (PrimeField(5), FAMILY_ORTH, 4),
-                               (ModularRing(6), FAMILY_LIN, 3),
-                               (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2)]:
-        assert enumerate_orbits(ring, "row", family, size).orbit_of
-    assert decoded == []
-    table = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
-                             frame_rows=2)
-    assert sorted(decoded) == sorted(set(decoded))
-    assert len(decoded) == len(table.orbit_of)
+    # the BFS keeps its codes: no build, of rows or of frames, decodes a
+    # code or writes one as JSON, and the first read of a row table's views
+    # decodes each row once
+    with monkeypatch.context() as m:
+        m.setattr(oracle._Codec, "decoder", _refuse)
+        m.setattr(oracle._Codec, "writer", _refuse)
+        tables = [enumerate_orbits(ring, "row", family, size)
+                  for ring, family, size in [
+                      (ModularRing(4), FAMILY_LIN, 3),
+                      (PrimeField(5), FAMILY_ORTH, 4),
+                      (ModularRing(6), FAMILY_LIN, 3),
+                      (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2)]]
+        frames = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
+                                  frame_rows=2)
+    assert [t.orbit_count() for t in tables + [frames]] == [1, 5, 1, 1, 1]
+    assert sum(frames.orbit_sizes()) == 2160
+    split, splits = oracle._split, []
+    monkeypatch.setattr(oracle, "_split", lambda code, base, count:
+                        splits.append(code) or split(code, base, count))
+    for table in tables:
+        splits.clear()
+        assert table.orbit_of and table.pred and table.reps
+        assert sorted(splits) == sorted(table._orbit)
 
 
 def _counted_value_from_json(monkeypatch, cls):
@@ -969,6 +1069,17 @@ def test_a_bad_entry_raises_at_each_load_as_before():
     obj["objects"][0]["v"][0] = {"n": 1}
     with pytest.raises(ValueError, match="integer expected"):
         OrbitTable.from_json(obj)
+    # a float equal to an entry read before it, in a key, in a parameter
+    # and in an index, is refused as well
+    for field, bad in (("v", 3.0), ("param", 1.0), ("i", 2.0)):
+        obj = json.loads(json.dumps(_um3_z4().to_json()))
+        last = obj["objects"][-1]
+        if field == "v":
+            last["v"][0] = bad
+        else:
+            last["pred"][1][field] = bad
+        with pytest.raises(ValueError, match=f"integer expected, got {bad}"):
+            OrbitTable.from_json(obj)
 
 
 def _is_unimodular_row_ref(ring, values):
@@ -992,6 +1103,7 @@ def test_row_domain_matches_the_boxed_reference(ring):
     unimodular_row = oracle._unimodular_test(ring)
     for size in range(4):
         table = OrbitTable(ring, "row", FAMILY_LIN, size)
+        decode = table._codec.decoder()
         want = []
         for combo in itertools.product(list(ring.elements()), repeat=size):
             row = tuple(v.payload for v in combo)
@@ -999,5 +1111,5 @@ def test_row_domain_matches_the_boxed_reference(ring):
             assert unimodular_row(row) == unimodular, row
             if unimodular:
                 want.append(row)
-        assert oracle._row_domain(ring, size) == sorted(
-            want, key=table._key_order)
+        assert [decode(c) for c in oracle._row_domain(table._codec)] == \
+            sorted(want, key=lambda k: _key_order_ref(ring, "row", k))

@@ -10,16 +10,17 @@ from cgf.errors import (NotOrthogonal, SizeBound,
                         UnsupportedPresentation)
 from cgf.homotopy import Homotopy
 from cgf.matrices import Mat, block_perp, identity, membership
-from cgf.orthoquot import (FactoredOrthogonal, O2Class, classify_o2,
-                           commutator_harness, commutator_harness_hso,
-                           conjugate_word_by_corner, corner_commutator_square_root,
+from cgf.orthoquot import (FactoredOrthogonal, O2Class, _corner_root,
+                           _moved, classify_o2, commutator_harness,
+                           commutator_harness_hso, conjugate_word_by_corner,
+                           corner_commutator_square_root,
                            hyperbolic_square_word, orth_inverse,
                            vaserstein_quotient)
 from cgf.rings import ModularRing, PolyExt, PrimeField
 from cgf.sampling import random_word
 from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, word_from_pairs
 
-from conftest import random_unit
+from conftest import random_unit, within
 
 
 def _enumerate_o2(ring):
@@ -42,6 +43,51 @@ def test_classify_o2_examples():
     assert cls3.shape == "diag" and cls3.u == Z5.one()
     with pytest.raises(NotOrthogonal):
         classify_o2(Mat(Z5, [[1, 1], [0, 1]]))
+
+
+def test_o2_class_refuses_a_non_unit():
+    # u = 3 over Z/9 is no unit: refused as its inverse would be, before
+    # a corner computation answers for it
+    for shape in ("diag", "antidiag"):
+        out = ref.outcome(O2Class, shape, ModularRing(9).coerce(3))
+        assert (out.code, out.message) == ("not_a_unit",
+                                           "3 is not a unit mod 9")
+    # over the zero ring 0 is a unit
+    assert O2Class("diag", ModularRing(1).zero()).u.is_unit()
+
+
+def test_o2_class_refuses_an_unknown_shape():
+    out = ref.outcome(O2Class, "bogus", PrimeField(5).coerce(2))
+    assert (out.code, out.message) == ("descriptor_mismatch",
+                                       "unknown O_2 shape 'bogus'")
+
+
+def _corner_root_scan(ring, shape, u):
+    # reference: the scan of every unit that the closed form replaces over
+    # odd prime fields: the least moved u, then the least t
+    key = ring.sort_key
+    return min((v.payload for v in ring.elements() if v.is_unit()),
+               key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
+
+
+def test_corner_root_matches_the_scan_over_odd_prime_fields():
+    primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
+    for p in primes:
+        for ring in (PrimeField(p), ModularRing(p)):
+            for u in range(1, p):
+                for shape in ("diag", "antidiag"):
+                    assert (_corner_root(ring, shape, u) ==
+                            _corner_root_scan(ring, shape, u)), (p, shape, u)
+
+
+def test_a_corner_over_a_large_prime_field_needs_no_scan():
+    # the 100002 units of F_100003 are not scanned; u = 3 is a non-residue,
+    # so the corner keeps the least non-residue, 2
+    F = PrimeField(100003)
+    a = block_perp(identity(F, 4), O2Class("diag", F.coerce(3)).reconstruct())
+    delta, word = within(0.05, lambda: vaserstein_quotient(a))
+    assert delta == O2Class("diag", F.coerce(2)).reconstruct()
+    assert block_perp(identity(F, 4), delta) @ word.eval() == a
 
 
 def test_o2_exhaustive_count_z5_and_z7():
