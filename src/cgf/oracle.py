@@ -3,16 +3,17 @@ of the right generator action on rows and frames, with predecessor links so
 any claimed equivalence can be re-derived as an explicit path word.
 
 Determinism: objects are enumerated in key order (a row domain is the
-product of the elements in ``ring.sort_key`` order, so it needs no sort),
-generators are ordered by (i, j, parameter key), and when several frontier
+product of the elements in ``ring.rank`` order, so it needs no sort),
+generators are ordered by (i, j, parameter rank), and when several frontier
 edges reach the same new object the lowest-ordered (parent, generator) pair
 wins: the frontier is kept in key order, so that pair proposes it first.
 
 A table is kept on integer codes (the numbering of points in orbit
 algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
-Theory*, 2005, section 4.1).  ``_Codec`` ranks the ring's elements in
-``ring.sort_key`` order (over Z/m the rank is the payload), and a key's
-entries, row by row, are the digits of one base-q integer, most
+Theory*, 2005, section 4.1).  An entry's digit is its rank, the ring's
+one element order, which ``ring.rank`` and ``ring.unrank`` give in closed
+form over every finite ring, so no codec holds a table of the q elements;
+a key's entries, row by row, are the digits of one base-q integer, most
 significant first, so integer order is key order.  A row domain is
 generated as codes: the k-th tuple of the product of the elements in rank
 order has code k.
@@ -47,8 +48,9 @@ The link check of a loaded table and the path check of
 ``certify_equivalence`` share no code with the BFS they check: they act on
 payload rows through the shared kernel ``words._apply_gens``.
 ``OrbitTable.from_json`` maps each distinct JSON entry to its rank once,
-through one dict, builds each distinct link generator once, and checks
-each link on the rows its JSON gives.
+and each distinct row of other entries to its code once, keyed by its
+repr, so a parent read again costs a lookup; it builds each distinct link
+generator once, and checks each link on the rows its JSON gives.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, _json_int, _residue_modulus, has_half,
-                    ring_from_json, unit_ideal_witness)
+from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
+                    has_half, ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     _apply_gens, paired_index)
 
@@ -88,19 +90,14 @@ def _unimodular_test(ring: Ring):
     return lambda payloads: gcd(modulus, *payloads) == 1
 
 
-def _sorted_payloads(ring: Ring) -> list:
-    """The payloads of the elements in ``ring.sort_key`` order, the one
-    element order of keys, codes and catalogs."""
-    return sorted((v.payload for v in ring.elements()), key=ring.sort_key)
-
-
 def _row_domain(codec: "_Codec") -> list:
     """The codes of every unimodular row of the codec's width, in
     increasing order: the k-th tuple of the product of the elements in rank
     order has code k, so no row is encoded."""
+    values = list(map(codec.unrank, range(codec.q)))
     return list(itertools.compress(itertools.count(), map(
         _unimodular_test(codec.ring),
-        itertools.product(codec.values, repeat=codec.width))))
+        itertools.product(values, repeat=codec.width))))
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -163,7 +160,8 @@ def generator_catalog(ring: Ring, family: str, size: int):
     """All generators with nonzero parameters, in canonical order."""
     _check_paired_size(family, size)
     zero = ring.zero().payload
-    nonzero = [RingValue(ring, p) for p in _sorted_payloads(ring) if p != zero]
+    nonzero = [RingValue(ring, p) for p in map(
+        ring.unrank, range(ring.cardinality())) if p != zero]
     if not nonzero:
         # the zero ring: no parameter, so no generator at any size
         return []
@@ -179,34 +177,14 @@ def generator_catalog(ring: Ring, family: str, size: int):
     return gens
 
 
-def _split(code: int, base: int, count: int) -> list:
-    """The ``count`` base-``base`` digits of ``code``, highest first."""
-    out = [0] * count
-    for k in range(count - 1, -1, -1):
-        code, out[k] = divmod(code, base)
-    return out
-
-
 class _Codec:
     """The codes of one table's objects (see the module docstring), to
     and from payload keys and to JSON, and their expansion by a catalog."""
 
     def __init__(self, table: "OrbitTable"):
         ring = self.ring = table.ring
-        if _residue_modulus(ring):  # Z/m: the rank is the payload
-            values, rank = range(ring.cardinality()), None
-            self.rank = lambda p: p if isinstance(p, int) and \
-                0 <= p < self.q else None
-        else:
-            values = _sorted_payloads(ring)
-            rank = {p: r for r, p in enumerate(values)}
-            # distinct keys get distinct codes, in key order, only if no
-            # two elements tie in sort_key
-            assert len(rank) == len(values) and all(
-                ring.sort_key(a) < ring.sort_key(b)
-                for a, b in zip(values, values[1:])), "sort_key ties elements"
-            self.rank = rank.get  # the rank of a payload, None for no element
-        self.values, self._rank, self.q = values, rank, len(values)
+        self.q = ring.cardinality()  # an infinite ring raises here
+        self.rank, self.unrank = ring.rank, ring.unrank
         self.is_row = table.kind == "row"
         self.rows = 1 if self.is_row else table.frame_rows
         self.width = table.size
@@ -229,8 +207,8 @@ class _Codec:
 
     def decoder(self):
         """code -> payload key, each distinct row and object built once."""
-        q, n, values = self.q, self.width, self.values
-        row = cache(lambda c: tuple([values[d] for d in _split(c, q, n)]))
+        q, n, payload = self.q, self.width, cache(self.unrank)
+        row = cache(lambda c: tuple(map(payload, _split(c, q, n))))
         base, count = q ** n, self.rows
         return row if self.is_row else cache(lambda code: tuple(
             [row(r) for r in _split(code, base, count)]))
@@ -238,8 +216,8 @@ class _Codec:
     def writer(self):
         """code -> JSON, a new list of rows for a frame; each rank's JSON
         is written once and each row's list built once, and shared."""
-        q, n, values, ring = self.q, self.width, self.values, self.ring
-        entry = cache(lambda d: ring.value_to_json(values[d]))
+        q, n, unrank, ring = self.q, self.width, self.unrank, self.ring
+        entry = cache(lambda d: ring.value_to_json(unrank(d)))
         row = cache(lambda c: [entry(d) for d in _split(c, q, n)])
         if self.is_row:
             return row
@@ -256,12 +234,14 @@ class _Codec:
 
     @cached_property
     def _arith(self) -> tuple:
-        """The expansions' state, built on first use: every rank, zero's,
-        the weight of each digit, the rows add[a][y] = rank(a + y) and
+        """The expansions' state, built on first use: zero's rank, the
+        weight of each digit, the rows add[a][y] = rank(a + y) and
         mul[x][c] = rank(x * c), and ``digits`` (see the module
-        docstring)."""
-        ring, values, q, n = self.ring, self.values, self.q, self.width
-        rank = self._rank or dict(zip(values, values))
+        docstring).  The rows need every element, so they rank through a
+        dict of them."""
+        ring, q, n = self.ring, self.q, self.width
+        values = list(map(self.unrank, range(q)))
+        rank = {p: r for r, p in enumerate(values)}
         add, mul = [None] * q, [None] * q
         ring_add, ring_mul = ring.add, ring.mul
         # a row code is hi * split + lo, hi holding the first n // 2 digits
@@ -287,7 +267,7 @@ class _Codec:
             return his(hi) + los(lo)
 
         weights = [q ** (n - 1 - k) for k in range(n)]
-        return rank, rank[ring.zero().payload], weights, add, mul, digits
+        return rank[ring.zero().payload], weights, add, mul, digits
 
     def compile(self, g: Generator) -> list:
         """``g``'s column updates on one row, as (source position, target
@@ -297,13 +277,13 @@ class _Codec:
         # each update may read the digits from before the step
         assert len(targets) == len(updates) and targets.isdisjoint(
             s for _, s, _ in updates), "a generator source is a target"
-        rank, _, weights = self._arith[:3]
-        return [(s, t, weights[t], rank[c]) for t, s, c in updates]
+        rank, weights = self.rank, self._arith[1]
+        return [(s, t, weights[t], rank(c)) for t, s, c in updates]
 
     def row_deltas(self, compiled, code, place) -> list:
         """Each compiled generator's change to the row code ``code``,
         scaled by ``place``: image code minus ``code``, times ``place``."""
-        _, zero, _, add, mul, digits = self._arith
+        zero, _, add, mul, digits = self._arith
         ds = digits(code)
         out = []
         for updates in compiled:
@@ -335,7 +315,7 @@ class _Codec:
                 *places[1], [u[1][3] for _, u in steps])
             flat.append((*places[0], [g for g, _ in steps],
                          [u[0][3] for _, u in steps], second))
-        _, zero, _, add, mul, digits = self._arith
+        zero, _, add, mul, digits = self._arith
 
         def expand(node, seen, proposals):
             ds = digits(node)
@@ -494,7 +474,9 @@ class OrbitTable:
     @staticmethod
     def from_json(obj: dict) -> "OrbitTable":
         """The table ``obj`` holds, once its links check: each distinct
-        JSON entry is mapped to its rank once, through one dict."""
+        JSON entry is mapped to its rank once, and each distinct row that
+        is not all plain ints read before to its code once, through one
+        dict each."""
         if obj.get("version") != FORMAT_VERSION:
             raise UnsupportedRing(f"unknown table version {obj.get('version')}")
         ring = ring_from_json(obj["ring"])
@@ -507,38 +489,56 @@ class OrbitTable:
             raise UnsupportedRing("orbit enumeration needs a finite ring")
         codec = table._codec
         q, rows, width, rank = codec.q, codec.rows, codec.width, codec.rank
-        one_row, values = codec.is_row, codec.values
-        as_is = codec._rank is None  # over Z/m each rank is its payload
-        ranks: dict = {}  # an int entry, or another's repr -> its rank
+        base, one_row = q ** width, codec.is_row
+        entries: dict = {}  # an int entry, or another's repr -> (rank, payload)
+        lines: dict = {}  # a row's repr -> (its code, its payloads)
 
-        def entry_rank(p):
+        def read_entry(p):
             # a true, a 1.0 and a 1 are read apart; an entry that raises is
             # never stored, so it raises each time
             k = p if type(p) is int else repr(p)
-            r = ranks.get(k)
-            if r is None:
-                r = ranks[k] = rank(ring.value_from_json(p).payload)
-            return r
+            got = entries.get(k)
+            if got is None:
+                payload = ring.value_from_json(p).payload
+                got = entries[k] = rank(payload), payload
+            return got
+
+        def read_row(row):
+            # the code and a new list of the payloads of a row holding an
+            # entry that is no plain int read before; each distinct row is
+            # ranked once, by its repr, so a parent read again is one lookup
+            got = lines.get(k := repr(row))
+            if got is None:
+                c, line = 0, []
+                for p in row:
+                    r, payload = read_entry(p)
+                    c = c * q + r
+                    line.append(payload)
+                got = lines[k] = c, line
+            return got[0], list(got[1])
 
         def read(v):
-            # the code of the object v and its rows of payloads; the shape
-            # is checked first, since the link check reads entries by place
+            # the code of the object v and its rows of payloads, each a new
+            # list; the shape is checked first, since the link check reads
+            # entries by place
             grid = [v] if one_row else v
             if len(grid) != rows or any(map(width.__ne__, map(len, grid))):
                 raise WitnessCheckFailed(
                     "orbit table object has the wrong shape", object=v)
             code, out = 0, []
             for row in grid:
-                line = []
-                for p in row:
-                    if type(p) is not int or (r := ranks.get(p)) is None:
-                        r = entry_rank(p)
-                    code = code * q + r
-                    line.append(r)
-                out.append(line if as_is else [values[r] for r in line])
+                c, line = 0, []
+                for p in row:  # plain ints read before, in place
+                    if type(p) is not int or (got := entries.get(p)) is None:
+                        c, line = read_row(row)
+                        break
+                    c = c * q + got[0]
+                    line.append(got[1])
+                code = code * base + c
+                out.append(line)
             return code, out
 
-        gens: dict = {}  # (i, j, the param's rank) -> (its Generator,)
+        gens: dict = {}  # (i, j, the param's int or repr) -> (its Generator,)
 
         def gen_of(gj):
             # each distinct link generator passes the public checks once;
@@ -546,12 +546,10 @@ class OrbitTable:
             i, j, p = gj["i"], gj["j"], gj["param"]
             if type(i) is not int or type(j) is not int:
                 i, j = _json_int(i), _json_int(j)
-            if type(p) is not int or (r := ranks.get(p)) is None:
-                r = entry_rank(p)
-            g = gens.get((i, j, r))
+            g = gens.get(k := (i, j, p if type(p) is int else repr(p)))
             if g is None:
-                g = gens[i, j, r] = (Generator(
-                    family, i, j, RingValue(ring, values[r]), size),)
+                g = gens[k] = (Generator(family, i, j, RingValue(
+                    ring, read_entry(p)[1]), size),)
             return g
 
         # code -> whether its link is a generator step, checked as read

@@ -152,7 +152,7 @@ def _corner_root(ring: Ring, shape: str, u):
     c/u (antidiag); any other finite ring scans its units."""
     p = _residue_modulus(ring)
     if not (p and p % 2 and ring.is_field):
-        key = ring.sort_key
+        key = ring.rank
         return min((v.payload for v in ring.elements() if v.is_unit()),
                    key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
     z = 2  # the least non-residue

@@ -16,6 +16,13 @@ F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.  A
 polynomial quotient F[x]/(f) over a finite field is local exactly when f is
 a power of one irreducible, and a field when f is irreducible; over an
 infinite field it leaves both flags False.
+
+Each finite ring has one element order, in closed form: ``rank`` numbers a
+canonical payload from 0 and ``unrank`` inverts it.  Z/n orders residues by
+value; F_p[x]/(x^e) reads the coefficients, padded to e and constant term
+first, as base-p digits; any other F[x]/(f) orders remainders by length,
+then by their coefficients compared as payloads; a quotient takes its
+residues' order.  ``elements()`` may list them in another order.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, log2
 
 from .errors import (CgfError, DegreeCapExceeded, DescriptorMismatch, NotAUnit,
@@ -133,6 +141,14 @@ def _json_int(obj) -> int:
     if not isinstance(obj, int):
         raise ValueError(f"integer expected, got {obj!r}")
     return int(obj)
+
+
+def _split(code: int, base: int, count: int) -> list:
+    """The ``count`` base-``base`` digits of ``code``, highest first."""
+    out = [0] * count
+    for k in range(count - 1, -1, -1):
+        code, out[k] = divmod(code, base)
+    return out
 
 
 class RingValue:
@@ -331,8 +347,15 @@ class Ring:
     def cardinality(self) -> int:
         raise UnsupportedRing(f"{self} is not finite")
 
-    def sort_key(self, payload):
-        return payload
+    def rank(self, payload):
+        """The place of ``payload`` in the ring's one element order, counted
+        from 0, or None unless it is a canonical payload; no finite ring
+        builds a table of its elements for it."""
+        raise UnsupportedRing(f"{self} is not finite")
+
+    def unrank(self, r):
+        """The payload of rank ``r``, for 0 <= r < cardinality()."""
+        raise UnsupportedRing(f"{self} is not finite")
 
     def random(self, rng) -> RingValue:
         raise NotImplementedError
@@ -535,6 +558,13 @@ class ModularRing(Ring):
 
     def cardinality(self):
         return self.n
+
+    def rank(self, payload):
+        return payload if type(payload) is int and 0 <= payload < self.n \
+            else None
+
+    def unrank(self, r):
+        return r
 
     def random(self, rng):
         return RingValue(self, rng.randrange(self.n))
@@ -1056,8 +1086,50 @@ class _PolyRemainders(Ring):
     def cardinality(self):
         return self.field.cardinality() ** (len(self.f) - 1)
 
-    def sort_key(self, payload):
-        return (len(payload), payload)
+    @cached_property
+    def _coefficients(self) -> tuple:
+        """The field's payloads in the order Python compares them, which
+        need not be the field's rank order, and the place of each in it by
+        its field rank: the digits of ``rank``."""
+        field = self.field
+        ordered = sorted(v.payload for v in field.elements())
+        # zero, 0 or (), is the least payload, so a nonzero last digit is >= 1
+        assert ordered[0] == field.zero().payload
+        place = [0] * len(ordered)
+        for d, c in enumerate(ordered):
+            place[field.rank(c)] = d
+        return ordered, place
+
+    def rank(self, payload):
+        """Remainders by length, then by their coefficients, lowest degree
+        first, each compared as a payload: over a field of q elements,
+        q^(L-1) remainders are shorter than one of length L >= 1, and the
+        last of its L coefficients is nonzero."""
+        ordered, place = self._coefficients  # an infinite field raises
+        if type(payload) is not tuple or len(payload) >= len(self.f):
+            return None
+        if not payload:
+            return 0
+        q, digit, code = len(ordered), self.field.rank, 0
+        for c in payload:
+            if (d := digit(c)) is None:
+                return None
+            code = code * q + place[d]
+        head, last = divmod(code, q)
+        if not last:
+            return None  # a trailing zero
+        return q ** (len(payload) - 1) + head * (q - 1) + last - 1
+
+    def unrank(self, r):
+        ordered = self._coefficients[0]
+        if not r:
+            return ()
+        q, length, shorter = len(ordered), 1, 1
+        while shorter * q <= r:
+            length, shorter = length + 1, shorter * q
+        head, last = divmod(r - shorter, q - 1)
+        return tuple([ordered[d] for d in _split(head, q, length - 1)]
+                     + [ordered[last + 1]])
 
     def random(self, rng):
         return RingValue(self, self.canon(tuple(
@@ -1076,7 +1148,7 @@ class TruncatedPolyLocal(_PolyRemainders):
 
     Payloads are coefficient tuples (constant term first) of length at most
     e with trailing zeros stripped; the empty tuple is zero.  The ring keeps
-    its own descriptor, JSON, rendering and element order (``sort_key`` pads
+    its own descriptor, JSON, rendering and element order (``rank`` pads
     to e), truncates instead of rejecting longer input, and reads units and
     nilpotents off the constant term.
     """
@@ -1120,8 +1192,24 @@ class TruncatedPolyLocal(_PolyRemainders):
     def is_nilpotent_payload(self, a):
         return not a or a[0] == 0
 
-    def sort_key(self, payload):
-        return tuple(payload) + (0,) * (self.e - len(payload))
+    def rank(self, payload):
+        """The coefficients padded to e, constant term first, read as base-p
+        digits, most significant first."""
+        if type(payload) is not tuple or len(payload) > self.e or \
+                payload[-1:] == (0,):
+            return None
+        p, code = self.p, 0
+        for c in payload:
+            if type(c) is not int or not 0 <= c < p:
+                return None
+            code = code * p + c
+        return code * p ** (self.e - len(payload))
+
+    def unrank(self, r):
+        coeffs = _split(r, self.p, self.e)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
 
     def render(self, payload):
         if not payload:
@@ -1197,7 +1285,7 @@ class QuotientRing(Ring):
         self.residues = residues
         for name in ("canon", "add", "sub", "mul", "neg", "dot", "fma",
                      "is_unit_payload", "inverse_payload",
-                     "is_nilpotent_payload", "cardinality", "sort_key",
+                     "is_nilpotent_payload", "cardinality", "rank", "unrank",
                      "render", "value_to_json", "is_finite", "is_field",
                      "is_local", "is_zero_ring", "characteristic"):
             setattr(self, name, getattr(residues, name))

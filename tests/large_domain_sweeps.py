@@ -1,9 +1,11 @@
-"""Every object of two large frame domains through its completion: the
-Sp_4 frames of two rows over Z/4 (15,360 objects) and the O_6 frames of two
-rows over F_3 (21,060 objects).  The orbit BFS builds both tables, so the
-sweep runs it end to end as well, and sends each table through
-``json.dumps``, ``json.loads`` and ``OrbitTable.from_json``: the load must
-equal the table and dump the same bytes again.
+"""Every object of three large frame domains through its completion: the
+Sp_4 frames of two rows over Z/4 and over F_2[x]/(x^2) (15,360 objects
+each) and the O_6 frames of two rows over F_3 (21,060 objects).  The orbit
+BFS builds each table, so the sweep runs it end to end as well, and sends
+each table through ``json.dumps``, ``json.loads`` and
+``OrbitTable.from_json``: the load must equal the table and dump the same
+bytes again.  Over F_2[x]/(x^2), a ring that is no Z/m, the entries are
+lists, ranked in closed form, and the load reads each distinct row once.
 
 For each object, the leading rows of eval(word) of its completion word must
 equal the object, and the word must rebuild unchanged through the public
@@ -24,13 +26,14 @@ import time
 from cgf.matrices import IsotropicFrame, Mat
 from cgf.oracle import OrbitTable, enumerate_orbits
 from cgf.reduce import complete_orth, complete_sp
-from cgf.rings import ModularRing, PrimeField
+from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
 
 from test_domains import _publicly_rebuilt
 
 # (ring, family, size, frame rows, objects in the table, completion)
 DOMAINS = [
     (ModularRing(4), "sp", 4, 2, 15360, complete_sp),
+    (TruncatedPolyLocal(2, 2), "sp", 4, 2, 15360, complete_sp),
     (PrimeField(3), "orth", 6, 2, 21060, complete_orth),
 ]
 

@@ -57,6 +57,15 @@ def _coefficients(ring):
     return None
 
 
+def sort_key(ring, p):
+    """The key that ordered a finite ring's elements before they had ranks:
+    over ``polyloc`` the coefficients padded to e, over any other
+    polynomial remainder (length, payload), else the payload."""
+    if ring.kind == "polyloc":
+        return p + (0,) * (ring.e - len(p))
+    return (len(p), p) if isinstance(p, tuple) else p
+
+
 def trim(ring, coeffs):
     """R[T] coefficients, trailing zeros stripped, under the degree cap."""
     coeffs = list(coeffs)

@@ -16,8 +16,8 @@ from cgf.errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
-                       QuotientRing, TruncatedPolyLocal, _residue_modulus,
-                       unit_ideal_witness)
+                       QuotientRing, TruncatedPolyLocal, _PolyRemainders,
+                       _residue_modulus, unit_ideal_witness)
 from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
 
 from conftest import local_test_rings, within
@@ -481,13 +481,23 @@ def _refuse(*args):
 
 
 def test_loading_a_table_without_links_ranks_no_element(monkeypatch):
-    # over Z/m an element's rank is its payload: the load ranks none of the
-    # 100003 elements, nor builds the state that expands codes
-    monkeypatch.setattr(oracle, "_sorted_payloads", _refuse)
+    # an element's rank is in closed form: over Z/100003 it is the
+    # payload, and over F_101[x]/(x^3) and F_101[x]/(x^4), of about 10^6
+    # and 10^8 elements, the padded coefficients read as base-101 digits,
+    # so the load lists no element, nor builds the state that expands codes
     monkeypatch.setattr(ModularRing, "elements", _refuse)
+    monkeypatch.setattr(_PolyRemainders, "elements", _refuse)
     table = within(0.05, lambda: OrbitTable.from_json(_LINKLESS))
     assert table.reps == (((1, 0),),) and "_arith" not in vars(table._codec)
     assert table.to_json() == _LINKLESS
+    for e in (3, 4):
+        # the lin frame table of size 1 over F_101[x]/(x^e): one object
+        obj = dict(_LINKLESS, ring={"kind": "polyloc", "p": 101, "e": e},
+                   family=FAMILY_LIN, size=1,
+                   objects=[{"v": [[[1]]], "orbit": 0, "pred": None}])
+        table = within(0.05, lambda: OrbitTable.from_json(obj))
+        assert table.reps == ((((1,),),),)
+        assert "_arith" not in vars(table._codec) and table.to_json() == obj
 
 
 def test_loads_and_equivalence_answers_expand_no_code(monkeypatch):
@@ -842,14 +852,14 @@ _KEY_ORDER_IDS = ["Z/1", "Z/6", "F_5", "F_2[x]/(x^2)", "F_4", "Z/(10)",
 def _key_order_ref(ring, kind, key):
     # reference: a key's order, the sort keys of its entries row by row
     rows = [key] if kind == "row" else key
-    return tuple(tuple(ring.sort_key(p) for p in row) for row in rows)
+    return tuple(tuple(ref.sort_key(ring, p) for p in row) for row in rows)
 
 
 @pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
 def test_codes_preserve_key_order(monkeypatch, ring):
     # a row table and a frame table: decoding an encoded key gives it
     # back, and to_json writes the objects in key order from their codes
-    # alone, calling no sort key
+    # alone, ranking no element and listing none
     for kind, size, frame_rows in (("row", 2, 0), ("frame", 2, 2)):
         table = enumerate_orbits(ring, kind, FAMILY_LIN, size,
                                  frame_rows=frame_rows)
@@ -862,7 +872,8 @@ def test_codes_preserve_key_order(monkeypatch, ring):
         if kind == "row":
             want = [rows[0] for rows in want]
         with monkeypatch.context() as m:
-            m.setattr(ring, "sort_key", _refuse)
+            m.setattr(codec, "rank", _refuse)
+            m.setattr(ring, "elements", _refuse)
             assert [e["v"] for e in table.to_json()["objects"]] == want
 
 
@@ -874,8 +885,8 @@ def _bfs_closure_ref(ring, kind, family, size, frame_rows):
     table = OrbitTable(ring, kind, family, size, frame_rows)
     order = lambda key: _key_order_ref(ring, kind, key)  # noqa: E731
     if kind == "row":
-        elements = sorted(ring.elements(), key=lambda v: ring.sort_key(
-            v.payload))
+        elements = sorted(ring.elements(), key=lambda v: ref.sort_key(
+            ring, v.payload))
         start_keys = [tuple(v.payload for v in combo) for combo in
                       itertools.product(elements, repeat=size)
                       if _is_unimodular_row_ref(ring, combo)]
@@ -1061,6 +1072,25 @@ def test_loading_decodes_each_distinct_entry_once(monkeypatch):
     assert len(calls) == len({json.dumps(p) for p in calls}) == 4
 
 
+def test_a_row_read_before_is_looked_up_once(monkeypatch):
+    # lin frames of two rows over F_2[x]/(x^2), whose entries are lists:
+    # 56 distinct rows, each read about 190 times, mostly as a parent's.
+    # A row read again costs one repr, its key, where a repr of each of its
+    # three entries made more than three reprs a row
+    table = enumerate_orbits(TruncatedPolyLocal(2, 2), "frame", FAMILY_LIN,
+                             3, frame_rows=2)
+    obj = json.loads(json.dumps(table.to_json()))
+    rows = [row for e in obj["objects"]
+            for v in [e["v"]] + ([e["pred"][0]] if e["pred"] else [])
+            for row in v]
+    assert len({json.dumps(row) for row in rows}) == 56
+    keyed = []
+    monkeypatch.setattr(oracle, "repr", lambda x: keyed.append(x) or repr(x),
+                        raising=False)
+    assert OrbitTable.from_json(obj) == table
+    assert len(keyed) < 2 * len(rows)
+
+
 def test_a_bad_entry_raises_at_each_load_as_before():
     # a failed decode is not kept: the same error, at every occurrence
     obj = json.loads(json.dumps(_um3_z4().to_json()))
@@ -1116,3 +1146,31 @@ def test_row_domain_matches_the_boxed_reference(ring):
                 want.append(row)
         assert [decode(c) for c in oracle._row_domain(table._codec)] == \
             sorted(want, key=lambda k: _key_order_ref(ring, "row", k))
+
+
+@pytest.mark.parametrize("ring", [ModularRing(4), TruncatedPolyLocal(2, 2),
+                                  F4], ids=["Z/4", "F_2[x]/(x^2)", "F_4"])
+def test_a_key_with_a_list_entry_is_out_of_domain(ring):
+    # a list where an element stands has no rank over any ring: the
+    # constructor, path_word and certify_equivalence refuse such a row or
+    # frame as object_out_of_domain, not with a TypeError
+    one, zero = ring.one().payload, ring.zero().payload
+    entry = list(one) if isinstance(one, tuple) else [one]
+    for kind, frame_rows, bad in (("row", 0, (entry, zero)),
+                                  ("frame", 1, ((zero, entry),))):
+        table = enumerate_orbits(ring, kind, FAMILY_LIN, 2,
+                                 frame_rows=frame_rows)
+        good = table.reps[0]
+        # a key holding a list is no dict key, so the constructor meets it
+        # as a representative and as a parent
+        calls = [lambda: OrbitTable(ring, kind, FAMILY_LIN, 2, frame_rows,
+                                    None, [bad]),
+                 lambda: OrbitTable(ring, kind, FAMILY_LIN, 2, frame_rows,
+                                    None, None, {good: (bad, None)}),
+                 lambda: table.path_word(bad),
+                 lambda: certify_equivalence(bad, good, table),
+                 lambda: certify_equivalence(good, bad, table)]
+        for call in calls:
+            with pytest.raises(ObjectOutOfDomain) as info:
+                call()
+            assert info.value.to_json()["code"] == "object_out_of_domain"

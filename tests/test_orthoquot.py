@@ -65,7 +65,7 @@ def test_o2_class_refuses_an_unknown_shape():
 def _corner_root_scan(ring, shape, u):
     # reference: the scan of every unit that the closed form replaces over
     # odd prime fields: the least moved u, then the least t
-    key = ring.sort_key
+    key = ring.rank
     return min((v.payload for v in ring.elements() if v.is_unit()),
                key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
 

@@ -421,3 +421,69 @@ def test_ideal_combination_mod4():
     assert q is not None
     assert ref.combination(R, q, gens) == 2
     assert ideal_combination(R, gens, R.coerce(1)) is None
+
+
+# ---------------------------------------------------------------------------
+# element order
+
+_F3x = PolyExt(PrimeField(3), "x")
+_F9 = QuotientRing(_F3x, [[1, 0, 1]])
+_F3_BY_X = QuotientRing(_F3x, [[0, 1]])  # F_3 as F_3[x]/(x)
+RANK_RINGS = {
+    "Z/1": ModularRing(1),
+    "Z/6": ModularRing(6),
+    "Z/12/(6)": QuotientRing(ModularRing(12), [6]),
+    "F_5": PrimeField(5),
+    "F_2[x]/(x^2)": TruncatedPolyLocal(2, 2),
+    "F_3[x]/(x^3)": TruncatedPolyLocal(3, 3),
+    "F_4": QuotientRing(PolyExt(PrimeField(2), "x"), [[1, 1, 1]]),
+    "F_9": _F9,
+    # coefficients in F_9 whose payload order is not F_9's rank order
+    "F_9[y]/(y^2+x)": QuotientRing(PolyExt(_F9, "y"), [[(0, 1), 0, 1]]),
+    "F_3[x]/(x)[y]/(y^2+1)": QuotientRing(PolyExt(_F3_BY_X, "y"),
+                                          [[1, 0, 1]]),
+    "F_2[x]/(x^2+x)": QuotientRing(PolyExt(PrimeField(2), "x"), [[0, 1, 1]]),
+    "Z/5[x]/(x^3+2)": QuotientRing(PolyExt(ModularRing(5), "x"),
+                                   [[2, 0, 0, 1]]),
+}
+
+
+@pytest.mark.parametrize("ring", RANK_RINGS.values(), ids=RANK_RINGS.keys())
+def test_rank_is_the_sort_key_order(ring):
+    # the ranks of the elements sorted by the old key are 0, 1, ..., q - 1,
+    # the key ties no two of them, and unrank inverts rank
+    key = lambda p: ref.sort_key(ring, p)  # noqa: E731
+    payloads = sorted((v.payload for v in ring.elements()), key=key)
+    q = ring.cardinality()
+    assert len(payloads) == q
+    assert all(key(a) < key(b) for a, b in zip(payloads, payloads[1:]))
+    assert [ring.rank(p) for p in payloads] == list(range(q))
+    assert [ring.unrank(r) for r in range(q)] == payloads
+
+
+def test_rank_refuses_what_is_no_canonical_payload():
+    # wrong type, out of range, a trailing zero, too long, unhashable
+    junk = {
+        "Z/6": [True, 1.0, "1", None, -1, 6, [1], (1,)],
+        "Z/12/(6)": [6, 11, [0]],
+        "F_3[x]/(x^3)": [1, [1], (3,), (-1,), (1, 0), (0, 0, 0, 1),
+                         (1, 1.0), (True,), ([1],), ({},)],
+        "F_9": [1, (1, 0), (3,), (0, 0, 1), [1], ([1],), ((1,),)],
+        "F_9[y]/(y^2+x)": [(1,), ((1,), ()), ((0, 1), (1,), (1,)),
+                           ((1, 0),), ((3,),), ([1],), [(1,)], (((1,),),)],
+        "F_3[x]/(x)[y]/(y^2+1)": [((0,),), ((1,), ()), ((1, 1),), ((3,),),
+                                  (1,), ([1],)],
+        "Z/5[x]/(x^3+2)": [(5,), (1, 0), (0, 0, 0, 1), (1.0,), [1], ([1],)],
+    }
+    for name, payloads in junk.items():
+        ring = RANK_RINGS[name]
+        for p in payloads:
+            assert ring.rank(p) is None, (name, p)
+
+
+def test_an_infinite_ring_has_no_rank():
+    Q = QuotientRing(PolyExt(RationalField(), "x"), [[1, 0, 1]])
+    for ring in (IntegerRing(), QuotientRing(IntegerRing(), [0]), Q):
+        for call in (lambda: ring.rank(()), lambda: ring.unrank(0)):
+            with pytest.raises(UnsupportedRing, match="is not finite$"):
+                call()
