@@ -12,8 +12,9 @@ consume column reductions require a local base ring; their statements hold
 more generally, and the finite-ring oracle is the certification boundary.
 
 Every construction reads payload rows (``Mat._grid``), acts on them with
-``words._apply_gens`` or ``apply_word_right`` and builds its words with the
-trusted ``_gen``/``_rebuilt``.  Ring values are boxed only for the errors
+the ring's word kernel ``ring.act`` (inlined over Z/n) or
+``apply_word_right``, and builds its words with the trusted
+``_gen``/``_rebuilt``.  Ring values are boxed only for the errors
 and for the ring-level solvers the quotient lift hands its entries to.
 """
 
@@ -27,8 +28,9 @@ from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import (QuotientRing, RingValue, ideal_combination,
                     unit_ideal_witness)
-from .words import (FAMILY_LIN, GenWord, _apply_gens, _check_length, _gen,
-                    _rebuilt, _transpose_gens, apply_word_right, empty_word)
+from .words import (FAMILY_LIN, GenWord, _check_length, _gen,
+                    _reads_word_limit_once, _rebuilt, _transpose_gens,
+                    apply_word_right, empty_word)
 
 
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
@@ -45,6 +47,7 @@ def _block_gens(m: Mat, row0: int, col0: int, size: int):
                 yield _gen(FAMILY_LIN, i, j, ring, p, size)
 
 
+@_reads_word_limit_once
 def whitehead_linear(d: Mat) -> GenWord:
     """A word of size 2n evaluating to d ⊥ d^{-1}, over any ring."""
     if d.rows != d.cols:
@@ -73,6 +76,7 @@ def sp_inverse(d: Mat) -> Mat:
     return _form_inverse(d, "sp")
 
 
+@_reads_word_limit_once
 def whitehead_symplectic(d: Mat) -> GenWord:
     """A word of size 4n in se-generators evaluating to d ⊥ d^{-1}.
 
@@ -90,6 +94,7 @@ def whitehead_symplectic(d: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # transvections and row equivalences
 
+@_reads_word_limit_once
 def transvection_factor(c: Mat, r: Mat) -> GenWord:
     """A word evaluating to I + c·r for a unimodular column c with r·c = 0."""
     if c.cols != 1 or r.rows != 1 or c.rows != r.cols:
@@ -112,7 +117,7 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
     # eval(gamma) @ c = e_1 for gamma with eval(gamma) = eval(rho)^t
     gamma = _rebuilt(ring, m, FAMILY_LIN, _transpose_gens(rho.gens))
     back = gamma.invert()
-    r_prime = _apply_gens(ring, r._payloads(), back.gens)[0]
+    r_prime = ring.act(r._payloads(), back.gens)[0]
     if r_prime[0] != zero:
         raise FormViolation("internal: transported row kept its first entry")
     middle = tuple(_gen(FAMILY_LIN, 1, j + 1, ring, r_prime[j], m)
@@ -126,6 +131,7 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
     return word
 
 
+@_reads_word_limit_once
 def common_perp(v1: Mat, v2: Mat, w: Mat) -> GenWord:
     """A word carrying v1 to v2 when <v1, w> = <v2, w> = 1."""
     if not (v1.rows == v2.rows == w.rows == 1) or \
@@ -146,6 +152,7 @@ def common_perp(v1: Mat, v2: Mat, w: Mat) -> GenWord:
     return word
 
 
+@_reads_word_limit_once
 def two_row_equiv(a: Mat, cert: RightInverseCert) -> GenWord:
     """A word carrying the first row of a right-invertible 2 x n matrix to
     its second row, via the column-sum witness of the right inverse."""
@@ -171,6 +178,7 @@ def _row_equiv_local(v1: Mat, v2: Mat) -> GenWord:
     return w1 + w2.invert()
 
 
+@_reads_word_limit_once
 def roitman(x: Mat, k: int, y: Mat) -> GenWord:
     """A word of shape I_k ⊥ e carrying (x_0..x_n) to (x_0..x_{k-1}, y_k..y_n).
 
@@ -216,7 +224,7 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
         word = word.shift(k, n + 1)
     zero = ring.zero().payload
     target = x._grid[0][:k] + y._grid[0]
-    current = _apply_gens(ring, x._payloads(), word.gens)
+    current = ring.act(x._payloads(), word.gens)
     # clear the residual ideal terms position by position
     extra = []
     for p in range(k, n + 1):
@@ -236,7 +244,7 @@ def roitman(x: Mat, k: int, y: Mat) -> GenWord:
             g = _gen(FAMILY_LIN, j + 1, p + 1, ring, ring.neg(q.payload),
                      n + 1)
             extra.append(g)
-            _apply_gens(ring, current, (g,))
+            ring.act(current, (g,))
     word = word + _rebuilt(ring, n + 1, FAMILY_LIN, tuple(extra))
     if apply_word_right(x, word)._grid != (target,):
         raise FormViolation("internal: quotient-lift word mismatch")

@@ -5,13 +5,16 @@ Everything is immutable.  A matrix keeps rows of canonical payloads and
 computes on them; ring values are boxed only at the API edge, once per
 matrix, when a caller reads ``entries`` or an entry.
 
-Every sum of products here (an entry of a product, a step of the
-determinant or the inverse, the form checks) is one ``ring.dot(acc, xs,
-ys)``, the multiply-accumulate that each ring owns.  Over Z and Z/n (prime
-fields included) it sums the exact integer products and reduces mod n once
-per entry; over R[T] with such a base it sums the coefficient products the
-same way and reduces each coefficient once, before the trim; every other
-ring adds one product at a time.
+The entries of a product, and the upper triangle that the form checks
+read, come from ``ring.products``, the product loop that each ring owns.
+Over Z and Z/n (prime fields and integer quotients included) it is one
+inlined loop that sums each entry's exact integer products and reduces mod
+n once.  Every other ring runs ``Ring``'s loop, one ``ring.dot(acc, xs,
+ys)`` per entry: over R[T] with such a base that sums the coefficient
+products the same way and reduces each coefficient once, before the trim;
+elsewhere it adds one product at a time.  Each step of the determinant and
+of the adjugate is one ``ring.dot``.  ``Mat.identity`` and ``is_identity``
+read the identity rows that the ring caches (``Ring.identity_rows``).
 
 Determinants come from one algorithm for every ring of the tower:
 Berkowitz's division-free characteristic polynomial (S. J. Berkowitz, "On
@@ -98,9 +101,7 @@ class Mat:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def identity(ring: Ring, n: int) -> "Mat":
-        one, zero = ring.one().payload, ring.zero().payload
-        return Mat._box(ring, [[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
+        return object.__new__(Mat)._fill(ring, ring.identity_rows(n))
 
     @staticmethod
     def zeros(ring: Ring, rows: int, cols: int) -> "Mat":
@@ -162,11 +163,8 @@ class Mat:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         ring = self.ring
-        zero = ring.zero().payload
-        cols = list(zip(*other._grid))
-        dot = ring.dot
-        return Mat._box(ring, [[dot(zero, row, col) for col in cols]
-                               for row in self._grid])
+        return Mat._box(ring, ring.products(self._grid,
+                                            list(zip(*other._grid))))
 
     __mul__ = __matmul__
 
@@ -193,7 +191,7 @@ class Mat:
 
     def is_identity(self) -> bool:
         return (self.rows == self.cols and
-                self._grid == Mat.identity(self.ring, self.rows)._grid)
+                self._grid == self.ring.identity_rows(self.rows))
 
     def map_ring(self, new_ring: Ring, fn=None) -> "Mat":
         """Entrywise retyping, e.g. lifting constants into R[T]; ``fn``
@@ -385,10 +383,8 @@ def _gram_is_form(left: Mat, right: Mat) -> bool:
     full G, in the same order, so they raise DegreeCapExceeded exactly
     when the full product does."""
     ring = left.ring
-    dot, zero, one = ring.dot, ring.zero().payload, ring.one().payload
-    cols = list(zip(*right._grid))
-    upper = [[dot(zero, x, y) for y in cols[i:]]
-             for i, x in enumerate(left._grid)]
+    zero, one = ring.zero().payload, ring.one().payload
+    upper = ring.products(left._grid, list(zip(*right._grid)), upper=True)
     return all(g == (one if j == 1 and i % 2 == 0 else zero)
                for i, row in enumerate(upper) for j, g in enumerate(row))
 
@@ -467,8 +463,9 @@ def _right_inverse_local(a: Mat) -> Mat:
     """Column reduction with unit pivots over a local ring (or field), on
     the payload rows of a stacked over I_m: the column operations that
     bring a to the identity on its pivot columns bring I_m to beta.  Each
-    column update col_j -= f col_piv is one ``ring.fma`` per row, skipping
-    rows whose pivot entry is zero, as ``words._apply_gens`` does."""
+    column update col_j -= f col_piv is one ``ring.fma`` per row, on the
+    rows whose pivot entry is nonzero, as ``Ring.act``'s generic loop
+    updates a column for a generator."""
     ring = a.ring
     mul, fma = ring.mul, ring.fma
     n, m = a.rows, a.cols

@@ -46,7 +46,8 @@ order, each distinct row's JSON built once from the JSON of its ranks.
 
 The link check of a loaded table and the path check of
 ``certify_equivalence`` share no code with the BFS they check: they act on
-payload rows through the shared kernel ``words._apply_gens``.
+payload rows through the ring's word kernel ``ring.act``, the one every
+word evaluation uses (inlined over Z/n, ``Ring``'s fma loop elsewhere).
 ``OrbitTable.from_json`` maps each distinct JSON entry to its rank once,
 and each distinct row of other entries to its code once, keyed by its
 repr, so a parent read again costs a lookup; it builds each distinct link
@@ -68,7 +69,7 @@ from .matrices import Mat
 from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
                     has_half, ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _apply_gens, paired_index)
+                    _reads_word_limit_once, paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -435,12 +436,11 @@ class OrbitTable:
         return sizes
 
     def _act(self, key, gens):
-        """The image of ``key`` under ``gens``, through the shared kernel
-        ``words._apply_gens`` on payload rows."""
+        """The image of ``key`` under ``gens``, through the ring's word
+        kernel ``ring.act`` on payload rows."""
         if self.kind == "row":
-            return tuple(_apply_gens(self.ring, [list(key)], gens)[0])
-        return tuple(map(tuple, _apply_gens(self.ring, list(map(list, key)),
-                                            gens)))
+            return tuple(self.ring.act([list(key)], gens)[0])
+        return tuple(map(tuple, self.ring.act(list(map(list, key)), gens)))
 
     def path_word(self, key) -> GenWord:
         """The word carrying this orbit's representative to ``key``."""
@@ -565,7 +565,7 @@ class OrbitTable:
             parent, above = read(pred[0])
             g = gen_of(pred[1])
             link[code] = parent, g[0]
-            steps[code] = _apply_gens(ring, above, g) == grid
+            steps[code] = ring.act(above, g) == grid
         table._reps = sorted((c for c, edge in link.items() if edge is None),
                              key=orbit.get)
         table._check_links(steps)
@@ -712,6 +712,7 @@ def _check_closed(table: OrbitTable, oid: int):
                 object=table._codec.writer()(code))
 
 
+@_reads_word_limit_once
 def certify_equivalence(v1, v2, table: OrbitTable):
     """An explicit word with v1 . eval(word) = v2, or None when the
     exhaustive table proves there is none: before None, v1's orbit is

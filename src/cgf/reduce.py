@@ -3,8 +3,9 @@ and right-invertible blocks are completed to elementary (symplectic,
 orthogonal) matrices, returning the acting word in every case.
 
 Every construction here repeats one step, carried out by one engine,
-``_Reduction``, on rows of canonical payloads (the form the kernel
-``words._apply_gens`` acts on); its generators hold payloads, so values are
+``_Reduction``, on rows of canonical payloads, which it updates in place
+with the ring's own word kernel ``ring.act`` (inlined over Z/n, and over
+R[T] for constant parameters); its generators hold payloads, so values are
 boxed only in the errors it raises.  Its sweep carries row[lo:] to
 (1, 0, ..., 0) on the window of columns lo+1..size, for every family: the
 lowest unit entry is pulled into slot 1, through the pump slot (2 for lin
@@ -37,7 +38,7 @@ from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
 from .matrices import IsotropicFrame, Mat, membership
 from .rings import Ring, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _apply_gens, _gen, _rebuilt)
+                    _gen, _reads_word_limit_once, _rebuilt)
 
 
 def _require_local(ring: Ring, what: str):
@@ -67,7 +68,7 @@ class _Reduction:
         if z != self.zero:
             g = _gen(self.family, i, j, self.ring, z, self.size)
             self.acc.append(g)
-            _apply_gens(self.ring, self.rows, (g,))
+            self.ring.act(self.rows, (g,))
 
     def _set_one(self, lo: int, src: int, dst: int):
         """Window slot dst of row lo becomes 1: add to it a multiple of the
@@ -170,6 +171,7 @@ def reduce_row_symplectic(v: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # completions
 
+@_reads_word_limit_once
 def complete_um_linear(v: Mat) -> GenWord:
     """A word W with eval(W) elementary and first n rows equal to V.
 
@@ -226,6 +228,7 @@ def _complete_frame(frame: IsotropicFrame, family: str, group: str,
     return word
 
 
+@_reads_word_limit_once
 def complete_sp(frame: IsotropicFrame) -> GenWord:
     """Complete a 2n x 2m symplectic frame to an elementary symplectic
     matrix: reduce each pair's first row to a standard row, observe the
@@ -237,6 +240,7 @@ def complete_sp(frame: IsotropicFrame) -> GenWord:
     return _complete_frame(frame, FAMILY_SP, "Sp", "symplectic")
 
 
+@_reads_word_limit_once
 def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
     """Complete a 2n x 2m orthogonal frame (1/2 a unit, m >= n+2) to an
     elementary orthogonal matrix.

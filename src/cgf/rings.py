@@ -246,7 +246,16 @@ class RingValue:
 
 
 class Ring:
-    """Base class: a node of the constructor tower, acting as element factory."""
+    """Base class: a node of the constructor tower, acting as element factory.
+
+    A ring owns its payload arithmetic and the two loops that every matrix
+    and word kernel runs on payload rows: ``act``, the sparse column
+    updates of generators, and ``products``, the entries of a product.
+    Here they make one ``fma`` or one ``dot`` call per entry.  Z, Z/n (and
+    so F_p and the integer quotients) inline the arithmetic into both
+    loops, and R[T] over Z or Z/n inlines ``act``'s update by a constant
+    coefficient; every other ring keeps these loops.
+    """
 
     kind = "?"
     is_local = False
@@ -254,7 +263,7 @@ class Ring:
     is_finite = False
     is_zero_ring = False
     characteristic = 0
-    _zero = _one = None
+    _zero = _one = _identities = None
 
     # -- identity of the descriptor --------------------------------------
     def key(self):
@@ -303,6 +312,20 @@ class Ring:
             o = self._one = self.coerce(1)
         return o
 
+    def identity_rows(self, n: int) -> tuple:
+        """The payload rows of the n x n identity, built once per ring
+        instance and size and shared like zero(): a tuple of tuples."""
+        grids = self._identities
+        if grids is None:
+            grids = self._identities = {}
+        grid = grids.get(n)
+        if grid is None:
+            one, zero = self.one().payload, self.zero().payload
+            grid = grids[n] = tuple(
+                tuple(one if i == j else zero for j in range(n))
+                for i in range(n))
+        return grid
+
     # -- arithmetic on payloads ------------------------------------------
     def add(self, a, b):
         raise NotImplementedError
@@ -327,6 +350,30 @@ class Ring:
     def fma(self, a, c, x):
         """a + c * x over payloads."""
         return self.add(a, self.mul(c, x))
+
+    def act(self, rows, gens):
+        """Right-multiply rows of payloads by each generator in turn, in
+        place: for each of its update triples (t, s, c), col_t += c * col_s,
+        one ``fma`` per row whose source entry is nonzero.  Returns
+        ``rows``."""
+        fma, zero = self.fma, self.zero().payload
+        for g in gens:
+            for t, s, c in g._triples:
+                for r in rows:
+                    x = r[s]
+                    if x != zero:
+                        r[t] = fma(r[t], c, x)
+        return rows
+
+    def products(self, rows, cols, upper=False):
+        """The entries of the product of ``rows`` by ``cols`` (the columns
+        of the right factor, indexable), one ``dot`` each, as lists; with
+        ``upper``, only row i's entries from column i on."""
+        dot, zero = self.dot, self.zero().payload
+        if upper:
+            return [[dot(zero, x, y) for y in cols[i:]]
+                    for i, x in enumerate(rows)]
+        return [[dot(zero, x, y) for y in cols] for x in rows]
 
     def is_unit_payload(self, a) -> bool:
         raise NotImplementedError
@@ -399,6 +446,22 @@ class IntegerRing(Ring):
 
     def fma(self, a, c, x):
         return a + c * x
+
+    def act(self, rows, gens):
+        for g in gens:
+            for t, s, c in g._triples:
+                for r in rows:
+                    x = r[s]
+                    if x:
+                        r[t] += c * x
+        return rows
+
+    def products(self, rows, cols, upper=False):
+        mul = operator.mul
+        if upper:
+            return [[sum(map(mul, x, y)) for y in cols[i:]]
+                    for i, x in enumerate(rows)]
+        return [[sum(map(mul, x, y)) for y in cols] for x in rows]
 
     def is_unit_payload(self, a):
         return a in (1, -1)
@@ -534,6 +597,24 @@ class ModularRing(Ring):
 
     def fma(self, a, c, x):
         return (a + c * x) % self.n
+
+    def act(self, rows, gens):
+        n = self.n
+        for g in gens:
+            for t, s, c in g._triples:
+                for r in rows:
+                    x = r[s]
+                    if x:
+                        r[t] = (r[t] + c * x) % n
+        return rows
+
+    def products(self, rows, cols, upper=False):
+        # each entry lazily reduced, as in dot
+        n, mul = self.n, operator.mul
+        if upper:
+            return [[sum(map(mul, x, y)) % n for y in cols[i:]]
+                    for i, x in enumerate(rows)]
+        return [[sum(map(mul, x, y)) % n for y in cols] for x in rows]
 
     def is_unit_payload(self, a):
         if self.is_zero_ring:
@@ -697,10 +778,13 @@ class PolyExt(Ring):
     one fused path, ``_raw_sum``: one list holds the exact integer
     coefficient sums, each reduced mod n once, then trimmed once.  ``fma``
     there is its one-product case written out: one product, one reduction,
-    one trim, with no per-coefficient call.  Horner evaluation (``_horner``)
-    there is exact over Z and reduced mod n once.  Over every other base
-    ``mul`` convolves through the base ring, and ``dot`` and ``fma`` are
-    ``Ring``'s term-by-term ``add(acc, mul(x, y))``.
+    one trim, with no per-coefficient call.  ``act`` there inlines an
+    update by a constant coefficient and makes one ``fma`` for any other.
+    Horner evaluation (``_horner``) there is exact over Z and reduced mod n
+    once.  Over every other base ``mul`` convolves through the base ring,
+    and ``dot``, ``fma`` and ``act`` are ``Ring``'s term-by-term
+    ``add(acc, mul(x, y))`` and its loop.  ``products`` is always
+    ``Ring``'s loop, one ``dot`` per entry.
     """
 
     kind = "poly"
@@ -857,6 +941,45 @@ class PolyExt(Ring):
         while out and not out[-1]:
             out.pop()
         return tuple(out)
+
+    def act(self, rows, gens):
+        """Over Z and Z/n an update by a constant coefficient c = (z,),
+        which every constant-embedded generator has, is inlined: z * x
+        added coefficient-wise, each coefficient reduced mod n, then
+        trimmed once.  It never meets the degree cap, since it has x's
+        length and x is a payload.  Every other update is one ``fma``."""
+        if not self._raw:
+            return super().act(rows, gens)
+        fma, n = self.fma, self._modulus
+        for g in gens:
+            for t, s, c in g._triples:
+                if len(c) != 1:
+                    for r in rows:
+                        x = r[s]
+                        if x:
+                            r[t] = fma(r[t], c, x)
+                    continue
+                z = c[0]
+                for r in rows:
+                    x = r[s]
+                    if not x:
+                        continue
+                    a = r[t]
+                    la, lx = len(a), len(x)
+                    if n:
+                        out = [(u + z * v) % n for u, v in zip(a, x)]
+                        if lx > la:
+                            out += [z * v % n for v in x[la:]]
+                    else:
+                        out = [u + z * v for u, v in zip(a, x)]
+                        if lx > la:
+                            out += [z * v for v in x[la:]]
+                    if la > lx:
+                        out += a[lx:]
+                    while out and not out[-1]:
+                        out.pop()
+                    r[t] = tuple(out)
+        return rows
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)
@@ -1090,8 +1213,12 @@ class _PolyRemainders(Ring):
     def _coefficients(self) -> tuple:
         """The field's payloads in the order Python compares them, which
         need not be the field's rank order, and the place of each in it by
-        its field rank: the digits of ``rank``."""
+        its field rank: the digits of ``rank``.  Over Z/p, in any
+        descriptor, both are the residues 0..p-1 in order, with nothing
+        listed or sorted."""
         field = self.field
+        if n := _residue_modulus(field):
+            return range(n), range(n)
         ordered = sorted(v.payload for v in field.elements())
         # zero, 0 or (), is the least payload, so a nonzero last digit is >= 1
         assert ordered[0] == field.zero().payload
@@ -1284,7 +1411,7 @@ class QuotientRing(Ring):
                 f"quotients of {base} are not supported")
         self.residues = residues
         for name in ("canon", "add", "sub", "mul", "neg", "dot", "fma",
-                     "is_unit_payload", "inverse_payload",
+                     "act", "products", "is_unit_payload", "inverse_payload",
                      "is_nilpotent_payload", "cardinality", "rank", "unrank",
                      "render", "value_to_json", "is_finite", "is_field",
                      "is_local", "is_zero_ring", "characteristic"):

@@ -10,14 +10,18 @@ A generator holds its parameter as the canonical payload ``z`` of its
 ring, never boxed inside the library: ``param`` builds a ``RingValue`` only
 when something reads it.  It acts on the right by one or two sparse column
 updates col_t += c * col_s, which it stores as 0-based payload triples
-(``Generator._triples``), built once with it by ``_gen``.  One kernel,
-``_apply_gens``, performs them on rows of canonical payloads with the
-ring's ``fma``; word evaluation, the right actions on matrices and rows,
-generator matrices, the reduction engine and the row lemmas all call it.
-Matrices keep the payload rows it returns.  ``apply_word_to_row`` boxes its
-result as ``RingValue``s for callers outside the library; no construction
-calls it.  The orbit oracle reads the same triples once per enumeration, and
-its tests check its row kernel against this one.
+(``Generator._triples``), built once with it by ``_gen``.  One kernel per
+ring, ``Ring.act``, performs them in place on rows of canonical payloads,
+skipping rows whose source entry is zero: ``Ring``'s loop makes one
+``fma`` per update; Z and Z/n (so F_p and the integer quotients) inline
+the update, and R[T] over them inlines an update by a constant
+coefficient.  Word evaluation, the right actions on matrices and rows,
+generator matrices, the reduction engine, the row lemmas and the oracle's
+link and path checks all call it.  Matrices keep the payload rows it
+returns.  ``apply_word_to_row`` boxes its result as ``RingValue``s for
+callers outside the library; no construction calls it.  The orbit oracle's
+BFS reads the same triples once per enumeration, and its tests check its
+row kernel against this one.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
@@ -43,6 +47,12 @@ the orthogonal corner conjugation and hyperbolic square (whose first
 move, on the caller's parameter, is built by ``Generator`` for its checks).
 The public constructors and ``word_from_pairs`` keep every check.
 
+Every word built is checked against the word limit, CGF_WORD_LIMIT or
+``DEFAULT_WORD_LIMIT``.  The constructions that build several words per
+call, and the CLI's ``main``, read the environment once per call, at the
+first word (``_reads_word_limit_once``); a word built outside them reads
+it itself.
+
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
 the completion word W as ``apply_word_right(apply_word_left(W^{-1}, m), W)``
@@ -52,6 +62,8 @@ evaluating either word.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import os
 from dataclasses import dataclass
 from operator import itemgetter
@@ -68,9 +80,40 @@ FAMILY_ORTH = "orth"
 DEFAULT_WORD_LIMIT = 10 ** 5
 
 
+# the limit read by the running word-building call, per thread: None
+# outside one, [] until its first read, then [limit]
+_chain_limit = contextvars.ContextVar("cgf_word_limit", default=None)
+
+
 def word_limit() -> int:
+    """CGF_WORD_LIMIT as an int, DEFAULT_WORD_LIMIT when it is unset or
+    empty.  Inside a call made by ``_reads_word_limit_once`` the environment
+    is read by the first call only, and later calls return that value; a
+    malformed value raises ValueError on every read."""
+    chain = _chain_limit.get()
+    if chain:
+        return chain[0]
     raw = os.environ.get("CGF_WORD_LIMIT")
-    return int(raw) if raw else DEFAULT_WORD_LIMIT
+    limit = int(raw) if raw else DEFAULT_WORD_LIMIT
+    if chain is not None:
+        chain.append(limit)
+    return limit
+
+
+def _reads_word_limit_once(fn):
+    """``fn``, made to read the word limit from the environment at most
+    once, at the first word it builds, however many words it and the
+    calls under it build; a nested call shares the outer one's read."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _chain_limit.get() is not None:
+            return fn(*args, **kwargs)
+        token = _chain_limit.set([])
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _chain_limit.reset(token)
+    return wrapper
 
 
 def paired_index(k: int) -> int:
@@ -200,8 +243,8 @@ def gen_matrix(g: Generator) -> Mat:
     """The defining matrix of a generator; form preservation is asserted
     for the symplectic and orthogonal families."""
     ring = g.ring
-    m = Mat._box(ring, _apply_gens(
-        ring, Mat.identity(ring, g.size)._payloads(), (g,)))
+    m = Mat._box(ring, ring.act(Mat.identity(ring, g.size)._payloads(),
+                                (g,)))
     if g.family == FAMILY_SP and not membership(m, "Sp"):
         raise FormViolation(f"{g} does not preserve the alternating form")
     if g.family == FAMILY_ORTH and not membership(m, "O"):
@@ -383,23 +426,7 @@ def word_from_pairs(ring: Ring, size: int, family: str, triples) -> GenWord:
 
 
 # ---------------------------------------------------------------------------
-# fast application (sparse column/row operations)
-
-def _apply_gens(ring: Ring, rows, gens):
-    """Right-multiply rows of canonical payloads of ``ring`` by each
-    generator in turn, in place: col_t += c * col_s, one ``ring.fma`` for
-    every sparse update, skipping rows whose source entry is zero.  Returns
-    ``rows``."""
-    fma = ring.fma
-    zero = ring.zero().payload
-    for g in gens:
-        for t, s, c in g._triples:
-            for r in rows:
-                x = r[s]
-                if x != zero:
-                    r[t] = fma(r[t], c, x)
-    return rows
-
+# fast application (sparse column/row operations, by ``Ring.act``)
 
 def apply_word_right(m: Mat, w: GenWord) -> Mat:
     """m @ eval(w) via column operations, O(len(w) * rows)."""
@@ -407,7 +434,7 @@ def apply_word_right(m: Mat, w: GenWord) -> Mat:
         raise DescriptorMismatch("word size does not match matrix columns")
     if m.ring != w.ring:
         raise DescriptorMismatch("word ring does not match matrix ring")
-    return Mat._box(m.ring, _apply_gens(m.ring, m._payloads(), w.gens))
+    return Mat._box(m.ring, m.ring.act(m._payloads(), w.gens))
 
 
 def _transpose_gens(gens) -> tuple:
@@ -424,8 +451,8 @@ def apply_word_left(w: GenWord, m: Mat) -> Mat:
         raise DescriptorMismatch("word size does not match matrix rows")
     if m.ring != w.ring:
         raise DescriptorMismatch("word ring does not match matrix ring")
-    cols = _apply_gens(m.ring, [list(c) for c in zip(*m._grid)],
-                       _transpose_gens(w.gens))
+    cols = m.ring.act([list(c) for c in zip(*m._grid)],
+                      _transpose_gens(w.gens))
     return Mat._box(m.ring, zip(*cols))
 
 
@@ -434,7 +461,7 @@ def apply_word_to_row(row, w: GenWord):
     ring = w.ring
     if any(v.ring != ring for v in row):
         raise DescriptorMismatch("word ring does not match row ring")
-    out = _apply_gens(ring, [[v.payload for v in row]], w.gens)[0]
+    out = ring.act([[v.payload for v in row]], w.gens)[0]
     return [RingValue(ring, p) for p in out]
 
 

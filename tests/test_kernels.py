@@ -1,8 +1,10 @@
 """The payload kernels against the naive reference kernel.
 
-Every fast path here (``_apply_gens`` through the word actions and
-generator matrices, ``Mat.__matmul__`` and the other payload ``Mat`` bodies,
-each ring's ``dot`` and ``fma``, R[T]'s ``_raw_sum`` and ``_horner``, the
+Every fast path here (each ring's ``act`` through the word actions and
+generator matrices, and directly; each ring's ``products`` through
+``Mat.__matmul__`` and the form checks, and directly; the other payload
+``Mat`` bodies, each ring's ``dot`` and ``fma``, R[T]'s ``_raw_sum`` and
+``_horner``, the
 form kernel ``_form`` behind membership, the form inverses and the
 isotropic frames) is compared with ``reference``, which shares no code with
 them.  ``_IntegerQuotientRef`` holds the integer-style ``QuotientRing``
@@ -38,8 +40,9 @@ from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        RingValue, TruncatedPolyLocal, _xgcd_chain, has_half,
                        unit_ideal_witness)
 from cgf.sampling import random_frame, random_unimodular_rows, random_word
-from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_left,
-                       apply_word_right, apply_word_to_row, gen_matrix)
+from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator,
+                       apply_word_left, apply_word_right, apply_word_to_row,
+                       gen_matrix)
 
 from conftest import all_test_rings
 
@@ -52,8 +55,8 @@ SETTINGS = hypothesis.settings(max_examples=300, deadline=None,
 
 # the kernels that the reference must not reach: a defect in one of them
 # would pass both sides of its own differential test
-FAST_PATHS = {"dot", "fma", "updates", "_payload_updates", "_apply_gens",
-              "eval", "det", "inverse", "_berkowitz", "_charpoly",
+FAST_PATHS = {"dot", "fma", "updates", "_payload_updates", "act", "products",
+              "identity_rows", "eval", "det", "inverse", "_berkowitz", "_charpoly",
               "membership", "_form", "_gram_is_form", "_raw_sum", "_mac",
               "_horner", "_triples"}
 
@@ -78,8 +81,8 @@ def test_reference_kernel_calls_no_fast_path():
     # the scan sees what it looks for
     assert [what for _, what in _fast_path_uses(
         "a @ b\nx @= y\nring.dot(0, xs, ys)\nw.eval()\n"
-        "apply_word_right(m, w)\n_apply_gens(r, rows, gens)\n")] == [
-            "@", "@", "dot", "eval", "apply_word_right", "_apply_gens"]
+        "apply_word_right(m, w)\nring.act(rows, gens)\n")] == [
+            "@", "@", "dot", "eval", "apply_word_right", "act"]
 
 
 def test_reference_reads_no_fast_path_attribute():
@@ -341,14 +344,20 @@ def test_form_inverse_needs_an_even_square_matrix():
 def test_form_paths_count_products(monkeypatch):
     # the forms are applied by row swaps, never multiplied: membership and
     # the frame check take no Mat product but the upper triangle of theirs
-    # (n(n+1)/2 dot products for an n x n result), the form inverses none,
-    # and the frame's right inverse only its certificate's check alpha @ beta
+    # (n(n+1)/2 entries for an n x n result), the form inverses none, and
+    # the frame's right inverse only its certificate's check alpha @ beta;
+    # ``dots`` counts the entries that ring.products computes
     calls, dots = [], []
-    matmul, dot = Mat.__matmul__, ModularRing.dot
+    matmul, products = Mat.__matmul__, ModularRing.products
+
+    def counted(*args, **kwargs):
+        out = products(*args, **kwargs)
+        dots.extend(1 for row in out for _ in row)
+        return out
+
     monkeypatch.setattr(Mat, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
-    monkeypatch.setattr(ModularRing, "dot",
-                        lambda *args: dots.append(1) or dot(*args))
+    monkeypatch.setattr(ModularRing, "products", counted)
     ring = ModularRing(9)
     for word in (random_word(random.Random(5), ring, FAMILY_SP, 4, 6),
                  random_word(random.Random(5), ring, FAMILY_ORTH, 4, 6)):
@@ -422,6 +431,117 @@ def test_raw_horner_matches_the_fma_loop(base):
         for t in points + [base.random(rng).payload]:
             got = ring._horner(a, t)
             assert got == ref.horner(ring, a, t) and base.canon(got) == got
+
+
+# every test ring, with Z/1, and R[T] over Z, Z/9 and F_5: the rings whose
+# act and products are their own loops, and the generic ones
+KERNEL_RINGS = RINGS + [ModularRing(1), PolyExt(IntegerRing(), "T"),
+                        PolyExt(ModularRing(9), "T"),
+                        PolyExt(PrimeField(5), "T")]
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, len(KERNEL_RINGS) - 1),
+                  st.sampled_from((FAMILY_LIN, FAMILY_SP, FAMILY_ORTH)),
+                  st.integers(1, 4), st.integers(0, 10),
+                  st.integers(0, 2 ** 32 - 1))
+def test_ring_act_matches_reference(ring_idx, family, n_rows, length, seed):
+    # in place, on rows with a zero row and zero source entries; over R[T]
+    # the parameters have degree 0 to 2, so both of its update paths run
+    ring, rng = KERNEL_RINGS[ring_idx], random.Random(seed)
+    if family == FAMILY_ORTH:
+        hypothesis.assume(has_half(ring))
+    size = rng.choice({FAMILY_LIN: (2, 3, 4), FAMILY_SP: (2, 4),
+                       FAMILY_ORTH: (4, 6)}[family])
+    word = random_word(rng, ring, family, size, length)
+    zero = ring.zero().payload
+    rows = [[zero] * size] + [
+        [rng.choice((zero, ring.random(rng).payload)) for _ in range(size)]
+        for _ in range(n_rows)]
+    want = ref.act_rows(ring, rows, word.gens)
+    got = [list(r) for r in rows]
+    assert ring.act(got, word.gens) is got
+    assert got == [list(r) for r in want]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS[-3:], ids=str)
+def test_poly_act_matches_reference_on_constant_and_other_parameters(ring):
+    # a word lifted from R has constant parameters only, one that
+    # times_variable makes has none, and a random word over R[T] mixes them
+    rng = random.Random(f"act:{ring}")
+    for _ in range(20):
+        base = random_word(rng, ring.base, FAMILY_SP, 4, 8)
+        for word in (base.lift_to(ring), base.times_variable(ring),
+                     random_word(rng, ring, FAMILY_SP, 4, 8)):
+            rows = [[ring.random(rng).payload for _ in range(4)]
+                    for _ in range(3)]
+            want = ref.act_rows(ring, rows, word.gens)
+            assert ring.act([list(r) for r in rows], word.gens) == [
+                list(r) for r in want]
+
+
+@SETTINGS
+@hypothesis.given(st.integers(0, len(KERNEL_RINGS) - 1), st.integers(1, 4),
+                  st.integers(1, 4), st.integers(1, 4),
+                  st.integers(0, 2 ** 32 - 1))
+def test_ring_products_match_reference(ring_idx, n, k, m, seed):
+    # the full product and its upper triangle (row i from column i on; empty
+    # below the last column)
+    ring, rng = KERNEL_RINGS[ring_idx], random.Random(seed)
+    a, b = _random_mat(rng, ring, n, k), _random_mat(rng, ring, k, m)
+    full = [list(row) for row in ref.matmul(a, b)._grid]
+    cols = list(zip(*b._grid))
+    assert ring.products(a._grid, cols) == full
+    assert ring.products(a._grid, cols, upper=True) == [
+        row[i:] for i, row in enumerate(full)]
+
+
+@pytest.mark.parametrize("base", RAW_BASES, ids=str)
+def test_kernels_match_reference_around_the_cap(base):
+    # act and products over R[T] at caps 1 to 4, on operands whose products
+    # have untrimmed degree cap - 1 to cap + 2: the same payloads, or
+    # DegreeCapExceeded with the same message (lin words, one update per
+    # generator, so both sides meet the same product first)
+    def outcome(fn, *args, **kwargs):
+        return ref.outcome(fn, *args, catch=DegreeCapExceeded, **kwargs)
+
+    rng = random.Random(f"cap:{base}")
+    nonzero = [p for p in (base.canon(k) for k in range(1, 13)) if p]
+
+    def poly(degree):
+        return tuple(base.random(rng).payload for _ in range(degree)) + (
+            rng.choice(nonzero),) if nonzero else ()
+
+    seen = set()
+    for cap in range(1, 5):
+        ring = PolyExt(base, "T", degree_cap=cap)
+        zero = ring.zero().payload
+        for _ in range(25):
+            degree = min(cap + rng.randint(-1, 2), 2 * cap)
+            dz = rng.randint(max(0, degree - cap), min(cap, degree))
+            rows = [[poly(rng.randint(0, cap)) for _ in range(3)],
+                    [poly(degree - dz), zero, poly(degree - dz)]]
+            i, j = rng.sample((1, 2, 3), 2)
+            gen = Generator(FAMILY_LIN, i, j, ring.coerce(poly(dz)), 3)
+            got = outcome(ring.act, [list(r) for r in rows], (gen,))
+            want = outcome(ref.act_rows, ring, rows, (gen,))
+            assert got == (want if isinstance(want, ref.Raised)
+                           else [list(r) for r in want])
+            a = [[poly(dz), poly(rng.randint(0, cap))] for _ in range(2)]
+            cols = [(poly(degree - dz), zero), (zero, poly(degree - dz))]
+            want = [[outcome(ref.sum_of_products, ring, zero, x, y)
+                     for y in cols[upper * i:]] for i, x in enumerate(a)
+                    for upper in (0, 1)]
+            for upper in (False, True):
+                entries = [e for row in want[upper::2] for e in row]
+                first = next((e for e in entries
+                              if isinstance(e, ref.Raised)), None)
+                got = outcome(ring.products, a, cols, upper=upper)
+                assert got == (first or want[upper::2])
+                if nonzero:
+                    seen.add((degree - cap, first is None))
+    if not base.is_zero_ring:
+        assert {(-1, True), (0, True), (1, False), (2, False)} <= seen
 
 
 def _fresh(m):

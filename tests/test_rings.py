@@ -13,8 +13,8 @@ from cgf.errors import (DegreeCapExceeded, DescriptorMismatch, NotAUnit,
 from cgf.matrices import Mat
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
-                       RationalField, TruncatedPolyLocal, _is_prime,
-                       _prime_power_base, _residue_modulus,
+                       RationalField, RingValue, TruncatedPolyLocal,
+                       _is_prime, _prime_power_base, _residue_modulus,
                        _strong_probable_prime, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
                        substitute, unit_ideal_witness, ideal_combination)
@@ -487,3 +487,44 @@ def test_an_infinite_ring_has_no_rank():
         for call in (lambda: ring.rank(()), lambda: ring.unrank(0)):
             with pytest.raises(UnsupportedRing, match="is not finite$"):
                 call()
+
+
+@pytest.mark.parametrize("ring", all_test_rings(), ids=str)
+def test_reflected_sub_and_hash_agree_with_the_reference(ring):
+    # int - value coerces the int, like value - value, and a value hashes
+    # as an equal value built afresh from its payload
+    rng = random.Random(f"rsub:{ring}")
+    for _ in range(10):
+        v = ring.random(rng)
+        k = rng.randint(-9, 9)
+        got = k - v
+        assert got.ring == ring
+        assert got.payload == ref.sub(ring, ring.coerce(k).payload, v.payload)
+        assert got == ring.coerce(k) - v and got + v == ring.coerce(k)
+        assert hash(v) == hash(RingValue(ring, v.payload))
+        assert len({v, ring.coerce(v.payload), v + ring.zero()}) == 1
+
+
+@pytest.mark.parametrize("base", [ModularRing(4), ModularRing(9),
+                                  ModularRing(12), PrimeField(5),
+                                  TruncatedPolyLocal(2, 2)], ids=str)
+def test_poly_nilpotent_payload_matches_reference_powers(base):
+    # f in R[T] is nilpotent iff some power is zero; then f lies in N[T]
+    # for the nilradical N of R, and N^k = 0 for some k < q = |R|, so the
+    # q-th power decides it
+    rt = PolyExt(base, "T")
+    rng = random.Random(f"nil:{base}")
+    nilpotents = [v.payload for v in base.elements()
+                  if base.is_nilpotent_payload(v.payload)]
+    polys = [rt.canon([rng.choice(nilpotents) for _ in range(3)])
+             for _ in range(15)]
+    polys += [rt.random(rng).payload for _ in range(15)]
+    for f in polys:
+        power = rt.one().payload
+        for _ in range(base.cardinality()):
+            power = ref.mul(rt, power, f)
+        assert rt.is_nilpotent_payload(f) == (power == ()), rt.render(f)
+    # only a reduced base (F_5) has no nonzero nilpotent polynomial
+    assert any(rt.is_nilpotent_payload(f) and f for f in polys) == (
+        len(nilpotents) > 1)
+    assert not all(rt.is_nilpotent_payload(f) for f in polys)
