@@ -36,8 +36,7 @@ from .reduce import (_require_local, complete_orth, complete_sp,
 from .rings import (IntegerRing, LocalizedIntegers, ModularRing, PolyExt,
                     PrimeField, RationalField, Ring, TruncatedPolyLocal,
                     ring_from_json)
-from .words import (GenWord, Witness, _reads_word_limit_once,
-                    apply_word_right, word_limit)
+from .words import GenWord, Witness, apply_word_right, word_limit
 
 
 class _UsageError(Exception):
@@ -599,7 +598,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-@_reads_word_limit_once
 def main(argv=None) -> int:
     parser = _build_parser()
     try:

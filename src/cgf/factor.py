@@ -28,9 +28,8 @@ from .matrices import (DET_SIZE_CAP, IsotropicFrame, Mat, RightInverseCert,
 from .reduce import _require_local, complete_sp, reduce_row_linear
 from .rings import (QuotientRing, RingValue, ideal_combination,
                     unit_ideal_witness)
-from .words import (FAMILY_LIN, GenWord, _check_length, _gen,
-                    _reads_word_limit_once, _rebuilt, _transpose_gens,
-                    apply_word_right, empty_word)
+from .words import (FAMILY_LIN, GenWord, _check_length, _gen, _rebuilt,
+                    _transpose_gens, apply_word_right, empty_word)
 
 
 def _block_gens(m: Mat, row0: int, col0: int, size: int):
@@ -47,7 +46,6 @@ def _block_gens(m: Mat, row0: int, col0: int, size: int):
                 yield _gen(FAMILY_LIN, i, j, ring, p, size)
 
 
-@_reads_word_limit_once
 def whitehead_linear(d: Mat) -> GenWord:
     """A word of size 2n evaluating to d ⊥ d^{-1}, over any ring."""
     if d.rows != d.cols:
@@ -76,7 +74,6 @@ def sp_inverse(d: Mat) -> Mat:
     return _form_inverse(d, "sp")
 
 
-@_reads_word_limit_once
 def whitehead_symplectic(d: Mat) -> GenWord:
     """A word of size 4n in se-generators evaluating to d ⊥ d^{-1}.
 
@@ -94,7 +91,6 @@ def whitehead_symplectic(d: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # transvections and row equivalences
 
-@_reads_word_limit_once
 def transvection_factor(c: Mat, r: Mat) -> GenWord:
     """A word evaluating to I + c·r for a unimodular column c with r·c = 0."""
     if c.cols != 1 or r.rows != 1 or c.rows != r.cols:
@@ -131,7 +127,6 @@ def transvection_factor(c: Mat, r: Mat) -> GenWord:
     return word
 
 
-@_reads_word_limit_once
 def common_perp(v1: Mat, v2: Mat, w: Mat) -> GenWord:
     """A word carrying v1 to v2 when <v1, w> = <v2, w> = 1."""
     if not (v1.rows == v2.rows == w.rows == 1) or \
@@ -152,7 +147,6 @@ def common_perp(v1: Mat, v2: Mat, w: Mat) -> GenWord:
     return word
 
 
-@_reads_word_limit_once
 def two_row_equiv(a: Mat, cert: RightInverseCert) -> GenWord:
     """A word carrying the first row of a right-invertible 2 x n matrix to
     its second row, via the column-sum witness of the right inverse."""
@@ -178,7 +172,6 @@ def _row_equiv_local(v1: Mat, v2: Mat) -> GenWord:
     return w1 + w2.invert()
 
 
-@_reads_word_limit_once
 def roitman(x: Mat, k: int, y: Mat) -> GenWord:
     """A word of shape I_k ⊥ e carrying (x_0..x_n) to (x_0..x_{k-1}, y_k..y_n).
 

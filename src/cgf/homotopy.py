@@ -41,8 +41,7 @@ from .matrices import (IsotropicFrame, Mat, _constant_terms, block_perp,
 from .reduce import complete_orth, complete_sp, complete_um_linear
 from .rings import PolyExt, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord, Witness,
-                    _reads_word_limit_once, _rebuilt, apply_word_left,
-                    apply_word_right, empty_word)
+                    _rebuilt, apply_word_left, apply_word_right, empty_word)
 
 
 class _Flavor(NamedTuple):
@@ -229,7 +228,6 @@ def _commute_core(d: Homotopy, v_mat: Mat, completion: GenWord,
     return CommuteResult(sigma_t, eps_word, eps_mat, witness, mode)
 
 
-@_reads_word_limit_once
 def _commute(d: Homotopy, v, flavor: str) -> CommuteResult:
     """The guards of the three public entries, in one order, then the core.
     V is a Mat for the linear flavor and an IsotropicFrame otherwise."""
@@ -270,7 +268,6 @@ def homotopy_commute_orthogonal(d: Homotopy, v: IsotropicFrame) -> CommuteResult
 # ---------------------------------------------------------------------------
 # corollaries
 
-@_reads_word_limit_once
 def commutator_witness(a: Homotopy, b: Mat) -> GenWord:
     """A word e with a(1) b = b a(1) eval(e), for word-backed a and b in the
     flavor's group over a local ring: e = d(1)^{-1}·W^{-1}·d(1)·W over R,
@@ -322,7 +319,6 @@ class TransportResult:
     witness: Witness
 
 
-@_reads_word_limit_once
 def vaserstein_transport(d: Mat, v, flavor: str = "linear") -> TransportResult:
     """d V = V s with an explicit elementary word for s ⊥ d^{-1}.
 

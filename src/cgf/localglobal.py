@@ -22,7 +22,7 @@ from .errors import (BadComaximal, DescriptorMismatch, FormViolation,
 from .matrices import Mat, _constant_terms
 from .rings import (FractionRing, IntegerRing, PolyExt, RingValue,
                     localize_denominator_check)
-from .words import GenWord, Witness, _reads_word_limit_once, apply_word_right
+from .words import GenWord, Witness, apply_word_right
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ def _overlap_ring_of(theta: GenWord) -> PolyExt:
     return rt
 
 
-@_reads_word_limit_once
 def quillen_split(theta: GenWord, s1: int, s2: int, n_max: int = 16,
                   exponent: int | None = None) -> SplitResult:
     """Factor theta(T) = theta(bT) . {theta(bT)^{-1} theta(T)} with b = s2^N.

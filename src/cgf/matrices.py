@@ -7,12 +7,13 @@ matrix, when a caller reads ``entries`` or an entry.
 
 The entries of a product, and the upper triangle that the form checks
 read, come from ``ring.products``, the product loop that each ring owns.
-Over Z and Z/n (prime fields and integer quotients included) it is one
-inlined loop that sums each entry's exact integer products and reduces mod
-n once.  Every other ring runs ``Ring``'s loop, one ``ring.dot(acc, xs,
-ys)`` per entry: over R[T] with such a base that sums the coefficient
-products the same way and reduces each coefficient once, before the trim;
-elsewhere it adds one product at a time.  Each step of the determinant and
+Over Z/n (prime fields and integer quotients included) it is one inlined
+loop that sums each entry's exact integer products and reduces mod n once.
+Every other ring runs ``Ring``'s loop, one ``ring.dot(acc, xs, ys)`` per
+entry: over Z that is one exact sum of products, over R[T] with base Z or
+Z/n it sums the coefficient products the same way and reduces each
+coefficient once, before the trim; elsewhere it adds one product at a
+time.  Each step of the determinant and
 of the adjugate is one ``ring.dot``.  ``Mat.identity`` and ``is_identity``
 read the identity rows that the ring caches (``Ring.identity_rows``).
 

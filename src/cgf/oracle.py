@@ -69,7 +69,7 @@ from .matrices import Mat
 from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
                     has_half, ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _reads_word_limit_once, paired_index)
+                    paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
@@ -712,7 +712,6 @@ def _check_closed(table: OrbitTable, oid: int):
                 object=table._codec.writer()(code))
 
 
-@_reads_word_limit_once
 def certify_equivalence(v1, v2, table: OrbitTable):
     """An explicit word with v1 . eval(word) = v2, or None when the
     exhaustive table proves there is none: before None, v1's orbit is

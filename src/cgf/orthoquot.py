@@ -25,8 +25,7 @@ from .errors import (DescriptorMismatch, HalfNotInvertible, NoUnitEntry,
 from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
 from .rings import PolyExt, Ring, RingValue, _residue_modulus, has_half
-from .words import (FAMILY_ORTH, GenWord, Generator, Witness, _gen,
-                    _reads_word_limit_once, _rebuilt)
+from .words import FAMILY_ORTH, GenWord, Generator, Witness, _gen, _rebuilt
 
 
 def orth_inverse(a: Mat) -> Mat:
@@ -84,7 +83,6 @@ def classify_o2(a: Mat) -> O2Class:
     return cls
 
 
-@_reads_word_limit_once
 def vaserstein_quotient(a: Mat) -> tuple[Mat, GenWord]:
     """Write a in O_2m (m >= 3, local ring) as (I_{2m-2} ⊥ delta) . eval(w)."""
     ring = a.ring
@@ -298,7 +296,6 @@ def corner_commutator_square_root(cls_a: O2Class, cls_b: O2Class) -> RingValue:
     return cls_a.u * cls_b.u.inverse()
 
 
-@_reads_word_limit_once
 def commutator_harness(a: FactoredOrthogonal,
                        b: FactoredOrthogonal) -> tuple[GenWord, Witness]:
     """An explicit elementary word for [a, b] ⊥ I_2.

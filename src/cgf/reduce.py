@@ -4,18 +4,18 @@ orthogonal) matrices, returning the acting word in every case.
 
 Every construction here repeats one step, carried out by one engine,
 ``_Reduction``, on rows of canonical payloads, which it updates in place
-with the ring's own word kernel ``ring.act`` (inlined over Z/n, and over
-R[T] for constant parameters); its generators hold payloads, so values are
-boxed only in the errors it raises.  Its sweep carries row[lo:] to
-(1, 0, ..., 0) on the window of columns lo+1..size, for every family: the
-lowest unit entry is pulled into slot 1, through the pump slot (2 for lin
-and sp, 3 for orth, whose oe_21 is excluded) when it sits before it; then a
-clearing pass zeroes the other slots against that 1.  The paired families
-clear the partner slot last, because the cross terms of their generators
-feed it: sp with a generator, while for orth isotropy must already have
-cleared it (1/2 being a unit).  Its frame-pair loop sweeps the first row of
-each pair of an isotropic frame and clears the second row with the same
-pass, pivoting on the pair's second slot.
+with the ring's own word kernel ``ring.act`` (inlined over Z/n); its
+generators hold payloads, so values are boxed only in the errors it raises.
+Its sweep carries row[lo:] to (1, 0, ..., 0) on the window of columns
+lo+1..size, for every family: the lowest unit entry is pulled into slot 1,
+through the pump slot (2 for lin and sp, 3 for orth, whose oe_21 is
+excluded) when it sits before it; then a clearing pass zeroes the other
+slots against that 1.  The paired families clear the partner slot last,
+because the cross terms of their generators feed it: sp with a generator,
+while for orth isotropy must already have cleared it (1/2 being a unit).
+Its frame-pair loop sweeps the first row of each pair of an isotropic frame
+and clears the second row with the same pass, pivoting on the pair's second
+slot.
 
 All pivots follow this one deterministic rule, so identical inputs yield
 identical witnesses.
@@ -38,7 +38,7 @@ from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
 from .matrices import IsotropicFrame, Mat, membership
 from .rings import Ring, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _gen, _reads_word_limit_once, _rebuilt)
+                    _gen, _rebuilt)
 
 
 def _require_local(ring: Ring, what: str):
@@ -171,7 +171,6 @@ def reduce_row_symplectic(v: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # completions
 
-@_reads_word_limit_once
 def complete_um_linear(v: Mat) -> GenWord:
     """A word W with eval(W) elementary and first n rows equal to V.
 
@@ -228,7 +227,6 @@ def _complete_frame(frame: IsotropicFrame, family: str, group: str,
     return word
 
 
-@_reads_word_limit_once
 def complete_sp(frame: IsotropicFrame) -> GenWord:
     """Complete a 2n x 2m symplectic frame to an elementary symplectic
     matrix: reduce each pair's first row to a standard row, observe the
@@ -240,7 +238,6 @@ def complete_sp(frame: IsotropicFrame) -> GenWord:
     return _complete_frame(frame, FAMILY_SP, "Sp", "symplectic")
 
 
-@_reads_word_limit_once
 def complete_orth(frame: IsotropicFrame, permissive: bool = False) -> GenWord:
     """Complete a 2n x 2m orthogonal frame (1/2 a unit, m >= n+2) to an
     elementary orthogonal matrix.

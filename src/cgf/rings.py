@@ -251,10 +251,10 @@ class Ring:
     A ring owns its payload arithmetic and the two loops that every matrix
     and word kernel runs on payload rows: ``act``, the sparse column
     updates of generators, and ``products``, the entries of a product.
-    Here they make one ``fma`` or one ``dot`` call per entry.  Z, Z/n (and
-    so F_p and the integer quotients) inline the arithmetic into both
-    loops, and R[T] over Z or Z/n inlines ``act``'s update by a constant
-    coefficient; every other ring keeps these loops.
+    Here they make one ``fma`` or one ``dot`` call per entry.  Z/n (and so
+    F_p and the integer quotients mod n) inline the arithmetic into both
+    loops; every other ring, Z and R[T] included, keeps these loops over its
+    own ``fma`` and ``dot``.
     """
 
     kind = "?"
@@ -446,22 +446,6 @@ class IntegerRing(Ring):
 
     def fma(self, a, c, x):
         return a + c * x
-
-    def act(self, rows, gens):
-        for g in gens:
-            for t, s, c in g._triples:
-                for r in rows:
-                    x = r[s]
-                    if x:
-                        r[t] += c * x
-        return rows
-
-    def products(self, rows, cols, upper=False):
-        mul = operator.mul
-        if upper:
-            return [[sum(map(mul, x, y)) for y in cols[i:]]
-                    for i, x in enumerate(rows)]
-        return [[sum(map(mul, x, y)) for y in cols] for x in rows]
 
     def is_unit_payload(self, a):
         return a in (1, -1)
@@ -778,13 +762,12 @@ class PolyExt(Ring):
     one fused path, ``_raw_sum``: one list holds the exact integer
     coefficient sums, each reduced mod n once, then trimmed once.  ``fma``
     there is its one-product case written out: one product, one reduction,
-    one trim, with no per-coefficient call.  ``act`` there inlines an
-    update by a constant coefficient and makes one ``fma`` for any other.
-    Horner evaluation (``_horner``) there is exact over Z and reduced mod n
-    once.  Over every other base ``mul`` convolves through the base ring,
-    and ``dot``, ``fma`` and ``act`` are ``Ring``'s term-by-term
-    ``add(acc, mul(x, y))`` and its loop.  ``products`` is always
-    ``Ring``'s loop, one ``dot`` per entry.
+    one trim, with no per-coefficient call.  Horner evaluation
+    (``_horner``) there is exact over Z and reduced mod n once.  Over every
+    other base ``mul`` convolves through the base ring, and ``dot`` and
+    ``fma`` are ``Ring``'s term-by-term ``add(acc, mul(x, y))``.  ``act``
+    and ``products`` are always ``Ring``'s loops, one ``fma`` per update
+    and one ``dot`` per entry.
     """
 
     kind = "poly"
@@ -941,45 +924,6 @@ class PolyExt(Ring):
         while out and not out[-1]:
             out.pop()
         return tuple(out)
-
-    def act(self, rows, gens):
-        """Over Z and Z/n an update by a constant coefficient c = (z,),
-        which every constant-embedded generator has, is inlined: z * x
-        added coefficient-wise, each coefficient reduced mod n, then
-        trimmed once.  It never meets the degree cap, since it has x's
-        length and x is a payload.  Every other update is one ``fma``."""
-        if not self._raw:
-            return super().act(rows, gens)
-        fma, n = self.fma, self._modulus
-        for g in gens:
-            for t, s, c in g._triples:
-                if len(c) != 1:
-                    for r in rows:
-                        x = r[s]
-                        if x:
-                            r[t] = fma(r[t], c, x)
-                    continue
-                z = c[0]
-                for r in rows:
-                    x = r[s]
-                    if not x:
-                        continue
-                    a = r[t]
-                    la, lx = len(a), len(x)
-                    if n:
-                        out = [(u + z * v) % n for u, v in zip(a, x)]
-                        if lx > la:
-                            out += [z * v % n for v in x[la:]]
-                    else:
-                        out = [u + z * v for u, v in zip(a, x)]
-                        if lx > la:
-                            out += [z * v for v in x[la:]]
-                    if la > lx:
-                        out += a[lx:]
-                    while out and not out[-1]:
-                        out.pop()
-                    r[t] = tuple(out)
-        return rows
 
     def neg(self, a):
         return tuple(self.base.neg(c) for c in a)

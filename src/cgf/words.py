@@ -6,22 +6,21 @@ se_ij(z) and orthogonal oe_ij(z), the latter two built on the index pairing
 claim is certified by exhibition; ``eval`` keeps the matrix it computes
 beside the word, outside its fields.
 
-A generator holds its parameter as the canonical payload ``z`` of its
-ring, never boxed inside the library: ``param`` builds a ``RingValue`` only
-when something reads it.  It acts on the right by one or two sparse column
+A generator holds its parameter as the canonical payload ``z`` of its ring,
+never boxed inside the library: ``param`` builds a ``RingValue`` only when
+something reads it.  It acts on the right by one or two sparse column
 updates col_t += c * col_s, which it stores as 0-based payload triples
 (``Generator._triples``), built once with it by ``_gen``.  One kernel per
 ring, ``Ring.act``, performs them in place on rows of canonical payloads,
-skipping rows whose source entry is zero: ``Ring``'s loop makes one
-``fma`` per update; Z and Z/n (so F_p and the integer quotients) inline
-the update, and R[T] over them inlines an update by a constant
-coefficient.  Word evaluation, the right actions on matrices and rows,
-generator matrices, the reduction engine, the row lemmas and the oracle's
-link and path checks all call it.  Matrices keep the payload rows it
-returns.  ``apply_word_to_row`` boxes its result as ``RingValue``s for
-callers outside the library; no construction calls it.  The orbit oracle's
-BFS reads the same triples once per enumeration, and its tests check its
-row kernel against this one.
+skipping rows whose source entry is zero: ``Ring``'s loop makes one ``fma``
+per update, and Z/n (so F_p and the integer quotients mod n) inlines the
+update.  Word evaluation, the right actions on matrices and rows, generator
+matrices, the reduction engine, the row lemmas and the oracle's link and
+path checks all call it.  Matrices keep the payload rows it returns.
+``apply_word_to_row`` boxes its result as ``RingValue``s for callers
+outside the library; no construction calls it.  The orbit oracle's BFS
+reads the same triples once per enumeration, and its tests check its row
+kernel against this one.
 
 The left action on matrices runs the same kernel on the transpose: the
 transpose of a generator (i, j, z) is the generator (j, i, z) of the same
@@ -47,12 +46,6 @@ the orthogonal corner conjugation and hyperbolic square (whose first
 move, on the caller's parameter, is built by ``Generator`` for its checks).
 The public constructors and ``word_from_pairs`` keep every check.
 
-Every word built is checked against the word limit, CGF_WORD_LIMIT or
-``DEFAULT_WORD_LIMIT``.  The constructions that build several words per
-call, and the CLI's ``main``, read the environment once per call, at the
-first word (``_reads_word_limit_once``); a word built outside them reads
-it itself.
-
 A product by a short word costs O(len(w) * rows) ring operations, against
 O(size^3) for a matmul by its matrix, so the homotopy engine conjugates by
 the completion word W as ``apply_word_right(apply_word_left(W^{-1}, m), W)``
@@ -62,8 +55,6 @@ evaluating either word.
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import os
 from dataclasses import dataclass
 from operator import itemgetter
@@ -80,40 +71,9 @@ FAMILY_ORTH = "orth"
 DEFAULT_WORD_LIMIT = 10 ** 5
 
 
-# the limit read by the running word-building call, per thread: None
-# outside one, [] until its first read, then [limit]
-_chain_limit = contextvars.ContextVar("cgf_word_limit", default=None)
-
-
 def word_limit() -> int:
-    """CGF_WORD_LIMIT as an int, DEFAULT_WORD_LIMIT when it is unset or
-    empty.  Inside a call made by ``_reads_word_limit_once`` the environment
-    is read by the first call only, and later calls return that value; a
-    malformed value raises ValueError on every read."""
-    chain = _chain_limit.get()
-    if chain:
-        return chain[0]
     raw = os.environ.get("CGF_WORD_LIMIT")
-    limit = int(raw) if raw else DEFAULT_WORD_LIMIT
-    if chain is not None:
-        chain.append(limit)
-    return limit
-
-
-def _reads_word_limit_once(fn):
-    """``fn``, made to read the word limit from the environment at most
-    once, at the first word it builds, however many words it and the
-    calls under it build; a nested call shares the outer one's read."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        if _chain_limit.get() is not None:
-            return fn(*args, **kwargs)
-        token = _chain_limit.set([])
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _chain_limit.reset(token)
-    return wrapper
+    return int(raw) if raw else DEFAULT_WORD_LIMIT
 
 
 def paired_index(k: int) -> int:

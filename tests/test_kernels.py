@@ -346,9 +346,11 @@ def test_form_paths_count_products(monkeypatch):
     # the frame check take no Mat product but the upper triangle of theirs
     # (n(n+1)/2 entries for an n x n result), the form inverses none, and
     # the frame's right inverse only its certificate's check alpha @ beta;
-    # ``dots`` counts the entries that ring.products computes
-    calls, dots = [], []
-    matmul, products = Mat.__matmul__, ModularRing.products
+    # ``dots`` counts the entries that ring.products computes, and no path
+    # makes a single ring.dot (a determinant or adjugate step would)
+    calls, dots, single = [], [], []
+    matmul, products, dot = (Mat.__matmul__, ModularRing.products,
+                             ModularRing.dot)
 
     def counted(*args, **kwargs):
         out = products(*args, **kwargs)
@@ -358,6 +360,8 @@ def test_form_paths_count_products(monkeypatch):
     monkeypatch.setattr(Mat, "__matmul__",
                         lambda a, b: calls.append(1) or matmul(a, b))
     monkeypatch.setattr(ModularRing, "products", counted)
+    monkeypatch.setattr(ModularRing, "dot",
+                        lambda *args: single.append(1) or dot(*args))
     ring = ModularRing(9)
     for word in (random_word(random.Random(5), ring, FAMILY_SP, 4, 6),
                  random_word(random.Random(5), ring, FAMILY_ORTH, 4, 6)):
@@ -372,8 +376,10 @@ def test_form_paths_count_products(monkeypatch):
                 (inverse, (a,), 0, 0)):
             calls.clear()
             dots.clear()
+            single.clear()
             fn(*args)
-            assert (len(calls), len(dots)) == (expected, n_dots), fn
+            assert (len(calls), len(dots), len(single)) == (
+                expected, n_dots, 0), fn
 
 
 RAW_BASES = (IntegerRing(), ModularRing(9), ModularRing(4), ModularRing(1),

@@ -4,7 +4,6 @@ import copy
 import json
 import random
 import threading
-import types
 
 import pytest
 
@@ -453,34 +452,3 @@ def test_public_word_wrappers_agree_with_their_methods_and_the_reference():
             assert ref.substitute(ref.word_matrix(dilate(w, b)), t) == \
                 ref.substitute(m, b * t) == ref.word_matrix(specialize(
                     w, b * t))
-
-
-def test_a_construction_reads_the_word_limit_once(monkeypatch):
-    # transport builds about a dozen words; it reads CGF_WORD_LIMIT from
-    # the environment at the first of them and checks the rest against
-    # that value, and the next call reads it again, so a new value counts.
-    # A word built outside a construction reads it itself.
-    from cgf.homotopy import vaserstein_transport
-    rng = random.Random(55)
-    ring = ModularRing(9)
-    w = random_word(rng, ring, FAMILY_LIN, 3, 9)
-    d = w.eval()
-    v, _ = random_unimodular_rows(rng, ring, 3, 4, 9)
-    reads = []
-
-    class Environ(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
-
-    env = Environ(CGF_WORD_LIMIT="200")
-    monkeypatch.setattr(cgf.words, "os", types.SimpleNamespace(environ=env))
-    assert vaserstein_transport(d, v, "linear").witness.all_passed()
-    assert reads == ["CGF_WORD_LIMIT"]
-    env["CGF_WORD_LIMIT"] = "3"
-    with pytest.raises(WordLimitExceeded, match="exceeds limit 3$"):
-        vaserstein_transport(d, v, "linear")
-    assert len(reads) == 2
-    env["CGF_WORD_LIMIT"] = "200"
-    w.invert().invert()
-    assert len(reads) == 4
