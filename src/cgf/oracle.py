@@ -19,12 +19,24 @@ generated as codes: the k-th tuple of the product of the elements in rank
 order has code k.
 
 A row table's BFS starts from its whole domain, which the generators keep
-(a code outside it, a codec defect, is refused when it is committed), and
-stops expanding once each row is in the table or proposed.  A frame
-table's BFS runs to the end; an oversized one is refused before its
-catalog exists by a lower bound on its size (``_frame_orbit_exponent``),
-and over the zero ring, where every table is one object, one of more
-entries than the budget is refused (``_check_entries``).
+(a code outside it, a codec defect, is refused when it is committed).
+Each orbit stops expanding once every object of a counted set that must
+hold it is reached, by it or by an earlier orbit (``_counted_sets``).  The
+generators keep the set, so the orbit lies inside it (the orbit-invariant
+argument of Holt, Eick and O'Brien, section 4.1): a later edge could only
+propose an object already reached, and the first proposal stands, so the
+table is the full BFS's.  The sets are the row domain for lin and sp rows;
+its level sets of Q(v) = v_1 v_2 + v_3 v_4 + ... for orth rows, Q computed
+on digits, which right multiplication keeps since a phi a^t = phi; the
+same sets over the row domain for one-row frames (Q = 0 for orth); and
+for sp frames of two rows the hyperbolic pairs (u, v) with <u, v> = 1,
+|Um_s| q^(s - 1) of them.  A frame is counted only when q^s is at most the
+budget; every other frame runs to the end.  These counts bound an orbit
+from above, so they only stop a BFS early and refuse nothing.  An
+oversized frame table is refused before its catalog exists by a lower
+bound on its size (``_frame_orbit_exponent``), and over the zero ring,
+where every table is one object, one of more entries than the budget is
+refused (``_check_entries``).
 
 A generator acts on each row alone, (V.g)_k = V_k.g, so the catalog
 compiles once on one row into updates from ``Generator._triples``: one
@@ -33,10 +45,12 @@ the target digit.  A row code expands by runs of generators on the same
 positions, one run per (i, j), in catalog order, so the tie rule needs no
 sort; a run whose sources are all zero is skipped.  A frame of several
 rows memoizes, per (row position, row code), the row's delta under every
-generator.  An image is proposed only if it is neither in the table nor
-proposed, so the first proposal stands.  Digits come from two memoized
-half codes, and the rows rank(a + .) and rank(x * .) of an entry are
-built with the first half that holds it.
+generator.  The table's links hold every object reached or proposed, so
+an image is proposed (linked and listed) only if it is not there, one
+lookup, and the first proposal stands; each level sorts its list of fresh
+codes into the next frontier.  Digits come from two memoized half codes,
+and the rows rank(a + .) and rank(x * .) of an entry are built with the
+first half that holds it.
 
 When the BFS ends its code dicts are the table, with nothing decoded; the
 payload-keyed ``orbit_of``, ``pred`` and ``reps`` are read-only views,
@@ -58,6 +72,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from functools import cache, cached_property
 from math import gcd
 from types import MappingProxyType
@@ -99,6 +114,17 @@ def _row_domain(codec: "_Codec") -> list:
     return list(itertools.compress(itertools.count(), map(
         _unimodular_test(codec.ring),
         itertools.product(values, repeat=codec.width))))
+
+
+def _unimodular_count(codec: "_Codec") -> int:
+    """The number of unimodular rows of the codec's width.  Over a local
+    ring a row is unimodular unless every entry is a non-unit, so only the
+    q elements are tested; elsewhere the domain is listed."""
+    ring, q, n = codec.ring, codec.q, codec.width
+    if ring.is_local and not ring.is_zero_ring:
+        units = sum(map(ring.is_unit_payload, map(codec.unrank, range(q))))
+        return q ** n - (q - units) ** n
+    return len(_row_domain(codec))
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -237,9 +263,9 @@ class _Codec:
     def _arith(self) -> tuple:
         """The expansions' state, built on first use: zero's rank, the
         weight of each digit, the rows add[a][y] = rank(a + y) and
-        mul[x][c] = rank(x * c), and ``digits`` (see the module
-        docstring).  The rows need every element, so they rank through a
-        dict of them."""
+        mul[x][c] = rank(x * c), ``digits`` (see the module docstring), and
+        ``fill(d)``, which builds the rows of rank d unless they are built.
+        The rows need every element, so they rank through a dict of them."""
         ring, q, n = self.ring, self.q, self.width
         values = list(map(self.unrank, range(q)))
         rank = {p: r for r, p in enumerate(values)}
@@ -249,15 +275,18 @@ class _Codec:
         low = n - n // 2
         split = q ** low
 
+        def fill(d):
+            if add[d] is None:
+                a = values[d]
+                add[d] = [rank[ring_add(a, y)] for y in values]
+                mul[d] = [rank[ring_mul(a, y)] for y in values]
+
         def half(width):
             @cache
             def build(code):
                 ds = tuple(_split(code, q, width))
                 for d in ds:
-                    if add[d] is None:
-                        a = values[d]
-                        add[d] = [rank[ring_add(a, y)] for y in values]
-                        mul[d] = [rank[ring_mul(a, y)] for y in values]
+                    fill(d)
                 return ds
             return build
 
@@ -268,7 +297,22 @@ class _Codec:
             return his(hi) + los(lo)
 
         weights = [q ** (n - 1 - k) for k in range(n)]
-        return rank[ring.zero().payload], weights, add, mul, digits
+        return rank[ring.zero().payload], weights, add, mul, digits, fill
+
+    def levels(self) -> list:
+        """The rank of Q(v) = v_1 v_2 + v_3 v_4 + ... for every row code v,
+        in code order, built pair by pair from the rank rows, so no code is
+        decoded: a row's code is its first pairs' code times q^2 plus its
+        last pair's code."""
+        zero, _, add, mul, _, fill = self._arith
+        for d in range(self.q):
+            fill(d)
+        products = [m for row in mul for m in row]
+        out = [zero]
+        for _ in range(self.width // 2):
+            out = [plus[m] for plus in map(add.__getitem__, out)
+                   for m in products]
+        return out
 
     def compile(self, g: Generator) -> list:
         """``g``'s column updates on one row, as (source position, target
@@ -284,7 +328,7 @@ class _Codec:
     def row_deltas(self, compiled, code, place) -> list:
         """Each compiled generator's change to the row code ``code``,
         scaled by ``place``: image code minus ``code``, times ``place``."""
-        zero, _, add, mul, digits = self._arith
+        zero, _, add, mul, digits, _ = self._arith
         ds = digits(code)
         out = []
         for updates in compiled:
@@ -298,10 +342,10 @@ class _Codec:
         return out
 
     def expander(self, gens):
-        """``expand(node, seen, proposals)``: each image of the object with
-        code ``node`` under ``gens``, in their order, that is in neither
-        ``seen`` nor ``proposals`` becomes a proposal, linked to (node, g)
-        for the first generator g that gives it."""
+        """``expand(node, link, fresh)``: each image of the object with code
+        ``node`` under ``gens``, in their order, that is no key of ``link``
+        (reached or proposed) is linked there to (node, g), g the first
+        generator that gives it, and appended to the list ``fresh``."""
         if self.rows > 1:
             return self._frame_expander(gens)
         # (source, target, weight, members, their coefficient ranks, and
@@ -316,9 +360,9 @@ class _Codec:
                 *places[1], [u[1][3] for _, u in steps])
             flat.append((*places[0], [g for g, _ in steps],
                          [u[0][3] for _, u in steps], second))
-        zero, _, add, mul, digits = self._arith
+        zero, _, add, mul, digits, _ = self._arith
 
-        def expand(node, seen, proposals):
+        def expand(node, link, fresh):
             ds = digits(node)
             for s, t, w, members, col, second in flat:
                 x = ds[s]
@@ -334,8 +378,9 @@ class _Codec:
                             for g, c, c2 in zip(members, col, col2):
                                 new = (base + plus_a[by_x[c]] * w
                                        + plus_b[by_y[c2]] * w2)
-                                if new not in seen and new not in proposals:
-                                    proposals[new] = (node, g)
+                                if new not in link:
+                                    link[new] = node, g
+                                    fresh.append(new)
                             continue
                         # only the second source is live
                         x, t, w, col = y, t2, w2, col2
@@ -345,8 +390,9 @@ class _Codec:
                 base, by_x, plus_a = node - a * w, mul[x], add[a]
                 for g, c in zip(members, col):
                     new = base + plus_a[by_x[c]] * w
-                    if new not in seen and new not in proposals:
-                        proposals[new] = (node, g)
+                    if new not in link:
+                        link[new] = node, g
+                        fresh.append(new)
 
         return expand
 
@@ -359,7 +405,7 @@ class _Codec:
         memo = [{} for _ in range(rows)]
         places = [base ** (rows - 1 - r) for r in range(rows)]
 
-        def expand(node, seen, proposals):
+        def expand(node, link, fresh):
             sums, rest = None, node
             for r in range(rows - 1, -1, -1):
                 rest, row = divmod(rest, base)
@@ -370,8 +416,9 @@ class _Codec:
             for g, delta in zip(gens, sums):
                 if delta:
                     new = node + delta
-                    if new not in seen and new not in proposals:
-                        proposals[new] = (node, g)
+                    if new not in link:
+                        link[new] = node, g
+                        fresh.append(new)
 
         return expand
 
@@ -598,19 +645,64 @@ class OrbitTable:
             rooted.update(chain)
 
 
+def _counted_sets(table: OrbitTable, domain, budget: int):
+    """(level, counts), or None: ``level`` maps the code of an object to
+    the key of a set that holds the object's whole orbit (None for a key
+    where one set serves every object), and ``counts`` maps each key to the
+    set's size.  ``domain``: a row table's domain, or None for a frame.
+
+    The generators keep each set, so each orbit lies inside the set of any
+    of its objects (Holt, Eick and O'Brien, section 4.1).  A row keeps its
+    unimodularity; an orth generator keeps Q(v) = v_1 v_2 + v_3 v_4 + ...
+    (its two updates v_i += z v_j and v_pair(j) -= z v_pair(i) add
+    z v_j v_pair(i) and take it away), so orth rows are counted by Q.  A
+    one-row frame lies in the row domain, over orth at Q = 0.  An sp frame
+    of two rows (u, v) has <u, v> = 1, with u unimodular; v -> <u, v> maps
+    R^s onto R, so the pairs number |Um_s| q^(s - 1).  Other frames, and
+    frames with q^s > ``budget``, which would cost more to count, have no
+    count."""
+    codec, family = table._codec, table.family
+    if table.kind == "row":
+        if family != FAMILY_ORTH:
+            return None, {None: len(domain)}
+        level = codec.levels().__getitem__
+        return level, Counter(map(level, domain))
+    rows = table.frame_rows
+    if (rows != 1 and (rows != 2 or family != FAMILY_SP)
+            or _power_exceeds(codec.q, table.size, budget)):
+        return None
+    if family == FAMILY_ORTH:
+        # the standard frame e_1 has Q = 0
+        levels, zero = codec.levels(), codec._arith[0]
+        count = sum(levels[c] == zero for c in _row_domain(codec))
+    else:
+        count = _unimodular_count(codec)
+        if rows == 2:
+            count *= codec.q ** (table.size - 1)
+    return None, {None: count}
+
+
 def _bfs_closure(table: OrbitTable, starts, gens, budget: int):
     """Deterministic multi-source BFS from the codes ``starts`` into the
     empty ``table``'s code dicts; ties between frontier edges pick the
     least (parent, generator), which is the first to propose the object.
-    For a row table ``starts`` is the whole domain, so the BFS stops
-    expanding once every code is reached or proposed: the first proposal
-    stands, so the ids and links do not change."""
+    ``_link`` holds each object reached or proposed, so an image costs one
+    lookup, and each level's fresh codes are sorted into the next frontier.
+
+    Each orbit stops expanding once every object of its counted set (see
+    ``_counted_sets``) is reached, by it or by an earlier orbit.  The orbit
+    lies inside that set, so a later edge could only propose an object
+    already reached, and the first proposal stands: the ids, links and
+    representatives are those of the full BFS.  A table with no count runs
+    each orbit to the end.  For a row table ``starts`` is the whole domain,
+    and a code outside it, a codec defect, is refused when committed."""
     expand = table._codec.expander(gens)
-    # a row table's starts are its whole domain, so -1, never reached,
-    # stands for a frame table's end
     row = table.kind == "row"
     domain = set(starts) if row else None
-    full = len(domain) if row else -1
+    # level: code -> the key of its set; left: key -> the set's objects not
+    # yet reached; both None for a table with no count
+    level, left = _counted_sets(table, starts if row else None,
+                                budget) or (None, None)
     orbit, link, reps = table._orbit, table._link, table._reps
     for code in starts:
         if code in orbit:
@@ -619,23 +711,28 @@ def _bfs_closure(table: OrbitTable, starts, gens, budget: int):
         reps.append(code)
         orbit[code] = oid
         link[code] = None
+        key, start = level(code) if level else None, len(link) - 1
+        # len(link) once the orbit's set is reached; -1, never, if uncounted
+        stop = start + left[key] if left else -1
         frontier = [code]
         while frontier:
-            proposals: dict = {}
+            fresh: list = []
             for node in frontier:
-                if len(orbit) + len(proposals) == full:
-                    break  # every object is reached; no edge proposes more
-                expand(node, orbit, proposals)
-            frontier = sorted(proposals)
-            if row and not domain.issuperset(proposals):
+                if len(link) == stop:
+                    break  # the set is reached; no edge proposes more
+                expand(node, link, fresh)
+            fresh.sort()
+            if row and not domain.issuperset(fresh):
                 raise ObjectOutOfDomain(
                     "internal: a row orbit left the row domain")
-            for new in frontier:
+            if fresh and len(link) > budget:
+                raise SearchBudgetExceeded(
+                    f"orbit table exceeded budget {budget}")
+            for new in fresh:
                 orbit[new] = oid
-                link[new] = proposals[new]
-                if len(orbit) > budget:
-                    raise SearchBudgetExceeded(
-                        f"orbit table exceeded budget {budget}")
+            frontier = fresh
+        if left:
+            left[key] -= len(link) - start
 
 
 def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
@@ -699,12 +796,13 @@ def _table_key(v, table: OrbitTable):
 def _check_closed(table: OrbitTable, oid: int):
     """Raise unless every catalog generator maps every object of orbit
     ``oid`` to an object of that orbit.  The objects with that id then hold
-    the whole orbit, so an object with another id lies outside it."""
+    the whole orbit, so an object with another id lies outside it.  Every
+    member is expanded: no count vouches for a loaded table."""
     expand = table._codec.expander(
         generator_catalog(table.ring, table.family, table.size))
-    members = dict.fromkeys(c for c, o in table._orbit.items() if o == oid)
-    outside: dict = {}
-    for code in members:
+    codes = [c for c, o in table._orbit.items() if o == oid]
+    members, outside = dict.fromkeys(codes), []
+    for code in codes:
         expand(code, members, outside)
         if outside:
             raise WitnessCheckFailed(

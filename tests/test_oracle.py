@@ -1,5 +1,6 @@
 """BFS orbit oracle: exhaustive counts, path certificates, determinism."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,8 +18,8 @@ from cgf.errors import (BadIndices, DescriptorMismatch, HalfNotInvertible,
 from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
-                       QuotientRing, TruncatedPolyLocal, _PolyRemainders,
-                       _residue_modulus, unit_ideal_witness)
+                       QuotientRing, RingValue, TruncatedPolyLocal,
+                       _PolyRemainders, _residue_modulus, unit_ideal_witness)
 from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
 
 from conftest import local_test_rings, within
@@ -735,8 +736,8 @@ _THREE_ROWS = (ModularRing(2), "frame", FAMILY_SP, 4, 3)
 def test_compiled_action_matches_apply_gens(ring, kind, family, size,
                                             frame_rows):
     # every catalog generator, expanded alone, on every object of the
-    # table, which counts as seen: the coded expansion proposes the
-    # reference kernel's image, and proposes nothing when that image is the
+    # table, which counts as reached: the coded expansion links and lists
+    # the reference kernel's image, and nothing when that image is the
     # object itself, as it is when every source entry of every row is zero
     table = _bounded_table(ring, kind, family, size, frame_rows)
     codec = oracle._Codec(table)
@@ -746,8 +747,10 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
         expand = codec.expander([g])
         for key in table.orbit_of:
             code, image = codec.encode(key), _act_ref(table, key, g)
-            got = {}
-            expand(code, {code}, got)
+            link, fresh = {code: None}, []
+            expand(code, link, fresh)
+            got = {new: link[new] for new in fresh}
+            assert len(link) == 1 + len(fresh) == 1 + len(got)
             assert got == ({} if image == key else
                            {codec.encode(image): (code, g)})
             if all(row[s - 1] == zero for row in rows_of(key)
@@ -758,10 +761,10 @@ def test_compiled_action_matches_apply_gens(ring, kind, family, size,
 def _check_expansion(table, keys):
     # the grouped expansion of each object against one reference kernel
     # step under each catalog generator in catalog order: the same
-    # proposals, made in the same order, with what is seen or already
-    # proposed left alone.  Every third object counts as seen, and each
-    # expansion starts from one proposal already made.  Returns how many
-    # (object, generator) pairs had a zero source in some update and a
+    # proposals, linked and listed in the same order, with what is seen or
+    # already proposed left alone.  Every third object counts as seen, and
+    # each expansion starts from one proposal already made.  Returns how
+    # many (object, generator) pairs had a zero source in some update and a
     # nonzero one in another, and whether any generator has several
     # updates.  A generator compiles on one row and acts on each row of a
     # frame alike, so its updates on a frame are those of every row.
@@ -787,9 +790,13 @@ def _check_expansion(table, keys):
             live = {ds[s] != zero for ds in rows
                     for s, _, _, _ in updates}
             partial += live == {True, False}
-        got = {earlier: "earlier"}
-        expand(code, seen, got)
-        assert list(got.items()) == list(want.items()), keys[n]
+        link = dict.fromkeys(seen, "seen")
+        link[earlier] = "earlier"
+        before, fresh = dict(link), []
+        expand(code, link, fresh)
+        got = [(earlier, "earlier")] + [(new, link[new]) for new in fresh]
+        assert got == list(want.items()), keys[n]
+        assert link == {**before, **want, earlier: before[earlier]}
         if not was_seen:
             seen.discard(code)
     return partial, any(len(updates) * codec.rows > 1
@@ -901,8 +908,10 @@ def test_codes_preserve_key_order(monkeypatch, ring):
             assert [e["v"] for e in table.to_json()["objects"]] == want
 
 
+@functools.cache
 def _bfs_closure_ref(ring, kind, family, size, frame_rows):
-    # reference: the BFS that compared every (parent, generator) proposal
+    # reference, cached for the tests that share it: the BFS that compared
+    # every (parent, generator) proposal
     # of an object by (key order of the parent, generator position), from
     # the rows the boxed test finds unimodular or the standard frame; its
     # table by payload key, as (orbit_of, reps, pred)
@@ -996,27 +1005,118 @@ def test_bfs_matches_least_proposal_reference(ring, kind, family, size,
                       pred) == table
 
 
-def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
-    # Um_3(Z/4) is one orbit of 56 rows under 18 generators: the full BFS
-    # expands all 56 rows (56 * 18 images), most of them after the last new
-    # row is proposed
+def _count_expansions(monkeypatch) -> list:
+    # the codes the BFS expands, in order, from tables built after the call
     expanded = []
 
     class Counted(oracle._Codec):
         def expander(self, gens):
             expand = super().expander(gens)
 
-            def counted(node, seen, proposals):
+            def counted(node, link, fresh):
                 expanded.append(node)
-                return expand(node, seen, proposals)
+                return expand(node, link, fresh)
 
             return counted
 
     monkeypatch.setattr(oracle, "_Codec", Counted)
+    return expanded
+
+
+def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
+    # Um_3(Z/4) is one orbit of 56 rows under 18 generators: the full BFS
+    # expands all 56 rows (56 * 18 images), most of them after the last new
+    # row is proposed
+    expanded = _count_expansions(monkeypatch)
     table = _um3_z4()
     assert table.orbit_sizes() == [56]
     assert len(oracle.generator_catalog(ModularRing(4), FAMILY_LIN, 3)) == 18
     assert 0 < len(expanded) < 56
+
+
+# tables whose orbits stop on a count: orth rows by the level sets of Q,
+# one-row sp frames by the row domain, and sp frames of two rows by the
+# hyperbolic pairs
+_COUNTED_CASES = [
+    (ModularRing(9), "row", FAMILY_ORTH, 4, 0),
+    (PrimeField(5), "row", FAMILY_ORTH, 4, 0),
+    (PrimeField(7), "row", FAMILY_ORTH, 4, 0),
+    (ModularRing(6), "frame", FAMILY_SP, 4, 1),
+    (ModularRing(23), "frame", FAMILY_SP, 2, 1),
+    (X2, "frame", FAMILY_SP, 4, 1),
+    (ModularRing(4), "frame", FAMILY_SP, 4, 2),
+    (PrimeField(3), "frame", FAMILY_SP, 4, 2),
+    (X2, "frame", FAMILY_SP, 4, 2),
+]
+_COUNTED_IDS = ["Z/9 orth rows", "F_5 orth rows", "F_7 orth rows",
+                "Z/6 sp frames", "Z/23 sp frames", "F_2[x]/(x^2) sp frames",
+                "Z/4 sp 2-row frames", "F_3 sp 2-row frames",
+                "F_2[x]/(x^2) sp 2-row frames"]
+
+
+@pytest.mark.parametrize("ring, kind, family, size, frame_rows",
+                         _COUNTED_CASES, ids=_COUNTED_IDS)
+def test_a_counted_stop_changes_no_byte(monkeypatch, ring, kind, family,
+                                        size, frame_rows):
+    # the same bytes with the stop on, with the counts withheld (the full
+    # BFS) and with every count one too large (no set is ever reached),
+    # and the reference BFS's tables wherever the suite has one; compared
+    # as digests and flags, so a failure reports without a long diff
+    counted = oracle._counted_sets
+    spec = (ring, kind, family, size, frame_rows)
+    digests = []
+    for setting, adjust in [
+            ("on", lambda sets: sets), ("withheld", lambda sets: None),
+            ("raised", lambda sets: (sets[0], {k: n + 1 for k, n in
+                                               sets[1].items()}))]:
+        monkeypatch.setattr(oracle, "_counted_sets",
+                            lambda *args: adjust(counted(*args)))
+        table = enumerate_orbits(ring, kind, family, size,
+                                 frame_rows=frame_rows)
+        digests.append(hashlib.sha256(json.dumps(
+            table.to_json(), sort_keys=True).encode()).hexdigest())
+        if spec in _REFERENCE_CASES or spec in [g[:5] for g in _GOLDEN]:
+            orbit_of, reps, pred = _bfs_closure_ref(*spec)
+            same = (table.orbit_of == orbit_of and table.pred == pred
+                    and table.reps == tuple(reps))
+            assert same, setting
+    assert digests[1:] == digests[:1] * 2
+    # every case is counted
+    starts = (oracle._row_domain(table._codec) if kind == "row" else None)
+    assert counted(table, starts, oracle.DEFAULT_BUDGET) is not None
+
+
+# (table, its expand calls, and the calls when only lin and sp rows stop,
+# on their domain): a counted set stops each orbit once it is reached
+_EXPANSIONS = [
+    ((PrimeField(5), "row", FAMILY_ORTH, 4, 0), 240, 548),
+    ((PrimeField(7), "row", FAMILY_ORTH, 4, 0), 672, 2154),
+    ((ModularRing(9), "row", FAMILY_ORTH, 4, 0), 2237, 6047),
+    ((ModularRing(3), "frame", FAMILY_SP, 4, 2), 1439, 2160),
+    ((ModularRing(23), "frame", FAMILY_SP, 2, 1), 486, 528),
+    ((ModularRing(6), "frame", FAMILY_SP, 4, 1), 967, 1200),
+    ((X2, "frame", FAMILY_SP, 4, 1), 114, 240),
+    ((ModularRing(4), "frame", FAMILY_SP, 4, 2), 10820, 15360),
+    ((PrimeField(3), "frame", FAMILY_SP, 4, 2), 1439, 2160),
+    ((X2, "frame", FAMILY_SP, 4, 2), 10527, 15360),
+    # lin rows keep the one set, the domain, that stopped them before
+    ((ModularRing(8), "row", FAMILY_LIN, 4, 0), 1543, 1543),
+    # a frame of three rows has no count and runs to the end
+    ((ModularRing(2), "frame", FAMILY_SP, 4, 3), 360, 360),
+]
+
+
+def test_counted_sets_pin_the_expansions(monkeypatch):
+    expanded = _count_expansions(monkeypatch)
+    got = []
+    for (ring, kind, family, size, frame_rows), _, _ in _EXPANSIONS:
+        expanded.clear()
+        enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
+        got.append(len(expanded))
+    assert got == [now for _, now, _ in _EXPANSIONS]
+    # fewer wherever a count beyond the lin and sp row domains stops a table
+    assert [now < before for _, now, before in _EXPANSIONS] == (
+        [True] * 10 + [False] * 2)
 
 
 def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
@@ -1028,10 +1128,11 @@ def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
             expand = super().expander(gens)
             outside = self.q ** self.width
 
-            def leaky(node, seen, proposals):
-                expand(node, seen, proposals)
-                if outside not in seen:
-                    proposals.setdefault(outside, (node, gens[0]))
+            def leaky(node, link, fresh):
+                expand(node, link, fresh)
+                if outside not in link:
+                    link[outside] = node, gens[0]
+                    fresh.append(outside)
 
             return leaky
 
@@ -1054,11 +1155,16 @@ def test_a_row_table_build_decodes_no_code(monkeypatch):
                       (ModularRing(4), FAMILY_LIN, 3),
                       (PrimeField(5), FAMILY_ORTH, 4),
                       (ModularRing(6), FAMILY_LIN, 3),
-                      (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2)]]
-        frames = enumerate_orbits(ModularRing(3), "frame", FAMILY_SP, 4,
-                                  frame_rows=2)
-    assert [t.orbit_count() for t in tables + [frames]] == [1, 5, 1, 1, 1]
-    assert sum(frames.orbit_sizes()) == 2160
+                      (TruncatedPolyLocal(2, 2), FAMILY_LIN, 2),
+                      (ModularRing(9), FAMILY_ORTH, 4)]]
+        frames = [enumerate_orbits(ring, "frame", FAMILY_SP, size,
+                                   frame_rows=rows)
+                  for ring, size, rows in [(ModularRing(3), 4, 2),
+                                           (ModularRing(23), 2, 1)]]
+    # the orth tables' orbits stop on the level sets of Q, computed on
+    # digits, and the frames' on their counts
+    assert [t.orbit_count() for t in tables + frames] == [1, 5, 1, 1, 9, 1, 1]
+    assert [sum(t.orbit_sizes()) for t in frames] == [2160, 528]
     split, splits = oracle._split, []
     monkeypatch.setattr(oracle, "_split", lambda code, base, count:
                         splits.append(code) or split(code, base, count))
@@ -1156,7 +1262,8 @@ def _is_unimodular_row_ref(ring, values):
                          ids=_KEY_ORDER_IDS + ["F_2xF_2"])
 def test_row_domain_matches_the_boxed_reference(ring):
     # every row of size <= 3: the payload test agrees with the boxed one,
-    # and the domain comes out in key order without a sort
+    # the domain comes out in key order without a sort, and the count of
+    # unimodular rows is its size
     unimodular_row = oracle._unimodular_test(ring)
     for size in range(4):
         table = OrbitTable(ring, "row", FAMILY_LIN, size)
@@ -1170,6 +1277,20 @@ def test_row_domain_matches_the_boxed_reference(ring):
                 want.append(row)
         assert [decode(c) for c in oracle._row_domain(table._codec)] == \
             sorted(want, key=lambda k: _key_order_ref(ring, "row", k))
+        assert oracle._unimodular_count(table._codec) == len(want)
+
+
+@pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
+def test_form_levels_match_the_boxed_form(ring):
+    # each row code's level is the rank of Q(v) = v_1 v_2 + v_3 v_4 + ...,
+    # the form the orth generators keep, as boxed arithmetic computes it
+    for size in (0, 2, 4):
+        codec = OrbitTable(ring, "row", FAMILY_ORTH, size)._codec
+        values = [RingValue(ring, codec.unrank(r)) for r in range(codec.q)]
+        want = [codec.rank(sum((a * b for a, b in zip(v[::2], v[1::2])),
+                               ring.zero()).payload)
+                for v in itertools.product(values, repeat=size)]
+        assert codec.levels() == want
 
 
 @pytest.mark.parametrize("ring", [ModularRing(4), TruncatedPolyLocal(2, 2),
