@@ -116,17 +116,6 @@ def _row_domain(codec: "_Codec") -> list:
         itertools.product(values, repeat=codec.width))))
 
 
-def _unimodular_count(codec: "_Codec") -> int:
-    """The number of unimodular rows of the codec's width.  Over a local
-    ring a row is unimodular unless every entry is a non-unit, so only the
-    q elements are tested; elsewhere the domain is listed."""
-    ring, q, n = codec.ring, codec.q, codec.width
-    if ring.is_local and not ring.is_zero_ring:
-        units = sum(map(ring.is_unit_payload, map(codec.unrank, range(q))))
-        return q ** n - (q - units) ** n
-    return len(_row_domain(codec))
-
-
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
     """Whether q ** size > budget, without forming q ** size: for q >= 2
     the product passes the budget within about log_q(budget) + 1 steps."""
@@ -676,7 +665,7 @@ def _counted_sets(table: OrbitTable, domain, budget: int):
         levels, zero = codec.levels(), codec._arith[0]
         count = sum(levels[c] == zero for c in _row_domain(codec))
     else:
-        count = _unimodular_count(codec)
+        count = len(_row_domain(codec))
         if rows == 2:
             count *= codec.q ** (table.size - 1)
     return None, {None: count}

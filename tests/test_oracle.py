@@ -1035,8 +1035,8 @@ def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
 
 
 # tables whose orbits stop on a count: orth rows by the level sets of Q,
-# one-row sp frames by the row domain, and sp frames of two rows by the
-# hyperbolic pairs
+# one-row sp frames by the row domain, one-row orth frames by the rows with
+# Q = 0, and sp frames of two rows by the hyperbolic pairs
 _COUNTED_CASES = [
     (ModularRing(9), "row", FAMILY_ORTH, 4, 0),
     (PrimeField(5), "row", FAMILY_ORTH, 4, 0),
@@ -1044,12 +1044,15 @@ _COUNTED_CASES = [
     (ModularRing(6), "frame", FAMILY_SP, 4, 1),
     (ModularRing(23), "frame", FAMILY_SP, 2, 1),
     (X2, "frame", FAMILY_SP, 4, 1),
+    (PrimeField(5), "frame", FAMILY_ORTH, 4, 1),
+    (ModularRing(9), "frame", FAMILY_ORTH, 4, 1),
     (ModularRing(4), "frame", FAMILY_SP, 4, 2),
     (PrimeField(3), "frame", FAMILY_SP, 4, 2),
     (X2, "frame", FAMILY_SP, 4, 2),
 ]
 _COUNTED_IDS = ["Z/9 orth rows", "F_5 orth rows", "F_7 orth rows",
                 "Z/6 sp frames", "Z/23 sp frames", "F_2[x]/(x^2) sp frames",
+                "F_5 orth frames", "Z/9 orth frames",
                 "Z/4 sp 2-row frames", "F_3 sp 2-row frames",
                 "F_2[x]/(x^2) sp 2-row frames"]
 
@@ -1086,8 +1089,8 @@ def test_a_counted_stop_changes_no_byte(monkeypatch, ring, kind, family,
     assert counted(table, starts, oracle.DEFAULT_BUDGET) is not None
 
 
-# (table, its expand calls, and the calls when only lin and sp rows stop,
-# on their domain): a counted set stops each orbit once it is reached
+# (table, its expand calls, and the calls when only the whole row domain
+# is counted): a counted set stops each orbit once it is reached
 _EXPANSIONS = [
     ((PrimeField(5), "row", FAMILY_ORTH, 4, 0), 240, 548),
     ((PrimeField(7), "row", FAMILY_ORTH, 4, 0), 672, 2154),
@@ -1096,6 +1099,8 @@ _EXPANSIONS = [
     ((ModularRing(23), "frame", FAMILY_SP, 2, 1), 486, 528),
     ((ModularRing(6), "frame", FAMILY_SP, 4, 1), 967, 1200),
     ((X2, "frame", FAMILY_SP, 4, 1), 114, 240),
+    ((PrimeField(5), "frame", FAMILY_ORTH, 4, 1), 82, 144),
+    ((ModularRing(9), "frame", FAMILY_ORTH, 4, 1), 736, 864),
     ((ModularRing(4), "frame", FAMILY_SP, 4, 2), 10820, 15360),
     ((PrimeField(3), "frame", FAMILY_SP, 4, 2), 1439, 2160),
     ((X2, "frame", FAMILY_SP, 4, 2), 10527, 15360),
@@ -1107,16 +1112,26 @@ _EXPANSIONS = [
 
 
 def test_counted_sets_pin_the_expansions(monkeypatch):
+    # the expand calls with the counts on, and with only the whole row
+    # domain counted (the rule before the level sets and frames: the last
+    # orbit of a row table stops once every row is reached)
     expanded = _count_expansions(monkeypatch)
-    got = []
-    for (ring, kind, family, size, frame_rows), _, _ in _EXPANSIONS:
-        expanded.clear()
-        enumerate_orbits(ring, kind, family, size, frame_rows=frame_rows)
-        got.append(len(expanded))
-    assert got == [now for _, now, _ in _EXPANSIONS]
-    # fewer wherever a count beyond the lin and sp row domains stops a table
-    assert [now < before for _, now, before in _EXPANSIONS] == (
-        [True] * 10 + [False] * 2)
+
+    def row_domain_only(table, domain, budget):
+        return (None, {None: len(domain)}) if table.kind == "row" else None
+
+    got = {}
+    for rule in [oracle._counted_sets, row_domain_only]:
+        monkeypatch.setattr(oracle, "_counted_sets", rule)
+        for spec, _, _ in _EXPANSIONS:
+            expanded.clear()
+            enumerate_orbits(*spec[:4], frame_rows=spec[4])
+            got.setdefault(spec, []).append(len(expanded))
+    assert [got[spec] for spec, _, _ in _EXPANSIONS] == [
+        [now, before] for _, now, before in _EXPANSIONS]
+    # fewer wherever a count beyond the row domain stops a table
+    assert [now < before for now, before in got.values()] == (
+        [True] * 12 + [False] * 2)
 
 
 def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
@@ -1262,8 +1277,7 @@ def _is_unimodular_row_ref(ring, values):
                          ids=_KEY_ORDER_IDS + ["F_2xF_2"])
 def test_row_domain_matches_the_boxed_reference(ring):
     # every row of size <= 3: the payload test agrees with the boxed one,
-    # the domain comes out in key order without a sort, and the count of
-    # unimodular rows is its size
+    # and the domain comes out in key order without a sort
     unimodular_row = oracle._unimodular_test(ring)
     for size in range(4):
         table = OrbitTable(ring, "row", FAMILY_LIN, size)
@@ -1277,7 +1291,6 @@ def test_row_domain_matches_the_boxed_reference(ring):
                 want.append(row)
         assert [decode(c) for c in oracle._row_domain(table._codec)] == \
             sorted(want, key=lambda k: _key_order_ref(ring, "row", k))
-        assert oracle._unimodular_count(table._codec) == len(want)
 
 
 @pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
