@@ -51,7 +51,8 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _decoding(what: str):
     """Turn a malformed input (bad JSON, a missing key, a bad integer, an
-    unreadable file, ...) into a usage error; domain errors pass through."""
+    unreadable file or an unwritable one, ...) into a usage error; domain
+    errors pass through."""
     try:
         yield
     except (ArithmeticError, AttributeError, KeyError, IndexError, OSError,
@@ -291,9 +292,11 @@ def _cmd_orbits(args) -> int:
     table = enumerate_orbits(ring, args.kind, args.family, args.size,
                              frame_rows=args.frame_rows, budget=args.budget)
     if args.cache:
-        with open(args.cache, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(table.to_json(), sort_keys=True,
-                                separators=(",", ":")))
+        text = json.dumps(table.to_json(), sort_keys=True,
+                          separators=(",", ":"))
+        with _decoding("--cache"), open(args.cache, "w",
+                                        encoding="utf-8") as fh:
+            fh.write(text)
     sizes = table.orbit_sizes()
     return _emit({"orbits": table.orbit_count(), "sizes": sorted(sizes),
                   "objects": sum(sizes)})

@@ -2,11 +2,11 @@
 of the right generator action on rows and frames, with predecessor links so
 any claimed equivalence can be re-derived as an explicit path word.
 
-Determinism: objects are enumerated in key order (a row domain is the
-product of the elements in ``ring.rank`` order, so it needs no sort),
-generators are ordered by (i, j, parameter rank), and when several frontier
-edges reach the same new object the lowest-ordered (parent, generator) pair
-wins: the frontier is kept in key order, so that pair proposes it first.
+Determinism: objects are enumerated in key order (a row domain is built
+in increasing code order, so it needs no sort), generators are ordered by
+(i, j, parameter rank), and when several frontier edges reach the same new
+object the lowest-ordered (parent, generator) pair wins: the frontier is
+kept in key order, so that pair proposes it first.
 
 A table is kept on integer codes (the numbering of points in orbit
 algorithms; Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -14,9 +14,10 @@ Theory*, 2005, section 4.1).  An entry's digit is its rank, the ring's
 one element order, which ``ring.rank`` and ``ring.unrank`` give in closed
 form over every finite ring, so no codec holds a table of the q elements;
 a key's entries, row by row, are the digits of one base-q integer, most
-significant first, so integer order is key order.  A row domain is
-generated as codes: the k-th tuple of the product of the elements in rank
-order has code k.
+significant first, so integer order is key order.  A row is unimodular
+iff it lies in no maximal ideal M, so a row domain is built as the
+complement of the rows over each M: their codes, the product of M's ranks,
+come out increasing, and the domain is the ranges between the merged codes.
 
 A row table's BFS starts from its whole domain, which the generators keep
 (a code outside it, a codec defect, is refused when it is committed).
@@ -38,19 +39,21 @@ bound on its size (``_frame_orbit_exponent``), and over the zero ring,
 where every table is one object, one of more entries than the budget is
 refused (``_check_entries``).
 
-A generator acts on each row alone, (V.g)_k = V_k.g, so the catalog
-compiles once on one row into updates from ``Generator._triples``: one
-whose source digit x is nonzero adds (rank(a + x*c) - a) * q^k, a being
-the target digit.  A row code expands by runs of generators on the same
-positions, one run per (i, j), in catalog order, so the tie rule needs no
-sort; a run whose sources are all zero is skipped.  A frame of several
-rows memoizes, per (row position, row code), the row's delta under every
-generator.  The table's links hold every object reached or proposed, so
-an image is proposed (linked and listed) only if it is not there, one
-lookup, and the first proposal stands; each level sorts its list of fresh
-codes into the next frontier.  Digits come from two memoized half codes,
-and the rows rank(a + .) and rank(x * .) of an entry are built with the
-first half that holds it.
+The catalog checks each (i, j) once.  A generator acts on each row alone,
+(V.g)_k = V_k.g, so it compiles on one row into updates from
+``Generator._triples``: one whose source digit x is nonzero adds
+(rank(a + x*c) - a) * q^k, a being the target digit.  A row code expands
+by runs of generators on the same positions, one run per (i, j), in
+catalog order, so the tie rule needs no sort; a run whose sources are all
+zero is skipped.  A run compiles its first member and reads the others'
+coefficient ranks off their triples.  A frame of several rows
+memoizes, per (row position, row code), the row's delta under every
+generator.  The table's links hold every object reached or proposed, so an
+image is proposed (linked and listed) only if it is not there, one lookup,
+and the first proposal stands; each level sorts its list of fresh codes
+into the next frontier.  Digits come from two memoized half codes, and the
+rows rank(a + .) and rank(x * .) of an entry are built with the first half
+that holds it.
 
 When the BFS ends its code dicts are the table, with nothing decoded; the
 payload-keyed ``orbit_of``, ``pred`` and ``reps`` are read-only views,
@@ -70,11 +73,11 @@ generator once, and checks each link on the rows its JSON gives.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections import Counter
 from functools import cache, cached_property
-from math import gcd
 from types import MappingProxyType
 
 from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
@@ -84,36 +87,48 @@ from .matrices import Mat
 from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
                     has_half, ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    paired_index)
+                    _gen, paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _unimodular_test(ring: Ring):
-    """The test whether a row of payloads generates the unit ideal, with
-    the ring's case decided once: only the fallback of a non-local ring
-    that is no Z/m boxes the entries."""
-    if ring.is_zero_ring:
-        return lambda payloads: True
-    if ring.is_local:
-        is_unit = ring.is_unit_payload
-        return lambda payloads: any(map(is_unit, payloads))
-    modulus = _residue_modulus(ring)
-    if modulus is None:
-        return lambda payloads: unit_ideal_witness(
-            ring, [RingValue(ring, p) for p in payloads]) is not None
-    return lambda payloads: gcd(modulus, *payloads) == 1
-
-
 def _row_domain(codec: "_Codec") -> list:
-    """The codes of every unimodular row of the codec's width, in
-    increasing order: the k-th tuple of the product of the elements in rank
-    order has code k, so no row is encoded."""
-    values = list(map(codec.unrank, range(codec.q)))
-    return list(itertools.compress(itertools.count(), map(
-        _unimodular_test(codec.ring),
-        itertools.product(values, repeat=codec.width))))
+    """The codes of every unimodular row of the codec's width, increasing:
+    the complement of the rows inside a maximal ideal (see the module
+    docstring), over Z/m the multiples of a prime p | m, whose residues are
+    their own ranks (Z/1 has no p, so its one row stays), and over a local
+    ring its non-units.  Any other finite ring tests each row."""
+    ring, q, n = codec.ring, codec.q, codec.width
+    if (m := _residue_modulus(ring)) is not None:
+        ideals, rest, p = [], m, 2  # the primes p | m, by trial division
+        while p * p <= rest:
+            if rest % p == 0:
+                ideals.append(range(0, m, p))
+                while rest % p == 0:
+                    rest //= p
+            p += 1
+        ideals += [range(0, m, rest)] if rest > 1 else []
+    elif ring.is_local:
+        unit, unrank = ring.is_unit_payload, codec.unrank
+        ideals = [[r for r in range(q) if not unit(unrank(r))]]
+    else:
+        values = list(map(codec.unrank, range(q)))
+        return list(itertools.compress(itertools.count(), (
+            unit_ideal_witness(ring, [RingValue(ring, p) for p in row])
+            is not None for row in itertools.product(values, repeat=n))))
+    inside = []  # per ideal, the codes of its rows, increasing
+    for ranks in ideals:
+        codes = [0]
+        for _ in range(n):
+            codes = [c + r for c in map(q.__mul__, codes) for r in ranks]
+        inside.append(codes)
+    out, start = [], 0
+    for code in heapq.merge(*inside):  # a code in two ideals comes twice
+        out.extend(range(start, code))
+        start = code + 1
+    out.extend(range(start, q ** n))
+    return out
 
 
 def _power_exceeds(q: int, size: int, budget: int) -> bool:
@@ -173,23 +188,26 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
 
 
 def generator_catalog(ring: Ring, family: str, size: int):
-    """All generators with nonzero parameters, in canonical order."""
+    """All generators with nonzero parameters, in canonical order.  The
+    public ``Generator`` checks never read z, so they run once per (i, j),
+    on its first parameter, and raise the same first error; ``_gen`` builds
+    the pair's other parameters from their payloads."""
     _check_paired_size(family, size)
     zero = ring.zero().payload
-    nonzero = [RingValue(ring, p) for p in map(
-        ring.unrank, range(ring.cardinality())) if p != zero]
+    nonzero = [p for p in map(ring.unrank, range(ring.cardinality()))
+               if p != zero]
     if not nonzero:
         # the zero ring: no parameter, so no generator at any size
         return []
+    first, rest = RingValue(ring, nonzero[0]), nonzero[1:]
     gens = []
     for i in range(1, size + 1):
         for j in range(1, size + 1):
-            if i == j:
+            if i == j or family == FAMILY_ORTH and i == paired_index(j):
                 continue
-            if family == FAMILY_ORTH and i == paired_index(j):
-                continue
-            for z in nonzero:
-                gens.append(Generator(family, i, j, z, size))
+            gens.append(Generator(family, i, j, first, size))
+            for p in rest:
+                gens.append(_gen(family, i, j, ring, p, size))
     return gens
 
 
@@ -330,25 +348,31 @@ class _Codec:
             out.append(delta * place)
         return out
 
+    def _runs(self, gens):
+        """Per run of ``gens`` on one (i, j): its members, and the first's
+        compiled updates, whose positions the others share."""
+        for _, run in itertools.groupby(gens, operator.itemgetter(1, 2)):
+            run = list(run)
+            yield run, self.compile(run[0])
+
     def expander(self, gens):
         """``expand(node, link, fresh)``: each image of the object with code
         ``node`` under ``gens``, in their order, that is no key of ``link``
         (reached or proposed) is linked there to (node, g), g the first
-        generator that gives it, and appended to the list ``fresh``."""
+        generator that gives it, and appended to the list ``fresh``.  Each
+        run of ``gens`` on one (i, j) compiles once (``_runs``)."""
         if self.rows > 1:
             return self._frame_expander(gens)
         # (source, target, weight, members, their coefficient ranks, and
         # None, or the same four for a second update) per run
-        flat = []
-        for places, steps in itertools.groupby(
-                ((g, self.compile(g)) for g in gens),
-                key=lambda step: [u[:3] for u in step[1]]):
-            steps = list(steps)
-            assert len(places) <= 2, "a generator of three updates on a row"
-            second = None if len(places) == 1 else (
-                *places[1], [u[1][3] for _, u in steps])
-            flat.append((*places[0], [g for g, _ in steps],
-                         [u[0][3] for _, u in steps], second))
+        flat, rank = [], self.rank
+        for run, first in self._runs(gens):
+            assert len(first) <= 2, "a generator of three updates on a row"
+            # the members' coefficient ranks, per update, off their triples
+            cols = [[rank(g._triples[k][2]) for g in run]
+                    for k in range(len(first))]
+            second = None if len(first) == 1 else (*first[1][:3], cols[1])
+            flat.append((*first[0][:3], run, cols[0], second))
         zero, _, add, mul, digits, _ = self._arith
 
         def expand(node, link, fresh):
@@ -386,8 +410,14 @@ class _Codec:
         return expand
 
     def _frame_expander(self, gens):
-        """``expander`` for a frame of several rows."""
-        compiled = [self.compile(g) for g in gens]
+        """``expander`` for a frame of several rows: each generator's
+        updates, with the positions of its run's first."""
+        rank, compiled = self.rank, []
+        for run, first in self._runs(gens):
+            compiled.append(first)
+            for g in run[1:]:
+                compiled.append([(s, t, w, rank(c)) for (s, t, w, _), (_, _, c)
+                                 in zip(first, g._triples)])
         rows, base, build = self.rows, self.q ** self.width, self.row_deltas
         plus = operator.add
         # memo[r]: row code at position r -> its scaled deltas

@@ -44,6 +44,8 @@ correction (``factor._block_gens``), the row lemmas' words (transvections,
 common perpendiculars, the quotient lift and its residual clearing), and
 the orthogonal corner conjugation and hyperbolic square (whose first
 move, on the caller's parameter, is built by ``Generator`` for its checks).
+The oracle's catalog builds the first parameter of each (i, j) with
+``Generator`` and the others, which the checks never read, with ``_gen``.
 The public constructors and ``word_from_pairs`` keep every check.
 
 A product by a short word costs O(len(w) * rows) ring operations, against

@@ -408,6 +408,20 @@ def test_orbit_cache_bytes_are_golden(capsys, tmp_path):
         "5b7be2fc5b95ae58c0a2f2524825eda48f917d669d37e4526d295de799449912"
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_unwritable_cache_is_malformed_input(capsys, tmp_path, where):
+    # the table is built, then the write fails: exit 1 with one line on
+    # stderr and nothing on stdout, not a traceback
+    cache = tmp_path if where == "a directory" else (
+        tmp_path / "missing" / "x.json")
+    code = main(["orbits", "--ring", "mod:4", "--size", "2",
+                 "--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("usage error: malformed --cache: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_certify_refuses_a_tampered_table(capsys, tmp_path):
     # a cached table whose orbit ids contradict its own pred links is
     # refused with exit 2 instead of answering "not equivalent"

@@ -20,7 +20,8 @@ from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
                        QuotientRing, RingValue, TruncatedPolyLocal,
                        _PolyRemainders, _residue_modulus, unit_ideal_witness)
-from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, apply_word_to_row
+from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator,
+                       apply_word_to_row, paired_index)
 
 from conftest import local_test_rings, within
 
@@ -43,6 +44,39 @@ def test_size_one_no_generators():
     Z3 = ModularRing(3)
     table = enumerate_orbits(Z3, "row", FAMILY_LIN, 1)
     assert table.orbit_count() == 2  # units 1 and 2, each its own orbit
+
+
+def _catalog_ref(ring, family, size):
+    # reference: the catalog as built before, every generator through the
+    # public constructor and its checks
+    if family != FAMILY_LIN and size % 2:
+        raise BadIndices(f"{family} generators need even size")
+    params = [RingValue(ring, ring.unrank(r))
+              for r in range(ring.cardinality())]
+    return [Generator(family, i, j, z, size)
+            for i, j in itertools.permutations(range(1, size + 1), 2)
+            if family != FAMILY_ORTH or i != paired_index(j)
+            for z in params if not z.is_zero()]
+
+
+@pytest.mark.parametrize("ring", [ModularRing(1), ModularRing(4),
+                                  ModularRing(9), PrimeField(5),
+                                  TruncatedPolyLocal(2, 2)],
+                         ids=["Z/1", "Z/4", "Z/9", "F_5", "F_2[x]/(x^2)"])
+def test_the_catalog_matches_the_public_constructor(ring):
+    # the catalog checks each (i, j) once and builds the rest unchecked:
+    # the same generators in the same order, or the same first error (orth
+    # without 1/2; odd paired sizes, also size 1, which has no pair)
+    for family, size in itertools.product(
+            (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH), range(1, 7)):
+        try:
+            want = _catalog_ref(ring, family, size)
+        except (BadIndices, HalfNotInvertible) as exc:
+            with pytest.raises(type(exc)) as info:
+                oracle.generator_catalog(ring, family, size)
+            assert info.value.message == exc.message
+            continue
+        assert oracle.generator_catalog(ring, family, size) == want
 
 
 @pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
@@ -1261,8 +1295,8 @@ def test_a_bad_entry_raises_at_each_load_as_before():
 
 
 def _is_unimodular_row_ref(ring, values):
-    # reference: the test on boxed values that the row domain used before
-    # it read payloads
+    # reference: the per-row test on boxed values that the row domain ran
+    # before it was built as the complement of the maximal-ideal rows
     if ring.is_zero_ring:
         return True
     if ring.is_local:
@@ -1273,24 +1307,38 @@ def _is_unimodular_row_ref(ring, values):
     return gcd(modulus, *(v.payload for v in values)) == 1
 
 
-@pytest.mark.parametrize("ring", _KEY_ORDER_RINGS + [F2xF2],
-                         ids=_KEY_ORDER_IDS + ["F_2xF_2"])
-def test_row_domain_matches_the_boxed_reference(ring):
-    # every row of size <= 3: the payload test agrees with the boxed one,
-    # and the domain comes out in key order without a sort
-    unimodular_row = oracle._unimodular_test(ring)
-    for size in range(4):
+# Z/8 and Z/9 are local but no fields, Z/30 has three primes; the largest
+# row size is 3 unless given here
+_ROW_DOMAIN_RINGS = _KEY_ORDER_RINGS + [F2xF2, ModularRing(8), ModularRing(9),
+                                        ModularRing(30)]
+_ROW_DOMAIN_IDS = _KEY_ORDER_IDS + ["F_2xF_2", "Z/8", "Z/9", "Z/30"]
+_ROW_DOMAIN_LARGEST = {"Z/6": 4, "Z/8": 4, "Z/30": 2}
+
+
+@pytest.mark.parametrize("ring, name",
+                         zip(_ROW_DOMAIN_RINGS, _ROW_DOMAIN_IDS),
+                         ids=_ROW_DOMAIN_IDS)
+def test_row_domain_matches_the_boxed_reference(ring, name):
+    # every row of each size: the domain holds the rows the boxed test
+    # passes, and comes out in key order without a sort
+    for size in range(_ROW_DOMAIN_LARGEST.get(name, 3) + 1):
         table = OrbitTable(ring, "row", FAMILY_LIN, size)
         decode = table._codec.decoder()
-        want = []
-        for combo in itertools.product(list(ring.elements()), repeat=size):
-            row = tuple(v.payload for v in combo)
-            unimodular = _is_unimodular_row_ref(ring, combo)
-            assert unimodular_row(row) == unimodular, row
-            if unimodular:
-                want.append(row)
+        want = [tuple(v.payload for v in combo) for combo in
+                itertools.product(list(ring.elements()), repeat=size)
+                if _is_unimodular_row_ref(ring, combo)]
         assert [decode(c) for c in oracle._row_domain(table._codec)] == \
             sorted(want, key=lambda k: _key_order_ref(ring, "row", k))
+
+
+def test_the_size_one_domain_of_a_large_modulus_is_its_units():
+    # Z/(2 * 99,991): the multiples of 2 and of the prime 99,991 are merged
+    # out of the ranks, leaving phi(m) = 99,990 codes, the units' ranks
+    m = 2 * 99991
+    table = OrbitTable(ModularRing(m), "row", FAMILY_LIN, 1)
+    domain = oracle._row_domain(table._codec)
+    assert len(domain) == 99990
+    assert domain == [r for r in range(m) if gcd(r, m) == 1]
 
 
 @pytest.mark.parametrize("ring", _KEY_ORDER_RINGS, ids=_KEY_ORDER_IDS)
