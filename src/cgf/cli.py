@@ -486,6 +486,10 @@ def _cmd_harness(args) -> int:
 # once, so only in-process callers that call it repeatedly gain.  Every
 # default the tree holds is immutable and a usage error raises instead of
 # exiting (``--help`` still exits), so a parse leaves no state behind.
+# An argv that starts with a verb is parsed by that verb's parser alone,
+# found in ``verbs``: the whole tree would hand it the same rest of the
+# argv, and any parser that fails raises the same usage error.  Every
+# other argv (empty, a leading option, an unknown word) takes the tree.
 @functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="cgf", description=__doc__)
@@ -598,13 +602,24 @@ def _build_parser() -> _Parser:
     sp.add_argument("--corrupt", action="store_true",
                     help="negative control: corrupt one expectation")
     sp.set_defaults(fn=_cmd_harness)
+    p.verbs = sub.choices  # verb name -> its parser
     return p
 
 
-def main(argv=None) -> int:
+def _parse(argv: list):
+    """The namespace the whole tree gives ``argv``, ``command`` among it."""
     parser = _build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args = verb.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1

@@ -34,8 +34,10 @@ for sp frames of two rows the hyperbolic pairs (u, v) with <u, v> = 1,
 |Um_s| q^(s - 1) of them.  A frame is counted only when q^s is at most the
 budget; every other frame runs to the end.  These counts bound an orbit
 from above, so they only stop a BFS early and refuse nothing.  An
-oversized frame table is refused before its catalog exists by a lower
-bound on its size (``_frame_orbit_exponent``), and over the zero ring,
+oversized frame table is refused before its catalog exists by its exact
+size where that is proven (``_frame_orbit_count``: lin over a local ring
+whose residue field has a closed form, sp of whole pairs over a field),
+else by a lower bound (``_frame_orbit_exponent``), and over the zero ring,
 where every table is one object, one of more entries than the budget is
 refused (``_check_entries``).
 
@@ -84,8 +86,9 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
-                    has_half, ring_from_json, unit_ideal_witness)
+from .rings import (Ring, RingValue, TruncatedPolyLocal, _json_int,
+                    _prime_power_base, _residue_modulus, _split, has_half,
+                    ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     _gen, paired_index)
 
@@ -131,17 +134,36 @@ def _row_domain(codec: "_Codec") -> list:
     return out
 
 
-def _power_exceeds(q: int, size: int, budget: int) -> bool:
-    """Whether q ** size > budget, without forming q ** size: for q >= 2
-    the product passes the budget within about log_q(budget) + 1 steps."""
+def _capped_power(q: int, size: int, cap: int) -> int:
+    """q ** size if it is at most ``cap``, else some q ** j past ``cap``,
+    j <= size: for q >= 2 the product passes ``cap`` within about
+    log_q(cap) + 1 steps, so q ** size is never formed."""
     if q <= 1:
-        return q ** min(size, 1) > budget  # 0 ** 0 == 1 ** size == 1
+        return q ** min(size, 1)  # 0 ** 0 == 1 ** size == 1
     count = 1
     for _ in range(size):
-        if count > budget:
-            return True
+        if count > cap:
+            break
         count *= q
-    return count > budget
+    return count
+
+
+def _power_exceeds(q: int, size: int, budget: int) -> bool:
+    """Whether q ** size > budget, without forming q ** size."""
+    return _capped_power(q, size, budget) > budget
+
+
+def _capped_product(factors, cap: int) -> int:
+    """The product of ``factors``, each an int >= 1 that is exact or past
+    ``cap`` (a ``_capped_power``), or the partial product that first
+    passes ``cap``, before any later factor is formed.  It passes ``cap``
+    iff the product of the exact factors does."""
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > cap:
+            break
+    return count
 
 
 def _check_entries(q: int, entries: int, budget: int):
@@ -185,6 +207,54 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
     if family == FAMILY_SP or family == FAMILY_ORTH and has_half(ring):
         return r * (size // 2 - (r + 1) // 2)
     return 0
+
+
+def _residue_size(ring: Ring):
+    """kappa = |R/M| for a finite local ring R whose residue field has a
+    closed form: R itself for a finite field, F_p for Z/p^k and for
+    F_p[x]/(x^e).  None for any other ring."""
+    if ring.is_field:
+        return ring.cardinality()
+    if isinstance(ring, TruncatedPolyLocal):
+        return ring.p
+    m = _residue_modulus(ring)
+    return _prime_power_base(m) if m else None
+
+
+def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
+                       cap: int):
+    """The number of frames in the orbit of the standard frame [I_r | 0],
+    r = ``frame_rows`` and s = ``size``, where it is proven, as a
+    ``_capped_product`` (a number past ``cap`` stands for any count past
+    it); None elsewhere.  q = |R|, kappa = |R/M| (``_residue_size``).
+
+    lin over a finite local ring: SL_s(R) = E_s(R) and, for r < s, acts
+    transitively on the r x s frames whose rows are independent mod M:
+    (q/kappa)^(rs) prod_{i<r} (kappa^s - kappa^i) of them.  At r = s the
+    orbit is SL_s(R), that count over |R*| = (q/kappa)(kappa - 1).  sp
+    over a finite field, r = 2k: Ep_2m = Sp_2m, which by Witt's theorem
+    acts transitively on the frames of k hyperbolic pairs, fixing the
+    standard one on Sp_(2m-2k): |Sp_2m|/|Sp_(2m-2k)| = kappa^(m^2 -
+    (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1) frames."""
+    kappa, q, r, s = _residue_size(ring), ring.cardinality(), frame_rows, size
+    if kappa is None:
+        return None
+    if family == FAMILY_LIN:
+        # prod_{i<r} (kappa^s - kappa^i) = kappa^(r(r-1)/2) prod (kappa^(s-i)
+        # - 1); at r = s the last factor, kappa - 1, goes with |R*|
+        square = int(r == s)
+        return _capped_product(itertools.chain(
+            (_capped_power(q // kappa, r * s - square, cap),
+             _capped_power(kappa, r * (r - 1) // 2, cap)),
+            (_capped_power(kappa, s - i, cap + 1) - 1
+             for i in range(r - square))), cap)
+    if family == FAMILY_SP and q == kappa and r % 2 == 0:
+        m, k = s // 2, r // 2
+        return _capped_product(itertools.chain(
+            (_capped_power(q, m * m - (m - k) ** 2, cap),),
+            (_capped_power(q, 2 * i, cap + 1) - 1
+             for i in range(m - k + 1, m + 1))), cap)
+    return None
 
 
 def generator_catalog(ring: Ring, family: str, size: int):
@@ -781,11 +851,15 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         if frame_rows <= 0 or frame_rows > size:
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
         _check_paired_size(family, size)
-        # refused before the catalog and the standard frame are built; a
+        # refused before the catalog and the standard frame are built, by
+        # the orbit's size where it is proven, else by a lower bound; a
         # one-object table never trips the BFS
-        q = ring.cardinality()
-        k = _frame_orbit_exponent(ring, family, size, frame_rows)
-        if q >= 2 and k >= 1 and _power_exceeds(q, k, budget):
+        q, cap = ring.cardinality(), max(budget, 1)
+        count = _frame_orbit_count(ring, family, size, frame_rows, cap)
+        if count is None:
+            count = _capped_power(q, _frame_orbit_exponent(
+                ring, family, size, frame_rows), cap)
+        if count > cap:
             raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
         _check_entries(q, frame_rows * size, budget)
         table = OrbitTable(ring, "frame", family, size, frame_rows)

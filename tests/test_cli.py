@@ -1,12 +1,15 @@
 """CLI: round trips, exit codes, determinism, harness suites."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -752,6 +755,115 @@ assert (info.misses, info.hits) == (1, 4), info
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+# ---------------------------------------------------------------------------
+# an argv that starts with a verb is parsed by that verb's parser alone
+
+def _outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: its namespace's fields, the usage
+    error it raises, or the exit code and stdout of a help request."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            return "parsed", vars(parse(list(argv)))
+    except cli._UsageError as exc:
+        return "usage error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, printed.getvalue()
+
+
+def _value(rng, action):
+    """A value for ``action``: a choice or not, an integer or not, or a
+    string, some of them shaped like options or negative numbers."""
+    if action.choices:
+        return rng.choice(sorted(action.choices) + ["bogus"])
+    if action.type is int:
+        return rng.choice(["0", "3", "-2", "07", "x", "1.5", ""])
+    return rng.choice(["mod:4", "[1,0]", "[[1,2],[0,1]]", "-1", "v", ""])
+
+
+def _random_argv(rng, verb, parser):
+    """A verb and a shuffle of its options: the required ones mostly there,
+    the others at random, some abbreviated or written with '=', some
+    missing their value, with unknown flags and stray words mixed in."""
+    groups = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:  # harness's suite
+            if rng.random() < 0.9:
+                groups.append([_value(rng, action)])
+            continue
+        if rng.random() > (0.9 if action.required else 0.4):
+            continue
+        flag = action.option_strings[-1]
+        if rng.random() < 0.1:
+            flag = flag[:rng.randrange(3, len(flag) + 1)]
+        if action.nargs == 0:
+            groups.append([flag + "=x" if rng.random() < 0.1 else flag])
+        elif rng.random() < 0.05:
+            groups.append([flag])
+        elif rng.random() < 0.1:
+            groups.append([f"{flag}={_value(rng, action)}"])
+        else:
+            groups.append([flag, _value(rng, action)])
+    for extra, share in (("--bogus", 0.1), ("-x", 0.05), ("extra", 0.05),
+                         ("--", 0.03), ("-h", 0.03)):
+        if rng.random() < share:
+            groups.append([extra])
+    rng.shuffle(groups)
+    return [verb] + [arg for group in groups for arg in group]
+
+
+def _differential_argv():
+    rng = random.Random(35)
+    verbs = cli._build_parser().verbs
+    seeded = [_random_argv(rng, verb, parser)
+              for verb, parser in verbs.items() for _ in range(19)]
+    bad_flavor = [[verb, "--flavor", "bogus", "--ring", "bogus:ring",
+                   "--row" if verb == "reduce-row" else "--matrix", "[[1,0]]"]
+                  for verb in ("reduce-row", "complete", "whitehead")]
+    return ([argv for argv, _ in GOLDEN_WITNESSES.values()]
+            + list(USAGE_ERRORS.values()) + bad_flavor + seeded)
+
+
+def test_a_verb_parser_parses_as_the_whole_tree():
+    argvs = _differential_argv()
+    tree = cli._build_parser().parse_args
+    kinds = Counter()
+    for argv in argvs:
+        got = _outcome(cli._parse, argv)
+        assert got == _outcome(tree, argv), argv
+        kinds[got[0]] += 1
+        if got[0] == "parsed":
+            assert got[1]["command"] == argv[0]
+    assert len(argvs) == 324
+    assert kinds == {"parsed": 138, "usage error": 179, "exit": 7}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help", "orbits"], ["bogus"], ["Orbits"],
+    ["--ring", "mod:4"], ["--ring", "mod:4", "reduce-row"]])
+def test_an_argv_that_does_not_start_with_a_verb_takes_the_tree(argv,
+                                                               monkeypatch):
+    parsers = cli._build_parser().verbs
+    reached = []
+    for verb, parser in parsers.items():
+        monkeypatch.setattr(parser, "parse_args",
+                            lambda args, verb=verb: reached.append(verb))
+    got = _outcome(cli._parse, argv)
+    assert reached == []
+    monkeypatch.undo()
+    assert got == _outcome(cli._build_parser().parse_args, argv)
+    assert got[0] != "parsed"
+
+
+def test_an_argv_that_starts_with_a_verb_skips_the_tree(monkeypatch):
+    parser = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_args", None)  # never called
+    args = cli._parse(["orbits", "--ring", "mod:4", "--size", "2"])
+    assert (args.command, args.ring, args.size) == ("orbits", "mod:4", 2)
+
+
 # sha256 of each harness suite's stdout, recorded before the suites shared
 # one tally: the rng draw order, every field (the localglobal "splits"
 # among them) and the exit code stay as they were
@@ -896,3 +1008,15 @@ def test_a_square_lin_frame_table_is_refused_before_its_catalog(ring,
             "--size", "300", "--frame-rows", "300"]
     assert within(10, lambda: main(argv)) == 2
     assert _REFUSED in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, size", [("lin", "4"), ("sp", "6")])
+def test_a_full_frame_over_f3_is_refused_by_its_count(family, size, capsys):
+    # SL_4(F_3) and Sp_6(F_3) are past the default budget: their exact
+    # sizes refuse them before the catalog, with the BFS's own answer
+    argv = ["orbits", "--ring", "prime:3", "--kind", "frame", "--family",
+            family, "--size", size, "--frame-rows", size]
+    assert within(2, lambda: main(argv)) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "search_budget_exceeded", "context": {},
+        "message": "orbit table exceeded budget 10000000"}

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import threading
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -302,9 +303,8 @@ def test_the_frame_refusal_keeps_the_error_order():
     table = enumerate_orbits(PrimeField(3), "frame", FAMILY_ORTH, 2,
                              frame_rows=1, budget=0)
     assert table.orbit_of == {((1, 0),): 0}
-    # 2^(1·3) = 8 objects at least: the bound refuses a budget of 7, and
-    # the BFS a budget of 8 (the orbit holds all 15 unimodular rows), with
-    # one message
+    # the orbit holds all 15 unimodular rows, at least 2^(1·3) = 8: its
+    # count refuses a budget of 7 and one of 8, with the BFS's message
     with pytest.raises(SearchBudgetExceeded, match="exceeded budget 7$"):
         enumerate_orbits(ModularRing(2), "frame", FAMILY_LIN, 4,
                          frame_rows=1, budget=7)
@@ -727,6 +727,97 @@ _FRAME_SIZES = {
     # every frame of Z/4 lin 2 x 3 (tests/test_domains.py)
     (ModularRing(4), FAMILY_LIN, 3, 2): 2688,
 }
+
+
+# exact frame orbit sizes: lin over a finite local ring whose residue field
+# has a closed form, sp of whole hyperbolic pairs over a finite field
+_COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
+                  ModularRing(4), ModularRing(8), ModularRing(9),
+                  PrimeField(5), TruncatedPolyLocal(2, 2),
+                  TruncatedPolyLocal(3, 2), F4)
+
+
+def _frame_shapes():
+    """(family, size, frame_rows) of every lin frame with s <= 4 and every
+    sp frame of whole pairs with s <= 6."""
+    for size in range(1, 5):
+        for rows in range(1, size + 1):
+            yield FAMILY_LIN, size, rows
+    for size in (2, 4, 6):
+        for rows in range(2, size + 1, 2):
+            yield FAMILY_SP, size, rows
+
+
+def test_the_frame_counts_match_the_tables():
+    # each count against orbit_sizes() on the 73 counted tables of at most
+    # 10,000 frames, each built at a budget of exactly its count (a count
+    # too small would meet the BFS's refusal) and refused one below it;
+    # among them Z/4 lin 2 x 3 (2,688), F_2[x]/(x^2) lin 2 x 2 (48), F_3 sp
+    # 2 x 4 (2,160) and the other counted tables of _FRAME_SIZES
+    checked = Counter()
+    for ring in _COUNTED_RINGS:
+        for family, size, rows in _frame_shapes():
+            count = oracle._frame_orbit_count(ring, family, size, rows,
+                                              10 ** 12)
+            if count is None:  # sp over a ring that is not a field
+                assert family == FAMILY_SP and not ring.is_field, ring
+                continue
+            if count > 10000:
+                continue
+            table = enumerate_orbits(ring, "frame", family, size,
+                                     frame_rows=rows, budget=count)
+            assert table.orbit_sizes() == [count], (ring, family, size, rows)
+            if count >= 2:
+                with pytest.raises(SearchBudgetExceeded,
+                                   match=f"exceeded budget {count - 1}$"):
+                    enumerate_orbits(ring, "frame", family, size,
+                                     frame_rows=rows, budget=count - 1)
+            checked[family] += 1
+    assert checked == {FAMILY_LIN: 63, FAMILY_SP: 10}
+
+
+@pytest.mark.parametrize("ring, family, size, rows", [
+    (ModularRing(6), FAMILY_LIN, 3, 2), (ModularRing(1), FAMILY_LIN, 3, 2),
+    (X2, FAMILY_LIN, 2, 2), (ModularRing(4), FAMILY_SP, 4, 2),
+    (PrimeField(3), FAMILY_SP, 4, 1), (PrimeField(3), FAMILY_ORTH, 4, 2)])
+def test_a_frame_with_no_proven_count_keeps_its_lower_bound(ring, family,
+                                                            size, rows):
+    assert oracle._frame_orbit_count(ring, family, size, rows, 10 ** 7) \
+        is None
+
+
+@pytest.mark.parametrize("ring, family", [
+    (PrimeField(5), FAMILY_SP), (ModularRing(4), FAMILY_LIN),
+    (PrimeField(3), FAMILY_LIN)])
+def test_a_huge_frame_count_is_capped_quickly(ring, family):
+    # neither kappa^(s^2) nor a product of s factors is formed: the count
+    # passes the cap within a few factors
+    size = 10 ** 30
+    got = within(1, lambda: oracle._frame_orbit_count(ring, family, size,
+                                                      size, 10 ** 7))
+    assert 10 ** 7 < got < 10 ** 7 * ring.cardinality() ** 2
+
+
+@pytest.mark.parametrize("budget", [2 ** 10 - 2, 2 ** 10 - 1, 2 ** 10])
+def test_a_count_one_below_a_power_passes_its_cap(budget):
+    # Z/2 lin 1 x 40 has 2^40 - 1 frames, one factor that the cap cuts
+    # off at the first power of 2 past it: 2^10 - 1 must still pass 2^10 - 1
+    assert oracle._frame_orbit_count(ModularRing(2), FAMILY_LIN, 40, 1,
+                                     budget) > budget
+
+
+@pytest.mark.parametrize("family, size", [(FAMILY_LIN, 4), (FAMILY_SP, 6)])
+def test_a_full_frame_over_f3_is_refused_by_its_count(family, size):
+    # SL_4(F_3) has 12,130,560 elements and Sp_6(F_3) 9,170,703,360, both
+    # past the default budget, which the BFS would meet only after holding
+    # 10^7 frames; the lower bounds (3^12 and 1) admit both
+    got = within(2, lambda: enumerate_orbits(PrimeField(3), "frame", family,
+                                             size, frame_rows=size))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == "orbit table exceeded budget 10000000"
+    assert oracle._frame_orbit_count(PrimeField(3), family, size, size,
+                                     10 ** 12) == {
+        FAMILY_LIN: 12130560, FAMILY_SP: 9170703360}[family]
 
 
 def _bounded_table(ring, kind, family, size, frame_rows):
