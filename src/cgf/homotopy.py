@@ -17,7 +17,10 @@ never a dense matmul over R[T] and never an evaluation of W on the identity.
 The checks compare the same exact products: σ(T)·ε becomes σ(T) acted on by
 the word ε, at T and at T = 1.  In word mode no check needs the ε matrix,
 so ``CommuteResult.epsilon_mat`` evaluates the word on its first read;
-d(1) ⊥ I is d(1), substituted once, padded by the identity.
+d(1) ⊥ I is d(1), substituted once per homotopy (``Homotopy.at``), padded
+by the identity.  The commutator corollary reads that d(1) again, and the
+completion W of V, which its matrix keeps (``reduce``), so an engine run
+and a commutator on the same V and d share both.
 
 One flavor table, ``_FLAVORS``, gives each flavor its generator family, its
 group, the frame kind V must have and its completion; ``_commute`` runs the
@@ -126,7 +129,15 @@ class Homotopy:
         return self.poly_ring.base
 
     def at(self, t) -> Mat:
-        return mat_substitute(self.delta_t, self.base_ring.coerce(t))
+        """d(t) over the base ring, substituted once per point and
+        homotopy: the matrix is kept in ``__dict__`` under t's payload, as
+        ``GenWord.eval`` keeps its matrix, so ==, hash and repr ignore it."""
+        t = self.base_ring.coerce(t)
+        kept = self.__dict__.setdefault("_at", {})
+        d_t = kept.get(t.payload)
+        if d_t is None:
+            d_t = kept[t.payload] = mat_substitute(self.delta_t, t)
+        return d_t
 
     def is_word_backed(self) -> bool:
         return self.word is not None

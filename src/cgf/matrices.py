@@ -41,15 +41,21 @@ has a unit entry, and the two-row factorizations read their witnesses off
 that beta.  Z, Z/n and their quotients, the rings ``_residue_modulus``
 names, use extended-gcd column operations (``_right_inverse_integral``).
 
-A matrix is immutable, so ``membership`` decides each group at most once
-per matrix and keeps the answers beside it, like the characteristic
-polynomial.
+A matrix is immutable, so each fact derived from it is decided at most
+once per object and kept in its one memo slot, ``_known``: the
+characteristic polynomial, the inverse, each answer ``membership`` gives,
+each kind of isotropic frame it has passed as, and the completion word
+that ``reduce`` finds for each family.  The memo is keyed on the
+object, never on its value: an equal matrix built again derives each fact
+again.  ==, hash, repr and to_json ignore it, and a derivation that raises
+keeps nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from types import MappingProxyType
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
@@ -57,14 +63,16 @@ from .rings import Ring, RingValue, _residue_modulus, _xgcd, has_half
 
 DET_SIZE_CAP = 12
 
+_NOTHING_KNOWN = MappingProxyType({})  # ``_known`` before the first fact
+
 
 class Mat:
     """An exact rows x cols matrix over one ring of the tower, kept as rows
     of canonical payloads (``_grid``).  ``Mat(ring, entries)`` coerces each
-    entry once; ``entries`` boxes them on the first read and keeps them."""
+    entry once; ``entries`` boxes them on the first read and keeps them,
+    and ``_known`` keeps every fact derived from them (``_kept``)."""
 
-    __slots__ = ("ring", "rows", "cols", "_grid", "_entries", "_cp",
-                 "_groups")
+    __slots__ = ("ring", "rows", "cols", "_grid", "_entries", "_known")
 
     def __init__(self, ring: Ring, entries):
         grid = tuple(tuple(ring.coerce(e).payload for e in row)
@@ -82,9 +90,28 @@ class Mat:
         put(self, "cols", len(grid[0]))
         put(self, "_grid", grid)
         put(self, "_entries", None)
-        put(self, "_cp", None)
-        put(self, "_groups", None)
+        put(self, "_known", _NOTHING_KNOWN)
         return self
+
+    def _kept(self, key, derive, *args):
+        """The fact ``key`` about this matrix: ``derive(*args)`` on the
+        first call, kept in ``_known`` and returned by every later call.  A
+        derivation that raises keeps nothing."""
+        known = self._known
+        if key in known:
+            return known[key]
+        return self._keep(key, derive(*args))
+
+    def _keep(self, key, value):
+        """Keep ``value`` as the fact ``key`` about this matrix; returns
+        it.  ``_known`` is read again here, since a derivation may have
+        kept another fact meanwhile."""
+        known = self._known
+        if known is _NOTHING_KNOWN:
+            object.__setattr__(self, "_known", {key: value})
+        else:
+            known[key] = value
+        return value
 
     @staticmethod
     def _box(ring: Ring, rows) -> "Mat":
@@ -215,12 +242,10 @@ class Mat:
         """Payloads (1, c_1, ..., c_n) of the characteristic polynomial
         det(xI - A) = x^n + c_1 x^(n-1) + ... + c_n, computed once per
         matrix (a Mat is immutable), so det() and inverse() share it."""
-        if self._cp is None:
-            object.__setattr__(self, "_cp", tuple(self._berkowitz()))
-        return self._cp
+        return self._kept("charpoly", self._berkowitz)
 
-    def _berkowitz(self) -> list:
-        """The characteristic polynomial's payloads [1, c_1, ..., c_n].
+    def _berkowitz(self) -> tuple:
+        """The characteristic polynomial's payloads (1, c_1, ..., c_n).
 
         Berkowitz: the polynomial of each leading (k+1) x (k+1) block is a
         Toeplitz matrix with first column [1, -a_kk, -R C, -R M C, ...,
@@ -244,7 +269,7 @@ class Mat:
             poly = poly[:1] + [
                 dot(poly[i] if i <= k else zero, poly[i - 1::-1], toeplitz)
                 for i in range(1, k + 2)]
-        return poly
+        return tuple(poly)
 
     def det(self) -> RingValue:
         c_n = RingValue(self.ring, self._charpoly()[-1])
@@ -260,8 +285,14 @@ class Mat:
         is found.  Elsewhere it is the adjugate: by Cayley-Hamilton,
         adj(A) = (-1)^(n-1) (A^(n-1) + c_1 A^(n-2) + ... + c_(n-1) I),
         evaluated by Horner.
+
+        It is computed once per matrix and kept (``_kept``); the size
+        guard runs on every call.
         """
         self._require_det_size()
+        return self._kept("inverse", self._derive_inverse)
+
+    def _derive_inverse(self) -> "Mat":
         try:
             beta = _solve_right_inverse(self)
         except NotRightInvertible:
@@ -394,9 +425,11 @@ def membership(a: Mat, group: str) -> bool:
     """Exact membership test for GL, SL, Sp, O, SO.
 
     Each group is decided at most once per matrix: the answer is kept in
-    the matrix's ``_groups`` slot, which ==, hash, repr and to_json ignore,
-    and a later call on the same object returns it.  A call that raises
-    keeps nothing.
+    the matrix's ``_known`` memo (``Mat._kept``), which ==, hash, repr and
+    to_json ignore, and a later call on the same object returns it.  A
+    call that raises keeps nothing.  ``reduce``'s frame completions also
+    keep the answer for a square frame, whose completion they have just
+    checked in the group and found equal to it.
 
     SO over R[T] is O with det a(0) = 1, read off the constant terms by a
     determinant over R: for a in O, a^t phi a = phi gives (det a)^2 = 1, so
@@ -407,15 +440,7 @@ def membership(a: Mat, group: str) -> bool:
     argument repeats down a tower R[T][S].  When a(0) is the identity,
     det a(0) = 1 needs no determinant; any other a(0), and every a over a
     ring that is no R[T], takes the determinant."""
-    known = a._groups
-    if known is not None and group in known:
-        return known[group]
-    ok = _decide_membership(a, group)
-    if known is None:
-        object.__setattr__(a, "_groups", {group: ok})
-    else:
-        known[group] = ok
-    return ok
+    return a._kept(group, _decide_membership, a, group)
 
 
 def _decide_membership(a: Mat, group: str) -> bool:
@@ -556,7 +581,11 @@ def right_inverse(a: Mat) -> RightInverseCert:
 
 @dataclass(frozen=True)
 class IsotropicFrame:
-    """A 2n x 2m right-invertible V with V F_m V^t = F_n for F in {psi, phi}."""
+    """A 2n x 2m right-invertible V with V F_m V^t = F_n for F in {psi, phi}.
+
+    The guards run on every construction; the form identity is checked
+    once per matrix and kind, and a matrix that passes keeps that fact
+    (``Mat._keep``), so a second frame on the same matrix reads it."""
 
     mat: Mat
     kind: str  # "sp" | "orth"
@@ -569,8 +598,11 @@ class IsotropicFrame:
             raise ShapeMismatch("frame kind must be sp or orth")
         if self.kind == "orth" and not has_half(V.ring):
             raise HalfNotInvertible(f"orthogonal frames need 1/2 in {V.ring}")
-        if not _gram_is_form(V, _form(self.kind, V.transpose())):
-            raise FormViolation("V F_m V^t != F_n")
+        key = ("frame", self.kind)
+        if key not in V._known:
+            if not _gram_is_form(V, _form(self.kind, V.transpose())):
+                raise FormViolation("V F_m V^t != F_n")
+            V._keep(key, True)
 
     @property
     def n_pairs(self) -> int:

@@ -36,7 +36,8 @@ budget; every other frame runs to the end.  These counts bound an orbit
 from above, so they only stop a BFS early and refuse nothing.  An
 oversized frame table is refused before its catalog exists by its exact
 size where that is proven (``_frame_orbit_count``: lin over a local ring
-whose residue field has a closed form, sp of whole pairs over a field),
+whose residue field has a closed form, sp of whole pairs over a field,
+square orth over a field of odd order),
 else by a lower bound (``_frame_orbit_exponent``), and over the zero ring,
 where every table is one object, one of more entries than the budget is
 refused (``_check_entries``).
@@ -235,7 +236,12 @@ def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
     over a finite field, r = 2k: Ep_2m = Sp_2m, which by Witt's theorem
     acts transitively on the frames of k hyperbolic pairs, fixing the
     standard one on Sp_(2m-2k): |Sp_2m|/|Sp_(2m-2k)| = kappa^(m^2 -
-    (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1) frames."""
+    (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1) frames.  orth over a finite
+    field of odd order, r = s = 2m, m >= 2: the orbit of I is EO_2m(F_q) =
+    Omega+_2m(q), of index 2 in SO+_2m(q) (D. E. Taylor, *The Geometry of
+    the Classical Groups*, 1992): q^(m(m-1)) (q^m - 1) prod_{0<i<m}
+    (q^(2i) - 1) / 2 frames, the half taken of q^m - 1, which is even, and
+    only while it is exact."""
     kappa, q, r, s = _residue_size(ring), ring.cardinality(), frame_rows, size
     if kappa is None:
         return None
@@ -254,6 +260,13 @@ def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
             (_capped_power(q, m * m - (m - k) ** 2, cap),),
             (_capped_power(q, 2 * i, cap + 1) - 1
              for i in range(m - k + 1, m + 1))), cap)
+    if family == FAMILY_ORTH and q == kappa and q % 2 and r == s >= 4:
+        m = s // 2
+        # q^m - 1 is exact up to 2 cap + 1, and past that its half passes cap
+        return _capped_product(itertools.chain(
+            (_capped_power(q, m * (m - 1), cap),
+             (_capped_power(q, m, 2 * cap + 2) - 1) // 2),
+            (_capped_power(q, 2 * i, cap + 1) - 1 for i in range(1, m))), cap)
     return None
 
 

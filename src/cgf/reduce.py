@@ -27,6 +27,11 @@ window (distinct, in range, never a pair (i, pair(i)) for orth), ``emit``
 skips zero parameters, and an orthogonal reduction only runs on an
 ``IsotropicFrame`` or an O-member, which have 1/2.  The word limit is still
 checked, with its message.
+
+A completion is found once per matrix and family: the word is kept in the
+input matrix's memo (``Mat._kept``) and returned by a later call on the
+same object, after that call's own guards and with the word limit checked
+again, so a lowered ``CGF_WORD_LIMIT`` raises as a fresh call would.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .errors import (FormViolation, NoUnitEntry, NotLocal, NotRightInvertible,
 from .matrices import IsotropicFrame, Mat, membership
 from .rings import Ring, RingValue
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
-                    _gen, _rebuilt)
+                    _check_length, _gen, _rebuilt)
 
 
 def _require_local(ring: Ring, what: str):
@@ -171,6 +176,16 @@ def reduce_row_symplectic(v: Mat) -> GenWord:
 # ---------------------------------------------------------------------------
 # completions
 
+def _kept_completion(mat: Mat, family: str, complete, *args) -> GenWord:
+    """The completion word of ``mat`` in ``family``: ``complete(*args)`` on
+    the first call, kept on the matrix.  Every call measures the word
+    against the word limit, the one check a fresh call could answer
+    differently."""
+    word = mat._kept(("complete", family), complete, *args)
+    _check_length(len(word))
+    return word
+
+
 def complete_um_linear(v: Mat) -> GenWord:
     """A word W with eval(W) elementary and first n rows equal to V.
 
@@ -179,13 +194,16 @@ def complete_um_linear(v: Mat) -> GenWord:
     right-invertible), then its leading entries are cleared against the
     fresh pivot.
     """
-    ring = v.ring
-    _require_local(ring, "linear completion")
-    n, m = v.rows, v.cols
-    if m < 2:
+    _require_local(v.ring, "linear completion")
+    if v.cols < 2:
         raise SizeBound("completion needs m >= 2")
-    if n > m:
+    if v.rows > v.cols:
         raise NotRightInvertible("more rows than columns")
+    return _kept_completion(v, FAMILY_LIN, _complete_linear, v)
+
+
+def _complete_linear(v: Mat) -> GenWord:
+    ring, n, m = v.ring, v.rows, v.cols
     red = _Reduction(v, FAMILY_LIN)
     work, one, zero = red.rows, red.one, red.zero
     for i in range(n):
@@ -213,17 +231,28 @@ def complete_um_linear(v: Mat) -> GenWord:
 
 def _complete_frame(frame: IsotropicFrame, family: str, group: str,
                     name: str) -> GenWord:
-    """The tail both frame completions share: the frame's pairs reduced,
-    the word inverted and evaluated, its leading rows compared with the
-    frame, then its matrix checked in ``group``."""
-    red = _Reduction(frame.mat, family)
+    """The tail both frame completions share, kept on the frame's matrix
+    (``_kept_completion``): the frame's pairs reduced, the word inverted
+    and evaluated, its leading rows compared with the frame, then its
+    matrix checked in ``group``.  A square frame is that matrix, so it
+    keeps the group's answer too."""
+    return _kept_completion(frame.mat, family, _complete_pairs, frame,
+                            family, group, name)
+
+
+def _complete_pairs(frame: IsotropicFrame, family: str, group: str,
+                    name: str) -> GenWord:
+    mat = frame.mat
+    red = _Reduction(mat, family)
     red.pairs(frame.n_pairs)
     word = red.word().invert()
     got = word.eval()
-    if got._grid[:2 * frame.n_pairs] != frame.mat._grid:
+    if got._grid[:mat.rows] != mat._grid:
         raise FormViolation("internal: completion lost the frame rows")
     if not membership(got, group):
         raise FormViolation(f"internal: completion left the {name} group")
+    if mat.rows == mat.cols:
+        mat._keep(group, True)
     return word
 
 

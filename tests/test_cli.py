@@ -1020,3 +1020,15 @@ def test_a_full_frame_over_f3_is_refused_by_its_count(family, size, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "code": "search_budget_exceeded", "context": {},
         "message": "orbit table exceeded budget 10000000"}
+
+
+def test_a_square_orth_frame_over_f5_is_refused_by_its_count(capsys):
+    # EO_6(F_5), about 1.45 * 10^10 frames, is refused by its exact size
+    # before the catalog; its lower bound admitted it, and the BFS ran for
+    # minutes
+    argv = ["orbits", "--ring", "prime:5", "--kind", "frame", "--family",
+            "orth", "--size", "6", "--frame-rows", "6"]
+    assert within(2, lambda: main(argv)) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "search_budget_exceeded", "context": {},
+        "message": "orbit table exceeded budget 10000000"}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import reference as ref
-from cgf import homotopy, matrices, words
+from cgf import homotopy, matrices, reduce, words
 from cgf.errors import (DegreeCapExceeded, FormViolation, NotLocal, SizeBound,
                         SizeLimit)
 from cgf.factor import _block_gens, whitehead_linear, whitehead_symplectic
@@ -985,3 +985,73 @@ def test_orthogonal_commute_certifies_past_the_determinant_cap():
     assert res.sigma_t.rows == 14 and res.witness.all_passed()
     with pytest.raises(SizeLimit):
         _constant_terms(res.sigma_t).det()
+
+
+# ---------------------------------------------------------------------------
+# each input is derived once per op: d(t) is kept by the homotopy, and the
+# completion of V by V's matrix
+
+def _fresh_inputs(d, v):
+    """A new homotopy and a new V with the same values, sharing nothing
+    that either keeps."""
+    word = GenWord.from_json(d.word.to_json())
+    fresh_d = Homotopy.from_word(d.flavor, word)
+    fresh_v = (Mat._box(v.ring, v._grid) if isinstance(v, Mat)
+               else IsotropicFrame(Mat._box(v.mat.ring, v.mat._grid), v.kind))
+    return fresh_d, fresh_v
+
+
+def test_at_keeps_each_point_and_matches_a_fresh_substitution():
+    rng = random.Random(113)
+    for ring in (ModularRing(9), PrimeField(5)):
+        d = _linear_homotopy(rng, ring, 3, 3)
+        fresh = Mat._box(d.delta_t.ring, d.delta_t._grid)
+        for t in (1, 0, 2, ring.one(), 4):
+            got = d.at(t)
+            assert d.at(t) is got
+            assert got.to_json() == mat_substitute(
+                fresh, ring.coerce(t)).to_json()
+        assert d.at(0).is_identity()
+        assert d.at(ring.one()) is d.at(1)
+        assert len(d.__dict__["_at"]) == 4
+        # the kept matrices are no field: ==, hash and repr ignore them
+        again = Homotopy.from_word("linear", d.word)
+        assert again == d and hash(again) == hash(d)
+        assert repr(again) == repr(d)
+
+
+def test_commute_then_commutator_derive_each_input_once(monkeypatch):
+    # on the golden cases the engine and then the commutator on the same V
+    # complete V once and substitute d(1) once, and their bytes equal the
+    # ones that fresh inputs give, which share nothing
+    runs = []
+    for name in ("_complete_linear", "_complete_pairs"):
+        real = getattr(reduce, name)
+        monkeypatch.setattr(reduce, name,
+                            lambda *a, real=real: runs.append("W") or real(*a))
+    substitute = homotopy.mat_substitute
+    monkeypatch.setattr(homotopy, "mat_substitute",
+                        lambda m, t: runs.append(("at", id(m), t.payload))
+                        or substitute(m, t))
+    squares = 0
+    for d, v, flavor, square in _golden_homotopies():
+        fresh_d, fresh_v = _fresh_inputs(d, v)
+        want = [json.dumps(_ENTRIES[flavor](fresh_d, fresh_v)
+                           .witness.to_json(), sort_keys=True)]
+        if square:
+            b = fresh_v if flavor == "linear" else fresh_v.mat
+            want.append(json.dumps(commutator_witness(fresh_d, b).to_json(),
+                                   sort_keys=True))
+        runs.clear()
+        got = [json.dumps(_ENTRIES[flavor](d, v).witness.to_json(),
+                          sort_keys=True)]
+        if square:
+            b = v if flavor == "linear" else IsotropicFrame(v.mat, "sp").mat
+            got.append(json.dumps(commutator_witness(d, b).to_json(),
+                                  sort_keys=True))
+            squares += 1
+        assert got == want
+        one = d.base_ring.one().payload
+        assert runs.count("W") == 1
+        assert runs.count(("at", id(d.delta_t), one)) == 1
+    assert squares == 4

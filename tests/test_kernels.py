@@ -347,7 +347,9 @@ def test_form_paths_count_products(monkeypatch):
     # (n(n+1)/2 entries for an n x n result), the form inverses none, and
     # the frame's right inverse only its certificate's check alpha @ beta;
     # ``dots`` counts the entries that ring.products computes, and no path
-    # makes a single ring.dot (a determinant or adjugate step would)
+    # makes a single ring.dot (a determinant or adjugate step would).  The
+    # frame check runs on a fresh Mat: ``frame.mat`` keeps its passed check,
+    # so a second frame on it computes nothing
     calls, dots, single = [], [], []
     matmul, products, dot = (Mat.__matmul__, ModularRing.products,
                              ModularRing.dot)
@@ -371,7 +373,9 @@ def test_form_paths_count_products(monkeypatch):
         frame = IsotropicFrame(a.submatrix(0, 2, 0, 4), word.family)
         for fn, args, expected, n_dots in (
                 (membership, (a, group), 0, 10),
-                (IsotropicFrame, (frame.mat, word.family), 0, 3),
+                (IsotropicFrame, (Mat._box(ring, frame.mat._grid),
+                                  word.family), 0, 3),
+                (IsotropicFrame, (frame.mat, word.family), 0, 0),
                 (frame.right_inverse, (), 1, 4),
                 (inverse, (a,), 0, 0)):
             calls.clear()

@@ -585,6 +585,12 @@ def _fresh(a):
     return Mat._box(a.ring, a._grid)
 
 
+def _groups_known(a):
+    """The group answers that a matrix keeps, without its other facts."""
+    return {k: v for k, v in a._known.items()
+            if k in ("GL", "SL", "Sp", "O", "SO")}
+
+
 def _memo_cases(rng):
     """(matrix, groups) for members and non-members of every group, over
     base rings and R[T]."""
@@ -610,7 +616,8 @@ def test_membership_keeps_its_answers_and_they_match_a_fresh_copy():
             first = membership(a, group)
             assert first is membership(a, group) is membership(_fresh(a), group)
             seen.add((group, first))
-        assert a._groups == {g: membership(_fresh(a), g) for g in groups}
+        assert _groups_known(a) == {g: membership(_fresh(a), g)
+                                    for g in groups}
         # ==, hash, repr and to_json ignore the kept answers
         fresh = _fresh(a)
         assert a == fresh and hash(a) == hash(fresh)
@@ -627,7 +634,8 @@ def test_o_then_so_on_one_matrix():
         assert membership(a, "O") and not membership(a, "SO")
         b = _pair_swap(ring, 4)
         assert not membership(b, "SO") and membership(b, "O")
-        assert a._groups == b._groups == {"O": True, "SO": False}
+        assert _groups_known(a) == _groups_known(b) == {"O": True,
+                                                        "SO": False}
 
 
 def test_membership_that_raises_keeps_nothing(monkeypatch):
@@ -648,7 +656,93 @@ def test_membership_that_raises_keeps_nothing(monkeypatch):
         with pytest.raises(SizeLimit):
             membership(big, "SL")
     assert calls == ["O", "O", "SL", "SL"]
-    assert a._groups is None and big._groups is None
+    assert not a._known and not big._known
     # a later group that returns is kept beside them
     assert membership(a, "Sp") and membership(big, "Sp")
-    assert a._groups == big._groups == {"Sp": True}
+    assert dict(a._known) == dict(big._known) == {"Sp": True}
+
+
+# ---------------------------------------------------------------------------
+# the inverse and the frame check are kept on the matrix
+
+@pytest.mark.parametrize("ring", _SOLVED_RINGS + _ADJUGATE_RINGS, ids=str)
+def test_inverse_is_kept_and_matches_a_fresh_copy(ring):
+    # a kept inverse is the object the first call returned, and it equals,
+    # byte for byte in to_json, the inverse of a fresh copy; an inverse
+    # that raises keeps nothing and raises the same error again
+    rng = random.Random(f"inverse-memo:{ring}")
+    kept = refused = 0
+    for n in range(1, 6):
+        for m in _inverse_inputs(rng, ring, n):
+            first = ref.outcome(m.inverse)
+            fresh = ref.outcome(_fresh(m).inverse)
+            if isinstance(first, ref.Raised):
+                assert "inverse" not in m._known
+                assert ref.outcome(m.inverse) == first == fresh
+                refused += 1
+                continue
+            assert m.inverse() is first and m._known["inverse"] is first
+            assert first.to_json() == fresh.to_json()
+            kept += 1
+    assert kept and (refused or ring == ModularRing(1))
+
+
+def test_inverse_keeps_its_size_guard():
+    # the guard runs before the memo is read, on every call
+    a = identity(ModularRing(9), 3)
+    assert a.inverse().is_identity()
+    wide = Mat(ModularRing(9), [[1, 0, 0], [0, 1, 0]])
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch):
+            wide.inverse()
+    assert not wide._known
+
+
+def _frame_memo_cases(rng):
+    """(matrix, kind) for frames and non-frames of both kinds."""
+    for ring in (ModularRing(9), PrimeField(5), LocalizedIntegers(3)):
+        for kind, family in (("sp", "sp"), ("orth", FAMILY_ORTH)):
+            for n, m in ((1, 2), (1, 3), (2, 3), (2, 2)):
+                full = random_word(rng, ring, family, 2 * m, 6).eval()
+                top = full.submatrix(0, 2 * n, 0, 2 * m)
+                yield top, kind
+                rows = [list(r) for r in top.entries]
+                rows[0][-1] = rows[0][-1] + ring.one()
+                yield Mat(ring, rows), kind
+
+
+def test_frame_check_is_kept_and_matches_a_fresh_copy():
+    rng = random.Random(37)
+    seen = set()
+    for v, kind in _frame_memo_cases(rng):
+        first = ref.outcome(IsotropicFrame, v, kind)
+        fresh = ref.outcome(IsotropicFrame, _fresh(v), kind)
+        passed = not isinstance(first, ref.Raised)
+        seen.add(passed)
+        if passed:
+            assert not isinstance(fresh, ref.Raised)
+            assert v._known[("frame", kind)] is True
+            assert IsotropicFrame(v, kind).mat is v
+            assert first.mat.to_json() == fresh.mat.to_json()
+        else:
+            # a check that raises keeps nothing, and raises again
+            assert fresh == first
+            assert not v._known
+            assert ref.outcome(IsotropicFrame, v, kind) == first
+    assert seen == {True, False}
+
+
+def test_a_kept_frame_check_still_runs_the_guards():
+    # the shape, kind and 1/2 guards run before the kept check is read
+    v = identity(ModularRing(9), 4).submatrix(0, 2, 0, 4)
+    IsotropicFrame(v, "sp")
+    IsotropicFrame(v, "orth")
+    assert {("frame", "sp"), ("frame", "orth")} <= set(v._known)
+    with pytest.raises(ShapeMismatch):
+        IsotropicFrame(v, "lin")
+    even = identity(ModularRing(4), 4).submatrix(0, 2, 0, 4)
+    IsotropicFrame(even, "sp")
+    for _ in range(2):
+        with pytest.raises(HalfNotInvertible):
+            IsotropicFrame(even, "orth")
+    assert ("frame", "orth") not in even._known

@@ -730,7 +730,8 @@ _FRAME_SIZES = {
 
 
 # exact frame orbit sizes: lin over a finite local ring whose residue field
-# has a closed form, sp of whole hyperbolic pairs over a finite field
+# has a closed form, sp of whole hyperbolic pairs over a finite field, and
+# square orth over a finite field of odd order
 _COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
                   ModularRing(4), ModularRing(8), ModularRing(9),
                   PrimeField(5), TruncatedPolyLocal(2, 2),
@@ -738,29 +739,34 @@ _COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
 
 
 def _frame_shapes():
-    """(family, size, frame_rows) of every lin frame with s <= 4 and every
-    sp frame of whole pairs with s <= 6."""
+    """(family, size, frame_rows) of every lin frame with s <= 4, every
+    sp frame of whole pairs with s <= 6 and the square orth frame of 4."""
     for size in range(1, 5):
         for rows in range(1, size + 1):
             yield FAMILY_LIN, size, rows
     for size in (2, 4, 6):
         for rows in range(2, size + 1, 2):
             yield FAMILY_SP, size, rows
+    yield FAMILY_ORTH, 4, 4
 
 
 def test_the_frame_counts_match_the_tables():
-    # each count against orbit_sizes() on the 73 counted tables of at most
+    # each count against orbit_sizes() on the 76 counted tables of at most
     # 10,000 frames, each built at a budget of exactly its count (a count
     # too small would meet the BFS's refusal) and refused one below it;
     # among them Z/4 lin 2 x 3 (2,688), F_2[x]/(x^2) lin 2 x 2 (48), F_3 sp
-    # 2 x 4 (2,160) and the other counted tables of _FRAME_SIZES
+    # 2 x 4 (2,160), the square orth frames of 4 over F_3 and Z/3 (288) and
+    # F_5 (7,200), and the other counted tables of _FRAME_SIZES
     checked = Counter()
     for ring in _COUNTED_RINGS:
         for family, size, rows in _frame_shapes():
             count = oracle._frame_orbit_count(ring, family, size, rows,
                                               10 ** 12)
-            if count is None:  # sp over a ring that is not a field
-                assert family == FAMILY_SP and not ring.is_field, ring
+            if count is None:  # sp or orth over a ring that is not a
+                # field, and orth over a field of even order
+                assert family != FAMILY_LIN, ring
+                assert not ring.is_field or (family == FAMILY_ORTH
+                                             and ring.cardinality() % 2 == 0)
                 continue
             if count > 10000:
                 continue
@@ -773,7 +779,7 @@ def test_the_frame_counts_match_the_tables():
                     enumerate_orbits(ring, "frame", family, size,
                                      frame_rows=rows, budget=count - 1)
             checked[family] += 1
-    assert checked == {FAMILY_LIN: 63, FAMILY_SP: 10}
+    assert checked == {FAMILY_LIN: 63, FAMILY_SP: 10, FAMILY_ORTH: 3}
 
 
 @pytest.mark.parametrize("ring, family, size, rows", [
@@ -818,6 +824,35 @@ def test_a_full_frame_over_f3_is_refused_by_its_count(family, size):
     assert oracle._frame_orbit_count(PrimeField(3), family, size, size,
                                      10 ** 12) == {
         FAMILY_LIN: 12130560, FAMILY_SP: 9170703360}[family]
+
+
+@pytest.mark.parametrize("ring, size, count", [
+    (PrimeField(3), 4, 288), (PrimeField(5), 4, 7200),
+    (PrimeField(3), 6, 6065280), (PrimeField(5), 6, 14508000000)])
+def test_a_square_orth_frame_count_passes_exactly_the_caps_below_it(
+        ring, size, count):
+    # |EO_2m(F_q)| = q^(m(m-1)) (q^m - 1) prod_{0<i<m} (q^(2i) - 1) / 2: at
+    # every cap near the count, and at every cap up to 400, the count
+    # passes the cap exactly when the exact count does
+    caps = {*range(1, 400), count - 1, count, count + 1, count // 2,
+            2 * count}
+    for cap in caps:
+        got = oracle._frame_orbit_count(ring, FAMILY_ORTH, size, size, cap)
+        assert (got > cap) is (count > cap), cap
+        if count <= cap:
+            assert got == count
+
+
+def test_a_square_orth_frame_over_f5_is_refused_by_its_count():
+    # EO_6(F_5) holds about 1.45 * 10^10 frames, past the default budget;
+    # the lower bound, 1, admits it, and the BFS would run for minutes.
+    # EO_6(F_3), 6,065,280 frames, is within the budget and still admitted
+    got = within(2, lambda: enumerate_orbits(PrimeField(5), "frame",
+                                             FAMILY_ORTH, 6, frame_rows=6))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == "orbit table exceeded budget 10000000"
+    assert oracle._frame_orbit_count(PrimeField(3), FAMILY_ORTH, 6, 6,
+                                     10 ** 7) == 6065280
 
 
 def _bounded_table(ring, kind, family, size, frame_rows):

@@ -471,3 +471,119 @@ def test_completion_then_membership_runs_the_form_check_once(monkeypatch, kind):
         word = complete(frame)
         assert membership(word.eval(), group)
     assert runs == [8, 10]
+
+
+# ---------------------------------------------------------------------------
+# a completion is kept on the input matrix
+
+def _fresh(a):
+    return Mat._box(a.ring, a._grid)
+
+
+def _completion_memo_cases(rng):
+    """(complete, matrix, wrap, family) over local rings: wrap makes the
+    argument of ``complete`` from a matrix."""
+    for ring in (ModularRing(9), PrimeField(5), TruncatedPolyLocal(3, 2)):
+        for n, m in ((1, 3), (2, 3), (2, 4), (3, 3)):
+            v, _ = random_unimodular_rows(rng, ring, n, m, 6)
+            yield complete_um_linear, v, (lambda x: x), "lin"
+        for n, m in ((1, 2), (2, 3), (2, 2), (3, 3)):
+            fr, _ = random_frame(rng, ring, "sp", n, m, 6)
+            yield complete_sp, fr.mat, (lambda x: IsotropicFrame(x, "sp")), \
+                "sp"
+        for n, m in ((1, 3), (2, 4), (1, 4)):
+            fr, _ = random_frame(rng, ring, "orth", n, m, 6)
+            yield complete_orth, fr.mat, \
+                (lambda x: IsotropicFrame(x, "orth")), FAMILY_ORTH
+
+
+def test_completions_are_kept_and_match_a_fresh_copy():
+    rng = random.Random(53)
+    families = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for complete, v, wrap, family in _completion_memo_cases(rng):
+            word = complete(wrap(v))
+            fresh = complete(wrap(_fresh(v)))
+            assert v._known[("complete", family)] is word
+            # a second call on the same matrix, through a new frame object,
+            # returns the kept word
+            assert complete(wrap(v)) is word
+            assert word.to_json() == fresh.to_json()
+            families.add(family)
+    assert families == {"lin", "sp", FAMILY_ORTH}
+
+
+def test_a_square_sp_completion_keeps_the_frame_in_sp(monkeypatch):
+    # the completion of a square frame is the frame's own matrix, which it
+    # has just checked in Sp: the frame keeps that answer, so a later
+    # membership decides nothing
+    decided = []
+    decide = matrices._decide_membership
+    monkeypatch.setattr(matrices, "_decide_membership",
+                        lambda a, g: decided.append(g) or decide(a, g))
+    rng = random.Random(59)
+    for ring in (ModularRing(9), PrimeField(5)):
+        for n in (1, 2, 3):
+            fr, _ = random_frame(rng, ring, "sp", n, n, 6)
+            complete_sp(fr)
+            assert fr.mat._known["Sp"] is True
+            decided.clear()
+            assert membership(fr.mat, "Sp") is membership(_fresh(fr.mat),
+                                                          "Sp") is True
+            assert decided == ["Sp"]  # the fresh copy's only
+    # a frame of fewer rows than columns keeps no group answer
+    fr, _ = random_frame(rng, PrimeField(5), "sp", 1, 2, 6)
+    complete_sp(fr)
+    assert "Sp" not in fr.mat._known
+
+
+def test_a_completion_that_raises_keeps_nothing():
+    Z9 = ModularRing(9)
+    # a row of non-units, and a square block of determinant 4
+    for v in (Mat(Z9, [[3, 6, 0]]), Mat(Z9, [[2, 0], [0, 2]])):
+        first = ref.outcome(complete_um_linear, v)
+        assert isinstance(first, ref.Raised)
+        assert ref.outcome(complete_um_linear, v) == first
+        assert ("complete", "lin") not in v._known
+
+
+@pytest.mark.parametrize("family", ["lin", "sp", FAMILY_ORTH])
+def test_a_kept_completion_meets_a_lowered_word_limit(family, monkeypatch):
+    # the kept word is measured again: under a limit below its length the
+    # second call raises exactly as a fresh call does, and a limit at its
+    # length returns it again
+    rng = random.Random(f"memo-limit:{family}")
+    ring = PrimeField(5)
+    if family == "lin":
+        v, _ = random_unimodular_rows(rng, ring, 2, 4, 6)
+        complete, wrap = complete_um_linear, (lambda x: x)
+    else:
+        kind = "sp" if family == "sp" else "orth"
+        v = random_frame(rng, ring, kind, 1, 4, 6)[0].mat
+        complete = complete_sp if family == "sp" else complete_orth
+        wrap = (lambda x: IsotropicFrame(x, kind))
+    word = complete(wrap(v))
+    assert len(word) >= 2
+    monkeypatch.setenv("CGF_WORD_LIMIT", str(len(word) - 1))
+    kept = ref.outcome(complete, wrap(v))
+    assert isinstance(kept, ref.Raised)
+    assert kept.code == "word_limit_exceeded"
+    assert kept == ref.outcome(complete, wrap(_fresh(v)))
+    monkeypatch.setenv("CGF_WORD_LIMIT", str(len(word)))
+    assert complete(wrap(v)) is word
+
+
+def test_a_kept_orth_completion_keeps_its_bound_and_warning():
+    Z5 = PrimeField(5)
+    boundary = IsotropicFrame.standard(Z5, "orth", 1, 3)
+    for _ in range(2):
+        with pytest.warns(UserWarning):
+            complete_orth(IsotropicFrame(boundary.mat, "orth"))
+    small = IsotropicFrame.standard(Z5, "orth", 1, 2)
+    word = complete_orth(small, permissive=True)
+    assert small.mat._known[("complete", FAMILY_ORTH)] is word
+    for _ in range(2):
+        with pytest.raises(SizeBound):
+            complete_orth(IsotropicFrame(small.mat, "orth"))
+    assert complete_orth(small, permissive=True) is word
