@@ -35,9 +35,8 @@ for sp frames of two rows the hyperbolic pairs (u, v) with <u, v> = 1,
 budget; every other frame runs to the end.  These counts bound an orbit
 from above, so they only stop a BFS early and refuse nothing.  An
 oversized frame table is refused before its catalog exists by its exact
-size where that is proven (``_frame_orbit_count``: lin over a local ring
-whose residue field has a closed form, sp of whole pairs over a field,
-square orth over a field of odd order),
+size where that is proven (``_frame_orbit_count``: lin and sp of whole
+pairs over a finite local ring, square orth over a field of odd order),
 else by a lower bound (``_frame_orbit_exponent``), and over the zero ring,
 where every table is one object, one of more entries than the budget is
 refused (``_check_entries``).
@@ -87,9 +86,8 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, TruncatedPolyLocal, _json_int,
-                    _prime_power_base, _residue_modulus, _split, has_half,
-                    ring_from_json, unit_ideal_witness)
+from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
+                    has_half, ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     _gen, paired_index)
 
@@ -210,39 +208,28 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
     return 0
 
 
-def _residue_size(ring: Ring):
-    """kappa = |R/M| for a finite local ring R whose residue field has a
-    closed form: R itself for a finite field, F_p for Z/p^k and for
-    F_p[x]/(x^e).  None for any other ring."""
-    if ring.is_field:
-        return ring.cardinality()
-    if isinstance(ring, TruncatedPolyLocal):
-        return ring.p
-    m = _residue_modulus(ring)
-    return _prime_power_base(m) if m else None
-
-
 def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
                        cap: int):
     """The number of frames in the orbit of the standard frame [I_r | 0],
     r = ``frame_rows`` and s = ``size``, where it is proven, as a
     ``_capped_product`` (a number past ``cap`` stands for any count past
-    it); None elsewhere.  q = |R|, kappa = |R/M| (``_residue_size``).
+    it); None elsewhere.  q = |R|, kappa = |R/M| (``ring.residue_size``).
 
     lin over a finite local ring: SL_s(R) = E_s(R) and, for r < s, acts
     transitively on the r x s frames whose rows are independent mod M:
     (q/kappa)^(rs) prod_{i<r} (kappa^s - kappa^i) of them.  At r = s the
     orbit is SL_s(R), that count over |R*| = (q/kappa)(kappa - 1).  sp
-    over a finite field, r = 2k: Ep_2m = Sp_2m, which by Witt's theorem
-    acts transitively on the frames of k hyperbolic pairs, fixing the
-    standard one on Sp_(2m-2k): |Sp_2m|/|Sp_(2m-2k)| = kappa^(m^2 -
-    (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1) frames.  orth over a finite
-    field of odd order, r = s = 2m, m >= 2: the orbit of I is EO_2m(F_q) =
-    Omega+_2m(q), of index 2 in SO+_2m(q) (D. E. Taylor, *The Geometry of
-    the Classical Groups*, 1992): q^(m(m-1)) (q^m - 1) prod_{0<i<m}
-    (q^(2i) - 1) / 2 frames, the half taken of q^m - 1, which is even, and
-    only while it is exact."""
-    kappa, q, r, s = _residue_size(ring), ring.cardinality(), frame_rows, size
+    over a finite local ring, r = 2k: Ep_2m = Sp_2m, which by Witt's
+    theorem acts transitively on the frames of k hyperbolic pairs, fixing
+    the standard one on Sp_(2m-2k), and |Sp_2m(R)| =
+    (q/kappa)^(m(2m+1)) |Sp_2m(kappa)|: (q/kappa)^(m(2m+1) -
+    (m-k)(2m-2k+1)) kappa^(m^2 - (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1)
+    frames.  orth over a finite field of odd order, r = s = 2m, m >= 2:
+    the orbit of I is EO_2m(F_q) = Omega+_2m(q), of index 2 in SO+_2m(q)
+    (D. E. Taylor, *The Geometry of the Classical Groups*, 1992):
+    q^(m(m-1)) (q^m - 1) prod_{0<i<m} (q^(2i) - 1) / 2 frames, the half
+    taken of q^m - 1, which is even, and only while it is exact."""
+    kappa, q, r, s = ring.residue_size, ring.cardinality(), frame_rows, size
     if kappa is None:
         return None
     if family == FAMILY_LIN:
@@ -254,11 +241,13 @@ def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
              _capped_power(kappa, r * (r - 1) // 2, cap)),
             (_capped_power(kappa, s - i, cap + 1) - 1
              for i in range(r - square))), cap)
-    if family == FAMILY_SP and q == kappa and r % 2 == 0:
+    if family == FAMILY_SP and r % 2 == 0:
         m, k = s // 2, r // 2
         return _capped_product(itertools.chain(
-            (_capped_power(q, m * m - (m - k) ** 2, cap),),
-            (_capped_power(q, 2 * i, cap + 1) - 1
+            (_capped_power(q // kappa, m * (2 * m + 1)
+                           - (m - k) * (2 * m - 2 * k + 1), cap),
+             _capped_power(kappa, m * m - (m - k) ** 2, cap)),
+            (_capped_power(kappa, 2 * i, cap + 1) - 1
              for i in range(m - k + 1, m + 1))), cap)
     if family == FAMILY_ORTH and q == kappa and q % 2 and r == s >= 4:
         m = s // 2

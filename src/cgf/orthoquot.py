@@ -24,7 +24,7 @@ from .errors import (DescriptorMismatch, HalfNotInvertible, NoUnitEntry,
                      NotLocal)
 from .matrices import Mat, _form_inverse, block_perp, identity, membership
 from .reduce import _Reduction
-from .rings import PolyExt, Ring, RingValue, _residue_modulus, has_half
+from .rings import PolyExt, Ring, RingValue, has_half
 from .words import FAMILY_ORTH, GenWord, Generator, Witness, _gen, _rebuilt
 
 
@@ -117,11 +117,12 @@ def vaserstein_quotient(a: Mat) -> tuple[Mat, GenWord]:
 def _normalize_corner(delta: Mat, word: GenWord, m: int):
     """Absorb square-scaled corners into the word: corner blocks
     diag(t^2, t^{-2}) are elementary (hyperbolic square through a helper
-    pair), so the residual corner is canonicalized across its square class.
-    Only finite rings enumerate their units; elsewhere the raw corner stands.
+    pair), so the residual corner is canonicalized across its square class
+    over a ring with a finite residue field (``ring.residue_size``);
+    elsewhere the raw corner stands.
     """
     ring = delta.ring
-    if not ring.is_finite:
+    if ring.residue_size is None:
         return delta, word
     try:
         cls = classify_o2(delta)
@@ -146,32 +147,38 @@ def _moved(ring: Ring, shape: str, u, t):
 
 def _corner_root(ring: Ring, shape: str, u):
     """The unit t of ``_normalize_corner``: the least moved u, then the
-    least t, in the ring's order.  Over an odd prime field the least of
-    u's square class is 1 if u is a square (Euler's criterion), else the
-    least non-residue c, and t is the smaller square root of u/c (diag) or
-    c/u (antidiag); any other finite ring scans its units."""
-    p = _residue_modulus(ring)
-    if not (p and p % 2 and ring.is_field):
-        key = ring.rank
-        return min((v.payload for v in ring.elements() if v.is_unit()),
-                   key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
-    z = 2  # the least non-residue
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = 1 if pow(u, (p - 1) // 2, p) == 1 else z
-    a = u * pow(c, -1, p) if shape == "diag" else c * pow(u, -1, p)
-    # Tonelli-Shanks: p - 1 = q 2^s with q odd, z^q of order 2^s
-    q, s = p - 1, 0
+    least t, in the ring's order.  R is finite and local with 1/2, so kappa
+    = |R/M| is odd and R* = (cyclic 2-part of k*) x (odd order): a unit v
+    is a square iff v^(|R*|/2) = 1, |R*| = (q/kappa)(kappa - 1), and the
+    units of 1 + M all are.  The least of u's square class is the least
+    unit of that class in rank order, c, and t is the smaller of the two
+    roots +-r of u/c (diag) or c/u (antidiag), by Tonelli-Shanks in R*
+    from the least non-square."""
+    one, mul, power = ring.one().payload, ring.mul, ring.power
+    kappa = ring.residue_size
+    order = ring.cardinality() // kappa * (kappa - 1)
+    least, ranked = {}, map(ring.unrank, range(1, ring.cardinality()))
+    while len(least) < 2:  # square or not -> the least unit of that class
+        v = next(ranked)
+        if ring.is_unit_payload(v):
+            least.setdefault(not ring.is_unit_payload(ring.sub(v, one))
+                             or power(v, order // 2) == one, v)
+    c, inv = least[power(u, order // 2) == one], ring.inverse_payload
+    a = mul(u, inv(c)) if shape == "diag" else mul(c, inv(u))
+    # Tonelli-Shanks: |R*| = q 2^s with q odd; for the least non-square
+    # z, z^q has order 2^s
+    q, s = order, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    b, x, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while x != 1:  # x = a^-1 r^2 has order 2^i < 2^s
+    b, x, r = power(least[False], q), power(a, q), power(a, (q + 1) // 2)
+    while x != one:  # x = a^-1 r^2 has order 2^i < 2^s
         i, y = 0, x
-        while y != 1:
-            i, y = i + 1, y * y % p
-        f = pow(b, 1 << (s - i - 1), p)
-        s, b, x, r = i, f * f % p, x * f * f % p, r * f % p
-    return min(r, p - r)
+        while y != one:
+            i, y = i + 1, mul(y, y)
+        f = power(b, 1 << (s - i - 1))
+        s, b = i, mul(f, f)
+        x, r = mul(x, b), mul(r, f)
+    return min(r, ring.neg(r), key=ring.rank)
 
 
 # ---------------------------------------------------------------------------

@@ -211,14 +211,7 @@ class RingValue:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only non-negative integer powers")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return RingValue(self.ring, self.ring.power(self.payload, k))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -260,6 +253,7 @@ class Ring:
     kind = "?"
     is_local = False
     is_field = False
+    residue_size = None  # kappa = |R/M| of a nonzero finite local ring
     is_finite = False
     is_zero_ring = False
     characteristic = 0
@@ -338,6 +332,14 @@ class Ring:
 
     def neg(self, a):
         raise NotImplementedError
+
+    def power(self, a, k: int):
+        """a^k over payloads, k >= 0, by square-and-multiply."""
+        out = self.one().payload
+        while k:
+            out = self.mul(out, a) if k & 1 else out
+            a, k = self.mul(a, a), k >> 1
+        return out
 
     def dot(self, acc, xs, ys):
         """acc + sum(x * y) over payloads, one term at a time.  Z, Z/n
@@ -553,6 +555,7 @@ class ModularRing(Ring):
         self.is_field = base == n
         self.is_zero_ring = n == 1
         self.is_local = n == 1 or base is not None
+        self.residue_size = base
 
     def key(self):
         return ("mod", self.n)
@@ -1118,30 +1121,26 @@ class _PolyRemainders(Ring):
         return x == ()
 
     def _primary_flags(self) -> tuple:
-        """(is_local, is_field), by distinct-degree factorization over a
-        finite field of q elements: the first nonconstant h_i = gcd(x^(q^i)
-        - x, f) is the product of f's irreducible factors of the least
-        degree i.  F[x]/(f) is local iff f is a power of one irreducible,
-        that is deg h_i = i and f a power of h_i, and a field iff also
-        h_i = f.  Over an infinite field both are False."""
+        """(is_local, is_field, residue_size), by distinct-degree
+        factorization over a finite field of q elements: the first
+        nonconstant h_i = gcd(x^(q^i) - x, f) is the product of f's
+        irreducible factors of the least degree i.  F[x]/(f) is local iff f
+        is a power of one irreducible, that is deg h_i = i and f a power of
+        h_i, with residue field F[x]/(h_i) of q^i elements, and a field iff
+        also h_i = f.  Over an infinite field, (False, False, None)."""
         field, poly, f = self.field, self.poly, self.f
         if not field.is_finite:
-            return False, False
+            return False, False, None
         x = self.canon((field.zero().payload, field.one().payload))
-        xq, i, h = x, 0, ()
+        q, xq, i, h = field.cardinality(), x, 0, ()
         while len(h) < 2:
-            i += 1
-            out, base, e = (field.one().payload,), xq, field.cardinality()
-            while e:
-                out = self.mul(out, base) if e & 1 else out
-                base, e = self.mul(base, base), e >> 1
-            xq = out
+            i, xq = i + 1, self.power(xq, q)
             h = _poly_xgcd_field(poly.sub(xq, x), f, poly)[0]
         local, rest = len(h) == i + 1, f
         while local and len(rest) > 1:
             rest, r = _poly_divmod_field(rest, h, field)
             local = not r
-        return local, local and len(h) == len(f)
+        return local, local and len(h) == len(f), q ** i if local else None
 
     def elements(self):
         if not self.field.is_finite:
@@ -1234,6 +1233,7 @@ class TruncatedPolyLocal(_PolyRemainders):
         self.p = p
         self.e = e
         self.is_field = e == 1
+        self.residue_size = p
         # a product of two remainders has degree up to 2e - 2
         super().__init__(PolyExt(field, "x", degree_cap=2 * e),
                          (0,) * e + (1,), self.describe())
@@ -1349,7 +1349,8 @@ class QuotientRing(Ring):
             lc_inv = base.base.inverse_payload(f[-1])
             self.modulus = tuple(base.base.mul(c, lc_inv) for c in f)  # monic
             residues = _PolyRemainders(base, self.modulus, self.describe())
-            residues.is_local, residues.is_field = residues._primary_flags()
+            (residues.is_local, residues.is_field,
+             residues.residue_size) = residues._primary_flags()
         else:
             raise UnsupportedQuotient(
                 f"quotients of {base} are not supported")
@@ -1358,7 +1359,8 @@ class QuotientRing(Ring):
                      "act", "products", "is_unit_payload", "inverse_payload",
                      "is_nilpotent_payload", "cardinality", "rank", "unrank",
                      "render", "value_to_json", "is_finite", "is_field",
-                     "is_local", "is_zero_ring", "characteristic"):
+                     "is_local", "is_zero_ring", "characteristic",
+                     "residue_size"):
             setattr(self, name, getattr(residues, name))
 
     def key(self):

@@ -1022,6 +1022,17 @@ def test_a_full_frame_over_f3_is_refused_by_its_count(family, size, capsys):
         "message": "orbit table exceeded budget 10000000"}
 
 
+def test_an_sp_frame_over_z9_is_refused_by_its_count(capsys):
+    # Z/9 sp 2 x 6, about 3.13 * 10^10 hyperbolic pairs, is refused by its
+    # exact size before the catalog; its lower bound, 9^4, admits it
+    argv = ["orbits", "--ring", "mod:9", "--kind", "frame", "--family",
+            "sp", "--size", "6", "--frame-rows", "2"]
+    assert within(2, lambda: main(argv)) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "code": "search_budget_exceeded", "context": {},
+        "message": "orbit table exceeded budget 10000000"}
+
+
 def test_a_square_orth_frame_over_f5_is_refused_by_its_count(capsys):
     # EO_6(F_5), about 1.45 * 10^10 frames, is refused by its exact size
     # before the catalog; its lower bound admitted it, and the BFS ran for

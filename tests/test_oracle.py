@@ -624,6 +624,10 @@ COMPILED_ACTION_GOLDEN_TABLES = [
 F4 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 1, 1)])
 # the quotient F_2[x]/(x^2), local but not a field
 X2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 0, 1)])
+# F_2[x]/((x + 1)^2), local with residue field F_2, and F_2[x]/(x^2 + x),
+# which is F_2 x F_2 and not local
+X2_PLUS_1 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 0, 1)])
+X2_PLUS_X = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
 
 
 # the same digest, recorded before the BFS ran on integer codes
@@ -729,13 +733,12 @@ _FRAME_SIZES = {
 }
 
 
-# exact frame orbit sizes: lin over a finite local ring whose residue field
-# has a closed form, sp of whole hyperbolic pairs over a finite field, and
-# square orth over a finite field of odd order
+# exact frame orbit sizes: lin and sp of whole hyperbolic pairs over a
+# finite local ring, and square orth over a finite field of odd order
 _COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
                   ModularRing(4), ModularRing(8), ModularRing(9),
                   PrimeField(5), TruncatedPolyLocal(2, 2),
-                  TruncatedPolyLocal(3, 2), F4)
+                  TruncatedPolyLocal(3, 2), F4, X2)
 
 
 def _frame_shapes():
@@ -751,22 +754,22 @@ def _frame_shapes():
 
 
 def test_the_frame_counts_match_the_tables():
-    # each count against orbit_sizes() on the 76 counted tables of at most
+    # each count against orbit_sizes() on the 88 counted tables of at most
     # 10,000 frames, each built at a budget of exactly its count (a count
     # too small would meet the BFS's refusal) and refused one below it;
     # among them Z/4 lin 2 x 3 (2,688), F_2[x]/(x^2) lin 2 x 2 (48), F_3 sp
-    # 2 x 4 (2,160), the square orth frames of 4 over F_3 and Z/3 (288) and
-    # F_5 (7,200), and the other counted tables of _FRAME_SIZES
+    # 2 x 4 (2,160), sp 2 x 2 over Z/4 and the quotient F_2[x]/(x^2) (48)
+    # and over Z/9 (648), the square orth frames of 4 over F_3 and Z/3 (288)
+    # and F_5 (7,200), and the other counted tables of _FRAME_SIZES
     checked = Counter()
     for ring in _COUNTED_RINGS:
         for family, size, rows in _frame_shapes():
             count = oracle._frame_orbit_count(ring, family, size, rows,
                                               10 ** 12)
-            if count is None:  # sp or orth over a ring that is not a
-                # field, and orth over a field of even order
-                assert family != FAMILY_LIN, ring
-                assert not ring.is_field or (family == FAMILY_ORTH
-                                             and ring.cardinality() % 2 == 0)
+            if count is None:  # orth over a ring that is not a field or
+                # over a field of even order
+                assert family == FAMILY_ORTH, ring
+                assert not ring.is_field or ring.cardinality() % 2 == 0
                 continue
             if count > 10000:
                 continue
@@ -779,12 +782,12 @@ def test_the_frame_counts_match_the_tables():
                     enumerate_orbits(ring, "frame", family, size,
                                      frame_rows=rows, budget=count - 1)
             checked[family] += 1
-    assert checked == {FAMILY_LIN: 63, FAMILY_SP: 10, FAMILY_ORTH: 3}
+    assert checked == {FAMILY_LIN: 69, FAMILY_SP: 16, FAMILY_ORTH: 3}
 
 
 @pytest.mark.parametrize("ring, family, size, rows", [
     (ModularRing(6), FAMILY_LIN, 3, 2), (ModularRing(1), FAMILY_LIN, 3, 2),
-    (X2, FAMILY_LIN, 2, 2), (ModularRing(4), FAMILY_SP, 4, 2),
+    (X2_PLUS_X, FAMILY_LIN, 2, 2), (ModularRing(6), FAMILY_SP, 4, 2),
     (PrimeField(3), FAMILY_SP, 4, 1), (PrimeField(3), FAMILY_ORTH, 4, 2)])
 def test_a_frame_with_no_proven_count_keeps_its_lower_bound(ring, family,
                                                             size, rows):
@@ -853,6 +856,30 @@ def test_a_square_orth_frame_over_f5_is_refused_by_its_count():
     assert got.message == "orbit table exceeded budget 10000000"
     assert oracle._frame_orbit_count(PrimeField(3), FAMILY_ORTH, 6, 6,
                                      10 ** 7) == 6065280
+
+
+@pytest.mark.parametrize("ring, size, count", [
+    (X2_PLUS_1, 2, 48), (ModularRing(4), 4, 15360), (X2, 4, 15360),
+    (X2_PLUS_1, 4, 15360)])
+def test_an_sp_count_over_a_local_ring_matches_its_table(ring, size, count):
+    # (q/kappa)^(m(2m+1) - (m-k)(2m-2k+1)) times the count over kappa = 2;
+    # the table, built at a budget of exactly the count, holds that many
+    assert oracle._frame_orbit_count(ring, FAMILY_SP, size, 2,
+                                     10 ** 12) == count
+    table = enumerate_orbits(ring, "frame", FAMILY_SP, size, frame_rows=2,
+                             budget=count)
+    assert table.orbit_sizes() == [count]
+
+
+def test_an_sp_frame_over_z9_is_refused_by_its_count():
+    # Z/9 sp 2 x 6 holds 3^11 * 3^5 (3^6 - 1), about 3.13 * 10^10 frames;
+    # the lower bound, 9^4, admits it, and the BFS would run for minutes
+    got = within(2, lambda: enumerate_orbits(ModularRing(9), "frame",
+                                             FAMILY_SP, 6, frame_rows=2))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == "orbit table exceeded budget 10000000"
+    assert oracle._frame_orbit_count(ModularRing(9), FAMILY_SP, 6, 2,
+                                     10 ** 12) == 31338012888
 
 
 def _bounded_table(ring, kind, family, size, frame_rows):

@@ -16,7 +16,8 @@ from cgf.orthoquot import (FactoredOrthogonal, O2Class, _corner_root,
                            corner_commutator_square_root,
                            hyperbolic_square_word, orth_inverse,
                            vaserstein_quotient)
-from cgf.rings import ModularRing, PolyExt, PrimeField
+from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
+                       QuotientRing, TruncatedPolyLocal)
 from cgf.sampling import random_word
 from cgf.words import FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, word_from_pairs
 
@@ -63,21 +64,48 @@ def test_o2_class_refuses_an_unknown_shape():
 
 
 def _corner_root_scan(ring, shape, u):
-    # reference: the scan of every unit that the closed form replaces over
-    # odd prime fields: the least moved u, then the least t
+    # reference: the scan of every unit that the square-class closed form
+    # replaced over every finite local ring: the least moved u, then the
+    # least t
     key = ring.rank
     return min((v.payload for v in ring.elements() if v.is_unit()),
                key=lambda t: (key(_moved(ring, shape, u, t)), key(t)))
 
 
-def test_corner_root_matches_the_scan_over_odd_prime_fields():
+_F3x, _F5x = PolyExt(PrimeField(3), "x"), PolyExt(PrimeField(5), "x")
+_F9 = QuotientRing(_F3x, [[1, 0, 1]])
+# finite local rings with 1/2: Z/p^k, prime fields, F_p[x]/(x^e), a
+# quotient of Z, the fields F_9 and F_25, F_3[x]/((x^2 + 1)^2), and F_9 as
+# F_9[y]/(y), whose order ranks the square x before 1
+_CORNER_RINGS = (ModularRing(9), ModularRing(27), ModularRing(25),
+                 PrimeField(7), PrimeField(13), TruncatedPolyLocal(3, 2),
+                 TruncatedPolyLocal(5, 3), QuotientRing(IntegerRing(), [9]),
+                 _F9, QuotientRing(_F5x, [[2, 0, 1]]),
+                 QuotientRing(_F3x, [[1, 0, 2, 0, 1]]),
+                 QuotientRing(PolyExt(_F9, "y"), [[0, 1]]))
+
+
+def test_corner_root_matches_the_scan_over_finite_local_rings():
+    # under a deadline: with a wrong |R*|, Tonelli-Shanks need not stop
     primes = [p for p in range(3, 60) if all(p % d for d in range(2, p))]
-    for p in primes:
-        for ring in (PrimeField(p), ModularRing(p)):
-            for u in range(1, p):
-                for shape in ("diag", "antidiag"):
-                    assert (_corner_root(ring, shape, u) ==
-                            _corner_root_scan(ring, shape, u)), (p, shape, u)
+    rings = [r for p in primes for r in (PrimeField(p), ModularRing(p))]
+    cases = [(ring, shape, u.payload) for ring in rings + list(_CORNER_RINGS)
+             for u in ring.elements() if u.is_unit()
+             for shape in ("diag", "antidiag")]
+    got = within(30, lambda: [_corner_root(*case) for case in cases])
+    for case, t in zip(cases, got):
+        assert t == _corner_root_scan(*case), case
+
+
+def test_a_corner_over_a_large_local_ring_needs_no_scan():
+    # F_101[x]/(x^3) has 1,030,301 elements, too many to scan for the
+    # corner's root within a second; 2 is a non-square, so the corner
+    # keeps it
+    R = TruncatedPolyLocal(101, 3)
+    corner = O2Class("diag", R.coerce(2)).reconstruct()  # diag(2, 1/2)
+    a = block_perp(identity(R, 4), corner)
+    delta, word = within(1, lambda: vaserstein_quotient(a))
+    assert delta == corner and len(word) == 0
 
 
 def test_a_corner_over_a_large_prime_field_needs_no_scan():

@@ -332,6 +332,23 @@ def test_local_flags():
     assert not IntegerRing().is_local
 
 
+def test_residue_size_matches_brute_force():
+    # kappa = |R/M| = q / |M|, M the non-units of a finite local ring;
+    # a non-local, infinite or zero ring has no residue size
+    F2x, F3x, F5x = (PolyExt(PrimeField(p), "x") for p in (2, 3, 5))
+    for ring in local_test_rings() + [
+            QuotientRing(IntegerRing(), [9]), ModularRing(27),
+            QuotientRing(F3x, [[1, 0, 1]]), QuotientRing(F5x, [[2, 0, 1]]),
+            QuotientRing(F2x, [[1, 0, 1]]),
+            QuotientRing(F3x, [[1, 0, 2, 0, 1]])]:
+        non_units = sum(not v.is_unit() for v in ring.elements())
+        assert ring.residue_size == ring.cardinality() // non_units, ring
+    for ring in (ModularRing(6), QuotientRing(F2x, [[0, 1, 1]]),
+                 ModularRing(1), IntegerRing(), RationalField(),
+                 LocalizedIntegers(5)):
+        assert ring.residue_size is None, ring
+
+
 def test_quotient_integer_style():
     Q = QuotientRing(ModularRing(4), [2])
     assert Q.modulus == 2
