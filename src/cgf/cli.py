@@ -19,7 +19,7 @@ import json
 import random
 import sys
 
-from .errors import CgfError
+from .errors import CgfError, DescriptorMismatch
 from .factor import (common_perp, roitman, transvection_factor, two_row_equiv,
                      whitehead_linear, whitehead_symplectic)
 from .homotopy import Homotopy, homotopy_commute_linear, \
@@ -97,12 +97,16 @@ def parse_ring(text: str) -> Ring:
 def _parse_matrix(text: str, ring: Ring | None) -> Mat:
     with _decoding("matrix"):
         obj = json.loads(_maybe_file(text))
-        if isinstance(obj, dict):
-            return Mat.from_json(obj)
-        if ring is None:
-            raise _UsageError("a bare entry grid needs --ring")
-        return Mat(ring, [[ring.value_from_json(e) for e in row]
-                          for row in obj])
+        if not isinstance(obj, dict):
+            if ring is None:
+                raise _UsageError("a bare entry grid needs --ring")
+            return Mat(ring, [[ring.value_from_json(e) for e in row]
+                              for row in obj])
+        mat = Mat.from_json(obj)
+    if ring is not None and mat.ring != ring:
+        raise DescriptorMismatch("the matrix's ring is not --ring",
+                                 ring=ring, matrix_ring=mat.ring)
+    return mat
 
 
 def _parse_row(text: str, ring: Ring) -> Mat:

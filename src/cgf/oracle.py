@@ -147,11 +147,6 @@ def _capped_power(q: int, size: int, cap: int) -> int:
     return count
 
 
-def _power_exceeds(q: int, size: int, budget: int) -> bool:
-    """Whether q ** size > budget, without forming q ** size."""
-    return _capped_power(q, size, budget) > budget
-
-
 def _capped_product(factors, cap: int) -> int:
     """The product of ``factors``, each an int >= 1 that is exact or past
     ``cap`` (a ``_capped_power``), or the partial product that first
@@ -760,7 +755,7 @@ def _counted_sets(table: OrbitTable, domain, budget: int):
         return level, Counter(map(level, domain))
     rows = table.frame_rows
     if (rows != 1 and (rows != 2 or family != FAMILY_SP)
-            or _power_exceeds(codec.q, table.size, budget)):
+            or _capped_power(codec.q, table.size, budget) > budget):
         return None
     if family == FAMILY_ORTH:
         # the standard frame e_1 has Q = 0
@@ -841,7 +836,7 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         if size < 0:
             raise ObjectOutOfDomain(f"row size must be >= 0, got {size}")
         q = ring.cardinality()
-        if _power_exceeds(q, size, budget):
+        if _capped_power(q, size, budget) > budget:
             raise SearchBudgetExceeded(
                 f"{q}^{size} objects exceed budget {budget}")
         _check_entries(q, size, budget)

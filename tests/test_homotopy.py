@@ -28,6 +28,8 @@ from cgf.sampling import (random_frame, random_indices,
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, GenWord,
                        word_from_pairs)
 
+from conftest import within
+
 
 def _linear_homotopy(rng, ring, size, length=2):
     rt = PolyExt(ring, "T")
@@ -277,6 +279,41 @@ def test_transport_randomized():
         fr, _ = random_frame(rng, Z5, "sp", 1, 2, 4)
         res = vaserstein_transport(d, fr, "symplectic")
         assert res.witness.all_passed()
+
+
+def test_transport_k6_witness_meets_its_claims_in_plain_integers():
+    # a k = 6 linear transport over Z/9 certifies, and its witness JSON
+    # meets word = sigma ⊥ d^{-1} and d V = V sigma under a plain integer
+    # matmul that shares no code with cgf
+    k, n, rng = 6, 9, random.Random(6)
+    Z9 = ModularRing(n)
+    d = random_word(rng, Z9, FAMILY_LIN, k, 2 * k).eval()
+    v, _ = random_unimodular_rows(rng, Z9, k, k + 1, 3 * k)
+    res = within(20, lambda: vaserstein_transport(d, v, "linear"))
+    assert res.witness.all_passed()
+    w = res.witness.to_json()
+
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(r, c)) % n for c in zip(*b)]
+                for r in a]
+
+    def eye(m):
+        return [[int(i == j) for j in range(m)] for i in range(m)]
+
+    d, v = w["inputs"]["d"]["entries"], w["inputs"]["v"]["entries"]
+    sigma, word = w["outputs"]["sigma"]["entries"], w["outputs"]["word"]
+    m = word["size"]
+    full = eye(m)
+    for g in word["gens"]:
+        e = eye(m)
+        e[g["i"] - 1][g["j"] - 1] = g["param"] % n
+        full = mul(full, e)
+    c = m - k
+    assert mul(d, v) == mul(v, sigma)
+    assert [r[:c] for r in full[:c]] == sigma
+    assert all(x == 0 for r in full[:c] for x in r[c:])
+    assert all(x == 0 for r in full[c:] for x in r[:c])
+    assert mul(d, [r[c:] for r in full[c:]]) == eye(k)
 
 
 def _record_evaluations(monkeypatch):
