@@ -292,6 +292,8 @@ def _cmd_ortho_commutator(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
+    if args.budget < 0:
+        raise _UsageError(f"--budget must be >= 0, got {args.budget}")
     ring = parse_ring(args.ring)
     table = enumerate_orbits(ring, args.kind, args.family, args.size,
                              frame_rows=args.frame_rows, budget=args.budget)

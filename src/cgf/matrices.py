@@ -38,8 +38,9 @@ frame check read only the upper triangle of their product (``_gram_is_form``).
 (``_solve_right_inverse``).  A local ring (every field included) keeps unit
 pivots (``_right_inverse_local``): there a row is unimodular exactly when it
 has a unit entry, and the two-row factorizations read their witnesses off
-that beta.  Z, Z/n and their quotients, the rings ``_residue_modulus``
-names, use extended-gcd column operations (``_right_inverse_integral``).
+that beta.  Z, Z/n and their quotients, the rings with an
+``integer_modulus``, use extended-gcd column operations
+(``_right_inverse_integral``).
 
 A matrix is immutable, so each fact derived from it is decided at most
 once per object and kept in its one memo slot, ``_known``: the
@@ -59,7 +60,7 @@ from types import MappingProxyType
 
 from .errors import (HalfNotInvertible, NotInvertible, NotRightInvertible,
                      ShapeMismatch, SizeLimit, UnsupportedRing, FormViolation)
-from .rings import Ring, RingValue, _residue_modulus, _xgcd, has_half
+from .rings import Ring, RingValue, _xgcd, has_half
 
 DET_SIZE_CAP = 12
 
@@ -561,7 +562,7 @@ def _solve_right_inverse(a: Mat) -> Mat | None:
     Raises NotRightInvertible when a row finds no unit pivot."""
     if a.ring.is_local:
         return _right_inverse_local(a)
-    n = _residue_modulus(a.ring)
+    n = a.ring.integer_modulus
     return None if n is None else _right_inverse_integral(a, n)
 
 

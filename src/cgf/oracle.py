@@ -22,24 +22,25 @@ come out increasing, and the domain is the ranges between the merged codes.
 A row table's BFS starts from its whole domain, which the generators keep
 (a code outside it, a codec defect, is refused when it is committed).
 Each orbit stops expanding once every object of a counted set that must
-hold it is reached, by it or by an earlier orbit (``_counted_sets``).  The
-generators keep the set, so the orbit lies inside it (the orbit-invariant
-argument of Holt, Eick and O'Brien, section 4.1): a later edge could only
-propose an object already reached, and the first proposal stands, so the
-table is the full BFS's.  The sets are the row domain for lin and sp rows;
-its level sets of Q(v) = v_1 v_2 + v_3 v_4 + ... for orth rows, Q computed
-on digits, which right multiplication keeps since a phi a^t = phi; the
-same sets over the row domain for one-row frames (Q = 0 for orth); and
-for sp frames of two rows the hyperbolic pairs (u, v) with <u, v> = 1,
-|Um_s| q^(s - 1) of them.  A frame is counted only when q^s is at most the
-budget; every other frame runs to the end.  These counts bound an orbit
-from above, so they only stop a BFS early and refuse nothing.  An
-oversized frame table is refused before its catalog exists by its exact
-size where that is proven (``_frame_orbit_count``: lin and sp of whole
-pairs over a finite local ring, square orth over a field of odd order),
-else by a lower bound (``_frame_orbit_exponent``), and over the zero ring,
-where every table is one object, one of more entries than the budget is
-refused (``_check_entries``).
+hold it is reached, by it or by an earlier orbit.  The generators keep the
+set, so the orbit lies inside it (the orbit-invariant argument of Holt,
+Eick and O'Brien, section 4.1): a later edge could only propose an object
+already reached, and the first proposal stands, so the table is the full
+BFS's.  A row table's sets (``_counted_sets``) are its domain for lin and
+sp rows, and the domain's level sets of Q(v) = v_1 v_2 + v_3 v_4 + ...
+for orth rows, Q computed on digits, which right multiplication keeps
+since a phi a^t = phi; they bound an orbit from above, so they only stop
+a BFS early and refuse nothing.  A frame table is one orbit, that of the
+standard frame, and its one set is that orbit wherever its size is proven
+(``_frame_orbit_count``: lin, one-row sp and sp of whole pairs over a
+finite local ring, orth of size 4 and up of one row over such a ring with
+a residue field of odd order and square over a field of odd order, and
+each of these over Z/m as the product over the p^k exactly dividing m);
+every other frame runs to the end.  That size, or else a lower bound
+(``_frame_orbit_exponent``), also refuses an oversized frame table before
+its catalog exists, and over the zero ring, where every table is one
+object, one of more entries than the budget is refused
+(``_check_entries``).
 
 The catalog checks each (i, j) once.  A generator acts on each row alone,
 (V.g)_k = V_k.g, so it compiles on one row into updates from
@@ -86,13 +87,27 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      SearchBudgetExceeded, ShapeMismatch, UnsupportedRing,
                      WitnessCheckFailed)
 from .matrices import Mat
-from .rings import (Ring, RingValue, _json_int, _residue_modulus, _split,
-                    has_half, ring_from_json, unit_ideal_witness)
+from .rings import (Ring, RingValue, _json_int, _split, has_half,
+                    ring_from_json, unit_ideal_witness)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     _gen, paired_index)
 
 FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
+
+
+def _prime_powers(m: int) -> list:
+    """(p, p^k) for each prime power p^k that exactly divides m >= 1, p
+    increasing, by trial division: the one factoriser of Z/m here."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            power = 1
+            while m % p == 0:
+                m, power = m // p, power * p
+            out.append((p, power))
+        p += 1
+    return out + [(m, m)] if m > 1 else out
 
 
 def _row_domain(codec: "_Codec") -> list:
@@ -102,15 +117,8 @@ def _row_domain(codec: "_Codec") -> list:
     their own ranks (Z/1 has no p, so its one row stays), and over a local
     ring its non-units.  Any other finite ring tests each row."""
     ring, q, n = codec.ring, codec.q, codec.width
-    if (m := _residue_modulus(ring)) is not None:
-        ideals, rest, p = [], m, 2  # the primes p | m, by trial division
-        while p * p <= rest:
-            if rest % p == 0:
-                ideals.append(range(0, m, p))
-                while rest % p == 0:
-                    rest //= p
-            p += 1
-        ideals += [range(0, m, rest)] if rest > 1 else []
+    if (m := ring.integer_modulus) is not None:
+        ideals = [range(0, m, p) for p, _ in _prime_powers(m)]
     elif ring.is_local:
         unit, unrank = ring.is_unit_payload, codec.unrank
         ideals = [[r for r in range(q) if not unit(unrank(r))]]
@@ -208,49 +216,77 @@ def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
     """The number of frames in the orbit of the standard frame [I_r | 0],
     r = ``frame_rows`` and s = ``size``, where it is proven, as a
     ``_capped_product`` (a number past ``cap`` stands for any count past
-    it); None elsewhere.  q = |R|, kappa = |R/M| (``ring.residue_size``).
-
-    lin over a finite local ring: SL_s(R) = E_s(R) and, for r < s, acts
-    transitively on the r x s frames whose rows are independent mod M:
-    (q/kappa)^(rs) prod_{i<r} (kappa^s - kappa^i) of them.  At r = s the
-    orbit is SL_s(R), that count over |R*| = (q/kappa)(kappa - 1).  sp
-    over a finite local ring, r = 2k: Ep_2m = Sp_2m, which by Witt's
-    theorem acts transitively on the frames of k hyperbolic pairs, fixing
-    the standard one on Sp_(2m-2k), and |Sp_2m(R)| =
-    (q/kappa)^(m(2m+1)) |Sp_2m(kappa)|: (q/kappa)^(m(2m+1) -
-    (m-k)(2m-2k+1)) kappa^(m^2 - (m-k)^2) prod_{m-k<i<=m} (kappa^(2i) - 1)
-    frames.  orth over a finite field of odd order, r = s = 2m, m >= 2:
-    the orbit of I is EO_2m(F_q) = Omega+_2m(q), of index 2 in SO+_2m(q)
-    (D. E. Taylor, *The Geometry of the Classical Groups*, 1992):
-    q^(m(m-1)) (q^m - 1) prod_{0<i<m} (q^(2i) - 1) / 2 frames, the half
-    taken of q^m - 1, which is even, and only while it is exact."""
-    kappa, q, r, s = ring.residue_size, ring.cardinality(), frame_rows, size
-    if kappa is None:
+    it); None elsewhere.  Over a finite local ring it is the product of
+    ``_local_frame_factors``, and over Z/m, by the Chinese remainder
+    theorem, the product of those over each p^k exactly dividing m: a
+    generator acts on each factor Z/p^k alone, and with a parameter 0 mod
+    all but one it acts on that one alone, so the orbit is the product of
+    the local orbits (Z/1, with no factor, has one frame)."""
+    if ring.residue_size is not None:
+        parts = [(ring.cardinality(), ring.residue_size)]
+    elif m := ring.integer_modulus:
+        parts = [(power, p) for p, power in _prime_powers(m)]
+    else:
         return None
-    if family == FAMILY_LIN:
+    factors = [_local_frame_factors(q, kappa, family, size, frame_rows, cap)
+               for q, kappa in parts]
+    return None if None in factors else _capped_product(
+        itertools.chain.from_iterable(factors), cap)
+
+
+def _local_frame_factors(q: int, kappa: int, family: str, size: int,
+                         frame_rows: int, cap: int):
+    """The factors, each exact or past ``cap``, of the orbit's size over a
+    finite local ring of q elements with kappa = |R/M|, a product's many
+    factors formed lazily; None where no size is proven.
+
+    lin: SL_s(R) = E_s(R) and, for r < s, acts transitively on the r x s
+    frames whose rows are independent mod M: (q/kappa)^(rs) prod_{i<r}
+    (kappa^s - kappa^i) of them.  At r = s the orbit is SL_s(R), that count
+    over |R*| = (q/kappa)(kappa - 1).  sp, r = 1: Ep_2m acts transitively
+    on the unimodular rows, as lin at r = 1 does, |Um_s| of them.  sp, r =
+    2k and j = m - k: Ep_2m = Sp_2m, which by Witt's theorem acts
+    transitively on the frames of k hyperbolic pairs, fixing the standard
+    one on Sp_2j, and |Sp_2m(R)| = (q/kappa)^(m(2m+1)) |Sp_2m(kappa)|: the
+    orbit has |Sp_2m(R)| / |Sp_2j(R)| = (q/kappa)^(m(2m+1) - j(2j+1))
+    kappa^(m^2 - j^2) prod_{j<i<=m} (kappa^(2i) - 1) frames.  orth, kappa
+    odd and s = 2m >= 4: at r = 1, EO_2m acts transitively on the
+    unimodular rows with Q(v) = v_1 v_2 + v_3 v_4 + ... = 0; mod M they are
+    the (kappa^m - 1)(kappa^(m-1) + 1) nonzero isotropic vectors, and each
+    lifts to (q/kappa)^(2m-1) rows, Q having a unit partial derivative at a
+    unimodular row.  At r = s over a finite field the orbit of I is
+    EO_2m(F_q) = Omega+_2m(q), of index 2 in SO+_2m(q) (D. E. Taylor, *The
+    Geometry of the Classical Groups*, 1992): q^(m(m-1)) (q^m - 1)
+    prod_{0<i<m} (q^(2i) - 1) / 2 frames, the half taken of q^m - 1, which
+    is even, and only while it is exact."""
+    r, s, m, j = frame_rows, size, size // 2, (size - frame_rows) // 2
+    if family == FAMILY_LIN or family == FAMILY_SP and r == 1:
         # prod_{i<r} (kappa^s - kappa^i) = kappa^(r(r-1)/2) prod (kappa^(s-i)
         # - 1); at r = s the last factor, kappa - 1, goes with |R*|
         square = int(r == s)
-        return _capped_product(itertools.chain(
+        return itertools.chain(
             (_capped_power(q // kappa, r * s - square, cap),
              _capped_power(kappa, r * (r - 1) // 2, cap)),
             (_capped_power(kappa, s - i, cap + 1) - 1
-             for i in range(r - square))), cap)
+             for i in range(r - square)))
     if family == FAMILY_SP and r % 2 == 0:
-        m, k = s // 2, r // 2
-        return _capped_product(itertools.chain(
-            (_capped_power(q // kappa, m * (2 * m + 1)
-                           - (m - k) * (2 * m - 2 * k + 1), cap),
-             _capped_power(kappa, m * m - (m - k) ** 2, cap)),
+        return itertools.chain(
+            (_capped_power(q // kappa, m * (2 * m + 1) - j * (2 * j + 1), cap),
+             _capped_power(kappa, m * m - j * j, cap)),
             (_capped_power(kappa, 2 * i, cap + 1) - 1
-             for i in range(m - k + 1, m + 1))), cap)
-    if family == FAMILY_ORTH and q == kappa and q % 2 and r == s >= 4:
-        m = s // 2
+             for i in range(j + 1, m + 1)))
+    if family != FAMILY_ORTH or kappa % 2 == 0 or s < 4:
+        return None
+    if r == 1:
+        return (_capped_power(q // kappa, s - 1, cap),
+                _capped_power(kappa, m, cap + 1) - 1,
+                _capped_power(kappa, m - 1, cap) + 1)
+    if r == s and q == kappa:
         # q^m - 1 is exact up to 2 cap + 1, and past that its half passes cap
-        return _capped_product(itertools.chain(
+        return itertools.chain(
             (_capped_power(q, m * (m - 1), cap),
              (_capped_power(q, m, 2 * cap + 2) - 1) // 2),
-            (_capped_power(q, 2 * i, cap + 1) - 1 for i in range(1, m))), cap)
+            (_capped_power(q, 2 * i, cap + 1) - 1 for i in range(1, m)))
     return None
 
 
@@ -731,64 +767,47 @@ class OrbitTable:
             rooted.update(chain)
 
 
-def _counted_sets(table: OrbitTable, domain, budget: int):
-    """(level, counts), or None: ``level`` maps the code of an object to
-    the key of a set that holds the object's whole orbit (None for a key
-    where one set serves every object), and ``counts`` maps each key to the
-    set's size.  ``domain``: a row table's domain, or None for a frame.
+def _counted_sets(table: OrbitTable, domain):
+    """(level, counts) for a row table of row domain ``domain``: ``level``
+    maps the code of a row to the key of a set that holds the row's whole
+    orbit (None for a key where one set serves every row), and ``counts``
+    maps each key to the set's size.
 
     The generators keep each set, so each orbit lies inside the set of any
-    of its objects (Holt, Eick and O'Brien, section 4.1).  A row keeps its
+    of its rows (Holt, Eick and O'Brien, section 4.1).  A row keeps its
     unimodularity; an orth generator keeps Q(v) = v_1 v_2 + v_3 v_4 + ...
     (its two updates v_i += z v_j and v_pair(j) -= z v_pair(i) add
-    z v_j v_pair(i) and take it away), so orth rows are counted by Q.  A
-    one-row frame lies in the row domain, over orth at Q = 0.  An sp frame
-    of two rows (u, v) has <u, v> = 1, with u unimodular; v -> <u, v> maps
-    R^s onto R, so the pairs number |Um_s| q^(s - 1).  Other frames, and
-    frames with q^s > ``budget``, which would cost more to count, have no
-    count."""
-    codec, family = table._codec, table.family
-    if table.kind == "row":
-        if family != FAMILY_ORTH:
-            return None, {None: len(domain)}
-        level = codec.levels().__getitem__
-        return level, Counter(map(level, domain))
-    rows = table.frame_rows
-    if (rows != 1 and (rows != 2 or family != FAMILY_SP)
-            or _capped_power(codec.q, table.size, budget) > budget):
-        return None
-    if family == FAMILY_ORTH:
-        # the standard frame e_1 has Q = 0
-        levels, zero = codec.levels(), codec._arith[0]
-        count = sum(levels[c] == zero for c in _row_domain(codec))
-    else:
-        count = len(_row_domain(codec))
-        if rows == 2:
-            count *= codec.q ** (table.size - 1)
-    return None, {None: count}
+    z v_j v_pair(i) and take it away), so orth rows are counted by Q."""
+    if table.family != FAMILY_ORTH:
+        return None, {None: len(domain)}
+    level = table._codec.levels().__getitem__
+    return level, Counter(map(level, domain))
 
 
-def _bfs_closure(table: OrbitTable, starts, gens, budget: int):
+def _bfs_closure(table: OrbitTable, starts, gens, budget: int, count=None):
     """Deterministic multi-source BFS from the codes ``starts`` into the
     empty ``table``'s code dicts; ties between frontier edges pick the
     least (parent, generator), which is the first to propose the object.
     ``_link`` holds each object reached or proposed, so an image costs one
     lookup, and each level's fresh codes are sorted into the next frontier.
 
-    Each orbit stops expanding once every object of its counted set (see
-    ``_counted_sets``) is reached, by it or by an earlier orbit.  The orbit
-    lies inside that set, so a later edge could only propose an object
-    already reached, and the first proposal stands: the ids, links and
-    representatives are those of the full BFS.  A table with no count runs
-    each orbit to the end.  For a row table ``starts`` is the whole domain,
-    and a code outside it, a codec defect, is refused when committed."""
+    Each orbit stops expanding once every object of its counted set is
+    reached, by it or by an earlier orbit: a row table's sets are its
+    ``_counted_sets``, and a frame table, one orbit, is its own set where
+    ``count``, its exact size, is given.  The orbit lies inside that set,
+    so a later edge could only propose an object already reached, and the
+    first proposal stands: the ids, links and representatives are those of
+    the full BFS.  A frame with no count runs to the end.  For a row table
+    ``starts`` is the whole domain, and a code outside it, a codec defect,
+    is refused when committed."""
     expand = table._codec.expander(gens)
     row = table.kind == "row"
     domain = set(starts) if row else None
-    # level: code -> the key of its set; left: key -> the set's objects not
-    # yet reached; both None for a table with no count
-    level, left = _counted_sets(table, starts if row else None,
-                                budget) or (None, None)
+    # level: code -> the key of its set (None where one set serves every
+    # object); left: key -> the set's objects not yet reached, None for a
+    # frame with no count
+    level, left = (_counted_sets(table, starts) if row
+                   else (None, {None: count} if count else None))
     orbit, link, reps = table._orbit, table._link, table._reps
     for code in starts:
         if code in orbit:
@@ -848,15 +867,15 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         if frame_rows <= 0 or frame_rows > size:
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
         _check_paired_size(family, size)
-        # refused before the catalog and the standard frame are built, by
-        # the orbit's size where it is proven, else by a lower bound; a
+        # refused before the catalog and the standard frame are built, by a
+        # lower bound, then by the orbit's size where it is proven (the bound
+        # first, so no large modulus is factored for a table it refuses); a
         # one-object table never trips the BFS
         q, cap = ring.cardinality(), max(budget, 1)
-        count = _frame_orbit_count(ring, family, size, frame_rows, cap)
-        if count is None:
-            count = _capped_power(q, _frame_orbit_exponent(
-                ring, family, size, frame_rows), cap)
-        if count > cap:
+        shape = ring, family, size, frame_rows
+        bound = _capped_power(q, _frame_orbit_exponent(*shape), cap)
+        count = None if bound > cap else _frame_orbit_count(*shape, cap)
+        if (bound if count is None else count) > cap:
             raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
         _check_entries(q, frame_rows * size, budget)
         table = OrbitTable(ring, "frame", family, size, frame_rows)
@@ -864,7 +883,9 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         one, zero = ring.one().payload, ring.zero().payload
         standard = tuple((zero,) * i + (one,) + (zero,) * (size - 1 - i)
                          for i in range(frame_rows))
-        _bfs_closure(table, [table._codec.encode(standard)], gens, budget)
+        # an admitted count is exact: the table's one counted set
+        _bfs_closure(table, [table._codec.encode(standard)], gens, budget,
+                     count)
         return table
     raise ObjectOutOfDomain(f"unknown object kind {kind!r}")
 

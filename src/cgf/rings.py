@@ -254,6 +254,7 @@ class Ring:
     is_local = False
     is_field = False
     residue_size = None  # kappa = |R/M| of a nonzero finite local ring
+    integer_modulus = None  # n for Z/n in any descriptor, 0 for Z
     is_finite = False
     is_zero_ring = False
     characteristic = 0
@@ -422,6 +423,7 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "int"
+    integer_modulus = 0
 
     def key(self):
         return ("int",)
@@ -549,7 +551,7 @@ class ModularRing(Ring):
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise UnsupportedRing(f"modulus must be a positive integer, got {n!r}")
-        self.n = n
+        self.n = self.integer_modulus = n
         self.characteristic = n
         base = _prime_power_base(n)
         self.is_field = base == n
@@ -760,7 +762,7 @@ class PolyExt(Ring):
     zeros stripped.  Degrees above ``degree_cap`` raise instead of
     truncating silently.
 
-    Over Z and Z/n, in any descriptor that ``_residue_modulus`` names,
+    Over Z and Z/n, in any descriptor (``integer_modulus``),
     ``mul`` and ``dot`` (and so matmul and the determinant over R[T]) are
     one fused path, ``_raw_sum``: one list holds the exact integer
     coefficient sums, each reduced mod n once, then trimmed once.  ``fma``
@@ -783,7 +785,7 @@ class PolyExt(Ring):
         self.characteristic = base.characteristic
         self.is_zero_ring = base.is_zero_ring
         # integer coefficients accumulate unreduced; 0 means none to reduce
-        n = _residue_modulus(base)
+        n = base.integer_modulus
         self._raw = n is not None
         self._modulus = n or 0
 
@@ -1160,7 +1162,7 @@ class _PolyRemainders(Ring):
         descriptor, both are the residues 0..p-1 in order, with nothing
         listed or sorted."""
         field = self.field
-        if n := _residue_modulus(field):
+        if n := field.integer_modulus:
             return range(n), range(n)
         ordered = sorted(v.payload for v in field.elements())
         # zero, 0 or (), is the least payload, so a nonzero last digit is >= 1
@@ -1360,7 +1362,7 @@ class QuotientRing(Ring):
                      "is_nilpotent_payload", "cardinality", "rank", "unrank",
                      "render", "value_to_json", "is_finite", "is_field",
                      "is_local", "is_zero_ring", "characteristic",
-                     "residue_size"):
+                     "residue_size", "integer_modulus"):
             setattr(self, name, getattr(residues, name))
 
     def key(self):
@@ -1519,17 +1521,6 @@ def _xgcd_chain(ints):
     return g, coeffs
 
 
-def _residue_modulus(ring: Ring):
-    """n when the ring is Z/n (a ModularRing, or a QuotientRing whose
-    residues are one), 0 when it is Z (itself or as Z/(0)), and None
-    otherwise: the one place that knows which rings are Z/m."""
-    if isinstance(ring, QuotientRing):
-        ring = ring.residues
-    if isinstance(ring, ModularRing):
-        return ring.n
-    return 0 if isinstance(ring, IntegerRing) else None
-
-
 def unit_ideal_witness(ring: Ring, values):
     """Coefficients c_i with sum(c_i * v_i) = 1, or None if (v_i) != (1)."""
     return ideal_combination(ring, values, ring.one())
@@ -1546,7 +1537,7 @@ def ideal_combination(ring: Ring, gens, target):
         return None if not target.is_zero() else []
     if ring.is_zero_ring:
         return [ring.zero() for _ in gens]
-    n = _residue_modulus(ring)
+    n = ring.integer_modulus
     if n is not None:
         ints = [int(g.payload) for g in gens]
         t = int(target.payload)

@@ -673,10 +673,11 @@ ROWS = (
                 f"orbits --ring {ring} --kind frame --family lin --size 300 "
                 "--frame-rows 300", exit=2, subset=REFUSED)
             for ring in ("mod:4", "mod:6"))),
-    # SL_4(F_3), Sp_6(F_3), EO_6(F_5) and the Z/9 sp 2 x 6 frames (about
+    # SL_4(F_3), Sp_6(F_3), EO_6(F_5), the Z/9 sp 2 x 6 frames (about
     # 3.13 * 10^10 hyperbolic pairs, where the lower bound 9^4 admits them)
-    # hold more frames than the budget: their exact sizes refuse them
-    # before the catalog, with the BFS's own answer
+    # and Sp_4(Z/15) (|Sp_4(F_3)| |Sp_4(F_5)| = 485,222,400,000 frames,
+    # where the lower bound is 1) hold more frames than the budget: their
+    # exact sizes refuse them before the catalog, with the BFS's own answer
     *_was("test_a_full_frame_over_f3_is_refused_by_its_count[{}]", *(
         Row(f"full frame over F_3: {family}-{size}",
             f"orbits --ring prime:3 --kind frame --family {family} "
@@ -691,6 +692,9 @@ ROWS = (
         "sp frames 2 x 6 over Z/9", "orbits --ring mod:9 --kind frame "
         "--family sp --size 6 --frame-rows 2",
         exit=2, out=OVER_BUDGET, timeout=2)),
+    Row("sp frames 4 x 4 over Z/15", "orbits --ring mod:15 --kind frame "
+        "--family sp --size 4 --frame-rows 4",
+        exit=2, out=OVER_BUDGET, timeout=2),
 
     # certify against cached tables, genuine and doctored.  A tampered
     # table's orbit ids contradict its own pred links; a re-rooted one
@@ -822,6 +826,13 @@ ROWS = (
     *_was("test_harness_negative_budget_is_a_usage_error", Row(
         "harness --budget -1", "harness lemmas --budget -1",
         exit=1, stderr="usage error: --budget must be >= 0, got -1\n")),
+    # orbits refuses a negative budget the same way, before the ring is read
+    *(Row(f"orbits --budget -1: {kind}", f"orbits --ring mod:4 {shape} "
+          "--budget -1",
+          exit=1, stderr="usage error: --budget must be >= 0, got -1\n")
+      for kind, shape in (("rows", "--size 2"),
+                          ("frames", "--kind frame --family sp --size 2 "
+                           "--frame-rows 1"))),
     # CGF_WORD_LIMIT is read once before each verb runs; empty means the
     # default
     *_was("test_malformed_word_limit_is_a_usage_error",

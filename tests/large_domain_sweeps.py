@@ -9,24 +9,40 @@ lists, ranked in closed form, and the load reads each distinct row once.
 
 For each object, the leading rows of eval(word) of its completion word must
 equal the object, and the word must rebuild unchanged through the public
-``Generator``/``GenWord`` checks.  The sweeps take a few seconds each, so
-they run as their own CI step, outside tier-1; pytest does not collect this
-file.  Run it from the repository root:
+``Generator``/``GenWord`` checks.
+
+A frame table's proven size stops its BFS and refuses it past the budget
+(``oracle._frame_orbit_count``); a size too small would cut a table short
+without an error.  So every lin, sp and orth frame table of sizes 2 to 6
+and every number of rows over the ``COUNT_RINGS`` is built at a budget of
+5,000 twice, with its count used and withheld, and each pair must dump
+the same bytes or raise the same error.  Over F_2 x F_2, which has no
+proven count, the lin 1 x 9 frame table must hold its 261,121 unimodular
+rows in one orbit.
+
+The sweeps take a few seconds each, so they run as their own CI step,
+outside tier-1; pytest does not collect this file.  Run it from the
+repository root:
 
     PYTHONPATH=src python tests/large_domain_sweeps.py
 
 It prints one line per domain, with the seconds the table took to
-enumerate, to dump and to load, and exits 1 at the first failure.
+enumerate, to dump and to load, one line for the count sweep and one for
+the F_2 x F_2 table, and exits 1 at the first failure.
 """
 
 import json
 import sys
 import time
+from unittest import mock
 
+from cgf import oracle
+from cgf.errors import CgfError
 from cgf.matrices import IsotropicFrame, Mat
 from cgf.oracle import OrbitTable, enumerate_orbits
 from cgf.reduce import complete_orth, complete_sp
-from cgf.rings import ModularRing, PrimeField, TruncatedPolyLocal
+from cgf.rings import (ModularRing, PolyExt, PrimeField, QuotientRing,
+                       TruncatedPolyLocal)
 
 from test_domains import _publicly_rebuilt
 
@@ -36,6 +52,14 @@ DOMAINS = [
     (TruncatedPolyLocal(2, 2), "sp", 4, 2, 15360, complete_sp),
     (PrimeField(3), "orth", 6, 2, 21060, complete_orth),
 ]
+
+
+# Z/m local and not, the zero ring, a field, F_3[x]/(x^2) and F_2 x F_2
+# as JSON quotients
+COUNT_RINGS = [ModularRing(n) for n in (1, 2, 3, 4, 6, 9, 10, 12, 15)] + [
+    PrimeField(5), QuotientRing(PolyExt(PrimeField(3), "x"), [(0, 0, 1)]),
+    QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])]
+COUNT_BUDGET = 5000
 
 
 class SweepFailed(Exception):
@@ -81,6 +105,37 @@ def sweep(ring, family, size, frame_rows, objects, complete) -> str:
             f"loaded in {loaded:.2f} s")
 
 
+def frame_outcome(ring, family, size, frame_rows) -> str:
+    """The bytes of the frame table at ``COUNT_BUDGET``, or its error."""
+    try:
+        table = enumerate_orbits(ring, "frame", family, size, frame_rows,
+                                 budget=COUNT_BUDGET)
+    except CgfError as error:
+        return json.dumps(error.to_json())
+    return json.dumps(table.to_json(), sort_keys=True)
+
+
+def count_sweep() -> int:
+    """The number of frame tables built with their count used and
+    withheld; raises SweepFailed at the first pair that differs."""
+    built = 0
+    for ring in COUNT_RINGS:
+        for family in ("lin", "sp", "orth"):
+            for size in range(2, 7, 1 if family == "lin" else 2):
+                for rows in range(1, size + 1):
+                    shape = ring, family, size, rows
+                    used = frame_outcome(*shape)
+                    with mock.patch.object(oracle, "_frame_orbit_count",
+                                           lambda *args: None):
+                        withheld = frame_outcome(*shape)
+                    if used != withheld:
+                        raise SweepFailed(
+                            f"{family} {rows}x{size} over {ring}: the "
+                            "count changes the table")
+                    built += 1
+    return built
+
+
 def main() -> int:
     for ring, family, size, frame_rows, objects, complete in DOMAINS:
         start = time.perf_counter()
@@ -92,6 +147,23 @@ def main() -> int:
             return 1
         print(f"{name}: {objects} objects in "
               f"{time.perf_counter() - start:.1f} s; table {times}")
+    start = time.perf_counter()
+    try:
+        built = count_sweep()
+    except SweepFailed as failure:
+        print(f"frame counts: {failure}", file=sys.stderr)
+        return 1
+    print(f"frame counts: {built} tables the same with the count used and "
+          f"withheld in {time.perf_counter() - start:.1f} s")
+    start = time.perf_counter()
+    ring = COUNT_RINGS[-1]
+    sizes = enumerate_orbits(ring, "frame", "lin", 9, 1).orbit_sizes()
+    if sizes != [261121]:
+        print(f"lin 1x9 over F_2 x F_2: orbit sizes {sizes[:5]}, "
+              "expected [261121]", file=sys.stderr)
+        return 1
+    print(f"lin 1x9 over F_2 x F_2: 261121 objects in one orbit in "
+          f"{time.perf_counter() - start:.1f} s")
     return 0
 
 

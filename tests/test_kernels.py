@@ -862,7 +862,7 @@ class _IntegerQuotientRef:
 
 
 def _residue_modulus_ref(ring):
-    # reference: _residue_modulus when integer quotients were a style
+    # reference: Ring.integer_modulus when integer quotients were a style
     if isinstance(ring, ModularRing):
         return ring.n
     if (isinstance(ring, QuotientRing)
@@ -997,6 +997,7 @@ UNIT_IDEAL_RINGS = FINITE_INTEGER_QUOTIENTS + [
 
 @pytest.mark.parametrize("ring", UNIT_IDEAL_RINGS, ids=str)
 def test_unit_ideal_witness_matches_reference(ring):
+    assert ring.integer_modulus == _residue_modulus_ref(ring)
     pool = list(ring.elements())
     for k in (1, 2, 3):
         for values in itertools.product(pool, repeat=k):
@@ -1009,6 +1010,7 @@ def test_unit_ideal_witness_matches_reference(ring):
 
 
 def test_unit_ideal_witness_over_z_mod_0_matches_reference():
+    assert Z_MOD_0.integer_modulus == _residue_modulus_ref(Z_MOD_0) == 0
     rng = random.Random(0)
     for _ in range(300):
         values = [Z_MOD_0.coerce(rng.choice(Z_MOD_0_SAMPLE))

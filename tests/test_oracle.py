@@ -20,7 +20,7 @@ from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
                        QuotientRing, RingValue, TruncatedPolyLocal,
-                       _PolyRemainders, _residue_modulus, unit_ideal_witness)
+                       _PolyRemainders, unit_ideal_witness)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator,
                        apply_word_to_row, paired_index)
 
@@ -733,48 +733,65 @@ _FRAME_SIZES = {
 }
 
 
-# exact frame orbit sizes: lin and sp of whole hyperbolic pairs over a
-# finite local ring, and square orth over a finite field of odd order
+# exact frame orbit sizes: lin, sp of one row and of whole hyperbolic
+# pairs over a finite local ring, orth of one row over one with kappa odd,
+# square orth over a finite field of odd order, and each over Z/m as the
+# product over the p^k exactly dividing m
 _COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
                   ModularRing(4), ModularRing(8), ModularRing(9),
                   PrimeField(5), TruncatedPolyLocal(2, 2),
-                  TruncatedPolyLocal(3, 2), F4, X2)
+                  TruncatedPolyLocal(3, 2), F4, X2, PrimeField(7),
+                  ModularRing(6), ModularRing(10), ModularRing(15))
 
 
 def _frame_shapes():
     """(family, size, frame_rows) of every lin frame with s <= 4, every
-    sp frame of whole pairs with s <= 6 and the square orth frame of 4."""
+    sp frame of one row or of whole pairs with s <= 6, the orth frames of
+    one row with s = 4 and 6 and the square orth frame of 4."""
     for size in range(1, 5):
         for rows in range(1, size + 1):
             yield FAMILY_LIN, size, rows
     for size in (2, 4, 6):
-        for rows in range(2, size + 1, 2):
+        for rows in [1, *range(2, size + 1, 2)]:
             yield FAMILY_SP, size, rows
-    yield FAMILY_ORTH, 4, 4
+    yield from ((FAMILY_ORTH, 4, 1), (FAMILY_ORTH, 6, 1), (FAMILY_ORTH, 4, 4))
 
 
-def test_the_frame_counts_match_the_tables():
-    # each count against orbit_sizes() on the 88 counted tables of at most
-    # 10,000 frames, each built at a budget of exactly its count (a count
-    # too small would meet the BFS's refusal) and refused one below it;
+def _built_without_count(monkeypatch, ring, family, size, rows, budget):
+    # the full BFS of a frame table: with its count withheld nothing stops
+    # the BFS early, so a count too small, used as the budget, meets the
+    # BFS's refusal instead of cutting the table short
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_frame_orbit_count", lambda *args: None)
+        return enumerate_orbits(ring, "frame", family, size, frame_rows=rows,
+                                budget=budget)
+
+
+def test_the_frame_counts_match_the_tables(monkeypatch):
+    # each count against orbit_sizes() on the 157 counted tables of at most
+    # 10,000 frames, each built with the count withheld at a budget of
+    # exactly its count (a count too small would meet the BFS's refusal),
+    # and refused by the count one below it;
     # among them Z/4 lin 2 x 3 (2,688), F_2[x]/(x^2) lin 2 x 2 (48), F_3 sp
     # 2 x 4 (2,160), sp 2 x 2 over Z/4 and the quotient F_2[x]/(x^2) (48)
     # and over Z/9 (648), the square orth frames of 4 over F_3 and Z/3 (288)
-    # and F_5 (7,200), and the other counted tables of _FRAME_SIZES
+    # and F_5 (7,200), the orth frames of one row of 4 over Z/15 (4,608),
+    # and the other counted tables of _FRAME_SIZES
     checked = Counter()
     for ring in _COUNTED_RINGS:
         for family, size, rows in _frame_shapes():
             count = oracle._frame_orbit_count(ring, family, size, rows,
                                               10 ** 12)
-            if count is None:  # orth over a ring that is not a field or
-                # over a field of even order
+            if count is None:  # orth over a ring without 1/2, or square
+                # orth over a ring that is no product of fields
                 assert family == FAMILY_ORTH, ring
-                assert not ring.is_field or ring.cardinality() % 2 == 0
+                assert ring.cardinality() % 2 == 0 or ring == ModularRing(9) \
+                    or ring == TruncatedPolyLocal(3, 2), ring
                 continue
             if count > 10000:
                 continue
-            table = enumerate_orbits(ring, "frame", family, size,
-                                     frame_rows=rows, budget=count)
+            table = _built_without_count(monkeypatch, ring, family, size,
+                                         rows, count)
             assert table.orbit_sizes() == [count], (ring, family, size, rows)
             if count >= 2:
                 with pytest.raises(SearchBudgetExceeded,
@@ -782,15 +799,22 @@ def test_the_frame_counts_match_the_tables():
                     enumerate_orbits(ring, "frame", family, size,
                                      frame_rows=rows, budget=count - 1)
             checked[family] += 1
-    assert checked == {FAMILY_LIN: 69, FAMILY_SP: 16, FAMILY_ORTH: 3}
+    assert checked == {FAMILY_LIN: 88, FAMILY_SP: 56, FAMILY_ORTH: 13}
+
+
+# F_3[x]/(x^2 - 1) = F_3 x F_3: neither local nor a Z/m
+F3xF3 = QuotientRing(PolyExt(PrimeField(3), "x"), [(2, 0, 1)])
 
 
 @pytest.mark.parametrize("ring, family, size, rows", [
-    (ModularRing(6), FAMILY_LIN, 3, 2), (ModularRing(1), FAMILY_LIN, 3, 2),
-    (X2_PLUS_X, FAMILY_LIN, 2, 2), (ModularRing(6), FAMILY_SP, 4, 2),
-    (PrimeField(3), FAMILY_SP, 4, 1), (PrimeField(3), FAMILY_ORTH, 4, 2)])
+    (F3xF3, FAMILY_LIN, 3, 2), (X2_PLUS_X, FAMILY_LIN, 3, 2),
+    (X2_PLUS_X, FAMILY_LIN, 2, 2), (F3xF3, FAMILY_SP, 4, 2),
+    (X2_PLUS_X, FAMILY_SP, 4, 1), (PrimeField(3), FAMILY_ORTH, 4, 2),
+    (ModularRing(3), FAMILY_SP, 4, 3), (ModularRing(9), FAMILY_ORTH, 4, 4)])
 def test_a_frame_with_no_proven_count_keeps_its_lower_bound(ring, family,
                                                             size, rows):
+    # non-local polynomial quotients, odd sp frames, orth frames of two
+    # rows, and square orth frames over a local ring that is no field
     assert oracle._frame_orbit_count(ring, family, size, rows, 10 ** 7) \
         is None
 
@@ -861,13 +885,14 @@ def test_a_square_orth_frame_over_f5_is_refused_by_its_count():
 @pytest.mark.parametrize("ring, size, count", [
     (X2_PLUS_1, 2, 48), (ModularRing(4), 4, 15360), (X2, 4, 15360),
     (X2_PLUS_1, 4, 15360)])
-def test_an_sp_count_over_a_local_ring_matches_its_table(ring, size, count):
+def test_an_sp_count_over_a_local_ring_matches_its_table(monkeypatch, ring,
+                                                         size, count):
     # (q/kappa)^(m(2m+1) - (m-k)(2m-2k+1)) times the count over kappa = 2;
-    # the table, built at a budget of exactly the count, holds that many
+    # the table, built with the count withheld at a budget of exactly the
+    # count, holds that many
     assert oracle._frame_orbit_count(ring, FAMILY_SP, size, 2,
                                      10 ** 12) == count
-    table = enumerate_orbits(ring, "frame", FAMILY_SP, size, frame_rows=2,
-                             budget=count)
+    table = _built_without_count(monkeypatch, ring, FAMILY_SP, size, 2, count)
     assert table.orbit_sizes() == [count]
 
 
@@ -1222,8 +1247,10 @@ def test_row_bfs_stops_once_every_row_is_reached(monkeypatch):
 
 
 # tables whose orbits stop on a count: orth rows by the level sets of Q,
-# one-row sp frames by the row domain, one-row orth frames by the rows with
-# Q = 0, and sp frames of two rows by the hyperbolic pairs
+# and frames by their proven size (``_frame_orbit_count``), among them
+# one-row sp frames, one-row orth frames (the rows with Q = 0), sp frames of
+# two rows (the hyperbolic pairs) and, after those, frames that stopped on
+# no count before: Z/4 lin 2 x 4, Sp_4(F_3), EO_4(F_3) and Z/6 lin 2 x 3
 _COUNTED_CASES = [
     (ModularRing(9), "row", FAMILY_ORTH, 4, 0),
     (PrimeField(5), "row", FAMILY_ORTH, 4, 0),
@@ -1236,48 +1263,61 @@ _COUNTED_CASES = [
     (ModularRing(4), "frame", FAMILY_SP, 4, 2),
     (PrimeField(3), "frame", FAMILY_SP, 4, 2),
     (X2, "frame", FAMILY_SP, 4, 2),
+    (ModularRing(4), "frame", FAMILY_LIN, 4, 2),
+    (PrimeField(3), "frame", FAMILY_SP, 4, 4),
+    (PrimeField(3), "frame", FAMILY_ORTH, 4, 4),
+    (ModularRing(6), "frame", FAMILY_LIN, 3, 2),
 ]
 _COUNTED_IDS = ["Z/9 orth rows", "F_5 orth rows", "F_7 orth rows",
                 "Z/6 sp frames", "Z/23 sp frames", "F_2[x]/(x^2) sp frames",
                 "F_5 orth frames", "Z/9 orth frames",
                 "Z/4 sp 2-row frames", "F_3 sp 2-row frames",
-                "F_2[x]/(x^2) sp 2-row frames"]
+                "F_2[x]/(x^2) sp 2-row frames", "Z/4 lin 2-row frames",
+                "F_3 sp 4-row frames", "F_3 orth 4-row frames",
+                "Z/6 lin 2-row frames"]
 
 
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows",
                          _COUNTED_CASES, ids=_COUNTED_IDS)
 def test_a_counted_stop_changes_no_byte(monkeypatch, ring, kind, family,
                                         size, frame_rows):
-    # the same bytes with the stop on, with the counts withheld (the full
+    # the same table with the stop on, with the counts withheld (the full
     # BFS) and with every count one too large (no set is ever reached),
     # and the reference BFS's tables wherever the suite has one; compared
-    # as digests and flags, so a failure reports without a long diff
-    counted = oracle._counted_sets
+    # as tables, whose codes, links and representatives fix the bytes, and
+    # as flags, so a failure reports without a long diff.  A row table's
+    # counts are its counted sets, (level, counts), a frame table's its
+    # count; each is withheld as the BFS reads no count
+    name, withheld, raised = (
+        ("_counted_sets", (None, None),
+         lambda sets: (sets[0], {k: n + 1 for k, n in sets[1].items()}))
+        if kind == "row" else
+        ("_frame_orbit_count", None, lambda count: count + 1))
+    counted = getattr(oracle, name)
     spec = (ring, kind, family, size, frame_rows)
-    digests = []
-    for setting, adjust in [
-            ("on", lambda sets: sets), ("withheld", lambda sets: None),
-            ("raised", lambda sets: (sets[0], {k: n + 1 for k, n in
-                                               sets[1].items()}))]:
-        monkeypatch.setattr(oracle, "_counted_sets",
+    tables = []
+    for setting, adjust in [("on", lambda sets: sets),
+                            ("withheld", lambda sets: withheld),
+                            ("raised", raised)]:
+        monkeypatch.setattr(oracle, name,
                             lambda *args: adjust(counted(*args)))
         table = enumerate_orbits(ring, kind, family, size,
                                  frame_rows=frame_rows)
-        digests.append(hashlib.sha256(json.dumps(
-            table.to_json(), sort_keys=True).encode()).hexdigest())
+        tables.append(table)
         if spec in _REFERENCE_CASES or spec in [g[:5] for g in _GOLDEN]:
             orbit_of, reps, pred = _bfs_closure_ref(*spec)
             same = (table.orbit_of == orbit_of and table.pred == pred
                     and table.reps == tuple(reps))
             assert same, setting
-    assert digests[1:] == digests[:1] * 2
-    # every case is counted
-    starts = (oracle._row_domain(table._codec) if kind == "row" else None)
-    assert counted(table, starts, oracle.DEFAULT_BUDGET) is not None
+    assert [t == tables[0] for t in tables[1:]] == [True, True]
+    # every frame case is counted
+    assert kind == "row" or counted(ring, family, size, frame_rows,
+                                    oracle.DEFAULT_BUDGET) is not None
 
 
 # (table, its expand calls, and the calls when only the whole row domain
-# is counted): a counted set stops each orbit once it is reached
+# is counted and no frame): a counted set stops each orbit once it is
+# reached
 _EXPANSIONS = [
     ((PrimeField(5), "row", FAMILY_ORTH, 4, 0), 240, 548),
     ((PrimeField(7), "row", FAMILY_ORTH, 4, 0), 672, 2154),
@@ -1291,6 +1331,10 @@ _EXPANSIONS = [
     ((ModularRing(4), "frame", FAMILY_SP, 4, 2), 10820, 15360),
     ((PrimeField(3), "frame", FAMILY_SP, 4, 2), 1439, 2160),
     ((X2, "frame", FAMILY_SP, 4, 2), 10527, 15360),
+    # frames that stop on a count beyond the one-row and sp two-row sets
+    ((ModularRing(4), "frame", FAMILY_LIN, 3, 2), 2192, 2688),
+    ((ModularRing(6), "frame", FAMILY_LIN, 2, 2), 113, 144),
+    ((PrimeField(3), "frame", FAMILY_ORTH, 4, 4), 265, 288),
     # lin rows keep the one set, the domain, that stopped them before
     ((ModularRing(8), "row", FAMILY_LIN, 4, 0), 1543, 1543),
     # a frame of three rows has no count and runs to the end
@@ -1300,16 +1344,16 @@ _EXPANSIONS = [
 
 def test_counted_sets_pin_the_expansions(monkeypatch):
     # the expand calls with the counts on, and with only the whole row
-    # domain counted (the rule before the level sets and frames: the last
-    # orbit of a row table stops once every row is reached)
+    # domain counted and no frame (the rule before the level sets and
+    # frames: the last orbit of a row table stops once every row is reached)
     expanded = _count_expansions(monkeypatch)
-
-    def row_domain_only(table, domain, budget):
-        return (None, {None: len(domain)}) if table.kind == "row" else None
-
+    rules = [(oracle._counted_sets, oracle._frame_orbit_count),
+             (lambda table, domain: (None, {None: len(domain)}),
+              lambda *args: None)]
     got = {}
-    for rule in [oracle._counted_sets, row_domain_only]:
-        monkeypatch.setattr(oracle, "_counted_sets", rule)
+    for rows, frames in rules:
+        monkeypatch.setattr(oracle, "_counted_sets", rows)
+        monkeypatch.setattr(oracle, "_frame_orbit_count", frames)
         for spec, _, _ in _EXPANSIONS:
             expanded.clear()
             enumerate_orbits(*spec[:4], frame_rows=spec[4])
@@ -1318,7 +1362,7 @@ def test_counted_sets_pin_the_expansions(monkeypatch):
         [now, before] for _, now, before in _EXPANSIONS]
     # fewer wherever a count beyond the row domain stops a table
     assert [now < before for now, before in got.values()] == (
-        [True] * 12 + [False] * 2)
+        [True] * 15 + [False] * 2)
 
 
 def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
@@ -1374,6 +1418,29 @@ def test_a_row_table_build_decodes_no_code(monkeypatch):
         splits.clear()
         assert table.orbit_of and table.pred and table.reps
         assert sorted(splits) == sorted(table._orbit)
+
+
+def test_a_frame_build_lists_no_row_domain_and_no_level(monkeypatch):
+    # a frame table's one count is its proven size: no build lists the row
+    # domain or the levels of Q.  The counted frames (one-row lin, sp and
+    # orth, sp pairs, a lin frame over Z/15) stop before they expand every
+    # frame; F_2 x F_2 and orth frames of two rows have no count
+    monkeypatch.setattr(oracle, "_row_domain", _refuse)
+    monkeypatch.setattr(oracle._Codec, "levels", _refuse)
+    expanded = _count_expansions(monkeypatch)
+    sizes = []
+    for ring, family, size, rows in [
+            (ModularRing(6), FAMILY_LIN, 3, 1),
+            (ModularRing(6), FAMILY_SP, 4, 1),
+            (PrimeField(5), FAMILY_ORTH, 4, 1),
+            (ModularRing(9), FAMILY_ORTH, 4, 1), (X2, FAMILY_SP, 2, 2),
+            (ModularRing(15), FAMILY_LIN, 2, 2), (F2xF2, FAMILY_LIN, 3, 1),
+            (PrimeField(3), FAMILY_ORTH, 4, 2)]:
+        expanded.clear()
+        table = enumerate_orbits(ring, "frame", family, size, frame_rows=rows)
+        sizes.append((len(table._orbit), len(expanded)))
+    assert sizes == [(182, 147), (1200, 967), (144, 82), (864, 736),
+                     (48, 37), (2880, 2476), (49, 49), (288, 288)]
 
 
 def _counted_value_from_json(monkeypatch, cls):
@@ -1454,7 +1521,7 @@ def _is_unimodular_row_ref(ring, values):
         return True
     if ring.is_local:
         return any(v.is_unit() for v in values)
-    modulus = _residue_modulus(ring)
+    modulus = ring.integer_modulus
     if modulus is None:
         return unit_ideal_witness(ring, list(values)) is not None
     return gcd(modulus, *(v.payload for v in values)) == 1

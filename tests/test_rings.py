@@ -14,7 +14,7 @@ from cgf.matrices import Mat
 from cgf.rings import (FractionRing, IntegerRing, LocalizedIntegers,
                        ModularRing, PolyExt, PrimeField, QuotientRing,
                        RationalField, RingValue, TruncatedPolyLocal,
-                       _is_prime, _prime_power_base, _residue_modulus,
+                       _is_prime, _prime_power_base,
                        _strong_probable_prime, arith, inverse, is_unit,
                        localize_denominator_check, ring_from_json,
                        substitute, unit_ideal_witness, ideal_combination)
@@ -413,7 +413,7 @@ def test_residue_modulus():
                     (LocalizedIntegers(5), None),
                     (PolyExt(ModularRing(6), "T"), None),
                     (QuotientRing(PolyExt(PrimeField(3)), [[1, 0, 1]]), None)):
-        assert _residue_modulus(ring) == n, ring
+        assert ring.integer_modulus == n, ring
 
 
 def test_fraction_ring_base_restriction():
