@@ -42,14 +42,21 @@ its catalog exists, and over the zero ring, where every table is one
 object, one of more entries than the budget is refused
 (``_check_entries``).
 
-The catalog checks each (i, j) once.  A generator acts on each row alone,
+A catalog with no (i, j) pair (lin of size 1, orth of size 2, the zero
+ring) lists no parameter, and a frame table with none is its standard
+frame alone, with no count.  The catalog checks each (i, j) once.  A generator acts on each row alone,
 (V.g)_k = V_k.g, so it compiles on one row into updates from
 ``Generator._triples``: one whose source digit x is nonzero adds
 (rank(a + x*c) - a) * q^k, a being the target digit.  A row code expands
 by runs of generators on the same positions, one run per (i, j), in
 catalog order, so the tie rule needs no sort; a run whose sources are all
 zero is skipped.  A run compiles its first member and reads the others'
-coefficient ranks off their triples.  A frame of several rows
+coefficient ranks off their triples.  A row (or a frame of one row) skips
+the single-update runs on a target t whose line through t it has swept:
+a run of one update over every nonzero parameter, from a unit source,
+links every point that differs from the row at t alone, so later runs on
+t, from the row or from any other point of the line, could only propose
+points already linked (``_Codec.expander``).  A frame of several rows
 memoizes, per (row position, row code), the row's delta under every
 generator.  The table's links hold every object reached or proposed, so an
 image is proposed (linked and listed) only if it is not there, one lookup,
@@ -290,18 +297,27 @@ def _local_frame_factors(q: int, kappa: int, family: str, size: int,
     return None
 
 
+def _has_pairs(ring: Ring, family: str, size: int) -> bool:
+    """Whether the catalog has an (i, j) pair, found in closed form: none
+    over the zero ring, which has no nonzero parameter, or below size 2;
+    for orth none below size 4, as (1, 2) and (2, 1) are partners, and
+    (1, 3) from size 4 on."""
+    return ring.cardinality() > 1 and size >= (
+        4 if family == FAMILY_ORTH else 2)
+
+
 def generator_catalog(ring: Ring, family: str, size: int):
-    """All generators with nonzero parameters, in canonical order.  The
-    public ``Generator`` checks never read z, so they run once per (i, j),
-    on its first parameter, and raise the same first error; ``_gen`` builds
-    the pair's other parameters from their payloads."""
+    """All generators with nonzero parameters, in canonical order; a
+    catalog with no (i, j) pair lists no parameter.  The public
+    ``Generator`` checks never read z, so they run once per (i, j), on its
+    first parameter, and raise the same first error; ``_gen`` builds the
+    pair's other parameters from their payloads."""
     _check_paired_size(family, size)
+    if not _has_pairs(ring, family, size):
+        return []
     zero = ring.zero().payload
     nonzero = [p for p in map(ring.unrank, range(ring.cardinality()))
                if p != zero]
-    if not nonzero:
-        # the zero ring: no parameter, so no generator at any size
-        return []
     first, rest = RingValue(ring, nonzero[0]), nonzero[1:]
     gens = []
     for i in range(1, size + 1):
@@ -391,20 +407,22 @@ class _Codec:
                 add[d] = [rank[ring_add(a, y)] for y in values]
                 mul[d] = [rank[ring_mul(a, y)] for y in values]
 
-        def half(width):
-            @cache
-            def build(code):
-                ds = tuple(_split(code, q, width))
-                for d in ds:
-                    fill(d)
-                return ds
-            return build
+        # half code -> its digits, each with its rows built: plain dicts,
+        # as a functools.cache costs about 4 us to make, much of a small
+        # table's build
+        his, los = {}, {}
+        his_get, los_get = his.get, los.get
 
-        his, los = half(n - low), half(low)
+        def build(memo, code, width):
+            ds = memo[code] = tuple(_split(code, q, width))
+            for d in ds:
+                fill(d)
+            return ds
 
         def digits(code):
             hi, lo = divmod(code, split)
-            return his(hi) + los(lo)
+            return ((his_get(hi) or build(his, hi, n - low))
+                    + (los_get(lo) or build(los, lo, low)))
 
         weights = [q ** (n - 1 - k) for k in range(n)]
         return rank[ring.zero().payload], weights, add, mul, digits, fill
@@ -460,27 +478,70 @@ class _Codec:
 
     def expander(self, gens):
         """``expand(node, link, fresh)``: each image of the object with code
-        ``node`` under ``gens``, in their order, that is no key of ``link``
-        (reached or proposed) is linked there to (node, g), g the first
-        generator that gives it, and appended to the list ``fresh``.  Each
-        run of ``gens`` on one (i, j) compiles once (``_runs``)."""
+        ``node``, which ``link`` holds, under ``gens``, in their order, that
+        is no key of ``link`` (reached or proposed) is linked there to
+        (node, g), g the first generator that gives it, and appended to the
+        list ``fresh``.  Each run of ``gens`` on one (i, j) compiles once
+        (``_runs``).
+
+        A run of one update whose members hold every nonzero parameter, in
+        rank order as the catalog lists them, sweeps the line of ``node``
+        through its target t (the rows that differ from it at t alone) when
+        its source digit x is a unit: x*c then takes every nonzero value,
+        so once the run is done every point of the line is in ``link``, and
+        stays there, as ``link`` only grows.  The points of a line share
+        their digits off t, so a later single-update run on t, from this
+        node or from another point of the line, could only propose points
+        already linked, and is skipped: no link changes.  A bit per target
+        marks the lines a node has swept.  Over q > 2 a memo marks them for
+        every node: a byte per row code, bit t of the code with digit t
+        zeroed for the line through t, q^n bytes, built for rows of at most
+        8 entries where q^n is at most ``DEFAULT_BUDGET``, so 10 MB at
+        most.  It is bound to the first ``link`` it meets and starts afresh
+        for another.  Over q = 2 a line has one other point, so a memo
+        check would cost what the one lookup it saves costs."""
         if self.rows > 1:
             return self._frame_expander(gens)
-        # (source, target, weight, members, their coefficient ranks, and
-        # None, or the same four for a second update) per run
-        flat, rank = [], self.rank
+        if not gens:  # nothing to build, over a ring of any size
+            return lambda node, link, fresh: None
+        # (source, target, weight, members, their coefficient ranks, None
+        # or the same four for a second update, and the target's bit if the
+        # run sweeps, else 0) per run
+        flat, rank, q, n = [], self.rank, self.q, self.width
+        # whether to keep a memo; swept is the memo of the link bound
+        memo = 2 < q and n <= 8 and q ** n <= DEFAULT_BUDGET
+        bound = swept = None
+        nonzero = list(range(q))
+        del nonzero[rank(self.ring.zero().payload)]
+        sweeps = [0] * n  # per target, its sweeping runs
         for run, first in self._runs(gens):
             assert len(first) <= 2, "a generator of three updates on a row"
             # the members' coefficient ranks, per update, off their triples
             cols = [[rank(g._triples[k][2]) for g in run]
                     for k in range(len(first))]
             second = None if len(first) == 1 else (*first[1][:3], cols[1])
-            flat.append((*first[0][:3], run, cols[0], second))
+            s, t, w = first[0][:3]
+            sweep = second is None and cols[0] == nonzero
+            sweeps[t] += sweep
+            flat.append((s, t, w, run, cols[0], second, sweep))
+        # with no memo, a node's bit for t pays only if t has a later run
+        least = 1 if memo else 2
+        flat = [(s, t, w, run, col, second,
+                 1 << t if sweep and sweeps[t] >= least else 0)
+                for s, t, w, run, col, second, sweep in flat]
         zero, _, add, mul, digits, _ = self._arith
+        unit = None
+        if any(entry[6] for entry in flat):
+            unit = list(map(self.ring.is_unit_payload,
+                            map(self.unrank, range(q))))
 
         def expand(node, link, fresh):
+            nonlocal bound, swept
+            if memo and link is not bound:
+                bound, swept = link, bytearray(q ** n)
             ds = digits(node)
-            for s, t, w, members, col, second in flat:
+            done = 0  # the bits of the targets whose line is swept
+            for s, t, w, members, col, second, bit in flat:
                 x = ds[s]
                 if second is not None:
                     s2, t2, w2, col2 = second
@@ -500,10 +561,21 @@ class _Codec:
                             continue
                         # only the second source is live
                         x, t, w, col = y, t2, w2, col2
-                if x == zero:
+                if x == zero or done & bit:
                     continue
                 a = ds[t]
-                base, by_x, plus_a = node - a * w, mul[x], add[a]
+                base = node - a * w  # the code of the line through t
+                if bit:
+                    if swept is not None:
+                        if swept[base] & bit:
+                            done |= bit
+                            continue
+                        if unit[x]:
+                            swept[base] |= bit
+                            done |= bit
+                    elif unit[x]:
+                        done |= bit
+                by_x, plus_a = mul[x], add[a]
                 for g, c in zip(members, col):
                     new = base + plus_a[by_x[c]] * w
                     if new not in link:
@@ -870,11 +942,13 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         # refused before the catalog and the standard frame are built, by a
         # lower bound, then by the orbit's size where it is proven (the bound
         # first, so no large modulus is factored for a table it refuses); a
-        # one-object table never trips the BFS
+        # table with no catalog pair is its one standard frame, counted by
+        # nothing, and a one-object table never trips the BFS
         q, cap = ring.cardinality(), max(budget, 1)
         shape = ring, family, size, frame_rows
         bound = _capped_power(q, _frame_orbit_exponent(*shape), cap)
-        count = None if bound > cap else _frame_orbit_count(*shape, cap)
+        count = None if bound > cap or not _has_pairs(*shape[:3]) \
+            else _frame_orbit_count(*shape, cap)
         if (bound if count is None else count) > cap:
             raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
         _check_entries(q, frame_rows * size, budget)

@@ -258,7 +258,8 @@ class Ring:
     is_finite = False
     is_zero_ring = False
     characteristic = 0
-    _zero = _one = _identities = None
+    # built on first use and kept per instance; _least_units by orthoquot
+    _zero = _one = _identities = _least_units = None
 
     # -- identity of the descriptor --------------------------------------
     def key(self):

@@ -659,6 +659,17 @@ ROWS = (
           Row("zero ring: frame-10^5-2-rows",
               "orbits --ring mod:1 --kind frame --family lin --size 100000 "
               "--frame-rows 2", out='{"objects":1,"orbits":1,"sizes":[1]}')),
+    # a frame table whose catalog has no (i, j) pair (lin of size 1, orth
+    # of size 2) is its one standard frame: it answers without listing the
+    # ring's parameters or factoring its modulus, over F_p with p = 10^8 + 7
+    # and over Z/m with m the product of the primes 10^18 + 3 and 10^18 + 9
+    *(Row(f"one-frame table: {family} {size} over {ring}",
+          f"orbits --ring {ring} --kind frame --family {family} "
+          f"--size {size} --frame-rows 1",
+          out='{"objects":1,"orbits":1,"sizes":[1]}', timeout=2)
+      for ring, family, size in (
+          ("prime:100000007", "lin", 1), ("prime:100000007", "orth", 2),
+          (f"mod:{(10 ** 18 + 3) * (10 ** 18 + 9)}", "lin", 1))),
     # an oversized frame table is refused by a lower bound on its orbit
     # before its catalog exists
     *(Row(f"orbits F_5 {family} frames 1 x 3000",

@@ -20,6 +20,13 @@ the same bytes or raise the same error.  Over F_2 x F_2, which has no
 proven count, the lin 1 x 9 frame table must hold its 261,121 unimodular
 rows in one orbit.
 
+A row table's BFS skips the runs whose images lie on a line it has swept
+already (``oracle._Codec.expander``); a line swept by mistake would leave
+an image unproposed without an error.  So every lin, sp and orth row table
+and one-row frame table of at most 2,000 codes over the ``COUNT_RINGS`` is
+built by the library and by the reference BFS of tests/test_oracle.py,
+which proposes every image, and the two must dump the same bytes.
+
 The sweeps take a few seconds each, so they run as their own CI step,
 outside tier-1; pytest does not collect this file.  Run it from the
 repository root:
@@ -27,8 +34,9 @@ repository root:
     PYTHONPATH=src python tests/large_domain_sweeps.py
 
 It prints one line per domain, with the seconds the table took to
-enumerate, to dump and to load, one line for the count sweep and one for
-the F_2 x F_2 table, and exits 1 at the first failure.
+enumerate, to dump and to load, one line for the count sweep, one for
+the F_2 x F_2 table and one for the row sweep, and exits 1 at the first
+failure.
 """
 
 import json
@@ -45,6 +53,7 @@ from cgf.rings import (ModularRing, PolyExt, PrimeField, QuotientRing,
                        TruncatedPolyLocal)
 
 from test_domains import _publicly_rebuilt
+from test_oracle import _bfs_closure_ref, _sweep_shapes
 
 # (ring, family, size, frame rows, objects in the table, completion)
 DOMAINS = [
@@ -60,6 +69,7 @@ COUNT_RINGS = [ModularRing(n) for n in (1, 2, 3, 4, 6, 9, 10, 12, 15)] + [
     PrimeField(5), QuotientRing(PolyExt(PrimeField(3), "x"), [(0, 0, 1)]),
     QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])]
 COUNT_BUDGET = 5000
+ROW_CODES = 2000
 
 
 class SweepFailed(Exception):
@@ -136,6 +146,23 @@ def count_sweep() -> int:
     return built
 
 
+def row_sweep() -> int:
+    """The number of row tables and one-row frame tables of at most
+    ``ROW_CODES`` codes built by the library and by the reference BFS;
+    raises SweepFailed at the first pair whose bytes differ."""
+    built = 0
+    for ring in COUNT_RINGS:
+        for spec in _sweep_shapes(ring, ROW_CODES):
+            table = enumerate_orbits(ring, spec[0], spec[1], spec[2],
+                                     spec[3])
+            want = OrbitTable(ring, *spec, *_bfs_closure_ref(ring, *spec))
+            if json.dumps(table.to_json()) != json.dumps(want.to_json()):
+                raise SweepFailed(f"{spec[0]} {spec[1]} of {spec[2]} over "
+                                  f"{ring}: the reference BFS differs")
+            built += 1
+    return built
+
+
 def main() -> int:
     for ring, family, size, frame_rows, objects, complete in DOMAINS:
         start = time.perf_counter()
@@ -163,6 +190,14 @@ def main() -> int:
               "expected [261121]", file=sys.stderr)
         return 1
     print(f"lin 1x9 over F_2 x F_2: 261121 objects in one orbit in "
+          f"{time.perf_counter() - start:.1f} s")
+    start = time.perf_counter()
+    try:
+        built = row_sweep()
+    except SweepFailed as failure:
+        print(f"row tables: {failure}", file=sys.stderr)
+        return 1
+    print(f"row tables: {built} tables the same as the reference BFS's in "
           f"{time.perf_counter() - start:.1f} s")
     return 0
 

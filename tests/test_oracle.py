@@ -20,7 +20,7 @@ from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
                        QuotientRing, RingValue, TruncatedPolyLocal,
-                       _PolyRemainders, unit_ideal_witness)
+                       _PolyRemainders, has_half, unit_ideal_witness)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator,
                        apply_word_to_row, paired_index)
 
@@ -1387,6 +1387,135 @@ def test_a_row_orbit_that_leaves_its_domain_is_refused(monkeypatch):
                                               FAMILY_LIN, 2))
     assert isinstance(got, ObjectOutOfDomain)
     assert got.message == "internal: a row orbit left the row domain"
+
+
+# the rings of the swept-line differential: Z/m local and not, the zero
+# ring, a field, F_2[x]/(x^2) and F_2 x F_2 as a JSON quotient
+_SWEEP_RINGS = [ModularRing(n) for n in (1, 2, 6, 8, 9, 12)] + [
+    PrimeField(7), TruncatedPolyLocal(2, 2), F2xF2]
+# the widest row of each ring past which the reference BFS takes seconds
+_SWEEP_WIDEST = {2: 10, 4: 5}
+
+
+def _sweep_shapes(ring, codes):
+    """(kind, family, size, frame_rows) of every lin, sp and orth row table
+    and one-row frame table over ``ring`` of at most ``codes`` codes."""
+    q = ring.cardinality()
+    widest = _SWEEP_WIDEST.get(q, 12) if q > 1 else 4
+    for family in (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH):
+        for size in range(1, widest + 1):
+            if q ** size > codes or family != FAMILY_LIN and size % 2:
+                continue
+            if family == FAMILY_ORTH and size > 2 and not has_half(ring):
+                continue  # the catalog refuses orth without 1/2
+            yield "row", family, size, 0
+            yield "frame", family, size, 1
+
+
+@pytest.mark.parametrize("ring", _SWEEP_RINGS, ids=[
+    "Z/1", "Z/2", "Z/6", "Z/8", "Z/9", "Z/12", "F_7", "F_2[x]/(x^2)",
+    "F_2xF_2"])
+def test_swept_lines_match_the_reference(ring):
+    # every row table and one-row frame table of at most 4,096 codes (rows
+    # of 10 over Z/2 and of 5 over the rings of four elements) dumps the
+    # bytes of the reference BFS's table: a line swept from a non-unit
+    # source (x = 2 over Z/8, Z/6 and Z/12) or from a run that misses a
+    # parameter would leave an image unproposed or proposed by another
+    # parent
+    built = 0
+    for spec in _sweep_shapes(ring, 4096):
+        table = enumerate_orbits(ring, spec[0], spec[1], spec[2],
+                                 frame_rows=spec[3])
+        orbit_of, reps, pred = _bfs_closure_ref(ring, *spec)
+        want = OrbitTable(ring, *spec, orbit_of, reps, pred)
+        assert json.dumps(table.to_json()) == json.dumps(want.to_json()), \
+            spec
+        built += 1
+    assert built >= 8
+
+
+def _swept_images(ring, gens, keys, links):
+    # the images each key proposes, expanded by one expander into the link
+    # dict given with it, which holds the key
+    table = OrbitTable(ring, "row", FAMILY_LIN, len(keys[0]))
+    codec = table._codec
+    expand, out = codec.expander(gens), []
+    for key, link in zip(keys, links):
+        fresh = []
+        link[codec.encode(key)] = None
+        expand(codec.encode(key), link, fresh)
+        out.append(sorted(codec.decoder()(c) for c in fresh))
+    return out
+
+
+def test_a_run_missing_a_parameter_sweeps_no_line():
+    # e_12(1) alone over Z/8 moves (1, 0) to (1, 1) and (1, 1) to (1, 2):
+    # its run misses six parameters, so it sweeps no line, and (1, 1),
+    # expanded after (1, 0) into the same links, still proposes (1, 2)
+    ring = ModularRing(8)
+    g = Generator(FAMILY_LIN, 1, 2, ring.one(), 2)
+    link: dict = {}
+    assert _swept_images(ring, [g], [(1, 0), (1, 1)], [link, link]) == [
+        [(1, 1)], [(1, 2)]]
+
+
+def test_a_non_unit_source_sweeps_no_line():
+    # over Z/8 the row (2, 1, 0) meets e_13(c) first, whose source 2 reaches
+    # only the even third entries: e_23(c), from the unit 1, must still
+    # propose the odd ones, and (2, 1, 4), on the same line, expanded next
+    # into the same links, proposes nothing new on it
+    ring = ModularRing(8)
+    gens = oracle.generator_catalog(ring, FAMILY_LIN, 3)
+    link: dict = {}
+    first, second = _swept_images(ring, gens, [(2, 1, 0), (2, 1, 4)],
+                                  [link, link])
+    assert {(2, 1, c) for c in range(1, 8)} <= set(first)
+    assert not any(key[:2] == (2, 1) for key in second)
+
+
+def test_the_memo_starts_afresh_for_another_link():
+    # one expander, two link dicts: the line of (1, 0, 0) through its last
+    # entry is swept into the first, and the same row, expanded into a
+    # second that holds only it, proposes the whole line again
+    ring = ModularRing(8)
+    gens = oracle.generator_catalog(ring, FAMILY_LIN, 3)
+    first, second = _swept_images(ring, gens, [(1, 0, 0)] * 2, [{}, {}])
+    assert first == second
+    assert {(1, 0, c) for c in range(1, 8)} <= set(second)
+
+
+class _CountedLinks(dict):
+    """A link dict that counts its membership tests, the BFS's lookups."""
+
+    lookups = 0
+
+    def __contains__(self, code):
+        _CountedLinks.lookups += 1
+        return dict.__contains__(self, code)
+
+
+def test_swept_lines_pin_the_link_lookups(monkeypatch):
+    # the link lookups of a build, before the swept-line rule and now: Um_4(Z/8)
+    # 98,700 -> 23,891, the Z/23 one-row sp frames of 2 20,878 -> 968 and
+    # F_2 lin rows of 8 6,811 -> 1,968 (no memo over F_2: each node's bits
+    # alone); orth runs have two updates and sweep nothing, so the F_7 orth
+    # rows of 4 keep their 30,888.  The tables keep their golden bytes
+    bfs = oracle._bfs_closure
+
+    def counted(table, *args):
+        table._link = _CountedLinks()
+        return bfs(table, *args)
+
+    monkeypatch.setattr(oracle, "_bfs_closure", counted)
+    got = []
+    for spec in [(ModularRing(8), "row", FAMILY_LIN, 4, 0),
+                 (ModularRing(23), "frame", FAMILY_SP, 2, 1),
+                 (PrimeField(2), "row", FAMILY_LIN, 8, 0),
+                 (PrimeField(7), "row", FAMILY_ORTH, 4, 0)]:
+        _CountedLinks.lookups = 0
+        table = enumerate_orbits(*spec[:4], frame_rows=spec[4])
+        got.append((len(table._orbit), _CountedLinks.lookups))
+    assert got == [(3840, 23891), (528, 968), (255, 1968), (2400, 30888)]
 
 
 def test_a_row_table_build_decodes_no_code(monkeypatch):

@@ -108,6 +108,22 @@ def test_a_corner_over_a_large_local_ring_needs_no_scan():
     assert delta == corner and len(word) == 0
 
 
+def test_a_second_corner_over_a_ring_walks_no_rank():
+    # the two least units of the square classes are kept on the ring
+    # instance: a second quotient over F_101[x]/(x^3) takes about 1 ms
+    # where the first walks 20,402 ranks in tens of milliseconds, and
+    # gives the same corner; a new instance of the ring walks again
+    R = TruncatedPolyLocal(101, 3)
+    corner = O2Class("diag", R.coerce(2)).reconstruct()
+    a = block_perp(identity(R, 4), corner)
+    first = within(1, lambda: vaserstein_quotient(a))
+    assert R._least_units == {True: R.one().payload,
+                              False: R.coerce(2).payload}
+    second = within(0.02, lambda: vaserstein_quotient(a))
+    assert second == first and second[0] == corner
+    assert TruncatedPolyLocal(101, 3)._least_units is None
+
+
 def test_a_corner_over_a_large_prime_field_needs_no_scan():
     # the 100002 units of F_100003 are not scanned; u = 3 is a non-residue,
     # so the corner keeps the least non-residue, 2
