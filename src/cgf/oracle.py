@@ -15,9 +15,10 @@ one element order, which ``ring.rank`` and ``ring.unrank`` give in closed
 form over every finite ring, so no codec holds a table of the q elements;
 a key's entries, row by row, are the digits of one base-q integer, most
 significant first, so integer order is key order.  A row is unimodular
-iff it lies in no maximal ideal M, so a row domain is built as the
-complement of the rows over each M: their codes, the product of M's ranks,
-come out increasing, and the domain is the ranges between the merged codes.
+iff it lies in no maximal ideal M, one per local part of the finite ring
+(``Ring.local_parts``), so a row domain is built as the complement of the
+rows over each M: their codes, the product of M's ranks, come out
+increasing, and the domain is the ranges between the merged codes.
 
 A row table's BFS starts from its whole domain, which the generators keep
 (a code outside it, a codec defect, is refused when it is committed).
@@ -35,7 +36,7 @@ standard frame, and its one set is that orbit wherever its size is proven
 (``_frame_orbit_count``: lin, one-row sp and sp of whole pairs over a
 finite local ring, orth of size 4 and up of one row over such a ring with
 a residue field of odd order and square over a field of odd order, and
-each of these over Z/m as the product over the p^k exactly dividing m);
+each of these over any finite ring as the product over its local parts);
 every other frame runs to the end.  That size, or else a lower bound
 (``_frame_orbit_exponent``), also refuses an oversized frame table before
 its catalog exists, and over the zero ring, where every table is one
@@ -95,7 +96,7 @@ from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
                      WitnessCheckFailed)
 from .matrices import Mat
 from .rings import (Ring, RingValue, _json_int, _split, has_half,
-                    ring_from_json, unit_ideal_witness)
+                    ring_from_json)
 from .words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator, GenWord,
                     _gen, paired_index)
 
@@ -103,37 +104,17 @@ FORMAT_VERSION = 1
 DEFAULT_BUDGET = 10 ** 7
 
 
-def _prime_powers(m: int) -> list:
-    """(p, p^k) for each prime power p^k that exactly divides m >= 1, p
-    increasing, by trial division: the one factoriser of Z/m here."""
-    out, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            power = 1
-            while m % p == 0:
-                m, power = m // p, power * p
-            out.append((p, power))
-        p += 1
-    return out + [(m, m)] if m > 1 else out
-
-
 def _row_domain(codec: "_Codec") -> list:
     """The codes of every unimodular row of the codec's width, increasing:
     the complement of the rows inside a maximal ideal (see the module
-    docstring), over Z/m the multiples of a prime p | m, whose residues are
-    their own ranks (Z/1 has no p, so its one row stays), and over a local
-    ring its non-units.  Any other finite ring tests each row."""
-    ring, q, n = codec.ring, codec.q, codec.width
-    if (m := ring.integer_modulus) is not None:
-        ideals = [range(0, m, p) for p, _ in _prime_powers(m)]
-    elif ring.is_local:
-        unit, unrank = ring.is_unit_payload, codec.unrank
-        ideals = [[r for r in range(q) if not unit(unrank(r))]]
-    else:
-        values = list(map(codec.unrank, range(q)))
-        return list(itertools.compress(itertools.count(), (
-            unit_ideal_witness(ring, [RingValue(ring, p) for p in row])
-            is not None for row in itertools.product(values, repeat=n))))
+    docstring), one per local part of the ring (``Ring.local_parts``).  The
+    zero ring has none, so its one row stays; over a nonzero ring the empty
+    row lies in every maximal ideal, so a domain of width 0 is empty
+    without the parts."""
+    q, n = codec.q, codec.width
+    if not n and q > 1:
+        return []
+    ideals = [ideal() for _, _, ideal in codec.ring.local_parts()]
     inside = []  # per ideal, the codes of its rows, increasing
     for ranks in ideals:
         codes = [0]
@@ -208,13 +189,16 @@ def _frame_orbit_exponent(ring: Ring, family: str, size: int,
     and P = ceil(r/2): take i <= r and j odd with j > 2P.  Each generator's
     partner update adds column j+1, which no such generator touches, so it
     stays zero, and the products reach every frame whose columns j are any
-    vectors: k = r(m - P).  Otherwise k = 0, and the catalog raises: an
-    unknown family, or orth without 1/2."""
+    vectors: k = r(m - P), and k >= 1 wherever the catalog has an (i, j)
+    pair: then it has e_1j(c), which takes the standard frame to q
+    distinct frames, as row 1 gets c at column j.  Otherwise k = 0, and the
+    catalog raises: an unknown family, or orth without 1/2."""
     r = frame_rows
     if family == FAMILY_LIN:
         return r * (size - 1)
     if family == FAMILY_SP or family == FAMILY_ORTH and has_half(ring):
-        return r * (size // 2 - (r + 1) // 2)
+        return max(r * (size // 2 - (r + 1) // 2),
+                   int(_has_pairs(ring, family, size)))
     return 0
 
 
@@ -224,19 +208,13 @@ def _frame_orbit_count(ring: Ring, family: str, size: int, frame_rows: int,
     r = ``frame_rows`` and s = ``size``, where it is proven, as a
     ``_capped_product`` (a number past ``cap`` stands for any count past
     it); None elsewhere.  Over a finite local ring it is the product of
-    ``_local_frame_factors``, and over Z/m, by the Chinese remainder
-    theorem, the product of those over each p^k exactly dividing m: a
-    generator acts on each factor Z/p^k alone, and with a parameter 0 mod
-    all but one it acts on that one alone, so the orbit is the product of
-    the local orbits (Z/1, with no factor, has one frame)."""
-    if ring.residue_size is not None:
-        parts = [(ring.cardinality(), ring.residue_size)]
-    elif m := ring.integer_modulus:
-        parts = [(power, p) for p, power in _prime_powers(m)]
-    else:
-        return None
+    ``_local_frame_factors``, and over any finite ring R = R_1 x ... x R_k
+    (``Ring.local_parts``) the product of those over each R_i: a generator
+    acts on each factor alone, and with a parameter that is 0 in all but
+    one factor it acts on that one alone, so the orbit is the product of
+    the local orbits."""
     factors = [_local_frame_factors(q, kappa, family, size, frame_rows, cap)
-               for q, kappa in parts]
+               for q, kappa, _ in ring.local_parts()]
     return None if None in factors else _capped_product(
         itertools.chain.from_iterable(factors), cap)
 
@@ -941,8 +919,9 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
         _check_paired_size(family, size)
         # refused before the catalog and the standard frame are built, by a
         # lower bound, then by the orbit's size where it is proven (the bound
-        # first, so no large modulus is factored for a table it refuses); a
-        # table with no catalog pair is its one standard frame, counted by
+        # first: it is q or more wherever a catalog with a pair builds, so
+        # no ring past the budget is split for a table it refuses); a table
+        # with no catalog pair is its one standard frame, counted by
         # nothing, and a one-object table never trips the BFS
         q, cap = ring.cardinality(), max(budget, 1)
         shape = ring, family, size, frame_rows

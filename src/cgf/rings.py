@@ -15,7 +15,8 @@ constructor, never asserted by the caller: Z/p^k, prime fields,
 F_p[x]/(x^e), Z_(p) and fields are local; R[T] and Z_s never are.  A
 polynomial quotient F[x]/(f) over a finite field is local exactly when f is
 a power of one irreducible, and a field when f is irreducible; over an
-infinite field it leaves both flags False.
+infinite field it leaves both flags False.  ``local_parts`` splits a
+finite ring into local rings, a non-local one by trial division.
 
 Each finite ring has one element order, in closed form: ``rank`` numbers a
 canonical payload from 0 and ``unrank`` inverts it.  Z/n orders residues by
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, log2
 
 from .errors import (CgfError, DegreeCapExceeded, DescriptorMismatch, NotAUnit,
@@ -118,6 +119,20 @@ def _prime_power_base(n: int):
         else:
             q += 1
     return n if _is_prime(n) else None
+
+
+def _prime_powers(m: int) -> list:
+    """(p, p^k) for each prime power p^k that exactly divides m >= 1, p
+    increasing, by trial division."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            power = 1
+            while m % p == 0:
+                m, power = m // p, power * p
+            out.append((p, power))
+        p += 1
+    return out + [(m, m)] if m > 1 else out
 
 
 def _divides_power(d: int, s: int) -> bool:
@@ -411,6 +426,18 @@ class Ring:
     def random(self, rng) -> RingValue:
         raise NotImplementedError
 
+    def local_parts(self) -> tuple:
+        """The local factors of a finite ring, R = R_1 x ... x R_k by the
+        Chinese remainder theorem, each as (|R_i|, kappa_i = |R_i/M_i|,
+        ``ideal``): ``ideal()`` gives the increasing ranks of R's maximal
+        ideal over M_i.  The zero ring has no part, and a nonzero local
+        ring is one part, read off its flags and its non-units, with
+        nothing factored.  Every finite ring that keeps this method is
+        local; an infinite one raises."""
+        q, unit, unrank = self.cardinality(), self.is_unit_payload, self.unrank
+        return ((q, self.residue_size,
+                 lambda: [r for r in range(q) if not unit(unrank(r))]),)
+
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -639,6 +666,13 @@ class ModularRing(Ring):
 
     def random(self, rng):
         return RingValue(self, rng.randrange(self.n))
+
+    def local_parts(self):
+        # a prime p | m gives the ideal of the multiples of p, whose
+        # residues are their own ranks; Z/p^k is not factored again
+        m, base = self.n, self.residue_size
+        return tuple((power, p, partial(range, 0, m, p)) for p, power in (
+            [(base, m)] if base else _prime_powers(m)))
 
     def to_json(self):
         return {"kind": "mod", "n": self.n}
@@ -1145,6 +1179,36 @@ class _PolyRemainders(Ring):
             local = not r
         return local, local and len(h) == len(f), q ** i if local else None
 
+    def local_parts(self):
+        """A non-local f over a field of q elements is split by trial
+        division by the monic h of each degree d, in rank order, while
+        deg f >= 2d of what is left.  An irreducible h of multiplicity e
+        gives the part (q^(de), q^d), whose maximal ideal holds the h*g
+        with deg g < deg f - d, the g of rank below q^(deg f - d)."""
+        if self.is_local or not self.is_finite:
+            return super().local_parts()
+        field, digits = self.field, self._coefficients[0]
+        q, one = field.cardinality(), field.one().payload
+        rest, found, d = self.f, [], 1
+        while 2 * d < len(rest):
+            for low in itertools.product(digits, repeat=d):
+                h, e = (*low, one), 0
+                while not (split := _poly_divmod_field(rest, h, field))[1]:
+                    rest, e = split[0], e + 1
+                if e:
+                    found.append((h, e))
+            d += 1
+        if len(rest) > 1:
+            found.append((rest, 1))
+        mul, rank, unrank = self.mul, self.rank, self.unrank
+
+        def ideal(h):
+            return sorted(rank(mul(h, unrank(r)))
+                          for r in range(q ** (len(self.f) - len(h))))
+
+        return tuple((q ** ((len(h) - 1) * e), q ** (len(h) - 1),
+                      partial(ideal, h)) for h, e in found)
+
     def elements(self):
         if not self.field.is_finite:
             raise UnsupportedRing(f"{self} is not finite")
@@ -1363,7 +1427,7 @@ class QuotientRing(Ring):
                      "is_nilpotent_payload", "cardinality", "rank", "unrank",
                      "render", "value_to_json", "is_finite", "is_field",
                      "is_local", "is_zero_ring", "characteristic",
-                     "residue_size", "integer_modulus"):
+                     "residue_size", "integer_modulus", "local_parts"):
             setattr(self, name, getattr(residues, name))
 
     def key(self):
@@ -1530,8 +1594,8 @@ def unit_ideal_witness(ring: Ring, values):
 def ideal_combination(ring: Ring, gens, target):
     """Coefficients q_i with sum(q_i * g_i) = target, or None.
 
-    Supported: Z and Z/n in any descriptor via Bezout, local rings (a unit
-    entry), and small finite rings by exhaustive search.
+    Supported: Z and Z/n in any descriptor via Bezout, and local rings (a
+    unit entry).
     """
     gens = list(gens)
     if not gens:
@@ -1561,13 +1625,5 @@ def ideal_combination(ring: Ring, gens, target):
                 out = [ring.zero() for _ in gens]
                 out[i] = g.inverse() * target
                 return out
-        return None
-    if ring.is_finite and ring.cardinality() ** len(gens) <= 10 ** 5:
-        zero, payloads = ring.zero().payload, [g.payload for g in gens]
-        for combo in itertools.product(list(ring.elements()),
-                                       repeat=len(gens)):
-            if ring.dot(zero, [c.payload for c in combo],
-                        payloads) == target.payload:
-                return list(combo)
         return None
     raise UnsupportedRing(f"no ideal membership solver for {ring}")

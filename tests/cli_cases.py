@@ -348,6 +348,11 @@ F4 = ('{"kind":"quot","base":{"kind":"poly","base":{"kind":"prime","p":2},'
       '"var":"x"},"gens":[[1,1,1]]}')
 X2 = ('{"kind":"quot","base":{"kind":"poly","base":{"kind":"prime","p":2},'
       '"var":"x"},"gens":[[0,0,1]]}')
+# F_2 x F_2 = F_2[x]/(x+x^2) and F_3 x F_3 = F_3[x]/(2+x^2)
+F2XF2 = ('{"kind":"quot","base":{"kind":"poly","base":{"kind":"prime",'
+         '"p":2},"var":"x"},"gens":[[0,1,1]]}')
+F3XF3 = ('{"kind":"quot","base":{"kind":"poly","base":{"kind":"prime",'
+         '"p":3},"var":"x"},"gens":[[2,0,1]]}')
 Z9T = '{"kind":"poly","base":{"kind":"mod","n":9},"var":"T"}'
 I2_F5 = f'{{"rows":2,"cols":2,"ring":{F5},"entries":[[1,0],[0,1]]}}'
 ORTH_WORD = (f'{{"family":"orth","size":6,"ring":{F5},'
@@ -615,6 +620,16 @@ ROWS = (
         ("orbits Z/3 sp frames 2 x 4",
          "orbits --ring mod:3 --kind frame --family sp --size 4 "
          "--frame-rows 2", '{"objects":2160,"orbits":1,"sizes":[2160]}'))),
+    # rings that are neither local nor a Z/m are split into their local
+    # parts by trial division, and their row domains are the complement of
+    # the rows of each part's maximal ideal
+    *(Row(name, argv, out=out) for name, argv, out in (
+        ("orbits F_3 x F_3 sp rows of 4",
+         ["orbits", "--ring", F3XF3, "--kind", "row", "--family", "sp",
+          "--size", "4"], '{"objects":6400,"orbits":1,"sizes":[6400]}'),
+        ("orbits F_2 x F_2 rows of 6",
+         ["orbits", "--ring", F2XF2, "--kind", "row", "--size", "6"],
+         '{"objects":3969,"orbits":1,"sizes":[3969]}'))),
     # cached tables: the counts and the file's bytes are pinned, the Z/4
     # bytes since the table was written through json.dump's pure-Python
     # encoder; the row domains of Z/8 (local), Z/12 and Z/30 (two and three
@@ -670,6 +685,17 @@ ROWS = (
       for ring, family, size in (
           ("prime:100000007", "lin", 1), ("prime:100000007", "orth", 2),
           (f"mod:{(10 ** 18 + 3) * (10 ** 18 + 9)}", "lin", 1))),
+    # over a nonzero ring the empty row lies in every maximal ideal, so a
+    # row table of size 0 is empty, and a one-row sp frame of size 2 holds
+    # at least q frames, so it is refused: neither asks for the local parts
+    # of Z/m, m = (10^18 + 3)(10^18 + 9), which trial division would not
+    # find in any time
+    Row("huge modulus: rows of 0",
+        f"orbits --ring mod:{SEMIPRIME} --kind row --size 0",
+        out='{"objects":0,"orbits":0,"sizes":[]}', timeout=2),
+    Row("huge modulus: sp frames 1 x 2",
+        f"orbits --ring mod:{SEMIPRIME} --kind frame --family sp --size 2 "
+        "--frame-rows 1", exit=2, out=OVER_BUDGET, timeout=2),
     # an oversized frame table is refused by a lower bound on its orbit
     # before its catalog exists
     *(Row(f"orbits F_5 {family} frames 1 x 3000",
@@ -687,7 +713,7 @@ ROWS = (
     # SL_4(F_3), Sp_6(F_3), EO_6(F_5), the Z/9 sp 2 x 6 frames (about
     # 3.13 * 10^10 hyperbolic pairs, where the lower bound 9^4 admits them)
     # and Sp_4(Z/15) (|Sp_4(F_3)| |Sp_4(F_5)| = 485,222,400,000 frames,
-    # where the lower bound is 1) hold more frames than the budget: their
+    # where the lower bound is 15) hold more frames than the budget: their
     # exact sizes refuse them before the catalog, with the BFS's own answer
     *_was("test_a_full_frame_over_f3_is_refused_by_its_count[{}]", *(
         Row(f"full frame over F_3: {family}-{size}",

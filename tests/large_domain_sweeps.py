@@ -16,9 +16,9 @@ A frame table's proven size stops its BFS and refuses it past the budget
 without an error.  So every lin, sp and orth frame table of sizes 2 to 6
 and every number of rows over the ``COUNT_RINGS`` is built at a budget of
 5,000 twice, with its count used and withheld, and each pair must dump
-the same bytes or raise the same error.  Over F_2 x F_2, which has no
-proven count, the lin 1 x 9 frame table must hold its 261,121 unimodular
-rows in one orbit.
+the same bytes or raise the same error.  Over F_2 x F_2 the lin 1 x 9
+frame table and the lin row table of 9 must each hold its 261,121
+unimodular rows in one orbit.
 
 A row table's BFS skips the runs whose images lie on a line it has swept
 already (``oracle._Codec.expander``); a line swept by mistake would leave
@@ -35,7 +35,7 @@ repository root:
 
 It prints one line per domain, with the seconds the table took to
 enumerate, to dump and to load, one line for the count sweep, one for
-the F_2 x F_2 table and one for the row sweep, and exits 1 at the first
+each F_2 x F_2 table and one for the row sweep, and exits 1 at the first
 failure.
 """
 
@@ -63,11 +63,14 @@ DOMAINS = [
 ]
 
 
-# Z/m local and not, the zero ring, a field, F_3[x]/(x^2) and F_2 x F_2
-# as JSON quotients
+# Z/m local and not, the zero ring, a field, and as JSON quotients
+# F_3[x]/(x^2), F_2 x F_2, F_3 x F_3 and F_2[x]/(x^3 + x), the last three
+# split into local parts by trial division
+F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
 COUNT_RINGS = [ModularRing(n) for n in (1, 2, 3, 4, 6, 9, 10, 12, 15)] + [
     PrimeField(5), QuotientRing(PolyExt(PrimeField(3), "x"), [(0, 0, 1)]),
-    QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])]
+    F2xF2, QuotientRing(PolyExt(PrimeField(3), "x"), [(2, 0, 1)]),
+    QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 0, 1)])]
 COUNT_BUDGET = 5000
 ROW_CODES = 2000
 
@@ -182,15 +185,16 @@ def main() -> int:
         return 1
     print(f"frame counts: {built} tables the same with the count used and "
           f"withheld in {time.perf_counter() - start:.1f} s")
-    start = time.perf_counter()
-    ring = COUNT_RINGS[-1]
-    sizes = enumerate_orbits(ring, "frame", "lin", 9, 1).orbit_sizes()
-    if sizes != [261121]:
-        print(f"lin 1x9 over F_2 x F_2: orbit sizes {sizes[:5]}, "
-              "expected [261121]", file=sys.stderr)
-        return 1
-    print(f"lin 1x9 over F_2 x F_2: 261121 objects in one orbit in "
-          f"{time.perf_counter() - start:.1f} s")
+    for kind, rows, name in (("frame", 1, "lin 1x9"),
+                             ("row", 0, "lin rows of 9")):
+        start = time.perf_counter()
+        sizes = enumerate_orbits(F2xF2, kind, "lin", 9, rows).orbit_sizes()
+        if sizes != [261121]:
+            print(f"{name} over F_2 x F_2: orbit sizes {sizes[:5]}, "
+                  "expected [261121]", file=sys.stderr)
+            return 1
+        print(f"{name} over F_2 x F_2: 261121 objects in one orbit in "
+              f"{time.perf_counter() - start:.1f} s")
     start = time.perf_counter()
     try:
         built = row_sweep()

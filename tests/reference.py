@@ -12,6 +12,7 @@ z E_σ(j)σ(i).  A word is the product of its generators' matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from cgf.errors import CgfError, DegreeCapExceeded, DescriptorMismatch
@@ -310,18 +311,25 @@ def factor(n):
         yield n, 1
 
 
+def act_entries(rows, entries, plus, times):
+    """Rows of payloads times the generator whose off-diagonal entries
+    (``generator_entries``) are ``entries``, row (I + N) = row + row N,
+    with ``plus`` and ``times`` the sum and product of two payloads."""
+    out = []
+    for r in rows:
+        new = list(r)
+        for i, j, x in entries:
+            new[j - 1] = plus(new[j - 1], times(r[i - 1], x))
+        out.append(tuple(new))
+    return out
+
+
 def act_rows(ring, rows, gens):
-    """Rows of payloads times each generator, row (I + N) = row + row N."""
+    """Rows of payloads times each generator."""
     rows = [tuple(r) for r in rows]
+    plus, times = functools.partial(add, ring), functools.partial(mul, ring)
     for g in gens:
-        entries = generator_entries(g)
-        out = []
-        for r in rows:
-            new = list(r)
-            for i, j, x in entries:
-                new[j - 1] = add(ring, new[j - 1], mul(ring, r[i - 1], x))
-            out.append(tuple(new))
-        rows = out
+        rows = act_entries(rows, generator_entries(g), plus, times)
     return rows
 
 

@@ -20,7 +20,7 @@ from cgf.matrices import Mat
 from cgf.oracle import OrbitTable, certify_equivalence, enumerate_orbits
 from cgf.rings import (IntegerRing, ModularRing, PolyExt, PrimeField,
                        QuotientRing, RingValue, TruncatedPolyLocal,
-                       _PolyRemainders, has_half, unit_ideal_witness)
+                       _PolyRemainders, has_half)
 from cgf.words import (FAMILY_LIN, FAMILY_ORTH, FAMILY_SP, Generator,
                        apply_word_to_row, paired_index)
 
@@ -624,10 +624,16 @@ COMPILED_ACTION_GOLDEN_TABLES = [
 F4 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 1, 1)])
 # the quotient F_2[x]/(x^2), local but not a field
 X2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 0, 1)])
-# F_2[x]/((x + 1)^2), local with residue field F_2, and F_2[x]/(x^2 + x),
-# which is F_2 x F_2 and not local
+# F_2[x]/((x + 1)^2), local with residue field F_2
 X2_PLUS_1 = QuotientRing(PolyExt(PrimeField(2), "x"), [(1, 0, 1)])
-X2_PLUS_X = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
+# rings that are neither local nor a Z/m, which the library splits by trial
+# division and the reference tests by brute force: F_2[x]/(x + x^2) =
+# F_2 x F_2, F_3[x]/(x^2 - 1) = F_3 x F_3, and F_2[x]/(x^3 + x) =
+# F_2[x]/(x) x F_2[x]/((x + 1)^2), whose parts are a field and a local ring
+# that is none
+F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
+F3xF3 = QuotientRing(PolyExt(PrimeField(3), "x"), [(2, 0, 1)])
+X3_PLUS_X = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 0, 1)])
 
 
 # the same digest, recorded before the BFS ran on integer codes
@@ -735,13 +741,14 @@ _FRAME_SIZES = {
 
 # exact frame orbit sizes: lin, sp of one row and of whole hyperbolic
 # pairs over a finite local ring, orth of one row over one with kappa odd,
-# square orth over a finite field of odd order, and each over Z/m as the
-# product over the p^k exactly dividing m
+# square orth over a finite field of odd order, and each over any finite
+# ring as the product over its local parts
 _COUNTED_RINGS = (ModularRing(2), PrimeField(3), ModularRing(3),
                   ModularRing(4), ModularRing(8), ModularRing(9),
                   PrimeField(5), TruncatedPolyLocal(2, 2),
                   TruncatedPolyLocal(3, 2), F4, X2, PrimeField(7),
-                  ModularRing(6), ModularRing(10), ModularRing(15))
+                  ModularRing(6), ModularRing(10), ModularRing(15), F2xF2,
+                  F3xF3, X3_PLUS_X)
 
 
 def _frame_shapes():
@@ -768,7 +775,7 @@ def _built_without_count(monkeypatch, ring, family, size, rows, budget):
 
 
 def test_the_frame_counts_match_the_tables(monkeypatch):
-    # each count against orbit_sizes() on the 157 counted tables of at most
+    # each count against orbit_sizes() on the 184 counted tables of at most
     # 10,000 frames, each built with the count withheld at a budget of
     # exactly its count (a count too small would meet the BFS's refusal),
     # and refused by the count one below it;
@@ -776,7 +783,8 @@ def test_the_frame_counts_match_the_tables(monkeypatch):
     # 2 x 4 (2,160), sp 2 x 2 over Z/4 and the quotient F_2[x]/(x^2) (48)
     # and over Z/9 (648), the square orth frames of 4 over F_3 and Z/3 (288)
     # and F_5 (7,200), the orth frames of one row of 4 over Z/15 (4,608),
-    # and the other counted tables of _FRAME_SIZES
+    # and the other counted tables of _FRAME_SIZES, and over the rings that
+    # are neither local nor a Z/m, F_2 x F_2 lin 2 x 3 (1,764)
     checked = Counter()
     for ring in _COUNTED_RINGS:
         for family, size, rows in _frame_shapes():
@@ -799,22 +807,17 @@ def test_the_frame_counts_match_the_tables(monkeypatch):
                     enumerate_orbits(ring, "frame", family, size,
                                      frame_rows=rows, budget=count - 1)
             checked[family] += 1
-    assert checked == {FAMILY_LIN: 88, FAMILY_SP: 56, FAMILY_ORTH: 13}
-
-
-# F_3[x]/(x^2 - 1) = F_3 x F_3: neither local nor a Z/m
-F3xF3 = QuotientRing(PolyExt(PrimeField(3), "x"), [(2, 0, 1)])
+    assert checked == {FAMILY_LIN: 104, FAMILY_SP: 66, FAMILY_ORTH: 14}
 
 
 @pytest.mark.parametrize("ring, family, size, rows", [
-    (F3xF3, FAMILY_LIN, 3, 2), (X2_PLUS_X, FAMILY_LIN, 3, 2),
-    (X2_PLUS_X, FAMILY_LIN, 2, 2), (F3xF3, FAMILY_SP, 4, 2),
-    (X2_PLUS_X, FAMILY_SP, 4, 1), (PrimeField(3), FAMILY_ORTH, 4, 2),
-    (ModularRing(3), FAMILY_SP, 4, 3), (ModularRing(9), FAMILY_ORTH, 4, 4)])
+    (PrimeField(3), FAMILY_ORTH, 4, 2), (ModularRing(3), FAMILY_SP, 4, 3),
+    (ModularRing(9), FAMILY_ORTH, 4, 4)],
+    ids=["ring5-orth-4-2", "ring6-sp-4-3", "ring7-orth-4-4"])
 def test_a_frame_with_no_proven_count_keeps_its_lower_bound(ring, family,
                                                             size, rows):
-    # non-local polynomial quotients, odd sp frames, orth frames of two
-    # rows, and square orth frames over a local ring that is no field
+    # odd sp frames, orth frames of two rows, and square orth frames over a
+    # local ring that is no field
     assert oracle._frame_orbit_count(ring, family, size, rows, 10 ** 7) \
         is None
 
@@ -843,7 +846,7 @@ def test_a_count_one_below_a_power_passes_its_cap(budget):
 def test_a_full_frame_over_f3_is_refused_by_its_count(family, size):
     # SL_4(F_3) has 12,130,560 elements and Sp_6(F_3) 9,170,703,360, both
     # past the default budget, which the BFS would meet only after holding
-    # 10^7 frames; the lower bounds (3^12 and 1) admit both
+    # 10^7 frames; the lower bounds (3^12 and 3) admit both
     got = within(2, lambda: enumerate_orbits(PrimeField(3), "frame", family,
                                              size, frame_rows=size))
     assert isinstance(got, SearchBudgetExceeded)
@@ -872,7 +875,7 @@ def test_a_square_orth_frame_count_passes_exactly_the_caps_below_it(
 
 def test_a_square_orth_frame_over_f5_is_refused_by_its_count():
     # EO_6(F_5) holds about 1.45 * 10^10 frames, past the default budget;
-    # the lower bound, 1, admits it, and the BFS would run for minutes.
+    # the lower bound, 5, admits it, and the BFS would run for minutes.
     # EO_6(F_3), 6,065,280 frames, is within the budget and still admitted
     got = within(2, lambda: enumerate_orbits(PrimeField(5), "frame",
                                              FAMILY_ORTH, 6, frame_rows=6))
@@ -1126,9 +1129,12 @@ def _bfs_closure_ref(ring, kind, family, size, frame_rows):
     # every (parent, generator) proposal
     # of an object by (key order of the parent, generator position), from
     # the rows the boxed test finds unimodular or the standard frame; its
-    # table by payload key, as (orbit_of, reps, pred)
-    table = OrbitTable(ring, kind, family, size, frame_rows)
-    order = lambda key: _key_order_ref(ring, kind, key)  # noqa: E731
+    # table by payload key, as (orbit_of, reps, pred).  Each key's order,
+    # each generator's entries and each sum and product of two payloads in
+    # the reference arithmetic are computed once
+    order = functools.cache(lambda key: _key_order_ref(ring, kind, key))
+    plus = functools.cache(functools.partial(ref.add, ring))
+    times = functools.cache(functools.partial(ref.mul, ring))
     if kind == "row":
         elements = sorted(ring.elements(), key=lambda v: ref.sort_key(
             ring, v.payload))
@@ -1141,6 +1147,7 @@ def _bfs_closure_ref(ring, kind, family, size, frame_rows):
                                   for c in range(size))
                             for r in range(frame_rows))]
     gens = oracle.generator_catalog(ring, family, size)
+    steps = [(gi, g, ref.generator_entries(g)) for gi, g in enumerate(gens)]
     orbit_of, reps, pred = {}, [], {}
     for root in start_keys:
         if root in orbit_of:
@@ -1153,11 +1160,13 @@ def _bfs_closure_ref(ring, kind, family, size, frame_rows):
         while frontier:
             proposals = {}
             for node in frontier:
-                for gi, g in enumerate(gens):
-                    new = _act_ref(table, node, g)
+                rows, rank = [node] if kind == "row" else node, order(node)
+                for gi, g, entries in steps:
+                    new = ref.act_entries(rows, entries, plus, times)
+                    new = new[0] if kind == "row" else tuple(new)
                     if new in orbit_of:
                         continue
-                    cand = (order(node), gi, node, g)
+                    cand = (rank, gi, node, g)
                     best = proposals.get(new)
                     if best is None or cand[:2] < best[:2]:
                         proposals[new] = cand
@@ -1169,11 +1178,6 @@ def _bfs_closure_ref(ring, kind, family, size, frame_rows):
                 next_frontier.append(new)
             frontier = next_frontier
     return orbit_of, reps, pred
-
-
-# F_2[x]/(x + x^2) = F_2 x F_2: neither local nor a Z/m, so its rows take
-# the unit_ideal_witness fallback
-F2xF2 = QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 1)])
 
 
 _REFERENCE_CASES = [
@@ -1552,8 +1556,8 @@ def test_a_row_table_build_decodes_no_code(monkeypatch):
 def test_a_frame_build_lists_no_row_domain_and_no_level(monkeypatch):
     # a frame table's one count is its proven size: no build lists the row
     # domain or the levels of Q.  The counted frames (one-row lin, sp and
-    # orth, sp pairs, a lin frame over Z/15) stop before they expand every
-    # frame; F_2 x F_2 and orth frames of two rows have no count
+    # orth, sp pairs, a lin frame over Z/15 and over F_2 x F_2) stop before
+    # they expand every frame; orth frames of two rows have no count
     monkeypatch.setattr(oracle, "_row_domain", _refuse)
     monkeypatch.setattr(oracle._Codec, "levels", _refuse)
     expanded = _count_expansions(monkeypatch)
@@ -1569,7 +1573,7 @@ def test_a_frame_build_lists_no_row_domain_and_no_level(monkeypatch):
         table = enumerate_orbits(ring, "frame", family, size, frame_rows=rows)
         sizes.append((len(table._orbit), len(expanded)))
     assert sizes == [(182, 147), (1200, 967), (144, 82), (864, 736),
-                     (48, 37), (2880, 2476), (49, 49), (288, 288)]
+                     (48, 37), (2880, 2476), (49, 29), (288, 288)]
 
 
 def _counted_value_from_json(monkeypatch, cls):
@@ -1643,24 +1647,40 @@ def test_a_bad_entry_raises_at_each_load_as_before():
             OrbitTable.from_json(obj)
 
 
+@functools.cache
+def _spans_one_ref(ring, entries):
+    # reference: whether the payloads ``entries`` generate the unit ideal,
+    # by brute force: {0} closed under adding c * v for each element c and
+    # each entry v, in the reference arithmetic
+    pool = [v.payload for v in ring.elements()]
+    ideal = {ring.zero().payload}
+    for v in entries:
+        multiples = {ref.mul(ring, c, v) for c in pool}
+        ideal = {ref.add(ring, a, m) for a in ideal for m in multiples}
+    return ring.one().payload in ideal
+
+
 def _is_unimodular_row_ref(ring, values):
     # reference: the per-row test on boxed values that the row domain ran
-    # before it was built as the complement of the maximal-ideal rows
+    # before it was built as the complement of the maximal-ideal rows; a
+    # ring that is neither local nor a Z/m is tested by brute force, once
+    # per set of distinct entries
     if ring.is_zero_ring:
         return True
     if ring.is_local:
         return any(v.is_unit() for v in values)
     modulus = ring.integer_modulus
     if modulus is None:
-        return unit_ideal_witness(ring, list(values)) is not None
+        return _spans_one_ref(ring, frozenset(v.payload for v in values))
     return gcd(modulus, *(v.payload for v in values)) == 1
 
 
 # Z/8 and Z/9 are local but no fields, Z/30 has three primes; the largest
 # row size is 3 unless given here
 _ROW_DOMAIN_RINGS = _KEY_ORDER_RINGS + [F2xF2, ModularRing(8), ModularRing(9),
-                                        ModularRing(30)]
-_ROW_DOMAIN_IDS = _KEY_ORDER_IDS + ["F_2xF_2", "Z/8", "Z/9", "Z/30"]
+                                        ModularRing(30), F3xF3, X3_PLUS_X]
+_ROW_DOMAIN_IDS = _KEY_ORDER_IDS + ["F_2xF_2", "Z/8", "Z/9", "Z/30",
+                                    "F_3xF_3", "F_2[x]/(x^3+x)"]
 _ROW_DOMAIN_LARGEST = {"Z/6": 4, "Z/8": 4, "Z/30": 2}
 
 

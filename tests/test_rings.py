@@ -349,6 +349,51 @@ def test_residue_size_matches_brute_force():
         assert ring.residue_size is None, ring
 
 
+def test_local_parts_match_brute_force():
+    # R = R_1 x ... x R_k with R_i = e_i R for the primitive idempotents
+    # e_i, found by enumeration: the sizes multiply to |R|, part i's ideal
+    # is the set of x whose e_i x is no unit of e_i R (the one part whose
+    # ideal misses e_i), and kappa_i = |R_i| / |non-units of R_i|
+    F2x, F3x, F5x = (PolyExt(PrimeField(p), "x") for p in (2, 3, 5))
+    for ring in local_test_rings() + [
+            ModularRing(1), ModularRing(6), ModularRing(12), ModularRing(30),
+            QuotientRing(ModularRing(4), [2]), ModularRing(27),
+            QuotientRing(IntegerRing(), [9]), QuotientRing(F3x, [[1, 0, 1]]),
+            QuotientRing(F5x, [[2, 0, 1]]), QuotientRing(F2x, [[1, 0, 1]]),
+            QuotientRing(F3x, [[1, 0, 2, 0, 1]]),
+            QuotientRing(F2x, [[1, 1, 1]]), QuotientRing(F2x, [[0, 1, 1]]),
+            QuotientRing(F3x, [[2, 0, 1]]), QuotientRing(F2x, [[0, 1, 0, 1]]),
+            QuotientRing(F2x, [[0, 0, 1, 1]]),
+            QuotientRing(F3x, [[0, 1, 0, 0, 1]])]:
+        q, mul = ring.cardinality(), ring.mul
+        elements = [ring.unrank(r) for r in range(q)]
+        idempotents = [e for e in elements if mul(e, e) == e
+                       and e != ring.zero().payload]
+        primitive = [e for e in idempotents if not any(
+            f != e and mul(e, f) == f for f in idempotents)]
+        parts = ring.local_parts()
+        assert len(parts) == len(primitive), ring
+        product = 1
+        for size, kappa, ideal in parts:
+            ranks = list(ideal())
+            assert ranks == sorted(set(ranks)), ring
+            e, = [e for e in primitive if ring.rank(e) not in set(ranks)]
+            factor = {mul(e, x) for x in elements}
+            units = {x for x in factor if any(mul(x, y) == e for y in factor)}
+            assert ranks == [r for r, x in enumerate(elements)
+                             if mul(e, x) not in units], ring
+            assert (size, kappa) == (len(factor),
+                                     size // (size - len(units))), ring
+            product *= size
+        assert product == q, ring
+    # a local ring is one part, read off its flags: no modulus is factored
+    p = 10 ** 18 + 3
+    assert [part[:2] for part in ModularRing(p ** 2).local_parts()] == [
+        (p ** 2, p)]
+    assert [part[:2] for part in TruncatedPolyLocal(p, 2).local_parts()] == [
+        (p ** 2, p)]
+
+
 def test_quotient_integer_style():
     Q = QuotientRing(ModularRing(4), [2])
     assert Q.modulus == 2
