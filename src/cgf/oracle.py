@@ -45,26 +45,28 @@ object, one of more entries than the budget is refused
 
 A catalog with no (i, j) pair (lin of size 1, orth of size 2, the zero
 ring) lists no parameter, and a frame table with none is its standard
-frame alone, with no count.  The catalog checks each (i, j) once.  A generator acts on each row alone,
-(V.g)_k = V_k.g, so it compiles on one row into updates from
-``Generator._triples``: one whose source digit x is nonzero adds
+frame alone, with no count.  The catalog's checks run on one generator,
+before any parameter is listed, and a catalog of more than
+``DEFAULT_BUDGET`` generators is refused unlisted.  A generator acts on
+each row alone, (V.g)_k = V_k.g, so it compiles on one row into updates
+from ``Generator._triples``: one whose source digit x is nonzero adds
 (rank(a + x*c) - a) * q^k, a being the target digit.  A row code expands
 by runs of generators on the same positions, one run per (i, j), in
-catalog order, so the tie rule needs no sort; a run whose sources are all
-zero is skipped.  A run compiles its first member and reads the others'
-coefficient ranks off their triples.  A row (or a frame of one row) skips
-the single-update runs on a target t whose line through t it has swept:
-a run of one update over every nonzero parameter, from a unit source,
-links every point that differs from the row at t alone, so later runs on
-t, from the row or from any other point of the line, could only propose
-points already linked (``_Codec.expander``).  A frame of several rows
-memoizes, per (row position, row code), the row's delta under every
-generator.  The table's links hold every object reached or proposed, so an
-image is proposed (linked and listed) only if it is not there, one lookup,
-and the first proposal stands; each level sorts its list of fresh codes
-into the next frontier.  Digits come from two memoized half codes, and the
-rows rank(a + .) and rank(x * .) of an entry are built with the first half
-that holds it.
+catalog order, so the tie rule needs no sort; a run whose sources are
+all zero is skipped.  A run compiles its first member and reads the
+others' coefficient ranks off their triples.  A row (or a frame of one
+row) skips the single-update runs on a target t whose line through t is
+swept, as a memo word per row code marks: a run of one update over every
+nonzero parameter, from a unit source, links every point that differs
+from the row at t alone, so later runs on t, from any point of the line,
+could only propose points already linked (``_Codec.expander``).  A frame
+of several rows memoizes, per (row position, row code), the row's delta
+under every generator.  The table's links hold every object reached or
+proposed, so an image is proposed (linked and listed) only if it is not
+there, one lookup, and the first proposal stands; each level sorts its
+list of fresh codes into the next frontier.  Digits come from two
+memoized half codes, and the rows rank(a + .) and rank(x * .) of an
+entry are built with the first half that holds it.
 
 When the BFS ends its code dicts are the table, with nothing decoded; the
 payload-keyed ``orbit_of``, ``pred`` and ``reps`` are read-only views,
@@ -88,7 +90,7 @@ import heapq
 import itertools
 import operator
 from collections import Counter
-from functools import cache, cached_property
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import (BadIndices, DescriptorMismatch, ObjectOutOfDomain,
@@ -276,36 +278,48 @@ def _local_frame_factors(q: int, kappa: int, family: str, size: int,
 
 
 def _has_pairs(ring: Ring, family: str, size: int) -> bool:
-    """Whether the catalog has an (i, j) pair, found in closed form: none
-    over the zero ring, which has no nonzero parameter, or below size 2;
-    for orth none below size 4, as (1, 2) and (2, 1) are partners, and
-    (1, 3) from size 4 on."""
-    return ring.cardinality() > 1 and size >= (
-        4 if family == FAMILY_ORTH else 2)
+    """Whether the catalog has an (i, j) pair (none over the zero ring or
+    below size 2, for orth below 4), once an odd paired size and the public
+    ``Generator`` checks, which read no z, have run on one generator."""
+    _check_paired_size(family, size)
+    if ring.cardinality() < 2 or size < (4 if family == FAMILY_ORTH else 2):
+        return False
+    Generator(family, 1, 3 if family == FAMILY_ORTH else 2, ring.one(), size)
+    return True
 
 
 def generator_catalog(ring: Ring, family: str, size: int):
-    """All generators with nonzero parameters, in canonical order; a
-    catalog with no (i, j) pair lists no parameter.  The public
-    ``Generator`` checks never read z, so they run once per (i, j), on its
-    first parameter, and raise the same first error; ``_gen`` builds the
-    pair's other parameters from their payloads."""
-    _check_paired_size(family, size)
+    """All generators with nonzero parameters, in canonical order, each
+    built by ``_gen``; more than ``DEFAULT_BUDGET``, pairs * (q - 1), are
+    refused unlisted.  That bounds the closure check of a loaded table: a
+    row table built at that budget has q^s <= 10^7, so under s^2 q <= 13,000
+    generators, and a frame's orbit maps onto that of its first row e_1, of
+    q^s / 2 rows or more (Um_s) for lin and sp and q^(s-1) / 2 (the
+    isotropic rows) for orth, past 10^7 wherever s^2 q is."""
     if not _has_pairs(ring, family, size):
         return []
-    zero = ring.zero().payload
-    nonzero = [p for p in map(ring.unrank, range(ring.cardinality()))
-               if p != zero]
-    first, rest = RingValue(ring, nonzero[0]), nonzero[1:]
-    gens = []
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if i == j or family == FAMILY_ORTH and i == paired_index(j):
-                continue
-            gens.append(Generator(family, i, j, first, size))
-            for p in rest:
-                gens.append(_gen(family, i, j, ring, p, size))
-    return gens
+    q, zero = ring.cardinality(), ring.zero().payload
+    count = size * (size - 2 if family == FAMILY_ORTH else size - 1) * (q - 1)
+    if count > DEFAULT_BUDGET:
+        raise SearchBudgetExceeded(
+            f"a catalog of {count} generators exceeds budget {DEFAULT_BUDGET}")
+    nonzero = [p for p in map(ring.unrank, range(q)) if p != zero]
+    return [_gen(family, i, j, ring, p, size)
+            for i in range(1, size + 1) for j in range(1, size + 1)
+            if i != j and (family != FAMILY_ORTH or i != paired_index(j))
+            for p in nonzero]
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``, cheaper to make
+    than a ``functools.cache`` (about 4 us, much of a small table's views)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        got = self[key] = self.make(key)
+        return got
 
 
 class _Codec:
@@ -336,32 +350,25 @@ class _Codec:
                 code = code * q + r
         return code
 
-    def decoder(self):
-        """code -> payload key, each distinct row and object built once."""
-        q, n, payload = self.q, self.width, cache(self.unrank)
-        row = cache(lambda c: tuple(map(payload, _split(c, q, n))))
+    def _coder(self, entry, join):
+        """code -> ``join`` of ``entry(d)`` over a row's digits d, or of a
+        frame's rows: each entry, row and frame built once, and shared."""
+        q, n, entries = self.q, self.width, _Memo(entry)
+        row = _Memo(lambda c: join(map(entries.__getitem__, _split(c, q, n))))
+        if self.is_row:
+            return row.__getitem__
         base, count = q ** n, self.rows
-        return row if self.is_row else cache(lambda code: tuple(
-            [row(r) for r in _split(code, base, count)]))
+        return _Memo(lambda code: join(map(
+            row.__getitem__, _split(code, base, count)))).__getitem__
+
+    def decoder(self):
+        """code -> payload key."""
+        return self._coder(self.unrank, tuple)
 
     def writer(self):
-        """code -> JSON, a new list of rows for a frame; each rank's JSON
-        is written once and each row's list built once, and shared."""
-        q, n, unrank, ring = self.q, self.width, self.unrank, self.ring
-        entry = cache(lambda d: ring.value_to_json(unrank(d)))
-        row = cache(lambda c: [entry(d) for d in _split(c, q, n)])
-        if self.is_row:
-            return row
-        base, count = q ** n, self.rows
-
-        def frame(code):
-            out = [None] * count
-            for k in range(count - 1, -1, -1):
-                code, r = divmod(code, base)
-                out[k] = row(r)
-            return out
-
-        return frame
+        """code -> JSON, each element's JSON and each row's list shared."""
+        return self._coder(
+            lambda d: self.ring.value_to_json(self.unrank(d)), list)
 
     @cached_property
     def _arith(self) -> tuple:
@@ -385,9 +392,8 @@ class _Codec:
                 add[d] = [rank[ring_add(a, y)] for y in values]
                 mul[d] = [rank[ring_mul(a, y)] for y in values]
 
-        # half code -> its digits, each with its rows built: plain dicts,
-        # as a functools.cache costs about 4 us to make, much of a small
-        # table's build
+        # half code -> its digits, each with its rows built: plain dicts
+        # read by get, a little cheaper on this hot path than a _Memo
         his, los = {}, {}
         his_get, los_get = his.get, los.get
 
@@ -470,14 +476,11 @@ class _Codec:
         stays there, as ``link`` only grows.  The points of a line share
         their digits off t, so a later single-update run on t, from this
         node or from another point of the line, could only propose points
-        already linked, and is skipped: no link changes.  A bit per target
-        marks the lines a node has swept.  Over q > 2 a memo marks them for
-        every node: a byte per row code, bit t of the code with digit t
-        zeroed for the line through t, q^n bytes, built for rows of at most
-        8 entries where q^n is at most ``DEFAULT_BUDGET``, so 10 MB at
-        most.  It is bound to the first ``link`` it meets and starts afresh
-        for another.  Over q = 2 a line has one other point, so a memo
-        check would cost what the one lookup it saves costs."""
+        already linked, and is skipped: no link changes.  Where a run
+        sweeps, a memo of a 32-bit word per row code (4 q^n bytes; a wider
+        row is refused) marks the swept lines, bit t of the code with digit
+        t zeroed for the line through t; it is bound to the first ``link``
+        it meets, afresh for another.  A node's own bits mark its lines."""
         if self.rows > 1:
             return self._frame_expander(gens)
         if not gens:  # nothing to build, over a ring of any size
@@ -486,12 +489,8 @@ class _Codec:
         # or the same four for a second update, and the target's bit if the
         # run sweeps, else 0) per run
         flat, rank, q, n = [], self.rank, self.q, self.width
-        # whether to keep a memo; swept is the memo of the link bound
-        memo = 2 < q and n <= 8 and q ** n <= DEFAULT_BUDGET
-        bound = swept = None
-        nonzero = list(range(q))
-        del nonzero[rank(self.ring.zero().payload)]
-        sweeps = [0] * n  # per target, its sweeping runs
+        zero, _, add, mul, digits, _ = self._arith
+        nonzero = [d for d in range(q) if d != zero]
         for run, first in self._runs(gens):
             assert len(first) <= 2, "a generator of three updates on a row"
             # the members' coefficient ranks, per update, off their triples
@@ -500,23 +499,21 @@ class _Codec:
             second = None if len(first) == 1 else (*first[1][:3], cols[1])
             s, t, w = first[0][:3]
             sweep = second is None and cols[0] == nonzero
-            sweeps[t] += sweep
-            flat.append((s, t, w, run, cols[0], second, sweep))
-        # with no memo, a node's bit for t pays only if t has a later run
-        least = 1 if memo else 2
-        flat = [(s, t, w, run, col, second,
-                 1 << t if sweep and sweeps[t] >= least else 0)
-                for s, t, w, run, col, second, sweep in flat]
-        zero, _, add, mul, digits, _ = self._arith
-        unit = None
+            flat.append((s, t, w, run, cols[0], second, sweep << t))
+        unit, words = None, 0
         if any(entry[6] for entry in flat):
+            if n > 32:
+                raise SearchBudgetExceeded(f"a row of {n} entries is wider "
+                                           "than the swept-line memo's word")
             unit = list(map(self.ring.is_unit_payload,
                             map(self.unrank, range(q))))
+            words = q ** n
+        bound = swept = None
 
         def expand(node, link, fresh):
             nonlocal bound, swept
-            if memo and link is not bound:
-                bound, swept = link, bytearray(q ** n)
+            if link is not bound:
+                bound, swept = link, memoryview(bytearray(4 * words)).cast("I")
             ds = digits(node)
             done = 0  # the bits of the targets whose line is swept
             for s, t, w, members, col, second, bit in flat:
@@ -544,14 +541,11 @@ class _Codec:
                 a = ds[t]
                 base = node - a * w  # the code of the line through t
                 if bit:
-                    if swept is not None:
-                        if swept[base] & bit:
-                            done |= bit
-                            continue
-                        if unit[x]:
-                            swept[base] |= bit
-                            done |= bit
-                    elif unit[x]:
+                    if swept[base] & bit:
+                        done |= bit
+                        continue
+                    if unit[x]:
+                        swept[base] |= bit
                         done |= bit
                 by_x, plus_a = mul[x], add[a]
                 for g, c in zip(members, col):
@@ -678,8 +672,8 @@ class OrbitTable:
 
     def to_json(self) -> dict:
         """The table's JSON, its objects in code order, which is key order.
-        The objects share the list of each row, and the JSON of each
-        element: copy the result before editing it in place."""
+        The objects share the list of each row and frame, and the JSON of
+        each element: copy the result before editing it in place."""
         write, orbit, link = self._codec.writer(), self._orbit, self._link
         objects = []
         for code in sorted(orbit):
@@ -795,24 +789,24 @@ class OrbitTable:
         whether it is) inside one orbit, the objects without a link are one
         representative per orbit id in id order, and each chain of links
         ends at one, so objects that share an orbit id are equivalent."""
-        of, json_of = self._orbit, self._codec.writer()
+        of, writer = self._orbit, self._codec.writer  # made to raise
         for code, link in self._link.items():
             if link is None or of.get(link[0]) == of[code] and steps[code]:
                 continue
             raise WitnessCheckFailed("orbit table link fails its check",
-                                     object=json_of(code))
+                                     object=writer()(code))
         for oid, rep in enumerate(self._reps):
             if of[rep] != oid:
                 raise WitnessCheckFailed(
                     "orbit table needs one representative per orbit id",
-                    object=json_of(rep))
+                    object=writer()(rep))
         rooted = set(self._reps)
         for code in of:
             chain = [code]
             while chain[-1] not in rooted:
                 if len(chain) > len(of):
                     raise WitnessCheckFailed("orbit table links form a cycle",
-                                             object=json_of(chain[-1]))
+                                             object=writer()(chain[-1]))
                 chain.append(self._link[chain[-1]][0])
             rooted.update(chain)
 
@@ -916,17 +910,15 @@ def enumerate_orbits(ring: Ring, kind: str, family: str, size: int,
     if kind == "frame":
         if frame_rows <= 0 or frame_rows > size:
             raise ObjectOutOfDomain("frame kind needs frame_rows in 1..size")
-        _check_paired_size(family, size)
-        # refused before the catalog and the standard frame are built, by a
-        # lower bound, then by the orbit's size where it is proven (the bound
-        # first: it is q or more wherever a catalog with a pair builds, so
-        # no ring past the budget is split for a table it refuses); a table
-        # with no catalog pair is its one standard frame, counted by
-        # nothing, and a one-object table never trips the BFS
+        # the catalog's checks first, so no ring is split for them; then,
+        # the catalog unbuilt, a lower bound (q or more with a pair, so no
+        # ring past the budget is split) and the orbit's size where proven
+        # refuse; a table with no pair is its one frame and never trips BFS
+        pairs = _has_pairs(ring, family, size)
         q, cap = ring.cardinality(), max(budget, 1)
         shape = ring, family, size, frame_rows
         bound = _capped_power(q, _frame_orbit_exponent(*shape), cap)
-        count = None if bound > cap or not _has_pairs(*shape[:3]) \
+        count = None if bound > cap or not pairs \
             else _frame_orbit_count(*shape, cap)
         if (bound if count is None else count) > cap:
             raise SearchBudgetExceeded(f"orbit table exceeded budget {budget}")
@@ -961,9 +953,16 @@ def _check_closed(table: OrbitTable, oid: int):
     """Raise unless every catalog generator maps every object of orbit
     ``oid`` to an object of that orbit.  The objects with that id then hold
     the whole orbit, so an object with another id lies outside it.  Every
-    member is expanded: no count vouches for a loaded table."""
-    expand = table._codec.expander(
-        generator_catalog(table.ring, table.family, table.size))
+    member is expanded: no count vouches for a loaded table.  Its catalog
+    and its rows, a memo word per code (``_Codec.expander``), are refused
+    past ``DEFAULT_BUDGET``."""
+    codec = table._codec
+    gens = generator_catalog(table.ring, table.family, table.size)
+    if gens and codec.rows == 1 and _capped_power(
+            codec.q, codec.width, DEFAULT_BUDGET) > DEFAULT_BUDGET:
+        raise SearchBudgetExceeded(f"{codec.q}^{codec.width} row codes "
+                                   f"exceed budget {DEFAULT_BUDGET}")
+    expand = codec.expander(gens)
     codes = [c for c, o in table._orbit.items() if o == oid]
     members, outside = dict.fromkeys(codes), []
     for code in codes:
@@ -971,7 +970,7 @@ def _check_closed(table: OrbitTable, oid: int):
         if outside:
             raise WitnessCheckFailed(
                 "orbit table orbit is not closed under the generators",
-                object=table._codec.writer()(code))
+                object=codec.writer()(code))
 
 
 def certify_equivalence(v1, v2, table: OrbitTable):

@@ -324,6 +324,12 @@ FIXTURES = {
     # a key of the wrong length, as a new representative
     "short key": lambda obj: obj["objects"].append(
         {"v": [1, 0], "orbit": 1, "pred": None}),
+    # two unimodular rows of 2 over Z/10^12, each its own orbit: the
+    # closure check's catalog would hold 2 * (10^12 - 1) generators
+    "huge catalog": lambda obj: obj.update(
+        ring={"kind": "mod", "n": 10 ** 12}, size=2, objects=[
+            {"v": [0, 1], "orbit": 0, "pred": None},
+            {"v": [1, 0], "orbit": 1, "pred": None}]),
     "float size": lambda obj: obj.update(size=2.0),
     "string frame_rows": lambda obj: obj.update(frame_rows="0"),
     "float orbit": lambda obj: obj["objects"][0].update(orbit=0.0),
@@ -696,6 +702,15 @@ ROWS = (
     Row("huge modulus: sp frames 1 x 2",
         f"orbits --ring mod:{SEMIPRIME} --kind frame --family sp --size 2 "
         "--frame-rows 1", exit=2, out=OVER_BUDGET, timeout=2),
+    # an orth catalog over a ring without 1/2 raises before the frame's
+    # count splits the ring or the catalog lists its q - 1 parameters, as
+    # over Z/4
+    *(Row(f"orth frames without 1/2 over Z/{n}",
+          f"orbits --ring mod:{n} --kind frame --family orth --size 4 "
+          "--frame-rows 1", exit=2,
+          out='{"code":"half_not_invertible","context":{},"message":'
+              f'"orthogonal generators need 1/2 in Z/{n}"}}', timeout=2)
+      for n in (10 ** 12 + 2, 2 * 10 ** 36 + 24 * 10 ** 18 + 54, 9999998)),
     # an oversized frame table is refused by a lower bound on its orbit
     # before its catalog exists
     *(Row(f"orbits F_5 {family} frames 1 x 3000",
@@ -750,6 +765,13 @@ ROWS = (
         setup=UM3_Z4, fixture="re-rooted", exit=2,
         subset={"code": "witness_check_failed", "message":
                 "orbit table orbit is not closed under the generators"})),
+    # a catalog past 10^7 generators, counted in closed form, is refused
+    # before the closure check lists it
+    Row("certify a table with a huge catalog", CERTIFY + "[1,0] --v2 [0,1]",
+        setup=UM2_Z2, fixture="huge catalog", exit=2,
+        out='{"code":"search_budget_exceeded","context":{},"message":'
+            '"a catalog of 1999999999998 generators exceeds budget '
+            '10000000"}', timeout=2),
     Row("certify a table with a short key", CERTIFY + "[1,0] --v2 [1,0]",
         setup=UM3_Z4, fixture="short key", exit=2,
         subset={"code": "witness_check_failed"}),

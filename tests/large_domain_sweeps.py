@@ -23,9 +23,10 @@ unimodular rows in one orbit.
 A row table's BFS skips the runs whose images lie on a line it has swept
 already (``oracle._Codec.expander``); a line swept by mistake would leave
 an image unproposed without an error.  So every lin, sp and orth row table
-and one-row frame table of at most 2,000 codes over the ``COUNT_RINGS`` is
-built by the library and by the reference BFS of tests/test_oracle.py,
-which proposes every image, and the two must dump the same bytes.
+and one-row frame table of at most 2,000 codes over the ``COUNT_RINGS``,
+and the ``WIDE_ROWS``, rows wider than a byte of memo bits, are built by
+the library and by the reference BFS of tests/test_oracle.py, which
+proposes every image, and the two must dump the same bytes.
 
 The sweeps take a few seconds each, so they run as their own CI step,
 outside tier-1; pytest does not collect this file.  Run it from the
@@ -73,6 +74,8 @@ COUNT_RINGS = [ModularRing(n) for n in (1, 2, 3, 4, 6, 9, 10, 12, 15)] + [
     QuotientRing(PolyExt(PrimeField(2), "x"), [(0, 1, 0, 1)])]
 COUNT_BUDGET = 5000
 ROW_CODES = 2000
+# (ring, kind, family, size, frame rows): F_3 lin rows of 9, 19,683 codes
+WIDE_ROWS = [(PrimeField(3), "row", "lin", 9, 0)]
 
 
 class SweepFailed(Exception):
@@ -151,19 +154,18 @@ def count_sweep() -> int:
 
 def row_sweep() -> int:
     """The number of row tables and one-row frame tables of at most
-    ``ROW_CODES`` codes built by the library and by the reference BFS;
-    raises SweepFailed at the first pair whose bytes differ."""
-    built = 0
-    for ring in COUNT_RINGS:
-        for spec in _sweep_shapes(ring, ROW_CODES):
-            table = enumerate_orbits(ring, spec[0], spec[1], spec[2],
-                                     spec[3])
-            want = OrbitTable(ring, *spec, *_bfs_closure_ref(ring, *spec))
-            if json.dumps(table.to_json()) != json.dumps(want.to_json()):
-                raise SweepFailed(f"{spec[0]} {spec[1]} of {spec[2]} over "
-                                  f"{ring}: the reference BFS differs")
-            built += 1
-    return built
+    ``ROW_CODES`` codes, and of ``WIDE_ROWS``, built by the library and by
+    the reference BFS; raises SweepFailed at the first pair whose bytes
+    differ."""
+    shapes = [(ring, *spec) for ring in COUNT_RINGS
+              for spec in _sweep_shapes(ring, ROW_CODES)] + WIDE_ROWS
+    for ring, *spec in shapes:
+        table = enumerate_orbits(ring, *spec)
+        want = OrbitTable(ring, *spec, *_bfs_closure_ref(ring, *spec))
+        if json.dumps(table.to_json()) != json.dumps(want.to_json()):
+            raise SweepFailed(f"{spec[0]} {spec[1]} of {spec[2]} over "
+                              f"{ring}: the reference BFS differs")
+    return len(shapes)
 
 
 def main() -> int:

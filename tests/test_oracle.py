@@ -65,8 +65,8 @@ def _catalog_ref(ring, family, size):
                                   TruncatedPolyLocal(2, 2)],
                          ids=["Z/1", "Z/4", "Z/9", "F_5", "F_2[x]/(x^2)"])
 def test_the_catalog_matches_the_public_constructor(ring):
-    # the catalog checks each (i, j) once and builds the rest unchecked:
-    # the same generators in the same order, or the same first error (orth
+    # the catalog checks one generator and builds the rest unchecked: the
+    # same generators in the same order, or the same first error (orth
     # without 1/2; odd paired sizes, also size 1, which has no pair)
     for family, size in itertools.product(
             (FAMILY_LIN, FAMILY_SP, FAMILY_ORTH), range(1, 7)):
@@ -78,6 +78,41 @@ def test_the_catalog_matches_the_public_constructor(ring):
             assert info.value.message == exc.message
             continue
         assert oracle.generator_catalog(ring, family, size) == want
+
+
+def test_a_catalog_past_the_default_budget_is_refused_unlisted(
+        monkeypatch):
+    # pairs * (q - 1) generators, counted in closed form: the lin rows of 2
+    # over Z/10^12 would list 2 * (10^12 - 1) of them.  Over F_5 the lin
+    # catalog of 3 has 6 pairs, the sp one of 4 12 and the orth one 8, of
+    # 4 parameters each: a budget of exactly that many lists them
+    got = within(2, lambda: oracle.generator_catalog(
+        ModularRing(10 ** 12), FAMILY_LIN, 2))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == ("a catalog of 1999999999998 generators exceeds "
+                           "budget 10000000")
+    for family, size, count in ((FAMILY_LIN, 3, 24), (FAMILY_SP, 4, 48),
+                                (FAMILY_ORTH, 4, 32)):
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", count)
+        assert len(oracle.generator_catalog(PrimeField(5), family,
+                                            size)) == count
+        monkeypatch.setattr(oracle, "DEFAULT_BUDGET", count - 1)
+        with pytest.raises(SearchBudgetExceeded):
+            oracle.generator_catalog(PrimeField(5), family, size)
+
+
+def test_an_orth_frame_without_a_half_raises_before_the_ring_is_split(
+        monkeypatch):
+    # the catalog's first check runs before the frame's count splits the
+    # ring into its local parts and before any parameter is listed, with
+    # the error that Z/4 gives
+    monkeypatch.setattr(ModularRing, "local_parts", _refuse)
+    monkeypatch.setattr(ModularRing, "unrank", _refuse)
+    for n in (4, 9999998, 1000000000002):
+        with pytest.raises(HalfNotInvertible,
+                           match=f"^orthogonal generators need 1/2 in Z/{n}$"):
+            enumerate_orbits(ModularRing(n), "frame", FAMILY_ORTH, 4,
+                             frame_rows=1)
 
 
 @pytest.mark.parametrize("family", [FAMILY_SP, FAMILY_ORTH])
@@ -694,8 +729,20 @@ _GOLDEN = (GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES + CODED_GOLDEN_TABLES
            + ROW_GOLDEN_TABLES)
 
 
+# the same digest, recorded before every row table kept a swept-line memo
+# (it was kept only over q > 2 for rows of at most 8 entries): rows wider
+# than the old memo, whose reference BFS runs outside tier-1
+# (tests/large_domain_sweeps.py), so they are not in _GOLDEN
+WIDE_ROW_GOLDEN_TABLES = [
+    (PrimeField(3), "row", FAMILY_LIN, 9, 0,
+     "6858979c09aa31434fb50d99ebe061682f4071863e51c20c095f22501b005ee4"),
+    (PrimeField(2), "row", FAMILY_LIN, 12, 0,
+     "b15cc58583b00fbbf7868f2f76010516eb2a994280ed4cc192724cbbf33d77c8"),
+]
+
+
 @pytest.mark.parametrize("ring, kind, family, size, frame_rows, digest",
-                         _GOLDEN,
+                         _GOLDEN + WIDE_ROW_GOLDEN_TABLES,
                          ids=["Um_3(Z/4)", "F_3 sp frames", "Z/6 sp rows",
                               "F_3 orth rows", "F_2[x]/(x^2) lin rows",
                               "Z/4 sp frames", "F_4 lin rows",
@@ -706,7 +753,8 @@ _GOLDEN = (GOLDEN_TABLES + COMPILED_ACTION_GOLDEN_TABLES + CODED_GOLDEN_TABLES
                               "F_7 orth rows", "Z/8 lin rows",
                               "Z/3 sp 2-row frames", "Z/23 sp frames",
                               "F_3 lin 3-row frames",
-                              "Z/2 lin 3-row frames"])
+                              "Z/2 lin 3-row frames", "F_3 lin rows of 9",
+                              "F_2 lin rows of 12"])
 def test_table_bytes_match_golden(ring, kind, family, size, frame_rows,
                                   digest):
     table = _bounded_table(ring, kind, family, size, frame_rows)
@@ -1505,6 +1553,36 @@ def test_the_memo_starts_afresh_for_another_link():
     assert {(1, 0, c) for c in range(1, 8)} <= set(second)
 
 
+def test_a_row_wider_than_the_memo_word_is_refused():
+    # the memo holds one 32-bit word per row code, bit t for target t: a
+    # row of 33 entries would need bit 32, and is refused before any memo
+    # exists, never folded onto another bit; 32 entries fit
+    ring = PrimeField(2)
+    for size in (32, 33):
+        codec = OrbitTable(ring, "row", FAMILY_LIN, size)._codec
+        gens = oracle.generator_catalog(ring, FAMILY_LIN, size)
+        if size == 32:
+            assert callable(codec.expander(gens))
+            continue
+        with pytest.raises(SearchBudgetExceeded,
+                           match="^a row of 33 entries is wider than the"):
+            codec.expander(gens)
+
+
+def test_a_closure_check_past_the_default_budget_of_codes_is_refused():
+    # the closure check sweeps lines with a memo of a word per row code: a
+    # loaded table of rows of 2 over Z/3163, 10,004,569 codes, is refused
+    # before a memo is made, though its catalog of 6,324 generators passes
+    table = OrbitTable.from_json({
+        "version": 1, "ring": {"kind": "mod", "n": 3163}, "kind": "row",
+        "family": FAMILY_LIN, "size": 2, "frame_rows": 0, "objects": [
+            {"v": [0, 1], "orbit": 0, "pred": None},
+            {"v": [1, 0], "orbit": 1, "pred": None}]})
+    got = within(2, lambda: certify_equivalence((1, 0), (0, 1), table))
+    assert isinstance(got, SearchBudgetExceeded)
+    assert got.message == "3163^2 row codes exceed budget 10000000"
+
+
 class _CountedLinks(dict):
     """A link dict that counts its membership tests, the BFS's lookups."""
 
@@ -1518,9 +1596,10 @@ class _CountedLinks(dict):
 def test_swept_lines_pin_the_link_lookups(monkeypatch):
     # the link lookups of a build, before the swept-line rule and now: Um_4(Z/8)
     # 98,700 -> 23,891, the Z/23 one-row sp frames of 2 20,878 -> 968 and
-    # F_2 lin rows of 8 6,811 -> 1,968 (no memo over F_2: each node's bits
-    # alone); orth runs have two updates and sweep nothing, so the F_7 orth
-    # rows of 4 keep their 30,888.  The tables keep their golden bytes
+    # F_2 lin rows of 8 6,811 -> 1,009 (1,968 while the memo was kept only
+    # over q > 2 and each F_2 node had its own bits alone); orth runs have
+    # two updates and sweep nothing, so the F_7 orth rows of 4 keep their
+    # 30,888.  The tables keep their golden bytes
     bfs = oracle._bfs_closure
 
     def counted(table, *args):
@@ -1536,7 +1615,7 @@ def test_swept_lines_pin_the_link_lookups(monkeypatch):
         _CountedLinks.lookups = 0
         table = enumerate_orbits(*spec[:4], frame_rows=spec[4])
         got.append((len(table._orbit), _CountedLinks.lookups))
-    assert got == [(3840, 23891), (528, 968), (255, 1968), (2400, 30888)]
+    assert got == [(3840, 23891), (528, 968), (255, 1009), (2400, 30888)]
 
 
 def test_a_row_table_build_decodes_no_code(monkeypatch):
